@@ -15,11 +15,17 @@ See README.md for the workloads, the checks and reference figures.
 
 from __future__ import annotations
 
+import os
+
+# one BLAS thread: the solves use small matrices, and idle BLAS workers
+# would add CPU time of their own (set before numpy is first imported)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import io
 import json
-import os
 import resource
 import shutil
 import statistics
@@ -27,11 +33,12 @@ import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter, process_time
+from time import perf_counter
 
 import numpy as np
 
 import checks
+from refclock import ReferenceClock
 from spans import TraceError, Tracer
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -155,9 +162,7 @@ class SquareSession:
     def solve(self):
         config = pipeline.PipelineConfig(iono=self.config.iono,
                                          tropo=self.config.tropo)
-        start = process_time()
-        result = pipeline.solve_trajectory(self.epochs, self.states, config)
-        return process_time() - start, result
+        return pipeline.solve_trajectory(self.epochs, self.states, config)
 
     def check(self, result):
         failures = [checks.check_polyline(truth_enu(self.config,
@@ -229,10 +234,8 @@ class LongCliSession:
                 "--config", str(self.dir / "solver.yaml"),
                 "--out", str(out), "--no-trrtk"]
         with contextlib.redirect_stdout(io.StringIO()):
-            start = process_time()
             code = cli.main(argv)
-            elapsed = process_time() - start
-        return elapsed, (code, out)
+        return code, out
 
     def check(self, result):
         code, out = result
@@ -270,7 +273,17 @@ class LongCliSession:
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-def run_session(workload: Workload, seed: int, tracer: Tracer | None):
+def timed(clock: ReferenceClock, function):
+    """Call function(); return its reference seconds (see refclock.py),
+    its CPU seconds, its wall seconds and its result."""
+    ref, cpu, wall = clock.now(), clock.program_cpu(), perf_counter()
+    result = function()
+    return (clock.now() - ref, clock.program_cpu() - cpu,
+            perf_counter() - wall, result)
+
+
+def run_session(workload: Workload, seed: int, clock: ReferenceClock,
+                tracer: Tracer | None):
     """Set up, solve and check one session; with a tracer, solve it a
     second time traced and take the per-layer figures from that solve."""
     session = (LongCliSession if workload.cli else SquareSession)(workload,
@@ -280,24 +293,23 @@ def run_session(workload: Workload, seed: int, tracer: Tracer | None):
         if tracer is not None:
             tracer.reset()
         with tracer or contextlib.nullcontext():
-            start = process_time()
-            session.setup()
-            record["setup_s"] = process_time() - start
-        start = perf_counter()
-        record["solve_s"], result = session.solve()
-        record["solve_wall_s"] = perf_counter() - start
+            record["setup_s"], record["setup_cpu_s"], _, _ = timed(
+                clock, session.setup)
+        (record["solve_s"], record["solve_cpu_s"], record["solve_wall_s"],
+         result) = timed(clock, session.solve)
         values, failures, extra = session.check(result)
         record.update(values)
         record["failures"] = failures
         if tracer is not None:
             with tracer:
-                traced_s, result = session.solve()
+                traced_s, _, _, result = timed(clock, session.solve)
             traced_values, traced_failures, extra = session.check(result)
             if (traced_values, traced_failures) != (values, failures):
                 record["failures"].append(
                     "trace: the traced solve's outputs differ")
             record["layers"] = tracer.layer_metrics() | extra | {
                 "trace.solve_s": traced_s,
+                "cpu.solve_s": record["solve_cpu_s"],
                 "wall.solve_s": record["solve_wall_s"],
                 "trace.overhead_s": traced_s - record["solve_s"]}
             record["spans"] = tracer.span_table()
@@ -368,28 +380,31 @@ def main(argv=None) -> int:
     global cli, fileio, pipeline, rinex, sim, types
     cli, fileio, pipeline, rinex, sim, types = import_program()
     workload = WORKLOADS[args.workload]
-    tracer = Tracer() if args.trace else None
 
     records = []
     rounds = 0
     start = perf_counter()
+    nan = float("nan")
     try:
-        while True:
-            for seed in round_order(workload, args.seed):
-                record = run_session(workload, seed, tracer)
-                records.append(record)
-                status = "ok" if not record["failures"] else \
-                    "FAILED " + "; ".join(record["failures"])
-                print(f"{args.workload} session {seed}: "
-                      f"setup {record.get('setup_s', float('nan')):.2f} s, "
-                      f"solve {record.get('solve_s', float('nan')):.2f} s, "
-                      f"RPE {record.get('rpe_mean', float('nan')):.4f}/"
-                      f"{record.get('rpe_max', float('nan')):.4f} m: "
-                      f"{status}", flush=True)
-            rounds += 1
-            elapsed = perf_counter() - start
-            if elapsed * (rounds + 1) / rounds > args.seconds:
-                break
+        with ReferenceClock() as clock:
+            tracer = Tracer(clock=clock.now) if args.trace else None
+            while True:
+                for seed in round_order(workload, args.seed):
+                    record = run_session(workload, seed, clock, tracer)
+                    records.append(record)
+                    status = "ok" if not record["failures"] else \
+                        "FAILED " + "; ".join(record["failures"])
+                    print(f"{args.workload} session {seed}: "
+                          f"setup {record.get('setup_s', nan):.2f} s, "
+                          f"solve {record.get('solve_s', nan):.2f} s "
+                          f"({record.get('solve_cpu_s', nan):.2f} s CPU), "
+                          f"RPE {record.get('rpe_mean', nan):.4f}/"
+                          f"{record.get('rpe_max', nan):.4f} m: "
+                          f"{status}", flush=True)
+                rounds += 1
+                elapsed = perf_counter() - start
+                if elapsed * (rounds + 1) / rounds > args.seconds:
+                    break
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,10 @@ A span wraps a public function at the name its caller looks it up by:
 `gnssgraph.pipeline` namespace, so that is where the wrapper goes, while
 `estimate_baseline` reaches `lambda_resolve` through `gnssgraph.trrtk`.
 Each span adds up calls, time and self time (its time minus that of the
-spans it caused), in process CPU time like the end-to-end timings; hooks
-count the work a call did from its arguments and result. A name that no longer exists is an error, never a
-silent zero.
+spans it caused), by the clock it is given: in the benchmark that is
+the reference clock of the end-to-end timings (refclock.py). Hooks
+count the work a call did from its arguments and result. A name that no
+longer exists is an error, never a silent zero.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ HOOKS = {
 class Tracer:
     """Install span wrappers, collect totals, and put the originals back."""
 
-    def __init__(self, spans=SPANS):
+    def __init__(self, spans=SPANS, clock=process_time):
         self.spans = spans
+        self.clock = clock
         self.calls = Counter()
         self.total = defaultdict(float)
         self.self_time = defaultdict(float)
@@ -145,18 +147,19 @@ class Tracer:
     def _wrap(self, function, span):
         hook = HOOKS.get(span)
         stack = self._stack
+        clock = self.clock
 
         def traced(*args, **kwargs):
             frame = [0.0]                      # time of spans it causes
             stack.append(frame)
-            start = process_time()
+            start = clock()
             try:
                 result = function(*args, **kwargs)
             except Exception as exc:
                 self.errors[(span, type(exc).__name__)] += 1
                 raise
             finally:
-                elapsed = process_time() - start
+                elapsed = clock() - start
                 stack.pop()
                 if stack:
                     stack[-1][0] += elapsed

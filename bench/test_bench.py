@@ -6,7 +6,9 @@ corrupted one. Run from the repository root:
     python3 -m pytest -q bench
 """
 
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ sys.path.insert(0, str(BENCH_DIR))
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 import checks  # noqa: E402
+from refclock import ReferenceClock  # noqa: E402
 from spans import SPANS, TraceError, Tracer  # noqa: E402
 
 SQUARE = [(0, 0, 0), (50, 0, 0), (50, 50, 0), (0, 50, 0), (0, 0, 0)]
@@ -246,3 +249,43 @@ class TestTracer:
         assert layers["trrtk.pairs_attempted"] == 1
         assert layers["trrtk.pairs_errored"] == 1
         assert layers["trrtk.pairs_errored.InsufficientSatellites"] == 1
+
+
+def burn(cpu_seconds):
+    start = time.process_time()
+    while time.process_time() - start < cpu_seconds:
+        sum(range(1000))
+
+
+class TestReferenceClock:
+    def test_sampler_time_is_left_out(self):
+        with ReferenceClock(interval=0.01) as clock:
+            ref, cpu = clock.now(), clock.program_cpu()
+            time.sleep(0.5)             # about 50 kernels run meanwhile
+            assert clock.program_cpu() - cpu < 0.01
+            assert clock.now() - ref < 0.01
+
+    def test_program_time_is_divided_by_the_slowdown(self):
+        with ReferenceClock(interval=60.0) as clock:
+            clock._state = (clock.program_cpu(), 0.0, 2.0)
+            ref, cpu = clock.now(), clock.program_cpu()
+            burn(0.2)
+            assert clock.now() - ref == pytest.approx(
+                (clock.program_cpu() - cpu) / 2.0, rel=1e-3)
+
+    def test_program_time_never_runs_backwards(self):
+        # the sampler runs about 200 times meanwhile, often between
+        # the reads of the process and the sampler clocks
+        with ReferenceClock(interval=0.005) as clock:
+            last = clock.program_cpu()
+            for _ in range(150000):
+                cpu = clock.program_cpu()
+                assert cpu >= last
+                last = cpu
+
+    def test_stops_its_thread_and_restores_affinity(self):
+        affinity = os.sched_getaffinity(0)
+        with ReferenceClock() as clock:
+            assert len(os.sched_getaffinity(0)) == 1
+        assert not clock._thread.is_alive()
+        assert os.sched_getaffinity(0) == affinity
