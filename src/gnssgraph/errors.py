@@ -37,6 +37,14 @@ class NotPositiveDefinite(GnssError):
     """Covariance matrix expected to be positive definite is not."""
 
 
+class SearchLimitExceeded(GnssError):
+    """Integer search ran out of its step budget before it finished."""
+
+
+class AmbiguityCheckFailed(GnssError):
+    """An integer fix failed its check in the original ambiguity space."""
+
+
 class WindowExceeded(GnssError):
     """Epoch pair separated by more than the configured time window."""
 

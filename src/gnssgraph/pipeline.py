@@ -72,6 +72,7 @@ def solve_trajectory(epochs, sat_states,
                                          config.trrtk)
                        for epoch, states_k, spp in zip(epochs, sat_states,
                                                        spp_solutions)]
+        bases = {}                     # LAMBDA's starting Z per DD layout
         for j in range(n):
             for offset in config.pair_lattice:
                 i = j - int(round(offset / interval))
@@ -82,7 +83,7 @@ def solve_trajectory(epochs, sat_states,
                     result = estimate_baseline(
                         epochs[i], epochs[j], sat_states[i], sat_states[j],
                         spp_solutions[i].position, spp_solutions[j].position,
-                        config.trrtk, corrections[i], corrections[j])
+                        config.trrtk, corrections[i], corrections[j], bases)
                 except GnssError:
                     continue
                 trrtk_results.append((i, j, result))

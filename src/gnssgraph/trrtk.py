@@ -275,18 +275,17 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
 
 
 def _dd_covariance(dd: DoubleDiffSet, ref_sigma: dict, attr: str) -> np.ndarray:
-    """Full DD covariance with the single-reference correlation structure."""
-    m = len(dd.entries)
-    cov = np.zeros((m, m))
-    for i, ei in enumerate(dd.entries):
-        si = getattr(ei, attr)
-        sr = ref_sigma[ei.sat.constellation]
-        for j, ej in enumerate(dd.entries):
-            if ej.reference != ei.reference:
-                continue
-            cov[i, j] = sr ** 2
-            if i == j:
-                cov[i, j] += si ** 2
+    """Full DD covariance with the single-reference correlation structure:
+    the reference's variance wherever two DDs share a reference, plus the
+    satellite's own variance on the diagonal."""
+    group = {}
+    ref = np.array([group.setdefault(e.reference, len(group))
+                    for e in dd.entries])
+    var_ref = np.array([ref_sigma[e.sat.constellation] ** 2
+                        for e in dd.entries])
+    var_own = np.array([getattr(e, attr) ** 2 for e in dd.entries])
+    cov = np.where(ref[:, None] == ref, var_ref[:, None], 0.0)
+    cov[np.diag_indices_from(cov)] += var_own
     return cov
 
 
@@ -318,6 +317,11 @@ def _model_and_jacobian(dd: DoubleDiffSet, baseline: np.ndarray,
     jac_past = unit_past[ref] - unit_past[own]
     jac_cur = unit_cur[ref] - unit_cur[own]
     return g_past, g_cur, jac_past, jac_cur
+
+
+def _norm1(a: np.ndarray) -> float:
+    """Matrix 1-norm: the largest absolute column sum."""
+    return np.abs(a).sum(axis=0).max()
 
 
 def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
@@ -353,7 +357,6 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
     baseline = dd.receiver_current - dd.receiver_past
     shift = np.zeros(3)
     ambiguity = np.zeros(m)
-    normal = None
     for _ in range(10):
         g_past, g_cur, jac_p, jac_c = _model_and_jacobian(dd, baseline, shift)
         residual = np.concatenate([
@@ -371,7 +374,15 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
         jac[2 * m:3 * m, 3:6] = jac_c
         jac[3 * m:, 3:6] = np.eye(3)
         normal = jac.T @ weight @ jac
-        if np.linalg.cond(normal) > 1e14:
+        # numpy hands out no LU factor, so the check inverts the same
+        # matrix: that gives the exact 1-norm condition number, and at the
+        # last iteration the inverse is the joint covariance
+        try:
+            normal_inv = np.linalg.inv(normal)
+        except np.linalg.LinAlgError:
+            normal_inv = None
+        if (normal_inv is None
+                or _norm1(normal) * _norm1(normal_inv) > 1e14):
             raise SingularGeometry("degenerate double-difference geometry")
         delta = np.linalg.solve(normal, jac.T @ weight @ residual)
         baseline = baseline + delta[:3]
@@ -382,9 +393,8 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
         if np.linalg.norm(delta[:3]) < 1e-6:
             break
 
-    full_cov = np.linalg.inv(normal)
     keep = np.r_[0:3, 6:6 + m]
-    joint_cov = full_cov[np.ix_(keep, keep)]
+    joint_cov = normal_inv[np.ix_(keep, keep)]
     joint_cov = 0.5 * (joint_cov + joint_cov.T)
     problem = AmbiguityProblem(ambiguity, joint_cov[3:, 3:])
     return baseline, problem, joint_cov
@@ -395,14 +405,18 @@ def estimate_baseline(past: Epoch, current: Epoch, states_past: dict,
                       position_current: np.ndarray,
                       config: TrRtkConfig | None = None,
                       corrections_past: EpochCorrections | None = None,
-                      corrections_current: EpochCorrections | None = None
-                      ) -> TrRtkResult:
+                      corrections_current: EpochCorrections | None = None,
+                      bases: dict | None = None) -> TrRtkResult:
     """Full pipeline: slip screening, DD formation, float solve, LAMBDA fix.
 
     On an accepted ratio test the baseline is re-conditioned on the
     integer ambiguities; otherwise the result is Rejected and must not
     become a graph edge. A caller that pairs each epoch many times passes
-    its `epoch_corrections` so they are computed once per epoch.
+    its `epoch_corrections` so they are computed once per epoch, and one
+    `bases` dict for all its pairs: it maps a DD layout, the ordered
+    (sat, reference) tuple of the entries, to the decorrelating Z that
+    LAMBDA last ended with, and LAMBDA starts the next pair of that
+    layout there. The result does not depend on the starting Z.
     """
     config = config or TrRtkConfig()
     dt = current.time - past.time
@@ -421,7 +435,11 @@ def estimate_baseline(past: Epoch, current: Epoch, states_past: dict,
                                  position_past, position_current, config,
                                  corrections_past, corrections_current)
     baseline, problem, joint_cov = solve_float_baseline(dd, config)
+    bases = {} if bases is None else bases
+    layout = tuple((e.sat, e.reference) for e in dd.entries)
+    problem.basis = bases.get(layout)
     integers, ratio, accepted = lambda_resolve(problem, config.ratio_threshold)
+    bases[layout] = problem.basis
 
     if not accepted:
         return TrRtkResult(baseline, joint_cov[:3, :3].copy(),

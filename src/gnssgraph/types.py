@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -93,10 +94,12 @@ class Epoch:
             raise ValueError("duplicate satellite in epoch")
 
     def get(self, sat: SatelliteId) -> Observation | None:
-        for obs in self.observations:
-            if obs.sat == sat:
-                return obs
-        return None
+        return self._by_sat.get(sat)
+
+    @cached_property
+    def _by_sat(self) -> dict:
+        """Satellite -> observation, built on the first `get`."""
+        return {o.sat: o for o in self.observations}
 
     @property
     def sat_ids(self) -> set[SatelliteId]:

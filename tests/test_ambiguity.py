@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gnssgraph.ambiguity import (AmbiguityProblem, _ltdl, _reduction,
-                                 lambda_resolve)
-from gnssgraph.errors import NotPositiveDefinite
+from gnssgraph.ambiguity import (AmbiguityProblem, _ltdl, _original_integers,
+                                 _reduction, _search, lambda_resolve)
+from gnssgraph.errors import (AmbiguityCheckFailed, NotPositiveDefinite,
+                              SearchLimitExceeded)
 
 
 def brute_force_minimizer(float_values, covariance, box=8):
@@ -122,3 +126,93 @@ class TestReduction:
             factored = L.T @ np.diag(d) @ L
             scale = np.max(np.abs(transformed))
             assert np.max(np.abs(transformed - factored)) < 1e-9 * scale
+
+
+@st.composite
+def problems_and_bases(draw):
+    """A float vector, an SPD covariance and a unimodular basis built
+    from integer shears and sign flips, all of dimension 2 to 12."""
+    n = draw(st.integers(2, 12))
+    unit = st.floats(-1.0, 1.0)
+    a = draw(arrays(float, (n, n), elements=unit))
+    floats = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    basis = np.eye(n)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.integers(-2, 2))
+    for i, j, k in draw(st.lists(ops, max_size=3 * n)):
+        if i == j:
+            basis[:, i] = -basis[:, i]
+        else:
+            basis[:, j] += k * basis[:, i]
+    return floats, a @ a.T + 0.1 * np.eye(n), basis
+
+
+def _q(problem, integers):
+    r = problem.float_values - integers
+    return float(r @ np.linalg.solve(problem.covariance, r))
+
+
+class TestStartingBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(problems_and_bases())
+    def test_any_unimodular_basis_gives_the_same_answer(self, case):
+        floats, q, basis = case
+        cold = AmbiguityProblem(floats, q)
+        warm = AmbiguityProblem(floats, q, basis)
+        ints_cold, ratio_cold, acc_cold = lambda_resolve(cold)
+        ints_warm, ratio_warm, acc_warm = lambda_resolve(warm)
+        if np.isinf(ratio_cold) or np.isinf(ratio_warm):
+            assert ratio_cold == ratio_warm
+        else:
+            assert abs(ratio_warm - ratio_cold) <= 1e-9 * ratio_cold
+        if abs(ratio_cold - 1.0) > 1e-9:
+            assert np.array_equal(ints_warm, ints_cold)
+        else:                              # two best candidates tie
+            assert abs(_q(cold, ints_warm) - _q(cold, ints_cold)) <= (
+                1e-9 * max(_q(cold, ints_cold), 1.0))
+        if abs(ratio_cold - 3.0) > 1e-9 * 3.0:
+            assert acc_warm == acc_cold
+        # both leave the Z they ended with, unimodular, for the next call
+        for problem in (cold, warm):
+            assert np.array_equal(problem.basis, np.round(problem.basis))
+            assert abs(abs(np.linalg.det(problem.basis)) - 1.0) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems_and_bases(), st.data())
+    def test_basis_with_determinant_two_raises(self, case, data):
+        floats, q, basis = case
+        basis[:, data.draw(st.integers(0, len(q) - 1))] *= 2.0
+        with pytest.raises(AmbiguityCheckFailed):
+            lambda_resolve(AmbiguityProblem(floats, q, basis))
+
+    def test_singular_basis_raises(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            q = random_spd(rng, 5)
+            basis = rng.integers(-3, 4, size=(5, 5)).astype(float)
+            basis[:, 4] = basis[:, 0] + basis[:, 1]
+            with pytest.raises((AmbiguityCheckFailed, NotPositiveDefinite)):
+                lambda_resolve(AmbiguityProblem(rng.normal(size=5), q, basis))
+
+    def test_wrong_reported_distance_raises(self):
+        rng = np.random.default_rng(5)
+        problem = AmbiguityProblem(rng.uniform(-3.0, 3.0, 6),
+                                   random_spd(rng, 6))
+        L, d = _ltdl(problem.covariance)
+        Z = _reduction(L, d)
+        candidates, dists = _search(L, d, Z.T @ problem.float_values)
+        integers = _original_integers(Z, problem, candidates, dists)
+        assert np.array_equal(integers, np.round(integers))
+        with pytest.raises(AmbiguityCheckFailed):
+            _original_integers(Z, problem, candidates, dists * 1.01)
+
+    def test_search_step_cap_raises(self):
+        rng = np.random.default_rng(6)
+        q = random_spd(rng, 8, scale=50.0)
+        a = rng.uniform(-3.0, 3.0, 8)
+        L, d = _ltdl(q)
+        Z = _reduction(L, d)
+        candidates, _ = _search(L, d, Z.T @ a)
+        assert candidates.shape == (8, 2)
+        with pytest.raises(SearchLimitExceeded):
+            _search(L, d, Z.T @ a, max_steps=20)

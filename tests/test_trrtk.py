@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
-                              MissingSatellite, WindowExceeded)
+                              MissingSatellite, SingularGeometry,
+                              WindowExceeded)
 from gnssgraph.pointpos import SolverConfig, solve_spp
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
@@ -215,6 +218,57 @@ class TestDoubleDifferences:
 
 
 class TestFloatBaseline:
+    def _dd(self, cfg, i, j):
+        truth, epochs, states = run_scenario(cfg)
+        sats = detect_cycle_slips(epochs[i], epochs[j])
+        sd_phase = time_single_difference(epochs[i], epochs[j], sats)
+        return form_double_differences(sd_phase, epochs[i], epochs[j],
+                                       states[i], states[j],
+                                       truth[i].position, truth[j].position,
+                                       tr_config(cfg))
+
+    def test_dd_covariance_single_reference_formula(self):
+        from gnssgraph.trrtk import _dd_covariance
+        dd = self._dd(quiet_scenario(duration=10.0), 0, 5)
+        assert len(dd.reference) == 3
+        for ref_sigma, attr in ((dd.ref_sigma_phase, "sigma_phase"),
+                                (dd.ref_sigma_code_past, "sigma_code_past"),
+                                (dd.ref_sigma_code_current,
+                                 "sigma_code_current")):
+            m = len(dd.entries)
+            expected = np.zeros((m, m))
+            for i, ei in enumerate(dd.entries):
+                sr = ref_sigma[ei.sat.constellation]
+                for j, ej in enumerate(dd.entries):
+                    if ej.reference == ei.reference:
+                        expected[i, j] = sr ** 2
+                expected[i, i] = sr ** 2 + getattr(ei, attr) ** 2
+            assert np.array_equal(_dd_covariance(dd, ref_sigma, attr),
+                                  expected)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    def test_duplicated_geometry_is_singular(self, offset, monkeypatch):
+        # every satellite at one position (plus `offset` m apart): the
+        # lines of sight coincide, so the baseline is unobservable
+        dd = self._dd(quiet_scenario(duration=10.0), 0, 5)
+        sats = list(dd.states_past)
+
+        def collapsed(states):
+            first = states[sats[0]]
+            return {s: replace(first, position=first.position + k * offset)
+                    for k, s in enumerate(sats)}
+
+        dd = replace(dd, states_past=collapsed(dd.states_past),
+                     states_current=collapsed(dd.states_current))
+
+        def no_step(*args):
+            raise AssertionError("stepped on singular normal equations")
+
+        # refused by the check, before any Gauss-Newton step
+        monkeypatch.setattr(np.linalg, "solve", no_step)
+        with pytest.raises(SingularGeometry):
+            solve_float_baseline(dd)
+
     def test_zero_baseline_static_pair(self):
         cfg = quiet_scenario(duration=10.0,
                              trajectory=TrajectoryConfig(kind="static"))
@@ -339,3 +393,30 @@ class TestEstimateBaseline:
         if result.status is BaselineStatus.REJECTED:
             assert result.dd_ambiguities == ()
             assert result.ratio < 3.0
+
+
+class TestDecorrelationCache:
+    def test_shared_cache_matches_cold_pairs(self):
+        cfg = quiet_scenario(duration=60.0, seed=9,
+                             noise=NoiseConfig(0.5, 0.003, 0.02),
+                             satellite_clock_drift_sigma=1e-13)
+        truth, epochs, states = run_scenario(cfg)
+        pos = spp_positions(cfg, epochs, states)
+        conf = tr_config(cfg)
+        pairs = [(j - offset, j) for j in range(10, 61, 5)
+                 for offset in (5, 10)]
+        bases = {}
+        for i, j in pairs:
+            shared = estimate_baseline(epochs[i], epochs[j], states[i],
+                                       states[j], pos[i], pos[j], conf,
+                                       bases=bases)
+            cold = estimate_baseline(epochs[i], epochs[j], states[i],
+                                     states[j], pos[i], pos[j], conf)
+            assert shared.status is cold.status
+            assert shared.dd_ambiguities == cold.dd_ambiguities
+            assert shared.baseline.tobytes() == cold.baseline.tobytes()
+            assert shared.covariance.tobytes() == cold.covariance.tobytes()
+        # the pairs share a few DD layouts, so most started from a cached Z
+        assert 0 < len(bases) < len(pairs) // 2
+        assert all(not np.array_equal(z, np.eye(len(z)))
+                   for z in bases.values())
