@@ -48,10 +48,13 @@ class TropoModel:
 
 
 def klobuchar_delay(params: KlobucharParams, time: GpsTime,
-                    user: GeodeticPosition, elevation: float,
-                    azimuth: float) -> float:
-    """L1 ionospheric group delay in meters (ICD-GPS-200 formulation)."""
-    if elevation < 0.0:
+                    user: GeodeticPosition, elevation, azimuth):
+    """L1 ionospheric group delay in meters (ICD-GPS-200 formulation).
+
+    `elevation` and `azimuth` are floats or equal-shape arrays of
+    satellites; the delay has their shape.
+    """
+    if (np.asarray(elevation) < 0.0).any():
         raise ValueError("elevation must be non-negative")
     el = elevation / np.pi          # semicircles
     lat = user.latitude / np.pi
@@ -59,34 +62,39 @@ def klobuchar_delay(params: KlobucharParams, time: GpsTime,
 
     psi = 0.0137 / (el + 0.11) - 0.022
     phi_i = lat + psi * np.cos(azimuth)
-    phi_i = min(max(phi_i, -0.416), 0.416)
+    phi_i = np.minimum(np.maximum(phi_i, -0.416), 0.416)
     lam_i = lon + psi * np.sin(azimuth) / np.cos(phi_i * np.pi)
     phi_m = phi_i + 0.064 * np.cos((lam_i - 1.617) * np.pi)
     t = 4.32e4 * lam_i + time.tow
     t -= np.floor(t / 86400.0) * 86400.0
 
     f = 1.0 + 16.0 * (0.53 - el) ** 3
-    amp = sum(a * phi_m ** n for n, a in enumerate(params.alpha))
-    per = sum(b * phi_m ** n for n, b in enumerate(params.beta))
-    amp = max(amp, 0.0)
-    per = max(per, 72000.0)
+    powers = (1.0, phi_m, phi_m ** 2, phi_m ** 3)
+    amp = sum(a * p for a, p in zip(params.alpha, powers))
+    per = sum(b * p for b, p in zip(params.beta, powers))
+    amp = np.maximum(amp, 0.0)
+    per = np.maximum(per, 72000.0)
     x = 2.0 * np.pi * (t - 50400.0) / per
-    if abs(x) < 1.57:
-        delay = f * (5e-9 + amp * (1.0 - x ** 2 / 2.0 + x ** 4 / 24.0))
-    else:
-        delay = f * 5e-9
+    # the cosine term exists only inside |x| < 1.57
+    day = np.abs(x) < 1.57
+    delay = f * (5e-9 + day * amp * (1.0 - x ** 2 / 2.0 + x ** 4 / 24.0))
     return CLIGHT * delay
 
 
-def saastamoinen_delay(model: TropoModel, user: GeodeticPosition,
-                       elevation: float) -> float:
+# Saastamoinen's 1/cos(z) mapping holds above this elevation
+MIN_ELEVATION = np.radians(1.0)
+
+
+def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation):
     """Tropospheric delay in meters with 1/cos(z) mapping.
 
-    Pressure/temperature are scaled from the model's sea-level values to
-    the user height with the standard-atmosphere profile.
+    `elevation` is a float or an array of satellites; the delay has its
+    shape. Pressure/temperature are scaled from the model's sea-level
+    values to the user height with the standard-atmosphere profile.
     """
-    if elevation <= np.radians(1.0):
-        raise ElevationTooLow(f"elevation {np.degrees(elevation):.2f} deg below 1 deg")
+    if (np.asarray(elevation) <= MIN_ELEVATION).any():
+        lowest = np.degrees(np.min(elevation))
+        raise ElevationTooLow(f"elevation {lowest:.2f} deg below 1 deg")
     h = min(max(user.height, 0.0), 11000.0)
     pres = model.pressure * (1.0 - 2.2557e-5 * h) ** 5.2568
     temp = model.temperature - 6.5e-3 * h
@@ -96,4 +104,4 @@ def saastamoinen_delay(model: TropoModel, user: GeodeticPosition,
     dry = 0.0022768 * pres / (
         1.0 - 0.00266 * np.cos(2.0 * user.latitude) - 0.00028e-3 * h) / np.cos(z)
     wet = 0.002277 * (1255.0 / temp + 0.05) * e / np.cos(z)
-    return float(dry + wet)
+    return dry + wet

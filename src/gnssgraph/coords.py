@@ -89,33 +89,57 @@ def line_of_sight(receiver: np.ndarray, sat: SatelliteState) -> tuple[np.ndarray
 
 def lines_of_sight(receiver: np.ndarray,
                    positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`line_of_sight` for an (n, 3) array of satellite positions.
+    """`line_of_sight` for an (n, 3) array of satellite positions, seen
+    from one receiver position (3,) or from one each (n, 3).
 
     Returns (n, 3) unit vectors receiver->satellite and the (n,)
     Sagnac-corrected ranges.
     """
     receiver = np.asarray(receiver, dtype=float)
-    rho = np.linalg.norm(positions - receiver, axis=1)
-    if np.any(rho < 1e6):
-        raise DegenerateGeometry(f"satellite range {rho.min():.0f} m implausible")
-    theta = OMGE * rho / CLIGHT
+    check_ranges(_row_norms(positions - receiver))
+    unit, rng, _ = unchecked_lines_of_sight(receiver, positions)
+    return unit, rng
+
+
+def unchecked_lines_of_sight(receiver: np.ndarray, positions: np.ndarray):
+    """`lines_of_sight` without its range check, for a caller that
+    checks only some satellites: also returns the (n,) distances
+    before the Sagnac rotation, which `check_ranges` takes."""
+    receiver = np.asarray(receiver, dtype=float)
+    distance = _row_norms(positions - receiver)
+    theta = OMGE * distance / CLIGHT
     c, s = np.cos(theta), np.sin(theta)
-    rotated = np.column_stack([
-        c * positions[:, 0] + s * positions[:, 1],
-        -s * positions[:, 0] + c * positions[:, 1],
-        positions[:, 2],
-    ])
+    rotated = np.array(positions, dtype=float)
+    rotated[:, 0] = c * positions[:, 0] + s * positions[:, 1]
+    rotated[:, 1] = -s * positions[:, 0] + c * positions[:, 1]
     delta = rotated - receiver
-    rng = np.linalg.norm(delta, axis=1)
-    return delta / rng[:, None], rng
+    rng = _row_norms(delta)
+    return delta / rng[:, None], rng, distance
 
 
-def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray) -> tuple[float, float]:
-    """Elevation [-pi/2, pi/2] and azimuth [0, 2*pi) of a satellite."""
-    enu = ecef_to_enu(receiver, sat_pos)
-    horizontal = np.hypot(enu[0], enu[1])
-    elevation = float(np.arctan2(enu[2], horizontal))
-    azimuth = float(np.arctan2(enu[0], enu[1]))
-    if azimuth < 0.0:
-        azimuth += 2.0 * np.pi
+def check_ranges(distance: np.ndarray) -> None:
+    """Raise DegenerateGeometry for a satellite closer than 1000 km."""
+    if (distance < 1e6).any():
+        raise DegenerateGeometry(
+            f"satellite range {distance.min():.0f} m implausible")
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as `np.linalg.norm(a, axis=1)`."""
+    return np.sqrt((a * a).sum(axis=1))
+
+
+def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray):
+    """Elevation [-pi/2, pi/2] and azimuth [0, 2*pi) of satellites.
+
+    `sat_pos` is one ECEF position (3,), which gives two floats, or an
+    (n, 3) array of them, which gives two (n,) arrays.
+    """
+    delta = np.asarray(sat_pos, dtype=float) - geodetic_to_ecef(receiver)
+    # one 3x3 product per satellite: the same arithmetic for one or many
+    enu = np.matmul(enu_rotation(receiver), delta[..., None])[..., 0]
+    horizontal = np.hypot(enu[..., 0], enu[..., 1])
+    elevation = np.arctan2(enu[..., 2], horizontal)
+    # the remainder adds 2*pi to a negative arctan2 and leaves the rest
+    azimuth = np.arctan2(enu[..., 0], enu[..., 1]) % (2.0 * np.pi)
     return elevation, azimuth

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -172,25 +173,36 @@ def write_sat_states_csv(epochs, sat_states, stream) -> None:
 
 def read_sat_states_csv(stream, epochs) -> list[dict]:
     """Load the sidecar and align it to parsed epochs by time-of-week."""
+    by_tow: dict[float, dict] = {}
+    sat_ids: dict[str, SatelliteId] = {}     # each satellite text parsed once
     try:
-        rows = list(csv.DictReader(stream))
+        rows = csv.reader(stream)
+        header = next(rows, None) or SAT_STATE_COLUMNS
+        try:
+            tow_col, sat_col, *value_cols = (header.index(name)
+                                             for name in SAT_STATE_COLUMNS)
+        except ValueError as exc:
+            raise IoFailure(f"bad satellite-state header: {exc}") from exc
+        values = operator.itemgetter(*value_cols)
+        for row in rows:
+            if not row:
+                continue
+            try:
+                tow = round(float(row[tow_col]), 3)
+                text = row[sat_col]
+                sat = sat_ids.get(text)
+                if sat is None:
+                    sat = sat_ids[text] = SatelliteId.parse(text)
+                x, y, z, vx, vy, vz, bias, drift = map(float, values(row))
+                state = SatelliteState(position=np.array([x, y, z]),
+                                       velocity=np.array([vx, vy, vz]),
+                                       clock_bias=bias, clock_drift=drift)
+            except (IndexError, ValueError, TypeError) as exc:
+                raise IoFailure(
+                    f"bad satellite-state row {row}: {exc}") from exc
+            by_tow.setdefault(tow, {})[sat] = state
     except (OSError, csv.Error) as exc:
         raise IoFailure(str(exc)) from exc
-    by_tow: dict[float, dict] = {}
-    for row in rows:
-        try:
-            tow = round(float(row["tow"]), 3)
-            sat = SatelliteId.parse(row["sat"])
-            state = SatelliteState(
-                position=np.array([float(row["x"]), float(row["y"]),
-                                   float(row["z"])]),
-                velocity=np.array([float(row["vx"]), float(row["vy"]),
-                                   float(row["vz"])]),
-                clock_bias=float(row["clock_bias"]),
-                clock_drift=float(row["clock_drift"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise IoFailure(f"bad satellite-state row {row}: {exc}") from exc
-        by_tow.setdefault(tow, {})[sat] = state
     return [by_tow.get(round(epoch.time.tow, 3), {}) for epoch in epochs]
 
 

@@ -15,13 +15,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .atmosphere import KlobucharParams, TropoModel, klobuchar_delay, saastamoinen_delay
-from .constants import CLIGHT
-from .coords import ecef_to_geodetic, elevation_azimuth, line_of_sight
+from .atmosphere import KlobucharParams, TropoModel
+from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
-from .pointpos import CONSTELLATION_SLOT, SolverConfig, pseudorange_variance
+from .geometry import EpochGeometry
+from .pointpos import SolverConfig, pseudorange_variance
 from .trrtk import BaselineStatus
-from .types import Constellation
+from .types import CONSTELLATION_INDEX, Constellation
 
 STATE_DIM = 7
 
@@ -76,17 +76,38 @@ class PseudorangeFactor:
 
     def relinearize(self, offset: np.ndarray, reference: np.ndarray) -> None:
         """Rebuild the row and constant around a new position offset."""
-        unit, r0 = line_of_sight(reference + offset, self.sat_state)
-        row = np.zeros(STATE_DIM)
-        row[:3] = -unit
-        row[3] = 1.0
-        slot = CONSTELLATION_SLOT[self.sat.constellation]
-        if slot:
-            row[3 + slot] = 1.0
-        self.row = row
-        self.corrected_measurement = (self.measured_corr - r0
-                                      - unit @ offset)
-        self.lin_offset = np.asarray(offset, dtype=float).copy()
+        _relinearize_factors([self], np.array(offset, dtype=float)[None],
+                             reference)
+
+
+def _linearization(unit, ranges, slots, measured, offsets):
+    """Rows H and constants of pseudorange factors linearized at the
+    position offsets `offsets` (one row each), where the satellites have
+    unit vectors `unit`, ranges `ranges`, constellation slots `slots`
+    and corrected pseudoranges `measured` (`measured_corr`)."""
+    rows = np.zeros((len(unit), STATE_DIM))
+    rows[:, :3] = -unit
+    rows[:, 3] = 1.0                   # GPS clock
+    rows[np.arange(len(unit)), 3 + slots] = 1.0    # inter-system bias
+    constants = measured - ranges - np.einsum("ij,ij->i", unit, offsets)
+    return rows, constants
+
+
+def _relinearize_factors(factors: list, offsets: np.ndarray,
+                         reference: np.ndarray) -> None:
+    """Relinearize pseudorange factors, each at its row of `offsets`."""
+    unit, ranges = lines_of_sight(
+        reference + offsets,
+        np.array([f.sat_state.position for f in factors]))
+    rows, constants = _linearization(
+        unit, ranges,
+        np.array([CONSTELLATION_INDEX[f.sat.constellation] for f in factors]),
+        np.array([f.measured_corr for f in factors]), offsets)
+    for f, row, constant, offset in zip(factors, rows, constants.tolist(),
+                                        offsets):
+        f.row = row
+        f.corrected_measurement = constant
+        f.lin_offset = offset
 
 
 @dataclass
@@ -158,7 +179,7 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
         gps = biases.get(Constellation.GPS, 0.0)
         states[k, 3] = gps
         for const, bias in biases.items():
-            slot = CONSTELLATION_SLOT[const]
+            slot = CONSTELLATION_INDEX[const]
             if slot:
                 states[k, 3 + slot] = bias - gps
 
@@ -186,31 +207,30 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
     observed = np.zeros((n, 4), dtype=bool)
     if config.use_pseudorange:
         for k, epoch in enumerate(epochs):
-            position = reference + states[k, :3]
-            geo = ecef_to_geodetic(position)
-            for obs in epoch.observations:
-                state = sat_states[k].get(obs.sat)
-                if state is None:
-                    continue
-                el, az = elevation_azimuth(geo, state.position)
-                if el < config.solver.elevation_mask:
-                    continue
-                iono = (klobuchar_delay(config.iono, epoch.time, geo, el, az)
-                        if config.iono else 0.0)
-                tropo = (saastamoinen_delay(config.tropo, geo, el)
-                         if config.tropo else 0.0)
-                factor = PseudorangeFactor(
-                    node=k, sat=obs.sat, row=np.zeros(STATE_DIM),
-                    corrected_measurement=0.0,
-                    information=1.0 / pseudorange_variance(el, obs.snr,
-                                                           config.solver),
-                    sat_state=state,
-                    measured_corr=(obs.pseudorange
-                                   + CLIGHT * state.clock_bias - iono - tropo))
-                factor.relinearize(states[k, :3], reference)
-                pseudorange_factors.append(factor)
-                observed[k, 0] = True
-                observed[k, CONSTELLATION_SLOT[obs.sat.constellation]] = True
+            offset = states[k, :3]
+            geometry = EpochGeometry(epoch, sat_states[k], config.iono,
+                                     config.tropo).at(reference + offset)
+            rows = geometry.above(config.solver.elevation_mask)
+            geometry.require_delays(rows)
+            geometry.require_ranges(rows)
+            information = 1.0 / pseudorange_variance(
+                geometry.elevation[rows], config=config.solver)
+            measured = geometry.corrected_code[rows]
+            offsets = np.tile(offset, (len(rows), 1))
+            jac_rows, constants = _linearization(
+                geometry.unit[rows], geometry.range[rows],
+                geometry.slot[rows], measured, offsets)
+            pseudorange_factors += [
+                PseudorangeFactor(
+                    node=k, sat=geometry.sats[r], row=row,
+                    corrected_measurement=constant, information=info,
+                    sat_state=geometry.states[r], measured_corr=corr,
+                    lin_offset=lin)
+                for r, row, constant, info, corr, lin in zip(
+                    rows.tolist(), jac_rows, constants.tolist(),
+                    information.tolist(), measured.tolist(), offsets)]
+            observed[k, 0] = len(rows) > 0
+            observed[k, geometry.slot[rows]] = True
 
     priors = [PriorFactor(
         node=0, indices=np.arange(3), values=states[0, :3].copy(),
@@ -248,82 +268,150 @@ def residual_prior(f: PriorFactor, x) -> np.ndarray:
     return np.asarray(x)[f.indices] - f.values
 
 
-def evaluate_cost(graph: Graph, states) -> float:
-    """Sum of e^T Omega e over all factors and priors."""
-    states = np.asarray(states)
-    cost = 0.0
-    for f in graph.velocity_factors:
-        e = residual_velocity(f, states[f.node_i], states[f.node_j])
-        cost += e @ f.information @ e
-    for f in graph.trrtk_factors:
-        e = residual_trrtk(f, states[f.node_past], states[f.node_current])
-        cost += e @ f.information @ e
-    for f in graph.pseudorange_factors:
-        e = residual_pseudorange(f, states[f.node])
-        cost += f.information * e * e
-    for f in graph.priors:
-        e = residual_prior(f, states[f.node])
-        cost += e @ (f.information * e)
-    return float(cost)
+@dataclass(frozen=True)
+class _Stacked:
+    """A graph's factors as arrays, in the order of its factor lists.
+
+    Velocity and TR-RTK factors have one form, "between" factors: the
+    position change from node `between_nodes[:, 0]` to node
+    `between_nodes[:, 1]` minus `between_measured`, with information
+    `between_information` = `between_sqrt`^T `between_sqrt`. Pseudorange
+    factors are rows `pr_row` with constants `pr_constant`. Priors have
+    one row per constrained state component.
+    """
+
+    between_nodes: np.ndarray          # (b, 2)
+    between_measured: np.ndarray       # (b, 3) [m]
+    between_information: np.ndarray    # (b, 3, 3)
+    between_sqrt: np.ndarray           # (b, 3, 3) upper triangular
+    pr_node: np.ndarray                # (p,)
+    pr_row: np.ndarray                 # (p, 7)
+    pr_constant: np.ndarray            # (p,) [m]
+    pr_information: np.ndarray         # (p,)
+    pr_lin_offset: np.ndarray          # (p, 3) [m]
+    prior_node: np.ndarray             # (q,)
+    prior_index: np.ndarray            # (q,) state component
+    prior_value: np.ndarray            # (q,)
+    prior_information: np.ndarray      # (q,)
 
 
-def _whitened_system(graph: Graph, states: np.ndarray):
-    """Whitened residual vector and sparse Jacobian of the full problem."""
-    n = states.shape[0]
-    rows_r = []
-    data = []
-    row_idx = []
-    col_idx = []
-    row = 0
+def _stack(graph: Graph) -> _Stacked:
+    """Stack the graph's factor lists as they are now."""
+    vel, tr = graph.velocity_factors, graph.trrtk_factors
+    prs, priors = graph.pseudorange_factors, graph.priors
+    information = np.array([f.information for f in vel]
+                           + [f.information for f in tr],
+                           dtype=float).reshape(-1, 3, 3)
+    return _Stacked(
+        between_nodes=np.array([(f.node_i, f.node_j) for f in vel]
+                               + [(f.node_past, f.node_current) for f in tr],
+                               dtype=int).reshape(-1, 2),
+        between_measured=np.array([f.measured_velocity * f.dt for f in vel]
+                                  + [f.baseline for f in tr],
+                                  dtype=float).reshape(-1, 3),
+        between_information=information,
+        between_sqrt=np.linalg.cholesky(information).transpose(0, 2, 1),
+        pr_node=np.array([f.node for f in prs], dtype=int),
+        pr_row=np.array([f.row for f in prs],
+                        dtype=float).reshape(-1, STATE_DIM),
+        pr_constant=np.array([f.corrected_measurement for f in prs],
+                             dtype=float),
+        pr_information=np.array([f.information for f in prs], dtype=float),
+        pr_lin_offset=np.array([f.lin_offset for f in prs],
+                               dtype=float).reshape(-1, 3),
+        prior_node=np.array([f.node for f in priors for _ in f.indices],
+                            dtype=int),
+        prior_index=np.array([i for f in priors for i in f.indices],
+                             dtype=int),
+        prior_value=np.array([v for f in priors for v in f.values],
+                             dtype=float),
+        prior_information=np.array([w for f in priors
+                                    for w in f.information], dtype=float))
 
-    def add_block(residual, jacobians, sqrt_info):
-        nonlocal row
-        white = sqrt_info @ residual
-        rows_r.extend(white)
-        for node, jac in jacobians:
-            block = sqrt_info @ jac
-            r_ids, c_ids = np.nonzero(block)
-            row_idx.extend(row + r_ids)
-            col_idx.extend(node * STATE_DIM + c_ids)
-            data.extend(block[r_ids, c_ids])
-        row += len(residual)
 
-    jac_pos = np.zeros((3, STATE_DIM))
-    jac_pos[:, :3] = np.eye(3)
-    for f in graph.velocity_factors:
-        sqrt_info = np.linalg.cholesky(f.information).T
-        e = residual_velocity(f, states[f.node_i], states[f.node_j])
-        add_block(e, [(f.node_i, -jac_pos), (f.node_j, jac_pos)], sqrt_info)
-    for f in graph.trrtk_factors:
-        sqrt_info = np.linalg.cholesky(f.information).T
-        e = residual_trrtk(f, states[f.node_past], states[f.node_current])
-        add_block(e, [(f.node_past, -jac_pos), (f.node_current, jac_pos)],
-                  sqrt_info)
-    for f in graph.pseudorange_factors:
-        w = np.sqrt(f.information)
-        e = residual_pseudorange(f, states[f.node])
-        add_block(np.array([e]), [(f.node, f.row[None, :])],
-                  np.array([[w]]))
-    for f in graph.priors:
-        jac = np.zeros((len(f.indices), STATE_DIM))
-        jac[np.arange(len(f.indices)), f.indices] = 1.0
-        sqrt_info = np.diag(np.sqrt(f.information))
-        add_block(residual_prior(f, states[f.node]), [(f.node, jac)],
-                  sqrt_info)
+def _residuals(stacked: _Stacked, states: np.ndarray):
+    """Residuals of the between, pseudorange and prior rows."""
+    nodes = stacked.between_nodes
+    between = ((states[nodes[:, 1], :3] - states[nodes[:, 0], :3])
+               - stacked.between_measured)
+    pseudorange = (np.einsum("ij,ij->i", stacked.pr_row,
+                             states[stacked.pr_node])
+                   - stacked.pr_constant)
+    prior = (states[stacked.prior_node, stacked.prior_index]
+             - stacked.prior_value)
+    return between, pseudorange, prior
 
+
+def evaluate_cost(graph: Graph, states, stacked: _Stacked | None = None
+                  ) -> float:
+    """Sum of e^T Omega e over all factors and priors.
+
+    `stacked` is the optimizer's `_stack(graph)` of the current
+    linearization; without it the graph's lists are stacked here.
+    """
+    stacked = _stack(graph) if stacked is None else stacked
+    between, pseudorange, prior = _residuals(stacked, np.asarray(states))
+    return float(
+        np.einsum("ni,nij,nj->", between, stacked.between_information,
+                  between)
+        + stacked.pr_information @ (pseudorange * pseudorange)
+        + stacked.prior_information @ (prior * prior))
+
+
+def _whitened_system(stacked: _Stacked, states: np.ndarray):
+    """Whitened residual vector and sparse Jacobian of the full problem.
+
+    Rows come in the order of the factor lists: three per between
+    factor, one per pseudorange factor, one per prior component.
+    """
+    between, pseudorange, prior = _residuals(stacked, states)
+    sqrt = stacked.between_sqrt
+    n_between, n_pr = len(between), len(pseudorange)
+    w_pr = np.sqrt(stacked.pr_information)
+    w_prior = np.sqrt(stacked.prior_information)
+    residual = np.concatenate([
+        np.matmul(sqrt, between[:, :, None])[:, :, 0].ravel(),
+        w_pr * pseudorange, w_prior * prior])
+
+    # between block: -sqrt on the first node's position, +sqrt on the
+    # second's, entry [f, r, c] in row 3f + r and column 7 node + c
+    row_b = np.broadcast_to(np.arange(3 * n_between).reshape(-1, 3, 1),
+                            sqrt.shape)
+    col_b = (STATE_DIM * stacked.between_nodes[:, :, None, None]
+             + np.arange(3))
+    col_b = np.broadcast_to(col_b, (n_between, 2, 3, 3))
+    pr_base = 3 * n_between
+    row_pr = np.broadcast_to(pr_base + np.arange(n_pr)[:, None],
+                             stacked.pr_row.shape)
+    col_pr = STATE_DIM * stacked.pr_node[:, None] + np.arange(STATE_DIM)
+    prior_base = pr_base + n_pr
+    rows = np.concatenate([row_b.ravel(), row_b.ravel(), row_pr.ravel(),
+                           prior_base + np.arange(len(prior))])
+    cols = np.concatenate([
+        col_b[:, 0].ravel(), col_b[:, 1].ravel(), col_pr.ravel(),
+        STATE_DIM * stacked.prior_node + stacked.prior_index])
+    data = np.concatenate([-sqrt.ravel(), sqrt.ravel(),
+                           (w_pr[:, None] * stacked.pr_row).ravel(),
+                           w_prior])
+    keep = data != 0.0
     jacobian = sp.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(row, n * STATE_DIM))
-    return np.array(rows_r), jacobian
+        (data[keep], (rows[keep], cols[keep])),
+        shape=(len(residual), states.size))
+    return residual, jacobian
 
 
-def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
-    changed = False
-    for f in graph.pseudorange_factors:
-        moved = np.linalg.norm(states[f.node, :3] - f.lin_offset)
-        if moved > threshold:
-            f.relinearize(states[f.node, :3], graph.reference_position)
-            changed = True
-    return changed
+def _relinearize(graph: Graph, stacked: _Stacked, states: np.ndarray,
+                 threshold: float) -> bool:
+    """Relinearize the pseudorange factors whose node moved more than
+    `threshold` from its linearization point; report whether any did."""
+    offsets = states[stacked.pr_node, :3]
+    moved = np.flatnonzero(
+        np.linalg.norm(offsets - stacked.pr_lin_offset, axis=1) > threshold)
+    if len(moved) == 0:
+        return False
+    _relinearize_factors([graph.pseudorange_factors[k] for k in moved],
+                         offsets[moved], graph.reference_position)
+    return True
 
 
 def optimize(graph: Graph, config: GraphConfig | None = None):
@@ -336,13 +424,14 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
     states = graph.initial_states.copy()
     n_var = states.size
 
-    cost = evaluate_cost(graph, states)
+    stacked = _stack(graph)
+    cost = evaluate_cost(graph, states, stacked)
     report = OptimizerReport(initial_cost=cost, final_cost=cost,
                              iterations=0, converged=False, costs=[cost])
     radius = config.initial_radius
 
     for iteration in range(1, config.max_iterations + 1):
-        residual, jacobian = _whitened_system(graph, states)
+        residual, jacobian = _whitened_system(stacked, states)
         gradient = jacobian.T @ residual
         if np.linalg.norm(gradient, np.inf) < config.gradient_tolerance:
             report.converged = True
@@ -364,7 +453,7 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
         while radius > 1e-12:
             step = _dogleg_step(gn_step, sd_step, radius)
             trial = states + step.reshape(states.shape)
-            new_cost = evaluate_cost(graph, trial)
+            new_cost = evaluate_cost(graph, trial, stacked)
             # predicted reduction of the quadratic model
             predicted = -(2.0 * residual @ (jacobian @ step)
                           + step @ (normal @ step))
@@ -385,8 +474,10 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
         converged = (previous > 0
                      and (previous - cost) / max(previous, 1e-30)
                      < config.cost_tolerance)
-        if _relinearize(graph, states, config.relinearize_threshold):
-            cost = evaluate_cost(graph, states)
+        if _relinearize(graph, stacked, states,
+                        config.relinearize_threshold):
+            stacked = _stack(graph)
+            cost = evaluate_cost(graph, states, stacked)
         if converged:
             report.converged = True
             break

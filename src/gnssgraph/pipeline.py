@@ -8,6 +8,7 @@ import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel
 from .errors import GnssError
+from .geometry import EpochGeometry
 from .graph import Graph, GraphConfig, OptimizerReport, build_graph, optimize
 from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
 from .trrtk import (TR_PAIR_LATTICE, BaselineStatus, TrRtkConfig,
@@ -54,24 +55,28 @@ def solve_trajectory(epochs, sat_states,
 
     spp_solutions = []
     velocities = []
+    corrections = []
     for k, (epoch, states_k) in enumerate(zip(epochs, sat_states)):
         warm = spp_solutions[-1].position if spp_solutions else None
         spp = solve_spp(epoch, states_k, iono=config.iono, tropo=config.tropo,
                         config=config.solver, initial_position=warm)
         spp_solutions.append(spp)
+        # one geometry at the final point solution, for Doppler (which
+        # uses no delay model) and for TR-RTK
+        geometry = EpochGeometry(epoch, states_k, config.trrtk.iono,
+                                 config.trrtk.tropo).at(spp.position)
         if k < n - 1:
             velocities.append(solve_doppler_velocity(
-                epoch, states_k, spp.position, config.solver))
+                epoch, states_k, spp.position, config.solver, geometry))
+        if config.use_trrtk:
+            corrections.append(epoch_corrections(
+                epoch, states_k, spp.position, config.trrtk, geometry))
 
     trrtk_results = []
     attempts = 0
     if config.use_trrtk:
         interval = (epochs[1].time - epochs[0].time) if n > 1 else 1.0
         config.trrtk.interval = interval
-        corrections = [epoch_corrections(epoch, states_k, spp.position,
-                                         config.trrtk)
-                       for epoch, states_k, spp in zip(epochs, sat_states,
-                                                       spp_solutions)]
         bases = {}                     # LAMBDA's starting Z per DD layout
         for j in range(n):
             for offset in config.pair_lattice:

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atmosphere import KlobucharParams, TropoModel, klobuchar_delay, saastamoinen_delay
+from .atmosphere import KlobucharParams, TropoModel
 from .constants import CLIGHT
-from .coords import ecef_to_geodetic, elevation_azimuth, line_of_sight
 from .errors import InsufficientSatellites, NoConvergence, SingularGeometry
-from .types import (CONSTELLATIONS, Constellation, Epoch, SatelliteId,
-                    SatelliteState)
+from .geometry import EpochGeometry, geometry_at
+from .types import CONSTELLATIONS, Constellation, Epoch, SatelliteId, SatelliteState
 
 
 @dataclass
@@ -47,32 +46,28 @@ class VelocitySolution:
     covariance: np.ndarray         # 3x3 [m^2/s^2]
 
 
-def pseudorange_variance(elevation: float, snr: float = 0.0,
-                         config: SolverConfig | None = None) -> float:
-    """Elevation-dependent pseudorange variance a^2 + b^2/sin^2(el).
+def pseudorange_variance(elevation, snr: float = 0.0,
+                         config: SolverConfig | None = None):
+    """Elevation-dependent pseudorange variance a^2 + b^2/sin^2(el), of
+    one elevation or an array of them.
 
     SNR is recorded on observations but deliberately unused here.
     """
     config = config or SolverConfig()
-    if not 0.0 < elevation <= np.pi / 2:
+    el = np.asarray(elevation)
+    if not ((0.0 < el) & (el <= np.pi / 2)).all():
         raise ValueError(f"elevation out of range: {elevation}")
-    s = np.sin(elevation)
+    s = np.sin(el)
     return config.sigma_a ** 2 + config.sigma_b ** 2 / (s * s)
 
 
-def _usable(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
-            position: np.ndarray, mask: float):
-    """Observations above the elevation mask with a known satellite state."""
-    geo = ecef_to_geodetic(position)
-    usable = []
-    for obs in epoch.observations:
-        state = sats.get(obs.sat)
-        if state is None:
-            continue
-        el, az = elevation_azimuth(geo, state.position)
-        if el >= mask:
-            usable.append((obs, state, el, az))
-    return geo, usable
+def _check_condition(normal: np.ndarray, message: str) -> None:
+    """Raise SingularGeometry if the symmetric normal matrix has a 2-norm
+    condition number above 1e12: lambda_max / lambda_min, with
+    lambda_min <= 0 counted as singular."""
+    eig = np.linalg.eigvalsh(normal)
+    if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
+        raise SingularGeometry(message)
 
 
 def solve_spp(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
@@ -84,82 +79,71 @@ def solve_spp(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
 
     Unknowns are the 3D position plus one clock bias per constellation
     observed in this epoch (GPS slot always first). Atmospheric delays
-    are corrected with the supplied models when given.
+    are corrected with the supplied models when given. Each iteration
+    evaluates the epoch's `EpochGeometry` at the current position.
     """
     config = config or SolverConfig()
+    satellites = EpochGeometry(epoch, sats, iono, tropo)
     position = (np.array(initial_position, dtype=float)
                 if initial_position is not None
-                else _bootstrap_position(epoch, sats))
+                else _bootstrap_position(satellites))
 
-    delta = None
     for _ in range(config.max_iterations + 1):
-        geo, usable = _usable(epoch, sats, position, config.elevation_mask)
-        systems = sorted({obs.sat.constellation for obs, *_ in usable},
-                         key=lambda c: CONSTELLATION_SLOT[c])
-        if len(usable) < 3 + len(systems) or Constellation.GPS not in systems:
+        geometry = satellites.at(position)
+        rows = geometry.above(config.elevation_mask)
+        slots = geometry.slot[rows]
+        systems = np.unique(slots)     # constellation slots, GPS is 0
+        if len(rows) < 3 + len(systems) or 0 not in systems:
+            names = [CONSTELLATIONS[slot].name for slot in systems]
             raise InsufficientSatellites(
-                f"{len(usable)} usable satellites, systems {systems}")
-        sys_col = {c: 3 + k for k, c in enumerate(systems)}
-        a = np.zeros((len(usable), 3 + len(systems)))
-        resid = np.zeros(len(usable))
-        weights = np.zeros(len(usable))
-        counts: dict[Constellation, int] = {}
-        for row, (obs, state, el, az) in enumerate(usable):
-            unit, rng = line_of_sight(position, state)
-            delay_i = klobuchar_delay(iono, epoch.time, geo, el, az) if iono else 0.0
-            delay_t = saastamoinen_delay(tropo, geo, el) if tropo else 0.0
-            a[row, :3] = -unit
-            a[row, sys_col[obs.sat.constellation]] = 1.0
-            # the clock biases stay inside the residual, so the joint solve
-            # returns them as absolute values at the current linearization
-            resid[row] = (obs.pseudorange - rng + CLIGHT * state.clock_bias
-                          - delay_i - delay_t)
-            weights[row] = 1.0 / pseudorange_variance(el, obs.snr, config)
-            c = obs.sat.constellation
-            counts[c] = counts.get(c, 0) + 1
-
+                f"{len(rows)} usable satellites, systems {names}")
+        geometry.require_ranges(rows)
+        geometry.require_delays(rows)
+        # one clock-bias column per observed constellation
+        a = np.zeros((len(rows), 3 + len(systems)))
+        a[:, :3] = -geometry.unit[rows]
+        a[np.arange(len(rows)), 3 + np.searchsorted(systems, slots)] = 1.0
+        # the clock biases stay inside the residual, so the joint solve
+        # returns them as absolute values at the current linearization
+        resid = geometry.corrected_code[rows] - geometry.range[rows]
+        weights = 1.0 / pseudorange_variance(geometry.elevation[rows],
+                                             config=config)
         aw = a * weights[:, None]
         normal = a.T @ aw
-        if np.linalg.cond(normal) > 1e12:
-            raise SingularGeometry("normal matrix condition number > 1e12")
+        _check_condition(normal, "normal matrix condition number > 1e12")
         delta = np.linalg.solve(normal, aw.T @ resid)
-        if np.linalg.norm(delta[:3]) < config.convergence:
-            position = position + delta[:3]
-            break
         position = position + delta[:3]
+        if np.linalg.norm(delta[:3]) < config.convergence:
+            break
     else:
         raise NoConvergence("SPP did not converge within iteration budget")
 
-    clock_biases = {c: float(delta[col]) for c, col in sys_col.items()}
-    cov_small = np.linalg.inv(normal)
+    constellations = [CONSTELLATIONS[slot] for slot in systems]
+    clock_biases = {c: float(delta[3 + k])
+                    for k, c in enumerate(constellations)}
     cov = np.zeros((7, 7))
-    slots = [0, 1, 2] + [3 + CONSTELLATION_SLOT[c] for c in sys_col]
-    cols = [0, 1, 2] + list(sys_col.values())
-    cov[np.ix_(slots, slots)] = cov_small[np.ix_(cols, cols)]
-    return SppSolution(position, clock_biases, cov, counts)
+    index = np.r_[0:3, 3 + systems]
+    cov[np.ix_(index, index)] = np.linalg.inv(normal)
+    counts = np.bincount(slots)[systems]
+    used = {c: int(count) for c, count in zip(constellations, counts)}
+    return SppSolution(position, clock_biases, cov, used)
 
 
-CONSTELLATION_SLOT = {c: i for i, c in enumerate(CONSTELLATIONS)}
-
-
-def _bootstrap_position(epoch: Epoch,
-                        sats: dict[SatelliteId, SatelliteState]) -> np.ndarray:
-    """Coarse unweighted fix from scratch, no elevation mask, GPS only if present."""
-    usable = [(obs, sats[obs.sat]) for obs in epoch.observations if obs.sat in sats]
-    if len(usable) < 4:
-        raise InsufficientSatellites(f"{len(usable)} satellites with known state")
+def _bootstrap_position(satellites: EpochGeometry) -> np.ndarray:
+    """Coarse unweighted fix from scratch, no elevation mask, one clock
+    for every satellite with a known state."""
+    n = len(satellites.sats)
+    if n < 4:
+        raise InsufficientSatellites(f"{n} satellites with known state")
     position = np.zeros(3)
     bias = 0.0
+    a = np.ones((n, 4))
     for _ in range(12):
-        n = len(usable)
-        a = np.zeros((n, 4))
-        resid = np.zeros(n)
-        for row, (obs, state) in enumerate(usable):
-            delta = state.position - position
-            rng = np.linalg.norm(delta)
-            a[row, :3] = -delta / rng
-            a[row, 3] = 1.0
-            resid[row] = obs.pseudorange - rng + CLIGHT * state.clock_bias - bias
+        delta = satellites.sat_position - position
+        rng = np.linalg.norm(delta, axis=1)
+        a[:, :3] = -delta / rng[:, None]
+        resid = (satellites.code - rng + CLIGHT * satellites.clock_bias
+                 - bias)
         try:
             step, *_ = np.linalg.lstsq(a, resid, rcond=None)
         except np.linalg.LinAlgError as exc:
@@ -173,38 +157,35 @@ def _bootstrap_position(epoch: Epoch,
 
 def solve_doppler_velocity(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
                            position: np.ndarray,
-                           config: SolverConfig | None = None) -> VelocitySolution:
+                           config: SolverConfig | None = None,
+                           geometry: EpochGeometry | None = None
+                           ) -> VelocitySolution:
     """Least squares velocity from Doppler range rates.
 
     Measured range rate is -wavelength * doppler; the model is
-    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat.
+    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat. A caller that
+    has the epoch's `EpochGeometry` at `position` passes it.
     """
     config = config or SolverConfig()
-    _, usable = _usable(epoch, sats, position, config.elevation_mask)
-    if len(usable) < 4:
-        raise InsufficientSatellites(f"{len(usable)} usable satellites for velocity")
+    geometry = geometry_at(geometry, epoch, sats, position)
+    rows = geometry.above(config.elevation_mask)
+    if len(rows) < 4:
+        raise InsufficientSatellites(f"{len(rows)} usable satellites for velocity")
+    geometry.require_ranges(rows)
 
-    n = len(usable)
-    a = np.zeros((n, 4))
-    y = np.zeros(n)
-    weights = np.zeros(n)
-    for row, (obs, state, el, _) in enumerate(usable):
-        unit, _ = line_of_sight(position, state)
-        measured = -obs.wavelength * obs.doppler
-        a[row, :3] = -unit
-        a[row, 3] = 1.0
-        y[row] = measured - state.velocity @ unit + CLIGHT * state.clock_drift
-        sigma = config.doppler_sigma / np.sin(el)
-        weights[row] = 1.0 / (sigma * sigma)
+    unit = geometry.unit[rows]
+    a = np.column_stack([-unit, np.ones(len(rows))])
+    measured = -geometry.wavelength[rows] * geometry.doppler[rows]
+    y = (measured - np.einsum("ij,ij->i", geometry.sat_velocity[rows], unit)
+         + CLIGHT * geometry.clock_drift[rows])
+    sigma = config.doppler_sigma / np.sin(geometry.elevation[rows])
+    weights = 1.0 / (sigma * sigma)
 
     aw = a * weights[:, None]
     normal = a.T @ aw
-    if np.linalg.cond(normal) > 1e12:
-        raise SingularGeometry("velocity geometry singular")
+    _check_condition(normal, "velocity geometry singular")
     sol = np.linalg.solve(normal, aw.T @ y)
     cov = np.linalg.inv(normal)[:3, :3]
-    floor = config.velocity_sigma_floor ** 2
-    for i in range(3):
-        if cov[i, i] < floor:
-            cov[i, i] = floor
+    np.fill_diagonal(cov, np.maximum(np.diag(cov),
+                                     config.velocity_sigma_floor ** 2))
     return VelocitySolution(sol[:3], float(sol[3]), cov)

@@ -285,6 +285,10 @@ class MeasurementSimulator:
         return {sat: propagate_satellite(e, dt) for sat, e in self.elements.items()}
 
     def synthesize_epoch(self, truth: TruthRecord) -> Epoch:
+        return self._synthesize(truth)[0]
+
+    def _synthesize(self, truth: TruthRecord):
+        """The epoch at `truth` and the satellite states it was made from."""
         cfg = self.config
         elapsed = truth.time - cfg.start_time
         states = self.satellite_states(truth.time)
@@ -295,18 +299,23 @@ class MeasurementSimulator:
         slipped = {sat for sat, when in cfg.cycle_slips
                    if elapsed - interval < when <= elapsed + 1e-9}
 
+        sats = sorted(states, key=lambda s: s.sort_key())
+        el, az = elevation_azimuth(
+            geo, np.array([states[sat].position for sat in sats]))
+        in_view = np.flatnonzero(el >= VISIBILITY_MASK)
+        el, az = el[in_view], az[in_view]
+        iono = (klobuchar_delay(cfg.iono, truth.time, geo, el, az)
+                if cfg.iono else np.zeros(len(in_view)))
+        tropo = (saastamoinen_delay(cfg.tropo, geo, el)
+                 if cfg.tropo else np.zeros(len(in_view)))
+
         observations = []
         visible = set()
-        for sat in sorted(states, key=lambda s: s.sort_key()):
+        for k, row in enumerate(in_view):
+            sat = sats[row]
             state = states[sat]
-            el, az = elevation_azimuth(geo, state.position)
-            if el < VISIBILITY_MASK:
-                continue
             visible.add(sat)
             unit, rng_m = line_of_sight(truth.position, state)
-            iono = (klobuchar_delay(cfg.iono, truth.time, geo, el, az)
-                    if cfg.iono else 0.0)
-            tropo = (saastamoinen_delay(cfg.tropo, geo, el) if cfg.tropo else 0.0)
             wavelength = self._wavelength(sat)
 
             lock, ambiguity = self._locks.get(sat, (None, None))
@@ -317,13 +326,13 @@ class MeasurementSimulator:
                 lock += 1
             self._locks[sat] = (lock, ambiguity)
 
-            scale = 1.0 / np.sin(el)
+            scale = 1.0 / np.sin(el[k])
             clock_m = CLIGHT * (dtr - state.clock_bias)
-            pseudorange = (rng_m + clock_m + iono + tropo
+            pseudorange = (rng_m + clock_m + iono[k] + tropo[k]
                            + self.rng.normal(0.0, cfg.noise.pseudorange_sigma) * scale)
             # carrier tracking noise varies only weakly with elevation for a
             # clean-sky antenna, so phase noise is flat (like Doppler below)
-            phase_m = (rng_m + clock_m - iono + tropo
+            phase_m = (rng_m + clock_m - iono[k] + tropo[k]
                        + wavelength * ambiguity
                        + self.rng.normal(0.0, cfg.noise.phase_sigma))
             range_rate = ((state.velocity - truth.velocity) @ unit
@@ -333,7 +342,7 @@ class MeasurementSimulator:
             doppler = (-(range_rate
                          + self.rng.normal(0.0, cfg.noise.doppler_sigma))
                        / wavelength)
-            snr = 35.0 + 15.0 * np.sin(el)
+            snr = 35.0 + 15.0 * np.sin(el[k])
             observations.append(Observation(
                 sat=sat, pseudorange=pseudorange,
                 carrier_phase=phase_m / wavelength, doppler=doppler,
@@ -342,7 +351,7 @@ class MeasurementSimulator:
         for sat in list(self._locks):
             if sat not in visible:
                 del self._locks[sat]
-        return Epoch(truth.time, observations)
+        return Epoch(truth.time, observations), states
 
     def _wavelength(self, sat: SatelliteId) -> float:
         if sat.constellation is Constellation.GPS:
@@ -367,6 +376,7 @@ def run_scenario(config: ScenarioConfig):
     epochs = []
     states = []
     for record in truth:
-        epochs.append(sim.synthesize_epoch(record))
-        states.append(sim.satellite_states(record.time))
+        epoch, states_k = sim._synthesize(record)
+        epochs.append(epoch)
+        states.append(states_k)
     return truth, epochs, states

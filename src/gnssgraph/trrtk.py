@@ -19,11 +19,11 @@ from enum import Enum
 import numpy as np
 
 from .ambiguity import AmbiguityProblem, lambda_resolve
-from .atmosphere import KlobucharParams, TropoModel, klobuchar_delay, saastamoinen_delay
-from .constants import CLIGHT
-from .coords import ecef_to_geodetic, elevation_azimuth, lines_of_sight
-from .errors import (ElevationTooLow, InsufficientSatellites,
-                     MissingSatellite, SingularGeometry, WindowExceeded)
+from .atmosphere import KlobucharParams, TropoModel
+from .coords import lines_of_sight
+from .errors import (InsufficientSatellites, MissingSatellite,
+                     SingularGeometry, WindowExceeded)
+from .geometry import EpochGeometry, geometry_at
 from .types import Constellation, Epoch, SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
@@ -142,32 +142,33 @@ class EpochCorrections:
 
 
 def epoch_corrections(epoch: Epoch, states: dict, position: np.ndarray,
-                      config: TrRtkConfig | None = None) -> EpochCorrections:
+                      config: TrRtkConfig | None = None,
+                      geometry: EpochGeometry | None = None
+                      ) -> EpochCorrections:
     """Elevation, modeled (iono, tropo) delay, and pseudorange with the
-    satellite clock and modeled atmosphere removed, per satellite."""
+    satellite clock and modeled atmosphere removed, per satellite.
+
+    A caller that has the epoch's `EpochGeometry` at `position`, built
+    with the configured delay models, passes it.
+    """
     config = config or TrRtkConfig()
     position = np.asarray(position, dtype=float)
-    geo = ecef_to_geodetic(position)
-    elevation, atmosphere, code = {}, {}, {}
-    for obs in epoch.observations:
-        state = states.get(obs.sat)
-        if state is None:
-            continue
-        el, az = elevation_azimuth(geo, state.position)
-        if el < config.elevation_mask:
-            continue
-        try:
-            iono = (klobuchar_delay(config.iono, epoch.time, geo, el, az)
-                    if config.iono is not None else 0.0)
-            tropo = (saastamoinen_delay(config.tropo, geo, el)
-                     if config.tropo is not None else 0.0)
-        except ElevationTooLow:
-            continue
-        elevation[obs.sat] = el
-        atmosphere[obs.sat] = (iono, tropo)
-        code[obs.sat] = (obs.pseudorange + CLIGHT * state.clock_bias
-                         - iono - tropo)
-    return EpochCorrections(position, elevation, atmosphere, code)
+    geometry = geometry_at(geometry, epoch, states, position,
+                           config.iono, config.tropo)
+    if (geometry.iono_model, geometry.tropo_model) != (config.iono,
+                                                       config.tropo):
+        raise ValueError("epoch geometry evaluated with other delay models")
+    rows = geometry.above(config.elevation_mask)
+    # a satellite the troposphere model rejects (ElevationTooLow) is left out
+    rows = rows[~np.isnan(geometry.tropo[rows])]
+    geometry.require_delays(rows)
+    sats = [geometry.sats[k] for k in rows]
+    delays = zip(geometry.iono[rows].tolist(), geometry.tropo[rows].tolist())
+    return EpochCorrections(
+        position,
+        dict(zip(sats, geometry.elevation[rows].tolist())),
+        dict(zip(sats, delays)),
+        dict(zip(sats, geometry.corrected_code[rows].tolist())))
 
 
 def _corrections_at(corrections, epoch, states, receiver, config):

@@ -35,12 +35,19 @@ class SatelliteId:
     def __post_init__(self):
         if not 1 <= self.prn <= 64:
             raise ValueError(f"prn out of range: {self.prn}")
+        # the dataclass hash would hash the enum by its name on every
+        # call; this key is equal exactly when the fields are
+        object.__setattr__(self, "_key",
+                           (CONSTELLATION_INDEX[self.constellation], self.prn))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __str__(self) -> str:
         return f"{self.constellation.value}{self.prn:02d}"
 
     def sort_key(self):
-        return (CONSTELLATION_INDEX[self.constellation], self.prn)
+        return self._key
 
     @staticmethod
     def parse(text: str) -> "SatelliteId":

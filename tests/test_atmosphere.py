@@ -73,6 +73,47 @@ class TestKlobuchar:
             assert d >= 0.0
 
 
+class TestKlobucharArrays:
+    def test_array_matches_scalar_calls_and_oracle(self):
+        """Both sides of |x| = 1.57 and of the +-0.416 latitude clamp.
+
+        The typical coefficients give no daytime amplitude far south, so
+        a flat amplitude makes the clamp visible there too.
+        """
+        rng = np.random.default_rng(8)
+        branches, clamps = set(), set()
+        for p, lat_deg in ((KlobucharParams.typical(), 70.0),
+                           (KlobucharParams.typical(), 35.0),
+                           (KlobucharParams((3e-8, 0.0, 0.0, 0.0),
+                                            (1e5, 0.0, 0.0, 0.0)), -70.0)):
+            site = GeodeticPosition(np.radians(lat_deg), np.radians(140.0), 50.0)
+            for tow in np.linspace(0.0, 86400.0, 25):
+                el = rng.uniform(0.0, np.pi / 2, 30)
+                az = rng.uniform(0.0, 2 * np.pi, 30)
+                t = GpsTime(2200, float(tow))
+                delays = klobuchar_delay(p, t, site, el, az)
+                assert delays.shape == (30,)
+                for k in range(30):
+                    scalar = klobuchar_delay(p, t, site, el[k], az[k])
+                    oracle = klobuchar_oracle(p.alpha, p.beta, float(tow),
+                                              site.latitude, site.longitude,
+                                              el[k], az[k])
+                    assert delays[k] == pytest.approx(scalar, rel=1e-14)
+                    assert delays[k] == pytest.approx(oracle, rel=1e-12)
+                    f = 1.0 + 16.0 * (0.53 - el[k] / np.pi) ** 3
+                    branches.add(bool(delays[k] > CLIGHT * f * 5e-9 * (1 + 1e-9)))
+                    psi = 0.0137 / (el[k] / np.pi + 0.11) - 0.022
+                    phi = site.latitude / np.pi + psi * np.cos(az[k])
+                    clamps.add(int(np.sign(phi)) if abs(phi) > 0.416 else 0)
+        assert branches == {True, False}
+        assert clamps == {-1, 0, 1}
+
+    def test_negative_elevation_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            klobuchar_delay(KlobucharParams.typical(), GpsTime(2200, 0.0),
+                            SITE, np.array([0.5, -0.01]), np.array([1.0, 2.0]))
+
+
 def saastamoinen_oracle(pres, temp, humi, lat, h, el):
     """Independent evaluation of the Saastamoinen closed form."""
     h = min(max(h, 0.0), 11000.0)
@@ -118,6 +159,28 @@ class TestSaastamoinen:
             TropoModel(pressure=100.0)
         with pytest.raises(ValueError):
             TropoModel(temperature=500.0)
+
+
+class TestSaastamoinenArrays:
+    def test_array_matches_scalar_calls_and_oracle(self):
+        model = TropoModel(pressure=1000.0, temperature=280.0, humidity=0.7)
+        for site in (SITE, GeodeticPosition(-0.8, 2.0, 3000.0)):
+            els = np.radians(np.linspace(1.01, 90.0, 200))
+            delays = saastamoinen_delay(model, site, els)
+            assert delays.shape == els.shape
+            for e, d in zip(els, delays):
+                assert d == pytest.approx(saastamoinen_delay(model, site, e),
+                                          rel=1e-14)
+                assert d == pytest.approx(saastamoinen_oracle(
+                    1000.0, 280.0, 0.7, site.latitude, site.height, e),
+                    rel=1e-12)
+
+    def test_one_low_elevation_rejects_the_array(self):
+        els = np.radians(np.array([45.0, 30.0, 0.99, 60.0]))
+        with pytest.raises(ElevationTooLow):
+            saastamoinen_delay(TropoModel(), SITE, els)
+        with pytest.raises(ElevationTooLow):
+            saastamoinen_delay(TropoModel(), SITE, np.radians(1.0))
 
 
 class TestCommonProperties:

@@ -183,3 +183,29 @@ class TestGpsTime:
     def test_tow_range_enforced(self):
         with pytest.raises(ValueError):
             GpsTime(2200, 604800.0)
+
+
+class TestElevationAzimuthArrays:
+    def test_array_matches_scalar_calls_and_oracle(self):
+        rng = np.random.default_rng(11)
+        origin = GeodeticPosition(np.radians(-33.0), np.radians(151.0), 80.0)
+        up = enu_rotation(origin).T @ np.array([0.0, 0.0, 1.0])
+        north = enu_rotation(origin).T @ np.array([0.0, 1.0, 0.0])
+        east = enu_rotation(origin).T @ np.array([1.0, 0.0, 0.0])
+        base = geodetic_to_ecef(origin)
+        points = [base + rng.normal(scale=1e7, size=3) for _ in range(40)]
+        # azimuth just east and just west of north: the wrap at 0 / 2*pi
+        for side in (1e-9, -1e-9, 1e-3, -1e-3):
+            points.append(base + 2e7 * (up + north) + 2e7 * side * east)
+        points = np.array(points)
+        el, az = elevation_azimuth(origin, points)
+        assert el.shape == az.shape == (len(points),)
+        for k, p in enumerate(points):
+            el_k, az_k = elevation_azimuth(origin, p)
+            assert el[k] == el_k and az[k] == az_k
+            enu = ecef_to_enu(origin, p)
+            assert abs(el[k] - np.arctan2(enu[2], np.hypot(enu[0], enu[1]))) < 1e-12
+            assert abs(az[k] - np.arctan2(enu[0], enu[1]) % (2 * np.pi)) < 1e-12
+        assert np.all((0.0 <= az) & (az < 2 * np.pi))
+        assert az[-4] < 1e-6 and az[-2] < 1e-2            # east of north
+        assert az[-3] > 2 * np.pi - 1e-6 and az[-1] > 2 * np.pi - 1e-2

@@ -1,0 +1,146 @@
+import numpy as np
+import pytest
+
+from gnssgraph.atmosphere import (KlobucharParams, TropoModel, klobuchar_delay,
+                                  saastamoinen_delay)
+from gnssgraph.constants import CLIGHT
+from gnssgraph.coords import (elevation_azimuth, enu_rotation, geodetic_to_ecef,
+                              line_of_sight)
+from gnssgraph.errors import DegenerateGeometry, ElevationTooLow
+from gnssgraph.geometry import EpochGeometry
+from gnssgraph.gnsstime import GpsTime
+from gnssgraph.pointpos import solve_doppler_velocity
+from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
+from gnssgraph.trrtk import TrRtkConfig, epoch_corrections
+from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
+                             GeodeticPosition, Observation, SatelliteId,
+                             SatelliteState)
+
+SITE = GeodeticPosition(np.radians(35.0), np.radians(140.0), 40.0)
+
+
+def sky_epoch(elevations_deg, distances=None):
+    """One GPS satellite per elevation, 75 deg of azimuth apart, at 2e7 m
+    from SITE or at `distances`, plus one observed GAL satellite without
+    a known state."""
+    origin = geodetic_to_ecef(SITE)
+    to_ecef = enu_rotation(SITE).T
+    distances = distances or [2e7] * len(elevations_deg)
+    observations, states = [], {}
+    for prn, (el, dist) in enumerate(zip(np.radians(elevations_deg),
+                                         distances), start=1):
+        sat = SatelliteId(Constellation.GPS, prn)
+        az = np.radians(75.0 * prn)
+        direction = np.array([np.cos(el) * np.sin(az),
+                              np.cos(el) * np.cos(az), np.sin(el)])
+        states[sat] = SatelliteState(origin + dist * to_ecef @ direction,
+                                     np.array([1.0, 2.0, 3.0]) * prn,
+                                     1e-5 * prn, 1e-12 * prn)
+        observations.append(Observation(sat, 2e7 + prn, 1e8, -10.0 * prn,
+                                        0.19, 5, 45.0))
+    observations.append(Observation(SatelliteId(Constellation.GAL, 1), 2.1e7,
+                                    1e8, 0.0, 0.19, 5, 45.0))
+    return Epoch(GpsTime(2200, 40000.0), observations), states, origin
+
+
+class TestEpochGeometry:
+    def test_arrays_match_per_satellite_calls(self):
+        epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
+        iono, tropo = KlobucharParams.typical(), TropoModel()
+        g = EpochGeometry(epoch, states, iono, tropo).at(origin)
+        assert list(g.sats) == sorted(states, key=lambda s: s.sort_key())
+        assert g.sat_position.shape == (4, 3)
+        for k, sat in enumerate(g.sats):
+            state = states[sat]
+            assert g.states[k] is state
+            assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
+            el, az = elevation_azimuth(g.geodetic, state.position)
+            assert g.elevation[k] == el and g.azimuth[k] == az
+            unit, rng = line_of_sight(origin, state)
+            assert np.allclose(g.unit[k], unit, rtol=0.0, atol=1e-15)
+            assert g.range[k] == pytest.approx(rng, rel=1e-15)
+            i = klobuchar_delay(iono, epoch.time, g.geodetic, el, az)
+            t = saastamoinen_delay(tropo, g.geodetic, el)
+            assert g.iono[k] == pytest.approx(i, rel=1e-14)
+            assert g.tropo[k] == pytest.approx(t, rel=1e-14)
+            obs = epoch.get(sat)
+            assert g.corrected_code[k] == pytest.approx(
+                obs.pseudorange + CLIGHT * state.clock_bias - i - t,
+                rel=1e-15)
+            assert g.doppler[k] == obs.doppler
+            assert np.array_equal(g.sat_velocity[k], state.velocity)
+
+    def test_at_moves_only_the_receiver(self):
+        epoch, states, origin = sky_epoch([80.0, 45.0, 20.0])
+        satellites = EpochGeometry(epoch, states)
+        a, b = satellites.at(origin), satellites.at(origin + 100.0)
+        assert a.sat_position is b.sat_position
+        assert np.array_equal(a.position, origin)
+        assert not np.array_equal(a.range, b.range)
+        assert np.array_equal(a.iono, np.zeros(3))      # no models given
+        assert np.array_equal(a.tropo, np.zeros(3))
+
+    def test_delays_undefined_outside_model_domains(self):
+        epoch, states, origin = sky_epoch([60.0, 0.5, -5.0])
+        g = EpochGeometry(epoch, states, KlobucharParams.typical(),
+                          TropoModel()).at(origin)
+        assert np.isfinite(g.iono[:2]).all() and np.isnan(g.iono[2])
+        assert np.isfinite(g.tropo[0]) and np.isnan(g.tropo[1:]).all()
+        g.require_delays(np.array([0]))
+        with pytest.raises(ElevationTooLow):
+            g.require_delays(np.array([0, 1]))
+        with pytest.raises(ValueError):
+            g.require_delays(np.array([0, 2]))
+        assert list(g.above(np.radians(15.0))) == [0]
+
+    def test_range_check_covers_the_rows_a_consumer_uses(self):
+        """A satellite 500 km away is implausible; below the mask it is
+        not used, so it is not checked."""
+        close = [2e7] * 4 + [5e5]
+        epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 5.0],
+                                          close)
+        g = EpochGeometry(epoch, states).at(origin)
+        g.require_ranges(g.above(np.radians(15.0)))
+        with pytest.raises(DegenerateGeometry):
+            g.require_ranges(np.arange(5))
+        solve_doppler_velocity(epoch, states, origin)
+        epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 30.0],
+                                          close)
+        with pytest.raises(DegenerateGeometry):
+            solve_doppler_velocity(epoch, states, origin)
+
+
+class TestConsumersShareOneGeometry:
+    @staticmethod
+    def session():
+        cfg = ScenarioConfig(duration=3.0, seed=6,
+                             trajectory=TrajectoryConfig(kind="line"))
+        truth, epochs, states = run_scenario(cfg)
+        return cfg, epochs[1], states[1], truth[1].position + 2.0
+
+    def test_passed_geometry_gives_the_same_solutions(self):
+        cfg, epoch, states, position = self.session()
+        tr = TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo)
+        g = EpochGeometry(epoch, states, cfg.iono, cfg.tropo).at(position)
+        own = solve_doppler_velocity(epoch, states, position)
+        shared = solve_doppler_velocity(epoch, states, position, geometry=g)
+        assert np.array_equal(own.velocity, shared.velocity)
+        assert np.array_equal(own.covariance, shared.covariance)
+        own = epoch_corrections(epoch, states, position, tr)
+        shared = epoch_corrections(epoch, states, position, tr, g)
+        assert own.elevation == shared.elevation
+        assert own.atmosphere == shared.atmosphere
+        assert own.code == shared.code
+
+    def test_geometry_from_elsewhere_rejected(self):
+        cfg, epoch, states, position = self.session()
+        tr = TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo)
+        moved = EpochGeometry(epoch, states, cfg.iono,
+                              cfg.tropo).at(position + 1e-6)
+        with pytest.raises(ValueError):
+            solve_doppler_velocity(epoch, states, position, geometry=moved)
+        with pytest.raises(ValueError):
+            epoch_corrections(epoch, states, position, tr, moved)
+        no_models = EpochGeometry(epoch, states).at(position)
+        with pytest.raises(ValueError):
+            epoch_corrections(epoch, states, position, tr, no_models)

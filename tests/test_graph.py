@@ -147,6 +147,167 @@ class TestBuildGraph:
         assert evaluate_cost(g, shifted) == pytest.approx(base, rel=1e-12)
 
 
+class TestPseudorangeRows:
+    def test_build_rows_equal_relinearize_at_same_offset(self):
+        from dataclasses import replace
+
+        from gnssgraph.coords import line_of_sight
+        from gnssgraph.types import CONSTELLATION_INDEX
+
+        cfg = zero_noise_scenario(duration=12.0,
+                                  noise=NoiseConfig(0.5, 0.003, 0.02))
+        cfg.counts = {Constellation.GPS: 31, Constellation.GAL: 24,
+                      Constellation.BDS: 24}
+        truth, epochs, states, result = build_from_scenario(cfg)
+        g = result.graph
+        assert {f.sat.constellation for f in g.pseudorange_factors} == set(
+            cfg.counts)
+        for f in g.pseudorange_factors:
+            offset = g.initial_states[f.node, :3]
+            assert np.array_equal(f.lin_offset, offset)
+            assert f.sat_state is states[f.node][f.sat]
+            # the per-satellite oracle: one line of sight per factor
+            unit, r0 = line_of_sight(g.reference_position + offset,
+                                     f.sat_state)
+            expected = np.zeros(7)
+            expected[:3] = -unit
+            expected[3] = 1.0
+            expected[3 + CONSTELLATION_INDEX[f.sat.constellation]] = 1.0
+            assert np.allclose(f.row, expected, rtol=0.0, atol=1e-12)
+            assert f.corrected_measurement == pytest.approx(
+                f.measured_corr - r0 - unit @ offset, abs=1e-6)
+            again = replace(f, row=np.zeros(7), corrected_measurement=0.0)
+            again.relinearize(offset, g.reference_position)
+            assert np.allclose(again.row, f.row, rtol=0.0, atol=1e-12)
+            assert again.corrected_measurement == pytest.approx(
+                f.corrected_measurement, abs=1e-6)
+
+
+class TestRelinearization:
+    def test_moved_nodes_relinearize_their_pseudorange_factors(self):
+        from gnssgraph.coords import line_of_sight
+
+        cfg = zero_noise_scenario(duration=15.0,
+                                  noise=NoiseConfig(0.5, 0.003, 0.02))
+        truth, epochs, states, result = build_from_scenario(cfg,
+                                                            use_trrtk=False)
+        g = result.graph
+        ref = g.reference_position
+        config = GraphConfig()
+        # linearize every factor 30 m away from where the solve will end
+        for f in g.pseudorange_factors:
+            f.relinearize(g.initial_states[f.node, :3] + 30.0, ref)
+        x, report = optimize(g, config)
+        assert report.converged
+        for f in g.pseudorange_factors:
+            assert np.linalg.norm(x[f.node, :3] - f.lin_offset) \
+                <= config.relinearize_threshold
+            unit, r0 = line_of_sight(ref + f.lin_offset, f.sat_state)
+            assert np.allclose(f.row[:3], -unit, rtol=0.0, atol=1e-12)
+            assert f.corrected_measurement == pytest.approx(
+                f.measured_corr - r0 - unit @ f.lin_offset, abs=1e-6)
+        assert np.allclose(x, result.states, rtol=0.0, atol=1e-6)
+
+
+class TestStackedSystem:
+    @staticmethod
+    def small_graph():
+        """Four nodes with every factor type, and a prior on the two
+        clock slots that no pseudorange factor observes."""
+        from gnssgraph.graph import Graph, PriorFactor
+
+        rng = np.random.default_rng(23)
+
+        def spd():
+            a = rng.normal(size=(3, 3))
+            return a @ a.T + 0.5 * np.eye(3)
+
+        def pr_row(slot):
+            row = np.zeros(7)
+            unit = rng.normal(size=3)
+            row[:3] = -unit / np.linalg.norm(unit)
+            row[3] = 1.0
+            row[3 + slot] = 1.0
+            return row
+
+        velocity = [VelocityFactor(k, k + 1, rng.normal(size=3), 0.5 + k,
+                                   spd()) for k in range(3)]
+        trrtk = [TrRtkFactor(0, 2, rng.normal(size=3), spd(), 2.0),
+                 TrRtkFactor(1, 3, rng.normal(size=3), spd(), 2.0)]
+        pseudorange = [
+            PseudorangeFactor(node=k, sat=SatelliteId(const, prn),
+                              row=pr_row(slot),
+                              corrected_measurement=rng.normal(scale=5.0),
+                              information=rng.uniform(0.5, 4.0),
+                              lin_offset=np.zeros(3))
+            for k in range(4)
+            for const, slot, prn in ((Constellation.GPS, 0, 3 + k),
+                                     (Constellation.GAL, 2, 9))]
+        priors = [
+            PriorFactor(0, np.arange(3), rng.normal(size=3),
+                        np.full(3, 0.25)),
+            PriorFactor(2, np.array([4, 6]), rng.normal(size=2),
+                        np.array([1e-4, 3e-4]))]
+        states = rng.normal(scale=3.0, size=(4, 7))
+        return Graph(np.zeros(3), states, velocity, trrtk, pseudorange,
+                     priors), rng.normal(scale=3.0, size=(4, 7))
+
+    def test_normal_matrix_and_cost_equal_per_factor_sums(self):
+        from gnssgraph.graph import (PriorFactor, _stack, _whitened_system,
+                                     residual_prior)
+
+        g, x = self.small_graph()
+        n_var = x.size
+        normal = np.zeros((n_var, n_var))
+        gradient = np.zeros(n_var)
+        cost = 0.0
+
+        def add(blocks, e, info):
+            nonlocal cost
+            jac = np.zeros((len(e), n_var))
+            for node, block in blocks:
+                jac[:, 7 * node:7 * node + 7] += block
+            normal[:] += jac.T @ info @ jac
+            gradient[:] += jac.T @ info @ e
+            cost += e @ info @ e
+
+        pos = np.zeros((3, 7))
+        pos[:, :3] = np.eye(3)
+        for f in g.velocity_factors:
+            add([(f.node_i, -pos), (f.node_j, pos)],
+                residual_velocity(f, x[f.node_i], x[f.node_j]),
+                f.information)
+        for f in g.trrtk_factors:
+            add([(f.node_past, -pos), (f.node_current, pos)],
+                residual_trrtk(f, x[f.node_past], x[f.node_current]),
+                f.information)
+        for f in g.pseudorange_factors:
+            add([(f.node, f.row[None, :])],
+                np.array([residual_pseudorange(f, x[f.node])]),
+                np.array([[f.information]]))
+        for f in g.priors:
+            sel = np.zeros((len(f.indices), 7))
+            sel[np.arange(len(f.indices)), f.indices] = 1.0
+            add([(f.node, sel)], residual_prior(f, x[f.node]),
+                np.diag(f.information))
+
+        residual, jacobian = _whitened_system(_stack(g), x)
+        assert jacobian.shape == (3 * 5 + 8 + 5, n_var)
+        assert np.allclose((jacobian.T @ jacobian).toarray(), normal,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(jacobian.T @ residual, gradient, rtol=1e-12,
+                           atol=1e-12)
+        assert residual @ residual == pytest.approx(cost, rel=1e-12)
+        assert evaluate_cost(g, x) == pytest.approx(cost, rel=1e-12)
+        assert evaluate_cost(g, x, _stack(g)) == pytest.approx(cost,
+                                                               rel=1e-12)
+        # the cost follows edits of the factor lists
+        g.priors.append(PriorFactor(1, np.array([5]), np.array([0.0]),
+                                    np.array([2.0])))
+        assert evaluate_cost(g, x) == pytest.approx(
+            cost + 2.0 * x[1, 5] ** 2, rel=1e-12)
+
+
 class TestJacobians:
     def test_all_factors_match_central_differences(self):
         cfg = zero_noise_scenario(duration=20.0, noise=NoiseConfig(0.5, 0.003, 0.02))
