@@ -8,8 +8,8 @@ anchor the loop-closure baselines.
 
 import numpy as np
 
-from gnssgraph import (ScenarioConfig, TrajectoryConfig, run_scenario,
-                       solve_doppler_velocity, solve_spp)
+from gnssgraph import (EpochGeometry, ScenarioConfig, TrajectoryConfig,
+                       run_scenario, solve_doppler_velocity, solve_spp)
 
 config = ScenarioConfig(
     duration=60.0,
@@ -23,7 +23,7 @@ velocity_errors = []
 for rec, epoch, sats in zip(truth, epochs, sat_states):
     spp = solve_spp(epoch, sats, iono=config.iono, tropo=config.tropo)
     position_errors.append(np.linalg.norm(spp.position - rec.position))
-    vel = solve_doppler_velocity(epoch, sats, spp.position)
+    vel = solve_doppler_velocity(EpochGeometry(epoch, sats).at(spp.position))
     velocity_errors.append(np.linalg.norm(vel.velocity - rec.velocity))
 
 print(f"{len(epochs)} epochs, default noise")

@@ -9,8 +9,9 @@ of up to 100 s with no base station.
 
 import numpy as np
 
-from gnssgraph import (ScenarioConfig, TrajectoryConfig, TrRtkConfig,
-                       estimate_baseline, run_scenario, solve_spp)
+from gnssgraph import (EpochGeometry, ScenarioConfig, TrajectoryConfig,
+                       epoch_corrections, estimate_baseline, run_scenario,
+                       solve_spp)
 
 config = ScenarioConfig(
     duration=120.0,
@@ -18,16 +19,18 @@ config = ScenarioConfig(
     seed=12,
 )
 truth, epochs, sat_states = run_scenario(config)
-positions = [solve_spp(e, s, iono=config.iono, tropo=config.tropo).position
-             for e, s in zip(epochs, sat_states)]
+# each epoch's corrections at its SPP position, shared by all its pairs
+corrections = []
+for epoch, sats in zip(epochs, sat_states):
+    spp = solve_spp(epoch, sats, iono=config.iono, tropo=config.tropo)
+    geometry = EpochGeometry(epoch, sats, config.iono, config.tropo)
+    corrections.append(epoch_corrections(geometry.at(spp.position)))
 
-tr_config = TrRtkConfig(iono=config.iono, tropo=config.tropo)
 print(f"{'dt s':>6s}{'status':>10s}{'ratio':>8s}{'baseline error m':>18s}")
 for dt in (5, 20, 50, 80, 100):
     i, j = 0, dt
-    result = estimate_baseline(epochs[i], epochs[j], sat_states[i],
-                               sat_states[j], positions[i], positions[j],
-                               tr_config)
+    result = estimate_baseline(epochs[i], epochs[j], corrections[i],
+                               corrections[j])
     true_baseline = truth[j].position - truth[i].position
     error = np.linalg.norm(result.baseline - true_baseline)
     print(f"{dt:>6d}{result.status.name:>10s}{result.ratio:>8.1f}"

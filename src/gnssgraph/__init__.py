@@ -18,10 +18,11 @@ from .fileio import (TrajectoryRecord, TrajectoryStatus, export_graph_json,
                      read_sat_states_csv, read_trajectory_csv,
                      save_scenario_yaml, write_sat_states_csv,
                      write_trajectory_csv)
+from .geometry import EpochGeometry
 from .gnsstime import GpsTime
 from .graph import (Graph, GraphConfig, OptimizerReport, PriorFactor,
-                    PseudorangeFactor, StateVector, TrRtkFactor,
-                    VelocityFactor, build_graph, evaluate_cost, optimize)
+                    PseudorangeFactor, TrRtkFactor, VelocityFactor,
+                    build_graph, evaluate_cost, optimize)
 from .metrics import EvaluationReport, compute_ape, compute_rpe, evaluate
 from .pipeline import PipelineConfig, PipelineResult, solve_trajectory
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
@@ -31,8 +32,8 @@ from .rinex import (RinexHeader, header_for_scenario, parse_rinex_obs,
 from .sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig, TruthRecord,
                   run_scenario)
 from .trrtk import (BaselineStatus, TrRtkConfig, TrRtkResult,
-                    detect_cycle_slips, estimate_baseline,
-                    form_double_differences)
+                    detect_cycle_slips, epoch_corrections,
+                    estimate_baseline, form_double_differences)
 from .types import (Constellation, Epoch, GeodeticPosition, Observation,
                     SatelliteId, SatelliteState)
 

@@ -131,7 +131,6 @@ def cmd_solve(args) -> int:
     if args.no_trrtk:
         config.use_trrtk = False
     if args.no_pseudorange_factors:
-        config.use_pseudorange = False
         config.graph.use_pseudorange = False
 
     result = solve_trajectory(epochs, sat_states, config)

@@ -25,7 +25,7 @@ from .atmosphere import KlobucharParams, TropoModel
 from .coords import ecef_to_geodetic
 from .errors import IoFailure
 from .gnsstime import GpsTime
-from .graph import Graph
+from .graph import Graph, GraphConfig
 from .types import (Constellation, GeodeticPosition, SatelliteId,
                     SatelliteState)
 
@@ -306,7 +306,8 @@ def load_pipeline_yaml(stream):
     """Build a PipelineConfig from YAML; absent keys keep defaults.
 
     Recognized sections: iono, tropo (as in scenario files), solver,
-    trrtk, plus top-level use_trrtk / use_pseudorange / pair_lattice.
+    trrtk, plus top-level use_trrtk / pair_lattice and use_pseudorange,
+    which sets `graph.use_pseudorange`.
     """
     from .pipeline import PipelineConfig
     from .pointpos import SolverConfig
@@ -320,9 +321,11 @@ def load_pipeline_yaml(stream):
         raise IoFailure("config file must be a mapping")
 
     kwargs: dict = {}
-    for key in ("use_trrtk", "use_pseudorange"):
-        if key in data:
-            kwargs[key] = bool(data[key])
+    if "use_trrtk" in data:
+        kwargs["use_trrtk"] = bool(data["use_trrtk"])
+    if "use_pseudorange" in data:
+        kwargs["graph"] = GraphConfig(
+            use_pseudorange=bool(data["use_pseudorange"]))
     if "pair_lattice" in data:
         kwargs["pair_lattice"] = tuple(float(v) for v in data["pair_lattice"])
     if "iono" in data:

@@ -116,16 +116,3 @@ class EpochGeometry:
         if low.any():
             lowest = np.degrees(self.elevation[rows][low].min())
             raise ElevationTooLow(f"elevation {lowest:.2f} deg below 1 deg")
-
-
-def geometry_at(geometry: EpochGeometry | None, epoch: Epoch, states: dict,
-                position, iono: KlobucharParams | None = None,
-                tropo: TropoModel | None = None) -> EpochGeometry:
-    """`geometry` if one is passed, else one evaluated here with the
-    delay models `iono` and `tropo`. A passed geometry must have been
-    evaluated at exactly `position`."""
-    if geometry is None:
-        return EpochGeometry(epoch, states, iono, tropo).at(position)
-    if not np.array_equal(geometry.position, position):
-        raise ValueError("epoch geometry evaluated at another position")
-    return geometry

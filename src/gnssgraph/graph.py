@@ -26,23 +26,6 @@ from .types import CONSTELLATION_INDEX, Constellation
 STATE_DIM = 7
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """One node: position offset from the reference plus clock terms."""
-
-    position_offset: np.ndarray        # [m], relative to the reference
-    clock_bias: np.ndarray             # [m], GPS clock + 3 inter-system biases
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.concatenate([self.position_offset, self.clock_bias])
-        return out.astype(dtype) if dtype is not None else out
-
-    @classmethod
-    def from_array(cls, x) -> "StateVector":
-        x = np.asarray(x, dtype=float)
-        return cls(x[:3].copy(), x[3:].copy())
-
-
 @dataclass
 class VelocityFactor:
     node_i: int
@@ -147,12 +130,12 @@ class GraphConfig:
     cost_tolerance: float = 1e-8       # relative cost change
     gradient_tolerance: float = 1e-6   # infinity norm
     initial_radius: float = 100.0      # trust region [m]
-    iono: KlobucharParams | None = None
-    tropo: TropoModel | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
+                iono: KlobucharParams | None = None,
+                tropo: TropoModel | None = None,
+                solver: SolverConfig | None = None,
                 config: GraphConfig | None = None) -> Graph:
     """Assemble the trajectory graph.
 
@@ -160,7 +143,11 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
     `trrtk_results` holds (past_index, current_index, TrRtkResult)
     triples; only Fixed results become factors. Node positions start at
     the epoch-0 point solution plus accumulated velocity increments.
+    Pseudorange factors are corrected with the delay models `iono` and
+    `tropo` and weighted, above its elevation mask, as `solver` weights
+    the point solutions.
     """
+    solver = solver or SolverConfig()
     config = config or GraphConfig()
     n = len(epochs)
     if n == 0:
@@ -208,13 +195,13 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
     if config.use_pseudorange:
         for k, epoch in enumerate(epochs):
             offset = states[k, :3]
-            geometry = EpochGeometry(epoch, sat_states[k], config.iono,
-                                     config.tropo).at(reference + offset)
-            rows = geometry.above(config.solver.elevation_mask)
+            geometry = EpochGeometry(epoch, sat_states[k], iono,
+                                     tropo).at(reference + offset)
+            rows = geometry.above(solver.elevation_mask)
             geometry.require_delays(rows)
             geometry.require_ranges(rows)
             information = 1.0 / pseudorange_variance(
-                geometry.elevation[rows], config=config.solver)
+                geometry.elevation[rows], config=solver)
             measured = geometry.corrected_code[rows]
             offsets = np.tile(offset, (len(rows), 1))
             jac_rows, constants = _linearization(

@@ -11,28 +11,24 @@ from .errors import GnssError
 from .geometry import EpochGeometry
 from .graph import Graph, GraphConfig, OptimizerReport, build_graph, optimize
 from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
-from .trrtk import (TR_PAIR_LATTICE, BaselineStatus, TrRtkConfig,
-                    epoch_corrections, estimate_baseline)
+from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
+                    estimate_baseline)
 
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a solve, each in one place: the delay models here
+    serve SPP, TR-RTK and the pseudorange factors alike, `solver` weights
+    the point solutions and the pseudorange factors, and the observation
+    spacing comes from the epoch times."""
+
     use_trrtk: bool = True
-    use_pseudorange: bool = True
     pair_lattice: tuple = TR_PAIR_LATTICE
     iono: KlobucharParams | None = None
     tropo: TropoModel | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     trrtk: TrRtkConfig = field(default_factory=TrRtkConfig)
     graph: GraphConfig = field(default_factory=GraphConfig)
-
-    def __post_init__(self):
-        self.trrtk.iono = self.iono
-        self.trrtk.tropo = self.tropo
-        self.graph.iono = self.iono
-        self.graph.tropo = self.tropo
-        self.graph.solver = self.solver
-        self.graph.use_pseudorange = self.use_pseudorange
 
 
 @dataclass
@@ -63,20 +59,17 @@ def solve_trajectory(epochs, sat_states,
         spp_solutions.append(spp)
         # one geometry at the final point solution, for Doppler (which
         # uses no delay model) and for TR-RTK
-        geometry = EpochGeometry(epoch, states_k, config.trrtk.iono,
-                                 config.trrtk.tropo).at(spp.position)
+        geometry = EpochGeometry(epoch, states_k, config.iono,
+                                 config.tropo).at(spp.position)
         if k < n - 1:
-            velocities.append(solve_doppler_velocity(
-                epoch, states_k, spp.position, config.solver, geometry))
+            velocities.append(solve_doppler_velocity(geometry, config.solver))
         if config.use_trrtk:
-            corrections.append(epoch_corrections(
-                epoch, states_k, spp.position, config.trrtk, geometry))
+            corrections.append(epoch_corrections(geometry, config.trrtk))
 
     trrtk_results = []
     attempts = 0
     if config.use_trrtk:
         interval = (epochs[1].time - epochs[0].time) if n > 1 else 1.0
-        config.trrtk.interval = interval
         bases = {}                     # LAMBDA's starting Z per DD layout
         for j in range(n):
             for offset in config.pair_lattice:
@@ -86,15 +79,15 @@ def solve_trajectory(epochs, sat_states,
                 attempts += 1
                 try:
                     result = estimate_baseline(
-                        epochs[i], epochs[j], sat_states[i], sat_states[j],
-                        spp_solutions[i].position, spp_solutions[j].position,
-                        config.trrtk, corrections[i], corrections[j], bases)
+                        epochs[i], epochs[j], corrections[i], corrections[j],
+                        config.trrtk, bases, interval)
                 except GnssError:
                     continue
                 trrtk_results.append((i, j, result))
 
     graph = build_graph(epochs, sat_states, velocities, spp_solutions,
-                        trrtk_results, config.graph)
+                        trrtk_results, config.iono, config.tropo,
+                        config.solver, config.graph)
     states, report = optimize(graph, config.graph)
     positions = graph.reference_position + states[:, :3]
     return PipelineResult(positions, states, graph, report, spp_solutions,

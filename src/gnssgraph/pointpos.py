@@ -7,14 +7,14 @@ constraints between consecutive nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel
 from .constants import CLIGHT
 from .errors import InsufficientSatellites, NoConvergence, SingularGeometry
-from .geometry import EpochGeometry, geometry_at
+from .geometry import EpochGeometry
 from .types import CONSTELLATIONS, Constellation, Epoch, SatelliteId, SatelliteState
 
 
@@ -46,13 +46,9 @@ class VelocitySolution:
     covariance: np.ndarray         # 3x3 [m^2/s^2]
 
 
-def pseudorange_variance(elevation, snr: float = 0.0,
-                         config: SolverConfig | None = None):
+def pseudorange_variance(elevation, config: SolverConfig | None = None):
     """Elevation-dependent pseudorange variance a^2 + b^2/sin^2(el), of
-    one elevation or an array of them.
-
-    SNR is recorded on observations but deliberately unused here.
-    """
+    one elevation or an array of them."""
     config = config or SolverConfig()
     el = np.asarray(elevation)
     if not ((0.0 < el) & (el <= np.pi / 2)).all():
@@ -155,19 +151,17 @@ def _bootstrap_position(satellites: EpochGeometry) -> np.ndarray:
     return position
 
 
-def solve_doppler_velocity(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
-                           position: np.ndarray,
-                           config: SolverConfig | None = None,
-                           geometry: EpochGeometry | None = None
+def solve_doppler_velocity(geometry: EpochGeometry,
+                           config: SolverConfig | None = None
                            ) -> VelocitySolution:
-    """Least squares velocity from Doppler range rates.
+    """Least squares velocity from Doppler range rates, with the epoch's
+    satellites seen from the receiver position of `geometry`.
 
     Measured range rate is -wavelength * doppler; the model is
-    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat. A caller that
-    has the epoch's `EpochGeometry` at `position` passes it.
+    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat. No delay model
+    enters, so the geometry's models do not matter.
     """
     config = config or SolverConfig()
-    geometry = geometry_at(geometry, epoch, sats, position)
     rows = geometry.above(config.elevation_mask)
     if len(rows) < 4:
         raise InsufficientSatellites(f"{len(rows)} usable satellites for velocity")

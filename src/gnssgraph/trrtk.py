@@ -19,11 +19,10 @@ from enum import Enum
 import numpy as np
 
 from .ambiguity import AmbiguityProblem, lambda_resolve
-from .atmosphere import KlobucharParams, TropoModel
 from .coords import lines_of_sight
 from .errors import (InsufficientSatellites, MissingSatellite,
                      SingularGeometry, WindowExceeded)
-from .geometry import EpochGeometry, geometry_at
+from .geometry import EpochGeometry
 from .types import Constellation, Epoch, SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
@@ -44,10 +43,7 @@ class TrRtkConfig:
     phase_sigma: float = 0.003          # [m] zenith, per single measurement
     code_sigma: float = 0.5             # [m] zenith, per single measurement
     elevation_mask: float = np.radians(15.0)
-    interval: float = 1.0               # nominal observation spacing [s]
     position_prior_sigma: float = 3.0   # anchor-position error prior [m]
-    iono: KlobucharParams | None = None
-    tropo: TropoModel | None = None
 
 
 @dataclass(frozen=True)
@@ -136,28 +132,19 @@ class EpochCorrections:
     """
 
     position: np.ndarray               # [m ECEF]
+    states: dict                       # SatelliteId -> SatelliteState
     elevation: dict                    # SatelliteId -> [rad]
     atmosphere: dict                   # SatelliteId -> (iono, tropo) [m]
     code: dict                         # SatelliteId -> corrected pseudorange [m]
 
 
-def epoch_corrections(epoch: Epoch, states: dict, position: np.ndarray,
-                      config: TrRtkConfig | None = None,
-                      geometry: EpochGeometry | None = None
-                      ) -> EpochCorrections:
+def epoch_corrections(geometry: EpochGeometry,
+                      config: TrRtkConfig | None = None) -> EpochCorrections:
     """Elevation, modeled (iono, tropo) delay, and pseudorange with the
-    satellite clock and modeled atmosphere removed, per satellite.
-
-    A caller that has the epoch's `EpochGeometry` at `position`, built
-    with the configured delay models, passes it.
+    satellite clock and modeled atmosphere removed, per satellite, as
+    `geometry` has them at its receiver position with its delay models.
     """
     config = config or TrRtkConfig()
-    position = np.asarray(position, dtype=float)
-    geometry = geometry_at(geometry, epoch, states, position,
-                           config.iono, config.tropo)
-    if (geometry.iono_model, geometry.tropo_model) != (config.iono,
-                                                       config.tropo):
-        raise ValueError("epoch geometry evaluated with other delay models")
     rows = geometry.above(config.elevation_mask)
     # a satellite the troposphere model rejects (ElevationTooLow) is left out
     rows = rows[~np.isnan(geometry.tropo[rows])]
@@ -165,27 +152,17 @@ def epoch_corrections(epoch: Epoch, states: dict, position: np.ndarray,
     sats = [geometry.sats[k] for k in rows]
     delays = zip(geometry.iono[rows].tolist(), geometry.tropo[rows].tolist())
     return EpochCorrections(
-        position,
+        geometry.position,
+        dict(zip(sats, (geometry.states[k] for k in rows))),
         dict(zip(sats, geometry.elevation[rows].tolist())),
         dict(zip(sats, delays)),
         dict(zip(sats, geometry.corrected_code[rows].tolist())))
 
 
-def _corrections_at(corrections, epoch, states, receiver, config):
-    if corrections is None:
-        return epoch_corrections(epoch, states, receiver, config)
-    if not np.array_equal(corrections.position, receiver):
-        raise ValueError("epoch corrections evaluated at another position")
-    return corrections
-
-
 def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
-                            states_past: dict, states_current: dict,
-                            receiver_past: np.ndarray,
-                            receiver_current: np.ndarray,
-                            config: TrRtkConfig | None = None,
-                            corrections_past: EpochCorrections | None = None,
-                            corrections_current: EpochCorrections | None = None
+                            corrections_past: EpochCorrections,
+                            corrections_current: EpochCorrections,
+                            config: TrRtkConfig | None = None
                             ) -> DoubleDiffSet:
     """Between-satellite differences of the paired-epoch observables.
 
@@ -198,18 +175,12 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
     formed only within a constellation and only between satellites that
     share a carrier wavelength (which excludes cross-channel GLONASS
     pairs, whose DD ambiguity would not be integer).
-    Per-epoch corrections that are not passed in are computed here; when
-    passed, they must have been evaluated at the receiver positions.
+    The corrections of each epoch, `epoch_corrections`, fix its receiver
+    position (the linearization anchor) and its satellite states.
     """
     config = config or TrRtkConfig()
-    receiver_past = np.asarray(receiver_past, dtype=float)
-    receiver_current = np.asarray(receiver_current, dtype=float)
-    corr_past = _corrections_at(corrections_past, past, states_past,
-                                receiver_past, config)
-    corr_cur = _corrections_at(corrections_current, current, states_current,
-                               receiver_current, config)
-    elev_past = corr_past.elevation
-    elev_cur = corr_cur.elevation
+    elev_past = corrections_past.elevation
+    elev_cur = corrections_current.elevation
 
     by_const: dict[Constellation, list] = {}
     for sat in sd_phase:
@@ -217,8 +188,8 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
             by_const.setdefault(sat.constellation, []).append(sat)
 
     def corrected_phase(sat):
-        ip, tp = corr_past.atmosphere[sat]
-        ic, tc = corr_cur.atmosphere[sat]
+        ip, tp = corrections_past.atmosphere[sat]
+        ic, tc = corrections_current.atmosphere[sat]
         # phase carries -iono, +tropo
         return sd_phase[sat] + (ic - ip) - (tc - tp)
 
@@ -234,8 +205,8 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
         ref = max(sats, key=lambda s: (elev_cur[s], s.sort_key()))
         lam_ref = current.get(ref).wavelength
         ref_phase = corrected_phase(ref)
-        ref_code_p = corr_past.code[ref]
-        ref_code_c = corr_cur.code[ref]
+        ref_code_p = corrections_past.code[ref]
+        ref_code_c = corrections_current.code[ref]
         added = False
         for sat in sorted(sats, key=lambda s: s.sort_key()):
             if sat == ref:
@@ -246,8 +217,8 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
             entries.append(DoubleDiffEntry(
                 sat=sat, reference=ref,
                 dd_phase=corrected_phase(sat) - ref_phase,
-                dd_code_past=corr_past.code[sat] - ref_code_p,
-                dd_code_current=corr_cur.code[sat] - ref_code_c,
+                dd_code_past=corrections_past.code[sat] - ref_code_p,
+                dd_code_current=corrections_current.code[sat] - ref_code_c,
                 wavelength=lam,
                 # time difference of two independent epochs: factor 2 variance
                 sigma_phase=np.sqrt(
@@ -269,9 +240,9 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
         raise InsufficientSatellites(
             f"only {len(entries)} double differences formed")
     return DoubleDiffSet(past.time, current.time, reference, tuple(entries),
-                         states_past, states_current,
-                         receiver_past, receiver_current,
-                         ref_sigma_phase, ref_sigma_code_past,
+                         corrections_past.states, corrections_current.states,
+                         corrections_past.position,
+                         corrections_current.position, ref_sigma_phase, ref_sigma_code_past,
                          ref_sigma_code_current)
 
 
@@ -401,23 +372,24 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
     return baseline, problem, joint_cov
 
 
-def estimate_baseline(past: Epoch, current: Epoch, states_past: dict,
-                      states_current: dict, position_past: np.ndarray,
-                      position_current: np.ndarray,
+def estimate_baseline(past: Epoch, current: Epoch,
+                      corrections_past: EpochCorrections,
+                      corrections_current: EpochCorrections,
                       config: TrRtkConfig | None = None,
-                      corrections_past: EpochCorrections | None = None,
-                      corrections_current: EpochCorrections | None = None,
-                      bases: dict | None = None) -> TrRtkResult:
+                      bases: dict | None = None,
+                      interval: float = 1.0) -> TrRtkResult:
     """Full pipeline: slip screening, DD formation, float solve, LAMBDA fix.
 
     On an accepted ratio test the baseline is re-conditioned on the
     integer ambiguities; otherwise the result is Rejected and must not
-    become a graph edge. A caller that pairs each epoch many times passes
-    its `epoch_corrections` so they are computed once per epoch, and one
-    `bases` dict for all its pairs: it maps a DD layout, the ordered
-    (sat, reference) tuple of the entries, to the decorrelating Z that
-    LAMBDA last ended with, and LAMBDA starts the next pair of that
-    layout there. The result does not depend on the starting Z.
+    become a graph edge. Each epoch's `epoch_corrections` are computed
+    once and shared by all its pairs; `interval` is the observation
+    spacing [s] the slip screen expects the lock counts to grow by. A
+    caller passes one `bases` dict for all its pairs: it maps a DD
+    layout, the ordered (sat, reference) tuple of the entries, to the
+    decorrelating Z that LAMBDA last ended with, and LAMBDA starts the
+    next pair of that layout there. The result does not depend on the
+    starting Z.
     """
     config = config or TrRtkConfig()
     dt = current.time - past.time
@@ -426,15 +398,13 @@ def estimate_baseline(past: Epoch, current: Epoch, states_past: dict,
             f"pair separated by {dt:.1f} s exceeds "
             f"{config.max_time_difference:.1f} s window")
 
-    sats = detect_cycle_slips(past, current, config.interval)
+    sats = detect_cycle_slips(past, current, interval)
     if len(sats) < 5:
         raise InsufficientSatellites(
             f"only {len(sats)} continuously locked satellites")
     sd_phase = time_single_difference(past, current, sats)
-    dd = form_double_differences(sd_phase, past, current,
-                                 states_past, states_current,
-                                 position_past, position_current, config,
-                                 corrections_past, corrections_current)
+    dd = form_double_differences(sd_phase, past, current, corrections_past,
+                                 corrections_current, config)
     baseline, problem, joint_cov = solve_float_baseline(dd, config)
     bases = {} if bases is None else bases
     layout = tuple((e.sat, e.reference) for e in dd.entries)

@@ -18,6 +18,7 @@ import pytest
 from gnssgraph.ambiguity import AmbiguityProblem, lambda_resolve
 from gnssgraph.errors import MalformedEpoch, MalformedHeader
 from gnssgraph.fileio import export_graph_json
+from gnssgraph.geometry import EpochGeometry
 from gnssgraph.graph import (residual_pseudorange, residual_trrtk,
                              residual_velocity)
 from gnssgraph.metrics import compute_rpe
@@ -26,7 +27,8 @@ from gnssgraph.pointpos import solve_doppler_velocity, solve_spp
 from gnssgraph.rinex import header_for_scenario, parse_rinex_obs, write_rinex_obs
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
-from gnssgraph.trrtk import BaselineStatus, TrRtkConfig, estimate_baseline
+from gnssgraph.trrtk import (BaselineStatus, epoch_corrections,
+                             estimate_baseline)
 from gnssgraph.types import Constellation
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -223,22 +225,22 @@ def test_criterion_7_zero_noise_oracle_closure():
     truth, epochs, states = run_scenario(cfg)
     tpos = np.array([r.position for r in truth])
 
-    spp_positions = []
+    corrections = []
     spp_err = vel_err = 0.0
     for k, (epoch, sats) in enumerate(zip(epochs, states)):
         spp = solve_spp(epoch, sats, iono=cfg.iono, tropo=cfg.tropo)
-        spp_positions.append(spp.position)
+        geometry = EpochGeometry(epoch, sats, cfg.iono,
+                                 cfg.tropo).at(spp.position)
+        corrections.append(epoch_corrections(geometry))
         spp_err = max(spp_err, np.linalg.norm(spp.position - tpos[k]))
-        vel = solve_doppler_velocity(epoch, sats, spp.position)
+        vel = solve_doppler_velocity(geometry)
         vel_err = max(vel_err,
                       np.linalg.norm(vel.velocity - truth[k].velocity))
 
-    tr_cfg = TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo)
     tr_err = 0.0
     for i, j in ((0, 100), (10, 40), (5, 105)):
-        result = estimate_baseline(epochs[i], epochs[j], states[i],
-                                   states[j], spp_positions[i],
-                                   spp_positions[j], tr_cfg)
+        result = estimate_baseline(epochs[i], epochs[j], corrections[i],
+                                   corrections[j])
         assert result.status is BaselineStatus.FIXED
         tr_err = max(tr_err,
                      np.linalg.norm(result.baseline - (tpos[j] - tpos[i])))
@@ -274,7 +276,8 @@ def test_criterion_9_doppler_velocity_quality():
     truth, epochs, states = run_scenario(cfg)
     errors = np.empty((len(epochs), 3))
     for k, (epoch, sats) in enumerate(zip(epochs, states)):
-        vel = solve_doppler_velocity(epoch, sats, truth[k].position)
+        vel = solve_doppler_velocity(
+            EpochGeometry(epoch, sats).at(truth[k].position))
         errors[k] = vel.velocity - truth[k].velocity
     rms = np.sqrt((errors ** 2).mean(axis=0))
     announce(9, len(epochs) >= 1000 and rms.max() < 0.05,

@@ -79,6 +79,19 @@ class TestPipeline:
         assert "method: Ours w/o TR-RTK" in log
         assert "trrtk factors: 0" in log
 
+    def test_no_pseudorange_factors(self, pipeline_dirs):
+        root, sim, sol = pipeline_dirs
+        out = root / "sol_nopr"
+        assert main(["solve", "--obs", str(sim / "observations.rnx"),
+                     "--sat-states", str(sim / "sat_states.csv"),
+                     "--config", str(sim / "solver.yaml"),
+                     "--out", str(out), "--no-pseudorange-factors"]) == 0
+        assert "pseudorange factors: 0" in (out / "solver.log").read_text()
+        edges = json.loads((out / "graph.json").read_text())["edges"]
+        assert {e["type"] for e in edges} == {"velocity", "trrtk", "prior"}
+        edges = json.loads((sol / "graph.json").read_text())["edges"]
+        assert "pseudorange" in {e["type"] for e in edges}
+
     def test_deterministic(self, pipeline_dirs, tmp_path):
         root, sim, sol = pipeline_dirs
         sim2 = tmp_path / "sim2"

@@ -10,8 +10,7 @@ from gnssgraph.errors import DegenerateGeometry, ElevationTooLow
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
 from gnssgraph.pointpos import solve_doppler_velocity
-from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
-from gnssgraph.trrtk import TrRtkConfig, epoch_corrections
+from gnssgraph.trrtk import epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              GeodeticPosition, Observation, SatelliteId,
                              SatelliteState)
@@ -103,44 +102,22 @@ class TestEpochGeometry:
         g.require_ranges(g.above(np.radians(15.0)))
         with pytest.raises(DegenerateGeometry):
             g.require_ranges(np.arange(5))
-        solve_doppler_velocity(epoch, states, origin)
+        solve_doppler_velocity(g)
         epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 30.0],
                                           close)
         with pytest.raises(DegenerateGeometry):
-            solve_doppler_velocity(epoch, states, origin)
+            solve_doppler_velocity(EpochGeometry(epoch, states).at(origin))
 
+    def test_corrections_are_the_geometry_rows_above_the_mask(self):
+        epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
+        g = EpochGeometry(epoch, states, KlobucharParams.typical(),
+                          TropoModel()).at(origin)
+        corrections = epoch_corrections(g)
+        assert corrections.position is g.position
+        assert list(corrections.states) == list(g.sats[:3])
+        for k, sat in enumerate(g.sats[:3]):
+            assert corrections.states[sat] is states[sat]
+            assert corrections.elevation[sat] == g.elevation[k]
+            assert corrections.atmosphere[sat] == (g.iono[k], g.tropo[k])
+            assert corrections.code[sat] == g.corrected_code[k]
 
-class TestConsumersShareOneGeometry:
-    @staticmethod
-    def session():
-        cfg = ScenarioConfig(duration=3.0, seed=6,
-                             trajectory=TrajectoryConfig(kind="line"))
-        truth, epochs, states = run_scenario(cfg)
-        return cfg, epochs[1], states[1], truth[1].position + 2.0
-
-    def test_passed_geometry_gives_the_same_solutions(self):
-        cfg, epoch, states, position = self.session()
-        tr = TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo)
-        g = EpochGeometry(epoch, states, cfg.iono, cfg.tropo).at(position)
-        own = solve_doppler_velocity(epoch, states, position)
-        shared = solve_doppler_velocity(epoch, states, position, geometry=g)
-        assert np.array_equal(own.velocity, shared.velocity)
-        assert np.array_equal(own.covariance, shared.covariance)
-        own = epoch_corrections(epoch, states, position, tr)
-        shared = epoch_corrections(epoch, states, position, tr, g)
-        assert own.elevation == shared.elevation
-        assert own.atmosphere == shared.atmosphere
-        assert own.code == shared.code
-
-    def test_geometry_from_elsewhere_rejected(self):
-        cfg, epoch, states, position = self.session()
-        tr = TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo)
-        moved = EpochGeometry(epoch, states, cfg.iono,
-                              cfg.tropo).at(position + 1e-6)
-        with pytest.raises(ValueError):
-            solve_doppler_velocity(epoch, states, position, geometry=moved)
-        with pytest.raises(ValueError):
-            epoch_corrections(epoch, states, position, tr, moved)
-        no_models = EpochGeometry(epoch, states).at(position)
-        with pytest.raises(ValueError):
-            epoch_corrections(epoch, states, position, tr, no_models)

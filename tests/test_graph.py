@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gnssgraph.errors import EmptyInput, MissingVelocity
-from gnssgraph.graph import (GraphConfig, PseudorangeFactor, StateVector,
-                             TrRtkFactor, VelocityFactor, build_graph,
-                             evaluate_cost, optimize, residual_pseudorange,
-                             residual_trrtk, residual_velocity)
+from gnssgraph.geometry import EpochGeometry
+from gnssgraph.graph import (GraphConfig, PseudorangeFactor, TrRtkFactor,
+                             VelocityFactor, build_graph, evaluate_cost,
+                             optimize, residual_pseudorange, residual_trrtk,
+                             residual_velocity)
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_spp
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
@@ -111,7 +112,7 @@ class TestBuildGraph:
         spp = [solve_spp(e, s, iono=cfg.iono, tropo=cfg.tropo)
                for e, s in zip(epochs, states)]
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(e, s, p.position)
+        vel = [solve_doppler_velocity(EpochGeometry(e, s).at(p.position))
                for e, s, p in list(zip(epochs, states, spp))[:-1]]
         rejected = TrRtkResult(np.zeros(3), np.eye(3),
                                BaselineStatus.REJECTED, 1.0, 5.0, ())
@@ -394,7 +395,8 @@ class TestOptimizer:
         cfg = zero_noise_scenario(duration=20.0)
         truth, epochs, states = run_scenario(cfg)
         pipe_cfg = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo,
-                                  use_trrtk=False, use_pseudorange=False)
+                                  use_trrtk=False,
+                                  graph=GraphConfig(use_pseudorange=False))
         result = solve_trajectory(epochs, states, pipe_cfg)
         assert result.report.converged
         assert result.report.iterations <= 1
@@ -406,13 +408,14 @@ class TestOptimizer:
         spp = [solve_spp(e, s, iono=cfg.iono, tropo=cfg.tropo)
                for e, s in zip(epochs[:2], states[:2])]
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(epochs[0], states[0], spp[0].position)]
+        vel = [solve_doppler_velocity(
+            EpochGeometry(epochs[0], states[0]).at(spp[0].position))]
         b = np.array([2.0, 0.0, 0.0])
         fixed = TrRtkResult(b, 1e-8 * np.eye(3), BaselineStatus.FIXED,
                             10.0, 1.0, (0,) * 5)
         cfg_g = GraphConfig(use_pseudorange=False)
         g = build_graph(epochs[:2], states[:2], vel, spp, [(0, 1, fixed)],
-                        cfg_g)
+                        config=cfg_g)
         # loosen the velocity factor so the TR factor dominates
         g.velocity_factors[0].information = 1e-6 * np.eye(3)
         x, report = optimize(g, cfg_g)
@@ -466,11 +469,3 @@ class TestOptimizer:
 
         assert rel_err(with_tr) <= rel_err(without) + 1e-9
 
-
-class TestStateVector:
-    def test_array_round_trip(self):
-        x = np.arange(7.0)
-        sv = StateVector.from_array(x)
-        assert np.array_equal(np.asarray(sv), x)
-        assert np.array_equal(sv.position_offset, x[:3])
-        assert np.array_equal(sv.clock_bias, x[3:])

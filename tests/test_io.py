@@ -291,6 +291,19 @@ pair_lattice: [5, 10]
         assert config.trrtk.ratio_threshold == 2.5
         assert config.pair_lattice == (5.0, 10.0)
 
+    def test_pipeline_settings_have_one_key_each(self):
+        """The delay models and the observation spacing are set once for
+        the whole solve, so the trrtk section has no key for them; the
+        top-level use_pseudorange is the graph's."""
+        for text in ("trrtk: {interval: 5}", "trrtk: {iono: null}"):
+            with pytest.raises(IoFailure):
+                load_pipeline_yaml(io.StringIO("tropo: null\n" + text))
+        config = load_pipeline_yaml(io.StringIO("iono: null\n"
+                                                "use_pseudorange: false"))
+        assert config.graph.use_pseudorange is False
+        config = load_pipeline_yaml(io.StringIO("iono: null"))
+        assert config.graph.use_pseudorange is True
+
     def test_bad_yaml_raises_iofailure(self):
         with pytest.raises(IoFailure):
             load_scenario_yaml(io.StringIO("{unclosed"))

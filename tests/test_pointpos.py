@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gnssgraph.errors import InsufficientSatellites
+from gnssgraph.geometry import EpochGeometry
 from gnssgraph.pointpos import (SolverConfig, pseudorange_variance,
                                 solve_doppler_velocity, solve_spp)
 from gnssgraph.sim import (MeasurementSimulator, NoiseConfig, ReceiverClockConfig,
@@ -21,6 +22,10 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def doppler_at(epoch, states, position):
+    return solve_doppler_velocity(EpochGeometry(epoch, states).at(position))
 
 
 class TestPseudorangeVariance:
@@ -103,14 +108,14 @@ class TestDopplerVelocity:
     def test_static_zero_drift(self):
         cfg = scenario(receiver_clock=ReceiverClockConfig(0.0, 0.0))
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_doppler_velocity(epochs[0], states[0], truth[0].position)
+        sol = doppler_at(epochs[0], states[0], truth[0].position)
         assert np.linalg.norm(sol.velocity) < 1e-9
 
     def test_moving_truth_recovered(self):
         cfg = scenario(trajectory=TrajectoryConfig(kind="line", speed=2.5))
         truth, epochs, states = run_scenario(cfg)
         k = 3
-        sol = solve_doppler_velocity(epochs[k], states[k], truth[k].position)
+        sol = doppler_at(epochs[k], states[k], truth[k].position)
         assert np.linalg.norm(sol.velocity - truth[k].velocity) < 1e-6
         # receiver clock drift in m/s recovered too
         assert abs(sol.clock_drift - 299792458.0 * cfg.receiver_clock.drift) < 1e-6
@@ -118,11 +123,11 @@ class TestDopplerVelocity:
     def test_common_satellite_drift_absorbed(self):
         cfg = scenario(receiver_clock=ReceiverClockConfig(0.0, 0.0))
         truth, epochs, states = run_scenario(cfg)
-        sol_a = solve_doppler_velocity(epochs[0], states[0], truth[0].position)
+        sol_a = doppler_at(epochs[0], states[0], truth[0].position)
         shifted = {sat: SatelliteState(s.position, s.velocity, s.clock_bias,
                                        s.clock_drift + 1e-9)
                    for sat, s in states[0].items()}
-        sol_b = solve_doppler_velocity(epochs[0], shifted, truth[0].position)
+        sol_b = doppler_at(epochs[0], shifted, truth[0].position)
         assert np.linalg.norm(sol_a.velocity - sol_b.velocity) < 1e-9
 
     def test_monte_carlo_rms(self):
@@ -132,7 +137,7 @@ class TestDopplerVelocity:
         truth, epochs, states = run_scenario(cfg)
         err = []
         for k in range(len(epochs)):
-            sol = solve_doppler_velocity(epochs[k], states[k], truth[k].position)
+            sol = doppler_at(epochs[k], states[k], truth[k].position)
             err.append(sol.velocity - truth[k].velocity)
         rms = np.sqrt(np.mean(np.square(err), axis=0))
         assert np.all(rms < 0.05)
@@ -142,7 +147,7 @@ class TestDopplerVelocity:
         truth, epochs, states = run_scenario(cfg)
         small = Epoch(epochs[0].time, epochs[0].observations[:3])
         with pytest.raises(InsufficientSatellites):
-            solve_doppler_velocity(small, states[0], truth[0].position)
+            doppler_at(small, states[0], truth[0].position)
 
     def test_perturbation_continuity(self):
         from dataclasses import replace

@@ -6,12 +6,15 @@ import pytest
 from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
                               MissingSatellite, SingularGeometry,
                               WindowExceeded)
+from gnssgraph.geometry import EpochGeometry
+from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import SolverConfig, solve_spp
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
-from gnssgraph.trrtk import (BaselineStatus, TrRtkConfig, detect_cycle_slips,
-                             estimate_baseline, form_double_differences,
-                             solve_float_baseline, time_single_difference)
+from gnssgraph.trrtk import (BaselineStatus, detect_cycle_slips,
+                             epoch_corrections, estimate_baseline,
+                             form_double_differences, solve_float_baseline,
+                             time_single_difference)
 from gnssgraph.types import Constellation, SatelliteId
 
 
@@ -30,16 +33,22 @@ def quiet_scenario(**kwargs):
     return ScenarioConfig(**defaults)
 
 
-def spp_positions(cfg, epochs, states):
-    out = []
-    for epoch, st in zip(epochs, states):
-        out.append(solve_spp(epoch, st, iono=cfg.iono, tropo=cfg.tropo).position)
-    return out
+def corrections_at(cfg, epochs, states, positions):
+    """Each epoch's `epoch_corrections` at its receiver position, with the
+    scenario's delay models."""
+    return [epoch_corrections(
+                EpochGeometry(epoch, st, cfg.iono, cfg.tropo).at(position))
+            for epoch, st, position in zip(epochs, states, positions)]
 
 
-def tr_config(cfg: ScenarioConfig, **kwargs):
-    return TrRtkConfig(iono=cfg.iono, tropo=cfg.tropo,
-                       interval=1.0 / cfg.rate, **kwargs)
+def truth_corrections(cfg, epochs, states, truth):
+    return corrections_at(cfg, epochs, states, [r.position for r in truth])
+
+
+def spp_corrections(cfg, epochs, states):
+    return corrections_at(cfg, epochs, states, [
+        solve_spp(epoch, st, iono=cfg.iono, tropo=cfg.tropo).position
+        for epoch, st in zip(epochs, states)])
 
 
 class TestCycleSlipDetection:
@@ -119,10 +128,9 @@ class TestDoubleDifferences:
         truth, epochs, states = run_scenario(cfg)
         sats = detect_cycle_slips(epochs[i], epochs[j], 1.0 / cfg.rate)
         sd_phase = time_single_difference(epochs[i], epochs[j], sats)
+        corr = truth_corrections(cfg, epochs, states, truth)
         dd = form_double_differences(sd_phase, epochs[i], epochs[j],
-                                     states[i], states[j],
-                                     truth[i].position, truth[j].position,
-                                     tr_config(cfg))
+                                     corr[i], corr[j])
         return truth, states, dd
 
     def test_reference_is_highest_elevation(self):
@@ -149,14 +157,12 @@ class TestDoubleDifferences:
         truth, epochs, states = run_scenario(cfg)
         sats = detect_cycle_slips(epochs[0], epochs[5])
         sd_phase = time_single_difference(epochs[0], epochs[5], sats)
-        conf = tr_config(cfg)
+        corr = truth_corrections(cfg, epochs, states, truth)
         dd = form_double_differences(sd_phase, epochs[0], epochs[5],
-                                     states[0], states[5], truth[0].position,
-                                     truth[5].position, conf)
+                                     corr[0], corr[5])
         shifted = {s: v + 123.456 for s, v in sd_phase.items()}
         dd2 = form_double_differences(shifted, epochs[0], epochs[5],
-                                      states[0], states[5], truth[0].position,
-                                      truth[5].position, conf)
+                                      corr[0], corr[5])
         for a, b in zip(dd.entries, dd2.entries):
             assert abs(a.dd_phase - b.dd_phase) < 1e-9
 
@@ -211,10 +217,10 @@ class TestDoubleDifferences:
         sats = sorted(detect_cycle_slips(epochs[0], epochs[2]),
                       key=lambda s: s.sort_key())[:3]
         sd_phase = time_single_difference(epochs[0], epochs[2], sats)
+        corr = truth_corrections(cfg, epochs, states, truth)
         with pytest.raises(InsufficientSatellites):
             form_double_differences(sd_phase, epochs[0], epochs[2],
-                                    states[0], states[2], truth[0].position,
-                                    truth[2].position, tr_config(cfg))
+                                    corr[0], corr[2])
 
 
 class TestFloatBaseline:
@@ -222,10 +228,9 @@ class TestFloatBaseline:
         truth, epochs, states = run_scenario(cfg)
         sats = detect_cycle_slips(epochs[i], epochs[j])
         sd_phase = time_single_difference(epochs[i], epochs[j], sats)
+        corr = truth_corrections(cfg, epochs, states, truth)
         return form_double_differences(sd_phase, epochs[i], epochs[j],
-                                       states[i], states[j],
-                                       truth[i].position, truth[j].position,
-                                       tr_config(cfg))
+                                       corr[i], corr[j])
 
     def test_dd_covariance_single_reference_formula(self):
         from gnssgraph.trrtk import _dd_covariance
@@ -275,9 +280,9 @@ class TestFloatBaseline:
         truth, epochs, states = run_scenario(cfg)
         sats = detect_cycle_slips(epochs[0], epochs[5])
         sd_phase = time_single_difference(epochs[0], epochs[5], sats)
+        corr = truth_corrections(cfg, epochs, states, truth)
         dd = form_double_differences(sd_phase, epochs[0], epochs[5],
-                                     states[0], states[5], truth[0].position,
-                                     truth[5].position, tr_config(cfg))
+                                     corr[0], corr[5])
         baseline, problem, _ = solve_float_baseline(dd)
         assert np.linalg.norm(baseline) < 1e-6
         assert np.max(np.abs(problem.float_values
@@ -289,9 +294,9 @@ class TestFloatBaseline:
         i, j = 5, 35
         sats = detect_cycle_slips(epochs[i], epochs[j])
         sd_phase = time_single_difference(epochs[i], epochs[j], sats)
+        corr = truth_corrections(cfg, epochs, states, truth)
         dd = form_double_differences(sd_phase, epochs[i], epochs[j],
-                                     states[i], states[j], truth[i].position,
-                                     truth[j].position, tr_config(cfg))
+                                     corr[i], corr[j])
         baseline, _, _ = solve_float_baseline(dd)
         expected = truth[j].position - truth[i].position
         assert np.linalg.norm(baseline - expected) < 1e-6
@@ -304,10 +309,9 @@ class TestFloatBaseline:
             truth, epochs, states = run_scenario(cfg)
             sats = detect_cycle_slips(epochs[0], epochs[10])
             sd_phase = time_single_difference(epochs[0], epochs[10], sats)
-            dd = form_double_differences(sd_phase, epochs[0],
-                                         epochs[10], states[0], states[10],
-                                         truth[0].position, truth[10].position,
-                                         tr_config(cfg))
+            corr = truth_corrections(cfg, epochs, states, truth)
+            dd = form_double_differences(sd_phase, epochs[0], epochs[10],
+                                         corr[0], corr[10])
             _, _, joint = solve_float_baseline(dd)
             np.linalg.cholesky(joint)
 
@@ -316,11 +320,10 @@ class TestEstimateBaseline:
     def test_zero_noise_fixed_exact(self):
         cfg = quiet_scenario(duration=60.0)
         truth, epochs, states = run_scenario(cfg)
-        pos = spp_positions(cfg, epochs, states)
+        corr = spp_corrections(cfg, epochs, states)
         for i, j in [(0, 40), (10, 50), (20, 60)]:
-            result = estimate_baseline(epochs[i], epochs[j], states[i],
-                                       states[j], pos[i], pos[j],
-                                       tr_config(cfg))
+            result = estimate_baseline(epochs[i], epochs[j], corr[i],
+                                       corr[j])
             assert result.status is BaselineStatus.FIXED
             expected = truth[j].position - truth[i].position
             assert np.linalg.norm(result.baseline - expected) < 1e-6
@@ -331,12 +334,11 @@ class TestEstimateBaseline:
                              noise=NoiseConfig(0.5, 0.003, 0.02),
                              satellite_clock_drift_sigma=1e-13)
         truth, epochs, states = run_scenario(cfg)
-        pos = spp_positions(cfg, epochs, states)
+        corr = spp_corrections(cfg, epochs, states)
         fixed = 0
         for i, j in [(0, 30), (5, 45), (10, 60), (15, 55)]:
-            result = estimate_baseline(epochs[i], epochs[j], states[i],
-                                       states[j], pos[i], pos[j],
-                                       tr_config(cfg))
+            result = estimate_baseline(epochs[i], epochs[j], corr[i],
+                                       corr[j])
             if result.status is BaselineStatus.FIXED:
                 fixed += 1
                 expected = truth[j].position - truth[i].position
@@ -346,22 +348,19 @@ class TestEstimateBaseline:
     def test_window_exceeded(self):
         cfg = quiet_scenario(duration=160.0)
         truth, epochs, states = run_scenario(cfg)
-        pos0 = solve_spp(epochs[0], states[0], iono=cfg.iono, tropo=cfg.tropo).position
-        pos1 = solve_spp(epochs[150], states[150], iono=cfg.iono, tropo=cfg.tropo).position
+        past, current = spp_corrections(cfg, [epochs[0], epochs[150]],
+                                        [states[0], states[150]])
         with pytest.raises(WindowExceeded):
-            estimate_baseline(epochs[0], epochs[150], states[0], states[150],
-                              pos0, pos1, tr_config(cfg))
+            estimate_baseline(epochs[0], epochs[150], past, current)
 
     def test_swap_negates_baseline(self):
         cfg = quiet_scenario(duration=40.0, seed=5,
                              noise=NoiseConfig(0.3, 0.003, 0.02))
         truth, epochs, states = run_scenario(cfg)
-        pos = spp_positions(cfg, epochs, states)
+        corr = spp_corrections(cfg, epochs, states)
         i, j = 3, 33
-        fwd = estimate_baseline(epochs[i], epochs[j], states[i], states[j],
-                                pos[i], pos[j], tr_config(cfg))
-        back = estimate_baseline(epochs[j], epochs[i], states[j], states[i],
-                                 pos[j], pos[i], tr_config(cfg))
+        fwd = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
+        back = estimate_baseline(epochs[j], epochs[i], corr[j], corr[i])
         if (fwd.status is BaselineStatus.FIXED
                 and back.status is BaselineStatus.FIXED):
             sigma = np.sqrt(np.trace(fwd.covariance + back.covariance))
@@ -377,19 +376,18 @@ class TestEstimateBaseline:
                           [epochs[0].get(s) for s in keep])
         thin_cur = Epoch(epochs[5].time,
                          [epochs[5].get(s) for s in keep if epochs[5].get(s)])
+        past, current = truth_corrections(cfg, [thin_past, thin_cur],
+                                          [states[0], states[5]],
+                                          [truth[0], truth[5]])
         with pytest.raises(InsufficientSatellites):
-            estimate_baseline(thin_past, thin_cur, states[0], states[5],
-                              truth[0].position, truth[5].position,
-                              tr_config(cfg))
+            estimate_baseline(thin_past, thin_cur, past, current)
 
     def test_high_noise_rejected_no_integers(self):
         cfg = quiet_scenario(duration=40.0, seed=2,
                              noise=NoiseConfig(5.0, 0.5, 0.02))
         truth, epochs, states = run_scenario(cfg)
-        pos = spp_positions(cfg, epochs, states)
-        result = estimate_baseline(epochs[0], epochs[30], states[0],
-                                   states[30], pos[0], pos[30],
-                                   tr_config(cfg))
+        corr = spp_corrections(cfg, epochs, states)
+        result = estimate_baseline(epochs[0], epochs[30], corr[0], corr[30])
         if result.status is BaselineStatus.REJECTED:
             assert result.dd_ambiguities == ()
             assert result.ratio < 3.0
@@ -401,17 +399,14 @@ class TestDecorrelationCache:
                              noise=NoiseConfig(0.5, 0.003, 0.02),
                              satellite_clock_drift_sigma=1e-13)
         truth, epochs, states = run_scenario(cfg)
-        pos = spp_positions(cfg, epochs, states)
-        conf = tr_config(cfg)
+        corr = spp_corrections(cfg, epochs, states)
         pairs = [(j - offset, j) for j in range(10, 61, 5)
                  for offset in (5, 10)]
         bases = {}
         for i, j in pairs:
-            shared = estimate_baseline(epochs[i], epochs[j], states[i],
-                                       states[j], pos[i], pos[j], conf,
-                                       bases=bases)
-            cold = estimate_baseline(epochs[i], epochs[j], states[i],
-                                     states[j], pos[i], pos[j], conf)
+            shared = estimate_baseline(epochs[i], epochs[j], corr[i],
+                                       corr[j], bases=bases)
+            cold = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
             assert shared.status is cold.status
             assert shared.dd_ambiguities == cold.dd_ambiguities
             assert shared.baseline.tobytes() == cold.baseline.tobytes()
@@ -420,3 +415,29 @@ class TestDecorrelationCache:
         assert 0 < len(bases) < len(pairs) // 2
         assert all(not np.array_equal(z, np.eye(len(z)))
                    for z in bases.values())
+
+
+class TestObservationInterval:
+    def test_pipeline_screens_slips_at_the_epoch_spacing(self):
+        """At 0.5 Hz the lock count grows by one per 2 s: the pipeline
+        derives that spacing from the epoch times, while a pair screened
+        as if epochs were 1 s apart keeps no satellite."""
+        cfg = quiet_scenario(duration=40.0, rate=0.5)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        fixed = [(i, j, tr) for i, j, tr in result.trrtk_results
+                 if tr.status is BaselineStatus.FIXED]
+        assert len(fixed) == result.trrtk_attempts > 0
+        i, j, tr = fixed[-1]
+        assert tr.time_difference == pytest.approx(2.0 * (j - i))
+        assert np.linalg.norm(
+            tr.baseline - (truth[j].position - truth[i].position)) < 1e-6
+        corr = corrections_at(cfg, epochs, states,
+                              [spp.position for spp in result.spp_solutions])
+        again = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j],
+                                  interval=2.0)
+        assert again.baseline.tobytes() == tr.baseline.tobytes()
+        with pytest.raises(InsufficientSatellites):
+            estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
