@@ -3,11 +3,7 @@
 Decorrelates the float ambiguity covariance with a unimodular Z-transform
 (integer Gauss eliminations plus symmetric permutations), then finds the
 best and second-best integer candidates with a depth-first bounded search.
-The decorrelation may start from any unimodular Z, since every such Z
-gives the same integer least-squares answer (Chang, Yang & Zhou 2005):
-one that decorrelated a similar problem leaves only a few permutations
-to do. The answer is checked in the original space before it is
-returned.
+The answer is checked in the original space before it is returned.
 """
 
 from __future__ import annotations
@@ -25,26 +21,16 @@ SEARCH_STEPS = 200_000      # step budget of one integer search
 
 @dataclass
 class AmbiguityProblem:
-    """Float double-difference ambiguities and their covariance (cycles).
-
-    `basis` is a unimodular Z to start the decorrelation from; None is
-    the identity. `lambda_resolve` replaces it with the Z it ended with,
-    so a caller can start the next problem of the same layout there.
-    """
+    """Float double-difference ambiguities and their covariance (cycles)."""
 
     float_values: np.ndarray
     covariance: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         self.float_values = np.asarray(self.float_values, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.shape != (self.float_values.size,) * 2:
             raise ValueError("covariance shape mismatch")
-        if self.basis is not None:
-            self.basis = np.asarray(self.basis, dtype=float)
-            if self.basis.shape != self.covariance.shape:
-                raise ValueError("basis shape mismatch")
 
 
 def _ltdl(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,21 +207,17 @@ def lambda_resolve(problem: AmbiguityProblem,
     """Integer minimizer of (a - float)' Q^-1 (a - float) plus ratio test.
 
     Returns (integers, ratio, accepted) where ratio = q2/q1 of the two best
-    candidates and accepted means ratio >= ratio_threshold. The
-    decorrelation starts from `problem.basis` and leaves its final Z
-    there. Raises `NotPositiveDefinite`, `SearchLimitExceeded` or
+    candidates and accepted means ratio >= ratio_threshold. Raises
+    `NotPositiveDefinite`, `SearchLimitExceeded` or
     `AmbiguityCheckFailed` instead of returning an unchecked answer.
     """
     a = problem.float_values
-    n = a.size
-    if n < 1:
+    if a.size < 1:
         raise ValueError("empty ambiguity problem")
-    start = np.eye(n) if problem.basis is None else problem.basis
-    L, d = _ltdl(start.T @ problem.covariance @ start)
-    Z = start @ _reduction(L, d)
+    L, d = _ltdl(problem.covariance)
+    Z = _reduction(L, d)
     candidates, dists = _search(L, d, Z.T @ a, m=2)
     best = _original_integers(Z, problem, candidates, dists)[:, 0].astype(int)
-    problem.basis = Z
     if len(dists) < 2:
         ratio = np.inf
     elif dists[0] < 1e-12:

@@ -302,12 +302,16 @@ def load_scenario_yaml(stream):
         raise IoFailure(f"bad scenario file: {exc}") from exc
 
 
+PIPELINE_KEYS = {"use_trrtk", "use_pseudorange", "pair_lattice", "iono",
+                 "tropo", "solver", "trrtk"}
+
+
 def load_pipeline_yaml(stream):
     """Build a PipelineConfig from YAML; absent keys keep defaults.
 
     Recognized sections: iono, tropo (as in scenario files), solver,
     trrtk, plus top-level use_trrtk / pair_lattice and use_pseudorange,
-    which sets `graph.use_pseudorange`.
+    which sets `graph.use_pseudorange`. Any other key is an `IoFailure`.
     """
     from .pipeline import PipelineConfig
     from .pointpos import SolverConfig
@@ -319,6 +323,10 @@ def load_pipeline_yaml(stream):
         raise IoFailure(f"bad config file: {exc}") from exc
     if not isinstance(data, dict):
         raise IoFailure("config file must be a mapping")
+    unknown = set(data) - PIPELINE_KEYS
+    if unknown:
+        raise IoFailure(f"bad config file: unknown keys "
+                        f"{sorted(map(str, unknown))}")
 
     kwargs: dict = {}
     if "use_trrtk" in data:

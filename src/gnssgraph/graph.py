@@ -120,7 +120,7 @@ class OptimizerReport:
     costs: list = field(default_factory=list)   # accepted-iteration costs
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphConfig:
     use_pseudorange: bool = True
     node0_prior_sigma: float = 2.0     # [m]

@@ -15,7 +15,7 @@ from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
                     estimate_baseline)
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineConfig:
     """Every setting of a solve, each in one place: the delay models here
     serve SPP, TR-RTK and the pseudorange factors alike, `solver` weights
@@ -70,7 +70,6 @@ def solve_trajectory(epochs, sat_states,
     attempts = 0
     if config.use_trrtk:
         interval = (epochs[1].time - epochs[0].time) if n > 1 else 1.0
-        bases = {}                     # LAMBDA's starting Z per DD layout
         for j in range(n):
             for offset in config.pair_lattice:
                 i = j - int(round(offset / interval))
@@ -80,7 +79,7 @@ def solve_trajectory(epochs, sat_states,
                 try:
                     result = estimate_baseline(
                         epochs[i], epochs[j], corrections[i], corrections[j],
-                        config.trrtk, bases, interval)
+                        config.trrtk, interval)
                 except GnssError:
                     continue
                 trrtk_results.append((i, j, result))

@@ -18,7 +18,7 @@ from .geometry import EpochGeometry
 from .types import CONSTELLATIONS, Constellation, Epoch, SatelliteId, SatelliteState
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverConfig:
     """Tunables shared by the epoch-wise estimators."""
 

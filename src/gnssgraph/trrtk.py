@@ -2,9 +2,11 @@
 
 Forms time-differenced, then between-satellite double-differenced (DD)
 carrier phase and pseudorange between a past and a current epoch of the
-same receiver, solves a float baseline by weighted least squares, fixes
-the DD integer ambiguities with the LAMBDA method, and returns the
-fixed past-to-current baseline with its conditional covariance.
+same receiver and solves the past-to-current baseline by weighted least
+squares. Every DD integer ambiguity is held at zero, as the slip screen
+makes it by construction (the time-differenced carrier phase model of
+van Graas & Soloviev 2004 and Freda et al. 2015); a chi-squared test of
+the residuals and the formal baseline precision gate the result.
 
 Receiver clock terms cancel in the between-satellite difference and
 satellite clock biases cancel in the time difference, so only clock
@@ -13,12 +15,14 @@ drift over the (bounded) window remains as an unmodeled error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .ambiguity import AmbiguityProblem, lambda_resolve
+# not used here: bench/spans.py traces LAMBDA under this module's name
+from .ambiguity import lambda_resolve  # noqa: F401
 from .coords import lines_of_sight
 from .errors import (InsufficientSatellites, MissingSatellite,
                      SingularGeometry, WindowExceeded)
@@ -29,17 +33,21 @@ from .types import Constellation, Epoch, SatelliteId
 # full O(n^2) pairing is redundant
 TR_PAIR_LATTICE = (5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0)
 
+# acceptance gates of a loop closure: the overall-model test must not
+# reject the zero-integer model at this level, and the baseline's formal
+# RMS error norm, sqrt(trace), must hold 3 cm at twice its value
+INTEGRITY_P_MIN = 1e-3
+PRECISION_MAX_M = 0.015
+
 
 class BaselineStatus(Enum):
     FIXED = "Fixed"
-    FLOAT = "Float"
     REJECTED = "Rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrRtkConfig:
     max_time_difference: float = 100.0  # [s]
-    ratio_threshold: float = 3.0
     phase_sigma: float = 0.003          # [m] zenith, per single measurement
     code_sigma: float = 0.5             # [m] zenith, per single measurement
     elevation_mask: float = np.radians(15.0)
@@ -53,15 +61,9 @@ class DoubleDiffEntry:
     dd_phase: float           # [m] atmosphere-corrected time-DD carrier phase
     dd_code_past: float       # [m] between-satellite DD pseudorange, past epoch
     dd_code_current: float    # [m] same at the current epoch
-    wavelength: float
     sigma_phase: float        # time-difference sigma of `sat` phase [m]
     sigma_code_past: float    # per-epoch code sigma of `sat` [m]
     sigma_code_current: float
-
-    @property
-    def dd_code(self) -> float:
-        """Time-differenced DD pseudorange [m]."""
-        return self.dd_code_current - self.dd_code_past
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class TrRtkResult:
     baseline: np.ndarray               # past -> current [m ECEF]
     covariance: np.ndarray             # 3x3 [m^2]
     status: BaselineStatus
-    ratio: float
+    p_value: float                     # of the overall-model test
     time_difference: float             # [s]
     dd_ambiguities: tuple
 
@@ -219,7 +221,6 @@ def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
                 dd_phase=corrected_phase(sat) - ref_phase,
                 dd_code_past=corrections_past.code[sat] - ref_code_p,
                 dd_code_current=corrections_current.code[sat] - ref_code_c,
-                wavelength=lam,
                 # time difference of two independent epochs: factor 2 variance
                 sigma_phase=np.sqrt(
                     (config.phase_sigma / np.sin(elev_past[sat])) ** 2
@@ -296,59 +297,72 @@ def _norm1(a: np.ndarray) -> float:
     return np.abs(a).sum(axis=0).max()
 
 
-def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
-    """Joint WLS over baseline, anchor-position error, and real ambiguities.
+def _chi2_survival(x: float, dof: int) -> float:
+    """P(X > x) for X chi-squared on an integer `dof` >= 1: the closed-form
+    series of the regularized upper incomplete gamma function, which for
+    odd `dof` starts from erfc."""
+    half = 0.5 * max(x, 0.0)          # a zero sum may round below 0
+    odd = dof % 2
+    total = math.erfc(math.sqrt(half)) if odd else 0.0
+    term = math.exp(-half) * (2.0 * math.sqrt(half / math.pi) if odd else 1.0)
+    for k in range(1, dof // 2 + 1):
+        total += term
+        term *= half / (k + 0.5 * odd)
+    return total
 
-    DD pseudorange supplies the geometry that makes the system
-    overdetermined; DD phase pins the ambiguities. The common error of
-    the assumed past position enters the model through the change of
-    line-of-sight over the window, so it is estimated alongside the
-    baseline under a loose prior instead of biasing the ambiguities.
-    Returns (baseline, AmbiguityProblem, joint covariance) where the
-    joint covariance is ordered [baseline(3), ambiguities(m)].
+
+def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
+    """WLS over baseline and anchor-position error, DD integers held at 0.
+
+    Every DD satellite stayed locked through the window, so its time-DD
+    ambiguity is zero and DD phase measures the change of DD range
+    directly. DD pseudorange keeps the absolute anchor observable: the
+    common error of the assumed past position enters the model through
+    the change of line of sight over the window, so it is estimated
+    alongside the baseline under a loose prior. Returns (baseline, its
+    3x3 covariance, the weighted residual sum of squares), the last on
+    3m - 3 degrees of freedom for m double differences.
     """
     config = config or TrRtkConfig()
     m = len(dd.entries)
     if m < 4:
         raise InsufficientSatellites(f"only {m} double differences")
-    lam = np.array([e.wavelength for e in dd.entries])
     obs_phase = np.array([e.dd_phase for e in dd.entries])
     obs_code_p = np.array([e.dd_code_past for e in dd.entries])
     obs_code_c = np.array([e.dd_code_current for e in dd.entries])
 
     rows = 3 * m + 3
-    cov = np.zeros((rows, rows))
-    cov[:m, :m] = _dd_covariance(dd, dd.ref_sigma_phase, "sigma_phase")
-    cov[m:2 * m, m:2 * m] = _dd_covariance(dd, dd.ref_sigma_code_past,
-                                           "sigma_code_past")
-    cov[2 * m:3 * m, 2 * m:3 * m] = _dd_covariance(
-        dd, dd.ref_sigma_code_current, "sigma_code_current")
-    cov[3 * m:, 3 * m:] = config.position_prior_sigma ** 2 * np.eye(3)
-    weight = np.linalg.inv(cov)
+    weight = np.zeros((rows, rows))
+    blocks = ((dd.ref_sigma_phase, "sigma_phase"),
+              (dd.ref_sigma_code_past, "sigma_code_past"),
+              (dd.ref_sigma_code_current, "sigma_code_current"))
+    for k, (ref_sigma, attr) in enumerate(blocks):
+        weight[k * m:(k + 1) * m, k * m:(k + 1) * m] = np.linalg.inv(
+            _dd_covariance(dd, ref_sigma, attr))
+    weight[3 * m:, 3 * m:] = np.eye(3) / config.position_prior_sigma ** 2
 
     baseline = dd.receiver_current - dd.receiver_past
     shift = np.zeros(3)
-    ambiguity = np.zeros(m)
+    jac = np.zeros((rows, 6))
+    jac[3 * m:, 3:] = np.eye(3)
     for _ in range(10):
         g_past, g_cur, jac_p, jac_c = _model_and_jacobian(dd, baseline, shift)
         residual = np.concatenate([
-            obs_phase - (g_cur - g_past) - lam * ambiguity,
+            obs_phase - (g_cur - g_past),
             obs_code_p - g_past,
             obs_code_c - g_cur,
             -shift,
         ])
-        jac = np.zeros((rows, 6 + m))
         jac[:m, :3] = jac_c
-        jac[:m, 3:6] = jac_c - jac_p
-        jac[:m, 6:] = np.diag(lam)
-        jac[m:2 * m, 3:6] = jac_p
+        jac[:m, 3:] = jac_c - jac_p
+        jac[m:2 * m, 3:] = jac_p
         jac[2 * m:3 * m, :3] = jac_c
-        jac[2 * m:3 * m, 3:6] = jac_c
-        jac[3 * m:, 3:6] = np.eye(3)
-        normal = jac.T @ weight @ jac
+        jac[2 * m:3 * m, 3:] = jac_c
+        jac_w = jac.T @ weight
+        normal = jac_w @ jac
         # numpy hands out no LU factor, so the check inverts the same
         # matrix: that gives the exact 1-norm condition number, and at the
-        # last iteration the inverse is the joint covariance
+        # last iteration the inverse is the covariance
         try:
             normal_inv = np.linalg.inv(normal)
         except np.linalg.LinAlgError:
@@ -356,40 +370,34 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
         if (normal_inv is None
                 or _norm1(normal) * _norm1(normal_inv) > 1e14):
             raise SingularGeometry("degenerate double-difference geometry")
-        delta = np.linalg.solve(normal, jac.T @ weight @ residual)
+        delta = np.linalg.solve(normal, jac_w @ residual)
         baseline = baseline + delta[:3]
-        shift = shift + delta[3:6]
-        ambiguity = ambiguity + delta[6:]
+        shift = shift + delta[3:]
         # Gauss-Newton steps shrink ~1e6-fold per iteration down to the
         # ~1e-9 m round-off floor; a micrometre step has converged
         if np.linalg.norm(delta[:3]) < 1e-6:
             break
 
-    keep = np.r_[0:3, 6:6 + m]
-    joint_cov = normal_inv[np.ix_(keep, keep)]
-    joint_cov = 0.5 * (joint_cov + joint_cov.T)
-    problem = AmbiguityProblem(ambiguity, joint_cov[3:, 3:])
-    return baseline, problem, joint_cov
+    residual = residual - jac @ delta          # after the last step
+    omega = float(residual @ weight @ residual)
+    cov = normal_inv[:3, :3]
+    return baseline, 0.5 * (cov + cov.T), omega
 
 
 def estimate_baseline(past: Epoch, current: Epoch,
                       corrections_past: EpochCorrections,
                       corrections_current: EpochCorrections,
                       config: TrRtkConfig | None = None,
-                      bases: dict | None = None,
                       interval: float = 1.0) -> TrRtkResult:
-    """Full pipeline: slip screening, DD formation, float solve, LAMBDA fix.
+    """Full pipeline: slip screening, DD formation, zero-integer solve, gates.
 
-    On an accepted ratio test the baseline is re-conditioned on the
-    integer ambiguities; otherwise the result is Rejected and must not
-    become a graph edge. Each epoch's `epoch_corrections` are computed
-    once and shared by all its pairs; `interval` is the observation
-    spacing [s] the slip screen expects the lock counts to grow by. A
-    caller passes one `bases` dict for all its pairs: it maps a DD
-    layout, the ordered (sat, reference) tuple of the entries, to the
-    decorrelating Z that LAMBDA last ended with, and LAMBDA starts the
-    next pair of that layout there. The result does not depend on the
-    starting Z.
+    The pair is Fixed, with every DD integer 0, when the chi-squared test
+    of its weighted residuals gives a p-value of at least
+    `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance is at
+    most `PRECISION_MAX_M`; otherwise it is Rejected and must not become
+    a graph edge. Each epoch's `epoch_corrections` are computed once and
+    shared by all its pairs; `interval` is the observation spacing [s]
+    the slip screen expects the lock counts to grow by.
     """
     config = config or TrRtkConfig()
     dt = current.time - past.time
@@ -405,23 +413,12 @@ def estimate_baseline(past: Epoch, current: Epoch,
     sd_phase = time_single_difference(past, current, sats)
     dd = form_double_differences(sd_phase, past, current, corrections_past,
                                  corrections_current, config)
-    baseline, problem, joint_cov = solve_float_baseline(dd, config)
-    bases = {} if bases is None else bases
-    layout = tuple((e.sat, e.reference) for e in dd.entries)
-    problem.basis = bases.get(layout)
-    integers, ratio, accepted = lambda_resolve(problem, config.ratio_threshold)
-    bases[layout] = problem.basis
-
-    if not accepted:
-        return TrRtkResult(baseline, joint_cov[:3, :3].copy(),
-                           BaselineStatus.REJECTED, ratio, dt, ())
-
-    # condition the baseline on the fixed integers
-    q_bn = joint_cov[:3, 3:]
-    q_n = joint_cov[3:, 3:]
-    gain = q_bn @ np.linalg.inv(q_n)
-    fixed = baseline - gain @ (problem.float_values - integers)
-    cov = joint_cov[:3, :3] - gain @ q_bn.T
-    cov = 0.5 * (cov + cov.T)
-    return TrRtkResult(fixed, cov, BaselineStatus.FIXED, ratio, dt,
-                       tuple(int(v) for v in integers))
+    baseline, cov, omega = solve_float_baseline(dd, config)
+    m = len(dd.entries)
+    p_value = _chi2_survival(omega, 3 * m - 3)
+    if (p_value >= INTEGRITY_P_MIN
+            and np.sqrt(np.trace(cov)) <= PRECISION_MAX_M):
+        return TrRtkResult(baseline, cov, BaselineStatus.FIXED, p_value, dt,
+                           (0,) * m)
+    return TrRtkResult(baseline, cov, BaselineStatus.REJECTED, p_value, dt,
+                       ())

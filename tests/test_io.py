@@ -13,11 +13,14 @@ from gnssgraph.fileio import (TrajectoryRecord, TrajectoryStatus,
                               read_trajectory_csv, save_scenario_yaml,
                               write_sat_states_csv, write_trajectory_csv)
 from gnssgraph.gnsstime import GpsTime
+from gnssgraph.graph import GraphConfig
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
+from gnssgraph.pointpos import SolverConfig
 from gnssgraph.rinex import (RinexHeader, header_for_scenario,
                              parse_rinex_obs, write_rinex_obs)
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
+from gnssgraph.trrtk import TrRtkConfig
 from gnssgraph.types import Constellation, Epoch, Observation, SatelliteId
 
 MIXED_COUNTS = {Constellation.GPS: 8, Constellation.GLO: 5,
@@ -236,9 +239,12 @@ class TestGraphJson:
         data = json.loads(buf.getvalue())
         g = result.graph
         assert len(data["nodes"]) == g.initial_states.shape[0]
-        by_type = {}
+        # six satellites in view: no loop closure passes the precision
+        # gate here, so the trrtk list may be empty
+        by_type = {"velocity": [], "trrtk": [], "pseudorange": [],
+                   "prior": []}
         for edge in data["edges"]:
-            by_type.setdefault(edge["type"], []).append(edge)
+            by_type[edge["type"]].append(edge)
         assert len(by_type["velocity"]) == len(g.velocity_factors)
         assert len(by_type["trrtk"]) == len(g.trrtk_factors)
         assert len(by_type["pseudorange"]) == len(g.pseudorange_factors)
@@ -282,13 +288,13 @@ tropo: null
 solver:
   elevation_mask_deg: 20
 trrtk:
-  ratio_threshold: 2.5
+  max_time_difference: 60
 pair_lattice: [5, 10]
 """
         config = load_pipeline_yaml(io.StringIO(text))
         assert config.iono is None and config.tropo is None
         assert config.solver.elevation_mask == pytest.approx(np.radians(20))
-        assert config.trrtk.ratio_threshold == 2.5
+        assert config.trrtk.max_time_difference == 60
         assert config.pair_lattice == (5.0, 10.0)
 
     def test_pipeline_settings_have_one_key_each(self):
@@ -303,6 +309,24 @@ pair_lattice: [5, 10]
         assert config.graph.use_pseudorange is False
         config = load_pipeline_yaml(io.StringIO("iono: null"))
         assert config.graph.use_pseudorange is True
+
+    def test_pipeline_unknown_keys_raise(self):
+        """A misspelt top-level key, a section the file format does not
+        have, or a removed setting is a parse error, not a silent default."""
+        for text in ("use_pseudoranges: false", "graph: {max_iterations: 5}",
+                     "trrtk: {ratio_threshold: 3}"):
+            with pytest.raises(IoFailure):
+                load_pipeline_yaml(io.StringIO("iono: null\n" + text))
+
+    @pytest.mark.parametrize("config_class, name", [
+        (PipelineConfig, "use_pseudorange"),
+        (TrRtkConfig, "ratio_threshold"),
+        (GraphConfig, "use_pseudoranges"),
+        (SolverConfig, "elevation_mask_deg"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_config_rejects_unknown_attribute(self, config_class, name):
+        with pytest.raises(AttributeError):
+            setattr(config_class(), name, False)
 
     def test_bad_yaml_raises_iofailure(self):
         with pytest.raises(IoFailure):

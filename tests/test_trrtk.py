@@ -11,11 +11,12 @@ from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import SolverConfig, solve_spp
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
-from gnssgraph.trrtk import (BaselineStatus, detect_cycle_slips,
+from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M, BaselineStatus,
+                             _chi2_survival, detect_cycle_slips,
                              epoch_corrections, estimate_baseline,
                              form_double_differences, solve_float_baseline,
                              time_single_difference)
-from gnssgraph.types import Constellation, SatelliteId
+from gnssgraph.types import Constellation, Epoch, SatelliteId
 
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
@@ -283,10 +284,9 @@ class TestFloatBaseline:
         corr = truth_corrections(cfg, epochs, states, truth)
         dd = form_double_differences(sd_phase, epochs[0], epochs[5],
                                      corr[0], corr[5])
-        baseline, problem, _ = solve_float_baseline(dd)
+        baseline, _, omega = solve_float_baseline(dd)
         assert np.linalg.norm(baseline) < 1e-6
-        assert np.max(np.abs(problem.float_values
-                             - np.round(problem.float_values))) < 1e-6
+        assert omega < 1e-6
 
     def test_moving_pair_recovers_truth(self):
         cfg = quiet_scenario(duration=40.0)
@@ -312,8 +312,8 @@ class TestFloatBaseline:
             corr = truth_corrections(cfg, epochs, states, truth)
             dd = form_double_differences(sd_phase, epochs[0], epochs[10],
                                          corr[0], corr[10])
-            _, _, joint = solve_float_baseline(dd)
-            np.linalg.cholesky(joint)
+            _, cov, _ = solve_float_baseline(dd)
+            np.linalg.cholesky(cov)
 
 
 class TestEstimateBaseline:
@@ -371,7 +371,6 @@ class TestEstimateBaseline:
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
         keep = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[:3]
-        from gnssgraph.types import Epoch
         thin_past = Epoch(epochs[0].time,
                           [epochs[0].get(s) for s in keep])
         thin_cur = Epoch(epochs[5].time,
@@ -388,33 +387,74 @@ class TestEstimateBaseline:
         truth, epochs, states = run_scenario(cfg)
         corr = spp_corrections(cfg, epochs, states)
         result = estimate_baseline(epochs[0], epochs[30], corr[0], corr[30])
-        if result.status is BaselineStatus.REJECTED:
-            assert result.dd_ambiguities == ()
-            assert result.ratio < 3.0
+        assert result.status is BaselineStatus.REJECTED
+        assert result.dd_ambiguities == ()
+        assert result.p_value < INTEGRITY_P_MIN
 
 
-class TestDecorrelationCache:
-    def test_shared_cache_matches_cold_pairs(self):
-        cfg = quiet_scenario(duration=60.0, seed=9,
+class TestIntegrity:
+    """Every DD integer is held at 0, so a slip that the lock count misses
+    must fail the overall-model test, and an accepted baseline must be as
+    good as its covariance says."""
+
+    def test_slip_without_lock_reset_rejected(self):
+        cfg = quiet_scenario(duration=50.0, seed=9,
                              noise=NoiseConfig(0.5, 0.003, 0.02),
                              satellite_clock_drift_sigma=1e-13)
-        truth, epochs, states = run_scenario(cfg)
+        _, epochs, states = run_scenario(cfg)
         corr = spp_corrections(cfg, epochs, states)
-        pairs = [(j - offset, j) for j in range(10, 61, 5)
-                 for offset in (5, 10)]
-        bases = {}
-        for i, j in pairs:
-            shared = estimate_baseline(epochs[i], epochs[j], corr[i],
-                                       corr[j], bases=bases)
-            cold = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
-            assert shared.status is cold.status
-            assert shared.dd_ambiguities == cold.dd_ambiguities
-            assert shared.baseline.tobytes() == cold.baseline.tobytes()
-            assert shared.covariance.tobytes() == cold.covariance.tobytes()
-        # the pairs share a few DD layouts, so most started from a cached Z
-        assert 0 < len(bases) < len(pairs) // 2
-        assert all(not np.array_equal(z, np.eye(len(z)))
-                   for z in bases.values())
+        past, current = epochs[10], epochs[50]
+        clean = estimate_baseline(past, current, corr[10], corr[50])
+        assert clean.status is BaselineStatus.FIXED
+        sats = detect_cycle_slips(past, current)
+        dd = form_double_differences(
+            time_single_difference(past, current, sats), past, current,
+            corr[10], corr[50])
+        used = {e.sat for e in dd.entries} | set(dd.reference.values())
+        for sat in sorted(used, key=lambda s: s.sort_key()):
+            for cycles in (1, -1, 2):
+                slipped = Epoch(current.time, [
+                    replace(o, carrier_phase=o.carrier_phase + cycles)
+                    if o.sat == sat else o for o in current.observations])
+                result = estimate_baseline(past, slipped, corr[10], corr[50])
+                assert result.status is BaselineStatus.REJECTED, (sat, cycles)
+                assert result.dd_ambiguities == ()
+
+    def test_gps_only_accepted_within_three_sigma(self):
+        square = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
+        accepted = 0
+        for seed in range(1, 6):
+            cfg = ScenarioConfig(
+                duration=200.0,
+                trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                            waypoints=square),
+                counts={Constellation.GPS: 31}, seed=seed)
+            truth, epochs, states = run_scenario(cfg)
+            result = solve_trajectory(epochs, states,
+                                      PipelineConfig(iono=cfg.iono,
+                                                     tropo=cfg.tropo))
+            for i, j, tr in result.trrtk_results:
+                if tr.status is not BaselineStatus.FIXED:
+                    continue
+                accepted += 1
+                sigma = np.sqrt(np.trace(tr.covariance))
+                assert sigma <= PRECISION_MAX_M
+                error = np.linalg.norm(
+                    tr.baseline - (truth[j].position - truth[i].position))
+                assert error <= 3.0 * sigma, (seed, i, j)
+        assert accepted > 0
+
+    def test_chi2_survival_matches_scipy(self):
+        from scipy.stats import chi2
+        for dof in range(9, 61):
+            # from the median far into the upper tail
+            for p in np.logspace(-12, np.log10(0.5), 25):
+                x = chi2.isf(p, dof)
+                assert _chi2_survival(x, dof) == pytest.approx(
+                    chi2.sf(x, dof), rel=1e-9)
+            assert _chi2_survival(0.0, dof) == pytest.approx(1.0)
+            x = chi2.ppf(1e-6, dof)
+            assert _chi2_survival(x, dof) == pytest.approx(1.0 - 1e-6)
 
 
 class TestObservationInterval:
