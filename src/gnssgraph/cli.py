@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,8 @@ def _solver_log(result, label: str) -> str:
     graph = result.graph
     fixed = sum(tr.status is BaselineStatus.FIXED
                 for _, _, tr in result.trrtk_results)
+    errors = Counter(name for _, _, name in result.trrtk_errors)
+    by_class = ", ".join(f"{name} {n}" for name, n in sorted(errors.items()))
     lines = [
         f"method: {label}",
         f"nodes: {graph.initial_states.shape[0]}",
@@ -100,6 +103,9 @@ def _solver_log(result, label: str) -> str:
         f"prior factors: {len(graph.priors)}",
         f"trrtk pairs attempted: {result.trrtk_attempts}",
         f"trrtk pairs fixed: {fixed}",
+        f"trrtk pairs rejected: {len(result.trrtk_results) - fixed}",
+        f"trrtk pairs errored: {len(result.trrtk_errors)}"
+        + (f" ({by_class})" if by_class else ""),
         "",
         "fix rate by time difference [s]:",
     ]

@@ -104,17 +104,18 @@ def lines_of_sight(receiver: np.ndarray,
 def unchecked_lines_of_sight(receiver: np.ndarray, positions: np.ndarray):
     """`lines_of_sight` without its range check, for a caller that
     checks only some satellites: also returns the (n,) distances
-    before the Sagnac rotation, which `check_ranges` takes."""
+    before the Sagnac rotation, which `check_ranges` takes. Any leading
+    axes of `positions` (..., 3) broadcast against `receiver`."""
     receiver = np.asarray(receiver, dtype=float)
     distance = _row_norms(positions - receiver)
     theta = OMGE * distance / CLIGHT
     c, s = np.cos(theta), np.sin(theta)
     rotated = np.array(positions, dtype=float)
-    rotated[:, 0] = c * positions[:, 0] + s * positions[:, 1]
-    rotated[:, 1] = -s * positions[:, 0] + c * positions[:, 1]
+    rotated[..., 0] = c * positions[..., 0] + s * positions[..., 1]
+    rotated[..., 1] = -s * positions[..., 0] + c * positions[..., 1]
     delta = rotated - receiver
     rng = _row_norms(delta)
-    return delta / rng[:, None], rng, distance
+    return delta / rng[..., None], rng, distance
 
 
 def check_ranges(distance: np.ndarray) -> None:
@@ -125,8 +126,8 @@ def check_ranges(distance: np.ndarray) -> None:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, as `np.linalg.norm(a, axis=1)`."""
-    return np.sqrt((a * a).sum(axis=1))
+    """Euclidean norm along the last axis, as `np.linalg.norm(a, axis=-1)`."""
+    return np.sqrt((a * a).sum(axis=-1))
 
 
 def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,8 +12,10 @@ from .errors import GnssError
 from .geometry import EpochGeometry
 from .graph import Graph, GraphConfig, OptimizerReport, build_graph, optimize
 from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
+# not called here: bench/spans.py traces estimate_baseline under this name
+from .trrtk import estimate_baseline  # noqa: F401
 from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
-                    estimate_baseline)
+                    solve_pairs, stack_session)
 
 
 @dataclass(slots=True)
@@ -40,7 +43,28 @@ class PipelineResult:
     spp_solutions: list
     velocities: list
     trrtk_results: list                # (past, current, TrRtkResult)
-    trrtk_attempts: int = 0
+    trrtk_attempts: int = 0            # results plus errors
+    # (past, current, GnssError class name) of each pair that errored
+    trrtk_errors: list = field(default_factory=list)
+
+
+def lattice_pairs(times, offsets, interval: float) -> list:
+    """(past, current) epoch indexes of the loop-closure lattice: for
+    each current epoch and each offset, the epoch found within interval/2
+    of round(offset / interval) observation steps before it, each pair
+    once. An offset with no epoch there (a gap) gives no pair."""
+    seconds = [t - times[0] for t in times]
+    pairs = []
+    for j, now in enumerate(seconds):
+        found = set()
+        for offset in offsets:
+            target = now - round(offset / interval) * interval
+            i = bisect_left(seconds, target - interval / 2, 0, j)
+            if (i < j and abs(seconds[i] - target) <= interval / 2
+                    and i not in found):
+                found.add(i)
+                pairs.append((i, j))
+    return pairs
 
 
 def solve_trajectory(epochs, sat_states,
@@ -67,22 +91,19 @@ def solve_trajectory(epochs, sat_states,
             corrections.append(epoch_corrections(geometry, config.trrtk))
 
     trrtk_results = []
-    attempts = 0
+    trrtk_errors = []
+    pairs = []
     if config.use_trrtk:
         interval = (epochs[1].time - epochs[0].time) if n > 1 else 1.0
-        for j in range(n):
-            for offset in config.pair_lattice:
-                i = j - int(round(offset / interval))
-                if i < 0 or i == j:
-                    continue
-                attempts += 1
-                try:
-                    result = estimate_baseline(
-                        epochs[i], epochs[j], corrections[i], corrections[j],
-                        config.trrtk, interval)
-                except GnssError:
-                    continue
-                trrtk_results.append((i, j, result))
+        pairs = lattice_pairs([e.time for e in epochs], config.pair_lattice,
+                              interval)
+        outcomes = solve_pairs(stack_session(epochs, corrections), pairs,
+                               config.trrtk, interval)
+        for (i, j), outcome in zip(pairs, outcomes):
+            if isinstance(outcome, GnssError):
+                trrtk_errors.append((i, j, type(outcome).__name__))
+            else:
+                trrtk_results.append((i, j, outcome))
 
     graph = build_graph(epochs, sat_states, velocities, spp_solutions,
                         trrtk_results, config.iono, config.tropo,
@@ -90,4 +111,5 @@ def solve_trajectory(epochs, sat_states,
     states, report = optimize(graph, config.graph)
     positions = graph.reference_position + states[:, :3]
     return PipelineResult(positions, states, graph, report, spp_solutions,
-                          velocities, trrtk_results, attempts)
+                          velocities, trrtk_results, len(pairs),
+                          trrtk_errors)

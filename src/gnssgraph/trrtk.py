@@ -11,23 +11,30 @@ the residuals and the formal baseline precision gate the result.
 Receiver clock terms cancel in the between-satellite difference and
 satellite clock biases cancel in the time difference, so only clock
 drift over the (bounded) window remains as an unmodeled error.
+
+`solve_pairs` solves a lattice of epoch pairs in blocks, on arrays
+indexed by (pair, session satellite): each DD covariance block
+D + r 11^T is weighted in closed form and the Gauss-Newton steps are
+stacked 6x6 solves. No sum or product spans two pairs, so a pair gets
+the same bits in any block; its GnssError is its result and never
+stops the block. `estimate_baseline` is the kernel on one pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 # not used here: bench/spans.py traces LAMBDA under this module's name
 from .ambiguity import lambda_resolve  # noqa: F401
-from .coords import lines_of_sight
-from .errors import (InsufficientSatellites, MissingSatellite,
+from .coords import unchecked_lines_of_sight
+from .errors import (DegenerateGeometry, GnssError, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
-from .types import Constellation, Epoch, SatelliteId
+from .types import Epoch, SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
 # full O(n^2) pairing is redundant
@@ -38,6 +45,10 @@ TR_PAIR_LATTICE = (5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0)
 # RMS error norm, sqrt(trace), must hold 3 cm at twice its value
 INTEGRITY_P_MIN = 1e-3
 PRECISION_MAX_M = 0.015
+
+# pairs solved together: a block's arrays take a few MB however long the
+# session is, and larger blocks run no faster
+BLOCK_PAIRS = 128
 
 
 class BaselineStatus(Enum):
@@ -55,33 +66,6 @@ class TrRtkConfig:
 
 
 @dataclass(frozen=True)
-class DoubleDiffEntry:
-    sat: SatelliteId
-    reference: SatelliteId
-    dd_phase: float           # [m] atmosphere-corrected time-DD carrier phase
-    dd_code_past: float       # [m] between-satellite DD pseudorange, past epoch
-    dd_code_current: float    # [m] same at the current epoch
-    sigma_phase: float        # time-difference sigma of `sat` phase [m]
-    sigma_code_past: float    # per-epoch code sigma of `sat` [m]
-    sigma_code_current: float
-
-
-@dataclass(frozen=True)
-class DoubleDiffSet:
-    time_past: object
-    time_current: object
-    reference: dict                    # Constellation -> SatelliteId
-    entries: tuple
-    states_past: dict                  # SatelliteId -> SatelliteState
-    states_current: dict
-    receiver_past: np.ndarray          # linearization anchor [m ECEF]
-    receiver_current: np.ndarray
-    ref_sigma_phase: dict = field(default_factory=dict)
-    ref_sigma_code_past: dict = field(default_factory=dict)
-    ref_sigma_code_current: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class TrRtkResult:
     baseline: np.ndarray               # past -> current [m ECEF]
     covariance: np.ndarray             # 3x3 [m^2]
@@ -91,39 +75,6 @@ class TrRtkResult:
     dd_ambiguities: tuple
 
 
-def detect_cycle_slips(past: Epoch, current: Epoch, interval: float = 1.0) -> set:
-    """Satellites continuously locked from `past` through `current`.
-
-    A lock counter that grew by exactly one per epoch over the gap means
-    the carrier loop never reset; anything less implies a slip.
-    """
-    first, last = sorted((past, current), key=lambda e: e.time)
-    gap = int(round((last.time - first.time) / interval))
-    locked = set()
-    for sat in first.sat_ids & last.sat_ids:
-        delta = last.get(sat).lock_count - first.get(sat).lock_count
-        if delta >= gap:
-            locked.add(sat)
-    return locked
-
-
-def time_single_difference(past: Epoch, current: Epoch, sats) -> dict:
-    """Time-differenced carrier phase in meters, per satellite.
-
-    Satellite clock bias is deliberately not corrected: it is constant
-    over the short window and cancels in the difference; only drift
-    survives, which the window cap keeps below the noise floor.
-    """
-    out = {}
-    for sat in sorted(sats, key=lambda s: s.sort_key()):
-        obs_p = past.get(sat)
-        obs_c = current.get(sat)
-        if obs_p is None or obs_c is None:
-            raise MissingSatellite(f"{sat} absent from epoch pair")
-        out[sat] = obs_c.wavelength * (obs_c.carrier_phase - obs_p.carrier_phase)
-    return out
-
-
 @dataclass(frozen=True)
 class EpochCorrections:
     """Per-satellite quantities of one epoch, shared by all its pairs.
@@ -131,13 +82,16 @@ class EpochCorrections:
     Evaluated once at the receiver position `position`, and only for the
     satellites a double difference can use: observed, with a known
     state, above the elevation mask and within the atmosphere models.
+    Row k of each array belongs to `sats[k]`.
     """
 
     position: np.ndarray               # [m ECEF]
-    states: dict                       # SatelliteId -> SatelliteState
-    elevation: dict                    # SatelliteId -> [rad]
-    atmosphere: dict                   # SatelliteId -> (iono, tropo) [m]
-    code: dict                         # SatelliteId -> corrected pseudorange [m]
+    sats: tuple                        # SatelliteId, in the epoch's order
+    sat_position: np.ndarray           # (k, 3) [m ECEF]
+    elevation: np.ndarray              # [rad]
+    iono: np.ndarray                   # modeled delays [m]
+    tropo: np.ndarray
+    code: np.ndarray                   # corrected pseudorange [m]
 
 
 def epoch_corrections(geometry: EpochGeometry,
@@ -151,150 +105,222 @@ def epoch_corrections(geometry: EpochGeometry,
     # a satellite the troposphere model rejects (ElevationTooLow) is left out
     rows = rows[~np.isnan(geometry.tropo[rows])]
     geometry.require_delays(rows)
-    sats = [geometry.sats[k] for k in rows]
-    delays = zip(geometry.iono[rows].tolist(), geometry.tropo[rows].tolist())
     return EpochCorrections(
-        geometry.position,
-        dict(zip(sats, (geometry.states[k] for k in rows))),
-        dict(zip(sats, geometry.elevation[rows].tolist())),
-        dict(zip(sats, delays)),
-        dict(zip(sats, geometry.corrected_code[rows].tolist())))
+        geometry.position, tuple(geometry.sats[k] for k in rows),
+        geometry.sat_position[rows], geometry.elevation[rows],
+        geometry.iono[rows], geometry.tropo[rows],
+        geometry.corrected_code[rows])
 
 
-def form_double_differences(sd_phase: dict, past: Epoch, current: Epoch,
-                            corrections_past: EpochCorrections,
-                            corrections_current: EpochCorrections,
-                            config: TrRtkConfig | None = None
-                            ) -> DoubleDiffSet:
-    """Between-satellite differences of the paired-epoch observables.
+@dataclass(frozen=True)
+class SessionArrays:
+    """Epochs and their corrections on one session-wide satellite index:
+    row e is epoch e, column k is `sats[k]` in `SatelliteId.sort_key`
+    order, so each constellation's columns are one slice of `spans`. A
+    satellite an epoch does not observe has lock count -1; outside
+    `usable` (its corrections) the arrays hold harmless fillers."""
 
-    Carrier phase enters time-differenced (the DD of `sd_phase`), so its
-    ambiguity is the integer time-DD ambiguity and satellite clocks drop
-    out. Pseudorange enters per epoch with the satellite clock corrected
-    explicitly, which keeps the absolute anchor position observable.
-    The reference satellite is the highest-elevation continuously locked
-    satellite of each constellation at the current epoch; differences are
-    formed only within a constellation and only between satellites that
-    share a carrier wavelength (which excludes cross-channel GLONASS
-    pairs, whose DD ambiguity would not be integer).
-    The corrections of each epoch, `epoch_corrections`, fix its receiver
-    position (the linearization anchor) and its satellite states.
-    """
-    config = config or TrRtkConfig()
-    elev_past = corrections_past.elevation
-    elev_cur = corrections_current.elevation
-
-    by_const: dict[Constellation, list] = {}
-    for sat in sd_phase:
-        if sat in elev_past and sat in elev_cur:
-            by_const.setdefault(sat.constellation, []).append(sat)
-
-    def corrected_phase(sat):
-        ip, tp = corrections_past.atmosphere[sat]
-        ic, tc = corrections_current.atmosphere[sat]
-        # phase carries -iono, +tropo
-        return sd_phase[sat] + (ic - ip) - (tc - tp)
-
-    entries = []
-    reference = {}
-    ref_sigma_phase = {}
-    ref_sigma_code_past = {}
-    ref_sigma_code_current = {}
-    for const in sorted(by_const, key=lambda c: c.value):
-        sats = by_const[const]
-        if len(sats) < 2:
-            continue
-        ref = max(sats, key=lambda s: (elev_cur[s], s.sort_key()))
-        lam_ref = current.get(ref).wavelength
-        ref_phase = corrected_phase(ref)
-        ref_code_p = corrections_past.code[ref]
-        ref_code_c = corrections_current.code[ref]
-        added = False
-        for sat in sorted(sats, key=lambda s: s.sort_key()):
-            if sat == ref:
-                continue
-            lam = current.get(sat).wavelength
-            if abs(lam - lam_ref) > 1e-12:
-                continue
-            entries.append(DoubleDiffEntry(
-                sat=sat, reference=ref,
-                dd_phase=corrected_phase(sat) - ref_phase,
-                dd_code_past=corrections_past.code[sat] - ref_code_p,
-                dd_code_current=corrections_current.code[sat] - ref_code_c,
-                # time difference of two independent epochs: factor 2 variance
-                sigma_phase=np.sqrt(
-                    (config.phase_sigma / np.sin(elev_past[sat])) ** 2
-                    + (config.phase_sigma / np.sin(elev_cur[sat])) ** 2),
-                sigma_code_past=config.code_sigma / np.sin(elev_past[sat]),
-                sigma_code_current=config.code_sigma / np.sin(elev_cur[sat]),
-            ))
-            added = True
-        if added:
-            reference[const] = ref
-            ref_sigma_phase[const] = np.sqrt(
-                (config.phase_sigma / np.sin(elev_past[ref])) ** 2
-                + (config.phase_sigma / np.sin(elev_cur[ref])) ** 2)
-            ref_sigma_code_past[const] = config.code_sigma / np.sin(elev_past[ref])
-            ref_sigma_code_current[const] = config.code_sigma / np.sin(elev_cur[ref])
-
-    if len(entries) < 4:
-        raise InsufficientSatellites(
-            f"only {len(entries)} double differences formed")
-    return DoubleDiffSet(past.time, current.time, reference, tuple(entries),
-                         corrections_past.states, corrections_current.states,
-                         corrections_past.position,
-                         corrections_current.position, ref_sigma_phase, ref_sigma_code_past,
-                         ref_sigma_code_current)
+    times: tuple                       # GpsTime per epoch
+    sats: tuple
+    spans: tuple                       # (start, stop) per constellation
+    lock: np.ndarray                   # (n, S) lock counts
+    phase: np.ndarray                  # (n, S) [cycles]
+    wavelength: np.ndarray             # (n, S) [m]
+    usable: np.ndarray                 # (n, S) bool
+    sat_position: np.ndarray           # (n, S, 3) [m ECEF]
+    elevation: np.ndarray              # (n, S) [rad]
+    iono: np.ndarray                   # (n, S) [m]
+    tropo: np.ndarray
+    code: np.ndarray
+    receiver: np.ndarray               # (n, 3) [m ECEF]
 
 
-def _dd_covariance(dd: DoubleDiffSet, ref_sigma: dict, attr: str) -> np.ndarray:
-    """Full DD covariance with the single-reference correlation structure:
-    the reference's variance wherever two DDs share a reference, plus the
-    satellite's own variance on the diagonal."""
-    group = {}
-    ref = np.array([group.setdefault(e.reference, len(group))
-                    for e in dd.entries])
-    var_ref = np.array([ref_sigma[e.sat.constellation] ** 2
-                        for e in dd.entries])
-    var_own = np.array([getattr(e, attr) ** 2 for e in dd.entries])
-    cov = np.where(ref[:, None] == ref, var_ref[:, None], 0.0)
-    cov[np.diag_indices_from(cov)] += var_own
-    return cov
+def stack_session(epochs, corrections=()) -> SessionArrays:
+    """Every epoch's observations, and each epoch's `EpochCorrections`
+    where given, as `SessionArrays`."""
+    sats = sorted(set().union(*(e.sat_ids for e in epochs),
+                              *(c.sats for c in corrections)),
+                  key=SatelliteId.sort_key)
+    column = {sat: k for k, sat in enumerate(sats)}
+    starts = [k for k, sat in enumerate(sats)
+              if k == 0 or sat.constellation != sats[k - 1].constellation]
+    shape = (len(epochs), len(sats))
+    lock = np.full(shape, -1)
+    phase, wavelength = np.zeros(shape), np.zeros(shape)
+    usable = np.zeros(shape, bool)
+    # a zenith satellite at the earth's center where no corrections are
+    sat_position = np.zeros(shape + (3,))
+    elevation = np.full(shape, np.pi / 2)
+    iono, tropo, code = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    receiver = np.zeros((len(epochs), 3))
+    for e, epoch in enumerate(epochs):
+        for o in epoch.observations:
+            k = column[o.sat]
+            lock[e, k], phase[e, k] = o.lock_count, o.carrier_phase
+            wavelength[e, k] = o.wavelength
+    for e, c in enumerate(corrections):
+        cols = [column[sat] for sat in c.sats]
+        usable[e, cols], sat_position[e, cols] = True, c.sat_position
+        elevation[e, cols], code[e, cols] = c.elevation, c.code
+        iono[e, cols], tropo[e, cols] = c.iono, c.tropo
+        receiver[e] = c.position
+    return SessionArrays(
+        tuple(e.time for e in epochs), tuple(sats),
+        tuple(zip(starts, starts[1:] + [len(sats)])), lock, phase,
+        wavelength, usable, sat_position, elevation, iono, tropo, code,
+        receiver)
 
 
-def _model_and_jacobian(dd: DoubleDiffSet, baseline: np.ndarray,
-                        anchor_shift: np.ndarray | None = None):
-    """Per-epoch DD geometric ranges and their Jacobians.
+@dataclass(frozen=True)
+class DoubleDiffSet:
+    """The double differences of a block of B pairs on the session's
+    satellite columns. `rows` (B, S) marks each pair's DD satellites,
+    `reference` (B, S) holds the column of each one's reference and
+    `used` marks both. The last axis of `observed` and `weight` is (DD
+    phase, DD code at the past epoch, at the current epoch); `weight` is
+    the inverse of a DD satellite's own variance, zero off `rows`, and
+    `ref_weight` (B, constellations, 3) that of the reference."""
 
-    `anchor_shift` is the common error d of the assumed past position:
-    the past receiver sits at receiver_past + d, the current one at
-    receiver_past + d + B. Returns (g_past, g_current, jac_past,
-    jac_current) where jac_past = dg_past/dd (g_past does not depend on
-    B) and jac_current = dg_current/dB = dg_current/dd.
-    """
-    shift = np.zeros(3) if anchor_shift is None else anchor_shift
+    sats: tuple
+    spans: tuple
+    rows: np.ndarray
+    used: np.ndarray
+    reference: np.ndarray
+    observed: np.ndarray               # (B, S, 3) [m]
+    weight: np.ndarray                 # (B, S, 3) [1/m^2]
+    ref_weight: np.ndarray
+    sat_past: np.ndarray               # (B, S, 3) [m ECEF]
+    sat_current: np.ndarray
+    receiver_past: np.ndarray          # (B, 3) linearization anchor
+    receiver_current: np.ndarray
+
+
+def _locked(s: SessionArrays, past, current, dt, interval) -> np.ndarray:
+    """(B, S): satellites continuously locked through each pair. A lock
+    counter that grew by at least one per epoch over the gap means the
+    carrier loop never reset; anything less implies a slip."""
+    first = np.where(dt < 0, current, past)
+    last = np.where(dt < 0, past, current)
+    gap = np.rint(np.abs(dt) / interval)
+    return ((s.lock[past] >= 0) & (s.lock[current] >= 0)
+            & (s.lock[last] - s.lock[first] >= gap[:, None]))
+
+
+def time_single_difference(s: SessionArrays, past, current) -> np.ndarray:
+    """(B, S) time-differenced carrier phase [m] of the epoch pairs
+    (past, current). Satellite clock bias is deliberately not corrected:
+    it is constant over the short window and cancels in the difference;
+    only drift survives, which the window cap keeps below the noise."""
+    return s.wavelength[current] * (s.phase[current] - s.phase[past])
+
+
+def _double_differences(s: SessionArrays, past, current, locked,
+                        config: TrRtkConfig) -> DoubleDiffSet:
+    """Between-satellite differences of each pair's locked satellites
+    that both epochs' corrections hold. Carrier phase enters
+    time-differenced, so satellite clocks drop out; pseudorange enters per
+    epoch with the satellite clock corrected, which keeps the anchor
+    position observable. The reference is the highest satellite of each
+    constellation at the current epoch (the last in sort order on a tie),
+    and only satellites on its carrier wavelength are differenced against
+    it (cross-channel GLONASS DD ambiguities would not be integer)."""
+    n = np.arange(len(past))[:, None]
+    usable = locked & s.usable[past] & s.usable[current]
+    wavelength = s.wavelength[current]
+    refs = np.zeros((len(past), len(s.spans)), int)
+    reference = np.zeros(usable.shape, int)
+    for g, (a, b) in enumerate(s.spans):
+        height = np.where(usable[:, a:b], s.elevation[current, a:b], -np.inf)
+        refs[:, g] = b - 1 - np.argmax(height[:, ::-1], axis=1)
+        reference[:, a:b] = refs[:, g, None]
+    rows = usable & (reference != np.arange(usable.shape[1])) & (
+        np.abs(wavelength - wavelength[n, reference]) <= 1e-12)
+    used = rows.copy()
+    for g, (a, b) in enumerate(s.spans):
+        used[n[:, 0], refs[:, g]] |= rows[:, a:b].any(axis=1)
+    # phase carries -iono, +tropo
+    phase = (time_single_difference(s, past, current)
+             + (s.iono[current] - s.iono[past])
+             - (s.tropo[current] - s.tropo[past]))
+    per_sat = np.stack([phase, s.code[past], s.code[current]], axis=-1)
+    sin_p, sin_c = np.sin(s.elevation[past]), np.sin(s.elevation[current])
+    # time difference of two independent epochs: sum of their variances
+    variance = np.stack([(config.phase_sigma / sin_p) ** 2
+                         + (config.phase_sigma / sin_c) ** 2,
+                         (config.code_sigma / sin_p) ** 2,
+                         (config.code_sigma / sin_c) ** 2], axis=-1)
+    observed = per_sat - np.take_along_axis(per_sat, reference[..., None], 1)
+    return DoubleDiffSet(
+        s.sats, s.spans, rows, used, reference,
+        np.where(rows[..., None], observed, 0.0),
+        np.where(rows[..., None], 1.0 / variance, 0.0),
+        1.0 / np.take_along_axis(variance, refs[..., None], 1),
+        s.sat_position[past], s.sat_position[current],
+        s.receiver[past], s.receiver[current])
+
+
+def _total(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, strictly left to right: the order is the same for
+    every pair, block and padding, and a zero column adds nothing."""
+    total = x[:, 0].copy()
+    for k in range(1, x.shape[1]):
+        total += x[:, k]
+    return total
+
+
+def _weigh(x, weight, ref_weight, spans) -> np.ndarray:
+    """W x, W the inverse of the covariance whose block on the columns
+    `spans[g]` (axis 1) is diag(1 / weight) + 11^T / ref_weight[:, g]:
+    each DD shares its reference's error. Sherman-Morrison, written with
+    the block's weighted mean m = sum(weight x) / sum(weight), gives
+    W x = weight (x - m + m / (1 + sum(weight) / ref_weight)), so no
+    matrix is formed or inverted. Differences are taken from the most
+    heavily weighted satellite's x, whose own x - m would otherwise
+    cancel to a few digits when its variance is far below the others'."""
+    out = np.empty(np.broadcast_shapes(x.shape, weight.shape))
+    for g, (a, b) in enumerate(spans):
+        w = weight[:, a:b]
+        total = _total(w)
+        origin = np.take_along_axis(x[:, a:b], np.argmax(w, axis=1)[:, None],
+                                    1)
+        shifted = x[:, a:b] - origin
+        mean = _total(w * shifted) / np.where(total > 0, total, 1.0)
+        common = (origin[:, 0] + mean) / (1.0 + total / ref_weight[:, g])
+        out[:, a:b] = w * (shifted - (mean - common)[:, None])
+    return out
+
+
+def _model(dd: DoubleDiffSet, baseline, shift):
+    """Per-epoch DD geometric ranges (B, S), their Jacobians (B, S, 3)
+    and each pair's shortest distance to a satellite it uses (B,).
+
+    `shift` is the common error d of the assumed past positions: a past
+    receiver sits at receiver_past + d, its current one at
+    receiver_past + d + B, so jac_past = dg_past/dd and jac_current =
+    dg_current/dB = dg_current/dd."""
     p_past = dd.receiver_past + shift
-    p_cur = p_past + baseline
-    sats = list(dict.fromkeys([e.sat for e in dd.entries]
-                              + list(dd.reference.values())))
-    index = {sat: k for k, sat in enumerate(sats)}
-    own = [index[e.sat] for e in dd.entries]
-    ref = [index[e.reference] for e in dd.entries]
-    unit_past, range_past = lines_of_sight(
-        p_past, np.array([dd.states_past[s].position for s in sats]))
-    unit_cur, range_cur = lines_of_sight(
-        p_cur, np.array([dd.states_current[s].position for s in sats]))
-    g_past = range_past[own] - range_past[ref]
-    g_cur = range_cur[own] - range_cur[ref]
-    # d|p-s|/dp = -unit(receiver->sat)
-    jac_past = unit_past[ref] - unit_past[own]
-    jac_cur = unit_cur[ref] - unit_cur[own]
-    return g_past, g_cur, jac_past, jac_cur
+    out = []
+    nearest = np.inf
+    # a satellite on the receiver divides by zero; the range check
+    # refuses that pair
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for receiver, sats in ((p_past, dd.sat_past),
+                               (p_past + baseline, dd.sat_current)):
+            unit, rng, distance = unchecked_lines_of_sight(receiver[:, None],
+                                                           sats)
+            out.append(rng - np.take_along_axis(rng, dd.reference, 1))
+            # d|p-s|/dp = -unit(receiver->sat)
+            out.append(np.take_along_axis(unit, dd.reference[..., None], 1)
+                       - unit)
+            nearest = np.minimum(nearest, np.where(dd.used, distance,
+                                                   np.inf).min(axis=1))
+    g_past, jac_past, g_cur, jac_cur = out
+    return g_past, g_cur, jac_past, jac_cur, nearest
 
 
-def _norm1(a: np.ndarray) -> float:
-    """Matrix 1-norm: the largest absolute column sum."""
-    return np.abs(a).sum(axis=0).max()
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm of each of a stack: the largest absolute column sum."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _chi2_survival(x: float, dof: int) -> float:
@@ -311,77 +337,162 @@ def _chi2_survival(x: float, dof: int) -> float:
     return total
 
 
-def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None):
-    """WLS over baseline and anchor-position error, DD integers held at 0.
+def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
+                         active=None):
+    """WLS over baseline and anchor-position error of each pair of `dd`
+    (each one `active` marks), DD integers held at 0.
 
     Every DD satellite stayed locked through the window, so its time-DD
-    ambiguity is zero and DD phase measures the change of DD range
-    directly. DD pseudorange keeps the absolute anchor observable: the
-    common error of the assumed past position enters the model through
-    the change of line of sight over the window, so it is estimated
-    alongside the baseline under a loose prior. Returns (baseline, its
-    3x3 covariance, the weighted residual sum of squares), the last on
-    3m - 3 degrees of freedom for m double differences.
-    """
+    ambiguity is zero and DD phase measures the change of DD range. DD
+    pseudorange keeps the anchor observable through the change of line of
+    sight over the window, so the common error of the assumed past
+    position is estimated alongside the baseline under a loose prior.
+    Returns (B, 3) baselines, their (B, 3, 3) covariances, the (B,)
+    weighted residual sums of squares (3m - 3 degrees of freedom for m
+    DDs), and per pair None or the GnssError that stopped it."""
     config = config or TrRtkConfig()
-    m = len(dd.entries)
-    if m < 4:
-        raise InsufficientSatellites(f"only {m} double differences")
-    obs_phase = np.array([e.dd_phase for e in dd.entries])
-    obs_code_p = np.array([e.dd_code_past for e in dd.entries])
-    obs_code_c = np.array([e.dd_code_current for e in dd.entries])
-
-    rows = 3 * m + 3
-    weight = np.zeros((rows, rows))
-    blocks = ((dd.ref_sigma_phase, "sigma_phase"),
-              (dd.ref_sigma_code_past, "sigma_code_past"),
-              (dd.ref_sigma_code_current, "sigma_code_current"))
-    for k, (ref_sigma, attr) in enumerate(blocks):
-        weight[k * m:(k + 1) * m, k * m:(k + 1) * m] = np.linalg.inv(
-            _dd_covariance(dd, ref_sigma, attr))
-    weight[3 * m:, 3 * m:] = np.eye(3) / config.position_prior_sigma ** 2
-
+    count = len(dd.rows)
+    active = np.ones(count, bool) if active is None else active.copy()
     baseline = dd.receiver_current - dd.receiver_past
-    shift = np.zeros(3)
-    jac = np.zeros((rows, 6))
-    jac[3 * m:, 3:] = np.eye(3)
-    for _ in range(10):
-        g_past, g_cur, jac_p, jac_c = _model_and_jacobian(dd, baseline, shift)
-        residual = np.concatenate([
-            obs_phase - (g_cur - g_past),
-            obs_code_p - g_past,
-            obs_code_c - g_cur,
-            -shift,
-        ])
-        jac[:m, :3] = jac_c
-        jac[:m, 3:] = jac_c - jac_p
-        jac[m:2 * m, 3:] = jac_p
-        jac[2 * m:3 * m, :3] = jac_c
-        jac[2 * m:3 * m, 3:] = jac_c
-        jac_w = jac.T @ weight
-        normal = jac_w @ jac
+    shift = np.zeros((count, 3))
+    cov, omega = np.zeros((count, 3, 3)), np.zeros(count)
+    errors = [None] * count
+    prior = 1.0 / config.position_prior_sigma ** 2
+    for iteration in range(10):
+        g_past, g_cur, jac_p, jac_c, nearest = _model(dd, baseline, shift)
+        # rows (phase, code past, code current) of [d/dB, d/dd | residual]
+        lin = np.zeros(g_past.shape + (3, 7))
+        lin[..., 0, :3] = lin[..., 2, :3] = lin[..., 2, 3:6] = jac_c
+        lin[..., 0, 3:6] = jac_c - jac_p
+        lin[..., 1, 3:6] = jac_p
+        lin[..., 6] = dd.observed - np.stack([g_cur - g_past, g_past, g_cur],
+                                             axis=-1)
+        weighted = _weigh(lin, dd.weight[..., None],
+                          dd.ref_weight[..., None], dd.spans)
+        # one 7x3 by 3x7 product per (pair, satellite), then their sum:
+        # [J^T W J, J^T W r; ., r^T W r] of each pair
+        summed = _total(np.matmul(lin.transpose(0, 1, 3, 2), weighted))
+        normal = summed[:, :6, :6] + np.diag([0.0] * 3 + [prior] * 3)
+        rhs = summed[:, :6, 6]
+        rhs[:, 3:] -= prior * shift
+        degenerate = active & ~(nearest >= 1e6)
+        normal[~active | degenerate] = np.eye(6)
+        # a zero LU pivot, on which inv would raise for the whole stack
+        zero_pivot = np.linalg.slogdet(normal)[0] == 0
+        normal[zero_pivot] = np.eye(6)
         # numpy hands out no LU factor, so the check inverts the same
-        # matrix: that gives the exact 1-norm condition number, and at the
-        # last iteration the inverse is the covariance
-        try:
-            normal_inv = np.linalg.inv(normal)
-        except np.linalg.LinAlgError:
-            normal_inv = None
-        if (normal_inv is None
-                or _norm1(normal) * _norm1(normal_inv) > 1e14):
-            raise SingularGeometry("degenerate double-difference geometry")
-        delta = np.linalg.solve(normal, jac_w @ residual)
-        baseline = baseline + delta[:3]
-        shift = shift + delta[3:]
+        # matrices: that gives the exact 1-norm condition numbers, and at
+        # a pair's last iteration its inverse is the covariance
+        normal_inv = np.linalg.inv(normal)
+        singular = active & ~degenerate & (zero_pivot | ~(
+            _norm1(normal) * _norm1(normal_inv) <= 1e14))
+        for k in np.flatnonzero(degenerate):
+            errors[k] = DegenerateGeometry(
+                f"satellite range {nearest[k]:.0f} m implausible")
+        for k in np.flatnonzero(singular):
+            errors[k] = SingularGeometry(
+                "degenerate double-difference geometry")
+        step = np.flatnonzero(active & ~degenerate & ~singular)
+        if not step.size:
+            break               # no step on singular normal equations
+        delta = np.linalg.solve(normal[step], rhs[step][..., None])[..., 0]
+        # the weighted squares of the residuals after the step, r - J delta
+        omega[step] = (summed[step, 6, 6]
+                       + prior * (shift[step] ** 2).sum(axis=1)
+                       - (delta * rhs[step]).sum(axis=1))
+        baseline[step] += delta[:, :3]
+        shift[step] += delta[:, 3:]
+        block = normal_inv[step, :3, :3]
+        cov[step] = 0.5 * (block + block.transpose(0, 2, 1))
         # Gauss-Newton steps shrink ~1e6-fold per iteration down to the
         # ~1e-9 m round-off floor; a micrometre step has converged
-        if np.linalg.norm(delta[:3]) < 1e-6:
-            break
+        active[:] = False
+        active[step] = np.sqrt((delta[:, :3] ** 2).sum(axis=1)) >= 1e-6
+    return baseline, cov, omega, errors
 
-    residual = residual - jac @ delta          # after the last step
-    omega = float(residual @ weight @ residual)
-    cov = normal_inv[:3, :3]
-    return baseline, 0.5 * (cov + cov.T), omega
+
+def solve_pairs(s: SessionArrays, pairs, config: TrRtkConfig | None = None,
+                interval: float = 1.0) -> list:
+    """The TrRtkResult of every (past, current) epoch pair of `s`, or the
+    GnssError that stopped it, in the order of `pairs`, `BLOCK_PAIRS` at
+    a time. A pair is Fixed, with every DD integer 0, when the chi-squared
+    test of its weighted residuals gives a p-value of at least
+    `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance is at
+    most `PRECISION_MAX_M`; otherwise it is Rejected and must not become
+    a graph edge. `interval` is the observation spacing [s] the slip
+    screen expects the lock counts to grow by."""
+    config = config or TrRtkConfig()
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    out = []
+    for start in range(0, len(pairs), BLOCK_PAIRS):
+        out += _solve_block(s, *pairs[start:start + BLOCK_PAIRS].T, config,
+                            interval)
+    return out
+
+
+def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
+    dt = [s.times[j] - s.times[i] for i, j in zip(past, current)]
+    out = [None] * len(dt)
+
+    def fail(mask, error):
+        for k in np.flatnonzero(mask):
+            out[k] = out[k] or error(k)
+
+    fail(np.abs(dt) > config.max_time_difference, lambda k: WindowExceeded(
+        f"pair separated by {dt[k]:.1f} s exceeds "
+        f"{config.max_time_difference:.1f} s window"))
+    locked = _locked(s, past, current, np.array(dt), interval)
+    n_locked = locked.sum(axis=1)
+    fail(n_locked < 5, lambda k: InsufficientSatellites(
+        f"only {n_locked[k]} continuously locked satellites"))
+    dd = _double_differences(s, past, current, locked, config)
+    m = dd.rows.sum(axis=1)
+    fail(m < 4, lambda k: InsufficientSatellites(
+        f"only {m[k]} double differences formed"))
+    alive = np.array([r is None for r in out])
+    baseline, cov, omega, errors = solve_float_baseline(dd, config, alive)
+    for k in np.flatnonzero(alive):
+        if errors[k] is not None:
+            out[k] = errors[k]
+            continue
+        p_value = _chi2_survival(float(omega[k]), 3 * int(m[k]) - 3)
+        fixed = (p_value >= INTEGRITY_P_MIN
+                 and np.sqrt(np.trace(cov[k])) <= PRECISION_MAX_M)
+        out[k] = TrRtkResult(
+            baseline[k], cov[k],
+            BaselineStatus.FIXED if fixed else BaselineStatus.REJECTED,
+            p_value, dt[k], (0,) * int(m[k]) if fixed else ())
+    return out
+
+
+def _one_pair(past: Epoch, current: Epoch, corrections=()):
+    return (stack_session([past, current], corrections), np.array([0]),
+            np.array([1]), np.array([current.time - past.time]))
+
+
+def detect_cycle_slips(past: Epoch, current: Epoch, interval: float = 1.0) -> set:
+    """Satellites continuously locked from `past` through `current`: the
+    kernel's slip screen on one pair."""
+    s, i, j, dt = _one_pair(past, current)
+    locked = _locked(s, i, j, dt, interval)[0]
+    return {s.sats[k] for k in np.flatnonzero(locked)}
+
+
+def form_double_differences(past: Epoch, current: Epoch,
+                            corrections_past: EpochCorrections,
+                            corrections_current: EpochCorrections,
+                            config: TrRtkConfig | None = None,
+                            interval: float = 1.0) -> DoubleDiffSet:
+    """The kernel's slip screen and DD formation on one pair: a one-pair
+    `DoubleDiffSet`, or InsufficientSatellites below 4 DDs."""
+    s, i, j, dt = _one_pair(past, current,
+                            [corrections_past, corrections_current])
+    dd = _double_differences(s, i, j, _locked(s, i, j, dt, interval),
+                             config or TrRtkConfig())
+    m = dd.rows.sum()
+    if m < 4:
+        raise InsufficientSatellites(f"only {m} double differences formed")
+    return dd
 
 
 def estimate_baseline(past: Epoch, current: Epoch,
@@ -389,36 +500,12 @@ def estimate_baseline(past: Epoch, current: Epoch,
                       corrections_current: EpochCorrections,
                       config: TrRtkConfig | None = None,
                       interval: float = 1.0) -> TrRtkResult:
-    """Full pipeline: slip screening, DD formation, zero-integer solve, gates.
-
-    The pair is Fixed, with every DD integer 0, when the chi-squared test
-    of its weighted residuals gives a p-value of at least
-    `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance is at
-    most `PRECISION_MAX_M`; otherwise it is Rejected and must not become
-    a graph edge. Each epoch's `epoch_corrections` are computed once and
-    shared by all its pairs; `interval` is the observation spacing [s]
-    the slip screen expects the lock counts to grow by.
-    """
-    config = config or TrRtkConfig()
-    dt = current.time - past.time
-    if abs(dt) > config.max_time_difference:
-        raise WindowExceeded(
-            f"pair separated by {dt:.1f} s exceeds "
-            f"{config.max_time_difference:.1f} s window")
-
-    sats = detect_cycle_slips(past, current, interval)
-    if len(sats) < 5:
-        raise InsufficientSatellites(
-            f"only {len(sats)} continuously locked satellites")
-    sd_phase = time_single_difference(past, current, sats)
-    dd = form_double_differences(sd_phase, past, current, corrections_past,
-                                 corrections_current, config)
-    baseline, cov, omega = solve_float_baseline(dd, config)
-    m = len(dd.entries)
-    p_value = _chi2_survival(omega, 3 * m - 3)
-    if (p_value >= INTEGRITY_P_MIN
-            and np.sqrt(np.trace(cov)) <= PRECISION_MAX_M):
-        return TrRtkResult(baseline, cov, BaselineStatus.FIXED, p_value, dt,
-                           (0,) * m)
-    return TrRtkResult(baseline, cov, BaselineStatus.REJECTED, p_value, dt,
-                       ())
+    """`solve_pairs` on one pair: its TrRtkResult, or its GnssError raised.
+    Each epoch's `epoch_corrections` are computed once and shared by all
+    its pairs."""
+    session = stack_session([past, current],
+                            [corrections_past, corrections_current])
+    (result,) = solve_pairs(session, [(0, 1)], config, interval)
+    if isinstance(result, GnssError):
+        raise result
+    return result

@@ -45,6 +45,11 @@ class TestPipeline:
         assert "method: Ours" in log
         assert "velocity factors:" in log
         assert "fix rate by time difference" in log
+        values = dict(line.split(": ", 1) for line in log.splitlines()
+                      if line.startswith("trrtk pairs "))
+        outcomes = [int(values[f"trrtk pairs {key}"].split()[0])
+                    for key in ("fixed", "rejected", "errored")]
+        assert sum(outcomes) == int(values["trrtk pairs attempted"]) > 0
         assert "converged:    True" in log
         rows = (sol / "trajectory.csv").read_text().splitlines()
         assert sum("Initial" in r for r in rows) == 26

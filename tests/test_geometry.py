@@ -114,10 +114,12 @@ class TestEpochGeometry:
                           TropoModel()).at(origin)
         corrections = epoch_corrections(g)
         assert corrections.position is g.position
-        assert list(corrections.states) == list(g.sats[:3])
+        assert corrections.sats == g.sats[:3]
         for k, sat in enumerate(g.sats[:3]):
-            assert corrections.states[sat] is states[sat]
-            assert corrections.elevation[sat] == g.elevation[k]
-            assert corrections.atmosphere[sat] == (g.iono[k], g.tropo[k])
-            assert corrections.code[sat] == g.corrected_code[k]
+            assert np.array_equal(corrections.sat_position[k],
+                                  states[sat].position)
+            assert corrections.elevation[k] == g.elevation[k]
+            assert (corrections.iono[k], corrections.tropo[k]) == (
+                g.iono[k], g.tropo[k])
+            assert corrections.code[k] == g.corrected_code[k]
 

@@ -20,7 +20,7 @@ from gnssgraph.rinex import (RinexHeader, header_for_scenario,
                              parse_rinex_obs, write_rinex_obs)
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
-from gnssgraph.trrtk import TrRtkConfig
+from gnssgraph.trrtk import BaselineStatus, TrRtkConfig
 from gnssgraph.types import Constellation, Epoch, Observation, SatelliteId
 
 MIXED_COUNTS = {Constellation.GPS: 8, Constellation.GLO: 5,
@@ -256,6 +256,23 @@ class TestGraphJson:
         assert np.allclose(node0["position"],
                            g.reference_position + result.states[0, :3],
                            atol=1e-5)
+
+    def test_trrtk_edges_on_default_constellations(self):
+        cfg = ScenarioConfig(duration=30.0,
+                             trajectory=TrajectoryConfig(kind="line",
+                                                         speed=2.0), seed=2)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        buf = io.StringIO()
+        export_graph_json(result.graph, buf, states=result.states)
+        edges = [edge for edge in json.loads(buf.getvalue())["edges"]
+                 if edge["type"] == "trrtk"]
+        fixed = [tr for _, _, tr in result.trrtk_results
+                 if tr.status is BaselineStatus.FIXED]
+        assert len(edges) == len(fixed) > 0
+        assert all(edge["time_difference"] <= 100.0 for edge in edges)
 
 
 class TestConfigYaml:

@@ -1,20 +1,25 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gnssgraph import trrtk
 from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
-                              MissingSatellite, SingularGeometry,
-                              WindowExceeded)
+                              SingularGeometry, WindowExceeded)
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import SolverConfig, solve_spp
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
-from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M, BaselineStatus,
-                             _chi2_survival, detect_cycle_slips,
-                             epoch_corrections, estimate_baseline,
-                             form_double_differences, solve_float_baseline,
+from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
+                             TR_PAIR_LATTICE, BaselineStatus, TrRtkConfig,
+                             TrRtkResult, _chi2_survival, _weigh,
+                             detect_cycle_slips, epoch_corrections,
+                             estimate_baseline, form_double_differences,
+                             solve_float_baseline, solve_pairs, stack_session,
                              time_single_difference)
 from gnssgraph.types import Constellation, Epoch, SatelliteId
 
@@ -44,6 +49,24 @@ def corrections_at(cfg, epochs, states, positions):
 
 def truth_corrections(cfg, epochs, states, truth):
     return corrections_at(cfg, epochs, states, [r.position for r in truth])
+
+
+def single_difference(past, current):
+    """`time_single_difference` of one pair, per satellite both epochs
+    observe."""
+    s = stack_session([past, current])
+    sd = time_single_difference(s, [0], [1])[0]
+    both = past.sat_ids & current.sat_ids
+    return {sat: sd[k] for k, sat in enumerate(s.sats) if sat in both}
+
+
+def solve_one(dd):
+    """`solve_float_baseline` of a one-pair DD set: (baseline, covariance,
+    weighted residual sum), or the pair's GnssError raised."""
+    baseline, cov, omega, errors = solve_float_baseline(dd)
+    if errors[0] is not None:
+        raise errors[0]
+    return baseline[0], cov[0], omega[0]
 
 
 def spp_corrections(cfg, epochs, states):
@@ -86,7 +109,7 @@ class TestTimeSingleDifference:
     def test_identical_epochs_zero(self):
         cfg = quiet_scenario(duration=5.0)
         _, epochs, _ = run_scenario(cfg)
-        sd = time_single_difference(epochs[0], epochs[0], epochs[0].sat_ids)
+        sd = single_difference(epochs[0], epochs[0])
         assert all(abs(v) < 1e-12 for v in sd.values())
 
     def test_one_cycle_is_one_wavelength(self):
@@ -94,7 +117,7 @@ class TestTimeSingleDifference:
         _, epochs, _ = run_scenario(cfg)
         sat = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[0]
         obs = epochs[0].get(sat)
-        sd = time_single_difference(epochs[0], epochs[0], {sat})
+        sd = single_difference(epochs[0], epochs[0])
         assert abs(sd[sat]) < 1e-12
         # GPS L1: one cycle is 0.1903 m
         if sat.constellation is Constellation.GPS:
@@ -109,29 +132,21 @@ class TestTimeSingleDifference:
         )
         truth, epochs, states = run_scenario(cfg)
         sats = detect_cycle_slips(epochs[0], epochs[15])
-        sd = time_single_difference(epochs[0], epochs[15], sats)
+        sd = single_difference(epochs[0], epochs[15])
         from gnssgraph.coords import line_of_sight
-        for sat, value in sd.items():
+        for sat in sats:
+            value = sd[sat]
             _, r0 = line_of_sight(truth[0].position, states[0][sat])
             _, r1 = line_of_sight(truth[15].position, states[15][sat])
             assert abs(value - (r1 - r0)) < 1e-4
-
-    def test_missing_satellite_raises(self):
-        cfg = quiet_scenario(duration=5.0)
-        _, epochs, _ = run_scenario(cfg)
-        ghost = SatelliteId(Constellation.BDS, 63)
-        with pytest.raises(MissingSatellite):
-            time_single_difference(epochs[0], epochs[1], {ghost})
 
 
 class TestDoubleDifferences:
     def _build(self, cfg, i, j):
         truth, epochs, states = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[i], epochs[j], 1.0 / cfg.rate)
-        sd_phase = time_single_difference(epochs[i], epochs[j], sats)
         corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(sd_phase, epochs[i], epochs[j],
-                                     corr[i], corr[j])
+        dd = form_double_differences(epochs[i], epochs[j], corr[i], corr[j],
+                                     interval=1.0 / cfg.rate)
         return truth, states, dd
 
     def test_reference_is_highest_elevation(self):
@@ -139,9 +154,11 @@ class TestDoubleDifferences:
         truth, states, dd = self._build(cfg, 0, 5)
         from gnssgraph.coords import ecef_to_geodetic, elevation_azimuth
         geo = ecef_to_geodetic(truth[5].position)
-        for const, ref in dd.reference.items():
-            same = [e.sat for e in dd.entries
-                    if e.sat.constellation is const] + [ref]
+        rows, reference = dd.rows[0], dd.reference[0]
+        for col in set(reference[rows]):
+            ref = dd.sats[col]
+            same = [dd.sats[k] for k in np.flatnonzero(
+                rows & (reference == col))] + [ref]
             els = {s: elevation_azimuth(geo, states[5][s].position)[0]
                    for s in same}
             assert els[ref] == max(els.values())
@@ -149,52 +166,54 @@ class TestDoubleDifferences:
     def test_same_constellation_pairs_only(self):
         cfg = quiet_scenario(duration=10.0)
         _, _, dd = self._build(cfg, 0, 5)
-        for e in dd.entries:
-            assert e.sat.constellation is e.reference.constellation
-            assert e.sat != e.reference
+        for k in np.flatnonzero(dd.rows[0]):
+            sat, ref = dd.sats[k], dd.sats[dd.reference[0, k]]
+            assert sat.constellation is ref.constellation
+            assert sat != ref
 
     def test_common_bias_cancels_exactly(self):
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[0], epochs[5])
-        sd_phase = time_single_difference(epochs[0], epochs[5], sats)
         corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(sd_phase, epochs[0], epochs[5],
-                                     corr[0], corr[5])
-        shifted = {s: v + 123.456 for s, v in sd_phase.items()}
-        dd2 = form_double_differences(shifted, epochs[0], epochs[5],
-                                      corr[0], corr[5])
-        for a, b in zip(dd.entries, dd2.entries):
-            assert abs(a.dd_phase - b.dd_phase) < 1e-9
+        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        # the same phase offset on every satellite of the current epoch
+        shifted = Epoch(epochs[5].time, [
+            replace(o, carrier_phase=o.carrier_phase + 123.456)
+            for o in epochs[5].observations])
+        dd2 = form_double_differences(epochs[0], shifted, corr[0], corr[5])
+        assert np.array_equal(dd.rows, dd2.rows)
+        for a, b in zip(dd.observed[dd.rows], dd2.observed[dd2.rows]):
+            assert abs(a[0] - b[0]) < 1e-9
 
     def test_noise_free_dd_matches_baseline_projection(self):
         cfg = quiet_scenario(duration=30.0)
         truth, states, dd = self._build(cfg, 0, 20)
         baseline = truth[20].position - truth[0].position
-        from gnssgraph.trrtk import _model_and_jacobian
-        g_past, g_cur, _, _ = _model_and_jacobian(dd, baseline)
-        g = g_cur - g_past
-        for i, e in enumerate(dd.entries):
+        from gnssgraph.trrtk import _model
+        g_past, g_cur, _, _, _ = _model(dd, baseline[None], np.zeros((1, 3)))
+        g = (g_cur - g_past)[0]
+        for i in np.flatnonzero(dd.rows[0]):
             # zero noise, continuous lock: DD phase minus DD geometric range
             # change is the (zero) DD ambiguity
-            assert abs(e.dd_phase - g[i]) < 1e-4
+            assert abs(dd.observed[0, i, 0] - g[i]) < 1e-4
 
     def test_model_matches_per_satellite_line_of_sight(self):
         cfg = quiet_scenario(duration=30.0)
-        truth, _, dd = self._build(cfg, 0, 20)
+        truth, states, dd = self._build(cfg, 0, 20)
         from gnssgraph.coords import line_of_sight
-        from gnssgraph.trrtk import _model_and_jacobian
+        from gnssgraph.trrtk import _model
         baseline = truth[20].position - truth[0].position
         shift = np.array([1.5, -2.0, 0.7])
-        g_past, g_cur, jac_past, jac_cur = _model_and_jacobian(dd, baseline,
-                                                               shift)
-        p_past = dd.receiver_past + shift
+        g_past, g_cur, jac_past, jac_cur, _ = (
+            a[0] for a in _model(dd, baseline[None], shift[None]))
+        p_past = dd.receiver_past[0] + shift
         p_cur = p_past + baseline
-        for i, e in enumerate(dd.entries):
-            u_sp, r_sp = line_of_sight(p_past, dd.states_past[e.sat])
-            u_rp, r_rp = line_of_sight(p_past, dd.states_past[e.reference])
-            u_sc, r_sc = line_of_sight(p_cur, dd.states_current[e.sat])
-            u_rc, r_rc = line_of_sight(p_cur, dd.states_current[e.reference])
+        for i in np.flatnonzero(dd.rows[0]):
+            sat, ref = dd.sats[i], dd.sats[dd.reference[0, i]]
+            u_sp, r_sp = line_of_sight(p_past, states[0][sat])
+            u_rp, r_rp = line_of_sight(p_past, states[0][ref])
+            u_sc, r_sc = line_of_sight(p_cur, states[20][sat])
+            u_rc, r_rc = line_of_sight(p_cur, states[20][ref])
             # a 2e7 m range resolves to ~4e-9 m in float64, so the DD of
             # two ranges agrees to a few of its last bits
             assert abs(g_past[i] - (r_sp - r_rp)) < 1e-8
@@ -205,67 +224,80 @@ class TestDoubleDifferences:
     def test_model_implausible_range_raises(self):
         cfg = quiet_scenario(duration=10.0)
         _, _, dd = self._build(cfg, 0, 5)
-        from gnssgraph.trrtk import _model_and_jacobian
-        # an anchor shift that puts the receiver on a satellite
-        sat = dd.entries[0].sat
-        shift = dd.states_past[sat].position - dd.receiver_past
+        # an anchor that puts the receiver on a satellite
+        k = np.flatnonzero(dd.rows[0])[0]
         with pytest.raises(DegenerateGeometry):
-            _model_and_jacobian(dd, np.zeros(3), shift)
+            solve_one(replace(dd, receiver_past=dd.sat_past[:, k]))
 
     def test_insufficient_raises(self):
         cfg = quiet_scenario(duration=5.0, counts={Constellation.GPS: 31})
         truth, epochs, states = run_scenario(cfg)
         sats = sorted(detect_cycle_slips(epochs[0], epochs[2]),
                       key=lambda s: s.sort_key())[:3]
-        sd_phase = time_single_difference(epochs[0], epochs[2], sats)
+        thin = [Epoch(epochs[k].time, [epochs[k].get(s) for s in sats])
+                for k in (0, 2)]
         corr = truth_corrections(cfg, epochs, states, truth)
         with pytest.raises(InsufficientSatellites):
-            form_double_differences(sd_phase, epochs[0], epochs[2],
-                                    corr[0], corr[2])
+            form_double_differences(thin[0], thin[1], corr[0], corr[2])
 
 
 class TestFloatBaseline:
     def _dd(self, cfg, i, j):
         truth, epochs, states = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[i], epochs[j])
-        sd_phase = time_single_difference(epochs[i], epochs[j], sats)
         corr = truth_corrections(cfg, epochs, states, truth)
-        return form_double_differences(sd_phase, epochs[i], epochs[j],
-                                       corr[i], corr[j])
+        return form_double_differences(epochs[i], epochs[j], corr[i], corr[j])
 
     def test_dd_covariance_single_reference_formula(self):
-        from gnssgraph.trrtk import _dd_covariance
-        dd = self._dd(quiet_scenario(duration=10.0), 0, 5)
-        assert len(dd.reference) == 3
-        for ref_sigma, attr in ((dd.ref_sigma_phase, "sigma_phase"),
-                                (dd.ref_sigma_code_past, "sigma_code_past"),
-                                (dd.ref_sigma_code_current,
-                                 "sigma_code_current")):
-            m = len(dd.entries)
+        """The DD set's weights are those of the single-reference
+        covariance: the reference's variance wherever two DDs share a
+        reference, plus the satellite's own variance on the diagonal."""
+        cfg = quiet_scenario(duration=10.0)
+        truth, epochs, states = run_scenario(cfg)
+        corr = truth_corrections(cfg, epochs, states, truth)
+        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        rows = np.flatnonzero(dd.rows[0])
+        refs = dd.reference[0, rows]
+        assert len(set(refs)) == 3
+        c = TrRtkConfig()
+
+        def sin_el(k, sat):
+            return np.sin(corr[k].elevation[corr[k].sats.index(sat)])
+
+        # per satellite: time-differenced phase, code past, code current
+        sigma = {dd.sats[k]: (
+            np.sqrt((c.phase_sigma / sin_el(0, dd.sats[k])) ** 2
+                    + (c.phase_sigma / sin_el(5, dd.sats[k])) ** 2),
+            c.code_sigma / sin_el(0, dd.sats[k]),
+            c.code_sigma / sin_el(5, dd.sats[k]))
+            for k in np.flatnonzero(dd.used[0])}
+        m = len(rows)
+        for block in range(3):
             expected = np.zeros((m, m))
-            for i, ei in enumerate(dd.entries):
-                sr = ref_sigma[ei.sat.constellation]
-                for j, ej in enumerate(dd.entries):
-                    if ej.reference == ei.reference:
+            for i in range(m):
+                sr = sigma[dd.sats[refs[i]]][block]
+                for j in range(m):
+                    if refs[j] == refs[i]:
                         expected[i, j] = sr ** 2
-                expected[i, i] = sr ** 2 + getattr(ei, attr) ** 2
-            assert np.array_equal(_dd_covariance(dd, ref_sigma, attr),
-                                  expected)
+                expected[i, i] = sr ** 2 + sigma[dd.sats[rows[i]]][block] ** 2
+            x = dd.observed[0, rows, block]
+            got = _weigh(dd.observed[..., block], dd.weight[..., block],
+                         dd.ref_weight[..., block], dd.spans)[0, rows]
+            want = np.linalg.solve(expected, x)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-3])
     def test_duplicated_geometry_is_singular(self, offset, monkeypatch):
         # every satellite at one position (plus `offset` m apart): the
         # lines of sight coincide, so the baseline is unobservable
         dd = self._dd(quiet_scenario(duration=10.0), 0, 5)
-        sats = list(dd.states_past)
+        first = np.flatnonzero(dd.used[0])[0]
 
-        def collapsed(states):
-            first = states[sats[0]]
-            return {s: replace(first, position=first.position + k * offset)
-                    for k, s in enumerate(sats)}
+        def collapsed(positions):
+            steps = np.arange(positions.shape[1])[None, :, None]
+            return positions[:, first:first + 1] + steps * offset
 
-        dd = replace(dd, states_past=collapsed(dd.states_past),
-                     states_current=collapsed(dd.states_current))
+        dd = replace(dd, sat_past=collapsed(dd.sat_past),
+                     sat_current=collapsed(dd.sat_current))
 
         def no_step(*args):
             raise AssertionError("stepped on singular normal equations")
@@ -273,18 +305,15 @@ class TestFloatBaseline:
         # refused by the check, before any Gauss-Newton step
         monkeypatch.setattr(np.linalg, "solve", no_step)
         with pytest.raises(SingularGeometry):
-            solve_float_baseline(dd)
+            solve_one(dd)
 
     def test_zero_baseline_static_pair(self):
         cfg = quiet_scenario(duration=10.0,
                              trajectory=TrajectoryConfig(kind="static"))
         truth, epochs, states = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[0], epochs[5])
-        sd_phase = time_single_difference(epochs[0], epochs[5], sats)
         corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(sd_phase, epochs[0], epochs[5],
-                                     corr[0], corr[5])
-        baseline, _, omega = solve_float_baseline(dd)
+        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        baseline, _, omega = solve_one(dd)
         assert np.linalg.norm(baseline) < 1e-6
         assert omega < 1e-6
 
@@ -292,12 +321,9 @@ class TestFloatBaseline:
         cfg = quiet_scenario(duration=40.0)
         truth, epochs, states = run_scenario(cfg)
         i, j = 5, 35
-        sats = detect_cycle_slips(epochs[i], epochs[j])
-        sd_phase = time_single_difference(epochs[i], epochs[j], sats)
         corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(sd_phase, epochs[i], epochs[j],
-                                     corr[i], corr[j])
-        baseline, _, _ = solve_float_baseline(dd)
+        dd = form_double_differences(epochs[i], epochs[j], corr[i], corr[j])
+        baseline, _, _ = solve_one(dd)
         expected = truth[j].position - truth[i].position
         assert np.linalg.norm(baseline - expected) < 1e-6
 
@@ -307,12 +333,10 @@ class TestFloatBaseline:
             cfg = quiet_scenario(duration=12.0, seed=int(seed),
                                  noise=NoiseConfig(0.3, 0.003, 0.02))
             truth, epochs, states = run_scenario(cfg)
-            sats = detect_cycle_slips(epochs[0], epochs[10])
-            sd_phase = time_single_difference(epochs[0], epochs[10], sats)
             corr = truth_corrections(cfg, epochs, states, truth)
-            dd = form_double_differences(sd_phase, epochs[0], epochs[10],
-                                         corr[0], corr[10])
-            _, cov, _ = solve_float_baseline(dd)
+            dd = form_double_differences(epochs[0], epochs[10], corr[0],
+                                         corr[10])
+            _, cov, _ = solve_one(dd)
             np.linalg.cholesky(cov)
 
 
@@ -406,11 +430,8 @@ class TestIntegrity:
         past, current = epochs[10], epochs[50]
         clean = estimate_baseline(past, current, corr[10], corr[50])
         assert clean.status is BaselineStatus.FIXED
-        sats = detect_cycle_slips(past, current)
-        dd = form_double_differences(
-            time_single_difference(past, current, sats), past, current,
-            corr[10], corr[50])
-        used = {e.sat for e in dd.entries} | set(dd.reference.values())
+        dd = form_double_differences(past, current, corr[10], corr[50])
+        used = {dd.sats[k] for k in np.flatnonzero(dd.used[0])}
         for sat in sorted(used, key=lambda s: s.sort_key()):
             for cycles in (1, -1, 2):
                 slipped = Epoch(current.time, [
@@ -481,3 +502,168 @@ class TestObservationInterval:
         assert again.baseline.tobytes() == tr.baseline.tobytes()
         with pytest.raises(InsufficientSatellites):
             estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
+
+
+def same_result(a, b) -> bool:
+    """Byte for byte the same TrRtkResult."""
+    return (a.status is b.status and a.p_value == b.p_value
+            and a.time_difference == b.time_difference
+            and a.dd_ambiguities == b.dd_ambiguities
+            and a.baseline.tobytes() == b.baseline.tobytes()
+            and a.covariance.tobytes() == b.covariance.tobytes())
+
+
+class TestPairLattice:
+    def test_coarse_spacing_attempts_each_pair_once(self):
+        """At 30 s spacing the 20/30, 45/60 and 80/100 s offsets are the
+        same observation step: that pair is attempted, and becomes a
+        factor, once."""
+        cfg = quiet_scenario(duration=300.0, rate=1.0 / 30.0)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        pairs = ([(i, j) for i, j, _ in result.trrtk_results]
+                 + [(i, j) for i, j, _ in result.trrtk_errors])
+        assert len(pairs) == len(set(pairs)) == result.trrtk_attempts > 0
+        fixed = {(i, j) for i, j, tr in result.trrtk_results
+                 if tr.status is BaselineStatus.FIXED}
+        assert len(result.graph.trrtk_factors) == len(fixed) > 0
+
+    def test_pairs_across_a_gap_keep_their_time_step(self):
+        cfg = quiet_scenario(duration=120.0)
+        truth, epochs, states = run_scenario(cfg)
+        keep = [k for k in range(len(epochs)) if not 50 <= k < 60]
+        epochs = [epochs[k] for k in keep]
+        states = [states[k] for k in keep]
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        assert result.trrtk_results
+        for i, j, tr in result.trrtk_results:
+            assert min(abs(tr.time_difference - step)
+                       for step in TR_PAIR_LATTICE) < 1e-6, (i, j)
+
+    def test_every_attempt_has_an_outcome(self):
+        cfg = quiet_scenario(duration=120.0)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo,
+            trrtk=TrRtkConfig(max_time_difference=50.0)))
+        window = {(i, j) for i, j, name in result.trrtk_errors
+                  if name == "WindowExceeded"}
+        assert window == {(j - step, j) for j in range(len(epochs))
+                          for step in (60, 80, 100) if j >= step}
+        assert (len(result.trrtk_results) + len(result.trrtk_errors)
+                == result.trrtk_attempts)
+
+
+class TestPairBlocks:
+    @pytest.fixture(scope="class")
+    def square(self):
+        square = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
+        cfg = ScenarioConfig(
+            duration=200.0,
+            trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                        waypoints=square), seed=4)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        corr = corrections_at(cfg, epochs, states,
+                              [spp.position for spp in result.spp_solutions])
+        return epochs, corr, result
+
+    def test_lattice_pairs_match_the_pair_alone(self, square, monkeypatch):
+        epochs, corr, result = square
+        assert len(result.trrtk_results) == result.trrtk_attempts > 1000
+        for i, j, tr in result.trrtk_results:
+            assert same_result(tr, estimate_baseline(epochs[i], epochs[j],
+                                                     corr[i], corr[j])), (i, j)
+        monkeypatch.setattr(trrtk, "BLOCK_PAIRS", 7)
+        pairs = [(i, j) for i, j, _ in result.trrtk_results]
+        again = solve_pairs(stack_session(epochs, corr), pairs)
+        assert all(same_result(a, tr) for a, (_, _, tr)
+                   in zip(again, result.trrtk_results))
+
+    def test_failures_stay_with_their_pair(self, square):
+        epochs, corr, _ = square
+        # each epoch in one pair, all pairs in one block
+        pairs = [(k, k + 30) for k in range(30)]
+        session = stack_session(epochs, corr)
+        clean = solve_pairs(session, pairs)
+        assert all(isinstance(r, TrRtkResult) for r in clean)
+        epochs, corr = list(epochs), list(corr)
+        # pair 3: a satellite 500 km from the receiver
+        near = corr[33].sat_position.copy()
+        near[0] = corr[33].position + [5e5, 0.0, 0.0]
+        corr[33] = replace(corr[33], sat_position=near)
+        # pair 7: every lock count reset
+        epochs[37] = Epoch(epochs[37].time, [
+            replace(o, lock_count=0) for o in epochs[37].observations])
+        # pair 11: every satellite at one position
+        for k in (11, 41):
+            corr[k] = replace(corr[k], sat_position=np.repeat(
+                corr[k].sat_position[:1], len(corr[k].sats), axis=0))
+        dirty = solve_pairs(stack_session(epochs, corr), pairs)
+        failed = {3: DegenerateGeometry, 7: InsufficientSatellites,
+                  11: SingularGeometry}
+        for k, (a, b) in enumerate(zip(clean, dirty)):
+            if k in failed:
+                assert type(b) is failed[k]
+            else:
+                assert same_result(a, b), k
+
+
+def exact_solve(cov, rhs):
+    """cov^-1 rhs by Gauss-Jordan elimination in exact rational arithmetic,
+    cov (m, m) and rhs (m, k) given as Fractions."""
+    m = len(cov)
+    rows = [list(cov[i]) + list(rhs[i]) for i in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
+    return np.array([[float(v) for v in row[m:]] for row in rows])
+
+
+class TestShermanMorrison:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_closed_form_weight_is_the_dense_inverse(self, data):
+        """The closed-form W x equals the inverse of the dense block-diagonal
+        covariance of 1-3 reference groups, block g diag(own) + ref_g 11^T,
+        applied to x, within 1e-12 relative. The reference is solved in
+        exact arithmetic: at variance ratios near 1e6, np.linalg.inv of the
+        float64 matrix is itself up to ~2e-10 off, and own + ref rounds."""
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1,
+                                   max_size=3))
+        variance = st.floats(1e-6, 1.0)
+        m = sum(sizes)
+        own = np.array(data.draw(st.lists(variance, min_size=m, max_size=m)))
+        ref = np.array(data.draw(st.lists(variance, min_size=len(sizes),
+                                          max_size=len(sizes))))
+        starts = np.cumsum([0] + sizes).tolist()
+        spans = tuple(zip(starts[:-1], starts[1:]))
+        cov = [[Fraction(0)] * m for _ in range(m)]
+        for (a, b), r in zip(spans, ref):
+            for i in range(a, b):
+                for j in range(a, b):
+                    cov[i][j] = Fraction(r) + (Fraction(own[i]) if i == j
+                                               else 0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        vector, jacobian = rng.normal(size=m), rng.normal(size=(m, 6))
+        want = exact_solve(cov, [[Fraction(v) for v in row] for row in
+                                 np.column_stack([vector, jacobian])])
+        got_vector = _weigh(vector[None], 1.0 / own[None], 1.0 / ref[None],
+                            spans)[0]
+        got_jacobian = _weigh(jacobian[None], (1.0 / own)[None, :, None],
+                              (1.0 / ref)[None, :, None], spans)[0]
+        for got, expected in ((got_vector, want[:, 0]),
+                              (got_jacobian, want[:, 1:])):
+            assert (np.linalg.norm(got - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
