@@ -20,9 +20,8 @@ from .fileio import (TrajectoryRecord, TrajectoryStatus, export_graph_json,
                      write_trajectory_csv)
 from .geometry import EpochGeometry
 from .gnsstime import GpsTime
-from .graph import (Graph, GraphConfig, OptimizerReport, PriorFactor,
-                    PseudorangeFactor, TrRtkFactor, VelocityFactor,
-                    build_graph, evaluate_cost, optimize)
+from .graph import (Graph, GraphConfig, OptimizerReport, build_graph,
+                    evaluate_cost, optimize)
 from .metrics import EvaluationReport, compute_ape, compute_rpe, evaluate
 from .pipeline import PipelineConfig, PipelineResult, solve_trajectory
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,

@@ -95,57 +95,55 @@ def read_trajectory_csv(stream, week: int = 0) -> list[TrajectoryRecord]:
     return records
 
 
+def _edges(kind: str, **columns) -> list:
+    """One edge of type `kind` per row of the equal-length `columns`."""
+    return [{"type": kind, **dict(zip(columns, row))}
+            for row in zip(*columns.values())]
+
+
 def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
                       report=None) -> None:
-    """Dump the factor graph for external inspection or plotting.
-
-    `states` defaults to the stored initial states; pass the optimizer
-    output to export the solved trajectory.
+    """Dump the factor graph for external inspection or plotting: one
+    edge per factor, velocity, trrtk, pseudorange then prior, with the
+    current rows. `states` defaults to the stored initial states; pass
+    the optimizer output to export the solved trajectory.
     """
+    def eigenvalues(information):
+        return np.round(np.sort(np.linalg.eigvalsh(information)), 9).tolist()
+
     x = graph.initial_states if states is None else states
-    nodes = [{
-        "index": k,
-        "position": list(np.round(graph.reference_position + x[k, :3], 6)),
-        "clocks": list(np.round(x[k, 3:], 6)),
-    } for k in range(x.shape[0])]
-
-    def eigenvalues(info):
-        return list(np.round(np.sort(np.linalg.eigvalsh(info)), 9))
-
-    edges = []
-    for f in graph.velocity_factors:
-        edges.append({"type": "velocity", "nodes": [f.node_i, f.node_j],
-                      "measurement": list(f.measured_velocity),
-                      "dt": f.dt,
-                      "information_eigenvalues": eigenvalues(f.information)})
-    for f in graph.trrtk_factors:
-        edges.append({"type": "trrtk",
-                      "nodes": [f.node_past, f.node_current],
-                      "measurement": list(f.baseline),
-                      "time_difference": f.time_difference,
-                      "information_eigenvalues": eigenvalues(f.information)})
-    for f in graph.pseudorange_factors:
-        edges.append({"type": "pseudorange", "nodes": [f.node],
-                      "satellite": str(f.sat),
-                      "measurement": f.corrected_measurement,
-                      "information_eigenvalues": [f.information]})
-    for f in graph.priors:
-        edges.append({"type": "prior", "nodes": [f.node],
-                      "indices": [int(i) for i in f.indices],
-                      "measurement": list(f.values),
-                      "information_eigenvalues": sorted(map(float,
-                                                            f.information))})
-    payload = {"reference_position": list(graph.reference_position),
+    nodes = [{"index": k, "position": position, "clocks": clocks}
+             for k, (position, clocks) in enumerate(zip(
+                 np.round(graph.reference_position + x[:, :3], 6).tolist(),
+                 np.round(x[:, 3:], 6).tolist()))]
+    vel, tr = graph.velocity_factors, graph.trrtk_factors
+    pr, priors = graph.pseudorange_factors, graph.priors
+    indices, values, information = (
+        [rows.tolist() for rows in np.split(column, priors.start[1:])]
+        for column in (priors.index, priors.value, priors.information))
+    edges = (
+        _edges("velocity", nodes=vel.nodes.tolist(),
+               measurement=vel.velocity.tolist(), dt=vel.dt.tolist(),
+               information_eigenvalues=eigenvalues(vel.information))
+        + _edges("trrtk", nodes=tr.nodes.tolist(),
+                 measurement=tr.baseline.tolist(),
+                 time_difference=tr.time_difference.tolist(),
+                 information_eigenvalues=eigenvalues(tr.information))
+        + _edges("pseudorange", nodes=pr.node[:, None].tolist(),
+                 satellite=list(map(str, pr.sat)),
+                 measurement=pr.constant.tolist(),
+                 information_eigenvalues=pr.information[:, None].tolist())
+        + _edges("prior", nodes=priors.node[priors.start, None].tolist(),
+                 indices=indices, measurement=values,
+                 information_eigenvalues=list(map(sorted, information))))
+    payload = {"reference_position": graph.reference_position.tolist(),
                "nodes": nodes, "edges": edges}
     if report is not None:
         payload["optimizer"] = {
-            "initial_cost": report.initial_cost,
-            "final_cost": report.final_cost,
-            "iterations": report.iterations,
-            "converged": report.converged,
-        }
+            name: getattr(report, name) for name in
+            ("initial_cost", "final_cost", "iterations", "converged")}
     try:
-        json.dump(payload, stream, indent=1)
+        stream.write(json.dumps(payload))
     except (OSError, TypeError) as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -155,12 +153,13 @@ SAT_STATE_COLUMNS = ("tow", "sat", "x", "y", "z", "vx", "vy", "vz",
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
-    """Satellite-state sidecar aligned with a RINEX observation file."""
+    """Sidecar of the states of the satellites each epoch observed."""
     try:
         writer = csv.writer(stream)
         writer.writerow(SAT_STATE_COLUMNS)
         for epoch, states in zip(epochs, sat_states):
-            for sat in sorted(states, key=lambda s: s.sort_key()):
+            for sat in sorted(epoch.sat_ids & states.keys(),
+                              key=lambda s: s.sort_key()):
                 st = states[sat]
                 writer.writerow(
                     [f"{epoch.time.tow:.3f}", str(sat)]

@@ -5,11 +5,19 @@ from the reference (start) position plus four receiver clock terms in
 meters -- the GPS clock and three inter-system biases. Velocity factors
 chain consecutive nodes, time-relative baseline factors close loops,
 and pseudorange factors anchor the absolute position and clocks.
+
+The graph stores each factor type as one table of arrays, row k of
+every array belonging to factor k, and the optimizer works on those
+arrays themselves: the cost, the whitened system and the
+relinearization of moved pseudorange rows (in place) read the tables,
+and `export_graph_json` writes them. `table[k]` is a view of factor k,
+which the per-factor `residual_*` reference functions take.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,48 +34,88 @@ from .types import CONSTELLATION_INDEX, Constellation
 STATE_DIM = 7
 
 
-@dataclass
-class VelocityFactor:
-    node_i: int
-    node_j: int                        # j = i + 1
-    measured_velocity: np.ndarray      # [m/s]
-    dt: float                          # [s]
-    information: np.ndarray            # 3x3 [1/m^2]
+class _Table:
+    """Factors of one type as equal-length arrays: `len` is the factor
+    count, and `table[k]` a view whose attributes are row k of each
+    (iterating a table visits the views in order)."""
+
+    def __len__(self) -> int:
+        return len(self.information)
+
+    def __getitem__(self, k: int) -> SimpleNamespace:
+        return SimpleNamespace(**{f.name: getattr(self, f.name)[k]
+                                  for f in fields(self)})
 
 
 @dataclass
-class TrRtkFactor:
-    node_past: int
-    node_current: int
-    baseline: np.ndarray               # past -> current [m]
-    information: np.ndarray            # 3x3
-    time_difference: float             # [s]
+class VelocityFactors(_Table):
+    """Doppler velocity edges: node `nodes[k, 1]` = `nodes[k, 0]` + 1 lies
+    `velocity[k] * dt[k]` from it."""
+
+    nodes: np.ndarray                  # (v, 2)
+    velocity: np.ndarray               # (v, 3) [m/s]
+    dt: np.ndarray                     # (v,) [s]
+    information: np.ndarray            # (v, 3, 3) [1/m^2]
 
 
 @dataclass
-class PseudorangeFactor:
-    """Linearized pseudorange row; relinearizable around a new offset."""
+class TrRtkFactors(_Table):
+    """Loop closures: node `nodes[k, 1]` lies `baseline[k]` from node
+    `nodes[k, 0]`, `time_difference[k]` later."""
 
-    node: int
-    sat: object
-    row: np.ndarray                    # 7-vector H
-    corrected_measurement: float       # [m], consistent with `row`
-    information: float                 # scalar 1/m^2
-    sat_state: object = None
-    measured_corr: float = 0.0         # rho + c*dT_sat - iono - tropo
-    lin_offset: np.ndarray | None = None
+    nodes: np.ndarray                  # (t, 2) past, current
+    baseline: np.ndarray               # (t, 3) past -> current [m]
+    time_difference: np.ndarray        # (t,) [s]
+    information: np.ndarray            # (t, 3, 3) [1/m^2]
 
-    def relinearize(self, offset: np.ndarray, reference: np.ndarray) -> None:
-        """Rebuild the row and constant around a new position offset."""
-        _relinearize_factors([self], np.array(offset, dtype=float)[None],
-                             reference)
+
+@dataclass
+class PseudorangeFactors(_Table):
+    """Pseudorange rows `row` . x[node] = `constant`, linearized at the
+    position offset `lin_offset` from the corrected pseudorange
+    `measured` (rho + c*dT_sat - iono - tropo) of satellite `sat` at
+    `sat_position`; `slot` is its constellation's clock column."""
+
+    node: np.ndarray                   # (p,)
+    sat: tuple                         # (p,) SatelliteId
+    sat_position: np.ndarray           # (p, 3) [m]
+    slot: np.ndarray                   # (p,) CONSTELLATION_INDEX
+    measured: np.ndarray               # (p,) [m]
+    row: np.ndarray                    # (p, 7) H
+    constant: np.ndarray               # (p,) [m], consistent with `row`
+    information: np.ndarray            # (p,) [1/m^2]
+    lin_offset: np.ndarray             # (p, 3) [m]
+
+
+@dataclass
+class Priors(_Table):
+    """Prior rows x[node, index] = value; the rows from `start[e]` to the
+    next start form prior edge e, whose view has arrays for all but
+    `node`."""
+
+    node: np.ndarray                   # (q,)
+    index: np.ndarray                  # (q,) state component
+    value: np.ndarray                  # (q,) [m]
+    information: np.ndarray            # (q,) [1/m^2]
+    start: np.ndarray                  # (e,) first row of each edge
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, e: int) -> SimpleNamespace:
+        end = self.start[e + 1] if e + 1 < len(self.start) else len(self.node)
+        rows = slice(self.start[e], end)
+        return SimpleNamespace(node=self.node[rows.start],
+                               index=self.index[rows],
+                               value=self.value[rows],
+                               information=self.information[rows])
 
 
 def _linearization(unit, ranges, slots, measured, offsets):
     """Rows H and constants of pseudorange factors linearized at the
     position offsets `offsets` (one row each), where the satellites have
     unit vectors `unit`, ranges `ranges`, constellation slots `slots`
-    and corrected pseudoranges `measured` (`measured_corr`)."""
+    and corrected pseudoranges `measured`."""
     rows = np.zeros((len(unit), STATE_DIM))
     rows[:, :3] = -unit
     rows[:, 3] = 1.0                   # GPS clock
@@ -76,39 +124,14 @@ def _linearization(unit, ranges, slots, measured, offsets):
     return rows, constants
 
 
-def _relinearize_factors(factors: list, offsets: np.ndarray,
-                         reference: np.ndarray) -> None:
-    """Relinearize pseudorange factors, each at its row of `offsets`."""
-    unit, ranges = lines_of_sight(
-        reference + offsets,
-        np.array([f.sat_state.position for f in factors]))
-    rows, constants = _linearization(
-        unit, ranges,
-        np.array([CONSTELLATION_INDEX[f.sat.constellation] for f in factors]),
-        np.array([f.measured_corr for f in factors]), offsets)
-    for f, row, constant, offset in zip(factors, rows, constants.tolist(),
-                                        offsets):
-        f.row = row
-        f.corrected_measurement = constant
-        f.lin_offset = offset
-
-
-@dataclass
-class PriorFactor:
-    node: int
-    indices: np.ndarray                # state components constrained
-    values: np.ndarray                 # [m]
-    information: np.ndarray            # diagonal entries [1/m^2]
-
-
 @dataclass
 class Graph:
     reference_position: np.ndarray
     initial_states: np.ndarray         # (n, 7)
-    velocity_factors: list
-    trrtk_factors: list
-    pseudorange_factors: list
-    priors: list
+    velocity_factors: VelocityFactors
+    trrtk_factors: TrRtkFactors
+    pseudorange_factors: PseudorangeFactors
+    priors: Priors
 
 
 @dataclass
@@ -156,11 +179,13 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
         raise MissingVelocity(
             f"{len(velocities)} velocity solutions for {n} epochs")
 
+    dt = np.array([b.time - a.time for a, b in zip(epochs, epochs[1:])],
+                  dtype=float)
+    velocity = np.array([v.velocity for v in velocities[:n - 1]],
+                        dtype=float).reshape(-1, 3)
     reference = np.asarray(spp_solutions[0].position, dtype=float)
     states = np.zeros((n, STATE_DIM))
-    for k in range(1, n):
-        dt = epochs[k].time - epochs[k - 1].time
-        states[k, :3] = states[k - 1, :3] + velocities[k - 1].velocity * dt
+    states[1:, :3] = np.cumsum(velocity * dt[:, None], axis=0)
     for k, spp in enumerate(spp_solutions):
         biases = spp.clock_biases
         gps = biases.get(Constellation.GPS, 0.0)
@@ -170,192 +195,141 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
             if slot:
                 states[k, 3 + slot] = bias - gps
 
-    velocity_factors = []
-    for k in range(n - 1):
-        dt = epochs[k + 1].time - epochs[k].time
-        cov = velocities[k].covariance * dt * dt
-        # V_k*dt is a left-endpoint rule; inflate by the acceleration term
-        # it drops so corners do not bias the solution
-        nxt = velocities[min(k + 1, n - 2)].velocity
-        disc = 0.5 * np.linalg.norm(nxt - velocities[k].velocity) * dt
-        cov = cov + disc * disc * np.eye(3)
-        velocity_factors.append(VelocityFactor(
-            k, k + 1, velocities[k].velocity.copy(), dt, np.linalg.inv(cov)))
+    span = dt[:, None, None]
+    cov = (np.array([v.covariance for v in velocities[:n - 1]],
+                    dtype=float).reshape(-1, 3, 3) * span * span)
+    # V_k*dt is a left-endpoint rule; inflate by the acceleration term
+    # it drops so corners do not bias the solution (each norm a dot
+    # product, as np.linalg.norm takes one vector's)
+    change = velocity[np.minimum(np.arange(1, n), n - 2)] - velocity
+    disc = 0.5 * np.sqrt(change[:, None, :] @ change[:, :, None])[:, 0, 0] * dt
+    cov = cov + (disc * disc)[:, None, None] * np.eye(3)
+    velocity_factors = VelocityFactors(
+        nodes=np.column_stack([np.arange(n - 1), np.arange(1, n)]),
+        velocity=velocity, dt=dt, information=np.linalg.inv(cov))
 
-    trrtk_factors = []
-    for past, current, result in trrtk_results:
-        if result.status is not BaselineStatus.FIXED:
-            continue
-        trrtk_factors.append(TrRtkFactor(
-            past, current, result.baseline.copy(),
-            np.linalg.inv(result.covariance), result.time_difference))
+    fixed = [(i, j, result) for i, j, result in trrtk_results
+             if result.status is BaselineStatus.FIXED]
+    trrtk_factors = TrRtkFactors(
+        nodes=np.array([(i, j) for i, j, _ in fixed],
+                       dtype=int).reshape(-1, 2),
+        baseline=np.array([r.baseline for _, _, r in fixed],
+                          dtype=float).reshape(-1, 3),
+        time_difference=np.array([r.time_difference for _, _, r in fixed],
+                                 dtype=float),
+        information=np.linalg.inv(np.array(
+            [r.covariance for _, _, r in fixed],
+            dtype=float).reshape(-1, 3, 3)))
 
-    pseudorange_factors = []
+    # one part per epoch, its satellites above the mask; the first part
+    # is empty so that a graph without pseudorange factors has one too
+    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0, dtype=int),
+              np.zeros(0), np.zeros((0, STATE_DIM)), np.zeros(0),
+              np.zeros(0))]
+    sats = []
     observed = np.zeros((n, 4), dtype=bool)
-    if config.use_pseudorange:
-        for k, epoch in enumerate(epochs):
-            offset = states[k, :3]
-            geometry = EpochGeometry(epoch, sat_states[k], iono,
-                                     tropo).at(reference + offset)
-            rows = geometry.above(solver.elevation_mask)
-            geometry.require_delays(rows)
-            geometry.require_ranges(rows)
-            information = 1.0 / pseudorange_variance(
-                geometry.elevation[rows], config=solver)
-            measured = geometry.corrected_code[rows]
-            offsets = np.tile(offset, (len(rows), 1))
-            jac_rows, constants = _linearization(
-                geometry.unit[rows], geometry.range[rows],
-                geometry.slot[rows], measured, offsets)
-            pseudorange_factors += [
-                PseudorangeFactor(
-                    node=k, sat=geometry.sats[r], row=row,
-                    corrected_measurement=constant, information=info,
-                    sat_state=geometry.states[r], measured_corr=corr,
-                    lin_offset=lin)
-                for r, row, constant, info, corr, lin in zip(
-                    rows.tolist(), jac_rows, constants.tolist(),
-                    information.tolist(), measured.tolist(), offsets)]
-            observed[k, 0] = len(rows) > 0
-            observed[k, geometry.slot[rows]] = True
+    for k, epoch in enumerate(epochs if config.use_pseudorange else ()):
+        offset = states[k, :3]
+        geometry = EpochGeometry(epoch, sat_states[k], iono,
+                                 tropo).at(reference + offset)
+        rows = geometry.above(solver.elevation_mask)
+        geometry.require_delays(rows)
+        geometry.require_ranges(rows)
+        measured = geometry.corrected_code[rows]
+        jacobian, constants = _linearization(
+            geometry.unit[rows], geometry.range[rows], geometry.slot[rows],
+            measured, np.tile(offset, (len(rows), 1)))
+        parts.append((np.full(len(rows), k), geometry.sat_position[rows],
+                      geometry.slot[rows], measured, jacobian, constants,
+                      geometry.elevation[rows]))
+        sats += [geometry.sats[r] for r in rows]
+        observed[k, 0] = len(rows) > 0
+        observed[k, geometry.slot[rows]] = True
+    node, sat_position, slot, measured, jacobian, constants, elevation = (
+        np.concatenate(column) for column in zip(*parts))
+    pseudorange_factors = PseudorangeFactors(
+        node=node, sat=tuple(sats), sat_position=sat_position, slot=slot,
+        measured=measured, row=jacobian, constant=constants,
+        information=1.0 / pseudorange_variance(elevation, config=solver),
+        lin_offset=states[node, :3])
 
-    priors = [PriorFactor(
-        node=0, indices=np.arange(3), values=states[0, :3].copy(),
-        information=np.full(3, 1.0 / config.node0_prior_sigma ** 2))]
-    info_clock = 1.0 / config.clock_prior_sigma ** 2
-    for k in range(n):
-        free = [3 + slot for slot in range(4) if not observed[k, slot]]
-        if free:
-            priors.append(PriorFactor(
-                node=k, indices=np.array(free),
-                values=states[k, free].copy(),
-                information=np.full(len(free), info_clock)))
+    # the first node's position, then per node its unobserved clock slots
+    free_node, free_slot = np.nonzero(~observed)
+    prior_node = np.concatenate([np.zeros(3, dtype=int), free_node])
+    prior_index = np.concatenate([np.arange(3), 3 + free_slot])
+    priors = Priors(
+        node=prior_node, index=prior_index,
+        value=states[prior_node, prior_index],
+        information=np.concatenate([
+            np.full(3, 1.0 / config.node0_prior_sigma ** 2),
+            np.full(len(free_node), 1.0 / config.clock_prior_sigma ** 2)]),
+        start=np.concatenate([
+            [0], 3 + np.flatnonzero(np.diff(free_node, prepend=-1))]))
 
     return Graph(reference, states, velocity_factors, trrtk_factors,
                  pseudorange_factors, priors)
 
 
-def residual_velocity(f: VelocityFactor, xi, xj) -> np.ndarray:
+def residual_velocity(f, xi, xj) -> np.ndarray:
     xi = np.asarray(xi)
     xj = np.asarray(xj)
-    return (xj[:3] - xi[:3]) - f.measured_velocity * f.dt
+    return (xj[:3] - xi[:3]) - f.velocity * f.dt
 
 
-def residual_trrtk(f: TrRtkFactor, x_past, x_cur) -> np.ndarray:
+def residual_trrtk(f, x_past, x_cur) -> np.ndarray:
     x_past = np.asarray(x_past)
     x_cur = np.asarray(x_cur)
     return (x_cur[:3] - x_past[:3]) - f.baseline
 
 
-def residual_pseudorange(f: PseudorangeFactor, x) -> float:
-    return float(f.row @ np.asarray(x) - f.corrected_measurement)
+def residual_pseudorange(f, x) -> float:
+    return float(f.row @ np.asarray(x) - f.constant)
 
 
-def residual_prior(f: PriorFactor, x) -> np.ndarray:
-    return np.asarray(x)[f.indices] - f.values
+def residual_prior(f, x) -> np.ndarray:
+    return np.asarray(x)[f.index] - f.value
 
 
-@dataclass(frozen=True)
-class _Stacked:
-    """A graph's factors as arrays, in the order of its factor lists.
-
-    Velocity and TR-RTK factors have one form, "between" factors: the
-    position change from node `between_nodes[:, 0]` to node
-    `between_nodes[:, 1]` minus `between_measured`, with information
-    `between_information` = `between_sqrt`^T `between_sqrt`. Pseudorange
-    factors are rows `pr_row` with constants `pr_constant`. Priors have
-    one row per constrained state component.
-    """
-
-    between_nodes: np.ndarray          # (b, 2)
-    between_measured: np.ndarray       # (b, 3) [m]
-    between_information: np.ndarray    # (b, 3, 3)
-    between_sqrt: np.ndarray           # (b, 3, 3) upper triangular
-    pr_node: np.ndarray                # (p,)
-    pr_row: np.ndarray                 # (p, 7)
-    pr_constant: np.ndarray            # (p,) [m]
-    pr_information: np.ndarray         # (p,)
-    pr_lin_offset: np.ndarray          # (p, 3) [m]
-    prior_node: np.ndarray             # (q,)
-    prior_index: np.ndarray            # (q,) state component
-    prior_value: np.ndarray            # (q,)
-    prior_information: np.ndarray      # (q,)
-
-
-def _stack(graph: Graph) -> _Stacked:
-    """Stack the graph's factor lists as they are now."""
+def _residuals(graph: Graph, states: np.ndarray):
+    """The between factors (velocity, then TR-RTK) as position changes:
+    their nodes (b, 2) and information (b, 3, 3); then the residuals of
+    the between, pseudorange and prior rows."""
     vel, tr = graph.velocity_factors, graph.trrtk_factors
-    prs, priors = graph.pseudorange_factors, graph.priors
-    information = np.array([f.information for f in vel]
-                           + [f.information for f in tr],
-                           dtype=float).reshape(-1, 3, 3)
-    return _Stacked(
-        between_nodes=np.array([(f.node_i, f.node_j) for f in vel]
-                               + [(f.node_past, f.node_current) for f in tr],
-                               dtype=int).reshape(-1, 2),
-        between_measured=np.array([f.measured_velocity * f.dt for f in vel]
-                                  + [f.baseline for f in tr],
-                                  dtype=float).reshape(-1, 3),
-        between_information=information,
-        between_sqrt=np.linalg.cholesky(information).transpose(0, 2, 1),
-        pr_node=np.array([f.node for f in prs], dtype=int),
-        pr_row=np.array([f.row for f in prs],
-                        dtype=float).reshape(-1, STATE_DIM),
-        pr_constant=np.array([f.corrected_measurement for f in prs],
-                             dtype=float),
-        pr_information=np.array([f.information for f in prs], dtype=float),
-        pr_lin_offset=np.array([f.lin_offset for f in prs],
-                               dtype=float).reshape(-1, 3),
-        prior_node=np.array([f.node for f in priors for _ in f.indices],
-                            dtype=int),
-        prior_index=np.array([i for f in priors for i in f.indices],
-                             dtype=int),
-        prior_value=np.array([v for f in priors for v in f.values],
-                             dtype=float),
-        prior_information=np.array([w for f in priors
-                                    for w in f.information], dtype=float))
+    pr, priors = graph.pseudorange_factors, graph.priors
+    nodes = np.concatenate([vel.nodes, tr.nodes])
+    information = np.concatenate([vel.information, tr.information])
+    measured = np.concatenate([vel.velocity * vel.dt[:, None], tr.baseline])
+    between = (states[nodes[:, 1], :3] - states[nodes[:, 0], :3]) - measured
+    pseudorange = (np.einsum("ij,ij->i", pr.row, states[pr.node])
+                   - pr.constant)
+    prior = states[priors.node, priors.index] - priors.value
+    return nodes, information, between, pseudorange, prior
 
 
-def _residuals(stacked: _Stacked, states: np.ndarray):
-    """Residuals of the between, pseudorange and prior rows."""
-    nodes = stacked.between_nodes
-    between = ((states[nodes[:, 1], :3] - states[nodes[:, 0], :3])
-               - stacked.between_measured)
-    pseudorange = (np.einsum("ij,ij->i", stacked.pr_row,
-                             states[stacked.pr_node])
-                   - stacked.pr_constant)
-    prior = (states[stacked.prior_node, stacked.prior_index]
-             - stacked.prior_value)
-    return between, pseudorange, prior
-
-
-def evaluate_cost(graph: Graph, states, stacked: _Stacked | None = None
-                  ) -> float:
-    """Sum of e^T Omega e over all factors and priors.
-
-    `stacked` is the optimizer's `_stack(graph)` of the current
-    linearization; without it the graph's lists are stacked here.
-    """
-    stacked = _stack(graph) if stacked is None else stacked
-    between, pseudorange, prior = _residuals(stacked, np.asarray(states))
+def evaluate_cost(graph: Graph, states) -> float:
+    """Sum of e^T Omega e over all factors and priors."""
+    _, information, between, pseudorange, prior = _residuals(
+        graph, np.asarray(states))
     return float(
-        np.einsum("ni,nij,nj->", between, stacked.between_information,
-                  between)
-        + stacked.pr_information @ (pseudorange * pseudorange)
-        + stacked.prior_information @ (prior * prior))
+        np.einsum("ni,nij,nj->", between, information, between)
+        + graph.pseudorange_factors.information @ (pseudorange * pseudorange)
+        + graph.priors.information @ (prior * prior))
 
 
-def _whitened_system(stacked: _Stacked, states: np.ndarray):
+def _whitened_system(graph: Graph, states: np.ndarray):
     """Whitened residual vector and sparse Jacobian of the full problem.
 
-    Rows come in the order of the factor lists: three per between
-    factor, one per pseudorange factor, one per prior component.
+    Rows come in the order of the factor tables: three per between
+    factor (velocity, then TR-RTK), one per pseudorange factor, one per
+    prior row.
     """
-    between, pseudorange, prior = _residuals(stacked, states)
-    sqrt = stacked.between_sqrt
+    nodes, information, between, pseudorange, prior = _residuals(graph,
+                                                                 states)
+    pr, priors = graph.pseudorange_factors, graph.priors
+    sqrt = np.linalg.cholesky(information).transpose(0, 2, 1)
     n_between, n_pr = len(between), len(pseudorange)
-    w_pr = np.sqrt(stacked.pr_information)
-    w_prior = np.sqrt(stacked.prior_information)
+    w_pr = np.sqrt(pr.information)
+    w_prior = np.sqrt(priors.information)
     residual = np.concatenate([
         np.matmul(sqrt, between[:, :, None])[:, :, 0].ravel(),
         w_pr * pseudorange, w_prior * prior])
@@ -364,22 +338,20 @@ def _whitened_system(stacked: _Stacked, states: np.ndarray):
     # second's, entry [f, r, c] in row 3f + r and column 7 node + c
     row_b = np.broadcast_to(np.arange(3 * n_between).reshape(-1, 3, 1),
                             sqrt.shape)
-    col_b = (STATE_DIM * stacked.between_nodes[:, :, None, None]
-             + np.arange(3))
+    col_b = STATE_DIM * nodes[:, :, None, None] + np.arange(3)
     col_b = np.broadcast_to(col_b, (n_between, 2, 3, 3))
     pr_base = 3 * n_between
     row_pr = np.broadcast_to(pr_base + np.arange(n_pr)[:, None],
-                             stacked.pr_row.shape)
-    col_pr = STATE_DIM * stacked.pr_node[:, None] + np.arange(STATE_DIM)
+                             pr.row.shape)
+    col_pr = STATE_DIM * pr.node[:, None] + np.arange(STATE_DIM)
     prior_base = pr_base + n_pr
     rows = np.concatenate([row_b.ravel(), row_b.ravel(), row_pr.ravel(),
                            prior_base + np.arange(len(prior))])
     cols = np.concatenate([
         col_b[:, 0].ravel(), col_b[:, 1].ravel(), col_pr.ravel(),
-        STATE_DIM * stacked.prior_node + stacked.prior_index])
+        STATE_DIM * priors.node + priors.index])
     data = np.concatenate([-sqrt.ravel(), sqrt.ravel(),
-                           (w_pr[:, None] * stacked.pr_row).ravel(),
-                           w_prior])
+                           (w_pr[:, None] * pr.row).ravel(), w_prior])
     keep = data != 0.0
     jacobian = sp.csr_matrix(
         (data[keep], (rows[keep], cols[keep])),
@@ -387,17 +359,22 @@ def _whitened_system(stacked: _Stacked, states: np.ndarray):
     return residual, jacobian
 
 
-def _relinearize(graph: Graph, stacked: _Stacked, states: np.ndarray,
-                 threshold: float) -> bool:
-    """Relinearize the pseudorange factors whose node moved more than
-    `threshold` from its linearization point; report whether any did."""
-    offsets = states[stacked.pr_node, :3]
+def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
+    """Relinearize in place the pseudorange rows whose node moved more
+    than `threshold` from their linearization point; report whether any
+    did."""
+    pr = graph.pseudorange_factors
+    offsets = states[pr.node, :3]
     moved = np.flatnonzero(
-        np.linalg.norm(offsets - stacked.pr_lin_offset, axis=1) > threshold)
+        np.linalg.norm(offsets - pr.lin_offset, axis=1) > threshold)
     if len(moved) == 0:
         return False
-    _relinearize_factors([graph.pseudorange_factors[k] for k in moved],
-                         offsets[moved], graph.reference_position)
+    offsets = offsets[moved]
+    unit, ranges = lines_of_sight(graph.reference_position + offsets,
+                                  pr.sat_position[moved])
+    pr.row[moved], pr.constant[moved] = _linearization(
+        unit, ranges, pr.slot[moved], pr.measured[moved], offsets)
+    pr.lin_offset[moved] = offsets
     return True
 
 
@@ -409,16 +386,13 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
     """
     config = config or GraphConfig()
     states = graph.initial_states.copy()
-    n_var = states.size
-
-    stacked = _stack(graph)
-    cost = evaluate_cost(graph, states, stacked)
+    cost = evaluate_cost(graph, states)
     report = OptimizerReport(initial_cost=cost, final_cost=cost,
                              iterations=0, converged=False, costs=[cost])
     radius = config.initial_radius
 
     for iteration in range(1, config.max_iterations + 1):
-        residual, jacobian = _whitened_system(stacked, states)
+        residual, jacobian = _whitened_system(graph, states)
         gradient = jacobian.T @ residual
         if np.linalg.norm(gradient, np.inf) < config.gradient_tolerance:
             report.converged = True
@@ -440,7 +414,7 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
         while radius > 1e-12:
             step = _dogleg_step(gn_step, sd_step, radius)
             trial = states + step.reshape(states.shape)
-            new_cost = evaluate_cost(graph, trial, stacked)
+            new_cost = evaluate_cost(graph, trial)
             # predicted reduction of the quadratic model
             predicted = -(2.0 * residual @ (jacobian @ step)
                           + step @ (normal @ step))
@@ -461,10 +435,8 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
         converged = (previous > 0
                      and (previous - cost) / max(previous, 1e-30)
                      < config.cost_tolerance)
-        if _relinearize(graph, stacked, states,
-                        config.relinearize_threshold):
-            stacked = _stack(graph)
-            cost = evaluate_cost(graph, states, stacked)
+        if _relinearize(graph, states, config.relinearize_threshold):
+            cost = evaluate_cost(graph, states)
         if converged:
             report.converged = True
             break

@@ -94,7 +94,9 @@ def solve_trajectory(epochs, sat_states,
     trrtk_errors = []
     pairs = []
     if config.use_trrtk:
-        interval = (epochs[1].time - epochs[0].time) if n > 1 else 1.0
+        # the median spacing: one gap does not change the time step
+        steps = [b.time - a.time for a, b in zip(epochs, epochs[1:])]
+        interval = float(np.median(steps)) if steps else 1.0
         pairs = lattice_pairs([e.time for e in epochs], config.pair_lattice,
                               interval)
         outcomes = solve_pairs(stack_session(epochs, corrections), pairs,

@@ -1,10 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gnssgraph.errors import EmptyInput, MissingVelocity
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.graph import (GraphConfig, PseudorangeFactor, TrRtkFactor,
-                             VelocityFactor, build_graph, evaluate_cost,
+from gnssgraph.graph import (GraphConfig, build_graph, evaluate_cost,
                              optimize, residual_pseudorange, residual_trrtk,
                              residual_velocity)
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
@@ -42,26 +43,26 @@ def random_state(rng):
 
 class TestResiduals:
     def test_velocity_zero_motion(self):
-        f = VelocityFactor(0, 1, np.zeros(3), 1.0, np.eye(3))
+        f = SimpleNamespace(velocity=np.zeros(3), dt=1.0)
         x = np.zeros(7)
         assert np.allclose(residual_velocity(f, x, x), 0.0)
 
     def test_velocity_exact_motion(self):
-        f = VelocityFactor(0, 1, np.array([2.5, 0.0, 0.0]), 1.0, np.eye(3))
+        f = SimpleNamespace(velocity=np.array([2.5, 0.0, 0.0]), dt=1.0)
         xi = np.zeros(7)
         xj = np.concatenate([[2.5, 0.0, 0.0], np.zeros(4)])
         assert np.allclose(residual_velocity(f, xi, xj), 0.0)
 
     def test_trrtk_exact(self):
         b = np.array([1.0, -2.0, 3.0])
-        f = TrRtkFactor(0, 5, b, np.eye(3), 5.0)
+        f = SimpleNamespace(baseline=b)
         xi = np.concatenate([[10.0, 0.0, 0.0], np.zeros(4)])
         xj = np.concatenate([[10.0, 0.0, 0.0] + b, np.zeros(4)])
         assert np.allclose(residual_trrtk(f, xi, xj), 0.0)
 
     def test_velocity_jacobian_structure(self):
         rng = np.random.default_rng(0)
-        f = VelocityFactor(0, 1, rng.normal(size=3), 1.0, np.eye(3))
+        f = SimpleNamespace(velocity=rng.normal(size=3), dt=1.0)
         xi, xj = random_state(rng), random_state(rng)
         base = residual_velocity(f, xi, xj)
         h = 1e-6
@@ -82,9 +83,7 @@ class TestResiduals:
         row[:3] = [0.5, -0.5, np.sqrt(0.5)]
         row[3] = 1.0
         row[3 + 2] = 1.0  # GAL slot
-        f = PseudorangeFactor(node=0, sat=SatelliteId(Constellation.GAL, 1),
-                              row=row, corrected_measurement=12.0,
-                              information=1.0)
+        f = SimpleNamespace(row=row, constant=12.0)
         x = np.zeros(7)
         base = residual_pseudorange(f, x)
         bump_gps = x.copy()
@@ -102,8 +101,8 @@ class TestBuildGraph:
         n = len(epochs)
         assert result.graph.initial_states.shape == (n, 7)
         assert len(result.graph.velocity_factors) == n - 1
-        assert all(f.node_j == f.node_i + 1
-                   for f in result.graph.velocity_factors)
+        nodes = result.graph.velocity_factors.nodes
+        assert np.array_equal(nodes[:, 1], nodes[:, 0] + 1)
         assert len(result.graph.pseudorange_factors) >= 8 * n
 
     def test_rejected_trrtk_not_added(self):
@@ -121,7 +120,26 @@ class TestBuildGraph:
         g = build_graph(epochs, states, vel, spp,
                         [(0, 5, rejected), (1, 6, fixed)])
         assert len(g.trrtk_factors) == 1
-        assert g.trrtk_factors[0].node_past == 1
+        assert g.trrtk_factors[0].nodes.tolist() == [1, 6]
+
+    def test_prior_edges(self):
+        """A position prior on node 0, then per node one edge on the
+        clock slots that none of its pseudorange rows observes."""
+        cfg = zero_noise_scenario(duration=10.0)
+        truth, epochs, states, result = build_from_scenario(cfg)
+        g = result.graph
+        pr = g.pseudorange_factors
+        expected = [(0, [0, 1, 2])]
+        for k in range(len(epochs)):
+            slots = set(pr.slot[pr.node == k].tolist())
+            observed = slots | {0} if slots else set()
+            free = [3 + slot for slot in range(4) if slot not in observed]
+            if free:
+                expected.append((k, free))
+        assert len(expected) > 1
+        assert [(f.node, f.index.tolist()) for f in g.priors] == expected
+        for f in g.priors:
+            assert np.array_equal(f.value, g.initial_states[f.node, f.index])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -140,8 +158,8 @@ class TestBuildGraph:
         cfg = zero_noise_scenario(duration=20.0)
         truth, epochs, states, result = build_from_scenario(cfg)
         g = result.graph
-        g.pseudorange_factors = []
-        g.priors = []
+        g.pseudorange_factors.information[:] = 0.0
+        g.priors.information[:] = 0.0
         base = evaluate_cost(g, result.states)
         shifted = result.states.copy()
         shifted[:, :3] += np.array([1.0, -2.0, 0.5])
@@ -153,6 +171,7 @@ class TestPseudorangeRows:
         from dataclasses import replace
 
         from gnssgraph.coords import line_of_sight
+        from gnssgraph.graph import _relinearize
         from gnssgraph.types import CONSTELLATION_INDEX
 
         cfg = zero_noise_scenario(duration=12.0,
@@ -161,32 +180,40 @@ class TestPseudorangeRows:
                       Constellation.BDS: 24}
         truth, epochs, states, result = build_from_scenario(cfg)
         g = result.graph
-        assert {f.sat.constellation for f in g.pseudorange_factors} == set(
-            cfg.counts)
-        for f in g.pseudorange_factors:
+        pr = g.pseudorange_factors
+        assert {sat.constellation for sat in pr.sat} == set(cfg.counts)
+        for f in pr:
             offset = g.initial_states[f.node, :3]
             assert np.array_equal(f.lin_offset, offset)
-            assert f.sat_state is states[f.node][f.sat]
+            assert np.array_equal(f.sat_position,
+                                  states[f.node][f.sat].position)
+            assert f.slot == CONSTELLATION_INDEX[f.sat.constellation]
             # the per-satellite oracle: one line of sight per factor
             unit, r0 = line_of_sight(g.reference_position + offset,
-                                     f.sat_state)
+                                     states[f.node][f.sat])
             expected = np.zeros(7)
             expected[:3] = -unit
             expected[3] = 1.0
-            expected[3 + CONSTELLATION_INDEX[f.sat.constellation]] = 1.0
+            expected[3 + f.slot] = 1.0
             assert np.allclose(f.row, expected, rtol=0.0, atol=1e-12)
-            assert f.corrected_measurement == pytest.approx(
-                f.measured_corr - r0 - unit @ offset, abs=1e-6)
-            again = replace(f, row=np.zeros(7), corrected_measurement=0.0)
-            again.relinearize(offset, g.reference_position)
-            assert np.allclose(again.row, f.row, rtol=0.0, atol=1e-12)
-            assert again.corrected_measurement == pytest.approx(
-                f.corrected_measurement, abs=1e-6)
+            assert f.constant == pytest.approx(
+                f.measured - r0 - unit @ offset, abs=1e-6)
+        # every row moved 1 km since it was linearized: relinearized at
+        # the build's offsets, the rows are the build's again
+        again = replace(pr, row=np.zeros_like(pr.row),
+                        constant=np.zeros_like(pr.constant),
+                        lin_offset=pr.lin_offset + 1000.0)
+        assert _relinearize(replace(g, pseudorange_factors=again),
+                            g.initial_states, 10.0)
+        assert np.array_equal(again.lin_offset, pr.lin_offset)
+        assert np.allclose(again.row, pr.row, rtol=0.0, atol=1e-12)
+        assert np.allclose(again.constant, pr.constant, rtol=0.0, atol=1e-6)
 
 
 class TestRelinearization:
     def test_moved_nodes_relinearize_their_pseudorange_factors(self):
         from gnssgraph.coords import line_of_sight
+        from gnssgraph.graph import _relinearize
 
         cfg = zero_noise_scenario(duration=15.0,
                                   noise=NoiseConfig(0.5, 0.003, 0.02))
@@ -196,17 +223,20 @@ class TestRelinearization:
         ref = g.reference_position
         config = GraphConfig()
         # linearize every factor 30 m away from where the solve will end
-        for f in g.pseudorange_factors:
-            f.relinearize(g.initial_states[f.node, :3] + 30.0, ref)
+        away = g.initial_states.copy()
+        away[:, :3] += 30.0
+        assert _relinearize(g, away, 0.0)
         x, report = optimize(g, config)
         assert report.converged
-        for f in g.pseudorange_factors:
+        pr = g.pseudorange_factors
+        for f in pr:
             assert np.linalg.norm(x[f.node, :3] - f.lin_offset) \
                 <= config.relinearize_threshold
-            unit, r0 = line_of_sight(ref + f.lin_offset, f.sat_state)
+            unit, r0 = line_of_sight(ref + f.lin_offset,
+                                     states[f.node][f.sat])
             assert np.allclose(f.row[:3], -unit, rtol=0.0, atol=1e-12)
-            assert f.corrected_measurement == pytest.approx(
-                f.measured_corr - r0 - unit @ f.lin_offset, abs=1e-6)
+            assert f.constant == pytest.approx(
+                f.measured - r0 - unit @ f.lin_offset, abs=1e-6)
         assert np.allclose(x, result.states, rtol=0.0, atol=1e-6)
 
 
@@ -215,13 +245,14 @@ class TestStackedSystem:
     def small_graph():
         """Four nodes with every factor type, and a prior on the two
         clock slots that no pseudorange factor observes."""
-        from gnssgraph.graph import Graph, PriorFactor
+        from gnssgraph.graph import (Graph, Priors, PseudorangeFactors,
+                                     TrRtkFactors, VelocityFactors)
 
         rng = np.random.default_rng(23)
 
-        def spd():
-            a = rng.normal(size=(3, 3))
-            return a @ a.T + 0.5 * np.eye(3)
+        def spd(n):
+            a = rng.normal(size=(n, 3, 3))
+            return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3)
 
         def pr_row(slot):
             row = np.zeros(7)
@@ -231,31 +262,40 @@ class TestStackedSystem:
             row[3 + slot] = 1.0
             return row
 
-        velocity = [VelocityFactor(k, k + 1, rng.normal(size=3), 0.5 + k,
-                                   spd()) for k in range(3)]
-        trrtk = [TrRtkFactor(0, 2, rng.normal(size=3), spd(), 2.0),
-                 TrRtkFactor(1, 3, rng.normal(size=3), spd(), 2.0)]
-        pseudorange = [
-            PseudorangeFactor(node=k, sat=SatelliteId(const, prn),
-                              row=pr_row(slot),
-                              corrected_measurement=rng.normal(scale=5.0),
-                              information=rng.uniform(0.5, 4.0),
-                              lin_offset=np.zeros(3))
-            for k in range(4)
-            for const, slot, prn in ((Constellation.GPS, 0, 3 + k),
-                                     (Constellation.GAL, 2, 9))]
-        priors = [
-            PriorFactor(0, np.arange(3), rng.normal(size=3),
-                        np.full(3, 0.25)),
-            PriorFactor(2, np.array([4, 6]), rng.normal(size=2),
-                        np.array([1e-4, 3e-4]))]
+        velocity = VelocityFactors(
+            nodes=np.array([(k, k + 1) for k in range(3)]),
+            velocity=rng.normal(size=(3, 3)), dt=0.5 + np.arange(3.0),
+            information=spd(3))
+        trrtk = TrRtkFactors(nodes=np.array([(0, 2), (1, 3)]),
+                             baseline=rng.normal(size=(2, 3)),
+                             time_difference=np.array([2.0, 2.0]),
+                             information=spd(2))
+        observed = [(k, const, slot, prn) for k in range(4)
+                    for const, slot, prn in ((Constellation.GPS, 0, 3 + k),
+                                             (Constellation.GAL, 2, 9))]
+        slot = np.array([s for _, _, s, _ in observed])
+        pseudorange = PseudorangeFactors(
+            node=np.array([k for k, _, _, _ in observed]),
+            sat=tuple(SatelliteId(const, prn)
+                      for _, const, _, prn in observed),
+            sat_position=np.zeros((8, 3)), slot=slot,
+            measured=np.zeros(8),
+            row=np.array([pr_row(s) for s in slot]),
+            constant=rng.normal(scale=5.0, size=8),
+            information=rng.uniform(0.5, 4.0, size=8),
+            lin_offset=np.zeros((8, 3)))
+        priors = Priors(node=np.array([0, 0, 0, 2, 2]),
+                        index=np.array([0, 1, 2, 4, 6]),
+                        value=rng.normal(size=5),
+                        information=np.array([0.25, 0.25, 0.25, 1e-4,
+                                              3e-4]),
+                        start=np.array([0, 3]))
         states = rng.normal(scale=3.0, size=(4, 7))
         return Graph(np.zeros(3), states, velocity, trrtk, pseudorange,
                      priors), rng.normal(scale=3.0, size=(4, 7))
 
     def test_normal_matrix_and_cost_equal_per_factor_sums(self):
-        from gnssgraph.graph import (PriorFactor, _stack, _whitened_system,
-                                     residual_prior)
+        from gnssgraph.graph import _whitened_system, residual_prior
 
         g, x = self.small_graph()
         n_var = x.size
@@ -275,24 +315,25 @@ class TestStackedSystem:
         pos = np.zeros((3, 7))
         pos[:, :3] = np.eye(3)
         for f in g.velocity_factors:
-            add([(f.node_i, -pos), (f.node_j, pos)],
-                residual_velocity(f, x[f.node_i], x[f.node_j]),
+            i, j = f.nodes
+            add([(i, -pos), (j, pos)], residual_velocity(f, x[i], x[j]),
                 f.information)
         for f in g.trrtk_factors:
-            add([(f.node_past, -pos), (f.node_current, pos)],
-                residual_trrtk(f, x[f.node_past], x[f.node_current]),
+            i, j = f.nodes
+            add([(i, -pos), (j, pos)], residual_trrtk(f, x[i], x[j]),
                 f.information)
         for f in g.pseudorange_factors:
             add([(f.node, f.row[None, :])],
                 np.array([residual_pseudorange(f, x[f.node])]),
                 np.array([[f.information]]))
+        assert len(g.priors) == 2
         for f in g.priors:
-            sel = np.zeros((len(f.indices), 7))
-            sel[np.arange(len(f.indices)), f.indices] = 1.0
+            sel = np.zeros((len(f.index), 7))
+            sel[np.arange(len(f.index)), f.index] = 1.0
             add([(f.node, sel)], residual_prior(f, x[f.node]),
                 np.diag(f.information))
 
-        residual, jacobian = _whitened_system(_stack(g), x)
+        residual, jacobian = _whitened_system(g, x)
         assert jacobian.shape == (3 * 5 + 8 + 5, n_var)
         assert np.allclose((jacobian.T @ jacobian).toarray(), normal,
                            rtol=1e-12, atol=1e-12)
@@ -300,13 +341,10 @@ class TestStackedSystem:
                            atol=1e-12)
         assert residual @ residual == pytest.approx(cost, rel=1e-12)
         assert evaluate_cost(g, x) == pytest.approx(cost, rel=1e-12)
-        assert evaluate_cost(g, x, _stack(g)) == pytest.approx(cost,
-                                                               rel=1e-12)
-        # the cost follows edits of the factor lists
-        g.priors.append(PriorFactor(1, np.array([5]), np.array([0.0]),
-                                    np.array([2.0])))
+        # the cost follows edits of the graph's arrays
+        g.priors.information[3] += 2.0
         assert evaluate_cost(g, x) == pytest.approx(
-            cost + 2.0 * x[1, 5] ** 2, rel=1e-12)
+            cost + 2.0 * (x[2, 4] - g.priors.value[3]) ** 2, rel=1e-12)
 
 
 class TestJacobians:
@@ -362,13 +400,12 @@ class TestCost:
         total = evaluate_cost(g, result.states)
         assert total >= 0
         partial = 0.0
+        x = result.states
         for f in g.velocity_factors:
-            e = residual_velocity(f, result.states[f.node_i],
-                                  result.states[f.node_j])
+            e = residual_velocity(f, *x[f.nodes])
             partial += e @ f.information @ e
         for f in g.trrtk_factors:
-            e = residual_trrtk(f, result.states[f.node_past],
-                               result.states[f.node_current])
+            e = residual_trrtk(f, *x[f.nodes])
             partial += e @ f.information @ e
         for f in g.pseudorange_factors:
             e = residual_pseudorange(f, result.states[f.node])
@@ -417,7 +454,7 @@ class TestOptimizer:
         g = build_graph(epochs[:2], states[:2], vel, spp, [(0, 1, fixed)],
                         config=cfg_g)
         # loosen the velocity factor so the TR factor dominates
-        g.velocity_factors[0].information = 1e-6 * np.eye(3)
+        g.velocity_factors.information[0] = 1e-6 * np.eye(3)
         x, report = optimize(g, cfg_g)
         rel = x[1, :3] - x[0, :3]
         assert np.linalg.norm(rel - b) < 1e-6

@@ -209,9 +209,13 @@ class TestSatStateCsv:
         write_sat_states_csv(epochs, states, buf)
         back = read_sat_states_csv(io.StringIO(buf.getvalue()), epochs)
         assert len(back) == len(states)
-        for original, parsed in zip(states, back):
-            assert set(original) == set(parsed)
-            for sat, st in original.items():
+        # only the satellites each epoch observed are written
+        assert buf.getvalue().count("\n") - 1 == sum(
+            len(epoch.sat_ids) for epoch in epochs) < sum(map(len, states))
+        for epoch, original, parsed in zip(epochs, states, back):
+            assert set(parsed) == epoch.sat_ids & original.keys()
+            for sat in epoch.sat_ids:
+                st = original[sat]
                 assert np.linalg.norm(st.position
                                       - parsed[sat].position) < 1e-5
                 assert np.linalg.norm(st.velocity
@@ -256,6 +260,63 @@ class TestGraphJson:
         assert np.allclose(node0["position"],
                            g.reference_position + result.states[0, :3],
                            atol=1e-5)
+
+    def test_edge_order_and_relinearized_rows(self):
+        """One edge per factor, velocity, trrtk, pseudorange then prior,
+        each with the graph's rows after the optimizer relinearized
+        them, and nodes at reference + states."""
+        from gnssgraph.graph import _relinearize, optimize
+
+        cfg = ScenarioConfig(duration=30.0,
+                             trajectory=TrajectoryConfig(kind="line",
+                                                         speed=2.0), seed=2)
+        truth, epochs, states = run_scenario(cfg)
+        g = solve_trajectory(epochs, states,
+                             PipelineConfig(iono=cfg.iono,
+                                            tropo=cfg.tropo)).graph
+        # linearize every pseudorange row 30 m away: the solve moves
+        # each node back and relinearizes its rows
+        away = g.initial_states.copy()
+        away[:, :3] += 30.0
+        _relinearize(g, away, 0.0)
+        far = g.pseudorange_factors.constant.copy()
+        x, report = optimize(g)
+        buf = io.StringIO()
+        export_graph_json(g, buf, states=x, report=report)
+        data = json.loads(buf.getvalue())
+
+        vel, tr = g.velocity_factors, g.trrtk_factors
+        pr, priors = g.pseudorange_factors, g.priors
+        counts = [len(vel), len(tr), len(pr), len(priors)]
+        assert min(counts) > 0
+        assert [edge["type"] for edge in data["edges"]] == sum(
+            ([kind] * n for kind, n in zip(
+                ("velocity", "trrtk", "pseudorange", "prior"), counts)), [])
+        edges = iter(data["edges"])
+        for f in vel:
+            edge = next(edges)
+            assert edge["nodes"] == f.nodes.tolist()
+            assert edge["measurement"] == f.velocity.tolist()
+        for f in tr:
+            edge = next(edges)
+            assert edge["nodes"] == f.nodes.tolist()
+            assert edge["measurement"] == f.baseline.tolist()
+        for f, before in zip(pr, far):
+            edge = next(edges)
+            assert edge["nodes"] == [f.node]
+            assert edge["satellite"] == str(f.sat)
+            assert edge["measurement"] == f.constant != before
+        for f in priors:
+            edge = next(edges)
+            assert edge["nodes"] == [f.node]
+            assert edge["indices"] == f.index.tolist()
+            assert edge["measurement"] == f.value.tolist()
+        assert next(edges, None) is None
+        assert [node["position"] for node in data["nodes"]] == np.round(
+            g.reference_position + x[:, :3], 6).tolist()
+        assert [node["clocks"] for node in data["nodes"]] == np.round(
+            x[:, 3:], 6).tolist()
+        assert data["optimizer"]["final_cost"] == report.final_cost
 
     def test_trrtk_edges_on_default_constellations(self):
         cfg = ScenarioConfig(duration=30.0,

@@ -544,6 +544,26 @@ class TestPairLattice:
             assert min(abs(tr.time_difference - step)
                        for step in TR_PAIR_LATTICE) < 1e-6, (i, j)
 
+    def test_one_missing_epoch_keeps_the_interval(self):
+        """Epoch 1 of a 1 Hz line missing: the interval is still 1 s, so
+        every attempted pair spans a lattice offset."""
+        cfg = quiet_scenario()
+        truth, epochs, states = run_scenario(cfg)
+        del epochs[1], states[1]
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        pairs = ([(i, j) for i, j, _ in result.trrtk_results]
+                 + [(i, j) for i, j, _ in result.trrtk_errors])
+        assert len(pairs) == result.trrtk_attempts > 0
+        for i, j in pairs:
+            offset = epochs[j].time - epochs[i].time
+            assert min(abs(offset - step)
+                       for step in TR_PAIR_LATTICE) < 1e-6, (i, j)
+        for i, j, tr in result.trrtk_results:
+            assert min(abs(tr.time_difference - step)
+                       for step in TR_PAIR_LATTICE) < 1e-6, (i, j)
+
     def test_every_attempt_has_an_outcome(self):
         cfg = quiet_scenario(duration=120.0)
         truth, epochs, states = run_scenario(cfg)
