@@ -21,9 +21,10 @@ truth, epochs, sat_states = run_scenario(config)
 position_errors = []
 velocity_errors = []
 for rec, epoch, sats in zip(truth, epochs, sat_states):
-    spp = solve_spp(epoch, sats, iono=config.iono, tropo=config.tropo)
+    satellites = EpochGeometry(epoch, sats, config.iono, config.tropo)
+    spp = solve_spp(satellites)
     position_errors.append(np.linalg.norm(spp.position - rec.position))
-    vel = solve_doppler_velocity(EpochGeometry(epoch, sats).at(spp.position))
+    vel = solve_doppler_velocity(satellites.at(spp.position))
     velocity_errors.append(np.linalg.norm(vel.velocity - rec.velocity))
 
 print(f"{len(epochs)} epochs, default noise")

@@ -24,9 +24,9 @@ truth, epochs, sat_states = run_scenario(config)
 # each epoch's corrections at its SPP position, shared by all its pairs
 corrections = []
 for epoch, sats in zip(epochs, sat_states):
-    spp = solve_spp(epoch, sats, iono=config.iono, tropo=config.tropo)
-    geometry = EpochGeometry(epoch, sats, config.iono, config.tropo)
-    corrections.append(epoch_corrections(geometry.at(spp.position)))
+    satellites = EpochGeometry(epoch, sats, config.iono, config.tropo)
+    spp = solve_spp(satellites)
+    corrections.append(epoch_corrections(satellites.at(spp.position)))
 
 print(f"{'dt s':>6s}{'status':>10s}{'p_value':>9s}{'baseline error m':>18s}")
 for dt in (5, 20, 50, 80, 100):

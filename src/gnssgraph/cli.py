@@ -19,7 +19,8 @@ import yaml
 
 from .errors import (GnssError, IoFailure, LengthMismatch, MalformedEpoch,
                      MalformedHeader)
-from .fileio import (TrajectoryRecord, TrajectoryStatus, export_graph_json,
+from .fileio import (TrajectoryRecord, TrajectoryStatus,
+                     delay_models_to_dict, export_graph_json,
                      load_pipeline_yaml, load_scenario_yaml,
                      read_sat_states_csv, read_trajectory_csv,
                      save_scenario_yaml, write_sat_states_csv,
@@ -60,17 +61,9 @@ def cmd_simulate(args) -> int:
         save_scenario_yaml(scenario, stream)
     # solver configuration mirroring the scenario's atmosphere, so a
     # follow-up solve corrects with the same models the data embeds
-    solver_cfg = {
-        "iono": (None if scenario.iono is None
-                 else {"alpha": list(scenario.iono.alpha),
-                       "beta": list(scenario.iono.beta)}),
-        "tropo": (None if scenario.tropo is None
-                  else {"pressure": scenario.tropo.pressure,
-                        "temperature": scenario.tropo.temperature,
-                        "humidity": scenario.tropo.humidity}),
-    }
     with open(out / "solver.yaml", "w") as stream:
-        yaml.safe_dump(solver_cfg, stream, sort_keys=False)
+        yaml.safe_dump(delay_models_to_dict(scenario.iono, scenario.tropo),
+                       stream, sort_keys=False)
     print(f"wrote {len(epochs)} epochs to {out}")
     return EXIT_OK
 

@@ -205,6 +205,34 @@ def read_sat_states_csv(stream, epochs) -> list[dict]:
     return [by_tow.get(round(epoch.time.tow, 3), {}) for epoch in epochs]
 
 
+def delay_models_to_dict(iono: KlobucharParams | None,
+                         tropo: TropoModel | None) -> dict:
+    """The `iono` and `tropo` entries of a scenario or solver file; a
+    missing model is null."""
+    return {
+        "iono": (None if iono is None
+                 else {"alpha": list(iono.alpha), "beta": list(iono.beta)}),
+        "tropo": (None if tropo is None
+                  else {"pressure": tropo.pressure,
+                        "temperature": tropo.temperature,
+                        "humidity": tropo.humidity}),
+    }
+
+
+def delay_models_from_dict(data: dict) -> dict:
+    """Inverse of `delay_models_to_dict` for the keys `data` has: null
+    gives None, an absent key no entry."""
+    models = {}
+    if "iono" in data:
+        models["iono"] = (None if data["iono"] is None else KlobucharParams(
+            alpha=tuple(data["iono"]["alpha"]),
+            beta=tuple(data["iono"]["beta"])))
+    if "tropo" in data:
+        models["tropo"] = (None if data["tropo"] is None
+                           else TropoModel(**data["tropo"]))
+    return models
+
+
 def scenario_to_dict(config) -> dict:
     origin = config.origin
     data = {
@@ -234,13 +262,7 @@ def scenario_to_dict(config) -> dict:
         "satellite_clock_drift_sigma": config.satellite_clock_drift_sigma,
         "counts": {c.value: n for c, n in config.counts.items()},
         "cycle_slips": [[str(sat), t] for sat, t in config.cycle_slips],
-        "iono": (None if config.iono is None
-                 else {"alpha": list(config.iono.alpha),
-                       "beta": list(config.iono.beta)}),
-        "tropo": (None if config.tropo is None
-                  else {"pressure": config.tropo.pressure,
-                        "temperature": config.tropo.temperature,
-                        "humidity": config.tropo.humidity}),
+        **delay_models_to_dict(config.iono, config.tropo),
         "seed": config.seed,
     }
     return data
@@ -288,13 +310,7 @@ def load_scenario_yaml(stream):
     if "cycle_slips" in data:
         kwargs["cycle_slips"] = [(SatelliteId.parse(text), float(t))
                                  for text, t in data["cycle_slips"]]
-    if "iono" in data:
-        kwargs["iono"] = (None if data["iono"] is None else KlobucharParams(
-            alpha=tuple(data["iono"]["alpha"]),
-            beta=tuple(data["iono"]["beta"])))
-    if "tropo" in data:
-        kwargs["tropo"] = (None if data["tropo"] is None
-                           else TropoModel(**data["tropo"]))
+    kwargs.update(delay_models_from_dict(data))
     try:
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -335,34 +351,22 @@ def load_pipeline_yaml(stream):
             use_pseudorange=bool(data["use_pseudorange"]))
     if "pair_lattice" in data:
         kwargs["pair_lattice"] = tuple(float(v) for v in data["pair_lattice"])
-    if "iono" in data:
-        kwargs["iono"] = (None if data["iono"] is None else KlobucharParams(
-            alpha=tuple(data["iono"]["alpha"]),
-            beta=tuple(data["iono"]["beta"])))
-    else:
+    if "iono" not in data:
         # observation files carry no broadcast coefficients; degrade to
         # the model's nighttime constant rather than skipping correction
         warnings.warn("no ionosphere coefficients in config; "
                       "using all-zero Klobuchar (nighttime constant)")
-        kwargs["iono"] = KlobucharParams()
-    if "tropo" in data:
-        kwargs["tropo"] = (None if data["tropo"] is None
-                           else TropoModel(**data["tropo"]))
-    else:
-        kwargs["tropo"] = TropoModel()
-    solver_data = dict(data.get("solver", {}))
-    if "elevation_mask_deg" in solver_data:
-        solver_data["elevation_mask"] = np.radians(
-            solver_data.pop("elevation_mask_deg"))
-    trrtk_data = dict(data.get("trrtk", {}))
-    if "elevation_mask_deg" in trrtk_data:
-        trrtk_data["elevation_mask"] = np.radians(
-            trrtk_data.pop("elevation_mask_deg"))
+    kwargs.update({"iono": KlobucharParams(), "tropo": TropoModel(),
+                   **delay_models_from_dict(data)})
     try:
-        if solver_data:
-            kwargs["solver"] = SolverConfig(**solver_data)
-        if trrtk_data:
-            kwargs["trrtk"] = TrRtkConfig(**trrtk_data)
+        for name, section in (("solver", SolverConfig),
+                              ("trrtk", TrRtkConfig)):
+            values = dict(data.get(name, {}))
+            if "elevation_mask_deg" in values:
+                values["elevation_mask"] = np.radians(
+                    values.pop("elevation_mask_deg"))
+            if values:
+                kwargs[name] = section(**values)
         return PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise IoFailure(f"bad config file: {exc}") from exc

@@ -3,10 +3,12 @@
 An `EpochGeometry` holds, as arrays in the epoch's satellite order,
 every observed satellite that has a known state, and what the
 estimators need of it at one receiver position: line of sight, range,
-elevation/azimuth and the modeled atmosphere delays. SPP evaluates it
-at each iterate; the pipeline evaluates it once at each final point
-solution and hands that object to Doppler velocity and to TR-RTK, and
-the graph evaluates it once per node for the pseudorange factors.
+elevation/azimuth and the modeled atmosphere delays. The pipeline
+gathers each epoch's satellites once, with the delay models, and every
+estimator takes that unlocated geometry or one located from it: SPP
+evaluates it at each iterate, the pipeline once at each final point
+solution for Doppler velocity and TR-RTK, and the graph once per node
+for the pseudorange factors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .types import CONSTELLATION_INDEX, Epoch
 class EpochGeometry:
     """One epoch's satellites, and with `at`, seen from a receiver position.
 
-    Satellite arrays (row k is `sats[k]`): `states`, `sat_position`,
+    Satellite arrays (row k is `sats[k]`): `sat_position`,
     `sat_velocity`, `clock_bias` [s], `clock_drift` [s/s], `code` [m],
     `doppler` [Hz], `wavelength` [m] and `slot` (`CONSTELLATION_INDEX`).
     Set by `at(position)`: `position`, `geodetic`, `elevation` and
@@ -48,14 +50,13 @@ class EpochGeometry:
         self.iono_model = iono
         self.tropo_model = tropo
         self.sats = tuple(obs.sat for obs, _ in known)
-        self.states = tuple(state for _, state in known)
-        self.sat_position = np.array([s.position for s in self.states],
+        self.sat_position = np.array([s.position for _, s in known],
                                      dtype=float).reshape(-1, 3)
-        self.sat_velocity = np.array([s.velocity for s in self.states],
+        self.sat_velocity = np.array([s.velocity for _, s in known],
                                      dtype=float).reshape(-1, 3)
-        self.clock_bias = np.array([s.clock_bias for s in self.states],
+        self.clock_bias = np.array([s.clock_bias for _, s in known],
                                    dtype=float)
-        self.clock_drift = np.array([s.clock_drift for s in self.states],
+        self.clock_drift = np.array([s.clock_drift for _, s in known],
                                     dtype=float)
         self.code = np.array([obs.pseudorange for obs, _ in known],
                              dtype=float)
@@ -74,6 +75,8 @@ class EpochGeometry:
         return located
 
     def _locate(self, position) -> None:
+        # assign new arrays only: the satellite arrays are shared with
+        # the unlocated geometry and with every geometry located from it
         self.position = np.array(position, dtype=float)
         self.geodetic = ecef_to_geodetic(self.position)
         self.elevation, self.azimuth = elevation_azimuth(self.geodetic,

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .atmosphere import KlobucharParams, TropoModel
 from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
@@ -73,8 +72,8 @@ class TrRtkFactors(_Table):
 class PseudorangeFactors(_Table):
     """Pseudorange rows `row` . x[node] = `constant`, linearized at the
     position offset `lin_offset` from the corrected pseudorange
-    `measured` (rho + c*dT_sat - iono - tropo) of satellite `sat` at
-    `sat_position`; `slot` is its constellation's clock column."""
+    `measured` (rho + c*dT_sat less the modeled atmosphere) of satellite
+    `sat` at `sat_position`; `slot` is its constellation's clock column."""
 
     node: np.ndarray                   # (p,)
     sat: tuple                         # (p,) SatelliteId
@@ -155,32 +154,31 @@ class GraphConfig:
     initial_radius: float = 100.0      # trust region [m]
 
 
-def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
-                iono: KlobucharParams | None = None,
-                tropo: TropoModel | None = None,
-                solver: SolverConfig | None = None,
+def build_graph(satellites: list[EpochGeometry], velocities, spp_solutions,
+                trrtk_results, solver: SolverConfig | None = None,
                 config: GraphConfig | None = None) -> Graph:
-    """Assemble the trajectory graph.
+    """Assemble the trajectory graph, one node per unlocated epoch
+    geometry of `satellites`.
 
     `velocities` holds one VelocitySolution per consecutive pair,
     `trrtk_results` holds (past_index, current_index, TrRtkResult)
     triples; only Fixed results become factors. Node positions start at
     the epoch-0 point solution plus accumulated velocity increments.
-    Pseudorange factors are corrected with the delay models `iono` and
-    `tropo` and weighted, above its elevation mask, as `solver` weights
-    the point solutions.
+    Pseudorange factors are corrected with each geometry's delay models
+    and weighted, above its elevation mask, as `solver` weights the
+    point solutions.
     """
     solver = solver or SolverConfig()
     config = config or GraphConfig()
-    n = len(epochs)
+    n = len(satellites)
     if n == 0:
         raise EmptyInput("no epochs")
     if len(velocities) < n - 1:
         raise MissingVelocity(
             f"{len(velocities)} velocity solutions for {n} epochs")
 
-    dt = np.array([b.time - a.time for a, b in zip(epochs, epochs[1:])],
-                  dtype=float)
+    dt = np.array([b.time - a.time
+                   for a, b in zip(satellites, satellites[1:])], dtype=float)
     velocity = np.array([v.velocity for v in velocities[:n - 1]],
                         dtype=float).reshape(-1, 3)
     reference = np.asarray(spp_solutions[0].position, dtype=float)
@@ -228,10 +226,9 @@ def build_graph(epochs, sat_states, velocities, spp_solutions, trrtk_results,
               np.zeros(0))]
     sats = []
     observed = np.zeros((n, 4), dtype=bool)
-    for k, epoch in enumerate(epochs if config.use_pseudorange else ()):
+    for k, g in enumerate(satellites if config.use_pseudorange else ()):
         offset = states[k, :3]
-        geometry = EpochGeometry(epoch, sat_states[k], iono,
-                                 tropo).at(reference + offset)
+        geometry = g.at(reference + offset)
         rows = geometry.above(solver.elevation_mask)
         geometry.require_delays(rows)
         geometry.require_ranges(rows)

@@ -21,9 +21,10 @@ from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
 @dataclass(slots=True)
 class PipelineConfig:
     """Every setting of a solve, each in one place: the delay models here
-    serve SPP, TR-RTK and the pseudorange factors alike, `solver` weights
-    the point solutions and the pseudorange factors, and the observation
-    spacing comes from the epoch times."""
+    enter the solve once, in the `EpochGeometry` that `solve_trajectory`
+    gathers per epoch and that SPP, TR-RTK and the pseudorange factors
+    share; `solver` weights the point solutions and the pseudorange
+    factors, and the observation spacing comes from the epoch times."""
 
     use_trrtk: bool = True
     pair_lattice: tuple = TR_PAIR_LATTICE
@@ -73,18 +74,19 @@ def solve_trajectory(epochs, sat_states,
     config = config or PipelineConfig()
     n = len(epochs)
 
+    # each epoch's satellites gathered once, with the delay models
+    satellites = [EpochGeometry(epoch, states_k, config.iono, config.tropo)
+                  for epoch, states_k in zip(epochs, sat_states)]
     spp_solutions = []
     velocities = []
     corrections = []
-    for k, (epoch, states_k) in enumerate(zip(epochs, sat_states)):
+    for k, g in enumerate(satellites):
         warm = spp_solutions[-1].position if spp_solutions else None
-        spp = solve_spp(epoch, states_k, iono=config.iono, tropo=config.tropo,
-                        config=config.solver, initial_position=warm)
+        spp = solve_spp(g, config.solver, initial_position=warm)
         spp_solutions.append(spp)
-        # one geometry at the final point solution, for Doppler (which
+        # located once at the final point solution, for Doppler (which
         # uses no delay model) and for TR-RTK
-        geometry = EpochGeometry(epoch, states_k, config.iono,
-                                 config.tropo).at(spp.position)
+        geometry = g.at(spp.position)
         if k < n - 1:
             velocities.append(solve_doppler_velocity(geometry, config.solver))
         if config.use_trrtk:
@@ -107,8 +109,7 @@ def solve_trajectory(epochs, sat_states,
             else:
                 trrtk_results.append((i, j, outcome))
 
-    graph = build_graph(epochs, sat_states, velocities, spp_solutions,
-                        trrtk_results, config.iono, config.tropo,
+    graph = build_graph(satellites, velocities, spp_solutions, trrtk_results,
                         config.solver, config.graph)
     states, report = optimize(graph, config.graph)
     positions = graph.reference_position + states[:, :3]

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import KlobucharParams, TropoModel
 from .constants import CLIGHT
 from .errors import InsufficientSatellites, NoConvergence, SingularGeometry
 from .geometry import EpochGeometry
-from .types import CONSTELLATIONS, Constellation, Epoch, SatelliteId, SatelliteState
+from .types import CONSTELLATIONS, Constellation
 
 
 @dataclass(slots=True)
@@ -66,20 +65,17 @@ def _check_condition(normal: np.ndarray, message: str) -> None:
         raise SingularGeometry(message)
 
 
-def solve_spp(epoch: Epoch, sats: dict[SatelliteId, SatelliteState],
-              iono: KlobucharParams | None = None,
-              tropo: TropoModel | None = None,
+def solve_spp(satellites: EpochGeometry,
               config: SolverConfig | None = None,
               initial_position: np.ndarray | None = None) -> SppSolution:
     """Iterated weighted least-squares single point positioning.
 
     Unknowns are the 3D position plus one clock bias per constellation
-    observed in this epoch (GPS slot always first). Atmospheric delays
-    are corrected with the supplied models when given. Each iteration
-    evaluates the epoch's `EpochGeometry` at the current position.
+    observed in this epoch (GPS slot always first). Each iteration
+    evaluates the epoch's unlocated geometry `satellites` at the current
+    position, so the atmosphere is corrected with its delay models.
     """
     config = config or SolverConfig()
-    satellites = EpochGeometry(epoch, sats, iono, tropo)
     position = (np.array(initial_position, dtype=float)
                 if initial_position is not None
                 else _bootstrap_position(satellites))

@@ -228,9 +228,9 @@ def test_criterion_7_zero_noise_oracle_closure():
     corrections = []
     spp_err = vel_err = 0.0
     for k, (epoch, sats) in enumerate(zip(epochs, states)):
-        spp = solve_spp(epoch, sats, iono=cfg.iono, tropo=cfg.tropo)
-        geometry = EpochGeometry(epoch, sats, cfg.iono,
-                                 cfg.tropo).at(spp.position)
+        satellites = EpochGeometry(epoch, sats, cfg.iono, cfg.tropo)
+        spp = solve_spp(satellites)
+        geometry = satellites.at(spp.position)
         corrections.append(epoch_corrections(geometry))
         spp_err = max(spp_err, np.linalg.norm(spp.position - tpos[k]))
         vel = solve_doppler_velocity(geometry)

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from gnssgraph.cli import main
+from gnssgraph.fileio import load_pipeline_yaml, load_scenario_yaml
 
 SCENARIO = """\
 duration: 25
@@ -36,6 +37,17 @@ class TestPipeline:
         for name in ("observations.rnx", "truth.csv", "sat_states.csv",
                      "scenario.yaml", "solver.yaml"):
             assert (sim / name).exists()
+
+    def test_solver_yaml_carries_the_scenario_models(self, pipeline_dirs):
+        root, sim, sol = pipeline_dirs
+        with open(sim / "scenario.yaml") as stream:
+            scenario = load_scenario_yaml(stream)
+        with open(sim / "solver.yaml") as stream, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = load_pipeline_yaml(stream)
+        assert scenario.iono is not None and scenario.tropo is not None
+        assert config.iono == scenario.iono
+        assert config.tropo == scenario.tropo
 
     def test_solve_outputs_and_log(self, pipeline_dirs):
         root, sim, sol = pipeline_dirs

@@ -1,5 +1,6 @@
 """The demos run end to end as scripts against this checkout's `src/`;
-they call the point-positioning and geometry API with scalars."""
+demos 02 and 03 build one `EpochGeometry` per epoch and hand it to SPP,
+then locate it at the fix for Doppler velocity or TR-RTK."""
 
 import os
 import subprocess

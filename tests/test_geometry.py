@@ -9,7 +9,9 @@ from gnssgraph.coords import (elevation_azimuth, enu_rotation, geodetic_to_ecef,
 from gnssgraph.errors import DegenerateGeometry, ElevationTooLow
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
+from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_doppler_velocity
+from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
 from gnssgraph.trrtk import epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              GeodeticPosition, Observation, SatelliteId,
@@ -51,7 +53,8 @@ class TestEpochGeometry:
         assert g.sat_position.shape == (4, 3)
         for k, sat in enumerate(g.sats):
             state = states[sat]
-            assert g.states[k] is state
+            assert np.array_equal(g.sat_position[k], state.position)
+            assert g.clock_bias[k] == state.clock_bias
             assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
             el, az = elevation_azimuth(g.geodetic, state.position)
             assert g.elevation[k] == el and g.azimuth[k] == az
@@ -123,3 +126,24 @@ class TestEpochGeometry:
                 g.iono[k], g.tropo[k])
             assert corrections.code[k] == g.corrected_code[k]
 
+
+@pytest.mark.parametrize("use_trrtk", [True, False], ids=["trrtk", "notr"])
+def test_solve_gathers_each_epoch_once(monkeypatch, use_trrtk):
+    """SPP, Doppler, TR-RTK and the pseudorange factors all use the one
+    geometry per epoch that the pipeline builds."""
+    cfg = ScenarioConfig(duration=12.0,
+                         trajectory=TrajectoryConfig(kind="line", speed=2.0),
+                         seed=5)
+    _, epochs, states = run_scenario(cfg)
+    built = []
+    init = EpochGeometry.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EpochGeometry, "__init__", counting)
+    result = solve_trajectory(epochs, states, PipelineConfig(
+        use_trrtk=use_trrtk, iono=cfg.iono, tropo=cfg.tropo))
+    assert len(built) == len(epochs)
+    assert (len(result.graph.trrtk_factors) > 0) == use_trrtk

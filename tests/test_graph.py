@@ -37,6 +37,12 @@ def build_from_scenario(cfg, use_trrtk=True):
     return truth, epochs, states, solve_trajectory(epochs, states, pipe_cfg)
 
 
+def satellites(cfg, epochs, states):
+    """Each epoch's unlocated geometry, with the scenario's delay models."""
+    return [EpochGeometry(e, s, cfg.iono, cfg.tropo)
+            for e, s in zip(epochs, states)]
+
+
 def random_state(rng):
     return rng.normal(scale=10.0, size=7)
 
@@ -108,17 +114,16 @@ class TestBuildGraph:
     def test_rejected_trrtk_not_added(self):
         cfg = zero_noise_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
-        spp = [solve_spp(e, s, iono=cfg.iono, tropo=cfg.tropo)
-               for e, s in zip(epochs, states)]
+        sats = satellites(cfg, epochs, states)
+        spp = [solve_spp(g) for g in sats]
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(EpochGeometry(e, s).at(p.position))
-               for e, s, p in list(zip(epochs, states, spp))[:-1]]
+        vel = [solve_doppler_velocity(g.at(p.position))
+               for g, p in list(zip(sats, spp))[:-1]]
         rejected = TrRtkResult(np.zeros(3), np.eye(3),
                                BaselineStatus.REJECTED, 1.0, 5.0, ())
         fixed = TrRtkResult(np.ones(3), 1e-4 * np.eye(3),
                             BaselineStatus.FIXED, 9.0, 5.0, (0, 0, 0, 0))
-        g = build_graph(epochs, states, vel, spp,
-                        [(0, 5, rejected), (1, 6, fixed)])
+        g = build_graph(sats, vel, spp, [(0, 5, rejected), (1, 6, fixed)])
         assert len(g.trrtk_factors) == 1
         assert g.trrtk_factors[0].nodes.tolist() == [1, 6]
 
@@ -143,15 +148,15 @@ class TestBuildGraph:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build_graph([], [], [], [], [])
+            build_graph([], [], [], [])
 
     def test_missing_velocity(self):
         cfg = zero_noise_scenario(duration=5.0)
         truth, epochs, states = run_scenario(cfg)
-        spp = [solve_spp(e, s, iono=cfg.iono, tropo=cfg.tropo)
-               for e, s in zip(epochs, states)]
+        sats = satellites(cfg, epochs, states)
+        spp = [solve_spp(g) for g in sats]
         with pytest.raises(MissingVelocity):
-            build_graph(epochs, states, [], spp, [])
+            build_graph(sats, [], spp, [])
 
     def test_gauge_translation_invariance(self):
         """Velocity and TR residuals depend only on relative positions."""
@@ -442,17 +447,15 @@ class TestOptimizer:
     def test_two_nodes_exact_tr_factor(self):
         cfg = zero_noise_scenario(duration=2.0)
         truth, epochs, states = run_scenario(cfg)
-        spp = [solve_spp(e, s, iono=cfg.iono, tropo=cfg.tropo)
-               for e, s in zip(epochs[:2], states[:2])]
+        sats = satellites(cfg, epochs[:2], states[:2])
+        spp = [solve_spp(g) for g in sats]
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(
-            EpochGeometry(epochs[0], states[0]).at(spp[0].position))]
+        vel = [solve_doppler_velocity(sats[0].at(spp[0].position))]
         b = np.array([2.0, 0.0, 0.0])
         fixed = TrRtkResult(b, 1e-8 * np.eye(3), BaselineStatus.FIXED,
                             10.0, 1.0, (0,) * 5)
         cfg_g = GraphConfig(use_pseudorange=False)
-        g = build_graph(epochs[:2], states[:2], vel, spp, [(0, 1, fixed)],
-                        config=cfg_g)
+        g = build_graph(sats, vel, spp, [(0, 1, fixed)], config=cfg_g)
         # loosen the velocity factor so the TR factor dominates
         g.velocity_factors.information[0] = 1e-6 * np.eye(3)
         x, report = optimize(g, cfg_g)

@@ -351,6 +351,13 @@ class TestConfigYaml:
         assert back.origin.latitude == pytest.approx(cfg.origin.latitude)
         assert back.start_time == cfg.start_time
 
+    def test_scenario_round_trip_without_delay_models(self):
+        buf = io.StringIO()
+        save_scenario_yaml(small_scenario(iono=None, tropo=None), buf)
+        assert "iono: null\ntropo: null\n" in buf.getvalue()
+        back = load_scenario_yaml(io.StringIO(buf.getvalue()))
+        assert back.iono is None and back.tropo is None
+
     def test_pipeline_defaults_warn_on_missing_iono(self):
         with pytest.warns(UserWarning, match="ionosphere"):
             config = load_pipeline_yaml(io.StringIO("use_trrtk: false"))

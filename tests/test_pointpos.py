@@ -49,7 +49,7 @@ class TestSpp:
     def test_zero_noise_gps_only(self):
         cfg = scenario(counts={Constellation.GPS: 31})
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(epochs[0], states[0])
+        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
         assert np.linalg.norm(sol.position - truth[0].position) < 1e-6
         expected_bias = 299792458.0 * cfg.receiver_clock.bias0
         assert abs(sol.clock_biases[Constellation.GPS] - expected_bias) < 1e-6
@@ -58,14 +58,15 @@ class TestSpp:
         from gnssgraph.atmosphere import KlobucharParams, TropoModel
         cfg = scenario(iono=KlobucharParams.typical(), tropo=TropoModel())
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(epochs[0], states[0], iono=cfg.iono, tropo=cfg.tropo)
+        sol = solve_spp(EpochGeometry(epochs[0], states[0], cfg.iono,
+                                      cfg.tropo))
         assert np.linalg.norm(sol.position - truth[0].position) < 1e-6
 
     def test_mixed_system_biases_recovered(self):
         cfg = scenario(counts={Constellation.GPS: 31, Constellation.GAL: 24},
                        satellite_clock_bias_sigma=1e-4)
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(epochs[0], states[0])
+        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
         # zero noise: each bias equals the receiver clock in meters exactly
         expected = 299792458.0 * cfg.receiver_clock.bias0
         assert abs(sol.clock_biases[Constellation.GPS] - expected) < 1e-6
@@ -77,12 +78,12 @@ class TestSpp:
         truth, epochs, states = run_scenario(cfg)
         small = Epoch(epochs[0].time, epochs[0].observations[:3])
         with pytest.raises(InsufficientSatellites):
-            solve_spp(small, states[0])
+            solve_spp(EpochGeometry(small, states[0]))
 
     def test_covariance_psd(self):
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
         _, epochs, states = run_scenario(cfg)
-        sol = solve_spp(epochs[0], states[0])
+        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
         assert np.allclose(sol.covariance, sol.covariance.T)
         assert np.all(np.linalg.eigvalsh(sol.covariance) >= -1e-12)
 
@@ -91,7 +92,7 @@ class TestSpp:
         from gnssgraph.coords import line_of_sight
         cfg = scenario(counts={Constellation.GPS: 31, Constellation.GAL: 24})
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(epochs[0], states[0])
+        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
         for const in (Constellation.GPS, Constellation.GAL):
             resid = []
             for obs in epochs[0].observations:
@@ -153,13 +154,14 @@ class TestDopplerVelocity:
         from dataclasses import replace
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
         truth, epochs, states = run_scenario(cfg)
-        base = solve_spp(epochs[0], states[0])
+        base = solve_spp(EpochGeometry(epochs[0], states[0]))
         obs = list(epochs[0].observations)
         deltas = []
         for d in (0.01, 0.005, 0.0025):
             bumped = [replace(o, pseudorange=o.pseudorange + d) if i == 0 else o
                       for i, o in enumerate(obs)]
-            sol = solve_spp(Epoch(epochs[0].time, bumped), states[0])
+            sol = solve_spp(EpochGeometry(Epoch(epochs[0].time, bumped),
+                                          states[0]))
             deltas.append(np.linalg.norm(sol.position - base.position))
         # solution moves continuously, shrinking with the perturbation
         assert deltas[0] < 0.1

@@ -70,9 +70,12 @@ def solve_one(dd):
 
 
 def spp_corrections(cfg, epochs, states):
-    return corrections_at(cfg, epochs, states, [
-        solve_spp(epoch, st, iono=cfg.iono, tropo=cfg.tropo).position
-        for epoch, st in zip(epochs, states)])
+    """Each epoch's `epoch_corrections` at its SPP position, from one
+    geometry per epoch, as the pipeline forms them."""
+    satellites = [EpochGeometry(epoch, st, cfg.iono, cfg.tropo)
+                  for epoch, st in zip(epochs, states)]
+    return [epoch_corrections(g.at(solve_spp(g).position))
+            for g in satellites]
 
 
 class TestCycleSlipDetection:
