@@ -18,14 +18,16 @@ config = ScenarioConfig(
 )
 truth, epochs, sat_states = run_scenario(config)
 
-position_errors = []
-velocity_errors = []
-for rec, epoch, sats in zip(truth, epochs, sat_states):
-    satellites = EpochGeometry(epoch, sats, config.iono, config.tropo)
-    spp = solve_spp(satellites)
-    position_errors.append(np.linalg.norm(spp.position - rec.position))
-    vel = solve_doppler_velocity(satellites.at(spp.position))
-    velocity_errors.append(np.linalg.norm(vel.velocity - rec.velocity))
+# every epoch solved at once, each on its own: the session's satellites
+# are gathered once and seen from each epoch's point solution
+satellites = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
+positions = np.array([spp.position for spp in solve_spp(satellites)])
+velocities = np.array([vel.velocity for vel in
+                       solve_doppler_velocity(satellites.at(positions))])
+position_errors = np.linalg.norm(
+    positions - [rec.position for rec in truth], axis=1)
+velocity_errors = np.linalg.norm(
+    velocities - [rec.velocity for rec in truth], axis=1)
 
 print(f"{len(epochs)} epochs, default noise")
 print(f"SPP position error:      mean {np.mean(position_errors):.3f} m, "

@@ -22,11 +22,9 @@ config = ScenarioConfig(
 )
 truth, epochs, sat_states = run_scenario(config)
 # each epoch's corrections at its SPP position, shared by all its pairs
-corrections = []
-for epoch, sats in zip(epochs, sat_states):
-    satellites = EpochGeometry(epoch, sats, config.iono, config.tropo)
-    spp = solve_spp(satellites)
-    corrections.append(epoch_corrections(satellites.at(spp.position)))
+satellites = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
+corrections = epoch_corrections(
+    satellites.at([spp.position for spp in solve_spp(satellites)]))
 
 print(f"{'dt s':>6s}{'status':>10s}{'p_value':>9s}{'baseline error m':>18s}")
 for dt in (5, 20, 50, 80, 100):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CLIGHT
+from .coords import scalar_pow
 from .errors import ElevationTooLow
-from .gnsstime import GpsTime
 from .types import GeodeticPosition
 
 
@@ -47,12 +47,14 @@ class TropoModel:
             raise ValueError(f"temperature out of range: {self.temperature}")
 
 
-def klobuchar_delay(params: KlobucharParams, time: GpsTime,
+def klobuchar_delay(params: KlobucharParams, tow,
                     user: GeodeticPosition, elevation, azimuth):
     """L1 ionospheric group delay in meters (ICD-GPS-200 formulation).
 
     `elevation` and `azimuth` are floats or equal-shape arrays of
-    satellites; the delay has their shape.
+    satellites; the delay has their shape. `tow` [s of GPS week] and
+    `user` are one receiver's time and position, or arrays of that
+    shape: one receiver per satellite.
     """
     if (np.asarray(elevation) < 0.0).any():
         raise ValueError("elevation must be non-negative")
@@ -65,7 +67,7 @@ def klobuchar_delay(params: KlobucharParams, time: GpsTime,
     phi_i = np.minimum(np.maximum(phi_i, -0.416), 0.416)
     lam_i = lon + psi * np.sin(azimuth) / np.cos(phi_i * np.pi)
     phi_m = phi_i + 0.064 * np.cos((lam_i - 1.617) * np.pi)
-    t = 4.32e4 * lam_i + time.tow
+    t = 4.32e4 * lam_i + tow
     t -= np.floor(t / 86400.0) * 86400.0
 
     f = 1.0 + 16.0 * (0.53 - el) ** 3
@@ -89,14 +91,16 @@ def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation):
     """Tropospheric delay in meters with 1/cos(z) mapping.
 
     `elevation` is a float or an array of satellites; the delay has its
-    shape. Pressure/temperature are scaled from the model's sea-level
-    values to the user height with the standard-atmosphere profile.
+    shape. `user` is one receiver, or one of arrays of that shape: one
+    receiver per satellite. Pressure/temperature are scaled from the
+    model's sea-level values to the user height with the
+    standard-atmosphere profile.
     """
     if (np.asarray(elevation) <= MIN_ELEVATION).any():
         lowest = np.degrees(np.min(elevation))
         raise ElevationTooLow(f"elevation {lowest:.2f} deg below 1 deg")
-    h = min(max(user.height, 0.0), 11000.0)
-    pres = model.pressure * (1.0 - 2.2557e-5 * h) ** 5.2568
+    h = np.minimum(np.maximum(user.height, 0.0), 11000.0)
+    pres = model.pressure * scalar_pow(1.0 - 2.2557e-5 * h, 5.2568)
     temp = model.temperature - 6.5e-3 * h
     e = 6.108 * model.humidity * np.exp((17.15 * temp - 4684.0) / (temp - 38.45))
 

@@ -51,10 +51,9 @@ def cmd_simulate(args) -> int:
     with open(out / "observations.rnx", "w") as stream:
         write_rinex_obs(header, epochs, stream)
     with open(out / "truth.csv", "w", newline="") as stream:
-        write_trajectory_csv(
-            [TrajectoryRecord.from_position(rec.time, rec.position,
-                                            TrajectoryStatus.TRUTH)
-             for rec in truth], stream)
+        write_trajectory_csv(TrajectoryRecord.from_positions(
+            [rec.time for rec in truth], [rec.position for rec in truth],
+            TrajectoryStatus.TRUTH), stream)
     with open(out / "sat_states.csv", "w", newline="") as stream:
         write_sat_states_csv(epochs, sat_states, stream)
     with open(out / "scenario.yaml", "w") as stream:
@@ -137,15 +136,13 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for k, epoch in enumerate(epochs):
-        initial = (result.graph.reference_position
-                   + result.graph.initial_states[k, :3])
-        records.append(TrajectoryRecord.from_position(
-            epoch.time, initial, TrajectoryStatus.INITIAL))
-    for k, epoch in enumerate(epochs):
-        records.append(TrajectoryRecord.from_position(
-            epoch.time, result.positions[k], TrajectoryStatus.OPTIMIZED))
+    times = [epoch.time for epoch in epochs]
+    records = (TrajectoryRecord.from_positions(
+                   times, result.graph.reference_position
+                   + result.graph.initial_states[:, :3],
+                   TrajectoryStatus.INITIAL)
+               + TrajectoryRecord.from_positions(
+                   times, result.positions, TrajectoryStatus.OPTIMIZED))
     with open(out / "trajectory.csv", "w", newline="") as stream:
         write_trajectory_csv(records, stream)
     with open(out / "graph.json", "w") as stream:

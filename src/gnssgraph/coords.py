@@ -10,53 +10,98 @@ from .types import GeodeticPosition, SatelliteState
 
 
 def geodetic_to_ecef(pos: GeodeticPosition) -> np.ndarray:
-    """WGS-84 geodetic coordinates to ECEF meters."""
+    """WGS-84 geodetic coordinates to ECEF meters: (3,) for one position
+    of floats, (m, 3) for one of (m,) arrays."""
     sin_lat = np.sin(pos.latitude)
     cos_lat = np.cos(pos.latitude)
-    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat ** 2)
+    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * scalar_pow(sin_lat, 2))
     return np.array([
         (n + pos.height) * cos_lat * np.cos(pos.longitude),
         (n + pos.height) * cos_lat * np.sin(pos.longitude),
         (n * (1.0 - WGS84_E2) + pos.height) * sin_lat,
-    ])
+    ]).T
 
 
 def ecef_to_geodetic(pos: np.ndarray) -> GeodeticPosition:
-    """ECEF meters to WGS-84 geodetic, iterative latitude solution."""
+    """ECEF meters to WGS-84 geodetic, iterative latitude solution.
+
+    `pos` is one position (3,), which gives a GeodeticPosition of
+    floats, or an (m, 3) array of them, one receiver per row, which
+    gives one of (m,) arrays; each row iterates until its own latitude
+    settles. Raise NearSingular if a position lies within 1000 km of
+    the earth's center.
+    """
     pos = np.asarray(pos, dtype=float)
-    r = np.linalg.norm(pos)
-    if r <= 1e6:
-        raise NearSingular(f"position norm {r:.0f} m below geodetic threshold")
-    p = np.hypot(pos[0], pos[1])
-    lon = 0.0 if p < 1e-9 else np.arctan2(pos[1], pos[0])
-    lat = np.arctan2(pos[2], p * (1.0 - WGS84_E2))
+    r = _row_norms(pos)
+    if _any(r <= 1e6):
+        raise NearSingular(
+            f"position norm {np.min(r):.0f} m below geodetic threshold")
+    x, y, z = pos.T
+    p = np.hypot(x, y)
+    lon = _select(p < 1e-9, 0.0, np.arctan2(y, x))
+    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
+    # a NaN row (no receiver) has nothing to settle
+    moving = np.isfinite(p)
     for _ in range(10):
-        sin_lat = np.sin(lat)
-        n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat ** 2)
-        h = p / np.cos(lat) - n if p > 1e-9 else abs(pos[2]) - n * (1.0 - WGS84_E2)
-        lat_new = np.arctan2(pos[2], p * (1.0 - WGS84_E2 * n / (n + h)))
-        if abs(lat_new - lat) < 1e-14:
-            lat = lat_new
+        n, h = _radius_and_height(p, z, lat)
+        lat_new = np.arctan2(z, p * (1.0 - WGS84_E2 * n / (n + h)))
+        unsettled = np.abs(lat_new - lat) >= 1e-14
+        lat = _select(moving, lat_new, lat)
+        moving = moving & unsettled
+        if not _any(moving):
             break
-        lat = lat_new
-    sin_lat = np.sin(lat)
-    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sin_lat ** 2)
-    if p > 1e-9:
-        h = p / np.cos(lat) - n
-    else:
-        h = abs(pos[2]) - n * (1.0 - WGS84_E2)
-    return GeodeticPosition(lat, lon, h)
+    return GeodeticPosition(lat, lon, _radius_and_height(p, z, lat)[1])
+
+
+def _radius_and_height(p, z, lat):
+    """Prime-vertical radius N at latitude `lat`, and the ellipsoidal
+    height of the point at distance `p` from the axis and `z` (on the
+    axis, p <= 1e-9, from `z` alone)."""
+    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * scalar_pow(np.sin(lat), 2))
+    return n, _select(p > 1e-9, p / np.cos(lat) - n,
+                      np.abs(z) - n * (1.0 - WGS84_E2))
+
+
+def _select(condition, a, b):
+    """`a` where `condition` holds, else `b`: elementwise for arrays, and
+    without building arrays for one value."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+def _any(flags) -> bool:
+    """Whether any of `flags` (an array, or one value) holds."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
+def scalar_pow(base, exponent):
+    """`base ** exponent` by the C library's pow for each element, as a
+    float base gets it: numpy's array power and square can round the
+    last bit differently, and a receiver's coordinates and delays must
+    not depend on how many receivers share the call."""
+    if not isinstance(base, np.ndarray):
+        return base ** exponent
+    return _POW(base, exponent).astype(float)
+
+
+_POW = np.frompyfunc(pow, 2, 1)
 
 
 def enu_rotation(origin: GeodeticPosition) -> np.ndarray:
-    """Rotation matrix mapping ECEF deltas to local East-North-Up."""
+    """Rotation matrix mapping ECEF deltas to local East-North-Up: (3, 3)
+    for one origin of floats, (m, 3, 3) for one of (m,) arrays."""
     sl, cl = np.sin(origin.latitude), np.cos(origin.latitude)
     so, co = np.sin(origin.longitude), np.cos(origin.longitude)
-    return np.array([
-        [-so, co, 0.0],
+    rotation = np.array([
+        [-so, co, np.zeros_like(so)],
         [-sl * co, -sl * so, cl],
         [cl * co, cl * so, sl],
     ])
+    if rotation.ndim == 2:
+        return rotation
+    # contiguous, so that matmul takes each receiver's 3x3 as it takes one
+    return np.ascontiguousarray(rotation.transpose(2, 0, 1))
 
 
 def ecef_to_enu(origin: GeodeticPosition, point: np.ndarray) -> np.ndarray:
@@ -134,7 +179,9 @@ def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray):
     """Elevation [-pi/2, pi/2] and azimuth [0, 2*pi) of satellites.
 
     `sat_pos` is one ECEF position (3,), which gives two floats, or an
-    (n, 3) array of them, which gives two (n,) arrays.
+    (n, 3) array of them, which gives two (n,) arrays. `receiver` is one
+    position of floats, or one of (n,) arrays: one receiver per
+    satellite.
     """
     delta = np.asarray(sat_pos, dtype=float) - geodetic_to_ecef(receiver)
     # one 3x3 product per satellite: the same arithmetic for one or many

@@ -44,10 +44,17 @@ class TrajectoryRecord:
     status: TrajectoryStatus
 
     @staticmethod
-    def from_position(time: GpsTime, position: np.ndarray,
-                      status: TrajectoryStatus) -> "TrajectoryRecord":
-        return TrajectoryRecord(time, np.asarray(position, float),
-                                ecef_to_geodetic(position), status)
+    def from_positions(times, positions,
+                       status: TrajectoryStatus) -> list:
+        """One record per time and ECEF position, the geodetic
+        coordinates of all of them converted in one call."""
+        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        geodetic = ecef_to_geodetic(positions)
+        return [TrajectoryRecord(time, position,
+                                 GeodeticPosition(lat, lon, height), status)
+                for time, position, lat, lon, height in zip(
+                    times, positions, geodetic.latitude, geodetic.longitude,
+                    geodetic.height)]
 
 
 TRAJECTORY_COLUMNS = ("tow", "x", "y", "z", "lat_deg", "lon_deg", "height",
@@ -221,15 +228,21 @@ def delay_models_to_dict(iono: KlobucharParams | None,
 
 def delay_models_from_dict(data: dict) -> dict:
     """Inverse of `delay_models_to_dict` for the keys `data` has: null
-    gives None, an absent key no entry."""
+    gives None, an absent key no entry. A malformed entry is an
+    IoFailure."""
     models = {}
-    if "iono" in data:
-        models["iono"] = (None if data["iono"] is None else KlobucharParams(
-            alpha=tuple(data["iono"]["alpha"]),
-            beta=tuple(data["iono"]["beta"])))
-    if "tropo" in data:
-        models["tropo"] = (None if data["tropo"] is None
-                           else TropoModel(**data["tropo"]))
+    try:
+        if "iono" in data:
+            models["iono"] = (None if data["iono"] is None
+                              else KlobucharParams(
+                                  alpha=tuple(data["iono"]["alpha"]),
+                                  beta=tuple(data["iono"]["beta"])))
+        if "tropo" in data:
+            models["tropo"] = (None if data["tropo"] is None
+                               else TropoModel(**data["tropo"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(
+            f"bad delay model: {type(exc).__name__}: {exc}") from exc
     return models
 
 

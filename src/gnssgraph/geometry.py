@@ -1,14 +1,15 @@
-"""Per-epoch satellite geometry shared by the epoch-wise estimators.
+"""Satellite geometry of a whole session, shared by the epoch-wise estimators.
 
-An `EpochGeometry` holds, as arrays in the epoch's satellite order,
-every observed satellite that has a known state, and what the
-estimators need of it at one receiver position: line of sight, range,
-elevation/azimuth and the modeled atmosphere delays. The pipeline
-gathers each epoch's satellites once, with the delay models, and every
-estimator takes that unlocated geometry or one located from it: SPP
-evaluates it at each iterate, the pipeline once at each final point
-solution for Doppler velocity and TR-RTK, and the graph once per node
-for the pseudorange factors.
+An `EpochGeometry` holds every epoch's observed satellites that have a
+known state as flat rows, epoch after epoch, and what the estimators
+need of them seen from one receiver position per epoch: line of sight,
+range, elevation/azimuth and the modeled atmosphere delays. The
+pipeline gathers the session once per solve, with the delay models, and
+every estimator takes that unlocated geometry or one located from it:
+SPP locates it at each iterate of all its epochs, the pipeline once at
+the point solutions for Doppler velocity and TR-RTK, and the graph once
+at the node positions for the pseudorange factors. A one-epoch caller
+passes a session of one epoch.
 """
 
 from __future__ import annotations
@@ -22,67 +23,78 @@ from .atmosphere import (MIN_ELEVATION, KlobucharParams, TropoModel,
 from .constants import CLIGHT
 from .coords import (check_ranges, ecef_to_geodetic, elevation_azimuth,
                      unchecked_lines_of_sight)
-from .errors import ElevationTooLow
-from .types import CONSTELLATION_INDEX, Epoch
+from .errors import ElevationTooLow, GnssError
+from .types import CONSTELLATION_INDEX, GeodeticPosition
 
 
 class EpochGeometry:
-    """One epoch's satellites, and with `at`, seen from a receiver position.
+    """A session's satellites, and with `at`, seen from one receiver
+    position per epoch.
 
-    Satellite arrays (row k is `sats[k]`): `sat_position`,
-    `sat_velocity`, `clock_bias` [s], `clock_drift` [s/s], `code` [m],
-    `doppler` [Hz], `wavelength` [m] and `slot` (`CONSTELLATION_INDEX`).
-    Set by `at(position)`: `position`, `geodetic`, `elevation` and
-    `azimuth` [rad], `unit` (receiver to satellite), Sagnac-corrected
-    `range` [m], `iono` and `tropo` delays [m], and `corrected_code`,
-    the pseudorange with the satellite clock and the modeled atmosphere
-    removed [m]. A delay is zero without its model and NaN where its
-    model is undefined: iono below the horizon, tropo at or below 1 deg
-    (see `require_delays`).
+    Per epoch: `times` (GpsTime), `tow` [s] and `start`, whose rows
+    `start[e]:start[e + 1]` are epoch e's satellites in its order.
+    Per row: `epoch`, `sats`, `sat_position`, `sat_velocity`,
+    `clock_bias` [s], `clock_drift` [s/s], `code` [m], `doppler` [Hz],
+    `wavelength` [m] and `slot` (`CONSTELLATION_INDEX`). Set by
+    `at(positions)`: per epoch `position` and `geodetic`, per row
+    `elevation` and `azimuth` [rad], `unit` (receiver to satellite),
+    Sagnac-corrected `range` [m], `iono` and `tropo` delays [m], and
+    `corrected_code`, the pseudorange with the satellite clock and the
+    modeled atmosphere removed [m]. A delay is zero without its model
+    and NaN where its model is undefined: iono below the horizon, tropo
+    at or below 1 deg (see `require_delays`). Every row is computed
+    from its own epoch's values alone, so an epoch gets the same bits
+    in any session.
     """
 
-    def __init__(self, epoch: Epoch, states: dict,
+    def __init__(self, epochs, sat_states,
                  iono: KlobucharParams | None = None,
                  tropo: TropoModel | None = None):
-        known = [(obs, state) for obs in epoch.observations
+        known = [(e, obs, state)
+                 for e, (epoch, states) in enumerate(zip(epochs, sat_states))
+                 for obs in epoch.observations
                  if (state := states.get(obs.sat)) is not None]
-        self.time = epoch.time
+        self.times = tuple(epoch.time for epoch in epochs)
+        self.tow = np.array([time.tow for time in self.times], dtype=float)
         self.iono_model = iono
         self.tropo_model = tropo
-        self.sats = tuple(obs.sat for obs, _ in known)
-        self.sat_position = np.array([s.position for _, s in known],
+        self.epoch = np.array([e for e, _, _ in known], dtype=int)
+        self.start = np.searchsorted(self.epoch, np.arange(len(epochs) + 1))
+        self.sats = tuple(obs.sat for _, obs, _ in known)
+        self.sat_position = np.array([s.position for _, _, s in known],
                                      dtype=float).reshape(-1, 3)
-        self.sat_velocity = np.array([s.velocity for _, s in known],
+        self.sat_velocity = np.array([s.velocity for _, _, s in known],
                                      dtype=float).reshape(-1, 3)
-        self.clock_bias = np.array([s.clock_bias for _, s in known],
+        self.clock_bias = np.array([s.clock_bias for _, _, s in known],
                                    dtype=float)
-        self.clock_drift = np.array([s.clock_drift for _, s in known],
+        self.clock_drift = np.array([s.clock_drift for _, _, s in known],
                                     dtype=float)
-        self.code = np.array([obs.pseudorange for obs, _ in known],
+        self.code = np.array([obs.pseudorange for _, obs, _ in known],
                              dtype=float)
-        self.doppler = np.array([obs.doppler for obs, _ in known],
+        self.doppler = np.array([obs.doppler for _, obs, _ in known],
                                 dtype=float)
-        self.wavelength = np.array([obs.wavelength for obs, _ in known],
+        self.wavelength = np.array([obs.wavelength for _, obs, _ in known],
                                    dtype=float)
         self.slot = np.array([CONSTELLATION_INDEX[sat.constellation]
                               for sat in self.sats], dtype=int)
 
-    def at(self, position) -> "EpochGeometry":
-        """These satellites seen from the receiver position `position`;
-        the satellite arrays are shared, not copied."""
+    def at(self, positions) -> "EpochGeometry":
+        """These satellites seen from `positions` (epochs, 3), one receiver
+        position per epoch; the satellite arrays are shared, not copied."""
         located = copy.copy(self)
-        located._locate(position)
+        located._locate(positions)
         return located
 
-    def _locate(self, position) -> None:
+    def _locate(self, positions) -> None:
         # assign new arrays only: the satellite arrays are shared with
         # the unlocated geometry and with every geometry located from it
-        self.position = np.array(position, dtype=float)
+        self.position = np.array(positions, dtype=float).reshape(-1, 3)
         self.geodetic = ecef_to_geodetic(self.position)
-        self.elevation, self.azimuth = elevation_azimuth(self.geodetic,
+        receiver = _take(self.geodetic, self.epoch)
+        self.elevation, self.azimuth = elevation_azimuth(receiver,
                                                          self.sat_position)
         self.unit, self.range, self._distance = unchecked_lines_of_sight(
-            self.position, self.sat_position)
+            self.position[self.epoch], self.sat_position)
         n = len(self.sats)
         self.iono = np.zeros(n)
         self.tropo = np.zeros(n)
@@ -90,19 +102,19 @@ class EpochGeometry:
             ok = self.elevation >= 0.0
             self.iono[~ok] = np.nan
             self.iono[ok] = klobuchar_delay(
-                self.iono_model, self.time, self.geodetic,
-                self.elevation[ok], self.azimuth[ok])
+                self.iono_model, self.tow[self.epoch[ok]],
+                _take(receiver, ok), self.elevation[ok], self.azimuth[ok])
         if self.tropo_model is not None:
             ok = self.elevation > MIN_ELEVATION
             self.tropo[~ok] = np.nan
             self.tropo[ok] = saastamoinen_delay(
-                self.tropo_model, self.geodetic, self.elevation[ok])
+                self.tropo_model, _take(receiver, ok), self.elevation[ok])
         self.corrected_code = (self.code + CLIGHT * self.clock_bias
                                - self.iono - self.tropo)
 
     def above(self, mask: float) -> np.ndarray:
-        """Row indexes of the satellites at or above elevation `mask`."""
-        return np.flatnonzero(self.elevation >= mask)
+        """Bool per row: the satellite is at or above elevation `mask`."""
+        return self.elevation >= mask
 
     def require_ranges(self, rows) -> None:
         """Raise DegenerateGeometry if a satellite of `rows` is closer
@@ -119,3 +131,26 @@ class EpochGeometry:
         if low.any():
             lowest = np.degrees(self.elevation[rows][low].min())
             raise ElevationTooLow(f"elevation {lowest:.2f} deg below 1 deg")
+
+    def failures(self, rows, checks) -> dict:
+        """Epoch index -> the error that the first of `checks` (such as
+        `require_ranges`, `require_delays`) raises for that epoch's rows
+        among `rows` (bool), for each epoch where one raises."""
+        suspect = rows & ((self._distance < 1e6) | np.isnan(self.iono)
+                          | np.isnan(self.tropo))
+        errors = {}
+        for e in np.unique(self.epoch[suspect]).tolist():
+            own = rows & (self.epoch == e)
+            for check in checks:
+                try:
+                    check(own)
+                except (GnssError, ValueError) as exc:
+                    errors[e] = exc
+                    break
+        return errors
+
+
+def _take(position: GeodeticPosition, index) -> GeodeticPosition:
+    """The receivers `index` selects of a GeodeticPosition of arrays."""
+    return GeodeticPosition(position.latitude[index],
+                            position.longitude[index], position.height[index])

@@ -17,6 +17,7 @@ which the per-factor `residual_*` reference functions take.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,14 @@ class PseudorangeFactors(_Table):
     constant: np.ndarray               # (p,) [m], consistent with `row`
     information: np.ndarray            # (p,) [1/m^2]
     lin_offset: np.ndarray             # (p, 3) [m]
+
+    @classmethod
+    def empty(cls) -> "PseudorangeFactors":
+        return cls(node=np.zeros(0, dtype=int), sat=(),
+                   sat_position=np.zeros((0, 3)), slot=np.zeros(0, dtype=int),
+                   measured=np.zeros(0), row=np.zeros((0, STATE_DIM)),
+                   constant=np.zeros(0), information=np.zeros(0),
+                   lin_offset=np.zeros((0, 3)))
 
 
 @dataclass
@@ -154,31 +163,31 @@ class GraphConfig:
     initial_radius: float = 100.0      # trust region [m]
 
 
-def build_graph(satellites: list[EpochGeometry], velocities, spp_solutions,
+def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
                 trrtk_results, solver: SolverConfig | None = None,
                 config: GraphConfig | None = None) -> Graph:
-    """Assemble the trajectory graph, one node per unlocated epoch
-    geometry of `satellites`.
+    """Assemble the trajectory graph, one node per epoch of the unlocated
+    session geometry `geometry`.
 
     `velocities` holds one VelocitySolution per consecutive pair,
     `trrtk_results` holds (past_index, current_index, TrRtkResult)
     triples; only Fixed results become factors. Node positions start at
     the epoch-0 point solution plus accumulated velocity increments.
-    Pseudorange factors are corrected with each geometry's delay models
-    and weighted, above its elevation mask, as `solver` weights the
-    point solutions.
+    The geometry is located once at them for the pseudorange factors,
+    which are corrected with its delay models and weighted, above its
+    elevation mask, as `solver` weights the point solutions.
     """
     solver = solver or SolverConfig()
     config = config or GraphConfig()
-    n = len(satellites)
+    n = len(geometry.times)
     if n == 0:
         raise EmptyInput("no epochs")
     if len(velocities) < n - 1:
         raise MissingVelocity(
             f"{len(velocities)} velocity solutions for {n} epochs")
 
-    dt = np.array([b.time - a.time
-                   for a, b in zip(satellites, satellites[1:])], dtype=float)
+    dt = np.array([b - a for a, b in zip(geometry.times, geometry.times[1:])],
+                  dtype=float)
     velocity = np.array([v.velocity for v in velocities[:n - 1]],
                         dtype=float).reshape(-1, 3)
     reference = np.asarray(spp_solutions[0].position, dtype=float)
@@ -219,36 +228,29 @@ def build_graph(satellites: list[EpochGeometry], velocities, spp_solutions,
             [r.covariance for _, _, r in fixed],
             dtype=float).reshape(-1, 3, 3)))
 
-    # one part per epoch, its satellites above the mask; the first part
-    # is empty so that a graph without pseudorange factors has one too
-    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0, dtype=int),
-              np.zeros(0), np.zeros((0, STATE_DIM)), np.zeros(0),
-              np.zeros(0))]
-    sats = []
     observed = np.zeros((n, 4), dtype=bool)
-    for k, g in enumerate(satellites if config.use_pseudorange else ()):
-        offset = states[k, :3]
-        geometry = g.at(reference + offset)
-        rows = geometry.above(solver.elevation_mask)
-        geometry.require_delays(rows)
-        geometry.require_ranges(rows)
-        measured = geometry.corrected_code[rows]
+    pseudorange_factors = PseudorangeFactors.empty()
+    if config.use_pseudorange:
+        located = geometry.at(reference + states[:, :3])
+        rows = located.above(solver.elevation_mask)
+        failed = located.failures(rows, (located.require_delays,
+                                         located.require_ranges))
+        if failed:
+            raise failed[min(failed)]
+        node, slot = geometry.epoch[rows], geometry.slot[rows]
+        offsets = states[node, :3]
+        measured = located.corrected_code[rows]
         jacobian, constants = _linearization(
-            geometry.unit[rows], geometry.range[rows], geometry.slot[rows],
-            measured, np.tile(offset, (len(rows), 1)))
-        parts.append((np.full(len(rows), k), geometry.sat_position[rows],
-                      geometry.slot[rows], measured, jacobian, constants,
-                      geometry.elevation[rows]))
-        sats += [geometry.sats[r] for r in rows]
-        observed[k, 0] = len(rows) > 0
-        observed[k, geometry.slot[rows]] = True
-    node, sat_position, slot, measured, jacobian, constants, elevation = (
-        np.concatenate(column) for column in zip(*parts))
-    pseudorange_factors = PseudorangeFactors(
-        node=node, sat=tuple(sats), sat_position=sat_position, slot=slot,
-        measured=measured, row=jacobian, constant=constants,
-        information=1.0 / pseudorange_variance(elevation, config=solver),
-        lin_offset=states[node, :3])
+            located.unit[rows], located.range[rows], slot, measured, offsets)
+        pseudorange_factors = PseudorangeFactors(
+            node=node, sat=tuple(compress(geometry.sats, rows)),
+            sat_position=geometry.sat_position[rows], slot=slot,
+            measured=measured, row=jacobian, constant=constants,
+            information=1.0 / pseudorange_variance(located.elevation[rows],
+                                                   config=solver),
+            lin_offset=offsets)
+        observed[node, 0] = True
+        observed[node, slot] = True
 
     # the first node's position, then per node its unobserved clock slots
     free_node, free_slot = np.nonzero(~observed)

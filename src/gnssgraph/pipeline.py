@@ -22,8 +22,8 @@ from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
 class PipelineConfig:
     """Every setting of a solve, each in one place: the delay models here
     enter the solve once, in the `EpochGeometry` that `solve_trajectory`
-    gathers per epoch and that SPP, TR-RTK and the pseudorange factors
-    share; `solver` weights the point solutions and the pseudorange
+    gathers for the session and that SPP, TR-RTK and the pseudorange
+    factors share; `solver` weights the point solutions and the pseudorange
     factors, and the observation spacing comes from the epoch times."""
 
     use_trrtk: bool = True
@@ -68,29 +68,34 @@ def lattice_pairs(times, offsets, interval: float) -> list:
     return pairs
 
 
+def _solutions(outcomes: list, times) -> list:
+    """`outcomes`, one per epoch, if none is an error; else the earliest
+    epoch's error, raised with its index and time in the message."""
+    for k, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            error = type(outcome)(f"epoch {k} at {times[k]}: {outcome}")
+            raise error from outcome
+    return outcomes
+
+
 def solve_trajectory(epochs, sat_states,
                      config: PipelineConfig | None = None) -> PipelineResult:
     """Run the full estimation chain over one observation session."""
     config = config or PipelineConfig()
     n = len(epochs)
 
-    # each epoch's satellites gathered once, with the delay models
-    satellites = [EpochGeometry(epoch, states_k, config.iono, config.tropo)
-                  for epoch, states_k in zip(epochs, sat_states)]
-    spp_solutions = []
-    velocities = []
-    corrections = []
-    for k, g in enumerate(satellites):
-        warm = spp_solutions[-1].position if spp_solutions else None
-        spp = solve_spp(g, config.solver, initial_position=warm)
-        spp_solutions.append(spp)
-        # located once at the final point solution, for Doppler (which
-        # uses no delay model) and for TR-RTK
-        geometry = g.at(spp.position)
-        if k < n - 1:
-            velocities.append(solve_doppler_velocity(geometry, config.solver))
-        if config.use_trrtk:
-            corrections.append(epoch_corrections(geometry, config.trrtk))
+    # the session's satellites gathered once, with the delay models
+    geometry = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
+    spp_solutions = _solutions(solve_spp(geometry, config.solver),
+                               geometry.times)
+    # located once at the point solutions, for Doppler (which uses no
+    # delay model) and for TR-RTK
+    located = geometry.at([spp.position for spp in spp_solutions])
+    velocities = _solutions(
+        solve_doppler_velocity(located, config.solver)[:n - 1],
+        geometry.times)
+    corrections = (epoch_corrections(located, config.trrtk)
+                   if config.use_trrtk else [])
 
     trrtk_results = []
     trrtk_errors = []
@@ -109,7 +114,7 @@ def solve_trajectory(epochs, sat_states,
             else:
                 trrtk_results.append((i, j, outcome))
 
-    graph = build_graph(satellites, velocities, spp_solutions, trrtk_results,
+    graph = build_graph(geometry, velocities, spp_solutions, trrtk_results,
                         config.solver, config.graph)
     states, report = optimize(graph, config.graph)
     positions = graph.reference_position + states[:, :3]

@@ -304,7 +304,7 @@ class MeasurementSimulator:
             geo, np.array([states[sat].position for sat in sats]))
         in_view = np.flatnonzero(el >= VISIBILITY_MASK)
         el, az = el[in_view], az[in_view]
-        iono = (klobuchar_delay(cfg.iono, truth.time, geo, el, az)
+        iono = (klobuchar_delay(cfg.iono, truth.time.tow, geo, el, az)
                 if cfg.iono else np.zeros(len(in_view)))
         tropo = (saastamoinen_delay(cfg.tropo, geo, el)
                  if cfg.tropo else np.zeros(len(in_view)))

@@ -95,21 +95,29 @@ class EpochCorrections:
 
 
 def epoch_corrections(geometry: EpochGeometry,
-                      config: TrRtkConfig | None = None) -> EpochCorrections:
-    """Elevation, modeled (iono, tropo) delay, and pseudorange with the
-    satellite clock and modeled atmosphere removed, per satellite, as
-    `geometry` has them at its receiver position with its delay models.
+                      config: TrRtkConfig | None = None) -> list:
+    """Each epoch's EpochCorrections: elevation, modeled (iono, tropo)
+    delay, and pseudorange with the satellite clock and modeled
+    atmosphere removed, per satellite, as `geometry` has them at its
+    receiver positions with its delay models. The earliest epoch's
+    delay-model error is raised.
     """
     config = config or TrRtkConfig()
-    rows = geometry.above(config.elevation_mask)
     # a satellite the troposphere model rejects (ElevationTooLow) is left out
-    rows = rows[~np.isnan(geometry.tropo[rows])]
-    geometry.require_delays(rows)
-    return EpochCorrections(
-        geometry.position, tuple(geometry.sats[k] for k in rows),
-        geometry.sat_position[rows], geometry.elevation[rows],
-        geometry.iono[rows], geometry.tropo[rows],
-        geometry.corrected_code[rows])
+    rows = geometry.above(config.elevation_mask) & ~np.isnan(geometry.tropo)
+    failed = geometry.failures(rows, (geometry.require_delays,))
+    if failed:
+        raise failed[min(failed)]
+    index = np.flatnonzero(rows)
+    bounds = np.searchsorted(geometry.epoch[index],
+                             np.arange(len(geometry.times) + 1)).tolist()
+    sats = [geometry.sats[k] for k in index.tolist()]
+    columns = (geometry.sat_position[index], geometry.elevation[index],
+               geometry.iono[index], geometry.tropo[index],
+               geometry.corrected_code[index])
+    return [EpochCorrections(geometry.position[e], tuple(sats[a:b]),
+                             *(column[a:b] for column in columns))
+            for e, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 @dataclass(frozen=True)

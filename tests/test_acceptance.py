@@ -225,17 +225,14 @@ def test_criterion_7_zero_noise_oracle_closure():
     truth, epochs, states = run_scenario(cfg)
     tpos = np.array([r.position for r in truth])
 
-    corrections = []
-    spp_err = vel_err = 0.0
-    for k, (epoch, sats) in enumerate(zip(epochs, states)):
-        satellites = EpochGeometry(epoch, sats, cfg.iono, cfg.tropo)
-        spp = solve_spp(satellites)
-        geometry = satellites.at(spp.position)
-        corrections.append(epoch_corrections(geometry))
-        spp_err = max(spp_err, np.linalg.norm(spp.position - tpos[k]))
-        vel = solve_doppler_velocity(geometry)
-        vel_err = max(vel_err,
-                      np.linalg.norm(vel.velocity - truth[k].velocity))
+    satellites = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
+    spp = np.array([s.position for s in solve_spp(satellites)])
+    geometry = satellites.at(spp)
+    corrections = epoch_corrections(geometry)
+    spp_err = np.linalg.norm(spp - tpos, axis=1).max()
+    vel = np.array([v.velocity for v in solve_doppler_velocity(geometry)])
+    vel_err = np.linalg.norm(
+        vel - np.array([r.velocity for r in truth]), axis=1).max()
 
     tr_err = 0.0
     for i, j in ((0, 100), (10, 40), (5, 105)):
@@ -274,11 +271,9 @@ def test_criterion_8_monotone_optimizer(solved_seeds):
 def test_criterion_9_doppler_velocity_quality():
     cfg = ScenarioConfig(duration=999.0, seed=9)   # static, default noise
     truth, epochs, states = run_scenario(cfg)
-    errors = np.empty((len(epochs), 3))
-    for k, (epoch, sats) in enumerate(zip(epochs, states)):
-        vel = solve_doppler_velocity(
-            EpochGeometry(epoch, sats).at(truth[k].position))
-        errors[k] = vel.velocity - truth[k].velocity
+    geometry = EpochGeometry(epochs, states).at([r.position for r in truth])
+    errors = np.array([v.velocity - r.velocity for v, r in
+                       zip(solve_doppler_velocity(geometry), truth)])
     rms = np.sqrt((errors ** 2).mean(axis=0))
     announce(9, len(epochs) >= 1000 and rms.max() < 0.05,
              f"Doppler velocity RMS per axis {np.round(rms, 4)} m/s over "

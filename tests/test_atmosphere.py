@@ -5,7 +5,6 @@ from gnssgraph.atmosphere import (KlobucharParams, TropoModel, klobuchar_delay,
                                   saastamoinen_delay)
 from gnssgraph.constants import CLIGHT
 from gnssgraph.errors import ElevationTooLow
-from gnssgraph.gnsstime import GpsTime
 from gnssgraph.types import GeodeticPosition
 
 SITE = GeodeticPosition(np.radians(35.0), np.radians(140.0), 50.0)
@@ -32,7 +31,7 @@ def klobuchar_oracle(alpha, beta, tow, lat, lon, el, az):
 class TestKlobuchar:
     def test_zero_coefficients_nighttime_zenith(self):
         # zenith obliquity is ~1.0004, so the night constant dominates
-        d = klobuchar_delay(KlobucharParams(), GpsTime(2200, 0.0), SITE,
+        d = klobuchar_delay(KlobucharParams(), 0.0, SITE,
                             np.pi / 2, 0.0)
         assert abs(d - CLIGHT * 5e-9) < 1e-3
         oracle = klobuchar_oracle((0,) * 4, (0,) * 4, 0.0, SITE.latitude,
@@ -41,14 +40,14 @@ class TestKlobuchar:
 
     def test_obliquity_monotone(self):
         p = KlobucharParams.typical()
-        t = GpsTime(2200, 50400.0)
+        t = 50400.0
         d_high = klobuchar_delay(p, t, SITE, np.pi / 2, 1.0)
         d_low = klobuchar_delay(p, t, SITE, np.radians(15.0), 1.0)
         assert d_low > d_high
 
     def test_full_worked_case_matches_oracle(self):
         p = KlobucharParams.typical()
-        t = GpsTime(2200, 45000.0)
+        t = 45000.0
         el, az = np.radians(40.0), np.radians(210.0)
         d = klobuchar_delay(p, t, SITE, el, az)
         oracle = klobuchar_oracle(p.alpha, p.beta, 45000.0, SITE.latitude,
@@ -59,15 +58,15 @@ class TestKlobuchar:
     def test_periodic_in_day(self):
         p = KlobucharParams.typical()
         for tow in (1000.0, 30000.0, 60000.0):
-            d1 = klobuchar_delay(p, GpsTime(2200, tow), SITE, 0.7, 2.0)
-            d2 = klobuchar_delay(p, GpsTime(2200, tow + 86400.0), SITE, 0.7, 2.0)
+            d1 = klobuchar_delay(p, tow, SITE, 0.7, 2.0)
+            d2 = klobuchar_delay(p, tow + 86400.0, SITE, 0.7, 2.0)
             assert abs(d1 - d2) < 1e-9
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         p = KlobucharParams.typical()
         for _ in range(200):
-            d = klobuchar_delay(p, GpsTime(2200, rng.uniform(0, 604800)), SITE,
+            d = klobuchar_delay(p, rng.uniform(0, 604800), SITE,
                                 rng.uniform(0, np.pi / 2),
                                 rng.uniform(0, 2 * np.pi))
             assert d >= 0.0
@@ -90,7 +89,7 @@ class TestKlobucharArrays:
             for tow in np.linspace(0.0, 86400.0, 25):
                 el = rng.uniform(0.0, np.pi / 2, 30)
                 az = rng.uniform(0.0, 2 * np.pi, 30)
-                t = GpsTime(2200, float(tow))
+                t = float(tow)
                 delays = klobuchar_delay(p, t, site, el, az)
                 assert delays.shape == (30,)
                 for k in range(30):
@@ -110,7 +109,7 @@ class TestKlobucharArrays:
 
     def test_negative_elevation_in_array_rejected(self):
         with pytest.raises(ValueError):
-            klobuchar_delay(KlobucharParams.typical(), GpsTime(2200, 0.0),
+            klobuchar_delay(KlobucharParams.typical(), 0.0,
                             SITE, np.array([0.5, -0.01]), np.array([1.0, 2.0]))
 
 
@@ -187,7 +186,7 @@ class TestCommonProperties:
     def test_monotone_nonincreasing_in_elevation(self):
         model = TropoModel()
         p = KlobucharParams()
-        t = GpsTime(2200, 3600.0)  # nighttime-local branch is purely obliquity
+        t = 3600.0  # nighttime-local branch is purely obliquity
         els = np.radians(np.linspace(5.0, 90.0, 60))
         tropo = [saastamoinen_delay(model, SITE, e) for e in els]
         iono = [klobuchar_delay(p, t, SITE, e, 1.3) for e in els]
@@ -197,10 +196,66 @@ class TestCommonProperties:
     def test_continuous_in_elevation(self):
         model = TropoModel()
         p = KlobucharParams.typical()
-        t = GpsTime(2200, 45000.0)
+        t = 45000.0
         els = np.radians(np.linspace(2.0, 90.0, 8000))
         tropo = np.array([saastamoinen_delay(model, SITE, e) for e in els])
         iono = np.array([klobuchar_delay(p, t, SITE, e, 0.4) for e in els])
         # no jumps: steps shrink with the grid and are bounded by the local slope
         assert np.max(np.abs(np.diff(tropo))) < 0.5
         assert np.max(np.abs(np.diff(iono))) < 0.05
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+class TestPerRowReceivers:
+    """One receiver per satellite gives, bit for bit, what a call per
+    receiver with its satellites gives."""
+
+    PER_SITE = 6
+
+    def rows(self, values):
+        """Each receiver's value repeated for its satellites."""
+        return np.repeat(values, self.PER_SITE)
+
+    def receivers(self, sites):
+        return GeodeticPosition(*(self.rows([getattr(s, name) for s in sites])
+                                  for name in ("latitude", "longitude",
+                                               "height")))
+
+    def test_klobuchar_with_a_time_per_receiver(self):
+        rng = np.random.default_rng(14)
+        p = KlobucharParams.typical()
+        sites = [GeodeticPosition(rng.uniform(-1.2, 1.2),
+                                  rng.uniform(-3.0, 3.0), 50.0)
+                 for _ in range(16)]
+        # a day of local times: inside and outside the daytime cosine
+        tows = np.linspace(0.0, 86400.0, len(sites))
+        el = rng.uniform(0.0, np.pi / 2, (len(sites), self.PER_SITE))
+        az = rng.uniform(0.0, 2 * np.pi, (len(sites), self.PER_SITE))
+        delays = klobuchar_delay(p, self.rows(tows), self.receivers(sites),
+                                 el.ravel(), az.ravel())
+        night = CLIGHT * 5e-9 * (1.0 + 16.0 * (0.53 - el.ravel() / np.pi) ** 3)
+        assert {bool(d) for d in delays > night * (1 + 1e-9)} == {True, False}
+        for k, site in enumerate(sites):
+            own = slice(k * self.PER_SITE, (k + 1) * self.PER_SITE)
+            assert same_bits(delays[own], klobuchar_delay(
+                p, float(tows[k]), site, el[k], az[k]))
+
+    def test_saastamoinen_with_clamped_heights(self):
+        rng = np.random.default_rng(15)
+        model = TropoModel(pressure=1000.0, temperature=280.0, humidity=0.7)
+        heights = [-300.0, 0.0, 40.0, 5000.0, 11000.0, 15000.0]
+        heights += list(rng.uniform(0.0, 11000.0, 500))
+        sites = [GeodeticPosition(0.6, 2.4, h) for h in heights]
+        el = rng.uniform(0.05, np.pi / 2, self.PER_SITE)
+        delays = saastamoinen_delay(model, self.receivers(sites),
+                                    np.tile(el, len(sites)))
+        by_site = delays.reshape(len(sites), self.PER_SITE)
+        for k, site in enumerate(sites):
+            assert same_bits(by_site[k], saastamoinen_delay(model, site, el))
+        # heights outside [0, 11000] m are clamped to the nearest end
+        assert same_bits(by_site[0], by_site[1])
+        assert same_bits(by_site[5], by_site[4])
+        assert not same_bits(by_site[2], by_site[1])

@@ -157,3 +157,25 @@ class TestExitCodes:
         bad.write_text("{broken")
         assert main(["inspect", "--graph", str(bad)]) == 2
         assert "error: parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["tropo: {pressure: 100}",
+                                   "iono: {alpha: [1, 2, 3, 4]}"],
+                         ids=["tropo-out-of-range", "iono-without-beta"])
+def test_bad_delay_model_is_parse_error(entry, pipeline_dirs, tmp_path,
+                                        capsys):
+    """A malformed iono or tropo entry of the scenario or the solver YAML
+    exits 2 like any other bad config value."""
+    root, sim, _ = pipeline_dirs
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO + entry + "\n")
+    assert main(["simulate", "--config", str(scenario),
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert "error: parse" in capsys.readouterr().err
+    solver = tmp_path / "solver.yaml"
+    solver.write_text(entry + "\n")
+    assert main(["solve", "--obs", str(sim / "observations.rnx"),
+                 "--sat-states", str(sim / "sat_states.csv"),
+                 "--config", str(solver),
+                 "--out", str(tmp_path / "sol")]) == 2
+    assert "error: parse" in capsys.readouterr().err

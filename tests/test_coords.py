@@ -209,3 +209,62 @@ class TestElevationAzimuthArrays:
         assert np.all((0.0 <= az) & (az < 2 * np.pi))
         assert az[-4] < 1e-6 and az[-2] < 1e-2            # east of north
         assert az[-3] > 2 * np.pi - 1e-6 and az[-1] > 2 * np.pi - 1e-2
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+class TestPerRowReceivers:
+    """One receiver per row gives, bit for bit, what a call per receiver
+    gives."""
+
+    # sin(lat) ** 2 by numpy's square and by the C library's pow
+    # round apart here, and the difference reaches N
+    SQUARE_APART = GeodeticPosition(0.5902723591413954, 0.3, 100.0)
+
+    def sites(self, rng, n):
+        return [self.SQUARE_APART] + [
+            GeodeticPosition(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0),
+                             rng.uniform(-500.0, 20000.0))
+            for _ in range(n)]
+
+    def test_ecef_to_geodetic(self):
+        rng = np.random.default_rng(12)
+        points = [geodetic_to_ecef(s) for s in self.sites(rng, 2000)]
+        # on the polar axis, p < 1e-9: longitude 0, height from z alone
+        points += [np.array([0.0, 0.0, WGS84_B + 10.0]),
+                   np.array([1e-10, 0.0, -WGS84_B - 5.0])]
+        rows = ecef_to_geodetic(np.array(points))
+        assert rows.latitude.shape == rows.height.shape == (len(points),)
+        for k, p in enumerate(points):
+            one = ecef_to_geodetic(p)
+            assert same_bits(rows.latitude[k], one.latitude)
+            assert same_bits(rows.longitude[k], one.longitude)
+            assert same_bits(rows.height[k], one.height)
+        assert rows.longitude[-2] == rows.longitude[-1] == 0.0
+        assert abs(rows.height[-2] - 10.0) < 1e-6
+        assert abs(rows.height[-1] - 5.0) < 1e-6
+
+    def test_one_row_near_the_center_rejects_the_call(self):
+        good = geodetic_to_ecef(GeodeticPosition(0.6, 2.4, 50.0))
+        with pytest.raises(NearSingular):
+            ecef_to_geodetic(np.array([good, [1000.0, 0.0, 0.0], good]))
+
+    def test_elevation_azimuth(self):
+        rng = np.random.default_rng(13)
+        sites = self.sites(rng, 500)
+        per_site = 3
+        sats = [geodetic_to_ecef(s)
+                + rng.normal(scale=1.5e7, size=(per_site, 3)) for s in sites]
+        rows = GeodeticPosition(*(np.repeat([getattr(s, name) for s in sites],
+                                            per_site)
+                                  for name in ("latitude", "longitude",
+                                               "height")))
+        el, az = elevation_azimuth(rows, np.concatenate(sats))
+        ecef = geodetic_to_ecef(rows)
+        for k, (site, positions) in enumerate(zip(sites, sats)):
+            el_k, az_k = elevation_azimuth(site, positions)
+            own = slice(k * per_site, (k + 1) * per_site)
+            assert same_bits(el[own], el_k) and same_bits(az[own], az_k)
+            assert same_bits(ecef[own], [geodetic_to_ecef(site)] * per_site)

@@ -1,6 +1,6 @@
 """The demos run end to end as scripts against this checkout's `src/`;
-demos 02 and 03 build one `EpochGeometry` per epoch and hand it to SPP,
-then locate it at the fix for Doppler velocity or TR-RTK."""
+demos 02 and 03 build one `EpochGeometry` for the session and hand it
+to SPP, then locate it at the fixes for Doppler velocity or TR-RTK."""
 
 import os
 import subprocess

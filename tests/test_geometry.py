@@ -9,6 +9,7 @@ from gnssgraph.coords import (elevation_azimuth, enu_rotation, geodetic_to_ecef,
 from gnssgraph.errors import DegenerateGeometry, ElevationTooLow
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
+from gnssgraph import pipeline
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_doppler_velocity
 from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
@@ -48,7 +49,7 @@ class TestEpochGeometry:
     def test_arrays_match_per_satellite_calls(self):
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
         iono, tropo = KlobucharParams.typical(), TropoModel()
-        g = EpochGeometry(epoch, states, iono, tropo).at(origin)
+        g = EpochGeometry([epoch], [states], iono, tropo).at([origin])
         assert list(g.sats) == sorted(states, key=lambda s: s.sort_key())
         assert g.sat_position.shape == (4, 3)
         for k, sat in enumerate(g.sats):
@@ -56,13 +57,16 @@ class TestEpochGeometry:
             assert np.array_equal(g.sat_position[k], state.position)
             assert g.clock_bias[k] == state.clock_bias
             assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
-            el, az = elevation_azimuth(g.geodetic, state.position)
+            receiver = GeodeticPosition(g.geodetic.latitude[0],
+                                        g.geodetic.longitude[0],
+                                        g.geodetic.height[0])
+            el, az = elevation_azimuth(receiver, state.position)
             assert g.elevation[k] == el and g.azimuth[k] == az
             unit, rng = line_of_sight(origin, state)
             assert np.allclose(g.unit[k], unit, rtol=0.0, atol=1e-15)
             assert g.range[k] == pytest.approx(rng, rel=1e-15)
-            i = klobuchar_delay(iono, epoch.time, g.geodetic, el, az)
-            t = saastamoinen_delay(tropo, g.geodetic, el)
+            i = klobuchar_delay(iono, epoch.time.tow, receiver, el, az)
+            t = saastamoinen_delay(tropo, receiver, el)
             assert g.iono[k] == pytest.approx(i, rel=1e-14)
             assert g.tropo[k] == pytest.approx(t, rel=1e-14)
             obs = epoch.get(sat)
@@ -74,18 +78,18 @@ class TestEpochGeometry:
 
     def test_at_moves_only_the_receiver(self):
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0])
-        satellites = EpochGeometry(epoch, states)
-        a, b = satellites.at(origin), satellites.at(origin + 100.0)
+        satellites = EpochGeometry([epoch], [states])
+        a, b = satellites.at([origin]), satellites.at([origin + 100.0])
         assert a.sat_position is b.sat_position
-        assert np.array_equal(a.position, origin)
+        assert np.array_equal(a.position, [origin])
         assert not np.array_equal(a.range, b.range)
         assert np.array_equal(a.iono, np.zeros(3))      # no models given
         assert np.array_equal(a.tropo, np.zeros(3))
 
     def test_delays_undefined_outside_model_domains(self):
         epoch, states, origin = sky_epoch([60.0, 0.5, -5.0])
-        g = EpochGeometry(epoch, states, KlobucharParams.typical(),
-                          TropoModel()).at(origin)
+        g = EpochGeometry([epoch], [states], KlobucharParams.typical(),
+                          TropoModel()).at([origin])
         assert np.isfinite(g.iono[:2]).all() and np.isnan(g.iono[2])
         assert np.isfinite(g.tropo[0]) and np.isnan(g.tropo[1:]).all()
         g.require_delays(np.array([0]))
@@ -93,7 +97,7 @@ class TestEpochGeometry:
             g.require_delays(np.array([0, 1]))
         with pytest.raises(ValueError):
             g.require_delays(np.array([0, 2]))
-        assert list(g.above(np.radians(15.0))) == [0]
+        assert list(np.flatnonzero(g.above(np.radians(15.0)))) == [0]
 
     def test_range_check_covers_the_rows_a_consumer_uses(self):
         """A satellite 500 km away is implausible; below the mask it is
@@ -101,22 +105,24 @@ class TestEpochGeometry:
         close = [2e7] * 4 + [5e5]
         epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 5.0],
                                           close)
-        g = EpochGeometry(epoch, states).at(origin)
+        g = EpochGeometry([epoch], [states]).at([origin])
         g.require_ranges(g.above(np.radians(15.0)))
         with pytest.raises(DegenerateGeometry):
             g.require_ranges(np.arange(5))
-        solve_doppler_velocity(g)
+        (velocity,) = solve_doppler_velocity(g)
+        assert not isinstance(velocity, Exception)
         epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 30.0],
                                           close)
-        with pytest.raises(DegenerateGeometry):
-            solve_doppler_velocity(EpochGeometry(epoch, states).at(origin))
+        (velocity,) = solve_doppler_velocity(
+            EpochGeometry([epoch], [states]).at([origin]))
+        assert isinstance(velocity, DegenerateGeometry)
 
     def test_corrections_are_the_geometry_rows_above_the_mask(self):
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
-        g = EpochGeometry(epoch, states, KlobucharParams.typical(),
-                          TropoModel()).at(origin)
-        corrections = epoch_corrections(g)
-        assert corrections.position is g.position
+        g = EpochGeometry([epoch], [states], KlobucharParams.typical(),
+                          TropoModel()).at([origin])
+        (corrections,) = epoch_corrections(g)
+        assert np.array_equal(corrections.position, g.position[0])
         assert corrections.sats == g.sats[:3]
         for k, sat in enumerate(g.sats[:3]):
             assert np.array_equal(corrections.sat_position[k],
@@ -130,20 +136,38 @@ class TestEpochGeometry:
 @pytest.mark.parametrize("use_trrtk", [True, False], ids=["trrtk", "notr"])
 def test_solve_gathers_each_epoch_once(monkeypatch, use_trrtk):
     """SPP, Doppler, TR-RTK and the pseudorange factors all use the one
-    geometry per epoch that the pipeline builds."""
+    session geometry that the pipeline builds: SPP locates it at each
+    of its iterations, the pipeline once for Doppler and TR-RTK, and
+    the graph once."""
     cfg = ScenarioConfig(duration=12.0,
                          trajectory=TrajectoryConfig(kind="line", speed=2.0),
                          seed=5)
     _, epochs, states = run_scenario(cfg)
-    built = []
-    init = EpochGeometry.__init__
+    built, located, in_spp = [], [], [False]
+    init, at = EpochGeometry.__init__, EpochGeometry.at
+    spp = pipeline.solve_spp
 
-    def counting(self, *args, **kwargs):
+    def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(EpochGeometry, "__init__", counting)
+    def counting_at(self, positions):
+        located.append(in_spp[0])
+        return at(self, positions)
+
+    def marked_spp(*args, **kwargs):
+        in_spp[0] = True
+        try:
+            return spp(*args, **kwargs)
+        finally:
+            in_spp[0] = False
+
+    monkeypatch.setattr(EpochGeometry, "__init__", counting_init)
+    monkeypatch.setattr(EpochGeometry, "at", counting_at)
+    monkeypatch.setattr(pipeline, "solve_spp", marked_spp)
     result = solve_trajectory(epochs, states, PipelineConfig(
         use_trrtk=use_trrtk, iono=cfg.iono, tropo=cfg.tropo))
-    assert len(built) == len(epochs)
+    assert len(built) == 1
+    assert located.count(False) == 2
+    assert located.count(True) >= 2
     assert (len(result.graph.trrtk_factors) > 0) == use_trrtk

@@ -38,9 +38,8 @@ def build_from_scenario(cfg, use_trrtk=True):
 
 
 def satellites(cfg, epochs, states):
-    """Each epoch's unlocated geometry, with the scenario's delay models."""
-    return [EpochGeometry(e, s, cfg.iono, cfg.tropo)
-            for e, s in zip(epochs, states)]
+    """The session's unlocated geometry, with the scenario's delay models."""
+    return EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
 
 
 def random_state(rng):
@@ -115,10 +114,10 @@ class TestBuildGraph:
         cfg = zero_noise_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
         sats = satellites(cfg, epochs, states)
-        spp = [solve_spp(g) for g in sats]
+        spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(g.at(p.position))
-               for g, p in list(zip(sats, spp))[:-1]]
+        vel = solve_doppler_velocity(
+            sats.at([p.position for p in spp]))[:-1]
         rejected = TrRtkResult(np.zeros(3), np.eye(3),
                                BaselineStatus.REJECTED, 1.0, 5.0, ())
         fixed = TrRtkResult(np.ones(3), 1e-4 * np.eye(3),
@@ -148,13 +147,13 @@ class TestBuildGraph:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build_graph([], [], [], [])
+            build_graph(EpochGeometry([], []), [], [], [])
 
     def test_missing_velocity(self):
         cfg = zero_noise_scenario(duration=5.0)
         truth, epochs, states = run_scenario(cfg)
         sats = satellites(cfg, epochs, states)
-        spp = [solve_spp(g) for g in sats]
+        spp = solve_spp(sats)
         with pytest.raises(MissingVelocity):
             build_graph(sats, [], spp, [])
 
@@ -448,9 +447,9 @@ class TestOptimizer:
         cfg = zero_noise_scenario(duration=2.0)
         truth, epochs, states = run_scenario(cfg)
         sats = satellites(cfg, epochs[:2], states[:2])
-        spp = [solve_spp(g) for g in sats]
+        spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = [solve_doppler_velocity(sats[0].at(spp[0].position))]
+        vel = solve_doppler_velocity(sats.at([p.position for p in spp]))[:1]
         b = np.array([2.0, 0.0, 0.0])
         fixed = TrRtkResult(b, 1e-8 * np.eye(3), BaselineStatus.FIXED,
                             10.0, 1.0, (0,) * 5)

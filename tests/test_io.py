@@ -179,11 +179,11 @@ class TestRinexFuzz:
 class TestTrajectoryCsv:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        records = [TrajectoryRecord.from_position(
-            GpsTime(2200, 1000.0 + k),
+        records = TrajectoryRecord.from_positions(
+            [GpsTime(2200, 1000.0 + k) for k in range(20)],
             np.array([-3947762.0, 3364399.0, 3699430.0]) + rng.normal(
-                scale=50.0, size=3),
-            TrajectoryStatus.OPTIMIZED) for k in range(20)]
+                scale=50.0, size=(20, 3)),
+            TrajectoryStatus.OPTIMIZED)
         buf = io.StringIO()
         write_trajectory_csv(records, buf)
         back = read_trajectory_csv(io.StringIO(buf.getvalue()), week=2200)

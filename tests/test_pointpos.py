@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,21 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
+def alone(outcomes):
+    """The one outcome of a one-epoch session, its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def spp_alone(epoch, states, iono=None, tropo=None):
+    return alone(solve_spp(EpochGeometry([epoch], [states], iono, tropo)))
+
+
 def doppler_at(epoch, states, position):
-    return solve_doppler_velocity(EpochGeometry(epoch, states).at(position))
+    return alone(solve_doppler_velocity(
+        EpochGeometry([epoch], [states]).at([position])))
 
 
 class TestPseudorangeVariance:
@@ -49,7 +65,7 @@ class TestSpp:
     def test_zero_noise_gps_only(self):
         cfg = scenario(counts={Constellation.GPS: 31})
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
+        sol = spp_alone(epochs[0], states[0])
         assert np.linalg.norm(sol.position - truth[0].position) < 1e-6
         expected_bias = 299792458.0 * cfg.receiver_clock.bias0
         assert abs(sol.clock_biases[Constellation.GPS] - expected_bias) < 1e-6
@@ -58,15 +74,14 @@ class TestSpp:
         from gnssgraph.atmosphere import KlobucharParams, TropoModel
         cfg = scenario(iono=KlobucharParams.typical(), tropo=TropoModel())
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(EpochGeometry(epochs[0], states[0], cfg.iono,
-                                      cfg.tropo))
+        sol = spp_alone(epochs[0], states[0], cfg.iono, cfg.tropo)
         assert np.linalg.norm(sol.position - truth[0].position) < 1e-6
 
     def test_mixed_system_biases_recovered(self):
         cfg = scenario(counts={Constellation.GPS: 31, Constellation.GAL: 24},
                        satellite_clock_bias_sigma=1e-4)
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
+        sol = spp_alone(epochs[0], states[0])
         # zero noise: each bias equals the receiver clock in meters exactly
         expected = 299792458.0 * cfg.receiver_clock.bias0
         assert abs(sol.clock_biases[Constellation.GPS] - expected) < 1e-6
@@ -78,12 +93,12 @@ class TestSpp:
         truth, epochs, states = run_scenario(cfg)
         small = Epoch(epochs[0].time, epochs[0].observations[:3])
         with pytest.raises(InsufficientSatellites):
-            solve_spp(EpochGeometry(small, states[0]))
+            spp_alone(small, states[0])
 
     def test_covariance_psd(self):
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
         _, epochs, states = run_scenario(cfg)
-        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
+        sol = spp_alone(epochs[0], states[0])
         assert np.allclose(sol.covariance, sol.covariance.T)
         assert np.all(np.linalg.eigvalsh(sol.covariance) >= -1e-12)
 
@@ -92,7 +107,7 @@ class TestSpp:
         from gnssgraph.coords import line_of_sight
         cfg = scenario(counts={Constellation.GPS: 31, Constellation.GAL: 24})
         truth, epochs, states = run_scenario(cfg)
-        sol = solve_spp(EpochGeometry(epochs[0], states[0]))
+        sol = spp_alone(epochs[0], states[0])
         for const in (Constellation.GPS, Constellation.GAL):
             resid = []
             for obs in epochs[0].observations:
@@ -151,18 +166,76 @@ class TestDopplerVelocity:
             doppler_at(small, states[0], truth[0].position)
 
     def test_perturbation_continuity(self):
-        from dataclasses import replace
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
         truth, epochs, states = run_scenario(cfg)
-        base = solve_spp(EpochGeometry(epochs[0], states[0]))
+        base = spp_alone(epochs[0], states[0])
         obs = list(epochs[0].observations)
         deltas = []
         for d in (0.01, 0.005, 0.0025):
             bumped = [replace(o, pseudorange=o.pseudorange + d) if i == 0 else o
                       for i, o in enumerate(obs)]
-            sol = solve_spp(EpochGeometry(Epoch(epochs[0].time, bumped),
-                                          states[0]))
+            sol = spp_alone(Epoch(epochs[0].time, bumped), states[0])
             deltas.append(np.linalg.norm(sol.position - base.position))
         # solution moves continuously, shrinking with the perturbation
         assert deltas[0] < 0.1
         assert deltas[2] < deltas[0]
+
+
+class TestSppSession:
+    """Every epoch of a session is solved on its own: an epoch's error is
+    its outcome, in its place, and the others get the bits they get
+    alone."""
+
+    CONFIG = SolverConfig(max_iterations=2)
+
+    def session(self):
+        from gnssgraph.constants import CLIGHT
+        cfg = ScenarioConfig(duration=7.0, seed=4,
+                             trajectory=TrajectoryConfig(kind="line",
+                                                         speed=2.0))
+        _, epochs, states = run_scenario(cfg)
+        epochs, states = list(epochs), list(states)
+        # three satellites
+        epochs[1] = Epoch(epochs[1].time, epochs[1].observations[:3])
+        # collapsed geometry: every satellite at one place
+        one = next(iter(states[3].values()))
+        states[3] = {sat: one for sat in states[3]}
+        # GPS codes 3 km long: one clock cannot hold them and the GAL
+        # codes, so the bootstrap lands far off and needs more iterations
+        epochs[5] = Epoch(epochs[5].time, [
+            replace(o, pseudorange=o.pseudorange + 3000.0)
+            if o.sat.constellation is Constellation.GPS else o
+            for o in epochs[5].observations])
+        # codes that put the bootstrap at the earth's center
+        epochs[6] = Epoch(epochs[6].time, [
+            replace(o, pseudorange=np.linalg.norm(states[6][o.sat].position)
+                    - CLIGHT * states[6][o.sat].clock_bias)
+            for o in epochs[6].observations])
+        return cfg, epochs, states
+
+    def test_errors_stay_in_place(self):
+        cfg, epochs, states = self.session()
+        outcomes = solve_spp(EpochGeometry(epochs, states, cfg.iono,
+                                           cfg.tropo), self.CONFIG)
+        assert [type(o).__name__ for o in outcomes] == [
+            "SppSolution", "InsufficientSatellites", "SppSolution",
+            "SingularGeometry", "SppSolution", "NoConvergence",
+            "NearSingular", "SppSolution"]
+        for k in (0, 2, 4, 7):
+            (alone_k,) = solve_spp(EpochGeometry([epochs[k]], [states[k]],
+                                                 cfg.iono, cfg.tropo),
+                                   self.CONFIG)
+            assert outcomes[k].position.tobytes() == alone_k.position.tobytes()
+            assert outcomes[k].covariance.tobytes() == (
+                alone_k.covariance.tobytes())
+            assert outcomes[k].clock_biases == alone_k.clock_biases
+            assert outcomes[k].used_satellites == alone_k.used_satellites
+
+    def test_solve_raises_the_earliest_epoch_error(self):
+        from gnssgraph.pipeline import PipelineConfig, solve_trajectory
+        cfg, epochs, states = self.session()
+        message = (f"^epoch 1 at {re.escape(str(epochs[1].time))}: "
+                   "3 satellites with known state$")
+        with pytest.raises(InsufficientSatellites, match=message):
+            solve_trajectory(epochs, states, PipelineConfig(
+                iono=cfg.iono, tropo=cfg.tropo, solver=self.CONFIG))

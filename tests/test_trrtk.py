@@ -42,9 +42,8 @@ def quiet_scenario(**kwargs):
 def corrections_at(cfg, epochs, states, positions):
     """Each epoch's `epoch_corrections` at its receiver position, with the
     scenario's delay models."""
-    return [epoch_corrections(
-                EpochGeometry(epoch, st, cfg.iono, cfg.tropo).at(position))
-            for epoch, st, position in zip(epochs, states, positions)]
+    return epoch_corrections(
+        EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(positions))
 
 
 def truth_corrections(cfg, epochs, states, truth):
@@ -71,11 +70,10 @@ def solve_one(dd):
 
 def spp_corrections(cfg, epochs, states):
     """Each epoch's `epoch_corrections` at its SPP position, from one
-    geometry per epoch, as the pipeline forms them."""
-    satellites = [EpochGeometry(epoch, st, cfg.iono, cfg.tropo)
-                  for epoch, st in zip(epochs, states)]
-    return [epoch_corrections(g.at(solve_spp(g).position))
-            for g in satellites]
+    session geometry, as the pipeline forms them."""
+    geometry = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
+    return epoch_corrections(
+        geometry.at([spp.position for spp in solve_spp(geometry)]))
 
 
 class TestCycleSlipDetection:
