@@ -21,16 +21,16 @@ config = ScenarioConfig(
     seed=12,
 )
 truth, epochs, sat_states = run_scenario(config)
-# each epoch's corrections at its SPP position, shared by all its pairs
+# the session's satellites at the SPP positions, on one (epoch,
+# satellite) grid that all pairs share
 satellites = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
-corrections = epoch_corrections(
+session = epoch_corrections(
     satellites.at([spp.position for spp in solve_spp(satellites)]))
 
 print(f"{'dt s':>6s}{'status':>10s}{'p_value':>9s}{'baseline error m':>18s}")
 for dt in (5, 20, 50, 80, 100):
     i, j = 0, dt
-    result = estimate_baseline(epochs[i], epochs[j], corrections[i],
-                               corrections[j])
+    result = estimate_baseline(session, i, j)
     true_baseline = truth[j].position - truth[i].position
     error = np.linalg.norm(result.baseline - true_baseline)
     print(f"{dt:>6d}{result.status.name:>10s}{result.p_value:>9.3f}"

@@ -29,10 +29,6 @@ class SingularGeometry(GnssError):
     """Normal equations are numerically singular."""
 
 
-class MissingSatellite(GnssError):
-    """A requested satellite is absent from an epoch."""
-
-
 class NotPositiveDefinite(GnssError):
     """Covariance matrix expected to be positive definite is not."""
 

@@ -24,7 +24,7 @@ from .constants import CLIGHT
 from .coords import (check_ranges, ecef_to_geodetic, elevation_azimuth,
                      unchecked_lines_of_sight)
 from .errors import ElevationTooLow, GnssError
-from .types import CONSTELLATION_INDEX, GeodeticPosition
+from .types import GeodeticPosition
 
 
 class EpochGeometry:
@@ -34,8 +34,9 @@ class EpochGeometry:
     Per epoch: `times` (GpsTime), `tow` [s] and `start`, whose rows
     `start[e]:start[e + 1]` are epoch e's satellites in its order.
     Per row: `epoch`, `sats`, `sat_position`, `sat_velocity`,
-    `clock_bias` [s], `clock_drift` [s/s], `code` [m], `doppler` [Hz],
-    `wavelength` [m] and `slot` (`CONSTELLATION_INDEX`). Set by
+    `clock_bias` [s], `clock_drift` [s/s], `code` [m], `phase`
+    [cycles], `doppler` [Hz], `wavelength` [m], `lock` (count), `slot`
+    (`CONSTELLATION_INDEX`) and `prn`. Set by
     `at(positions)`: per epoch `position` and `geodetic`, per row
     `elevation` and `azimuth` [rad], `unit` (receiver to satellite),
     Sagnac-corrected `range` [m], `iono` and `tropo` delays [m], and
@@ -69,14 +70,14 @@ class EpochGeometry:
                                    dtype=float)
         self.clock_drift = np.array([s.clock_drift for _, _, s in known],
                                     dtype=float)
-        self.code = np.array([obs.pseudorange for _, obs, _ in known],
-                             dtype=float)
-        self.doppler = np.array([obs.doppler for _, obs, _ in known],
-                                dtype=float)
-        self.wavelength = np.array([obs.wavelength for _, obs, _ in known],
-                                   dtype=float)
-        self.slot = np.array([CONSTELLATION_INDEX[sat.constellation]
-                              for sat in self.sats], dtype=int)
+        measured = np.array([(obs.pseudorange, obs.carrier_phase, obs.doppler,
+                              obs.wavelength, obs.lock_count)
+                             for _, obs, _ in known], dtype=float)
+        (self.code, self.phase, self.doppler, self.wavelength,
+         lock) = measured.reshape(-1, 5).T.copy()
+        self.lock = lock.astype(int)
+        self.slot, self.prn = np.array([sat.sort_key() for sat in self.sats],
+                                       dtype=int).reshape(-1, 2).T.copy()
 
     def at(self, positions) -> "EpochGeometry":
         """These satellites seen from `positions` (epochs, 3), one receiver

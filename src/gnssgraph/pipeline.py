@@ -15,7 +15,7 @@ from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
 # not called here: bench/spans.py traces estimate_baseline under this name
 from .trrtk import estimate_baseline  # noqa: F401
 from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
-                    solve_pairs, stack_session)
+                    solve_pairs)
 
 
 @dataclass(slots=True)
@@ -82,32 +82,28 @@ def solve_trajectory(epochs, sat_states,
                      config: PipelineConfig | None = None) -> PipelineResult:
     """Run the full estimation chain over one observation session."""
     config = config or PipelineConfig()
-    n = len(epochs)
 
     # the session's satellites gathered once, with the delay models
     geometry = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
-    spp_solutions = _solutions(solve_spp(geometry, config.solver),
-                               geometry.times)
+    times = geometry.times
+    spp_solutions = _solutions(solve_spp(geometry, config.solver), times)
     # located once at the point solutions, for Doppler (which uses no
     # delay model) and for TR-RTK
     located = geometry.at([spp.position for spp in spp_solutions])
     velocities = _solutions(
-        solve_doppler_velocity(located, config.solver)[:n - 1],
-        geometry.times)
-    corrections = (epoch_corrections(located, config.trrtk)
-                   if config.use_trrtk else [])
+        solve_doppler_velocity(located, config.solver)[:len(times) - 1],
+        times)
 
     trrtk_results = []
     trrtk_errors = []
     pairs = []
     if config.use_trrtk:
+        session = epoch_corrections(located, config.trrtk)
         # the median spacing: one gap does not change the time step
-        steps = [b.time - a.time for a, b in zip(epochs, epochs[1:])]
+        steps = [b - a for a, b in zip(times, times[1:])]
         interval = float(np.median(steps)) if steps else 1.0
-        pairs = lattice_pairs([e.time for e in epochs], config.pair_lattice,
-                              interval)
-        outcomes = solve_pairs(stack_session(epochs, corrections), pairs,
-                               config.trrtk, interval)
+        pairs = lattice_pairs(times, config.pair_lattice, interval)
+        outcomes = solve_pairs(session, pairs, config.trrtk, interval)
         for (i, j), outcome in zip(pairs, outcomes):
             if isinstance(outcome, GnssError):
                 trrtk_errors.append((i, j, type(outcome).__name__))

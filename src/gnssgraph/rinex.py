@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from datetime import datetime
 
 import numpy as np
 
@@ -172,7 +173,6 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
     if len(line) < 35:
         raise MalformedEpoch(f"line {number}: truncated epoch record")
     try:
-        from datetime import datetime
         year, month, day = int(line[2:6]), int(line[7:9]), int(line[10:12])
         hour, minute = int(line[13:15]), int(line[16:18])
         seconds = float(line[19:29])
@@ -187,17 +187,29 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
     return GpsTime.from_calendar(moment), count
 
 
-def _parse_observation(line: str, number: int, header: RinexHeader,
-                       locks: dict) -> Observation | None:
-    text = line[:3].replace(" ", "0")
+def _satellite(text: str, number: int) -> SatelliteId | None:
+    """The satellite of a record's 3-character ID, or None for an
+    unsupported system."""
     try:
         Constellation(text[:1])
     except ValueError:
-        return None           # unsupported system; skip the record
+        return None
     try:
-        sat = SatelliteId.parse(text)
+        return SatelliteId.parse(text)
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedEpoch(f"line {number}: bad satellite id") from exc
+
+
+def _parse_observation(line: str, number: int, header: RinexHeader,
+                       locks: dict, sats: dict) -> Observation | None:
+    text = line[:3].replace(" ", "0")
+    # each ID parsed once; a bad one is never kept, so it raises each time
+    try:
+        sat = sats[text]
+    except KeyError:
+        sat = sats[text] = _satellite(text, number)
+    if sat is None:
+        return None           # unsupported system; skip the record
     codes = header.observation_codes.get(sat.constellation)
     if not codes:
         return None
@@ -245,6 +257,7 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
 
     epochs: list[Epoch] = []
     locks: dict[SatelliteId, int] = {}
+    sats: dict[str, SatelliteId | None] = {}
     k = body_start
     while k < len(lines):
         line = lines[k]
@@ -261,7 +274,8 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
                     raise MalformedEpoch(
                         f"line {k}: epoch at line {start + 1} lists {count} "
                         f"satellites but has {slot}")
-                obs = _parse_observation(lines[k], k + 1, header, locks)
+                obs = _parse_observation(lines[k], k + 1, header, locks,
+                                        sats)
                 if obs is not None:
                     observations.append(obs)
             epochs.append(Epoch(time, observations))

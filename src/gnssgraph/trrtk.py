@@ -12,12 +12,15 @@ Receiver clock terms cancel in the between-satellite difference and
 satellite clock biases cancel in the time difference, so only clock
 drift over the (bounded) window remains as an unmodeled error.
 
-`solve_pairs` solves a lattice of epoch pairs in blocks, on arrays
-indexed by (pair, session satellite): each DD covariance block
-D + r 11^T is weighted in closed form and the Gauss-Newton steps are
-stacked 6x6 solves. No sum or product spans two pairs, so a pair gets
-the same bits in any block; its GnssError is its result and never
-stops the block. `estimate_baseline` is the kernel on one pair.
+`epoch_corrections` scatters a located `EpochGeometry` onto one
+(epoch, satellite) grid, `SessionArrays`, and `solve_pairs` solves a
+lattice of its epoch pairs in blocks, on arrays indexed by (pair,
+session satellite): each DD covariance block D + r 11^T is weighted in
+closed form and the Gauss-Newton steps are stacked 6x6 solves. No sum
+or product spans two pairs, so a pair gets the same bits in any block;
+its GnssError is its result and never stops the block.
+`estimate_baseline`, `detect_cycle_slips` and `form_double_differences`
+are views of the kernel on one pair of a session.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .coords import unchecked_lines_of_sight
 from .errors import (DegenerateGeometry, GnssError, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
-from .types import Epoch, SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
 # full O(n^2) pairing is redundant
@@ -76,56 +78,11 @@ class TrRtkResult:
 
 
 @dataclass(frozen=True)
-class EpochCorrections:
-    """Per-satellite quantities of one epoch, shared by all its pairs.
-
-    Evaluated once at the receiver position `position`, and only for the
-    satellites a double difference can use: observed, with a known
-    state, above the elevation mask and within the atmosphere models.
-    Row k of each array belongs to `sats[k]`.
-    """
-
-    position: np.ndarray               # [m ECEF]
-    sats: tuple                        # SatelliteId, in the epoch's order
-    sat_position: np.ndarray           # (k, 3) [m ECEF]
-    elevation: np.ndarray              # [rad]
-    iono: np.ndarray                   # modeled delays [m]
-    tropo: np.ndarray
-    code: np.ndarray                   # corrected pseudorange [m]
-
-
-def epoch_corrections(geometry: EpochGeometry,
-                      config: TrRtkConfig | None = None) -> list:
-    """Each epoch's EpochCorrections: elevation, modeled (iono, tropo)
-    delay, and pseudorange with the satellite clock and modeled
-    atmosphere removed, per satellite, as `geometry` has them at its
-    receiver positions with its delay models. The earliest epoch's
-    delay-model error is raised.
-    """
-    config = config or TrRtkConfig()
-    # a satellite the troposphere model rejects (ElevationTooLow) is left out
-    rows = geometry.above(config.elevation_mask) & ~np.isnan(geometry.tropo)
-    failed = geometry.failures(rows, (geometry.require_delays,))
-    if failed:
-        raise failed[min(failed)]
-    index = np.flatnonzero(rows)
-    bounds = np.searchsorted(geometry.epoch[index],
-                             np.arange(len(geometry.times) + 1)).tolist()
-    sats = [geometry.sats[k] for k in index.tolist()]
-    columns = (geometry.sat_position[index], geometry.elevation[index],
-               geometry.iono[index], geometry.tropo[index],
-               geometry.corrected_code[index])
-    return [EpochCorrections(geometry.position[e], tuple(sats[a:b]),
-                             *(column[a:b] for column in columns))
-            for e, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-
-
-@dataclass(frozen=True)
 class SessionArrays:
-    """Epochs and their corrections on one session-wide satellite index:
-    row e is epoch e, column k is `sats[k]` in `SatelliteId.sort_key`
-    order, so each constellation's columns are one slice of `spans`. A
-    satellite an epoch does not observe has lock count -1; outside
+    """A session's satellites on one (epoch, satellite) grid: row e is
+    epoch e, column k is `sats[k]` in `SatelliteId.sort_key` order, so
+    each constellation's columns are one slice of `spans`. A satellite an
+    epoch does not observe with a known state has lock count -1; outside
     `usable` (its corrections) the arrays hold harmless fillers."""
 
     times: tuple                       # GpsTime per epoch
@@ -143,40 +100,47 @@ class SessionArrays:
     receiver: np.ndarray               # (n, 3) [m ECEF]
 
 
-def stack_session(epochs, corrections=()) -> SessionArrays:
-    """Every epoch's observations, and each epoch's `EpochCorrections`
-    where given, as `SessionArrays`."""
-    sats = sorted(set().union(*(e.sat_ids for e in epochs),
-                              *(c.sats for c in corrections)),
-                  key=SatelliteId.sort_key)
-    column = {sat: k for k, sat in enumerate(sats)}
-    starts = [k for k, sat in enumerate(sats)
-              if k == 0 or sat.constellation != sats[k - 1].constellation]
-    shape = (len(epochs), len(sats))
-    lock = np.full(shape, -1)
-    phase, wavelength = np.zeros(shape), np.zeros(shape)
+def epoch_corrections(located: EpochGeometry,
+                      config: TrRtkConfig | None = None) -> SessionArrays:
+    """The rows of `located` scattered onto the session grid. Lock count,
+    phase and wavelength come from every row; the corrections (satellite
+    position, elevation, modeled iono and tropo delay, and pseudorange
+    with the satellite clock and modeled atmosphere removed) only from
+    the rows a double difference can use: above the elevation mask and
+    within the atmosphere models, as `located` has them at its receiver
+    positions. The earliest epoch's delay-model error is raised."""
+    config = config or TrRtkConfig()
+    # a satellite the troposphere model rejects (ElevationTooLow) is left out
+    rows = located.above(config.elevation_mask) & ~np.isnan(located.tropo)
+    failed = located.failures(rows, (located.require_delays,))
+    if failed:
+        raise failed[min(failed)]
+    # prn is at most 64, so the key sorts as `SatelliteId.sort_key`
+    _, first, column = np.unique(located.slot * 100 + located.prn,
+                                 return_index=True, return_inverse=True)
+    starts = np.flatnonzero(np.diff(located.slot[first], prepend=-1))
+    stops = np.append(starts[1:], len(first))
+    shape = (len(located.times), len(first))
+    every = (located.epoch, column)
+    used = (located.epoch[rows], column[rows])
+
+    def grid(cells, values, fill=0.0):
+        out = np.full(shape + values.shape[1:], fill, values.dtype)
+        out[cells] = values
+        return out
+
     usable = np.zeros(shape, bool)
+    usable[used] = True
     # a zenith satellite at the earth's center where no corrections are
-    sat_position = np.zeros(shape + (3,))
-    elevation = np.full(shape, np.pi / 2)
-    iono, tropo, code = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    receiver = np.zeros((len(epochs), 3))
-    for e, epoch in enumerate(epochs):
-        for o in epoch.observations:
-            k = column[o.sat]
-            lock[e, k], phase[e, k] = o.lock_count, o.carrier_phase
-            wavelength[e, k] = o.wavelength
-    for e, c in enumerate(corrections):
-        cols = [column[sat] for sat in c.sats]
-        usable[e, cols], sat_position[e, cols] = True, c.sat_position
-        elevation[e, cols], code[e, cols] = c.elevation, c.code
-        iono[e, cols], tropo[e, cols] = c.iono, c.tropo
-        receiver[e] = c.position
     return SessionArrays(
-        tuple(e.time for e in epochs), tuple(sats),
-        tuple(zip(starts, starts[1:] + [len(sats)])), lock, phase,
-        wavelength, usable, sat_position, elevation, iono, tropo, code,
-        receiver)
+        located.times, tuple(located.sats[k] for k in first.tolist()),
+        tuple(zip(starts.tolist(), stops.tolist())),
+        grid(every, located.lock, -1), grid(every, located.phase),
+        grid(every, located.wavelength), usable,
+        grid(used, located.sat_position[rows]),
+        grid(used, located.elevation[rows], np.pi / 2),
+        grid(used, located.iono[rows]), grid(used, located.tropo[rows]),
+        grid(used, located.corrected_code[rows]), located.position)
 
 
 @dataclass(frozen=True)
@@ -473,29 +437,24 @@ def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
     return out
 
 
-def _one_pair(past: Epoch, current: Epoch, corrections=()):
-    return (stack_session([past, current], corrections), np.array([0]),
-            np.array([1]), np.array([current.time - past.time]))
-
-
-def detect_cycle_slips(past: Epoch, current: Epoch, interval: float = 1.0) -> set:
-    """Satellites continuously locked from `past` through `current`: the
-    kernel's slip screen on one pair."""
-    s, i, j, dt = _one_pair(past, current)
-    locked = _locked(s, i, j, dt, interval)[0]
+def detect_cycle_slips(s: SessionArrays, past: int, current: int,
+                       interval: float = 1.0) -> set:
+    """Satellites continuously locked from epoch `past` through epoch
+    `current` of `s`: the kernel's slip screen on one pair."""
+    dt = np.array([s.times[current] - s.times[past]])
+    locked = _locked(s, [past], [current], dt, interval)[0]
     return {s.sats[k] for k in np.flatnonzero(locked)}
 
 
-def form_double_differences(past: Epoch, current: Epoch,
-                            corrections_past: EpochCorrections,
-                            corrections_current: EpochCorrections,
+def form_double_differences(s: SessionArrays, past: int, current: int,
                             config: TrRtkConfig | None = None,
                             interval: float = 1.0) -> DoubleDiffSet:
-    """The kernel's slip screen and DD formation on one pair: a one-pair
-    `DoubleDiffSet`, or InsufficientSatellites below 4 DDs."""
-    s, i, j, dt = _one_pair(past, current,
-                            [corrections_past, corrections_current])
-    dd = _double_differences(s, i, j, _locked(s, i, j, dt, interval),
+    """The kernel's slip screen and DD formation on the pair (past,
+    current) of `s`: a one-pair `DoubleDiffSet`, or
+    InsufficientSatellites below 4 DDs."""
+    dt = np.array([s.times[current] - s.times[past]])
+    locked = _locked(s, [past], [current], dt, interval)
+    dd = _double_differences(s, [past], [current], locked,
                              config or TrRtkConfig())
     m = dd.rows.sum()
     if m < 4:
@@ -503,17 +462,12 @@ def form_double_differences(past: Epoch, current: Epoch,
     return dd
 
 
-def estimate_baseline(past: Epoch, current: Epoch,
-                      corrections_past: EpochCorrections,
-                      corrections_current: EpochCorrections,
+def estimate_baseline(s: SessionArrays, past: int, current: int,
                       config: TrRtkConfig | None = None,
                       interval: float = 1.0) -> TrRtkResult:
-    """`solve_pairs` on one pair: its TrRtkResult, or its GnssError raised.
-    Each epoch's `epoch_corrections` are computed once and shared by all
-    its pairs."""
-    session = stack_session([past, current],
-                            [corrections_past, corrections_current])
-    (result,) = solve_pairs(session, [(0, 1)], config, interval)
+    """`solve_pairs` on the pair (past, current) of `s`: its TrRtkResult,
+    or its GnssError raised."""
+    (result,) = solve_pairs(s, [(past, current)], config, interval)
     if isinstance(result, GnssError):
         raise result
     return result

@@ -6,18 +6,7 @@ from gnssgraph.ambiguity import (AmbiguityProblem, _ltdl, _original_integers,
 from gnssgraph.errors import (AmbiguityCheckFailed, NotPositiveDefinite,
                               SearchLimitExceeded)
 
-
-def brute_force_minimizer(float_values, covariance, box=8):
-    """Exhaustive integer search over a +-box around the rounded float."""
-    n = len(float_values)
-    center = np.round(float_values).astype(int)
-    axes = [center[i] + np.arange(-box, box + 1) for i in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    diff = grid - float_values
-    w = np.linalg.inv(covariance)
-    q = np.einsum("ij,jk,ik->i", diff, w, diff)
-    order = np.argsort(q)
-    return grid[order[0]], q[order[0]], q[order[1]]
+from brute_force import brute_force_minimizer
 
 
 def random_spd(rng, n, scale=1.0):

@@ -57,6 +57,7 @@ class TestEpochGeometry:
             assert np.array_equal(g.sat_position[k], state.position)
             assert g.clock_bias[k] == state.clock_bias
             assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
+            assert (g.prn[k], g.phase[k], g.lock[k]) == (sat.prn, 1e8, 5)
             receiver = GeodeticPosition(g.geodetic.latitude[0],
                                         g.geodetic.longitude[0],
                                         g.geodetic.height[0])
@@ -121,16 +122,15 @@ class TestEpochGeometry:
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
         g = EpochGeometry([epoch], [states], KlobucharParams.typical(),
                           TropoModel()).at([origin])
-        (corrections,) = epoch_corrections(g)
-        assert np.array_equal(corrections.position, g.position[0])
-        assert corrections.sats == g.sats[:3]
+        s = epoch_corrections(g)
+        assert np.array_equal(s.receiver[0], g.position[0])
+        assert s.sats == g.sats
+        assert s.usable[0].tolist() == [True, True, True, False]
         for k, sat in enumerate(g.sats[:3]):
-            assert np.array_equal(corrections.sat_position[k],
-                                  states[sat].position)
-            assert corrections.elevation[k] == g.elevation[k]
-            assert (corrections.iono[k], corrections.tropo[k]) == (
-                g.iono[k], g.tropo[k])
-            assert corrections.code[k] == g.corrected_code[k]
+            assert np.array_equal(s.sat_position[0, k], states[sat].position)
+            assert s.elevation[0, k] == g.elevation[k]
+            assert (s.iono[0, k], s.tropo[0, k]) == (g.iono[k], g.tropo[k])
+            assert s.code[0, k] == g.corrected_code[k]
 
 
 @pytest.mark.parametrize("use_trrtk", [True, False], ids=["trrtk", "notr"])

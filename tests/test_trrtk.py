@@ -19,7 +19,7 @@ from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              TrRtkResult, _chi2_survival, _weigh,
                              detect_cycle_slips, epoch_corrections,
                              estimate_baseline, form_double_differences,
-                             solve_float_baseline, solve_pairs, stack_session,
+                             solve_float_baseline, solve_pairs,
                              time_single_difference)
 from gnssgraph.types import Constellation, Epoch, SatelliteId
 
@@ -39,24 +39,40 @@ def quiet_scenario(**kwargs):
     return ScenarioConfig(**defaults)
 
 
-def corrections_at(cfg, epochs, states, positions):
-    """Each epoch's `epoch_corrections` at its receiver position, with the
-    scenario's delay models."""
+def session_at(cfg, epochs, states, positions):
+    """The `epoch_corrections` session at each epoch's receiver position,
+    with the scenario's delay models."""
     return epoch_corrections(
         EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(positions))
 
 
-def truth_corrections(cfg, epochs, states, truth):
-    return corrections_at(cfg, epochs, states, [r.position for r in truth])
+def truth_session(cfg, epochs, states, truth):
+    return session_at(cfg, epochs, states, [r.position for r in truth])
 
 
-def single_difference(past, current):
+def thin_session(cfg, epochs, states, truth, keep, sats):
+    """The truth session of the epochs `keep`, each observing only those
+    of `sats` it observes."""
+    thin = [Epoch(epochs[k].time, [o for o in epochs[k].observations
+                                   if o.sat in sats]) for k in keep]
+    return truth_session(cfg, thin, [states[k] for k in keep],
+                         [truth[k] for k in keep])
+
+
+def phase_shifted(s, epoch, cycles, sat=None):
+    """`s` with `cycles` added to the carrier phase of `sat`, or of every
+    satellite, at `epoch`, and no lock count reset."""
+    phase = s.phase.copy()
+    phase[epoch, slice(None) if sat is None else s.sats.index(sat)] += cycles
+    return replace(s, phase=phase)
+
+
+def single_difference(s, past, current):
     """`time_single_difference` of one pair, per satellite both epochs
     observe."""
-    s = stack_session([past, current])
-    sd = time_single_difference(s, [0], [1])[0]
-    both = past.sat_ids & current.sat_ids
-    return {sat: sd[k] for k, sat in enumerate(s.sats) if sat in both}
+    sd = time_single_difference(s, [past], [current])[0]
+    both = (s.lock[past] >= 0) & (s.lock[current] >= 0)
+    return {sat: sd[k] for k, sat in enumerate(s.sats) if both[k]}
 
 
 def solve_one(dd):
@@ -68,57 +84,133 @@ def solve_one(dd):
     return baseline[0], cov[0], omega[0]
 
 
-def spp_corrections(cfg, epochs, states):
-    """Each epoch's `epoch_corrections` at its SPP position, from one
-    session geometry, as the pipeline forms them."""
+def spp_session(cfg, epochs, states):
+    """The `epoch_corrections` session at each epoch's SPP position, from
+    one session geometry, as the pipeline forms it."""
     geometry = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
     return epoch_corrections(
         geometry.at([spp.position for spp in solve_spp(geometry)]))
 
 
+class TestSessionGrid:
+    """`epoch_corrections` scatters every located row to its (epoch,
+    satellite) cell."""
+
+    @pytest.fixture(scope="class")
+    def scattered(self):
+        cfg = quiet_scenario(duration=20.0)
+        truth, epochs, states = run_scenario(cfg)
+        # epoch 3 misses one satellite that the others observe
+        epochs[3] = Epoch(epochs[3].time, epochs[3].observations[1:])
+        g = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
+            [r.position for r in truth])
+        return g, epoch_corrections(g)
+
+    def test_every_row_in_its_cell(self, scattered):
+        g, s = scattered
+        column = np.array([s.sats.index(sat) for sat in g.sats])
+        cells = (g.epoch, column)
+        for name in ("lock", "phase", "wavelength"):
+            assert (getattr(s, name)[cells].tobytes()
+                    == getattr(g, name).tobytes()), name
+        mask = g.above(TrRtkConfig().elevation_mask) & ~np.isnan(g.tropo)
+        assert 0 < mask.sum() < len(mask)
+        assert np.array_equal(s.usable[cells], mask)
+        cells = (g.epoch[mask], column[mask])
+        for name, rows in (("sat_position", g.sat_position),
+                           ("elevation", g.elevation), ("iono", g.iono),
+                           ("tropo", g.tropo), ("code", g.corrected_code)):
+            assert getattr(s, name)[cells].tobytes() == (
+                rows[mask].tobytes()), name
+        assert s.receiver.tobytes() == g.position.tobytes()
+        assert s.times == g.times
+
+    def test_unobserved_cells(self, scattered):
+        g, s = scattered
+        observed = np.zeros(s.lock.shape, bool)
+        observed[g.epoch, [s.sats.index(sat) for sat in g.sats]] = True
+        assert not observed[3].all()
+        assert (s.lock[~observed] == -1).all()
+        assert not s.usable[~observed].any()
+
+    def test_sats_and_spans_in_sort_order(self, scattered):
+        g, s = scattered
+        assert list(s.sats) == sorted(set(g.sats), key=SatelliteId.sort_key)
+        assert len(s.spans) == 3
+        assert [k for a, b in s.spans for k in range(a, b)] == list(
+            range(len(s.sats)))
+        assert len({s.sats[a].constellation for a, _ in s.spans}) == 3
+        for a, b in s.spans:
+            assert {sat.constellation for sat in s.sats[a:b]} == {
+                s.sats[a].constellation}
+
+    def test_satellite_without_state_is_not_locked(self):
+        """An observed satellite missing from the sidecar has no cell: it
+        forms no DD and does not count toward the locked satellites."""
+        cfg = quiet_scenario(duration=10.0, counts={Constellation.GPS: 31})
+        truth, epochs, states = run_scenario(cfg)
+        sats = sorted(epochs[0].sat_ids & epochs[5].sat_ids,
+                      key=SatelliteId.sort_key)[:5]
+        unknown = sats[0]
+        states = [{sat: state for sat, state in by_sat.items()
+                   if sat != unknown} for by_sat in states]
+        thin = thin_session(cfg, epochs, states, truth, (0, 5), sats)
+        assert unknown not in thin.sats
+        assert detect_cycle_slips(thin, 0, 1) == set(sats[1:])
+        with pytest.raises(InsufficientSatellites,
+                           match="only 4 continuously locked"):
+            estimate_baseline(thin, 0, 1)
+
+
 class TestCycleSlipDetection:
     def test_identical_epochs_all_returned(self):
         cfg = quiet_scenario(duration=5.0)
-        _, epochs, _ = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[0], epochs[0])
+        truth, epochs, states = run_scenario(cfg)
+        s = truth_session(cfg, epochs, states, truth)
+        sats = detect_cycle_slips(s, 0, 0)
         assert sats == epochs[0].sat_ids
 
     def test_continuous_lock_returned(self):
         cfg = quiet_scenario(duration=30.0)
-        _, epochs, _ = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[5], epochs[25])
+        truth, epochs, states = run_scenario(cfg)
+        s = truth_session(cfg, epochs, states, truth)
+        sats = detect_cycle_slips(s, 5, 25)
         assert sats == epochs[5].sat_ids & epochs[25].sat_ids
 
     def test_injected_slip_excluded(self):
         slipped = SatelliteId(Constellation.GPS, 7)
         cfg = quiet_scenario(duration=60.0, cycle_slips=[(slipped, 30.0)])
-        _, epochs, _ = run_scenario(cfg)
+        truth, epochs, states = run_scenario(cfg)
         if slipped not in epochs[20].sat_ids or slipped not in epochs[40].sat_ids:
             pytest.skip("PRN 7 not visible in this geometry")
-        straddling = detect_cycle_slips(epochs[20], epochs[40])
+        s = truth_session(cfg, epochs, states, truth)
+        straddling = detect_cycle_slips(s, 20, 40)
         assert slipped not in straddling
-        after = detect_cycle_slips(epochs[35], epochs[45])
+        after = detect_cycle_slips(s, 35, 45)
         assert slipped in after
 
     def test_disjoint_epochs_empty(self):
         cfg = quiet_scenario(duration=5.0)
-        _, epochs, _ = run_scenario(cfg)
-        assert detect_cycle_slips(epochs[0], epochs[3]) <= epochs[0].sat_ids
+        truth, epochs, states = run_scenario(cfg)
+        s = truth_session(cfg, epochs, states, truth)
+        assert detect_cycle_slips(s, 0, 3) <= epochs[0].sat_ids
 
 
 class TestTimeSingleDifference:
     def test_identical_epochs_zero(self):
         cfg = quiet_scenario(duration=5.0)
-        _, epochs, _ = run_scenario(cfg)
-        sd = single_difference(epochs[0], epochs[0])
+        truth, epochs, states = run_scenario(cfg)
+        sd = single_difference(truth_session(cfg, epochs, states, truth), 0,
+                               0)
         assert all(abs(v) < 1e-12 for v in sd.values())
 
     def test_one_cycle_is_one_wavelength(self):
         cfg = quiet_scenario(duration=5.0)
-        _, epochs, _ = run_scenario(cfg)
+        truth, epochs, states = run_scenario(cfg)
         sat = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[0]
         obs = epochs[0].get(sat)
-        sd = single_difference(epochs[0], epochs[0])
+        sd = single_difference(truth_session(cfg, epochs, states, truth), 0,
+                               0)
         assert abs(sd[sat]) < 1e-12
         # GPS L1: one cycle is 0.1903 m
         if sat.constellation is Constellation.GPS:
@@ -132,8 +224,9 @@ class TestTimeSingleDifference:
             iono=None, tropo=None,
         )
         truth, epochs, states = run_scenario(cfg)
-        sats = detect_cycle_slips(epochs[0], epochs[15])
-        sd = single_difference(epochs[0], epochs[15])
+        s = truth_session(cfg, epochs, states, truth)
+        sats = detect_cycle_slips(s, 0, 15)
+        sd = single_difference(s, 0, 15)
         from gnssgraph.coords import line_of_sight
         for sat in sats:
             value = sd[sat]
@@ -145,9 +238,8 @@ class TestTimeSingleDifference:
 class TestDoubleDifferences:
     def _build(self, cfg, i, j):
         truth, epochs, states = run_scenario(cfg)
-        corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(epochs[i], epochs[j], corr[i], corr[j],
-                                     interval=1.0 / cfg.rate)
+        dd = form_double_differences(truth_session(cfg, epochs, states, truth),
+                                     i, j, interval=1.0 / cfg.rate)
         return truth, states, dd
 
     def test_reference_is_highest_elevation(self):
@@ -175,13 +267,11 @@ class TestDoubleDifferences:
     def test_common_bias_cancels_exactly(self):
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
-        corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        s = truth_session(cfg, epochs, states, truth)
+        dd = form_double_differences(s, 0, 5)
         # the same phase offset on every satellite of the current epoch
-        shifted = Epoch(epochs[5].time, [
-            replace(o, carrier_phase=o.carrier_phase + 123.456)
-            for o in epochs[5].observations])
-        dd2 = form_double_differences(epochs[0], shifted, corr[0], corr[5])
+        shifted = phase_shifted(s, 5, 123.456)
+        dd2 = form_double_differences(shifted, 0, 5)
         assert np.array_equal(dd.rows, dd2.rows)
         for a, b in zip(dd.observed[dd.rows], dd2.observed[dd2.rows]):
             assert abs(a[0] - b[0]) < 1e-9
@@ -233,20 +323,19 @@ class TestDoubleDifferences:
     def test_insufficient_raises(self):
         cfg = quiet_scenario(duration=5.0, counts={Constellation.GPS: 31})
         truth, epochs, states = run_scenario(cfg)
-        sats = sorted(detect_cycle_slips(epochs[0], epochs[2]),
-                      key=lambda s: s.sort_key())[:3]
-        thin = [Epoch(epochs[k].time, [epochs[k].get(s) for s in sats])
-                for k in (0, 2)]
-        corr = truth_corrections(cfg, epochs, states, truth)
+        sats = sorted(detect_cycle_slips(
+            truth_session(cfg, epochs, states, truth), 0, 2),
+            key=lambda s: s.sort_key())[:3]
+        thin = thin_session(cfg, epochs, states, truth, (0, 2), sats)
         with pytest.raises(InsufficientSatellites):
-            form_double_differences(thin[0], thin[1], corr[0], corr[2])
+            form_double_differences(thin, 0, 1)
 
 
 class TestFloatBaseline:
     def _dd(self, cfg, i, j):
         truth, epochs, states = run_scenario(cfg)
-        corr = truth_corrections(cfg, epochs, states, truth)
-        return form_double_differences(epochs[i], epochs[j], corr[i], corr[j])
+        return form_double_differences(
+            truth_session(cfg, epochs, states, truth), i, j)
 
     def test_dd_covariance_single_reference_formula(self):
         """The DD set's weights are those of the single-reference
@@ -254,15 +343,15 @@ class TestFloatBaseline:
         reference, plus the satellite's own variance on the diagonal."""
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
-        corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        s = truth_session(cfg, epochs, states, truth)
+        dd = form_double_differences(s, 0, 5)
         rows = np.flatnonzero(dd.rows[0])
         refs = dd.reference[0, rows]
         assert len(set(refs)) == 3
         c = TrRtkConfig()
 
         def sin_el(k, sat):
-            return np.sin(corr[k].elevation[corr[k].sats.index(sat)])
+            return np.sin(s.elevation[k, s.sats.index(sat)])
 
         # per satellite: time-differenced phase, code past, code current
         sigma = {dd.sats[k]: (
@@ -312,8 +401,8 @@ class TestFloatBaseline:
         cfg = quiet_scenario(duration=10.0,
                              trajectory=TrajectoryConfig(kind="static"))
         truth, epochs, states = run_scenario(cfg)
-        corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(epochs[0], epochs[5], corr[0], corr[5])
+        dd = form_double_differences(
+            truth_session(cfg, epochs, states, truth), 0, 5)
         baseline, _, omega = solve_one(dd)
         assert np.linalg.norm(baseline) < 1e-6
         assert omega < 1e-6
@@ -322,8 +411,8 @@ class TestFloatBaseline:
         cfg = quiet_scenario(duration=40.0)
         truth, epochs, states = run_scenario(cfg)
         i, j = 5, 35
-        corr = truth_corrections(cfg, epochs, states, truth)
-        dd = form_double_differences(epochs[i], epochs[j], corr[i], corr[j])
+        dd = form_double_differences(
+            truth_session(cfg, epochs, states, truth), i, j)
         baseline, _, _ = solve_one(dd)
         expected = truth[j].position - truth[i].position
         assert np.linalg.norm(baseline - expected) < 1e-6
@@ -334,9 +423,8 @@ class TestFloatBaseline:
             cfg = quiet_scenario(duration=12.0, seed=int(seed),
                                  noise=NoiseConfig(0.3, 0.003, 0.02))
             truth, epochs, states = run_scenario(cfg)
-            corr = truth_corrections(cfg, epochs, states, truth)
-            dd = form_double_differences(epochs[0], epochs[10], corr[0],
-                                         corr[10])
+            dd = form_double_differences(
+                truth_session(cfg, epochs, states, truth), 0, 10)
             _, cov, _ = solve_one(dd)
             np.linalg.cholesky(cov)
 
@@ -345,10 +433,9 @@ class TestEstimateBaseline:
     def test_zero_noise_fixed_exact(self):
         cfg = quiet_scenario(duration=60.0)
         truth, epochs, states = run_scenario(cfg)
-        corr = spp_corrections(cfg, epochs, states)
+        s = spp_session(cfg, epochs, states)
         for i, j in [(0, 40), (10, 50), (20, 60)]:
-            result = estimate_baseline(epochs[i], epochs[j], corr[i],
-                                       corr[j])
+            result = estimate_baseline(s, i, j)
             assert result.status is BaselineStatus.FIXED
             expected = truth[j].position - truth[i].position
             assert np.linalg.norm(result.baseline - expected) < 1e-6
@@ -359,11 +446,10 @@ class TestEstimateBaseline:
                              noise=NoiseConfig(0.5, 0.003, 0.02),
                              satellite_clock_drift_sigma=1e-13)
         truth, epochs, states = run_scenario(cfg)
-        corr = spp_corrections(cfg, epochs, states)
+        s = spp_session(cfg, epochs, states)
         fixed = 0
         for i, j in [(0, 30), (5, 45), (10, 60), (15, 55)]:
-            result = estimate_baseline(epochs[i], epochs[j], corr[i],
-                                       corr[j])
+            result = estimate_baseline(s, i, j)
             if result.status is BaselineStatus.FIXED:
                 fixed += 1
                 expected = truth[j].position - truth[i].position
@@ -373,19 +459,19 @@ class TestEstimateBaseline:
     def test_window_exceeded(self):
         cfg = quiet_scenario(duration=160.0)
         truth, epochs, states = run_scenario(cfg)
-        past, current = spp_corrections(cfg, [epochs[0], epochs[150]],
-                                        [states[0], states[150]])
+        s = spp_session(cfg, [epochs[0], epochs[150]],
+                        [states[0], states[150]])
         with pytest.raises(WindowExceeded):
-            estimate_baseline(epochs[0], epochs[150], past, current)
+            estimate_baseline(s, 0, 1)
 
     def test_swap_negates_baseline(self):
         cfg = quiet_scenario(duration=40.0, seed=5,
                              noise=NoiseConfig(0.3, 0.003, 0.02))
         truth, epochs, states = run_scenario(cfg)
-        corr = spp_corrections(cfg, epochs, states)
+        s = spp_session(cfg, epochs, states)
         i, j = 3, 33
-        fwd = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
-        back = estimate_baseline(epochs[j], epochs[i], corr[j], corr[i])
+        fwd = estimate_baseline(s, i, j)
+        back = estimate_baseline(s, j, i)
         if (fwd.status is BaselineStatus.FIXED
                 and back.status is BaselineStatus.FIXED):
             sigma = np.sqrt(np.trace(fwd.covariance + back.covariance))
@@ -396,22 +482,15 @@ class TestEstimateBaseline:
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
         keep = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[:3]
-        thin_past = Epoch(epochs[0].time,
-                          [epochs[0].get(s) for s in keep])
-        thin_cur = Epoch(epochs[5].time,
-                         [epochs[5].get(s) for s in keep if epochs[5].get(s)])
-        past, current = truth_corrections(cfg, [thin_past, thin_cur],
-                                          [states[0], states[5]],
-                                          [truth[0], truth[5]])
+        thin = thin_session(cfg, epochs, states, truth, (0, 5), keep)
         with pytest.raises(InsufficientSatellites):
-            estimate_baseline(thin_past, thin_cur, past, current)
+            estimate_baseline(thin, 0, 1)
 
     def test_high_noise_rejected_no_integers(self):
         cfg = quiet_scenario(duration=40.0, seed=2,
                              noise=NoiseConfig(5.0, 0.5, 0.02))
         truth, epochs, states = run_scenario(cfg)
-        corr = spp_corrections(cfg, epochs, states)
-        result = estimate_baseline(epochs[0], epochs[30], corr[0], corr[30])
+        result = estimate_baseline(spp_session(cfg, epochs, states), 0, 30)
         assert result.status is BaselineStatus.REJECTED
         assert result.dd_ambiguities == ()
         assert result.p_value < INTEGRITY_P_MIN
@@ -427,18 +506,15 @@ class TestIntegrity:
                              noise=NoiseConfig(0.5, 0.003, 0.02),
                              satellite_clock_drift_sigma=1e-13)
         _, epochs, states = run_scenario(cfg)
-        corr = spp_corrections(cfg, epochs, states)
-        past, current = epochs[10], epochs[50]
-        clean = estimate_baseline(past, current, corr[10], corr[50])
+        s = spp_session(cfg, epochs, states)
+        clean = estimate_baseline(s, 10, 50)
         assert clean.status is BaselineStatus.FIXED
-        dd = form_double_differences(past, current, corr[10], corr[50])
+        dd = form_double_differences(s, 10, 50)
         used = {dd.sats[k] for k in np.flatnonzero(dd.used[0])}
         for sat in sorted(used, key=lambda s: s.sort_key()):
             for cycles in (1, -1, 2):
-                slipped = Epoch(current.time, [
-                    replace(o, carrier_phase=o.carrier_phase + cycles)
-                    if o.sat == sat else o for o in current.observations])
-                result = estimate_baseline(past, slipped, corr[10], corr[50])
+                slipped = phase_shifted(s, 50, cycles, sat)
+                result = estimate_baseline(slipped, 10, 50)
                 assert result.status is BaselineStatus.REJECTED, (sat, cycles)
                 assert result.dd_ambiguities == ()
 
@@ -496,13 +572,12 @@ class TestObservationInterval:
         assert tr.time_difference == pytest.approx(2.0 * (j - i))
         assert np.linalg.norm(
             tr.baseline - (truth[j].position - truth[i].position)) < 1e-6
-        corr = corrections_at(cfg, epochs, states,
-                              [spp.position for spp in result.spp_solutions])
-        again = estimate_baseline(epochs[i], epochs[j], corr[i], corr[j],
-                                  interval=2.0)
+        s = session_at(cfg, epochs, states,
+                       [spp.position for spp in result.spp_solutions])
+        again = estimate_baseline(s, i, j, interval=2.0)
         assert again.baseline.tobytes() == tr.baseline.tobytes()
         with pytest.raises(InsufficientSatellites):
-            estimate_baseline(epochs[i], epochs[j], corr[i], corr[j])
+            estimate_baseline(s, i, j)
 
 
 def same_result(a, b) -> bool:
@@ -591,42 +666,38 @@ class TestPairBlocks:
         result = solve_trajectory(epochs, states,
                                   PipelineConfig(iono=cfg.iono,
                                                  tropo=cfg.tropo))
-        corr = corrections_at(cfg, epochs, states,
-                              [spp.position for spp in result.spp_solutions])
-        return epochs, corr, result
+        s = session_at(cfg, epochs, states,
+                       [spp.position for spp in result.spp_solutions])
+        return s, result
 
     def test_lattice_pairs_match_the_pair_alone(self, square, monkeypatch):
-        epochs, corr, result = square
+        s, result = square
         assert len(result.trrtk_results) == result.trrtk_attempts > 1000
         for i, j, tr in result.trrtk_results:
-            assert same_result(tr, estimate_baseline(epochs[i], epochs[j],
-                                                     corr[i], corr[j])), (i, j)
+            assert same_result(tr, estimate_baseline(s, i, j)), (i, j)
         monkeypatch.setattr(trrtk, "BLOCK_PAIRS", 7)
         pairs = [(i, j) for i, j, _ in result.trrtk_results]
-        again = solve_pairs(stack_session(epochs, corr), pairs)
+        again = solve_pairs(s, pairs)
         assert all(same_result(a, tr) for a, (_, _, tr)
                    in zip(again, result.trrtk_results))
 
     def test_failures_stay_with_their_pair(self, square):
-        epochs, corr, _ = square
+        s, _ = square
         # each epoch in one pair, all pairs in one block
         pairs = [(k, k + 30) for k in range(30)]
-        session = stack_session(epochs, corr)
-        clean = solve_pairs(session, pairs)
+        clean = solve_pairs(s, pairs)
         assert all(isinstance(r, TrRtkResult) for r in clean)
-        epochs, corr = list(epochs), list(corr)
+        sat_position, lock = s.sat_position.copy(), s.lock.copy()
         # pair 3: a satellite 500 km from the receiver
-        near = corr[33].sat_position.copy()
-        near[0] = corr[33].position + [5e5, 0.0, 0.0]
-        corr[33] = replace(corr[33], sat_position=near)
+        first = np.flatnonzero(s.usable[33])[0]
+        sat_position[33, first] = s.receiver[33] + [5e5, 0.0, 0.0]
         # pair 7: every lock count reset
-        epochs[37] = Epoch(epochs[37].time, [
-            replace(o, lock_count=0) for o in epochs[37].observations])
+        lock[37, lock[37] >= 0] = 0
         # pair 11: every satellite at one position
         for k in (11, 41):
-            corr[k] = replace(corr[k], sat_position=np.repeat(
-                corr[k].sat_position[:1], len(corr[k].sats), axis=0))
-        dirty = solve_pairs(stack_session(epochs, corr), pairs)
+            sat_position[k] = sat_position[k, np.flatnonzero(s.usable[k])[0]]
+        dirty = solve_pairs(replace(s, sat_position=sat_position, lock=lock),
+                            pairs)
         failed = {3: DegenerateGeometry, 7: InsufficientSatellites,
                   11: SingularGeometry}
         for k, (a, b) in enumerate(zip(clean, dirty)):
