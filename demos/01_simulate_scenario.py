@@ -9,7 +9,8 @@ package is tested against.
 
 import numpy as np
 
-from gnssgraph import ScenarioConfig, TrajectoryConfig, run_scenario
+from gnssgraph import (SatelliteId, ScenarioConfig, TrajectoryConfig,
+                       run_scenario)
 from gnssgraph.coords import ecef_to_geodetic, elevation_azimuth
 
 config = ScenarioConfig(
@@ -24,16 +25,19 @@ print(f"scenario: {config.duration:.0f} s at {config.rate:.0f} Hz, "
 print(f"constellations: "
       + ", ".join(f"{c.name} x{n}" for c, n in config.counts.items()))
 
-epoch = epochs[0]
+# each epoch holds its satellites' measurements as arrays, one row per
+# satellite, and sat_states[k] the satellite states of epoch k's rows
+epoch, states = epochs[0], sat_states[0]
 geo = ecef_to_geodetic(truth[0].position)
-print(f"\nepoch 0: {len(epoch.observations)} satellites above the horizon")
+elevation, _ = elevation_azimuth(geo, states[:, :3])
+print(f"\nepoch 0: {len(epoch)} satellites above the horizon")
 print(f"{'sat':<5s}{'elev deg':>9s}{'pseudorange m':>16s}"
       f"{'phase cycles':>16s}{'doppler Hz':>12s}")
-for obs in epoch.observations[:12]:
-    el, _ = elevation_azimuth(geo, sat_states[0][obs.sat].position)
-    print(f"{str(obs.sat):<5s}{np.degrees(el):>9.1f}"
-          f"{obs.pseudorange:>16.3f}{obs.carrier_phase:>16.3f}"
-          f"{obs.doppler:>12.1f}")
+for k in range(min(len(epoch), 12)):
+    sat = SatelliteId.from_key(int(epoch.sats[k]))
+    print(f"{str(sat):<5s}{np.degrees(elevation[k]):>9.1f}"
+          f"{epoch.code[k]:>16.3f}{epoch.phase[k]:>16.3f}"
+          f"{epoch.doppler[k]:>12.1f}")
 print("...")
 
 speeds = [np.linalg.norm(r.velocity) for r in truth]

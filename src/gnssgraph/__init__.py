@@ -20,8 +20,8 @@ from .fileio import (TrajectoryRecord, TrajectoryStatus, export_graph_json,
                      write_trajectory_csv)
 from .geometry import EpochGeometry
 from .gnsstime import GpsTime
-from .graph import (Graph, GraphConfig, OptimizerReport, build_graph,
-                    evaluate_cost, optimize)
+from .graph import (Graph, OptimizerReport, build_graph, evaluate_cost,
+                    optimize)
 from .metrics import EvaluationReport, compute_ape, compute_rpe, evaluate
 from .pipeline import PipelineConfig, PipelineResult, solve_trajectory
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
@@ -33,7 +33,7 @@ from .sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig, TruthRecord,
 from .trrtk import (BaselineStatus, TrRtkConfig, TrRtkResult,
                     detect_cycle_slips, epoch_corrections,
                     estimate_baseline, form_double_differences)
-from .types import (Constellation, Epoch, GeodeticPosition, Observation,
+from .types import (STATE_COLUMNS, Constellation, Epoch, GeodeticPosition,
                     SatelliteId, SatelliteState)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -129,7 +129,7 @@ def cmd_solve(args) -> int:
     if args.no_trrtk:
         config.use_trrtk = False
     if args.no_pseudorange_factors:
-        config.graph.use_pseudorange = False
+        config.use_pseudorange = False
 
     result = solve_trajectory(epochs, sat_states, config)
     label = "Ours" if config.use_trrtk else "Ours w/o TR-RTK"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -25,9 +24,8 @@ from .atmosphere import KlobucharParams, TropoModel
 from .coords import ecef_to_geodetic
 from .errors import IoFailure
 from .gnsstime import GpsTime
-from .graph import Graph, GraphConfig
-from .types import (Constellation, GeodeticPosition, SatelliteId,
-                    SatelliteState)
+from .graph import Graph
+from .types import STATE_COLUMNS, Constellation, GeodeticPosition, SatelliteId
 
 
 class TrajectoryStatus(Enum):
@@ -137,7 +135,8 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
                  time_difference=tr.time_difference.tolist(),
                  information_eigenvalues=eigenvalues(tr.information))
         + _edges("pseudorange", nodes=pr.node[:, None].tolist(),
-                 satellite=list(map(str, pr.sat)),
+                 satellite=[str(SatelliteId.from_key(key))
+                            for key in pr.sat.tolist()],
                  measurement=pr.constant.tolist(),
                  information_eigenvalues=pr.information[:, None].tolist())
         + _edges("prior", nodes=priors.node[priors.start, None].tolist(),
@@ -155,61 +154,74 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
         raise IoFailure(str(exc)) from exc
 
 
-SAT_STATE_COLUMNS = ("tow", "sat", "x", "y", "z", "vx", "vy", "vz",
-                     "clock_bias", "clock_drift")
+SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS
+_SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e" * 2 + "\r\n"
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
-    """Sidecar of the states of the satellites each epoch observed."""
+    """Sidecar of the known states of each epoch's satellites."""
     try:
-        writer = csv.writer(stream)
-        writer.writerow(SAT_STATE_COLUMNS)
+        stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
         for epoch, states in zip(epochs, sat_states):
-            for sat in sorted(epoch.sat_ids & states.keys(),
-                              key=lambda s: s.sort_key()):
-                st = states[sat]
-                writer.writerow(
-                    [f"{epoch.time.tow:.3f}", str(sat)]
-                    + [f"{v:.6f}" for v in st.position]
-                    + [f"{v:.9f}" for v in st.velocity]
-                    + [f"{st.clock_bias:.15e}", f"{st.clock_drift:.15e}"])
+            known = ~np.isnan(states).any(axis=1)
+            tow = f"{epoch.time.tow:.3f}"
+            stream.writelines(
+                _SAT_STATE_ROW % (tow, SatelliteId.from_key(key), *row)
+                for key, row in zip(epoch.sats[known].tolist(),
+                                    states[known].tolist()))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
-def read_sat_states_csv(stream, epochs) -> list[dict]:
-    """Load the sidecar and align it to parsed epochs by time-of-week."""
-    by_tow: dict[float, dict] = {}
-    sat_ids: dict[str, SatelliteId] = {}     # each satellite text parsed once
+def _keys(tow, sats) -> np.ndarray:
+    """One integer per (time of week to the millisecond, satellite key);
+    a time outside the week gives one that no epoch's key equals."""
+    tow = np.clip(np.nan_to_num(tow, nan=-1.0), -1.0, 1e9)
+    return np.rint(tow * 1000.0).astype(np.int64) * 1000 + sats
+
+
+def read_sat_states_csv(stream, epochs) -> list:
+    """Load the sidecar and align it to parsed epochs: per epoch an array
+    of `STATE_COLUMNS` with, in row k, the sidecar row of its satellite k
+    at its time of week to the millisecond (the last of several), NaN
+    where there is none."""
     try:
-        rows = csv.reader(stream)
-        header = next(rows, None) or SAT_STATE_COLUMNS
-        try:
-            tow_col, sat_col, *value_cols = (header.index(name)
-                                             for name in SAT_STATE_COLUMNS)
-        except ValueError as exc:
-            raise IoFailure(f"bad satellite-state header: {exc}") from exc
-        values = operator.itemgetter(*value_cols)
-        for row in rows:
-            if not row:
-                continue
-            try:
-                tow = round(float(row[tow_col]), 3)
-                text = row[sat_col]
-                sat = sat_ids.get(text)
-                if sat is None:
-                    sat = sat_ids[text] = SatelliteId.parse(text)
-                x, y, z, vx, vy, vz, bias, drift = map(float, values(row))
-                state = SatelliteState(position=np.array([x, y, z]),
-                                       velocity=np.array([vx, vy, vz]),
-                                       clock_bias=bias, clock_drift=drift)
-            except (IndexError, ValueError, TypeError) as exc:
-                raise IoFailure(
-                    f"bad satellite-state row {row}: {exc}") from exc
-            by_tow.setdefault(tow, {})[sat] = state
-    except (OSError, csv.Error) as exc:
+        lines = stream.read().splitlines()
+    except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    return [by_tow.get(round(epoch.time.tow, 3), {}) for epoch in epochs]
+    header = next(csv.reader(lines[:1]), None) or SAT_STATE_COLUMNS
+    try:
+        tow_col, sat_col, *value_cols = (header.index(name)
+                                         for name in SAT_STATE_COLUMNS)
+    except ValueError as exc:
+        raise IoFailure(f"bad satellite-state header: {exc}") from exc
+    try:
+        dialect = dict(delimiter=",", comments=None, quotechar='"')
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # about blank lines
+            numbers = np.loadtxt(lines[1:], ndmin=2, **dialect,
+                                 usecols=[tow_col, *value_cols])
+            texts = np.loadtxt(lines[1:], dtype=str, ndmin=1, **dialect,
+                               usecols=sat_col)
+        names, column = np.unique(texts, return_inverse=True)
+        sats = np.array([SatelliteId.parse(text).key
+                         for text in names.tolist()], dtype=int)[column]
+    except (IndexError, ValueError, TypeError) as exc:
+        raise IoFailure(f"bad satellite-state row: {exc}") from exc
+    # the last row of each key, in key order, then one above all of them
+    keys = _keys(numbers[:, 0], sats)
+    order = np.argsort(keys, kind="stable")
+    last = order[np.append(keys[order][1:] != keys[order][:-1], True)]
+    keys = np.append(keys[last], np.iinfo(np.int64).max)
+    values = np.vstack([numbers[last, 1:], np.full(len(STATE_COLUMNS),
+                                                   np.nan)])
+    counts = list(map(len, epochs))
+    wanted = _keys(np.repeat([epoch.time.tow for epoch in epochs], counts),
+                   np.concatenate([np.zeros(0, int),
+                                   *(epoch.sats for epoch in epochs)]))
+    found = np.searchsorted(keys, wanted)
+    found[keys[found] != wanted] = len(keys) - 1
+    return np.split(values[found], np.cumsum(counts)[:-1]) if epochs else []
 
 
 def delay_models_to_dict(iono: KlobucharParams | None,
@@ -338,8 +350,8 @@ def load_pipeline_yaml(stream):
     """Build a PipelineConfig from YAML; absent keys keep defaults.
 
     Recognized sections: iono, tropo (as in scenario files), solver,
-    trrtk, plus top-level use_trrtk / pair_lattice and use_pseudorange,
-    which sets `graph.use_pseudorange`. Any other key is an `IoFailure`.
+    trrtk, plus top-level use_trrtk, use_pseudorange and pair_lattice.
+    Any other key is an `IoFailure`.
     """
     from .pipeline import PipelineConfig
     from .pointpos import SolverConfig
@@ -356,12 +368,8 @@ def load_pipeline_yaml(stream):
         raise IoFailure(f"bad config file: unknown keys "
                         f"{sorted(map(str, unknown))}")
 
-    kwargs: dict = {}
-    if "use_trrtk" in data:
-        kwargs["use_trrtk"] = bool(data["use_trrtk"])
-    if "use_pseudorange" in data:
-        kwargs["graph"] = GraphConfig(
-            use_pseudorange=bool(data["use_pseudorange"]))
+    kwargs: dict = {name: bool(data[name]) for name in
+                    ("use_trrtk", "use_pseudorange") if name in data}
     if "pair_lattice" in data:
         kwargs["pair_lattice"] = tuple(float(v) for v in data["pair_lattice"])
     if "iono" not in data:

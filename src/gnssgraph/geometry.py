@@ -23,20 +23,22 @@ from .atmosphere import (MIN_ELEVATION, KlobucharParams, TropoModel,
 from .constants import CLIGHT
 from .coords import (check_ranges, ecef_to_geodetic, elevation_azimuth,
                      unchecked_lines_of_sight)
-from .errors import ElevationTooLow, GnssError
-from .types import GeodeticPosition
+from .errors import ElevationTooLow, GnssError, LengthMismatch
+from .types import STATE_COLUMNS, GeodeticPosition
 
 
 class EpochGeometry:
     """A session's satellites, and with `at`, seen from one receiver
     position per epoch.
 
+    Built from epochs and their satellite-state arrays (see
+    `types.STATE_COLUMNS`), keeping the rows whose state is known.
     Per epoch: `times` (GpsTime), `tow` [s] and `start`, whose rows
     `start[e]:start[e + 1]` are epoch e's satellites in its order.
-    Per row: `epoch`, `sats`, `sat_position`, `sat_velocity`,
-    `clock_bias` [s], `clock_drift` [s/s], `code` [m], `phase`
-    [cycles], `doppler` [Hz], `wavelength` [m], `lock` (count), `slot`
-    (`CONSTELLATION_INDEX`) and `prn`. Set by
+    Per row: `epoch`, `sats` (`SatelliteId.key`), `sat_position`,
+    `sat_velocity`, `clock_bias` [s], `clock_drift` [s/s], `code` [m],
+    `phase` [cycles], `doppler` [Hz], `wavelength` [m], `lock` (count),
+    `slot` (`CONSTELLATION_INDEX`) and `prn`. Set by
     `at(positions)`: per epoch `position` and `geodetic`, per row
     `elevation` and `azimuth` [rad], `unit` (receiver to satellite),
     Sagnac-corrected `range` [m], `iono` and `tropo` delays [m], and
@@ -51,33 +53,29 @@ class EpochGeometry:
     def __init__(self, epochs, sat_states,
                  iono: KlobucharParams | None = None,
                  tropo: TropoModel | None = None):
-        known = [(e, obs, state)
-                 for e, (epoch, states) in enumerate(zip(epochs, sat_states))
-                 for obs in epoch.observations
-                 if (state := states.get(obs.sat)) is not None]
+        rows = list(map(len, epochs))
+        if rows != list(map(len, sat_states)):
+            raise LengthMismatch("satellite states do not align with the "
+                                 "epochs' rows")
         self.times = tuple(epoch.time for epoch in epochs)
         self.tow = np.array([time.tow for time in self.times], dtype=float)
-        self.iono_model = iono
-        self.tropo_model = tropo
-        self.epoch = np.array([e for e, _, _ in known], dtype=int)
+        self.iono_model, self.tropo_model = iono, tropo
+        states = np.concatenate([np.zeros((0, len(STATE_COLUMNS))),
+                                 *sat_states])
+        known = ~np.isnan(states).any(axis=1)
+        self.epoch = np.repeat(np.arange(len(epochs)), rows)[known]
         self.start = np.searchsorted(self.epoch, np.arange(len(epochs) + 1))
-        self.sats = tuple(obs.sat for _, obs, _ in known)
-        self.sat_position = np.array([s.position for _, _, s in known],
-                                     dtype=float).reshape(-1, 3)
-        self.sat_velocity = np.array([s.velocity for _, _, s in known],
-                                     dtype=float).reshape(-1, 3)
-        self.clock_bias = np.array([s.clock_bias for _, _, s in known],
-                                   dtype=float)
-        self.clock_drift = np.array([s.clock_drift for _, _, s in known],
-                                    dtype=float)
-        measured = np.array([(obs.pseudorange, obs.carrier_phase, obs.doppler,
-                              obs.wavelength, obs.lock_count)
-                             for _, obs, _ in known], dtype=float)
-        (self.code, self.phase, self.doppler, self.wavelength,
-         lock) = measured.reshape(-1, 5).T.copy()
-        self.lock = lock.astype(int)
-        self.slot, self.prn = np.array([sat.sort_key() for sat in self.sats],
-                                       dtype=int).reshape(-1, 2).T.copy()
+        for name, dtype in (("sats", int), ("code", float), ("phase", float),
+                            ("doppler", float), ("wavelength", float),
+                            ("lock", int)):
+            setattr(self, name, np.concatenate([np.zeros(0, dtype), *(
+                getattr(epoch, name) for epoch in epochs)])[known])
+        states = states[known]
+        self.sat_position, self.sat_velocity = (states[:, :3].copy(),
+                                                states[:, 3:6].copy())
+        self.clock_bias, self.clock_drift = (states[:, 6].copy(),
+                                             states[:, 7].copy())
+        self.slot, self.prn = np.divmod(self.sats, 100)
 
     def at(self, positions) -> "EpochGeometry":
         """These satellites seen from `positions` (epochs, 3), one receiver

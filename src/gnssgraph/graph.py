@@ -17,7 +17,6 @@ which the per-factor `residual_*` reference functions take.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +31,15 @@ from .trrtk import BaselineStatus
 from .types import CONSTELLATION_INDEX, Constellation
 
 STATE_DIM = 7
+
+# priors, relinearization and Dogleg stopping rules
+NODE0_PRIOR_SIGMA = 2.0        # first node's position [m]
+CLOCK_PRIOR_SIGMA = 100.0      # unobserved clock slots [m]
+RELINEARIZE_THRESHOLD = 10.0   # node motion that relinearizes its rows [m]
+MAX_ITERATIONS = 100
+COST_TOLERANCE = 1e-8          # relative cost change
+GRADIENT_TOLERANCE = 1e-6      # infinity norm
+INITIAL_RADIUS = 100.0         # trust region [m]
 
 
 class _Table:
@@ -77,7 +85,7 @@ class PseudorangeFactors(_Table):
     `sat` at `sat_position`; `slot` is its constellation's clock column."""
 
     node: np.ndarray                   # (p,)
-    sat: tuple                         # (p,) SatelliteId
+    sat: np.ndarray                    # (p,) SatelliteId.key
     sat_position: np.ndarray           # (p, 3) [m]
     slot: np.ndarray                   # (p,) CONSTELLATION_INDEX
     measured: np.ndarray               # (p,) [m]
@@ -88,7 +96,7 @@ class PseudorangeFactors(_Table):
 
     @classmethod
     def empty(cls) -> "PseudorangeFactors":
-        return cls(node=np.zeros(0, dtype=int), sat=(),
+        return cls(node=np.zeros(0, dtype=int), sat=np.zeros(0, dtype=int),
                    sat_position=np.zeros((0, 3)), slot=np.zeros(0, dtype=int),
                    measured=np.zeros(0), row=np.zeros((0, STATE_DIM)),
                    constant=np.zeros(0), information=np.zeros(0),
@@ -151,21 +159,9 @@ class OptimizerReport:
     costs: list = field(default_factory=list)   # accepted-iteration costs
 
 
-@dataclass(slots=True)
-class GraphConfig:
-    use_pseudorange: bool = True
-    node0_prior_sigma: float = 2.0     # [m]
-    clock_prior_sigma: float = 100.0   # [m]
-    relinearize_threshold: float = 10.0  # [m]
-    max_iterations: int = 100
-    cost_tolerance: float = 1e-8       # relative cost change
-    gradient_tolerance: float = 1e-6   # infinity norm
-    initial_radius: float = 100.0      # trust region [m]
-
-
 def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
                 trrtk_results, solver: SolverConfig | None = None,
-                config: GraphConfig | None = None) -> Graph:
+                use_pseudorange: bool = True) -> Graph:
     """Assemble the trajectory graph, one node per epoch of the unlocated
     session geometry `geometry`.
 
@@ -175,10 +171,10 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
     the epoch-0 point solution plus accumulated velocity increments.
     The geometry is located once at them for the pseudorange factors,
     which are corrected with its delay models and weighted, above its
-    elevation mask, as `solver` weights the point solutions.
+    elevation mask, as `solver` weights the point solutions; without
+    `use_pseudorange` there are none.
     """
     solver = solver or SolverConfig()
-    config = config or GraphConfig()
     n = len(geometry.times)
     if n == 0:
         raise EmptyInput("no epochs")
@@ -230,7 +226,7 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
 
     observed = np.zeros((n, 4), dtype=bool)
     pseudorange_factors = PseudorangeFactors.empty()
-    if config.use_pseudorange:
+    if use_pseudorange:
         located = geometry.at(reference + states[:, :3])
         rows = located.above(solver.elevation_mask)
         failed = located.failures(rows, (located.require_delays,
@@ -243,7 +239,7 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
         jacobian, constants = _linearization(
             located.unit[rows], located.range[rows], slot, measured, offsets)
         pseudorange_factors = PseudorangeFactors(
-            node=node, sat=tuple(compress(geometry.sats, rows)),
+            node=node, sat=geometry.sats[rows],
             sat_position=geometry.sat_position[rows], slot=slot,
             measured=measured, row=jacobian, constant=constants,
             information=1.0 / pseudorange_variance(located.elevation[rows],
@@ -260,8 +256,8 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
         node=prior_node, index=prior_index,
         value=states[prior_node, prior_index],
         information=np.concatenate([
-            np.full(3, 1.0 / config.node0_prior_sigma ** 2),
-            np.full(len(free_node), 1.0 / config.clock_prior_sigma ** 2)]),
+            np.full(3, 1.0 / NODE0_PRIOR_SIGMA ** 2),
+            np.full(len(free_node), 1.0 / CLOCK_PRIOR_SIGMA ** 2)]),
         start=np.concatenate([
             [0], 3 + np.flatnonzero(np.diff(free_node, prepend=-1))]))
 
@@ -377,23 +373,22 @@ def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
     return True
 
 
-def optimize(graph: Graph, config: GraphConfig | None = None):
+def optimize(graph: Graph):
     """Powell's Dogleg trust region on the sparse whitened normal equations.
 
     Returns (states, OptimizerReport); states is an (n, 7) array.
     Deterministic: fixed factor order, direct sparse solve.
     """
-    config = config or GraphConfig()
     states = graph.initial_states.copy()
     cost = evaluate_cost(graph, states)
     report = OptimizerReport(initial_cost=cost, final_cost=cost,
                              iterations=0, converged=False, costs=[cost])
-    radius = config.initial_radius
+    radius = INITIAL_RADIUS
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         residual, jacobian = _whitened_system(graph, states)
         gradient = jacobian.T @ residual
-        if np.linalg.norm(gradient, np.inf) < config.gradient_tolerance:
+        if np.linalg.norm(gradient, np.inf) < GRADIENT_TOLERANCE:
             report.converged = True
             break
 
@@ -433,8 +428,8 @@ def optimize(graph: Graph, config: GraphConfig | None = None):
             break
         converged = (previous > 0
                      and (previous - cost) / max(previous, 1e-30)
-                     < config.cost_tolerance)
-        if _relinearize(graph, states, config.relinearize_threshold):
+                     < COST_TOLERANCE)
+        if _relinearize(graph, states, RELINEARIZE_THRESHOLD):
             cost = evaluate_cost(graph, states)
         if converged:
             report.converged = True

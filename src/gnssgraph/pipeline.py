@@ -10,7 +10,7 @@ import numpy as np
 from .atmosphere import KlobucharParams, TropoModel
 from .errors import GnssError
 from .geometry import EpochGeometry
-from .graph import Graph, GraphConfig, OptimizerReport, build_graph, optimize
+from .graph import Graph, OptimizerReport, build_graph, optimize
 from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
 # not called here: bench/spans.py traces estimate_baseline under this name
 from .trrtk import estimate_baseline  # noqa: F401
@@ -27,12 +27,12 @@ class PipelineConfig:
     factors, and the observation spacing comes from the epoch times."""
 
     use_trrtk: bool = True
+    use_pseudorange: bool = True
     pair_lattice: tuple = TR_PAIR_LATTICE
     iono: KlobucharParams | None = None
     tropo: TropoModel | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     trrtk: TrRtkConfig = field(default_factory=TrRtkConfig)
-    graph: GraphConfig = field(default_factory=GraphConfig)
 
 
 @dataclass
@@ -111,8 +111,8 @@ def solve_trajectory(epochs, sat_states,
                 trrtk_results.append((i, j, outcome))
 
     graph = build_graph(geometry, velocities, spp_solutions, trrtk_results,
-                        config.solver, config.graph)
-    states, report = optimize(graph, config.graph)
+                        config.solver, config.use_pseudorange)
+    states, report = optimize(graph)
     positions = graph.reference_position + states[:, :3]
     return PipelineResult(positions, states, graph, report, spp_solutions,
                           velocities, trrtk_results, len(pairs),

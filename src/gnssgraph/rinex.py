@@ -24,7 +24,7 @@ from .constants import (CLIGHT, FREQ_BDS_B1, FREQ_GAL_E1, FREQ_GLO_G1_BASE,
                         FREQ_GLO_G1_STEP, FREQ_GPS_L1)
 from .errors import MalformedEpoch, MalformedHeader
 from .gnsstime import GpsTime
-from .types import Constellation, Epoch, Observation, SatelliteId
+from .types import Constellation, Epoch, SatelliteId
 
 RINEX_VERSION = 3.04
 # single L1-band code triple per constellation
@@ -39,6 +39,14 @@ _NOMINAL_FREQ = {
     Constellation.GAL: FREQ_GAL_E1,
     Constellation.BDS: FREQ_BDS_B1,
 }
+
+
+def carrier_wavelength(sat: SatelliteId, channel: int = 0) -> float:
+    """Wavelength [m] of the satellite's carrier of `OBS_CODES`; a GLONASS
+    satellite's by its FDMA frequency `channel`."""
+    if sat.constellation is Constellation.GLO:
+        return CLIGHT / (FREQ_GLO_G1_BASE + channel * FREQ_GLO_G1_STEP)
+    return CLIGHT / _NOMINAL_FREQ[sat.constellation]
 
 
 @dataclass
@@ -56,12 +64,6 @@ class RinexHeader:
     def __post_init__(self):
         if self.version < 3.0:
             raise MalformedHeader(f"unsupported version {self.version}")
-
-    def wavelength(self, sat: SatelliteId) -> float:
-        if sat.constellation is Constellation.GLO:
-            channel = self.glonass_channels.get(sat.prn, 0)
-            return CLIGHT / (FREQ_GLO_G1_BASE + channel * FREQ_GLO_G1_STEP)
-        return CLIGHT / _NOMINAL_FREQ[sat.constellation]
 
 
 def _header_line(content: str, label: str) -> str:
@@ -108,14 +110,13 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
         seconds = cal.second + cal.microsecond * 1e-6
         stream.write(f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
                      f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
-                     f"  0{len(epoch.observations):3d}\n")
-        for obs in epoch.observations:
-            lli = 1 if obs.lock_count == 0 else 0
-            snr = _snr_digit(obs.snr)
-            fields = "".join(
-                f"{value:14.3f}{lli:1d}{snr:1d}"
-                for value in (obs.pseudorange, obs.carrier_phase, obs.doppler))
-            stream.write(f"{obs.sat}{fields}\n")
+                     f"  0{len(epoch):3d}\n")
+        for key, code, phase, doppler, lock, snr in zip(*(
+                getattr(epoch, name).tolist() for name in
+                ("sats", "code", "phase", "doppler", "lock", "snr"))):
+            flags = f"{1 if lock == 0 else 0:1d}{_snr_digit(snr):1d}"
+            stream.write(f"{SatelliteId.from_key(key)}{code:14.3f}{flags}"
+                         f"{phase:14.3f}{flags}{doppler:14.3f}{flags}\n")
 
 
 def _parse_header(lines) -> tuple[RinexHeader, int]:
@@ -187,36 +188,40 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
     return GpsTime.from_calendar(moment), count
 
 
-def _satellite(text: str, number: int) -> SatelliteId | None:
-    """The satellite of a record's 3-character ID, or None for an
-    unsupported system."""
+def _satellite(text: str, number: int, header: RinexHeader):
+    """(key, code kinds, wavelength) of a record's 3-character ID, or None
+    for a system that is unsupported or has no codes in the header."""
     try:
         Constellation(text[:1])
     except ValueError:
         return None
     try:
-        return SatelliteId.parse(text)
+        sat = SatelliteId.parse(text)
     except (ValueError, KeyError, IndexError) as exc:
         raise MalformedEpoch(f"line {number}: bad satellite id") from exc
+    codes = header.observation_codes.get(sat.constellation)
+    if not codes:
+        return None
+    return (sat.key, tuple(code[0] for code in codes),
+            carrier_wavelength(sat, header.glonass_channels.get(sat.prn, 0)))
 
 
 def _parse_observation(line: str, number: int, header: RinexHeader,
-                       locks: dict, sats: dict) -> Observation | None:
+                       locks: dict, sats: dict) -> tuple | None:
+    """(key, code, phase, Doppler, wavelength, lock, SNR) of a record, or
+    None for a record to skip."""
     text = line[:3].replace(" ", "0")
     # each ID parsed once; a bad one is never kept, so it raises each time
     try:
         sat = sats[text]
     except KeyError:
-        sat = sats[text] = _satellite(text, number)
+        sat = sats[text] = _satellite(text, number, header)
     if sat is None:
-        return None           # unsupported system; skip the record
-    codes = header.observation_codes.get(sat.constellation)
-    if not codes:
         return None
+    key, kinds, wavelength = sat
     values: dict[str, float] = {}
-    lli = 0
-    snr_digit = 0
-    for slot, code in enumerate(codes):
+    lli = snr_digit = 0
+    for slot, kind in enumerate(kinds):
         chunk = line[3 + 16 * slot:3 + 16 * slot + 16]
         text = chunk[:14].strip()
         if not text:
@@ -225,7 +230,6 @@ def _parse_observation(line: str, number: int, header: RinexHeader,
             value = float(text)
         except ValueError as exc:
             raise MalformedEpoch(f"line {number}: bad field {text!r}") from exc
-        kind = code[0]
         values[kind] = value
         if kind == "L":
             flag = chunk[14:15].strip()
@@ -234,15 +238,22 @@ def _parse_observation(line: str, number: int, header: RinexHeader,
             snr_digit = int(digit) if digit else 0
     if "C" not in values or "L" not in values or "D" not in values:
         return None
-    if lli & 1:
-        lock = 0
-    else:
-        lock = locks.get(sat, -1) + 1
-    locks[sat] = lock
-    return Observation(sat=sat, pseudorange=values["C"],
-                       carrier_phase=values["L"], doppler=values["D"],
-                       wavelength=header.wavelength(sat),
-                       lock_count=lock, snr=snr_digit * 6.0)
+    lock = 0 if lli & 1 else locks.get(key, -1) + 1
+    locks[key] = lock
+    return (key, values["C"], values["L"], values["D"], wavelength, lock,
+            snr_digit * 6.0)
+
+
+def _epoch(time: GpsTime, records: list) -> Epoch:
+    """The epoch of its `_parse_observation` tuples, sorted by satellite;
+    ValueError if a satellite has two."""
+    table = np.array(records, dtype=float).reshape(-1, 7)
+    sats, code, phase, doppler, wavelength, lock, snr = table[
+        np.argsort(table[:, 0], kind="stable")].T.copy()
+    if (np.diff(sats) == 0).any():
+        raise ValueError("duplicate satellite in epoch")
+    return Epoch(time, sats.astype(int), code, phase, doppler, wavelength,
+                 lock.astype(int), snr)
 
 
 def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
@@ -256,8 +267,8 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     header, body_start = _parse_header(lines)
 
     epochs: list[Epoch] = []
-    locks: dict[SatelliteId, int] = {}
-    sats: dict[str, SatelliteId | None] = {}
+    locks: dict[int, int] = {}       # satellite key -> last lock count
+    sats: dict[str, tuple | None] = {}
     k = body_start
     while k < len(lines):
         line = lines[k]
@@ -267,18 +278,18 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
         start = k
         try:
             time, count = _parse_epoch_line(line, k + 1)
-            observations = []
+            records = []
             for slot in range(count):
                 k += 1
                 if k >= len(lines) or lines[k].startswith(">"):
                     raise MalformedEpoch(
                         f"line {k}: epoch at line {start + 1} lists {count} "
                         f"satellites but has {slot}")
-                obs = _parse_observation(lines[k], k + 1, header, locks,
-                                        sats)
-                if obs is not None:
-                    observations.append(obs)
-            epochs.append(Epoch(time, observations))
+                record = _parse_observation(lines[k], k + 1, header, locks,
+                                            sats)
+                if record is not None:
+                    records.append(record)
+            epochs.append(_epoch(time, records))
         except (MalformedEpoch, ValueError) as exc:
             warnings.warn(f"dropping epoch at line {start + 1}: {exc}")
             # resynchronize on the next epoch record

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel, klobuchar_delay, saastamoinen_delay
-from .constants import (CLIGHT, FREQ_BDS_B1, FREQ_GAL_E1, FREQ_GLO_G1_BASE,
-                        FREQ_GLO_G1_STEP, FREQ_GPS_L1, GM_EARTH, OMGE)
+from .constants import CLIGHT, GM_EARTH, OMGE
 from .coords import ecef_to_geodetic, elevation_azimuth, enu_rotation, geodetic_to_ecef, line_of_sight
 from .errors import InvalidWaypoints
 from .gnsstime import GpsTime
-from .types import (Constellation, Epoch, GeodeticPosition, Observation,
-                    SatelliteId, SatelliteState)
+from .rinex import carrier_wavelength
+from .types import (Constellation, Epoch, GeodeticPosition, SatelliteId,
+                    SatelliteState)
 
 # nominal circular-orbit shells: semi-major axis [m], inclination [rad], planes
 ORBIT_SHELLS = {
@@ -288,7 +288,7 @@ class MeasurementSimulator:
         return self._synthesize(truth)[0]
 
     def _synthesize(self, truth: TruthRecord):
-        """The epoch at `truth` and the satellite states it was made from."""
+        """The epoch at `truth` and its satellites' `STATE_COLUMNS`."""
         cfg = self.config
         elapsed = truth.time - cfg.start_time
         states = self.satellite_states(truth.time)
@@ -309,14 +309,14 @@ class MeasurementSimulator:
         tropo = (saastamoinen_delay(cfg.tropo, geo, el)
                  if cfg.tropo else np.zeros(len(in_view)))
 
-        observations = []
+        rows = []
         visible = set()
         for k, row in enumerate(in_view):
             sat = sats[row]
             state = states[sat]
             visible.add(sat)
             unit, rng_m = line_of_sight(truth.position, state)
-            wavelength = self._wavelength(sat)
+            wavelength = carrier_wavelength(sat, glonass_channel(sat.prn))
 
             lock, ambiguity = self._locks.get(sat, (None, None))
             if lock is None or sat in slipped:
@@ -343,25 +343,18 @@ class MeasurementSimulator:
                          + self.rng.normal(0.0, cfg.noise.doppler_sigma))
                        / wavelength)
             snr = 35.0 + 15.0 * np.sin(el[k])
-            observations.append(Observation(
-                sat=sat, pseudorange=pseudorange,
-                carrier_phase=phase_m / wavelength, doppler=doppler,
-                wavelength=wavelength, lock_count=lock, snr=snr))
+            rows.append((sat.key, pseudorange, phase_m / wavelength, doppler,
+                         wavelength, lock, snr, *state.position,
+                         *state.velocity, state.clock_bias, state.clock_drift))
 
         for sat in list(self._locks):
             if sat not in visible:
                 del self._locks[sat]
-        return Epoch(truth.time, observations), states
-
-    def _wavelength(self, sat: SatelliteId) -> float:
-        if sat.constellation is Constellation.GPS:
-            return CLIGHT / FREQ_GPS_L1
-        if sat.constellation is Constellation.GAL:
-            return CLIGHT / FREQ_GAL_E1
-        if sat.constellation is Constellation.BDS:
-            return CLIGHT / FREQ_BDS_B1
-        channel = glonass_channel(sat.prn)
-        return CLIGHT / (FREQ_GLO_G1_BASE + channel * FREQ_GLO_G1_STEP)
+        table = np.array(rows, dtype=float).reshape(-1, 15)
+        sats, code, phase, doppler, wavelength, lock, snr = (
+            table[:, :7].T.copy())
+        return (Epoch(truth.time, sats.astype(int), code, phase, doppler,
+                      wavelength, lock.astype(int), snr), table[:, 7:].copy())
 
 
 def glonass_channel(prn: int) -> int:
@@ -370,7 +363,8 @@ def glonass_channel(prn: int) -> int:
 
 
 def run_scenario(config: ScenarioConfig):
-    """Full simulation: truth records, epochs, and per-epoch satellite states."""
+    """Full simulation: truth records, epochs, and per epoch the states of
+    its satellites, an array of `STATE_COLUMNS` aligned to its rows."""
     sim = MeasurementSimulator(config)
     truth = generate_trajectory(config)
     epochs = []

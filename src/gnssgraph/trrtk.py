@@ -37,6 +37,7 @@ from .coords import unchecked_lines_of_sight
 from .errors import (DegenerateGeometry, GnssError, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
+from .types import SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
 # full O(n^2) pairing is redundant
@@ -115,9 +116,8 @@ def epoch_corrections(located: EpochGeometry,
     failed = located.failures(rows, (located.require_delays,))
     if failed:
         raise failed[min(failed)]
-    # prn is at most 64, so the key sorts as `SatelliteId.sort_key`
-    _, first, column = np.unique(located.slot * 100 + located.prn,
-                                 return_index=True, return_inverse=True)
+    _, first, column = np.unique(located.sats, return_index=True,
+                                 return_inverse=True)
     starts = np.flatnonzero(np.diff(located.slot[first], prepend=-1))
     stops = np.append(starts[1:], len(first))
     shape = (len(located.times), len(first))
@@ -133,7 +133,8 @@ def epoch_corrections(located: EpochGeometry,
     usable[used] = True
     # a zenith satellite at the earth's center where no corrections are
     return SessionArrays(
-        located.times, tuple(located.sats[k] for k in first.tolist()),
+        located.times,
+        tuple(map(SatelliteId.from_key, located.sats[first].tolist())),
         tuple(zip(starts.tolist(), stops.tolist())),
         grid(every, located.lock, -1), grid(every, located.phase),
         grid(every, located.wavelength), usable,

@@ -5,9 +5,9 @@ ECEF vectors are plain numpy arrays of shape (3,) throughout the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -29,6 +29,9 @@ CONSTELLATION_INDEX = {c: i for i, c in enumerate(CONSTELLATIONS)}
 
 @dataclass(frozen=True, order=False)
 class SatelliteId:
+    """A satellite; `key`, 100 * its `CONSTELLATION_INDEX` + prn, is the
+    integer that stands for it in arrays and sorts as `sort_key`."""
+
     constellation: Constellation
     prn: int
 
@@ -37,21 +40,26 @@ class SatelliteId:
             raise ValueError(f"prn out of range: {self.prn}")
         # the dataclass hash would hash the enum by its name on every
         # call; this key is equal exactly when the fields are
-        object.__setattr__(self, "_key",
-                           (CONSTELLATION_INDEX[self.constellation], self.prn))
+        object.__setattr__(self, "key", 100 * CONSTELLATION_INDEX[
+            self.constellation] + self.prn)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self.key
 
     def __str__(self) -> str:
         return f"{self.constellation.value}{self.prn:02d}"
 
     def sort_key(self):
-        return self._key
+        return divmod(self.key, 100)
 
     @staticmethod
     def parse(text: str) -> "SatelliteId":
         return SatelliteId(Constellation(text[0]), int(text[1:3]))
+
+    @staticmethod
+    @cache
+    def from_key(key: int) -> "SatelliteId":
+        return SatelliteId(CONSTELLATIONS[key // 100], key % 100)
 
 
 @dataclass(frozen=True)
@@ -73,41 +81,25 @@ class SatelliteState:
     clock_drift: float         # [s/s]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Single-satellite raw measurements at one epoch."""
-
-    sat: SatelliteId
-    pseudorange: float         # [m]
-    carrier_phase: float       # [cycles]
-    doppler: float             # [Hz]
-    wavelength: float          # [m], per-satellite (GLONASS FDMA)
-    lock_count: int            # epochs of continuous carrier lock
-    snr: float                 # [dB-Hz]
+# an epoch's satellite-state array, one row per epoch row: ECEF position
+# [m], velocity [m/s], clock bias [s] and drift [s/s]; NaN if unknown
+STATE_COLUMNS = ("x", "y", "z", "vx", "vy", "vz", "clock_bias",
+                 "clock_drift")
 
 
 @dataclass
 class Epoch:
-    """All observations of one receiver time tick, sorted and unique."""
+    """One receiver time tick: its satellites' measurements, one row per
+    satellite, by ascending `SatelliteId.key`."""
 
     time: GpsTime
-    observations: list[Observation] = field(default_factory=list)
+    sats: np.ndarray           # SatelliteId.key
+    code: np.ndarray           # pseudorange [m]
+    phase: np.ndarray          # carrier phase [cycles]
+    doppler: np.ndarray        # [Hz]
+    wavelength: np.ndarray     # [m], per satellite (GLONASS FDMA)
+    lock: np.ndarray           # epochs of continuous carrier lock
+    snr: np.ndarray            # [dB-Hz]
 
-    def __post_init__(self):
-        self.observations = sorted(self.observations,
-                                   key=lambda o: o.sat.sort_key())
-        ids = [o.sat for o in self.observations]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate satellite in epoch")
-
-    def get(self, sat: SatelliteId) -> Observation | None:
-        return self._by_sat.get(sat)
-
-    @cached_property
-    def _by_sat(self) -> dict:
-        """Satellite -> observation, built on the first `get`."""
-        return {o.sat: o for o in self.observations}
-
-    @property
-    def sat_ids(self) -> set[SatelliteId]:
-        return {o.sat for o in self.observations}
+    def __len__(self) -> int:
+        return len(self.sats)

@@ -290,11 +290,10 @@ def test_criterion_10_parser_robustness():
 
     _, parsed = parse_rinex_obs(io.StringIO(text))
     round_trip = len(parsed) == len(epochs) and all(
-        len(a.observations) == len(b.observations)
-        and all(y.pseudorange == round(x.pseudorange, 3)
-                and y.carrier_phase == round(x.carrier_phase, 3)
-                and y.doppler == round(x.doppler, 3)
-                for x, y in zip(a.observations, b.observations))
+        np.array_equal(a.sats, b.sats)
+        and all(getattr(b, name).tolist()
+                == [round(v, 3) for v in getattr(a, name).tolist()]
+                for name in ("code", "phase", "doppler"))
         for a, b in zip(epochs, parsed))
 
     data = text.encode()

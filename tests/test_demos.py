@@ -1,7 +1,9 @@
 """The demos run end to end as scripts against this checkout's `src/`;
-demos 02 and 03 build one `EpochGeometry` for the session and hand it
-to SPP, then locate it at the fixes for Doppler velocity, or for the
-TR-RTK session grid whose epoch pairs demo 03 solves."""
+demo 01 prints epoch 0's measurement arrays, one row per satellite, with
+elevations from the satellite-state array aligned to those rows; demos
+02 and 03 build one `EpochGeometry` for the session and hand it to SPP,
+then locate it at the fixes for Doppler velocity, or for the TR-RTK
+session grid whose epoch pairs demo 03 solves."""
 
 import os
 import subprocess

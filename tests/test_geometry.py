@@ -15,8 +15,8 @@ from gnssgraph.pointpos import solve_doppler_velocity
 from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
 from gnssgraph.trrtk import epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
-                             GeodeticPosition, Observation, SatelliteId,
-                             SatelliteState)
+                             GeodeticPosition, SatelliteId)
+from sessions import row_of, state_of
 
 SITE = GeodeticPosition(np.radians(35.0), np.radians(140.0), 40.0)
 
@@ -28,21 +28,23 @@ def sky_epoch(elevations_deg, distances=None):
     origin = geodetic_to_ecef(SITE)
     to_ecef = enu_rotation(SITE).T
     distances = distances or [2e7] * len(elevations_deg)
-    observations, states = [], {}
-    for prn, (el, dist) in enumerate(zip(np.radians(elevations_deg),
-                                         distances), start=1):
-        sat = SatelliteId(Constellation.GPS, prn)
-        az = np.radians(75.0 * prn)
-        direction = np.array([np.cos(el) * np.sin(az),
-                              np.cos(el) * np.cos(az), np.sin(el)])
-        states[sat] = SatelliteState(origin + dist * to_ecef @ direction,
-                                     np.array([1.0, 2.0, 3.0]) * prn,
-                                     1e-5 * prn, 1e-12 * prn)
-        observations.append(Observation(sat, 2e7 + prn, 1e8, -10.0 * prn,
-                                        0.19, 5, 45.0))
-    observations.append(Observation(SatelliteId(Constellation.GAL, 1), 2.1e7,
-                                    1e8, 0.0, 0.19, 5, 45.0))
-    return Epoch(GpsTime(2200, 40000.0), observations), states, origin
+    n = len(elevations_deg)
+    prn = np.arange(1, n + 1)
+    el, az = np.radians(elevations_deg), np.radians(75.0 * prn)
+    direction = np.column_stack([np.cos(el) * np.sin(az),
+                                 np.cos(el) * np.cos(az), np.sin(el)])
+    states = np.full((n + 1, 8), np.nan)
+    states[:n, :3] = origin + (np.array(distances)[:, None] * direction
+                               @ to_ecef.T)
+    states[:n, 3:6] = np.array([1.0, 2.0, 3.0]) * prn[:, None]
+    states[:n, 6], states[:n, 7] = 1e-5 * prn, 1e-12 * prn
+    gal = SatelliteId(Constellation.GAL, 1).key
+    epoch = Epoch(GpsTime(2200, 40000.0), sats=np.append(prn, gal),
+                  code=np.append(2e7 + prn, 2.1e7), phase=np.full(n + 1, 1e8),
+                  doppler=np.append(-10.0 * prn, 0.0),
+                  wavelength=np.full(n + 1, 0.19), lock=np.full(n + 1, 5),
+                  snr=np.full(n + 1, 45.0))
+    return epoch, states, origin
 
 
 class TestEpochGeometry:
@@ -50,10 +52,10 @@ class TestEpochGeometry:
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0, 10.0])
         iono, tropo = KlobucharParams.typical(), TropoModel()
         g = EpochGeometry([epoch], [states], iono, tropo).at([origin])
-        assert list(g.sats) == sorted(states, key=lambda s: s.sort_key())
+        assert g.sats.tolist() == [1, 2, 3, 4]      # GPS 1-4, not GAL 1
         assert g.sat_position.shape == (4, 3)
-        for k, sat in enumerate(g.sats):
-            state = states[sat]
+        for k, sat in enumerate(map(SatelliteId.from_key, g.sats.tolist())):
+            state = state_of(epoch, states, sat)
             assert np.array_equal(g.sat_position[k], state.position)
             assert g.clock_bias[k] == state.clock_bias
             assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
@@ -70,11 +72,11 @@ class TestEpochGeometry:
             t = saastamoinen_delay(tropo, receiver, el)
             assert g.iono[k] == pytest.approx(i, rel=1e-14)
             assert g.tropo[k] == pytest.approx(t, rel=1e-14)
-            obs = epoch.get(sat)
+            row = row_of(epoch, sat)
             assert g.corrected_code[k] == pytest.approx(
-                obs.pseudorange + CLIGHT * state.clock_bias - i - t,
+                epoch.code[row] + CLIGHT * state.clock_bias - i - t,
                 rel=1e-15)
-            assert g.doppler[k] == obs.doppler
+            assert g.doppler[k] == epoch.doppler[row]
             assert np.array_equal(g.sat_velocity[k], state.velocity)
 
     def test_at_moves_only_the_receiver(self):
@@ -124,10 +126,10 @@ class TestEpochGeometry:
                           TropoModel()).at([origin])
         s = epoch_corrections(g)
         assert np.array_equal(s.receiver[0], g.position[0])
-        assert s.sats == g.sats
+        assert s.sats == tuple(map(SatelliteId.from_key, g.sats.tolist()))
         assert s.usable[0].tolist() == [True, True, True, False]
-        for k, sat in enumerate(g.sats[:3]):
-            assert np.array_equal(s.sat_position[0, k], states[sat].position)
+        for k in range(3):
+            assert np.array_equal(s.sat_position[0, k], states[k, :3])
             assert s.elevation[0, k] == g.elevation[k]
             assert (s.iono[0, k], s.tropo[0, k]) == (g.iono[k], g.tropo[k])
             assert s.code[0, k] == g.corrected_code[k]

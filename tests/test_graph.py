@@ -5,15 +5,16 @@ import pytest
 
 from gnssgraph.errors import EmptyInput, MissingVelocity
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.graph import (GraphConfig, build_graph, evaluate_cost,
-                             optimize, residual_pseudorange, residual_trrtk,
-                             residual_velocity)
+from gnssgraph.graph import (RELINEARIZE_THRESHOLD, build_graph,
+                             evaluate_cost, optimize, residual_pseudorange,
+                             residual_trrtk, residual_velocity)
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_spp
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import BaselineStatus, TrRtkResult
 from gnssgraph.types import Constellation, SatelliteId
+from sessions import state_of
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
 
@@ -185,16 +186,17 @@ class TestPseudorangeRows:
         truth, epochs, states, result = build_from_scenario(cfg)
         g = result.graph
         pr = g.pseudorange_factors
-        assert {sat.constellation for sat in pr.sat} == set(cfg.counts)
+        assert {SatelliteId.from_key(key).constellation
+                for key in pr.sat.tolist()} == set(cfg.counts)
         for f in pr:
             offset = g.initial_states[f.node, :3]
+            state = state_of(epochs[f.node], states[f.node], f.sat)
             assert np.array_equal(f.lin_offset, offset)
-            assert np.array_equal(f.sat_position,
-                                  states[f.node][f.sat].position)
-            assert f.slot == CONSTELLATION_INDEX[f.sat.constellation]
+            assert np.array_equal(f.sat_position, state.position)
+            assert f.slot == CONSTELLATION_INDEX[
+                SatelliteId.from_key(f.sat).constellation]
             # the per-satellite oracle: one line of sight per factor
-            unit, r0 = line_of_sight(g.reference_position + offset,
-                                     states[f.node][f.sat])
+            unit, r0 = line_of_sight(g.reference_position + offset, state)
             expected = np.zeros(7)
             expected[:3] = -unit
             expected[3] = 1.0
@@ -225,19 +227,18 @@ class TestRelinearization:
                                                             use_trrtk=False)
         g = result.graph
         ref = g.reference_position
-        config = GraphConfig()
         # linearize every factor 30 m away from where the solve will end
         away = g.initial_states.copy()
         away[:, :3] += 30.0
         assert _relinearize(g, away, 0.0)
-        x, report = optimize(g, config)
+        x, report = optimize(g)
         assert report.converged
         pr = g.pseudorange_factors
         for f in pr:
             assert np.linalg.norm(x[f.node, :3] - f.lin_offset) \
-                <= config.relinearize_threshold
-            unit, r0 = line_of_sight(ref + f.lin_offset,
-                                     states[f.node][f.sat])
+                <= RELINEARIZE_THRESHOLD
+            unit, r0 = line_of_sight(ref + f.lin_offset, state_of(
+                epochs[f.node], states[f.node], f.sat))
             assert np.allclose(f.row[:3], -unit, rtol=0.0, atol=1e-12)
             assert f.constant == pytest.approx(
                 f.measured - r0 - unit @ f.lin_offset, abs=1e-6)
@@ -436,8 +437,7 @@ class TestOptimizer:
         cfg = zero_noise_scenario(duration=20.0)
         truth, epochs, states = run_scenario(cfg)
         pipe_cfg = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo,
-                                  use_trrtk=False,
-                                  graph=GraphConfig(use_pseudorange=False))
+                                  use_trrtk=False, use_pseudorange=False)
         result = solve_trajectory(epochs, states, pipe_cfg)
         assert result.report.converged
         assert result.report.iterations <= 1
@@ -453,11 +453,11 @@ class TestOptimizer:
         b = np.array([2.0, 0.0, 0.0])
         fixed = TrRtkResult(b, 1e-8 * np.eye(3), BaselineStatus.FIXED,
                             10.0, 1.0, (0,) * 5)
-        cfg_g = GraphConfig(use_pseudorange=False)
-        g = build_graph(sats, vel, spp, [(0, 1, fixed)], config=cfg_g)
+        g = build_graph(sats, vel, spp, [(0, 1, fixed)],
+                        use_pseudorange=False)
         # loosen the velocity factor so the TR factor dominates
         g.velocity_factors.information[0] = 1e-6 * np.eye(3)
-        x, report = optimize(g, cfg_g)
+        x, report = optimize(g)
         rel = x[1, :3] - x[0, :3]
         assert np.linalg.norm(rel - b) < 1e-6
         assert report.final_cost <= report.initial_cost

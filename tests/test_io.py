@@ -7,13 +7,13 @@ import pytest
 
 from gnssgraph.errors import (IoFailure, LengthMismatch, MalformedEpoch,
                               MalformedHeader)
+from gnssgraph.geometry import EpochGeometry
 from gnssgraph.fileio import (TrajectoryRecord, TrajectoryStatus,
                               export_graph_json, load_pipeline_yaml,
                               load_scenario_yaml, read_sat_states_csv,
                               read_trajectory_csv, save_scenario_yaml,
                               write_sat_states_csv, write_trajectory_csv)
 from gnssgraph.gnsstime import GpsTime
-from gnssgraph.graph import GraphConfig
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import SolverConfig
 from gnssgraph.rinex import (RinexHeader, header_for_scenario,
@@ -21,7 +21,9 @@ from gnssgraph.rinex import (RinexHeader, header_for_scenario,
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import BaselineStatus, TrRtkConfig
-from gnssgraph.types import Constellation, Epoch, Observation, SatelliteId
+from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
+                             SatelliteId)
+from sessions import row_of
 
 MIXED_COUNTS = {Constellation.GPS: 8, Constellation.GLO: 5,
                 Constellation.GAL: 6, Constellation.BDS: 5}
@@ -72,13 +74,14 @@ class TestRinexParse:
         assert header.observation_codes[Constellation.GPS] == ("C1C", "L1C",
                                                                "D1C")
         assert len(epochs) == 2
-        assert all(len(e.observations) == 4 for e in epochs)
-        first = epochs[0].get(SatelliteId(Constellation.GPS, 1))
-        assert first.pseudorange == pytest.approx(20000000.123)
-        assert first.carrier_phase == pytest.approx(105263157.895)
-        assert first.doppler == pytest.approx(1234.500)
-        assert first.lock_count == 0          # LLI bit set in fixture
-        assert epochs[1].get(SatelliteId(Constellation.GPS, 1)).lock_count == 1
+        assert all(len(e) == 4 for e in epochs)
+        g01 = SatelliteId(Constellation.GPS, 1)
+        first, k = epochs[0], row_of(epochs[0], g01)
+        assert first.code[k] == pytest.approx(20000000.123)
+        assert first.phase[k] == pytest.approx(105263157.895)
+        assert first.doppler[k] == pytest.approx(1234.500)
+        assert first.lock[k] == 0          # LLI bit set in fixture
+        assert epochs[1].lock[row_of(epochs[1], g01)] == 1
         assert epochs[1].time - epochs[0].time == pytest.approx(1.0)
 
     def test_round_trip_simulator_output(self):
@@ -87,26 +90,24 @@ class TestRinexParse:
         assert len(parsed) == len(epochs)
         for original, back in zip(epochs, parsed):
             assert abs(original.time - back.time) < 1e-6
-            assert len(original.observations) == len(back.observations)
-            for a, b in zip(original.observations, back.observations):
-                assert a.sat == b.sat
-                assert b.pseudorange == round(a.pseudorange, 3)
-                assert b.carrier_phase == round(a.carrier_phase, 3)
-                assert b.doppler == round(a.doppler, 3)
-                assert b.wavelength == pytest.approx(a.wavelength, abs=1e-12)
-                assert (b.lock_count == 0) == (a.lock_count == 0)
+            assert np.array_equal(original.sats, back.sats)
+            for name in ("code", "phase", "doppler"):
+                assert getattr(back, name).tolist() == [
+                    round(v, 3) for v in getattr(original, name).tolist()]
+            assert back.wavelength == pytest.approx(original.wavelength,
+                                                    abs=1e-12)
+            assert np.array_equal(back.lock == 0, original.lock == 0)
 
     def test_glonass_wavelengths_from_header_table(self):
         truth, epochs, states, header, text = write_scenario(small_scenario())
         parsed_header, parsed = parse_rinex_obs(io.StringIO(text))
-        glo = [o for o in parsed[0].observations
-               if o.sat.constellation is Constellation.GLO]
-        assert glo
-        assert len({o.wavelength for o in glo}) > 1  # FDMA: distinct per slot
-        for obs in glo:
-            original = epochs[0].get(obs.sat)
-            assert obs.wavelength == pytest.approx(original.wavelength,
-                                                   abs=1e-15)
+        glo = parsed[0].sats // 100 == CONSTELLATION_INDEX[Constellation.GLO]
+        assert glo.any()
+        # FDMA: distinct per slot
+        assert len(set(parsed[0].wavelength[glo].tolist())) > 1
+        assert np.array_equal(parsed[0].sats, epochs[0].sats)
+        assert parsed[0].wavelength[glo] == pytest.approx(
+            epochs[0].wavelength[glo], abs=1e-15)
 
     def test_missing_end_of_header(self):
         text = FIXTURE.replace(
@@ -139,16 +140,25 @@ class TestRinexParse:
         lines = FIXTURE.splitlines()
         lines[7] = "J01  20000000.123   105263157.895        1234.500"
         header, epochs = parse_rinex_obs(io.StringIO("\n".join(lines)))
-        assert len(epochs[0].observations) == 3
+        assert len(epochs[0]) == 3
 
     def test_value_truncation_rule(self):
-        epoch = Epoch(GpsTime(2200, 0.0), [Observation(
-            sat=SatelliteId(Constellation.GPS, 1),
-            pseudorange=20000000.12345, carrier_phase=1.0, doppler=1.0,
-            wavelength=0.19, lock_count=3, snr=40.0)])
+        epoch = Epoch(GpsTime(2200, 0.0),
+                      sats=np.array([SatelliteId(Constellation.GPS, 1).key]),
+                      code=np.array([20000000.12345]), phase=np.array([1.0]),
+                      doppler=np.array([1.0]), wavelength=np.array([0.19]),
+                      lock=np.array([3]), snr=np.array([40.0]))
         buf = io.StringIO()
         write_rinex_obs(RinexHeader(), [epoch], buf)
         assert "  20000000.123" in buf.getvalue()
+
+    def test_duplicate_satellite_drops_the_epoch(self):
+        lines = FIXTURE.splitlines()
+        lines[14] = lines[13]                 # second epoch lists G07 twice
+        with pytest.warns(UserWarning, match="line 12: duplicate satellite"):
+            header, epochs = parse_rinex_obs(io.StringIO("\n".join(lines)))
+        assert len(epochs) == 1
+        assert epochs[0].time.to_calendar().second == 0
 
     def test_empty_epoch_list_round_trips(self):
         buf = io.StringIO()
@@ -209,24 +219,138 @@ class TestSatStateCsv:
         write_sat_states_csv(epochs, states, buf)
         back = read_sat_states_csv(io.StringIO(buf.getvalue()), epochs)
         assert len(back) == len(states)
-        # only the satellites each epoch observed are written
+        # one row per observed satellite
         assert buf.getvalue().count("\n") - 1 == sum(
-            len(epoch.sat_ids) for epoch in epochs) < sum(map(len, states))
+            map(len, epochs)) == sum(map(len, states))
         for epoch, original, parsed in zip(epochs, states, back):
-            assert set(parsed) == epoch.sat_ids & original.keys()
-            for sat in epoch.sat_ids:
-                st = original[sat]
-                assert np.linalg.norm(st.position
-                                      - parsed[sat].position) < 1e-5
-                assert np.linalg.norm(st.velocity
-                                      - parsed[sat].velocity) < 1e-8
-                assert parsed[sat].clock_bias == pytest.approx(
-                    st.clock_bias, abs=1e-18)
+            assert parsed.shape == original.shape == (len(epoch), 8)
+            assert np.linalg.norm(original[:, :3] - parsed[:, :3],
+                                  axis=1).max() < 1e-5
+            assert np.linalg.norm(original[:, 3:6] - parsed[:, 3:6],
+                                  axis=1).max() < 1e-8
+            assert parsed[:, 6] == pytest.approx(original[:, 6], abs=1e-18)
+
+    def test_geometry_round_trip(self):
+        """A simulated session written to RINEX and the sidecar and read
+        back gives the in-memory session geometry, at the files' printed
+        precision."""
+        truth, epochs, states, header, text = write_scenario(small_scenario())
+        sidecar = io.StringIO()
+        write_sat_states_csv(epochs, states, sidecar)
+        _, parsed = parse_rinex_obs(io.StringIO(text))
+        a = EpochGeometry(epochs, states)
+        b = EpochGeometry(parsed, read_sat_states_csv(
+            io.StringIO(sidecar.getvalue()), parsed))
+        assert list(b.sats) == list(a.sats)
+        assert np.array_equal(b.epoch, a.epoch)
+        assert np.array_equal(b.start, a.start)
+        assert np.abs(b.sat_position - a.sat_position).max() <= 1e-6
+        assert np.abs(b.sat_velocity - a.sat_velocity).max() <= 1e-9
+        assert np.allclose(b.clock_bias, a.clock_bias, rtol=1e-15, atol=0.0)
+        assert np.allclose(b.clock_drift, a.clock_drift, rtol=1e-15,
+                           atol=0.0)
+        for name in ("code", "phase", "doppler"):
+            assert getattr(b, name).tolist() == [
+                round(v, 3) for v in getattr(a, name).tolist()]
+        assert np.array_equal(b.wavelength, a.wavelength)
+        assert np.array_equal(b.lock, a.lock)
 
     def test_bad_row_raises(self):
         text = "tow,sat,x,y,z,vx,vy,vz,clock_bias,clock_drift\n1,G01,a,b,c,0,0,0,0,0\n"
         with pytest.raises(IoFailure):
             read_sat_states_csv(io.StringIO(text), [])
+
+
+SIDECAR_HEADER = "tow,sat,x,y,z,vx,vy,vz,clock_bias,clock_drift"
+FIXTURE_SATS = ("G01", "G07", "E11", "E12")
+
+
+def state_row(tow, sat, value):
+    """A sidecar row of `sat` at `tow`: position and velocity value + 0..5,
+    clock bias value * 1e-9 and drift value * 1e-15."""
+    return ([f"{tow:.3f}", sat] + [f"{value + k:.6f}" for k in range(6)]
+            + [f"{value * 1e-9:.15e}", f"{value * 1e-15:.15e}"])
+
+
+class TestSatStateCsvEdges:
+    """How the sidecar is joined to the epochs of the FIXTURE file, seen
+    through the session geometry built from both."""
+
+    def rows(self):
+        """One row per observed satellite and epoch, values telling them
+        apart, keyed by (epoch, satellite)."""
+        epochs = parse_rinex_obs(io.StringIO(FIXTURE))[1]
+        return {(e, sat): state_row(epoch.time.tow, sat, 1000.0 * (e + 1)
+                                    + 10.0 * k)
+                for e, epoch in enumerate(epochs)
+                for k, sat in enumerate(FIXTURE_SATS)}
+
+    def geometry(self, rows, header=SIDECAR_HEADER):
+        epochs = parse_rinex_obs(io.StringIO(FIXTURE))[1]
+        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+        return EpochGeometry(epochs,
+                             read_sat_states_csv(io.StringIO(text), epochs))
+
+    @staticmethod
+    def arrays(g):
+        return [g.epoch, g.start, g.slot, g.prn, g.code, g.sat_position,
+                g.sat_velocity, g.clock_bias, g.clock_drift]
+
+    def assert_same(self, a, b):
+        for x, y in zip(self.arrays(a), self.arrays(b)):
+            assert np.array_equal(x, y)
+
+    def test_complete_sidecar(self):
+        g = self.geometry(self.rows().values())
+        assert g.start.tolist() == [0, 4, 8]
+        assert g.sat_position[:, 0].tolist() == [
+            1000.0, 1010.0, 1020.0, 1030.0, 2000.0, 2010.0, 2020.0, 2030.0]
+        assert g.sat_velocity[:, 2].tolist() == (g.sat_position[:, 0]
+                                                 + 5.0).tolist()
+        assert g.clock_bias.tolist() == pytest.approx(
+            (g.sat_position[:, 0] * 1e-9).tolist(), rel=1e-15)
+
+    def test_columns_in_another_order(self):
+        order = [9, 3, 1, 0, 8, 2, 7, 6, 5, 4]
+        header = SIDECAR_HEADER.split(",")
+        shuffled = [[row[k] for k in order] for row in self.rows().values()]
+        self.assert_same(
+            self.geometry(shuffled, ",".join(header[k] for k in order)),
+            self.geometry(self.rows().values()))
+
+    def test_last_duplicate_row_wins(self):
+        rows = self.rows()
+        tow = rows[0, "G07"][0]
+        lines = ([state_row(float(tow), "G07", 7000.0)] + list(rows.values())
+                 + [state_row(float(tow), "G07", 5000.0)])
+        g = self.geometry(lines)
+        assert g.start.tolist() == [0, 4, 8]
+        assert g.sat_position[1, 0] == 5000.0
+        assert g.clock_drift[1] == pytest.approx(5e-12, rel=1e-15)
+        assert g.sat_position[[0, 2, 3], 0].tolist() == [1000.0, 1020.0,
+                                                         1030.0]
+
+    def test_row_at_unobserved_time_is_ignored(self):
+        rows = list(self.rows().values())
+        stray = [state_row(432005.0, "G01", 9000.0),
+                 state_row(431999.999, "E11", 9100.0)]
+        self.assert_same(self.geometry(rows[:3] + stray + rows[3:]),
+                         self.geometry(rows))
+
+    def test_observed_satellite_without_row_has_no_geometry_row(self):
+        rows = self.rows()
+        del rows[1, "E11"]
+        g = self.geometry(rows.values())
+        assert g.start.tolist() == [0, 4, 7]
+        assert g.epoch.tolist() == [0, 0, 0, 0, 1, 1, 1]
+        assert g.prn[4:].tolist() == [1, 7, 12]
+        assert g.sat_position[4:, 0].tolist() == [2000.0, 2010.0, 2030.0]
+
+    def test_malformed_number_raises(self):
+        rows = list(self.rows().values())
+        rows[5] = rows[5][:7] + ["1.5e"] + rows[5][8:]
+        with pytest.raises(IoFailure):
+            self.geometry(rows)
 
 
 class TestGraphJson:
@@ -304,7 +428,7 @@ class TestGraphJson:
         for f, before in zip(pr, far):
             edge = next(edges)
             assert edge["nodes"] == [f.node]
-            assert edge["satellite"] == str(f.sat)
+            assert edge["satellite"] == str(SatelliteId.from_key(f.sat))
             assert edge["measurement"] == f.constant != before
         for f in priors:
             edge = next(edges)
@@ -385,15 +509,15 @@ pair_lattice: [5, 10]
     def test_pipeline_settings_have_one_key_each(self):
         """The delay models and the observation spacing are set once for
         the whole solve, so the trrtk section has no key for them; the
-        top-level use_pseudorange is the graph's."""
+        top-level use_pseudorange is the pipeline's."""
         for text in ("trrtk: {interval: 5}", "trrtk: {iono: null}"):
             with pytest.raises(IoFailure):
                 load_pipeline_yaml(io.StringIO("tropo: null\n" + text))
         config = load_pipeline_yaml(io.StringIO("iono: null\n"
                                                 "use_pseudorange: false"))
-        assert config.graph.use_pseudorange is False
+        assert config.use_pseudorange is False
         config = load_pipeline_yaml(io.StringIO("iono: null"))
-        assert config.graph.use_pseudorange is True
+        assert config.use_pseudorange is True
 
     def test_pipeline_unknown_keys_raise(self):
         """A misspelt top-level key, a section the file format does not
@@ -404,9 +528,8 @@ pair_lattice: [5, 10]
                 load_pipeline_yaml(io.StringIO("iono: null\n" + text))
 
     @pytest.mark.parametrize("config_class, name", [
-        (PipelineConfig, "use_pseudorange"),
+        (PipelineConfig, "graph"),
         (TrRtkConfig, "ratio_threshold"),
-        (GraphConfig, "use_pseudoranges"),
         (SolverConfig, "elevation_mask_deg"),
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_config_rejects_unknown_attribute(self, config_class, name):

@@ -10,7 +10,8 @@ from gnssgraph.pointpos import (SolverConfig, pseudorange_variance,
                                 solve_doppler_velocity, solve_spp)
 from gnssgraph.sim import (MeasurementSimulator, NoiseConfig, ReceiverClockConfig,
                            ScenarioConfig, TrajectoryConfig, run_scenario)
-from gnssgraph.types import Constellation, Epoch, SatelliteState
+from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
+from sessions import state_of, take
 
 
 def scenario(**overrides):
@@ -91,9 +92,9 @@ class TestSpp:
     def test_three_satellites_rejected(self):
         cfg = scenario()
         truth, epochs, states = run_scenario(cfg)
-        small = Epoch(epochs[0].time, epochs[0].observations[:3])
+        small, small_states = take(epochs[0], states[0], slice(3))
         with pytest.raises(InsufficientSatellites):
-            spp_alone(small, states[0])
+            spp_alone(small, small_states)
 
     def test_covariance_psd(self):
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
@@ -108,14 +109,16 @@ class TestSpp:
         cfg = scenario(counts={Constellation.GPS: 31, Constellation.GAL: 24})
         truth, epochs, states = run_scenario(cfg)
         sol = spp_alone(epochs[0], states[0])
+        epoch = epochs[0]
         for const in (Constellation.GPS, Constellation.GAL):
             resid = []
-            for obs in epochs[0].observations:
-                if obs.sat.constellation is not const:
+            for r, key in enumerate(epoch.sats.tolist()):
+                if SatelliteId.from_key(key).constellation is not const:
                     continue
-                _, rng_m = line_of_sight(sol.position, states[0][obs.sat])
-                resid.append(obs.pseudorange - rng_m
-                             + CLIGHT * states[0][obs.sat].clock_bias
+                _, rng_m = line_of_sight(sol.position,
+                                         state_of(epoch, states[0], key))
+                resid.append(epoch.code[r] - rng_m
+                             + CLIGHT * states[0][r, 6]
                              - sol.clock_biases[const])
             assert abs(np.mean(resid)) < 1e-6
 
@@ -140,9 +143,8 @@ class TestDopplerVelocity:
         cfg = scenario(receiver_clock=ReceiverClockConfig(0.0, 0.0))
         truth, epochs, states = run_scenario(cfg)
         sol_a = doppler_at(epochs[0], states[0], truth[0].position)
-        shifted = {sat: SatelliteState(s.position, s.velocity, s.clock_bias,
-                                       s.clock_drift + 1e-9)
-                   for sat, s in states[0].items()}
+        shifted = states[0].copy()
+        shifted[:, 7] += 1e-9
         sol_b = doppler_at(epochs[0], shifted, truth[0].position)
         assert np.linalg.norm(sol_a.velocity - sol_b.velocity) < 1e-9
 
@@ -161,20 +163,19 @@ class TestDopplerVelocity:
     def test_insufficient(self):
         cfg = scenario()
         truth, epochs, states = run_scenario(cfg)
-        small = Epoch(epochs[0].time, epochs[0].observations[:3])
+        small, small_states = take(epochs[0], states[0], slice(3))
         with pytest.raises(InsufficientSatellites):
-            doppler_at(small, states[0], truth[0].position)
+            doppler_at(small, small_states, truth[0].position)
 
     def test_perturbation_continuity(self):
         cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
         truth, epochs, states = run_scenario(cfg)
         base = spp_alone(epochs[0], states[0])
-        obs = list(epochs[0].observations)
         deltas = []
         for d in (0.01, 0.005, 0.0025):
-            bumped = [replace(o, pseudorange=o.pseudorange + d) if i == 0 else o
-                      for i, o in enumerate(obs)]
-            sol = spp_alone(Epoch(epochs[0].time, bumped), states[0])
+            code = epochs[0].code.copy()
+            code[0] += d
+            sol = spp_alone(replace(epochs[0], code=code), states[0])
             deltas.append(np.linalg.norm(sol.position - base.position))
         # solution moves continuously, shrinking with the perturbation
         assert deltas[0] < 0.1
@@ -196,21 +197,18 @@ class TestSppSession:
         _, epochs, states = run_scenario(cfg)
         epochs, states = list(epochs), list(states)
         # three satellites
-        epochs[1] = Epoch(epochs[1].time, epochs[1].observations[:3])
+        epochs[1], states[1] = take(epochs[1], states[1], slice(3))
         # collapsed geometry: every satellite at one place
-        one = next(iter(states[3].values()))
-        states[3] = {sat: one for sat in states[3]}
+        states[3] = np.repeat(states[3][:1], len(states[3]), axis=0)
         # GPS codes 3 km long: one clock cannot hold them and the GAL
         # codes, so the bootstrap lands far off and needs more iterations
-        epochs[5] = Epoch(epochs[5].time, [
-            replace(o, pseudorange=o.pseudorange + 3000.0)
-            if o.sat.constellation is Constellation.GPS else o
-            for o in epochs[5].observations])
+        gps = epochs[5].sats // 100 == CONSTELLATION_INDEX[Constellation.GPS]
+        epochs[5] = replace(epochs[5], code=np.where(
+            gps, epochs[5].code + 3000.0, epochs[5].code))
         # codes that put the bootstrap at the earth's center
-        epochs[6] = Epoch(epochs[6].time, [
-            replace(o, pseudorange=np.linalg.norm(states[6][o.sat].position)
-                    - CLIGHT * states[6][o.sat].clock_bias)
-            for o in epochs[6].observations])
+        epochs[6] = replace(epochs[6], code=np.array(
+            [np.linalg.norm(position) for position in states[6][:, :3]])
+            - CLIGHT * states[6][:, 6])
         return cfg, epochs, states
 
     def test_errors_stay_in_place(self):

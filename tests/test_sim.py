@@ -8,6 +8,7 @@ from gnssgraph.sim import (MeasurementSimulator, NoiseConfig, ReceiverClockConfi
                            ScenarioConfig, TrajectoryConfig, generate_constellation,
                            generate_trajectory, propagate_satellite, run_scenario)
 from gnssgraph.types import Constellation, SatelliteId
+from sessions import row_of, state_of
 
 
 def noise_free_config(**overrides):
@@ -131,20 +132,22 @@ class TestSynthesis:
         sim = MeasurementSimulator(cfg)
         truth, epochs, states = run_scenario(cfg)
         epoch = epochs[0]
-        assert len(epoch.observations) >= 8
+        assert len(epoch) >= 8
         from gnssgraph.coords import line_of_sight
         biases = {}
         for k in (0, 5, 10):
-            for obs in epochs[k].observations:
-                _, rng_m = line_of_sight(truth[k].position, states[k][obs.sat])
-                assert abs(obs.pseudorange - rng_m) < 1e-6
-                bias = obs.wavelength * obs.carrier_phase - rng_m
-                cycles = bias / obs.wavelength
+            e = epochs[k]
+            for r, sat in enumerate(e.sats.tolist()):
+                _, rng_m = line_of_sight(truth[k].position,
+                                         state_of(e, states[k], sat))
+                assert abs(e.code[r] - rng_m) < 1e-6
+                bias = e.wavelength[r] * e.phase[r] - rng_m
+                cycles = bias / e.wavelength[r]
                 assert abs(cycles - round(cycles)) < 1e-6
-                if obs.sat in biases:
-                    assert abs(biases[obs.sat] - bias) < 1e-6
+                if sat in biases:
+                    assert abs(biases[sat] - bias) < 1e-6
                 else:
-                    biases[obs.sat] = bias
+                    biases[sat] = bias
 
     def test_determinism(self):
         cfg = ScenarioConfig(duration=5.0, seed=12)
@@ -153,8 +156,9 @@ class TestSynthesis:
         _, e2, _ = run_scenario(cfg2)
         for a, b in zip(e1, e2):
             assert a.time == b.time
-            for oa, ob in zip(a.observations, b.observations):
-                assert oa == ob
+            for name in ("sats", "code", "phase", "doppler", "wavelength",
+                         "lock", "snr"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_visibility_band(self):
         cfg = ScenarioConfig(duration=600.0, counts={Constellation.GPS: 31},
@@ -162,19 +166,20 @@ class TestSynthesis:
         sim = MeasurementSimulator(cfg)
         for record in generate_trajectory(cfg)[::60]:
             epoch = sim.synthesize_epoch(record)
-            assert 6 <= len(epoch.observations) <= 13
+            assert 6 <= len(epoch) <= 13
 
     def test_phase_rate_consistent_with_doppler(self):
         cfg = noise_free_config(duration=10.0, iono=None, tropo=None,
                                 receiver_clock=ReceiverClockConfig(0.0, 0.0))
         _, epochs, _ = run_scenario(cfg)
         for e0, e1, e2 in zip(epochs[:-2], epochs[1:-1], epochs[2:]):
-            for obs in e1.observations:
-                a, b = e0.get(obs.sat), e2.get(obs.sat)
-                if a is None or b is None or a.lock_count > b.lock_count:
+            for r, sat in enumerate(e1.sats.tolist()):
+                a, b = row_of(e0, sat), row_of(e2, sat)
+                if a is None or b is None or e0.lock[a] > e2.lock[b]:
                     continue
-                phase_rate = obs.wavelength * (b.carrier_phase - a.carrier_phase) / 2.0
-                assert abs(phase_rate - (-obs.wavelength * obs.doppler)) < 0.05
+                wavelength = e1.wavelength[r]
+                phase_rate = wavelength * (e2.phase[b] - e0.phase[a]) / 2.0
+                assert abs(phase_rate - (-wavelength * e1.doppler[r])) < 0.05
 
     def test_cycle_slip_schedule(self):
         sat = SatelliteId(Constellation.GPS, 7)
@@ -185,17 +190,18 @@ class TestSynthesis:
         from gnssgraph.coords import line_of_sight
 
         def lock_and_bias(k):
-            obs = epochs[k].get(sat)
-            if obs is None:
+            e, r = epochs[k], row_of(epochs[k], sat)
+            if r is None:
                 return None, None
-            _, rng_m = line_of_sight(truth[k].position, states[k][sat])
-            return obs.lock_count, obs.wavelength * obs.carrier_phase - rng_m
+            _, rng_m = line_of_sight(truth[k].position,
+                                     state_of(e, states[k], sat))
+            return e.lock[r], e.wavelength[r] * e.phase[r] - rng_m
 
         l49, b49 = lock_and_bias(49)
         l50, b50 = lock_and_bias(50)
         l51, b51 = lock_and_bias(51)
         assert l49 is not None and l50 == 0 and l51 == 1
-        jump = (b50 - b49) / epochs[50].get(sat).wavelength
+        jump = (b50 - b49) / epochs[50].wavelength[row_of(epochs[50], sat)]
         assert abs(jump - round(jump)) < 1e-6 and abs(jump) > 0.5
         assert abs(b51 - b50) < 1e-6
 
@@ -206,9 +212,10 @@ class TestSynthesis:
         from gnssgraph.coords import line_of_sight
         biases = {}
         for k, epoch in enumerate(epochs):
-            for obs in epoch.observations:
-                _, rng_m = line_of_sight(truth[k].position, states[k][obs.sat])
-                bias = obs.wavelength * obs.carrier_phase - rng_m
-                if obs.sat in biases:
-                    assert abs(bias - biases[obs.sat]) < 1e-6
-                biases[obs.sat] = bias
+            for r, sat in enumerate(epoch.sats.tolist()):
+                _, rng_m = line_of_sight(truth[k].position,
+                                         state_of(epoch, states[k], sat))
+                bias = epoch.wavelength[r] * epoch.phase[r] - rng_m
+                if sat in biases:
+                    assert abs(bias - biases[sat]) < 1e-6
+                biases[sat] = bias

@@ -21,7 +21,8 @@ from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              estimate_baseline, form_double_differences,
                              solve_float_baseline, solve_pairs,
                              time_single_difference)
-from gnssgraph.types import Constellation, Epoch, SatelliteId
+from gnssgraph.types import Constellation, SatelliteId
+from sessions import row_of, sat_ids, states_by_sat, take
 
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
@@ -53,10 +54,11 @@ def truth_session(cfg, epochs, states, truth):
 def thin_session(cfg, epochs, states, truth, keep, sats):
     """The truth session of the epochs `keep`, each observing only those
     of `sats` it observes."""
-    thin = [Epoch(epochs[k].time, [o for o in epochs[k].observations
-                                   if o.sat in sats]) for k in keep]
-    return truth_session(cfg, thin, [states[k] for k in keep],
-                         [truth[k] for k in keep])
+    keys = [sat.key for sat in sats]
+    thin = [take(epochs[k], states[k], np.isin(epochs[k].sats, keys))
+            for k in keep]
+    return truth_session(cfg, [epoch for epoch, _ in thin],
+                         [rows for _, rows in thin], [truth[k] for k in keep])
 
 
 def phase_shifted(s, epoch, cycles, sat=None):
@@ -101,14 +103,15 @@ class TestSessionGrid:
         cfg = quiet_scenario(duration=20.0)
         truth, epochs, states = run_scenario(cfg)
         # epoch 3 misses one satellite that the others observe
-        epochs[3] = Epoch(epochs[3].time, epochs[3].observations[1:])
+        epochs[3], states[3] = take(epochs[3], states[3], slice(1, None))
         g = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
             [r.position for r in truth])
         return g, epoch_corrections(g)
 
     def test_every_row_in_its_cell(self, scattered):
         g, s = scattered
-        column = np.array([s.sats.index(sat) for sat in g.sats])
+        column = np.array([s.sats.index(SatelliteId.from_key(key))
+                           for key in g.sats.tolist()])
         cells = (g.epoch, column)
         for name in ("lock", "phase", "wavelength"):
             assert (getattr(s, name)[cells].tobytes()
@@ -128,14 +131,15 @@ class TestSessionGrid:
     def test_unobserved_cells(self, scattered):
         g, s = scattered
         observed = np.zeros(s.lock.shape, bool)
-        observed[g.epoch, [s.sats.index(sat) for sat in g.sats]] = True
+        observed[g.epoch, [s.sats.index(SatelliteId.from_key(key))
+                           for key in g.sats.tolist()]] = True
         assert not observed[3].all()
         assert (s.lock[~observed] == -1).all()
         assert not s.usable[~observed].any()
 
     def test_sats_and_spans_in_sort_order(self, scattered):
         g, s = scattered
-        assert list(s.sats) == sorted(set(g.sats), key=SatelliteId.sort_key)
+        assert [sat.key for sat in s.sats] == sorted(set(g.sats.tolist()))
         assert len(s.spans) == 3
         assert [k for a, b in s.spans for k in range(a, b)] == list(
             range(len(s.sats)))
@@ -149,11 +153,11 @@ class TestSessionGrid:
         forms no DD and does not count toward the locked satellites."""
         cfg = quiet_scenario(duration=10.0, counts={Constellation.GPS: 31})
         truth, epochs, states = run_scenario(cfg)
-        sats = sorted(epochs[0].sat_ids & epochs[5].sat_ids,
+        sats = sorted(sat_ids(epochs[0]) & sat_ids(epochs[5]),
                       key=SatelliteId.sort_key)[:5]
         unknown = sats[0]
-        states = [{sat: state for sat, state in by_sat.items()
-                   if sat != unknown} for by_sat in states]
+        states = [np.where((epoch.sats == unknown.key)[:, None], np.nan, rows)
+                  for epoch, rows in zip(epochs, states)]
         thin = thin_session(cfg, epochs, states, truth, (0, 5), sats)
         assert unknown not in thin.sats
         assert detect_cycle_slips(thin, 0, 1) == set(sats[1:])
@@ -168,20 +172,21 @@ class TestCycleSlipDetection:
         truth, epochs, states = run_scenario(cfg)
         s = truth_session(cfg, epochs, states, truth)
         sats = detect_cycle_slips(s, 0, 0)
-        assert sats == epochs[0].sat_ids
+        assert sats == sat_ids(epochs[0])
 
     def test_continuous_lock_returned(self):
         cfg = quiet_scenario(duration=30.0)
         truth, epochs, states = run_scenario(cfg)
         s = truth_session(cfg, epochs, states, truth)
         sats = detect_cycle_slips(s, 5, 25)
-        assert sats == epochs[5].sat_ids & epochs[25].sat_ids
+        assert sats == sat_ids(epochs[5]) & sat_ids(epochs[25])
 
     def test_injected_slip_excluded(self):
         slipped = SatelliteId(Constellation.GPS, 7)
         cfg = quiet_scenario(duration=60.0, cycle_slips=[(slipped, 30.0)])
         truth, epochs, states = run_scenario(cfg)
-        if slipped not in epochs[20].sat_ids or slipped not in epochs[40].sat_ids:
+        if (slipped not in sat_ids(epochs[20])
+                or slipped not in sat_ids(epochs[40])):
             pytest.skip("PRN 7 not visible in this geometry")
         s = truth_session(cfg, epochs, states, truth)
         straddling = detect_cycle_slips(s, 20, 40)
@@ -193,7 +198,7 @@ class TestCycleSlipDetection:
         cfg = quiet_scenario(duration=5.0)
         truth, epochs, states = run_scenario(cfg)
         s = truth_session(cfg, epochs, states, truth)
-        assert detect_cycle_slips(s, 0, 3) <= epochs[0].sat_ids
+        assert detect_cycle_slips(s, 0, 3) <= sat_ids(epochs[0])
 
 
 class TestTimeSingleDifference:
@@ -207,14 +212,14 @@ class TestTimeSingleDifference:
     def test_one_cycle_is_one_wavelength(self):
         cfg = quiet_scenario(duration=5.0)
         truth, epochs, states = run_scenario(cfg)
-        sat = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[0]
-        obs = epochs[0].get(sat)
+        sat = SatelliteId.from_key(int(epochs[0].sats[0]))
+        wavelength = epochs[0].wavelength[row_of(epochs[0], sat)]
         sd = single_difference(truth_session(cfg, epochs, states, truth), 0,
                                0)
         assert abs(sd[sat]) < 1e-12
         # GPS L1: one cycle is 0.1903 m
         if sat.constellation is Constellation.GPS:
-            assert abs(obs.wavelength - 0.1903) < 1e-4
+            assert abs(wavelength - 0.1903) < 1e-4
 
     def test_static_zero_drift_matches_range_change(self):
         cfg = quiet_scenario(
@@ -227,6 +232,7 @@ class TestTimeSingleDifference:
         s = truth_session(cfg, epochs, states, truth)
         sats = detect_cycle_slips(s, 0, 15)
         sd = single_difference(s, 0, 15)
+        states = states_by_sat(epochs, states)
         from gnssgraph.coords import line_of_sight
         for sat in sats:
             value = sd[sat]
@@ -240,7 +246,7 @@ class TestDoubleDifferences:
         truth, epochs, states = run_scenario(cfg)
         dd = form_double_differences(truth_session(cfg, epochs, states, truth),
                                      i, j, interval=1.0 / cfg.rate)
-        return truth, states, dd
+        return truth, states_by_sat(epochs, states), dd
 
     def test_reference_is_highest_elevation(self):
         cfg = quiet_scenario(duration=10.0)
@@ -481,7 +487,7 @@ class TestEstimateBaseline:
     def test_few_satellites_raise(self):
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
-        keep = sorted(epochs[0].sat_ids, key=lambda s: s.sort_key())[:3]
+        keep = sorted(sat_ids(epochs[0]), key=lambda s: s.sort_key())[:3]
         thin = thin_session(cfg, epochs, states, truth, (0, 5), keep)
         with pytest.raises(InsufficientSatellites):
             estimate_baseline(thin, 0, 1)
