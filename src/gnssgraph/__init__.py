@@ -34,7 +34,7 @@ from .trrtk import (BaselineStatus, TrRtkConfig, TrRtkResult,
                     detect_cycle_slips, epoch_corrections,
                     estimate_baseline, form_double_differences)
 from .types import (STATE_COLUMNS, Constellation, Epoch, GeodeticPosition,
-                    SatelliteId, SatelliteState)
+                    SatelliteId)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ import numpy as np
 
 from .constants import CLIGHT, OMGE, WGS84_A, WGS84_E2
 from .errors import DegenerateGeometry, NearSingular
-from .types import GeodeticPosition, SatelliteState
+from .types import GeodeticPosition
 
 
 def geodetic_to_ecef(pos: GeodeticPosition) -> np.ndarray:
@@ -110,36 +110,30 @@ def ecef_to_enu(origin: GeodeticPosition, point: np.ndarray) -> np.ndarray:
     return enu_rotation(origin) @ delta
 
 
-def line_of_sight(receiver: np.ndarray, sat: SatelliteState) -> tuple[np.ndarray, float]:
-    """Unit vector receiver->satellite and Sagnac-corrected range.
+def line_of_sight(receiver: np.ndarray, positions: np.ndarray):
+    """Unit vectors receiver->satellite and Sagnac-corrected ranges.
 
-    The satellite position is rotated by OMGE * range/c about the earth
-    axis to account for earth rotation during signal flight.
+    `positions` is one satellite position (3,), which gives a (3,) unit
+    vector and a range, or an (n, 3) array of them, seen from one
+    receiver (3,) or from one each (n, 3), which gives (n, 3) and (n,).
+    Each satellite position is rotated by OMGE * range/c about the earth
+    axis to account for earth rotation during signal flight. The norms
+    are BLAS dots, as `np.linalg.norm` takes them, so a satellite's
+    result does not depend on how many share the call.
     """
     receiver = np.asarray(receiver, dtype=float)
-    rho = float(np.linalg.norm(sat.position - receiver))
-    if rho < 1e6:
-        raise DegenerateGeometry(f"satellite range {rho:.0f} m implausible")
-    theta = OMGE * rho / CLIGHT
-    c, s = np.cos(theta), np.sin(theta)
-    rotated = np.array([
-        c * sat.position[0] + s * sat.position[1],
-        -s * sat.position[0] + c * sat.position[1],
-        sat.position[2],
-    ])
-    delta = rotated - receiver
-    rng = float(np.linalg.norm(delta))
-    return delta / rng, rng
+    positions = np.asarray(positions, dtype=float)
+    distance = _dot_norms(positions - receiver)
+    check_ranges(distance)
+    delta = _sagnac_rotated(positions, distance) - receiver
+    rng = _dot_norms(delta)
+    return delta / rng[..., None], rng
 
 
 def lines_of_sight(receiver: np.ndarray,
                    positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`line_of_sight` for an (n, 3) array of satellite positions, seen
-    from one receiver position (3,) or from one each (n, 3).
-
-    Returns (n, 3) unit vectors receiver->satellite and the (n,)
-    Sagnac-corrected ranges.
-    """
+    """`line_of_sight` for an (n, 3) array of satellite positions, with
+    the norms of `unchecked_lines_of_sight`."""
     receiver = np.asarray(receiver, dtype=float)
     check_ranges(_row_norms(positions - receiver))
     unit, rng, _ = unchecked_lines_of_sight(receiver, positions)
@@ -153,14 +147,20 @@ def unchecked_lines_of_sight(receiver: np.ndarray, positions: np.ndarray):
     axes of `positions` (..., 3) broadcast against `receiver`."""
     receiver = np.asarray(receiver, dtype=float)
     distance = _row_norms(positions - receiver)
+    delta = _sagnac_rotated(positions, distance) - receiver
+    rng = _row_norms(delta)
+    return delta / rng[..., None], rng, distance
+
+
+def _sagnac_rotated(positions: np.ndarray, distance) -> np.ndarray:
+    """Satellite `positions` (..., 3) rotated about the earth axis by the
+    earth's turn during a signal flight of `distance` (...)."""
     theta = OMGE * distance / CLIGHT
     c, s = np.cos(theta), np.sin(theta)
     rotated = np.array(positions, dtype=float)
     rotated[..., 0] = c * positions[..., 0] + s * positions[..., 1]
     rotated[..., 1] = -s * positions[..., 0] + c * positions[..., 1]
-    delta = rotated - receiver
-    rng = _row_norms(delta)
-    return delta / rng[..., None], rng, distance
+    return rotated
 
 
 def check_ranges(distance: np.ndarray) -> None:
@@ -173,6 +173,12 @@ def check_ranges(distance: np.ndarray) -> None:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, as `np.linalg.norm(a, axis=-1)`."""
     return np.sqrt((a * a).sum(axis=-1))
+
+
+def _dot_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis by one BLAS dot per vector, as
+    `np.linalg.norm(v)` takes it for one vector `v`."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray):

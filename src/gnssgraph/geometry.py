@@ -24,7 +24,7 @@ from .constants import CLIGHT
 from .coords import (check_ranges, ecef_to_geodetic, elevation_azimuth,
                      unchecked_lines_of_sight)
 from .errors import ElevationTooLow, GnssError, LengthMismatch
-from .types import STATE_COLUMNS, GeodeticPosition
+from .types import STATE_COLUMNS
 
 
 class EpochGeometry:
@@ -89,7 +89,7 @@ class EpochGeometry:
         # the unlocated geometry and with every geometry located from it
         self.position = np.array(positions, dtype=float).reshape(-1, 3)
         self.geodetic = ecef_to_geodetic(self.position)
-        receiver = _take(self.geodetic, self.epoch)
+        receiver = self.geodetic.take(self.epoch)
         self.elevation, self.azimuth = elevation_azimuth(receiver,
                                                          self.sat_position)
         self.unit, self.range, self._distance = unchecked_lines_of_sight(
@@ -102,12 +102,12 @@ class EpochGeometry:
             self.iono[~ok] = np.nan
             self.iono[ok] = klobuchar_delay(
                 self.iono_model, self.tow[self.epoch[ok]],
-                _take(receiver, ok), self.elevation[ok], self.azimuth[ok])
+                receiver.take(ok), self.elevation[ok], self.azimuth[ok])
         if self.tropo_model is not None:
             ok = self.elevation > MIN_ELEVATION
             self.tropo[~ok] = np.nan
             self.tropo[ok] = saastamoinen_delay(
-                self.tropo_model, _take(receiver, ok), self.elevation[ok])
+                self.tropo_model, receiver.take(ok), self.elevation[ok])
         self.corrected_code = (self.code + CLIGHT * self.clock_bias
                                - self.iono - self.tropo)
 
@@ -147,9 +147,3 @@ class EpochGeometry:
                     errors[e] = exc
                     break
         return errors
-
-
-def _take(position: GeodeticPosition, index) -> GeodeticPosition:
-    """The receivers `index` selects of a GeodeticPosition of arrays."""
-    return GeodeticPosition(position.latitude[index],
-                            position.longitude[index], position.height[index])

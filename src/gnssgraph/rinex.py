@@ -49,6 +49,11 @@ def carrier_wavelength(sat: SatelliteId, channel: int = 0) -> float:
     return CLIGHT / _NOMINAL_FREQ[sat.constellation]
 
 
+def glonass_channel(prn: int) -> int:
+    """Frequency channel assignment for simulated GLONASS satellites."""
+    return ((prn - 1) % 14) - 7
+
+
 @dataclass
 class RinexHeader:
     """The subset of RINEX observation header records the library uses."""
@@ -303,8 +308,6 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
 def header_for_scenario(config, reference_position=None) -> RinexHeader:
     """Header matching a simulator scenario (codes, interval, GLONASS
     channel table)."""
-    from .sim import glonass_channel
-
     codes = {c: OBS_CODES[c] for c in sorted(config.counts,
                                              key=lambda c: c.value)}
     channels = {}

@@ -8,18 +8,18 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel, klobuchar_delay, saastamoinen_delay
 from .constants import CLIGHT, GM_EARTH, OMGE
-from .coords import ecef_to_geodetic, elevation_azimuth, enu_rotation, geodetic_to_ecef, line_of_sight
+from .coords import (ecef_to_geodetic, elevation_azimuth, enu_rotation,
+                     geodetic_to_ecef, line_of_sight, scalar_pow)
 from .errors import InvalidWaypoints
 from .gnsstime import GpsTime
-from .rinex import carrier_wavelength
-from .types import (Constellation, Epoch, GeodeticPosition, SatelliteId,
-                    SatelliteState)
+from .rinex import carrier_wavelength, glonass_channel
+from .types import Constellation, Epoch, GeodeticPosition, SatelliteId
 
 # nominal circular-orbit shells: semi-major axis [m], inclination [rad], planes
 ORBIT_SHELLS = {
@@ -31,18 +31,18 @@ ORBIT_SHELLS = {
 
 VISIBILITY_MASK = np.radians(5.0)
 
+# epochs simulated at a time, which bounds the (epoch, satellite) arrays
+BLOCK_EPOCHS = 128
+
 
 @dataclass(frozen=True)
 class OrbitElements:
-    """Circular Keplerian orbit plus a linear clock model."""
+    """Circular Keplerian orbit."""
 
-    sat: SatelliteId
     semi_major: float          # [m]
     inclination: float         # [rad]
     raan: float                # right ascension of ascending node [rad]
     arg_lat0: float            # argument of latitude at reference time [rad]
-    clock_bias: float          # [s]
-    clock_drift: float         # [s/s]
 
 
 @dataclass
@@ -91,6 +91,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.duration <= 0 or self.rate <= 0:
             raise ValueError("duration and rate must be positive")
+        for const, n in self.counts.items():
+            if not 0 <= n <= 64:
+                raise ValueError(f"{const.name} satellite count {n} "
+                                 "outside 0-64")
+        for sat, _ in self.cycle_slips:
+            if sat.prn > self.counts.get(sat.constellation, 0):
+                raise ValueError(f"cycle slip on {sat}, which the scenario "
+                                 "does not have")
 
 
 @dataclass(frozen=True)
@@ -106,17 +114,13 @@ def generate_constellation(seed: int, counts: dict) -> dict[SatelliteId, OrbitEl
     elements = {}
     for const in sorted(counts, key=lambda c: c.value):
         n = counts[const]
-        if n < 0:
-            raise ValueError("satellite count must be non-negative")
         a, incl, planes = ORBIT_SHELLS[const]
         jitter = rng.uniform(-0.15, 0.15, size=max(n, 1))
         slots_per_plane = -(-n // planes)
         for k in range(n):
             plane = k % planes
             slot = k // planes
-            sat = SatelliteId(const, k + 1)
-            elements[sat] = OrbitElements(
-                sat=sat,
+            elements[SatelliteId(const, k + 1)] = OrbitElements(
                 semi_major=a,
                 inclination=incl,
                 raan=2 * np.pi * plane / planes + jitter[k] * 0.1,
@@ -124,51 +128,54 @@ def generate_constellation(seed: int, counts: dict) -> dict[SatelliteId, OrbitEl
                 arg_lat0=(2 * np.pi * slot / slots_per_plane
                           + 2 * np.pi * plane / (planes * slots_per_plane)
                           + jitter[k]) % (2 * np.pi),
-                clock_bias=0.0,  # assigned per scenario
-                clock_drift=0.0,
             )
     return elements
 
 
-def _with_clocks(elements: dict, rng: np.random.Generator, bias_sigma: float,
-                 drift_sigma: float) -> dict:
-    out = {}
-    for sat in sorted(elements, key=lambda s: s.sort_key()):
-        e = elements[sat]
-        out[sat] = OrbitElements(e.sat, e.semi_major, e.inclination, e.raan,
-                                 e.arg_lat0,
-                                 clock_bias=rng.normal(0.0, bias_sigma),
-                                 clock_drift=rng.normal(0.0, drift_sigma))
-    return out
+def propagate(orbits: list[OrbitElements], dt) -> np.ndarray:
+    """ECEF positions and velocities of `orbits` at each of the (m,) times
+    `dt` [s] after the reference time: (m, n, 6), one row per orbit."""
+    dt = np.asarray(dt, dtype=float)
+    a, incl, raan, arg_lat0 = np.reshape([astuple(e) for e in orbits],
+                                         (-1, 4)).T
+    n = np.sqrt(GM_EARTH / scalar_pow(a, 3))
+    u = arg_lat0[:, None] + n[:, None] * dt
+    cos_u, sin_u, zero = np.cos(u), np.sin(u), np.zeros_like(u)
+    p_orb = a[:, None, None] * np.stack([cos_u, sin_u, zero], -1)
+    v_orb = (a * n)[:, None, None] * np.stack([-sin_u, cos_u, zero], -1)
 
-
-def propagate_satellite(elements: OrbitElements, dt: float) -> SatelliteState:
-    """Propagate a circular orbit by dt seconds and express it in ECEF."""
-    a = elements.semi_major
-    n = np.sqrt(GM_EARTH / a ** 3)
-    u = elements.arg_lat0 + n * dt
-    p_orb = a * np.array([np.cos(u), np.sin(u), 0.0])
-    v_orb = a * n * np.array([-np.sin(u), np.cos(u), 0.0])
-
-    ci, si = np.cos(elements.inclination), np.sin(elements.inclination)
-    co, so = np.cos(elements.raan), np.sin(elements.raan)
-    rot = np.array([
+    ci, si = np.cos(incl), np.sin(incl)
+    co, so = np.cos(raan), np.sin(raan)
+    rot = np.moveaxis(np.array([
         [co, -so * ci, so * si],
         [so, co * ci, -co * si],
-        [0.0, si, ci],
-    ])
-    p_eci = rot @ p_orb
-    v_eci = rot @ v_orb
+        [np.zeros_like(si), si, ci],
+    ]), -1, 0)
+    p_eci = _rotate(p_orb, rot).swapaxes(0, 1)
+    v_eci = _rotate(v_orb, rot).swapaxes(0, 1)
 
     theta = OMGE * dt
     c, s = np.cos(theta), np.sin(theta)
-    frame = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    dframe = OMGE * np.array([[-s, c, 0.0], [-c, -s, 0.0], [0.0, 0.0, 0.0]])
-    p_ecef = frame @ p_eci
-    v_ecef = frame @ v_eci + dframe @ p_eci
-    return SatelliteState(p_ecef, v_ecef,
-                          elements.clock_bias + elements.clock_drift * dt,
-                          elements.clock_drift)
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    frame, dframe = (np.moveaxis(m, -1, 0) for m in (
+        np.array([[c, s, zero], [-s, c, zero], [zero, zero, one]]),
+        OMGE * np.array([[-s, c, zero], [-c, -s, zero], [zero, zero, zero]])))
+    return np.concatenate([
+        _rotate(p_eci, frame),
+        _rotate(v_eci, frame) + _rotate(p_eci, dframe)], -1)
+
+
+def _rotate(rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Each (r, 3) matrix of the (k, r, 3) `rows` rotated by its 3x3 of
+    the (k, 3, 3) `rotations`, as (k, r, 3) rows.
+
+    Each rotation row meets the matrix in one BLAS gemv, which rounds a
+    row as the one-vector `rotation @ p` does; a stacked product of the
+    rotations would round differently, and a satellite's state must not
+    depend on the times and satellites that share the call.
+    """
+    turned = np.ascontiguousarray(rows)[:, None] @ rotations[..., None]
+    return turned[..., 0].swapaxes(1, 2)
 
 
 def generate_trajectory(config: ScenarioConfig) -> list[TruthRecord]:
@@ -266,111 +273,103 @@ def _seg_velocity(segs, t, speed, total):
     return np.zeros(3)
 
 
-class MeasurementSimulator:
-    """Stateful epoch synthesizer (lock counters and ambiguities persist)."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        base = generate_constellation(config.seed, config.counts)
-        rng = np.random.default_rng(config.seed + 1)
-        self.elements = _with_clocks(base, rng,
-                                     config.satellite_clock_bias_sigma,
-                                     config.satellite_clock_drift_sigma)
-        self.rng = np.random.default_rng(config.seed + 2)
-        self._locks: dict[SatelliteId, tuple[int, int]] = {}  # sat -> (lock_count, N)
-        self._slips = sorted(config.cycle_slips, key=lambda s: s[1])
-
-    def satellite_states(self, time: GpsTime) -> dict[SatelliteId, SatelliteState]:
-        dt = time - self.config.start_time
-        return {sat: propagate_satellite(e, dt) for sat, e in self.elements.items()}
-
-    def synthesize_epoch(self, truth: TruthRecord) -> Epoch:
-        return self._synthesize(truth)[0]
-
-    def _synthesize(self, truth: TruthRecord):
-        """The epoch at `truth` and its satellites' `STATE_COLUMNS`."""
-        cfg = self.config
-        elapsed = truth.time - cfg.start_time
-        states = self.satellite_states(truth.time)
-        geo = ecef_to_geodetic(truth.position)
-        dtr = cfg.receiver_clock.bias0 + cfg.receiver_clock.drift * elapsed
-
-        interval = 1.0 / cfg.rate
-        slipped = {sat for sat, when in cfg.cycle_slips
-                   if elapsed - interval < when <= elapsed + 1e-9}
-
-        sats = sorted(states, key=lambda s: s.sort_key())
-        el, az = elevation_azimuth(
-            geo, np.array([states[sat].position for sat in sats]))
-        in_view = np.flatnonzero(el >= VISIBILITY_MASK)
-        el, az = el[in_view], az[in_view]
-        iono = (klobuchar_delay(cfg.iono, truth.time.tow, geo, el, az)
-                if cfg.iono else np.zeros(len(in_view)))
-        tropo = (saastamoinen_delay(cfg.tropo, geo, el)
-                 if cfg.tropo else np.zeros(len(in_view)))
-
-        rows = []
-        visible = set()
-        for k, row in enumerate(in_view):
-            sat = sats[row]
-            state = states[sat]
-            visible.add(sat)
-            unit, rng_m = line_of_sight(truth.position, state)
-            wavelength = carrier_wavelength(sat, glonass_channel(sat.prn))
-
-            lock, ambiguity = self._locks.get(sat, (None, None))
-            if lock is None or sat in slipped:
-                lock = 0
-                ambiguity = int(self.rng.integers(-1_000_000, 1_000_000))
-            else:
-                lock += 1
-            self._locks[sat] = (lock, ambiguity)
-
-            scale = 1.0 / np.sin(el[k])
-            clock_m = CLIGHT * (dtr - state.clock_bias)
-            pseudorange = (rng_m + clock_m + iono[k] + tropo[k]
-                           + self.rng.normal(0.0, cfg.noise.pseudorange_sigma) * scale)
-            # carrier tracking noise varies only weakly with elevation for a
-            # clean-sky antenna, so phase noise is flat (like Doppler below)
-            phase_m = (rng_m + clock_m - iono[k] + tropo[k]
-                       + wavelength * ambiguity
-                       + self.rng.normal(0.0, cfg.noise.phase_sigma))
-            range_rate = ((state.velocity - truth.velocity) @ unit
-                          + CLIGHT * (cfg.receiver_clock.drift - state.clock_drift))
-            # Doppler noise is flat in elevation; a 1/sin(el) inflation would
-            # contradict the cm/s velocity accuracy the defaults must yield
-            doppler = (-(range_rate
-                         + self.rng.normal(0.0, cfg.noise.doppler_sigma))
-                       / wavelength)
-            snr = 35.0 + 15.0 * np.sin(el[k])
-            rows.append((sat.key, pseudorange, phase_m / wavelength, doppler,
-                         wavelength, lock, snr, *state.position,
-                         *state.velocity, state.clock_bias, state.clock_drift))
-
-        for sat in list(self._locks):
-            if sat not in visible:
-                del self._locks[sat]
-        table = np.array(rows, dtype=float).reshape(-1, 15)
-        sats, code, phase, doppler, wavelength, lock, snr = (
-            table[:, :7].T.copy())
-        return (Epoch(truth.time, sats.astype(int), code, phase, doppler,
-                      wavelength, lock.astype(int), snr), table[:, 7:].copy())
-
-
-def glonass_channel(prn: int) -> int:
-    """Frequency channel assignment for simulated GLONASS satellites."""
-    return ((prn - 1) % 14) - 7
-
-
 def run_scenario(config: ScenarioConfig):
     """Full simulation: truth records, epochs, and per epoch the states of
-    its satellites, an array of `STATE_COLUMNS` aligned to its rows."""
-    sim = MeasurementSimulator(config)
+    its satellites, an array of `STATE_COLUMNS` aligned to its rows.
+
+    A satellite is observed where it stands above `VISIBILITY_MASK`. Its
+    carrier lock arc, with one random ambiguity, restarts where it comes
+    into view or a scheduled cycle slip falls. The session is simulated
+    `BLOCK_EPOCHS` epochs at a time on (epoch, satellite) arrays; only
+    each satellite's lock count and ambiguity carry from block to block.
+    """
+    constellation = generate_constellation(config.seed, config.counts)
+    sats = sorted(constellation, key=SatelliteId.sort_key)
+    orbits = [constellation[sat] for sat in sats]
+    sat_bias0, sat_drift = np.random.default_rng(config.seed + 1).normal(
+        0.0, [config.satellite_clock_bias_sigma,
+              config.satellite_clock_drift_sigma], (len(sats), 2)).T
+    keys = np.array([sat.key for sat in sats], dtype=int)
+    wavelengths = np.array([carrier_wavelength(sat, glonass_channel(sat.prn))
+                            for sat in sats])
+    sigmas = astuple(config.noise)
+    receiver_clock = config.receiver_clock
+    rng = np.random.default_rng(config.seed + 2)
     truth = generate_trajectory(config)
-    epochs = []
-    states = []
-    for record in truth:
-        epoch, states_k = sim._synthesize(record)
-        epochs.append(epoch)
-        states.append(states_k)
+    # per satellite at the last epoch: lock count (-1 out of view) and the
+    # ambiguity of its arc
+    lock, ambiguity = np.full(len(sats), -1), np.zeros(len(sats), dtype=int)
+    epochs, states = [], []
+    for start in range(0, len(truth), BLOCK_EPOCHS):
+        block = truth[start:start + BLOCK_EPOCHS]
+        elapsed = np.array([record.time - config.start_time
+                            for record in block])
+        receiver = np.array([record.position for record in block])
+        bias = sat_bias0 + sat_drift * elapsed[:, None]
+        state = np.dstack([propagate(orbits, elapsed), bias,
+                           np.broadcast_to(sat_drift, bias.shape)])
+        geo = ecef_to_geodetic(receiver)
+        el, az = (a.reshape(bias.shape) for a in elevation_azimuth(
+            geo.take(np.repeat(np.arange(len(block)), len(sats))),
+            state[..., :3].reshape(-1, 3)))
+        visible = el >= VISIBILITY_MASK
+
+        slipped = np.zeros_like(visible)
+        for sat, when in config.cycle_slips:
+            slipped[:, sats.index(sat)] |= (
+                (elapsed - 1.0 / config.rate < when) & (when <= elapsed + 1e-9))
+        starts = visible & (slipped | ~np.vstack([lock >= 0, visible[:-1]]))
+        # rows in (epoch, satellite) order; a new arc draws its ambiguity
+        # before its row's three noise draws
+        epoch_of, sat_of = np.nonzero(visible)
+        new = np.flatnonzero(starts[epoch_of, sat_of])
+        noise, drawn, done = [], [], 0
+        for row in new:
+            noise.append(rng.normal(0.0, sigmas, (row - done, 3)))
+            drawn.append(rng.integers(-1_000_000, 1_000_000))
+            done = row
+        noise.append(rng.normal(0.0, sigmas, (len(epoch_of) - done, 3)))
+        noise = np.concatenate(noise)
+
+        # the epoch each arc started (-1 - lock if before the block); row 0
+        # of `arcs` holds the ambiguities carried over, row 1 + k those of k
+        index = np.arange(len(block))[:, None]
+        arc_start = np.maximum.accumulate(np.where(starts, index, -1 - lock))
+        arcs = np.vstack([ambiguity, np.zeros(visible.shape, dtype=int)])
+        arcs[1 + epoch_of[new], sat_of[new]] = drawn
+        arc_ambiguity = arcs[np.maximum(arc_start, -1) + 1, range(len(sats))]
+        lock = np.where(visible[-1], len(block) - 1 - arc_start[-1], -1)
+        ambiguity = arc_ambiguity[-1]
+
+        rows = state[epoch_of, sat_of]
+        el, az = el[epoch_of, sat_of], az[epoch_of, sat_of]
+        user = geo.take(epoch_of)
+        unit, rng_m = line_of_sight(receiver[epoch_of], rows[:, :3])
+        tow = np.array([record.time.tow for record in block])[epoch_of]
+        iono = (klobuchar_delay(config.iono, tow, user, el, az)
+                if config.iono else np.zeros(len(rows)))
+        tropo = (saastamoinen_delay(config.tropo, user, el)
+                 if config.tropo else np.zeros(len(rows)))
+        clock_m = CLIGHT * ((receiver_clock.bias0 + receiver_clock.drift
+                             * elapsed)[epoch_of] - rows[:, 6])
+        wavelength = wavelengths[sat_of]
+        code = rng_m + clock_m + iono + tropo + noise[:, 0] * (1.0 / np.sin(el))
+        # carrier tracking noise varies only weakly with elevation for a
+        # clean-sky antenna, so phase noise is flat (like Doppler below)
+        phase_m = (rng_m + clock_m - iono + tropo
+                   + wavelength * arc_ambiguity[epoch_of, sat_of]
+                   + noise[:, 1])
+        velocity = np.array([record.velocity for record in block])
+        range_rate = (np.vecdot(rows[:, 3:6] - velocity[epoch_of], unit)
+                      + CLIGHT * (receiver_clock.drift - rows[:, 7]))
+        # Doppler noise is flat in elevation; a 1/sin(el) inflation would
+        # contradict the cm/s velocity accuracy the defaults must yield
+        doppler = -(range_rate + noise[:, 2]) / wavelength
+        columns = (keys[sat_of], code, phase_m / wavelength, doppler,
+                   wavelength, (index - arc_start)[epoch_of, sat_of],
+                   35.0 + 15.0 * np.sin(el))
+        bounds = np.cumsum(np.append(0, visible.sum(axis=1)))
+        for record, begin, end in zip(block, bounds[:-1], bounds[1:]):
+            epochs.append(Epoch(record.time, *(c[begin:end] for c in columns)))
+            states.append(rows[begin:end])
     return truth, epochs, states

@@ -70,15 +70,10 @@ class GeodeticPosition:
     longitude: float
     height: float
 
-
-@dataclass(frozen=True)
-class SatelliteState:
-    """Satellite position/velocity (ECEF) and clock at signal time."""
-
-    position: np.ndarray       # [m]
-    velocity: np.ndarray       # [m/s]
-    clock_bias: float          # [s]
-    clock_drift: float         # [s/s]
+    def take(self, index) -> "GeodeticPosition":
+        """The positions that `index` selects of a position of arrays."""
+        return GeodeticPosition(self.latitude[index], self.longitude[index],
+                                self.height[index])
 
 
 # an epoch's satellite-state array, one row per epoch row: ECEF position

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from gnssgraph.types import SatelliteId, SatelliteState
+from gnssgraph.types import SatelliteId
 
 
 def take(epoch, states, rows):
@@ -29,18 +29,14 @@ def sat_ids(epoch) -> set:
     return set(map(SatelliteId.from_key, epoch.sats.tolist()))
 
 
-def _state(row) -> SatelliteState:
-    return SatelliteState(row[:3], row[3:6], row[6], row[7])
+def position_of(epoch, states, sat) -> np.ndarray:
+    """The position (3,) of satellite `sat` in `epoch`'s satellite-state
+    array."""
+    return states[row_of(epoch, sat), :3]
 
 
-def state_of(epoch, states, sat) -> SatelliteState:
-    """The state of satellite `sat` in `epoch`'s satellite-state array, as
-    the one-satellite reference functions take it."""
-    return _state(states[row_of(epoch, sat)])
-
-
-def states_by_sat(epochs, states) -> list:
-    """Per epoch, satellite -> its state, as `state_of` gives it."""
-    return [{SatelliteId.from_key(key): _state(row)
+def positions_by_sat(epochs, states) -> list:
+    """Per epoch, satellite -> its position, as `position_of` gives it."""
+    return [{SatelliteId.from_key(key): row[:3]
              for key, row in zip(epoch.sats.tolist(), rows)}
             for epoch, rows in zip(epochs, states)]

@@ -179,3 +179,17 @@ def test_bad_delay_model_is_parse_error(entry, pipeline_dirs, tmp_path,
                  "--config", str(solver),
                  "--out", str(tmp_path / "sol")]) == 2
     assert "error: parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["counts: {G: 70}", "counts: {G: -2}",
+                                   "cycle_slips: [[R03, 10.0]]"],
+                         ids=["count-above-64", "count-negative",
+                              "slip-on-absent-satellite"])
+def test_bad_scenario_is_parse_error(entry, tmp_path, capsys):
+    """A constellation count outside 0-64, or a cycle slip on a satellite
+    the scenario does not have, exits 2 when the config is read."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO + entry + "\n")
+    assert main(["simulate", "--config", str(scenario),
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert "error: parse" in capsys.readouterr().err

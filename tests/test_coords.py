@@ -6,11 +6,7 @@ from gnssgraph.coords import (ecef_to_enu, ecef_to_geodetic, elevation_azimuth,
                               enu_rotation, geodetic_to_ecef, line_of_sight)
 from gnssgraph.errors import DegenerateGeometry, NearSingular
 from gnssgraph.gnsstime import GpsTime
-from gnssgraph.types import GeodeticPosition, SatelliteState
-
-
-def sat_at(pos, vel=(0.0, 0.0, 0.0)):
-    return SatelliteState(np.asarray(pos, float), np.asarray(vel, float), 0.0, 0.0)
+from gnssgraph.types import GeodeticPosition
 
 
 class TestGeodeticToEcef:
@@ -98,7 +94,7 @@ class TestEcefToEnu:
 class TestLineOfSight:
     def test_collinear(self):
         rec = np.array([WGS84_A, 0.0, 0.0])
-        unit, rng_m = line_of_sight(rec, sat_at([WGS84_A + 2.0e7, 0.0, 0.0]))
+        unit, rng_m = line_of_sight(rec, [WGS84_A + 2.0e7, 0.0, 0.0])
         # Sagnac rotation moves the satellite slightly off-axis
         assert abs(rng_m - 2.0e7) < 50.0
         assert abs(unit[0] - 1.0) < 1e-6
@@ -109,7 +105,7 @@ class TestLineOfSight:
         for _ in range(1000):
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            sat = sat_at(rec + direction * rng.uniform(1.9e7, 2.6e7))
+            sat = rec + direction * rng.uniform(1.9e7, 2.6e7)
             unit, _ = line_of_sight(rec, sat)
             assert abs(np.linalg.norm(unit) - 1.0) < 1e-12
 
@@ -117,7 +113,7 @@ class TestLineOfSight:
         # two-step fixed-point iteration of the transmit-time solution
         rec = np.array([WGS84_A, 0.0, 0.0])
         sat_pos = np.array([WGS84_A + 0.5e7, 1.9e7, 0.5e7])
-        _, rng_m = line_of_sight(rec, sat_at(sat_pos))
+        _, rng_m = line_of_sight(rec, sat_pos)
 
         tau = np.linalg.norm(sat_pos - rec) / CLIGHT
         for _ in range(2):
@@ -133,7 +129,7 @@ class TestLineOfSight:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateGeometry):
             line_of_sight(np.array([WGS84_A, 0.0, 0.0]),
-                          sat_at([WGS84_A + 100.0, 0.0, 0.0]))
+                          [WGS84_A + 100.0, 0.0, 0.0])
 
 
 class TestElevationAzimuth:

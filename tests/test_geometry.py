@@ -16,7 +16,7 @@ from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
 from gnssgraph.trrtk import epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              GeodeticPosition, SatelliteId)
-from sessions import row_of, state_of
+from sessions import row_of
 
 SITE = GeodeticPosition(np.radians(35.0), np.radians(140.0), 40.0)
 
@@ -55,17 +55,17 @@ class TestEpochGeometry:
         assert g.sats.tolist() == [1, 2, 3, 4]      # GPS 1-4, not GAL 1
         assert g.sat_position.shape == (4, 3)
         for k, sat in enumerate(map(SatelliteId.from_key, g.sats.tolist())):
-            state = state_of(epoch, states, sat)
-            assert np.array_equal(g.sat_position[k], state.position)
-            assert g.clock_bias[k] == state.clock_bias
+            state = states[row_of(epoch, sat)]
+            assert np.array_equal(g.sat_position[k], state[:3])
+            assert g.clock_bias[k] == state[6]
             assert g.slot[k] == CONSTELLATION_INDEX[sat.constellation]
             assert (g.prn[k], g.phase[k], g.lock[k]) == (sat.prn, 1e8, 5)
             receiver = GeodeticPosition(g.geodetic.latitude[0],
                                         g.geodetic.longitude[0],
                                         g.geodetic.height[0])
-            el, az = elevation_azimuth(receiver, state.position)
+            el, az = elevation_azimuth(receiver, state[:3])
             assert g.elevation[k] == el and g.azimuth[k] == az
-            unit, rng = line_of_sight(origin, state)
+            unit, rng = line_of_sight(origin, state[:3])
             assert np.allclose(g.unit[k], unit, rtol=0.0, atol=1e-15)
             assert g.range[k] == pytest.approx(rng, rel=1e-15)
             i = klobuchar_delay(iono, epoch.time.tow, receiver, el, az)
@@ -74,10 +74,10 @@ class TestEpochGeometry:
             assert g.tropo[k] == pytest.approx(t, rel=1e-14)
             row = row_of(epoch, sat)
             assert g.corrected_code[k] == pytest.approx(
-                epoch.code[row] + CLIGHT * state.clock_bias - i - t,
+                epoch.code[row] + CLIGHT * state[6] - i - t,
                 rel=1e-15)
             assert g.doppler[k] == epoch.doppler[row]
-            assert np.array_equal(g.sat_velocity[k], state.velocity)
+            assert np.array_equal(g.sat_velocity[k], state[3:6])
 
     def test_at_moves_only_the_receiver(self):
         epoch, states, origin = sky_epoch([80.0, 45.0, 20.0])

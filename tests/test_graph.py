@@ -14,7 +14,7 @@ from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import BaselineStatus, TrRtkResult
 from gnssgraph.types import Constellation, SatelliteId
-from sessions import state_of
+from sessions import position_of
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
 
@@ -190,13 +190,13 @@ class TestPseudorangeRows:
                 for key in pr.sat.tolist()} == set(cfg.counts)
         for f in pr:
             offset = g.initial_states[f.node, :3]
-            state = state_of(epochs[f.node], states[f.node], f.sat)
+            position = position_of(epochs[f.node], states[f.node], f.sat)
             assert np.array_equal(f.lin_offset, offset)
-            assert np.array_equal(f.sat_position, state.position)
+            assert np.array_equal(f.sat_position, position)
             assert f.slot == CONSTELLATION_INDEX[
                 SatelliteId.from_key(f.sat).constellation]
             # the per-satellite oracle: one line of sight per factor
-            unit, r0 = line_of_sight(g.reference_position + offset, state)
+            unit, r0 = line_of_sight(g.reference_position + offset, position)
             expected = np.zeros(7)
             expected[:3] = -unit
             expected[3] = 1.0
@@ -237,7 +237,7 @@ class TestRelinearization:
         for f in pr:
             assert np.linalg.norm(x[f.node, :3] - f.lin_offset) \
                 <= RELINEARIZE_THRESHOLD
-            unit, r0 = line_of_sight(ref + f.lin_offset, state_of(
+            unit, r0 = line_of_sight(ref + f.lin_offset, position_of(
                 epochs[f.node], states[f.node], f.sat))
             assert np.allclose(f.row[:3], -unit, rtol=0.0, atol=1e-12)
             assert f.constant == pytest.approx(

@@ -355,8 +355,8 @@ class TestSatStateCsvEdges:
 
 class TestGraphJson:
     def test_counts_and_window(self):
-        cfg = small_scenario(duration=30.0, counts=None)
-        cfg.counts = {Constellation.GPS: 10, Constellation.GAL: 8}
+        cfg = small_scenario(duration=30.0, counts={Constellation.GPS: 10,
+                                                    Constellation.GAL: 8})
         truth, epochs, states = run_scenario(cfg)
         result = solve_trajectory(epochs, states,
                                   PipelineConfig(iono=cfg.iono,

@@ -8,10 +8,10 @@ from gnssgraph.errors import InsufficientSatellites
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.pointpos import (SolverConfig, pseudorange_variance,
                                 solve_doppler_velocity, solve_spp)
-from gnssgraph.sim import (MeasurementSimulator, NoiseConfig, ReceiverClockConfig,
-                           ScenarioConfig, TrajectoryConfig, run_scenario)
+from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
+                           TrajectoryConfig, run_scenario)
 from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
-from sessions import state_of, take
+from sessions import position_of, take
 
 
 def scenario(**overrides):
@@ -116,7 +116,7 @@ class TestSpp:
                 if SatelliteId.from_key(key).constellation is not const:
                     continue
                 _, rng_m = line_of_sight(sol.position,
-                                         state_of(epoch, states[0], key))
+                                         position_of(epoch, states[0], key))
                 resid.append(epoch.code[r] - rng_m
                              + CLIGHT * states[0][r, 6]
                              - sol.clock_biases[const])

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from gnssgraph.constants import GM_EARTH, OMGE
-from gnssgraph.coords import ecef_to_geodetic, elevation_azimuth
 from gnssgraph.errors import InvalidWaypoints
-from gnssgraph.sim import (MeasurementSimulator, NoiseConfig, ReceiverClockConfig,
-                           ScenarioConfig, TrajectoryConfig, generate_constellation,
-                           generate_trajectory, propagate_satellite, run_scenario)
+from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
+                           TrajectoryConfig, generate_constellation,
+                           generate_trajectory, propagate, run_scenario)
 from gnssgraph.types import Constellation, SatelliteId
-from sessions import row_of, state_of
+from sessions import position_of, row_of
 
 
 def noise_free_config(**overrides):
@@ -39,33 +38,64 @@ class TestConstellation:
     def test_speed_matches_orbit_rate(self):
         elements = generate_constellation(2, {Constellation.GPS: 4})
         e = next(iter(elements.values()))
-        state = propagate_satellite(e, 100.0)
+        state = propagate([e], [100.0])[0, 0]
         # inertial speed sqrt(mu/a), earth-rotation contribution removed
-        v_inertial = state.velocity + np.cross([0, 0, OMGE], state.position)
+        v_inertial = state[3:6] + np.cross([0, 0, OMGE], state[:3])
         assert abs(np.linalg.norm(v_inertial) - np.sqrt(GM_EARTH / e.semi_major)) < 1e-3
+
+
+def propagate_one(e, dt):
+    """The ECEF position and velocity of orbit `e` at `dt`, one satellite
+    and one time at a time: each rotation applied as `rotation @ p`."""
+    a = e.semi_major
+    n = np.sqrt(GM_EARTH / a ** 3)
+    u = e.arg_lat0 + n * dt
+    p_orb = a * np.array([np.cos(u), np.sin(u), 0.0])
+    v_orb = a * n * np.array([-np.sin(u), np.cos(u), 0.0])
+    ci, si = np.cos(e.inclination), np.sin(e.inclination)
+    co, so = np.cos(e.raan), np.sin(e.raan)
+    rot = np.array([[co, -so * ci, so * si], [so, co * ci, -co * si],
+                    [0.0, si, ci]])
+    c, s = np.cos(OMGE * dt), np.sin(OMGE * dt)
+    frame = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    dframe = OMGE * np.array([[-s, c, 0.0], [-c, -s, 0.0], [0.0, 0.0, 0.0]])
+    return (frame @ (rot @ p_orb),
+            frame @ (rot @ v_orb) + dframe @ (rot @ p_orb))
 
 
 class TestPropagation:
     def test_zero_dt_is_initial_state(self):
         e = next(iter(generate_constellation(3, {Constellation.GAL: 2}).values()))
-        s0 = propagate_satellite(e, 0.0)
-        assert abs(np.linalg.norm(s0.position) - e.semi_major) < 1e-3
+        s0 = propagate([e], [0.0])[0, 0]
+        assert abs(np.linalg.norm(s0[:3]) - e.semi_major) < 1e-3
 
     def test_radius_constant(self):
         e = next(iter(generate_constellation(3, {Constellation.GPS: 2}).values()))
-        radii = [np.linalg.norm(propagate_satellite(e, t).position)
-                 for t in (0.0, 500.0, 5000.0)]
+        radii = np.linalg.norm(propagate([e], [0.0, 500.0, 5000.0])[:, 0, :3],
+                               axis=1)
         assert max(radii) - min(radii) < 1e-3
 
     def test_velocity_matches_finite_difference(self):
         e = next(iter(generate_constellation(5, {Constellation.BDS: 3}).values()))
         h = 0.05
         for t in (0.0, 900.0, 7200.0):
-            p_plus = propagate_satellite(e, t + h).position
-            p_minus = propagate_satellite(e, t - h).position
-            v_fd = (p_plus - p_minus) / (2 * h)
-            v = propagate_satellite(e, t).velocity
-            assert np.linalg.norm(v - v_fd) < 1e-4
+            minus, at, plus = propagate([e], [t - h, t, t + h])[:, 0]
+            v_fd = (plus[:3] - minus[:3]) / (2 * h)
+            assert np.linalg.norm(at[3:6] - v_fd) < 1e-4
+
+    def test_equals_one_satellite_rotations_bit_for_bit(self):
+        """The states of many satellites and times at once are those of
+        one satellite and one time, to the bit."""
+        elements = list(generate_constellation(
+            7, {Constellation.GPS: 31, Constellation.GLO: 24,
+                Constellation.GAL: 24, Constellation.BDS: 24}).values())
+        dt = np.array([0.0, 0.1, 1.0, 37.5, 900.0, 7200.0, 86399.0])
+        states = propagate(elements, dt)
+        for k, t in enumerate(dt.tolist()):
+            for i, e in enumerate(elements):
+                position, velocity = propagate_one(e, t)
+                assert states[k, i, :3].tobytes() == position.tobytes()
+                assert states[k, i, 3:6].tobytes() == velocity.tobytes()
 
 
 class TestTrajectory:
@@ -129,7 +159,6 @@ class TestSynthesis:
         cfg = noise_free_config(
             receiver_clock=ReceiverClockConfig(bias0=0.0, drift=0.0),
             iono=None, tropo=None)
-        sim = MeasurementSimulator(cfg)
         truth, epochs, states = run_scenario(cfg)
         epoch = epochs[0]
         assert len(epoch) >= 8
@@ -139,8 +168,8 @@ class TestSynthesis:
             e = epochs[k]
             for r, sat in enumerate(e.sats.tolist()):
                 _, rng_m = line_of_sight(truth[k].position,
-                                         state_of(e, states[k], sat))
-                assert abs(e.code[r] - rng_m) < 1e-6
+                                         position_of(e, states[k], sat))
+                assert e.code[r] == rng_m
                 bias = e.wavelength[r] * e.phase[r] - rng_m
                 cycles = bias / e.wavelength[r]
                 assert abs(cycles - round(cycles)) < 1e-6
@@ -163,9 +192,8 @@ class TestSynthesis:
     def test_visibility_band(self):
         cfg = ScenarioConfig(duration=600.0, counts={Constellation.GPS: 31},
                              seed=3)
-        sim = MeasurementSimulator(cfg)
-        for record in generate_trajectory(cfg)[::60]:
-            epoch = sim.synthesize_epoch(record)
+        _, epochs, _ = run_scenario(cfg)
+        for epoch in epochs[::60]:
             assert 6 <= len(epoch) <= 13
 
     def test_phase_rate_consistent_with_doppler(self):
@@ -194,7 +222,7 @@ class TestSynthesis:
             if r is None:
                 return None, None
             _, rng_m = line_of_sight(truth[k].position,
-                                     state_of(e, states[k], sat))
+                                     position_of(e, states[k], sat))
             return e.lock[r], e.wavelength[r] * e.phase[r] - rng_m
 
         l49, b49 = lock_and_bias(49)
@@ -205,6 +233,42 @@ class TestSynthesis:
         assert abs(jump - round(jump)) < 1e-6 and abs(jump) > 0.5
         assert abs(b51 - b50) < 1e-6
 
+    def test_no_satellites(self):
+        """A count of 0, which the config accepts, gives empty epochs."""
+        cfg = ScenarioConfig(duration=5.0, counts={Constellation.GPS: 0})
+        _, epochs, states = run_scenario(cfg)
+        assert [len(e) for e in epochs] == [0] * 6
+        assert epochs[0].sats.dtype == int and states[0].shape == (0, 8)
+
+    def test_lock_arcs(self):
+        """Lock is 0 where an arc starts (epoch 0, a satellite entering
+        view, a scheduled slip), grows by one per epoch along the arc, and
+        the arc's carrier bias stays constant."""
+        slip = (SatelliteId(Constellation.GPS, 7), 300.0)
+        cfg = noise_free_config(duration=600.0, iono=None, tropo=None,
+                                receiver_clock=ReceiverClockConfig(0.0, 0.0),
+                                cycle_slips=[slip])
+        truth, epochs, states = run_scenario(cfg)
+        from gnssgraph.coords import line_of_sight
+        arcs = {}  # satellite key -> (lock, bias) at the previous epoch
+        starts = []
+        for k, epoch in enumerate(epochs):
+            _, ranges = line_of_sight(truth[k].position, states[k][:, :3])
+            biases = epoch.wavelength * epoch.phase - ranges
+            seen = {}
+            for sat, lock, bias in zip(epoch.sats.tolist(),
+                                       epoch.lock.tolist(), biases):
+                if sat not in arcs or (sat, k) == (slip[0].key, 300):
+                    assert lock == 0
+                    starts.append((sat, k))
+                else:
+                    assert lock == arcs[sat][0] + 1
+                    assert abs(bias - arcs[sat][1]) < 1e-6
+                seen[sat] = (lock, bias)
+            arcs = seen
+        assert [s for s in starts if s[1] > 0] == [(7, 300), (223, 465),
+                                                   (204, 599)]
+
     def test_empty_schedule_constant_bias(self):
         cfg = noise_free_config(duration=40.0, iono=None, tropo=None,
                                 receiver_clock=ReceiverClockConfig(0.0, 0.0))
@@ -214,7 +278,7 @@ class TestSynthesis:
         for k, epoch in enumerate(epochs):
             for r, sat in enumerate(epoch.sats.tolist()):
                 _, rng_m = line_of_sight(truth[k].position,
-                                         state_of(epoch, states[k], sat))
+                                         position_of(epoch, states[k], sat))
                 bias = epoch.wavelength[r] * epoch.phase[r] - rng_m
                 if sat in biases:
                     assert abs(bias - biases[sat]) < 1e-6

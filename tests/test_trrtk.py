@@ -22,7 +22,7 @@ from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              solve_float_baseline, solve_pairs,
                              time_single_difference)
 from gnssgraph.types import Constellation, SatelliteId
-from sessions import row_of, sat_ids, states_by_sat, take
+from sessions import positions_by_sat, row_of, sat_ids, take
 
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
@@ -232,12 +232,12 @@ class TestTimeSingleDifference:
         s = truth_session(cfg, epochs, states, truth)
         sats = detect_cycle_slips(s, 0, 15)
         sd = single_difference(s, 0, 15)
-        states = states_by_sat(epochs, states)
+        positions = positions_by_sat(epochs, states)
         from gnssgraph.coords import line_of_sight
         for sat in sats:
             value = sd[sat]
-            _, r0 = line_of_sight(truth[0].position, states[0][sat])
-            _, r1 = line_of_sight(truth[15].position, states[15][sat])
+            _, r0 = line_of_sight(truth[0].position, positions[0][sat])
+            _, r1 = line_of_sight(truth[15].position, positions[15][sat])
             assert abs(value - (r1 - r0)) < 1e-4
 
 
@@ -246,11 +246,11 @@ class TestDoubleDifferences:
         truth, epochs, states = run_scenario(cfg)
         dd = form_double_differences(truth_session(cfg, epochs, states, truth),
                                      i, j, interval=1.0 / cfg.rate)
-        return truth, states_by_sat(epochs, states), dd
+        return truth, positions_by_sat(epochs, states), dd
 
     def test_reference_is_highest_elevation(self):
         cfg = quiet_scenario(duration=10.0)
-        truth, states, dd = self._build(cfg, 0, 5)
+        truth, positions, dd = self._build(cfg, 0, 5)
         from gnssgraph.coords import ecef_to_geodetic, elevation_azimuth
         geo = ecef_to_geodetic(truth[5].position)
         rows, reference = dd.rows[0], dd.reference[0]
@@ -258,7 +258,7 @@ class TestDoubleDifferences:
             ref = dd.sats[col]
             same = [dd.sats[k] for k in np.flatnonzero(
                 rows & (reference == col))] + [ref]
-            els = {s: elevation_azimuth(geo, states[5][s].position)[0]
+            els = {s: elevation_azimuth(geo, positions[5][s])[0]
                    for s in same}
             assert els[ref] == max(els.values())
 
@@ -296,7 +296,7 @@ class TestDoubleDifferences:
 
     def test_model_matches_per_satellite_line_of_sight(self):
         cfg = quiet_scenario(duration=30.0)
-        truth, states, dd = self._build(cfg, 0, 20)
+        truth, positions, dd = self._build(cfg, 0, 20)
         from gnssgraph.coords import line_of_sight
         from gnssgraph.trrtk import _model
         baseline = truth[20].position - truth[0].position
@@ -307,10 +307,10 @@ class TestDoubleDifferences:
         p_cur = p_past + baseline
         for i in np.flatnonzero(dd.rows[0]):
             sat, ref = dd.sats[i], dd.sats[dd.reference[0, i]]
-            u_sp, r_sp = line_of_sight(p_past, states[0][sat])
-            u_rp, r_rp = line_of_sight(p_past, states[0][ref])
-            u_sc, r_sc = line_of_sight(p_cur, states[20][sat])
-            u_rc, r_rc = line_of_sight(p_cur, states[20][ref])
+            u_sp, r_sp = line_of_sight(p_past, positions[0][sat])
+            u_rp, r_rp = line_of_sight(p_past, positions[0][ref])
+            u_sc, r_sc = line_of_sight(p_cur, positions[20][sat])
+            u_rc, r_rc = line_of_sight(p_cur, positions[20][ref])
             # a 2e7 m range resolves to ~4e-9 m in float64, so the DD of
             # two ranges agrees to a few of its last bits
             assert abs(g_past[i] - (r_sp - r_rp)) < 1e-8
