@@ -13,11 +13,10 @@ from .atmosphere import (KlobucharParams, TropoModel, klobuchar_delay,
 from .coords import (ecef_to_enu, ecef_to_geodetic, elevation_azimuth,
                      enu_rotation, geodetic_to_ecef, line_of_sight)
 from .errors import GnssError
-from .fileio import (TrajectoryRecord, TrajectoryStatus, export_graph_json,
-                     load_pipeline_yaml, load_scenario_yaml,
-                     read_sat_states_csv, read_trajectory_csv,
-                     save_scenario_yaml, write_sat_states_csv,
-                     write_trajectory_csv)
+from .fileio import (TrajectoryStatus, export_graph_json, load_pipeline_yaml,
+                     load_scenario_yaml, read_sat_states_csv,
+                     read_trajectory_csv, save_scenario_yaml,
+                     write_sat_states_csv, write_trajectory_csv)
 from .geometry import EpochGeometry
 from .gnsstime import GpsTime
 from .graph import (Graph, OptimizerReport, build_graph, evaluate_cost,

@@ -87,12 +87,15 @@ def klobuchar_delay(params: KlobucharParams, tow,
 MIN_ELEVATION = np.radians(1.0)
 
 
-def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation):
+def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation,
+                       index=None):
     """Tropospheric delay in meters with 1/cos(z) mapping.
 
     `elevation` is a float or an array of satellites; the delay has its
     shape. `user` is one receiver, or one of arrays of that shape: one
-    receiver per satellite. Pressure/temperature are scaled from the
+    receiver per satellite; with `index`, (m,) receivers, satellite k
+    seen from receiver `index[k]`, each one's zenith delays computed
+    once. Pressure/temperature are scaled from the
     model's sea-level values to the user height with the
     standard-atmosphere profile.
     """
@@ -103,9 +106,10 @@ def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation):
     pres = model.pressure * scalar_pow(1.0 - 2.2557e-5 * h, 5.2568)
     temp = model.temperature - 6.5e-3 * h
     e = 6.108 * model.humidity * np.exp((17.15 * temp - 4684.0) / (temp - 38.45))
-
-    z = np.pi / 2.0 - elevation
     dry = 0.0022768 * pres / (
-        1.0 - 0.00266 * np.cos(2.0 * user.latitude) - 0.00028e-3 * h) / np.cos(z)
-    wet = 0.002277 * (1255.0 / temp + 0.05) * e / np.cos(z)
-    return dry + wet
+        1.0 - 0.00266 * np.cos(2.0 * user.latitude) - 0.00028e-3 * h)
+    wet = 0.002277 * (1255.0 / temp + 0.05) * e
+    if index is not None:
+        dry, wet = dry[index], wet[index]
+    z = np.pi / 2.0 - elevation
+    return dry / np.cos(z) + wet / np.cos(z)

@@ -19,12 +19,11 @@ import yaml
 
 from .errors import (GnssError, IoFailure, LengthMismatch, MalformedEpoch,
                      MalformedHeader)
-from .fileio import (TrajectoryRecord, TrajectoryStatus,
-                     delay_models_to_dict, export_graph_json,
-                     load_pipeline_yaml, load_scenario_yaml,
-                     read_sat_states_csv, read_trajectory_csv,
-                     save_scenario_yaml, write_sat_states_csv,
-                     write_trajectory_csv)
+from .fileio import (TrajectoryStatus, delay_models_to_dict,
+                     export_graph_json, load_pipeline_yaml,
+                     load_scenario_yaml, read_sat_states_csv,
+                     read_trajectory_csv, save_scenario_yaml,
+                     write_sat_states_csv, write_trajectory_csv)
 from .metrics import evaluate
 from .pipeline import PipelineConfig, solve_trajectory
 from .rinex import header_for_scenario, parse_rinex_obs, write_rinex_obs
@@ -51,9 +50,9 @@ def cmd_simulate(args) -> int:
     with open(out / "observations.rnx", "w") as stream:
         write_rinex_obs(header, epochs, stream)
     with open(out / "truth.csv", "w", newline="") as stream:
-        write_trajectory_csv(TrajectoryRecord.from_positions(
-            [rec.time for rec in truth], [rec.position for rec in truth],
-            TrajectoryStatus.TRUTH), stream)
+        write_trajectory_csv([rec.time.tow for rec in truth],
+                             [rec.position for rec in truth],
+                             [TrajectoryStatus.TRUTH] * len(truth), stream)
     with open(out / "sat_states.csv", "w", newline="") as stream:
         write_sat_states_csv(epochs, sat_states, stream)
     with open(out / "scenario.yaml", "w") as stream:
@@ -136,15 +135,14 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    times = [epoch.time for epoch in epochs]
-    records = (TrajectoryRecord.from_positions(
-                   times, result.graph.reference_position
-                   + result.graph.initial_states[:, :3],
-                   TrajectoryStatus.INITIAL)
-               + TrajectoryRecord.from_positions(
-                   times, result.positions, TrajectoryStatus.OPTIMIZED))
+    tow = [epoch.time.tow for epoch in epochs]
     with open(out / "trajectory.csv", "w", newline="") as stream:
-        write_trajectory_csv(records, stream)
+        write_trajectory_csv(
+            tow * 2, np.vstack([result.graph.reference_position
+                                + result.graph.initial_states[:, :3],
+                                result.positions]),
+            [TrajectoryStatus.INITIAL] * len(tow)
+            + [TrajectoryStatus.OPTIMIZED] * len(tow), stream)
     with open(out / "graph.json", "w") as stream:
         export_graph_json(result.graph, stream, states=result.states,
                           report=result.report)
@@ -158,23 +156,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _positions_by_status(records, status):
-    picked = [r for r in records if r.status is status]
-    if not picked:
-        picked = records
-    return (np.array([r.position for r in picked]),
-            [r.time.tow for r in picked])
+def _positions_by_status(trajectory, status):
+    tow, positions, statuses = trajectory
+    picked = [k for k, state in enumerate(statuses) if state is status]
+    picked = picked or list(range(len(statuses)))
+    return positions[picked], tow[picked].tolist()
 
 
 def cmd_evaluate(args) -> int:
     with open(args.est, newline="") as stream:
-        est_records = read_trajectory_csv(stream)
+        estimate, est_tows = _positions_by_status(
+            read_trajectory_csv(stream), TrajectoryStatus.OPTIMIZED)
     with open(args.truth, newline="") as stream:
-        truth_records = read_trajectory_csv(stream)
-    estimate, est_tows = _positions_by_status(est_records,
-                                              TrajectoryStatus.OPTIMIZED)
-    truth, truth_tows = _positions_by_status(truth_records,
-                                             TrajectoryStatus.TRUTH)
+        truth, truth_tows = _positions_by_status(
+            read_trajectory_csv(stream), TrajectoryStatus.TRUTH)
     if est_tows != truth_tows:
         raise LengthMismatch(
             f"epoch times do not align: {len(est_tows)} estimated vs "

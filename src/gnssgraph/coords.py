@@ -181,17 +181,22 @@ def _dot_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray):
+def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray,
+                      index=None):
     """Elevation [-pi/2, pi/2] and azimuth [0, 2*pi) of satellites.
 
     `sat_pos` is one ECEF position (3,), which gives two floats, or an
     (n, 3) array of them, which gives two (n,) arrays. `receiver` is one
     position of floats, or one of (n,) arrays: one receiver per
-    satellite.
+    satellite. With `index`, (m,) receivers, satellite k seen from
+    receiver `index[k]`, each one's position and rotation computed once.
     """
-    delta = np.asarray(sat_pos, dtype=float) - geodetic_to_ecef(receiver)
+    origin, rotation = geodetic_to_ecef(receiver), enu_rotation(receiver)
+    if index is not None:
+        origin, rotation = origin[index], rotation[index]
+    delta = np.asarray(sat_pos, dtype=float) - origin
     # one 3x3 product per satellite: the same arithmetic for one or many
-    enu = np.matmul(enu_rotation(receiver), delta[..., None])[..., 0]
+    enu = np.matmul(rotation, delta[..., None])[..., 0]
     horizontal = np.hypot(enu[..., 0], enu[..., 1])
     elevation = np.arctan2(enu[..., 2], horizontal)
     # the remainder adds 2*pi to a negative arctan2 and leaves the rest

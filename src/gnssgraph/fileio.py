@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,76 +33,46 @@ class TrajectoryStatus(Enum):
     TRUTH = "Truth"
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    time: GpsTime
-    position: np.ndarray
-    geodetic: GeodeticPosition
-    status: TrajectoryStatus
-
-    @staticmethod
-    def from_positions(times, positions,
-                       status: TrajectoryStatus) -> list:
-        """One record per time and ECEF position, the geodetic
-        coordinates of all of them converted in one call."""
-        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        geodetic = ecef_to_geodetic(positions)
-        return [TrajectoryRecord(time, position,
-                                 GeodeticPosition(lat, lon, height), status)
-                for time, position, lat, lon, height in zip(
-                    times, positions, geodetic.latitude, geodetic.longitude,
-                    geodetic.height)]
-
-
 TRAJECTORY_COLUMNS = ("tow", "x", "y", "z", "lat_deg", "lon_deg", "height",
                       "status")
+_TRAJECTORY_ROW = "%.3f" + ",%.4f" * 3 + ",%.9f" * 2 + ",%.4f,%s\r\n"
 
 
-def write_trajectory_csv(records, stream) -> None:
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                f"{rec.time.tow:.3f}",
-                f"{rec.position[0]:.4f}",
-                f"{rec.position[1]:.4f}",
-                f"{rec.position[2]:.4f}",
-                f"{np.degrees(rec.geodetic.latitude):.9f}",
-                f"{np.degrees(rec.geodetic.longitude):.9f}",
-                f"{rec.geodetic.height:.4f}",
-                rec.status.value,
-            ])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+def write_trajectory_csv(tow, positions, status, stream) -> None:
+    """One CSV row per time of week `tow` [s], ECEF position (row of
+    `positions`) and its geodetic coordinates, and TrajectoryStatus."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    geodetic = ecef_to_geodetic(positions)
+    stream.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+    stream.writelines(map(_TRAJECTORY_ROW.__mod__, zip(
+        np.asarray(tow, dtype=float).tolist(), *positions.T.tolist(),
+        np.degrees(geodetic.latitude).tolist(),
+        np.degrees(geodetic.longitude).tolist(), geodetic.height.tolist(),
+        (state.value for state in status))))
 
 
-def read_trajectory_csv(stream, week: int = 0) -> list[TrajectoryRecord]:
-    """Inverse of `write_trajectory_csv` (positions at printed precision).
-
-    The CSV stores time-of-week only; `week` restores full GpsTime.
-    """
+def read_trajectory_csv(stream) -> tuple[np.ndarray, np.ndarray, list]:
+    """Inverse of `write_trajectory_csv` at its printed precision: the
+    times of week (n,), ECEF positions (n, 3) and statuses of the rows."""
     try:
         rows = list(csv.DictReader(stream))
-    except (OSError, csv.Error) as exc:
+    except csv.Error as exc:
         raise IoFailure(str(exc)) from exc
-    records = []
-    for row in rows:
-        position = np.array([float(row["x"]), float(row["y"]),
-                             float(row["z"])])
-        records.append(TrajectoryRecord(
-            GpsTime(week, float(row["tow"])), position,
-            GeodeticPosition(np.radians(float(row["lat_deg"])),
-                             np.radians(float(row["lon_deg"])),
-                             float(row["height"])),
-            TrajectoryStatus(row["status"])))
-    return records
+    return (np.array([GpsTime(0, float(row["tow"])).tow for row in rows]),
+            np.array([[float(row[axis]) for axis in "xyz"]
+                      for row in rows]).reshape(-1, 3),
+            [TrajectoryStatus(row["status"]) for row in rows])
 
 
-def _edges(kind: str, **columns) -> list:
-    """One edge of type `kind` per row of the equal-length `columns`."""
-    return [{"type": kind, **dict(zip(columns, row))}
-            for row in zip(*columns.values())]
+def _json_items(column) -> list[str]:
+    """Each item of `column` (a list, or an array of numbers or rows) as
+    `json.dumps(column)` writes it, a list without its brackets."""
+    items = column.tolist() if isinstance(column, np.ndarray) else column
+    if not items:
+        return []
+    text = json.dumps(items)
+    return (text[2:-2].split("], [") if isinstance(items[0], list)
+            else text[1:-1].split(", "))
 
 
 def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
@@ -111,47 +80,56 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     """Dump the factor graph for external inspection or plotting: one
     edge per factor, velocity, trrtk, pseudorange then prior, with the
     current rows. `states` defaults to the stored initial states; pass
-    the optimizer output to export the solved trajectory.
+    the optimizer output to export the solved trajectory. The text is
+    `json.dumps` of a dict per node and edge, one template per kind.
     """
     def eigenvalues(information):
-        return np.round(np.sort(np.linalg.eigvalsh(information)), 9).tolist()
+        return np.round(np.sort(np.linalg.eigvalsh(information)), 9)
+
+    def dicts(template, *columns):
+        return ", ".join(map(template.__mod__,
+                             zip(*map(_json_items, columns))))
 
     x = graph.initial_states if states is None else states
-    nodes = [{"index": k, "position": position, "clocks": clocks}
-             for k, (position, clocks) in enumerate(zip(
-                 np.round(graph.reference_position + x[:, :3], 6).tolist(),
-                 np.round(x[:, 3:], 6).tolist()))]
     vel, tr = graph.velocity_factors, graph.trrtk_factors
     pr, priors = graph.pseudorange_factors, graph.priors
+    bounds = [*priors.start.tolist(), len(priors.node)]
     indices, values, information = (
-        [rows.tolist() for rows in np.split(column, priors.start[1:])]
-        for column in (priors.index, priors.value, priors.information))
+        [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        for rows in (priors.index.tolist(), priors.value.tolist(),
+                     priors.information.tolist()))
+    keys = pr.sat.tolist()
+    names = {key: str(SatelliteId.from_key(key)) for key in set(keys)}
     edges = (
-        _edges("velocity", nodes=vel.nodes.tolist(),
-               measurement=vel.velocity.tolist(), dt=vel.dt.tolist(),
-               information_eigenvalues=eigenvalues(vel.information))
-        + _edges("trrtk", nodes=tr.nodes.tolist(),
-                 measurement=tr.baseline.tolist(),
-                 time_difference=tr.time_difference.tolist(),
-                 information_eigenvalues=eigenvalues(tr.information))
-        + _edges("pseudorange", nodes=pr.node[:, None].tolist(),
-                 satellite=[str(SatelliteId.from_key(key))
-                            for key in pr.sat.tolist()],
-                 measurement=pr.constant.tolist(),
-                 information_eigenvalues=pr.information[:, None].tolist())
-        + _edges("prior", nodes=priors.node[priors.start, None].tolist(),
-                 indices=indices, measurement=values,
-                 information_eigenvalues=list(map(sorted, information))))
-    payload = {"reference_position": graph.reference_position.tolist(),
-               "nodes": nodes, "edges": edges}
-    if report is not None:
-        payload["optimizer"] = {
-            name: getattr(report, name) for name in
-            ("initial_cost", "final_cost", "iterations", "converged")}
+        dicts('{"type": "velocity", "nodes": [%s], "measurement": [%s], '
+              '"dt": %s, "information_eigenvalues": [%s]}', vel.nodes,
+              vel.velocity, vel.dt, eigenvalues(vel.information)),
+        dicts('{"type": "trrtk", "nodes": [%s], "measurement": [%s], '
+              '"time_difference": %s, "information_eigenvalues": [%s]}',
+              tr.nodes, tr.baseline, tr.time_difference,
+              eigenvalues(tr.information)),
+        dicts('{"type": "pseudorange", "nodes": [%s], "satellite": %s, '
+              '"measurement": %s, "information_eigenvalues": [%s]}',
+              pr.node, list(map(names.__getitem__, keys)), pr.constant,
+              pr.information),
+        dicts('{"type": "prior", "nodes": [%s], "indices": [%s], '
+              '"measurement": [%s], "information_eigenvalues": [%s]}',
+              priors.node[priors.start], indices, values,
+              list(map(sorted, information))))
     try:
-        stream.write(json.dumps(payload))
-    except (OSError, TypeError) as exc:
+        optimizer = "" if report is None else ', "optimizer": ' + json.dumps({
+            name: getattr(report, name) for name in
+            ("initial_cost", "final_cost", "iterations", "converged")})
+    except TypeError as exc:
         raise IoFailure(str(exc)) from exc
+    stream.write('{"reference_position": %s, "nodes": [%s], "edges": [%s]'
+                 '%s}' % (json.dumps(graph.reference_position.tolist()),
+                          dicts('{"index": %s, "position": [%s], '
+                                '"clocks": [%s]}', list(range(len(x))),
+                                np.round(graph.reference_position
+                                         + x[:, :3], 6),
+                                np.round(x[:, 3:], 6)),
+                          ", ".join(filter(None, edges)), optimizer))
 
 
 SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS
@@ -160,17 +138,14 @@ _SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e" * 2 + "\r\n"
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
     """Sidecar of the known states of each epoch's satellites."""
-    try:
-        stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
-        for epoch, states in zip(epochs, sat_states):
-            known = ~np.isnan(states).any(axis=1)
-            tow = f"{epoch.time.tow:.3f}"
-            stream.writelines(
-                _SAT_STATE_ROW % (tow, SatelliteId.from_key(key), *row)
-                for key, row in zip(epoch.sats[known].tolist(),
-                                    states[known].tolist()))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
+    for epoch, states in zip(epochs, sat_states):
+        known = ~np.isnan(states).any(axis=1)
+        tow = f"{epoch.time.tow:.3f}"
+        stream.writelines(
+            _SAT_STATE_ROW % (tow, SatelliteId.from_key(key), *row)
+            for key, row in zip(epoch.sats[known].tolist(),
+                                states[known].tolist()))
 
 
 def _keys(tow, sats) -> np.ndarray:
@@ -185,10 +160,7 @@ def read_sat_states_csv(stream, epochs) -> list:
     of `STATE_COLUMNS` with, in row k, the sidecar row of its satellite k
     at its time of week to the millisecond (the last of several), NaN
     where there is none."""
-    try:
-        lines = stream.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    lines = stream.read().splitlines()
     header = next(csv.reader(lines[:1]), None) or SAT_STATE_COLUMNS
     try:
         tow_col, sat_col, *value_cols = (header.index(name)

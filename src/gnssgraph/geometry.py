@@ -89,9 +89,8 @@ class EpochGeometry:
         # the unlocated geometry and with every geometry located from it
         self.position = np.array(positions, dtype=float).reshape(-1, 3)
         self.geodetic = ecef_to_geodetic(self.position)
-        receiver = self.geodetic.take(self.epoch)
-        self.elevation, self.azimuth = elevation_azimuth(receiver,
-                                                         self.sat_position)
+        self.elevation, self.azimuth = elevation_azimuth(
+            self.geodetic, self.sat_position, self.epoch)
         self.unit, self.range, self._distance = unchecked_lines_of_sight(
             self.position[self.epoch], self.sat_position)
         n = len(self.sats)
@@ -102,12 +101,14 @@ class EpochGeometry:
             self.iono[~ok] = np.nan
             self.iono[ok] = klobuchar_delay(
                 self.iono_model, self.tow[self.epoch[ok]],
-                receiver.take(ok), self.elevation[ok], self.azimuth[ok])
+                self.geodetic.take(self.epoch[ok]), self.elevation[ok],
+                self.azimuth[ok])
         if self.tropo_model is not None:
             ok = self.elevation > MIN_ELEVATION
             self.tropo[~ok] = np.nan
             self.tropo[ok] = saastamoinen_delay(
-                self.tropo_model, receiver.take(ok), self.elevation[ok])
+                self.tropo_model, self.geodetic, self.elevation[ok],
+                self.epoch[ok])
         self.corrected_code = (self.code + CLIGHT * self.clock_bias
                                - self.iono - self.tropo)
 

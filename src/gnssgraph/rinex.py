@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,72 +194,32 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
     return GpsTime.from_calendar(moment), count
 
 
-def _satellite(text: str, number: int, header: RinexHeader):
-    """(key, code kinds, wavelength) of a record's 3-character ID, or None
-    for a system that is unsupported or has no codes in the header."""
-    try:
-        Constellation(text[:1])
-    except ValueError:
+# an LLI or signal-strength code point's digit, 0 for a space or none,
+# 10 where `int` must read it (128: any point above 127)
+_DIGIT = np.full(129, 10, dtype=np.uint32)
+_DIGIT[[0, 32]], _DIGIT[48:58] = 0, np.arange(10)
+_KEPT = np.array([[1], [2], [3]])      # the kinds of C, L and D
+_SYSTEMS = {system.value for system in Constellation}
+
+
+@lru_cache(maxsize=1024)
+def _satellite(text: str, codes: tuple, channels: tuple):
+    """(key, wavelength, the last code of C, L and D or -1, then each
+    code's kind: 1-3 for C, L, D, else 4) of a record's ID under a header's
+    codes and GLONASS channels, as items; None to skip; a bad ID's message."""
+    if text[:1] not in _SYSTEMS:
         return None
     try:
         sat = SatelliteId.parse(text)
-    except (ValueError, KeyError, IndexError) as exc:
-        raise MalformedEpoch(f"line {number}: bad satellite id") from exc
-    codes = header.observation_codes.get(sat.constellation)
+    except (ValueError, KeyError, IndexError):
+        return "bad satellite id"
+    codes = dict(codes).get(sat.constellation)
     if not codes:
         return None
-    return (sat.key, tuple(code[0] for code in codes),
-            carrier_wavelength(sat, header.glonass_channels.get(sat.prn, 0)))
-
-
-def _parse_observation(line: str, number: int, header: RinexHeader,
-                       locks: dict, sats: dict) -> tuple | None:
-    """(key, code, phase, Doppler, wavelength, lock, SNR) of a record, or
-    None for a record to skip."""
-    text = line[:3].replace(" ", "0")
-    # each ID parsed once; a bad one is never kept, so it raises each time
-    try:
-        sat = sats[text]
-    except KeyError:
-        sat = sats[text] = _satellite(text, number, header)
-    if sat is None:
-        return None
-    key, kinds, wavelength = sat
-    values: dict[str, float] = {}
-    lli = snr_digit = 0
-    for slot, kind in enumerate(kinds):
-        chunk = line[3 + 16 * slot:3 + 16 * slot + 16]
-        text = chunk[:14].strip()
-        if not text:
-            continue
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise MalformedEpoch(f"line {number}: bad field {text!r}") from exc
-        values[kind] = value
-        if kind == "L":
-            flag = chunk[14:15].strip()
-            lli = int(flag) if flag else 0
-            digit = chunk[15:16].strip()
-            snr_digit = int(digit) if digit else 0
-    if "C" not in values or "L" not in values or "D" not in values:
-        return None
-    lock = 0 if lli & 1 else locks.get(key, -1) + 1
-    locks[key] = lock
-    return (key, values["C"], values["L"], values["D"], wavelength, lock,
-            snr_digit * 6.0)
-
-
-def _epoch(time: GpsTime, records: list) -> Epoch:
-    """The epoch of its `_parse_observation` tuples, sorted by satellite;
-    ValueError if a satellite has two."""
-    table = np.array(records, dtype=float).reshape(-1, 7)
-    sats, code, phase, doppler, wavelength, lock, snr = table[
-        np.argsort(table[:, 0], kind="stable")].T.copy()
-    if (np.diff(sats) == 0).any():
-        raise ValueError("duplicate satellite in epoch")
-    return Epoch(time, sats.astype(int), code, phase, doppler, wavelength,
-                 lock.astype(int), snr)
+    kinds = ["CLD".find(code[0]) + 1 or 4 for code in codes]
+    last = {kind: k for k, kind in enumerate(kinds)}
+    return (sat.key, carrier_wavelength(sat, dict(channels).get(sat.prn, 0)),
+            *(last.get(kind, -1) for kind in (1, 2, 3)), *kinds)
 
 
 def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
@@ -267,41 +228,135 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     Returns the header and every epoch that parsed completely.  A
     malformed epoch is dropped with a warning and parsing resumes at the
     next '>' record, so one corrupt record never loses a whole file.
+    A satellite's lock count advances over each complete record before
+    the first bad one of its epoch and restarts where LLI bit 0 is set.
     """
-    lines = stream.read().splitlines()
+    text = stream.read()
+    lines = text.splitlines()
     header, body_start = _parse_header(lines)
-
-    epochs: list[Epoch] = []
-    locks: dict[int, int] = {}       # satellite key -> last lock count
-    sats: dict[str, tuple | None] = {}
-    k = body_start
-    while k < len(lines):
-        line = lines[k]
-        if not line.startswith(">"):
-            k += 1
-            continue
-        start = k
+    marks = [k for k in range(body_start, len(lines))
+             if lines[k].startswith(">")]
+    # numpy strings end at a NUL; \x01 fails each value and digit as a
+    # NUL does, and a message quotes the line itself
+    cells = (text.replace("\x00", "\x01").splitlines() if "\x00" in text
+             else lines)
+    # per epoch: its time, record lines read and the error dropping it
+    times, reads, failures, records = [], [], [], []
+    for start, end in zip(marks, marks[1:] + [len(lines)]):
         try:
-            time, count = _parse_epoch_line(line, k + 1)
-            records = []
-            for slot in range(count):
-                k += 1
-                if k >= len(lines) or lines[k].startswith(">"):
-                    raise MalformedEpoch(
-                        f"line {k}: epoch at line {start + 1} lists {count} "
-                        f"satellites but has {slot}")
-                record = _parse_observation(lines[k], k + 1, header, locks,
-                                            sats)
-                if record is not None:
-                    records.append(record)
-            epochs.append(_epoch(time, records))
+            time, count = _parse_epoch_line(lines[start], start + 1)
+            failure = None if count < end - start else MalformedEpoch(
+                f"line {end}: epoch at line {start + 1} lists {count} "
+                f"satellites but has {end - start - 1}")
         except (MalformedEpoch, ValueError) as exc:
-            warnings.warn(f"dropping epoch at line {start + 1}: {exc}")
-            # resynchronize on the next epoch record
-            k = start
-            while k + 1 < len(lines) and not lines[k + 1].startswith(">"):
-                k += 1
-        k += 1
+            time, count, failure = None, 0, exc
+        times.append(time)
+        reads.append(min(count, end - start - 1))
+        failures.append(failure)
+        records += cells[start + 1:start + 1 + reads[-1]]
+    row_epoch = np.arange(len(reads)).repeat(reads)
+
+    # per record: its ID, then per code a 14-character value and the
+    # code points of its LLI and signal-strength characters
+    slots = max([1, *map(len, header.observation_codes.values())])
+    table = np.array(records, dtype=f"U{3 + 16 * slots}").view([
+        ("sat", "U3"),
+        ("obs", [("value", "U14"), ("flags", np.uint32, 2)], slots)])
+    ids = {}
+    sat_of = np.array([ids.setdefault(text, len(ids))
+                       for text in table["sat"].tolist()], dtype=int)
+    system = (tuple(header.observation_codes.items()),
+              tuple(header.glonass_channels.items()))
+    known = [_satellite(text.replace(" ", "0"), *system) for text in ids]
+    # per record: key, wavelength, the last code of C, L and D, and the
+    # kind of each code: 0 for none, -1 for all codes of a bad ID
+    info = np.array([entry + (0,) * (slots + 5 - len(entry))
+                     if type(entry) is tuple else (0, 0, -1, -1, -1)
+                     + (-1 if entry else 0,) * slots for entry in known],
+                    dtype=float).reshape(-1, 5 + slots)[sat_of]
+    kind, last = info[:, 5:], info[:, 2:5].astype(int)
+    value, flags = table["obs"]["value"], table["obs"]["flags"]
+    read = kind > 0
+    number = np.zeros(read.shape)
+    # record -> 3 * code + 0, 1 or 2 for its first bad value, LLI or
+    # signal strength; -1 for a bad ID
+    bad = dict.fromkeys((kind[:, 0] < 0).nonzero()[0].tolist(), -1)
+    try:
+        number[read] = list(map(float, map(str.strip,
+                                            value[read].tolist())))
+    except ValueError:
+        # one by one: a blank value is not read, a bad one raises
+        numbers, kept = [], []
+        for r, slot, cell in zip(*read.nonzero(), value[read].tolist()):
+            kept.append(bool(cell.strip()))
+            try:
+                numbers.append(float(cell.strip() or 0))
+            except ValueError:
+                numbers.append(0.0)
+                bad.setdefault(r, 3 * slot)
+        number[read] = numbers
+        if not all(kept):
+            # a blank value: the last of its kind may be an earlier code
+            read[read] = kept
+            last = np.where(read[:, None] & (kind[:, None] == _KEPT),
+                            np.arange(slots), -1).max(axis=2)
+    digits = _DIGIT.take(flags, mode="clip")
+    odd = digits == 10
+    for r, slot, part in zip(*(odd & ((kind == 2) & read)[..., None]
+                               ).nonzero() if odd.any() else ()):
+        flag = chr(flags[r, slot, part]).strip()
+        try:
+            digits[r, slot, part] = int(flag) if flag else 0
+        except ValueError:
+            position = 3 * slot + 1 + part
+            bad[r] = min(bad.get(r, position), position)
+
+    # an epoch's first bad record drops it, and the records from it on
+    # are not read
+    counted = last.min(axis=1) >= 0
+    for e, r in {row_epoch[r]: r for r in sorted(bad, reverse=True)}.items():
+        counted[r:row_epoch.searchsorted(e, "right")] = False
+        k = marks[e] + 1 + r - row_epoch.searchsorted(e)
+        slot, part = divmod(bad[r], 3)
+        chunk = lines[k][3 + 16 * slot:19 + 16 * slot]
+        try:        # what reading the record on line k + 1 raises
+            if bad[r] < 0 or part == 0:
+                raise MalformedEpoch("bad satellite id" if bad[r] < 0 else
+                                     f"bad field {chunk[:14].strip()!r}",
+                                     k + 1)
+            int(chunk[13 + part])
+        except (MalformedEpoch, ValueError) as exc:
+            failures[e] = exc
+    counted = counted.nonzero()[0]
+    key = info[counted, 0].astype(int)
+    locks, lock = {}, []
+    for sat, flag in zip(key.tolist(),
+                         digits[counted, last[counted, 1], 0].tolist()):
+        locks[sat] = 0 if flag & 1 else locks.get(sat, -1) + 1
+        lock.append(locks[sat])
+
+    # the records by epoch, then satellite
+    order = np.lexsort((key, row_epoch[counted]))
+    rows = counted[order]
+    epoch_of, sats = row_epoch[rows], key[order]
+    lock = np.array(lock, dtype=int)[order]
+    code, phase, doppler = number[rows[:, None], last[rows]].T.copy()
+    wavelength = info[rows, 1]
+    snr = digits[rows, last[rows, 1], 1] * 6.0
+    for e in epoch_of[1:][(epoch_of[1:] == epoch_of[:-1])
+                          & (sats[1:] == sats[:-1])].tolist():
+        failures[e] = failures[e] or ValueError("duplicate satellite in "
+                                                "epoch")
+    bounds = epoch_of.searchsorted(np.arange(len(reads) + 1)).tolist()
+    columns = (sats, code, phase, doppler, wavelength, lock, snr)
+    epochs: list[Epoch] = []
+    for e, (time, failure) in enumerate(zip(times, failures)):
+        if failure is None:
+            epochs.append(Epoch(time, *(column[bounds[e]:bounds[e + 1]]
+                                        for column in columns)))
+        else:
+            warnings.warn(f"dropping epoch at line {marks[e] + 1}: "
+                          f"{failure}")
     return header, epochs
 
 

@@ -310,8 +310,8 @@ def run_scenario(config: ScenarioConfig):
                            np.broadcast_to(sat_drift, bias.shape)])
         geo = ecef_to_geodetic(receiver)
         el, az = (a.reshape(bias.shape) for a in elevation_azimuth(
-            geo.take(np.repeat(np.arange(len(block)), len(sats))),
-            state[..., :3].reshape(-1, 3)))
+            geo, state[..., :3].reshape(-1, 3),
+            np.repeat(np.arange(len(block)), len(sats))))
         visible = el >= VISIBILITY_MASK
 
         slipped = np.zeros_like(visible)
@@ -348,7 +348,7 @@ def run_scenario(config: ScenarioConfig):
         tow = np.array([record.time.tow for record in block])[epoch_of]
         iono = (klobuchar_delay(config.iono, tow, user, el, az)
                 if config.iono else np.zeros(len(rows)))
-        tropo = (saastamoinen_delay(config.tropo, user, el)
+        tropo = (saastamoinen_delay(config.tropo, geo, el, epoch_of)
                  if config.tropo else np.zeros(len(rows)))
         clock_m = CLIGHT * ((receiver_clock.bias0 + receiver_clock.drift
                              * elapsed)[epoch_of] - rows[:, 6])

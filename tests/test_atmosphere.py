@@ -252,6 +252,13 @@ class TestPerRowReceivers:
         el = rng.uniform(0.05, np.pi / 2, self.PER_SITE)
         delays = saastamoinen_delay(model, self.receivers(sites),
                                     np.tile(el, len(sites)))
+        # each site's zenith terms once, gathered for its satellites
+        assert same_bits(delays, saastamoinen_delay(
+            model, GeodeticPosition(*(np.array([getattr(s, name)
+                                                for s in sites])
+                                      for name in ("latitude", "longitude",
+                                                   "height"))),
+            np.tile(el, len(sites)), self.rows(np.arange(len(sites)))))
         by_site = delays.reshape(len(sites), self.PER_SITE)
         for k, site in enumerate(sites):
             assert same_bits(by_site[k], saastamoinen_delay(model, site, el))

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,21 @@ class TestExitCodes:
         assert main(["solve", "--obs", str(bad), "--sat-states", str(states),
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: parse" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device that is always full")
+    @pytest.mark.parametrize("name", ["trajectory.csv", "graph.json"])
+    def test_failed_write_is_io_error(self, name, pipeline_dirs, tmp_path,
+                                      capsys):
+        root, sim, _ = pipeline_dirs
+        out = tmp_path / "sol"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert main(["solve", "--obs", str(sim / "observations.rnx"),
+                     "--sat-states", str(sim / "sat_states.csv"),
+                     "--config", str(sim / "solver.yaml"),
+                     "--out", str(out)]) == 4
+        assert "error: io: [Errno 28]" in capsys.readouterr().err
 
     def test_evaluate_mismatch_is_parse_error(self, pipeline_dirs, tmp_path,
                                               capsys):

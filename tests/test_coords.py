@@ -258,6 +258,15 @@ class TestPerRowReceivers:
                                   for name in ("latitude", "longitude",
                                                "height")))
         el, az = elevation_azimuth(rows, np.concatenate(sats))
+        # each site's ECEF position and rotation once, gathered
+        by_site = GeodeticPosition(*(np.array([getattr(s, name)
+                                               for s in sites])
+                                     for name in ("latitude", "longitude",
+                                                  "height")))
+        el_i, az_i = elevation_azimuth(
+            by_site, np.concatenate(sats),
+            np.repeat(np.arange(len(sites)), per_site))
+        assert same_bits(el_i, el) and same_bits(az_i, az)
         ecef = geodetic_to_ecef(rows)
         for k, (site, positions) in enumerate(zip(sites, sats)):
             el_k, az_k = elevation_azimuth(site, positions)

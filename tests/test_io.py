@@ -8,11 +8,11 @@ import pytest
 from gnssgraph.errors import (IoFailure, LengthMismatch, MalformedEpoch,
                               MalformedHeader)
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.fileio import (TrajectoryRecord, TrajectoryStatus,
-                              export_graph_json, load_pipeline_yaml,
-                              load_scenario_yaml, read_sat_states_csv,
-                              read_trajectory_csv, save_scenario_yaml,
-                              write_sat_states_csv, write_trajectory_csv)
+from gnssgraph.fileio import (TrajectoryStatus, export_graph_json,
+                              load_pipeline_yaml, load_scenario_yaml,
+                              read_sat_states_csv, read_trajectory_csv,
+                              save_scenario_yaml, write_sat_states_csv,
+                              write_trajectory_csv)
 from gnssgraph.gnsstime import GpsTime
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import SolverConfig
@@ -23,6 +23,7 @@ from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
 from gnssgraph.trrtk import BaselineStatus, TrRtkConfig
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              SatelliteId)
+from rinex_reference import parse_reference, same_epochs
 from sessions import row_of
 
 MIXED_COUNTS = {Constellation.GPS: 8, Constellation.GLO: 5,
@@ -167,7 +168,212 @@ class TestRinexParse:
         assert epochs == []
 
 
+def record(sat, code=20000000.0, phase=105000000.0, doppler=1000.0,
+           lli=" ", snr=" ", fields=None):
+    """A record line: each value a number or its 14-character text, each
+    followed by the LLI and SNR characters."""
+    values = (code, phase, doppler) if fields is None else fields
+    return sat + "".join((v if isinstance(v, str) else f"{v:14.3f}")
+                         + lli + snr for v in values)
+
+
+def rinex(*epochs, codes="G    3 C1C L1C D1C"):
+    """A file of one SYS / # / OBS TYPES line `codes` and one epoch per
+    list of record lines, 1 s apart: the epoch lines are lines 4, 5 + n1,
+    ... and each epoch's records follow its line."""
+    lines = ["     3.04           OBSERVATION DATA    M"
+             "                   RINEX VERSION / TYPE",
+             f"{codes:<60s}SYS / # / OBS TYPES",
+             f"{'':60s}END OF HEADER"]
+    for second, records in enumerate(epochs):
+        lines.append(f"> 2022 03 11 00 00 {second:10.7f}  0"
+                     f"{len(records):3d}")
+        lines += records
+    return "\n".join(lines) + "\n"
+
+
+def parse_text(text):
+    """The epochs and the warning messages of parsing `text`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, epochs = parse_rinex_obs(io.StringIO(text))
+    return epochs, [str(w.message) for w in caught]
+
+
+class TestRinexRecords:
+    """What each record of an epoch does to the parse: its values, the
+    lock counts, and which epochs a bad record drops."""
+
+    FIRST = [record(sat, lli="1") for sat in ("G01", "G07", "G08")]
+
+    def test_records_read_before_a_failure_advance_their_locks(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST,
+            [record("G01"), record("G07", code="  2100000x.000"),
+             record("G08")],
+            [record("G01"), record("G07"), record("G08")]))
+        assert messages == ["dropping epoch at line 8: line 10: bad field "
+                            "'2100000x.000'"]
+        # G01 was read in the dropped epoch, G08 came after its failure
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [2, 1, 1]]
+
+    def test_a_satellite_listed_twice_advances_twice(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01"), record("G01"), record("G07")],
+            [record("G01"), record("G07"), record("G08")]))
+        assert messages == ["dropping epoch at line 8: duplicate satellite "
+                            "in epoch"]
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [3, 2, 1]]
+
+    def test_blank_code_field_skips_the_record_and_its_lock(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01"), record("G07", code=" " * 14),
+                         record("G08")],
+            [record("G01"), record("G07"), record("G08")]))
+        assert messages == []
+        assert [e.sats.tolist() for e in epochs] == [[1, 7, 8], [1, 8],
+                                                     [1, 7, 8]]
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [1, 1],
+                                                     [2, 1, 2]]
+
+    @pytest.mark.parametrize("code", ["  21000000.12\x00", "\x0021000000.125"],
+                             ids=["trailing", "leading"])
+    def test_nul_in_a_field_drops_its_epoch(self, code):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01"), record("G07", code=code),
+                         record("G08")]))
+        assert messages == [f"dropping epoch at line 8: line 10: bad field "
+                            f"{code.strip()!r}"]
+        assert len(epochs) == 1
+
+    def test_nul_at_the_end_of_a_line_drops_its_epoch(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01")[:-3] + "\x00", record("G07")]))
+        assert messages == ["dropping epoch at line 8: line 9: bad field "
+                            "'1000.00\\x00'"]
+        assert len(epochs) == 1
+
+    def test_fields_parse_as_float_parses_them(self):
+        texts = ["\xa0 20000000.125", "20_000_000.125", "\u2003\u0662\u0660.5",
+                 "      nan     ", " -Infinity   "]
+        epochs, messages = parse_text(rinex([
+            record(f"G{prn:02d}", code=text.rjust(14), lli="1")
+            for prn, text in enumerate(texts, start=1)]))
+        assert messages == []
+        assert epochs[0].code.tolist() == pytest.approx(
+            [float(text) for text in texts], nan_ok=True)
+        assert epochs[0].code.dtype == float
+
+    @pytest.mark.parametrize("lli, message", [
+        ("x", "invalid literal for int() with base 10: 'x'"),
+        ("\x00", "invalid literal for int() with base 10: '\\x00'")])
+    def test_bad_lli_character_drops_the_epoch(self, lli, message):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01"), record("G07", lli=lli)],
+            [record("G01"), record("G07")]))
+        assert messages == [f"dropping epoch at line 8: {message}"]
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [2, 1]]
+
+    def test_first_bad_field_of_a_record_names_the_error(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01", code="  2000000x.000", lli="x")],
+            [record("G01", doppler="      100x.000", lli="x")]))
+        assert messages == [
+            "dropping epoch at line 8: line 9: bad field '2000000x.000'",
+            "dropping epoch at line 10: invalid literal for int() with "
+            "base 10: 'x'"]
+
+    def test_lli_and_snr_digits(self):
+        epochs, messages = parse_text(rinex(
+            [record("G01", lli="1", snr="7"), record("G07", lli="3", snr=" "),
+             record("G08", lli="\xa0", snr="\u0665")],
+            [record("G01", lli="2", snr="9"), record("G07", lli="0"),
+             record("G08", lli="1")]))
+        assert messages == []
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [1, 1, 0]]
+        assert [e.snr.tolist() for e in epochs] == [[42.0, 0.0, 30.0],
+                                                    [54.0, 0.0, 0.0]]
+
+    def test_bad_satellite_id_mid_epoch_drops_the_epoch(self):
+        epochs, messages = parse_text(rinex(
+            self.FIRST, [record("G01"), record("G0x"), record("G08")],
+            [record("G01"), record("G07"), record("G08")]))
+        assert messages == ["dropping epoch at line 8: line 10: bad "
+                            "satellite id"]
+        assert [e.lock.tolist() for e in epochs] == [[0, 0, 0], [2, 1, 1]]
+
+    def test_fourth_code(self):
+        codes = "G    4 C1C L1C D1C S1C"
+        epochs, messages = parse_text(rinex(
+            [record("G01", fields=(20000000.0, 1.5e8, 1000.0, 45.0),
+                    lli="1"),
+             record("G07", fields=(21000000.0, 1.6e8, -900.0, 44.0),
+                    lli="1")],
+            [record("G01", fields=(20000001.0, 1.5e8, 1000.0, "     4x.000")),
+             record("G07", fields=(21000001.0, 1.6e8, -900.0, 44.0))],
+            [record("G01", fields=(20000002.0, 1.5e8, 1000.0, " " * 14)),
+             record("G07", fields=(21000002.0, 1.6e8, -900.0, 44.0))],
+            codes=codes))
+        assert messages == ["dropping epoch at line 7: line 8: bad field "
+                            "'4x.000'"]
+        assert [e.code.tolist() for e in epochs] == [
+            [20000000.0, 21000000.0], [20000002.0, 21000002.0]]
+        # the failing record is G01's: neither advances
+        assert [e.lock.tolist() for e in epochs] == [[0, 0], [1, 1]]
+
+    def test_codes_in_another_order(self):
+        epochs, messages = parse_text(rinex(
+            [record("G01", fields=(1.5e8, 20000000.0, 1000.0), lli="1",
+                    snr="6"),
+             record("G07", fields=(1.6e8, 21000000.0, -900.0), lli="1")],
+            [record("G01", fields=(1.5e8, 20000001.0, 1000.0), lli="1"),
+             record("G07", fields=(1.6e8, 21000001.0, -900.0))],
+            codes="G    3 L1C C1C D1C"))
+        assert messages == []
+        assert [e.code.tolist() for e in epochs] == [
+            [20000000.0, 21000000.0], [20000001.0, 21000001.0]]
+        assert [e.phase.tolist() for e in epochs] == [[1.5e8, 1.6e8]] * 2
+        assert [e.doppler.tolist() for e in epochs] == [[1000.0, -900.0]] * 2
+        assert [e.lock.tolist() for e in epochs] == [[0, 0], [0, 1]]
+        assert epochs[0].snr.tolist() == [36.0, 0.0]
+
+
 class TestRinexFuzz:
+    @staticmethod
+    def outcome(parse, text):
+        """What `parse` gives for `text`: its epochs and warning messages,
+        or the class and message of what it raises."""
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = parse(text)
+        except (MalformedHeader, MalformedEpoch) as exc:
+            return type(exc).__name__, str(exc)
+        if parse is parse_reference:
+            return result
+        return result[1], [str(w.message) for w in caught]
+
+    def test_mutations_match_the_record_loop(self):
+        """The table parse gives what reading record by record gives:
+        the same epochs, bit for bit, the same warnings and the same
+        errors, on single- and multi-byte mutations of a file of all four
+        systems."""
+        *_, text = write_scenario(small_scenario(duration=3.0))
+        data = text.encode()
+        rng = np.random.default_rng(7)
+        for trial in range(600):
+            blob = bytearray(data)
+            for _ in range(1 if trial % 2 else rng.integers(2, 6)):
+                blob[rng.integers(len(blob))] = rng.integers(256)
+            mutated = blob.decode("latin-1")
+            got = self.outcome(lambda t: parse_rinex_obs(io.StringIO(t)),
+                               mutated)
+            want = self.outcome(parse_reference, mutated)
+            if isinstance(want[0], str):
+                assert got == want
+            else:
+                assert same_epochs(got[0], want[0]) and got[1] == want[1]
+
     def test_mutations_never_crash(self):
         truth, epochs, states, header, text = write_scenario(
             small_scenario(duration=3.0))
@@ -189,26 +395,54 @@ class TestRinexFuzz:
 class TestTrajectoryCsv:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        records = TrajectoryRecord.from_positions(
-            [GpsTime(2200, 1000.0 + k) for k in range(20)],
-            np.array([-3947762.0, 3364399.0, 3699430.0]) + rng.normal(
-                scale=50.0, size=(20, 3)),
-            TrajectoryStatus.OPTIMIZED)
+        tow = [1000.0 + k for k in range(20)]
+        positions = np.array([-3947762.0, 3364399.0, 3699430.0]) + (
+            rng.normal(scale=50.0, size=(20, 3)))
+        status = [TrajectoryStatus.INITIAL] * 10 + [
+            TrajectoryStatus.OPTIMIZED] * 10
         buf = io.StringIO()
-        write_trajectory_csv(records, buf)
-        back = read_trajectory_csv(io.StringIO(buf.getvalue()), week=2200)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert np.linalg.norm(a.position - b.position) < 1e-4
-            assert abs(a.time - b.time) < 1e-3
-            assert b.status is TrajectoryStatus.OPTIMIZED
+        write_trajectory_csv(tow, positions, status, buf)
+        back_tow, back_positions, back_status = read_trajectory_csv(
+            io.StringIO(buf.getvalue()))
+        assert np.abs(back_positions - positions).max() < 1e-4
+        assert np.abs(back_tow - tow).max() < 1e-3
+        assert back_status == status
+
+    def test_rows_as_csv_writer_writes_them(self):
+        """Each row is the fields, formatted one by one, that csv.writer
+        joins, NaN and negative zero included."""
+        import csv
+
+        from gnssgraph.coords import ecef_to_geodetic
+
+        positions = np.array([[-3947762.25, 3364399.5, 3699430.125],
+                              [np.nan, 0.0, 1.0],
+                              [6378137.0, -0.0, 0.0]])
+        tow = [0.0005, 604799.9995, 12.25]
+        status = [TrajectoryStatus.TRUTH, TrajectoryStatus.INITIAL,
+                  TrajectoryStatus.OPTIMIZED]
+        buf = io.StringIO()
+        write_trajectory_csv(tow, positions, status, buf)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["tow", "x", "y", "z", "lat_deg", "lon_deg",
+                         "height", "status"])
+        for t, p, state in zip(tow, positions, status):
+            g = ecef_to_geodetic(p)
+            writer.writerow([f"{t:.3f}", f"{p[0]:.4f}", f"{p[1]:.4f}",
+                             f"{p[2]:.4f}", f"{np.degrees(g.latitude):.9f}",
+                             f"{np.degrees(g.longitude):.9f}",
+                             f"{g.height:.4f}", state.value])
+        assert buf.getvalue() == expected.getvalue()
 
     def test_empty_is_header_only(self):
         buf = io.StringIO()
-        write_trajectory_csv([], buf)
+        write_trajectory_csv([], np.zeros((0, 3)), [], buf)
         assert buf.getvalue().strip() == ("tow,x,y,z,lat_deg,lon_deg,"
                                           "height,status")
-        assert read_trajectory_csv(io.StringIO(buf.getvalue())) == []
+        tow, positions, status = read_trajectory_csv(
+            io.StringIO(buf.getvalue()))
+        assert len(tow) == len(positions) == len(status) == 0
 
 
 class TestSatStateCsv:
@@ -458,6 +692,95 @@ class TestGraphJson:
                  if tr.status is BaselineStatus.FIXED]
         assert len(edges) == len(fixed) > 0
         assert all(edge["time_difference"] <= 100.0 for edge in edges)
+
+
+def graph_payload(graph, states, report):
+    """The graph.json payload as a dict, one dict per edge: what
+    `export_graph_json` writes, by `json.dumps`."""
+    def eigenvalues(information):
+        return np.round(np.sort(np.linalg.eigvalsh(information)),
+                        9).tolist()
+
+    def edges(kind, **columns):
+        return [{"type": kind, **dict(zip(columns, row))}
+                for row in zip(*columns.values())]
+
+    vel, tr = graph.velocity_factors, graph.trrtk_factors
+    pr, priors = graph.pseudorange_factors, graph.priors
+    indices, values, information = (
+        [rows.tolist() for rows in np.split(column, priors.start[1:])]
+        for column in (priors.index, priors.value, priors.information))
+    return {
+        "reference_position": graph.reference_position.tolist(),
+        "nodes": [{"index": k, "position": position, "clocks": clocks}
+                  for k, (position, clocks) in enumerate(zip(
+                      np.round(graph.reference_position + states[:, :3],
+                               6).tolist(),
+                      np.round(states[:, 3:], 6).tolist()))],
+        "edges": (
+            edges("velocity", nodes=vel.nodes.tolist(),
+                  measurement=vel.velocity.tolist(), dt=vel.dt.tolist(),
+                  information_eigenvalues=eigenvalues(vel.information))
+            + edges("trrtk", nodes=tr.nodes.tolist(),
+                    measurement=tr.baseline.tolist(),
+                    time_difference=tr.time_difference.tolist(),
+                    information_eigenvalues=eigenvalues(tr.information))
+            + edges("pseudorange", nodes=pr.node[:, None].tolist(),
+                    satellite=[str(SatelliteId.from_key(key))
+                               for key in pr.sat.tolist()],
+                    measurement=pr.constant.tolist(),
+                    information_eigenvalues=pr.information[:, None].tolist())
+            + edges("prior", nodes=priors.node[priors.start, None].tolist(),
+                    indices=indices, measurement=values,
+                    information_eigenvalues=list(map(sorted, information)))),
+        "optimizer": {name: getattr(report, name) for name in
+                      ("initial_cost", "final_cost", "iterations",
+                       "converged")}}
+
+
+class TestGraphJsonText:
+    """graph.json is `json.dumps` of one dict per edge, to the byte."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        cfg = ScenarioConfig(duration=30.0,
+                             trajectory=TrajectoryConfig(kind="line",
+                                                         speed=2.0), seed=2)
+        truth, epochs, states = run_scenario(cfg)
+        return solve_trajectory(epochs, states,
+                                PipelineConfig(iono=cfg.iono,
+                                               tropo=cfg.tropo))
+
+    def text(self, result):
+        buf = io.StringIO()
+        export_graph_json(result.graph, buf, states=result.states,
+                          report=result.report)
+        return buf.getvalue()
+
+    def test_equals_the_dict_payload(self, solved):
+        g = solved.graph
+        assert min(len(g.velocity_factors), len(g.trrtk_factors),
+                   len(g.pseudorange_factors), len(g.priors)) > 0
+        assert self.text(solved) == json.dumps(
+            graph_payload(g, solved.states, solved.report))
+
+    def test_non_finite_and_negative_zero(self, solved):
+        import copy
+        result = copy.deepcopy(solved)
+        g, x = result.graph, result.states
+        g.velocity_factors.velocity[0, 1] = np.nan
+        g.velocity_factors.dt[1] = -0.0
+        g.trrtk_factors.baseline[0, 2] = np.inf
+        g.trrtk_factors.time_difference[1] = -np.inf
+        g.pseudorange_factors.constant[:3] = (np.nan, -0.0, np.inf)
+        g.pseudorange_factors.information[3] = np.nan
+        g.priors.value[0] = -0.0
+        g.priors.information[:2] = (np.nan, 1.0)
+        x[0, 0] = np.nan
+        x[1, 3] = -1e-9                  # rounds to -0.0
+        text = self.text(result)
+        assert "NaN" in text and "Infinity" in text and "-0.0" in text
+        assert text == json.dumps(graph_payload(g, x, result.report))
 
 
 class TestConfigYaml:
