@@ -56,12 +56,13 @@ def read_trajectory_csv(stream) -> tuple[np.ndarray, np.ndarray, list]:
     times of week (n,), ECEF positions (n, 3) and statuses of the rows."""
     try:
         rows = list(csv.DictReader(stream))
-    except csv.Error as exc:
-        raise IoFailure(str(exc)) from exc
-    return (np.array([GpsTime(0, float(row["tow"])).tow for row in rows]),
-            np.array([[float(row[axis]) for axis in "xyz"]
-                      for row in rows]).reshape(-1, 3),
-            [TrajectoryStatus(row["status"]) for row in rows])
+        return (np.array([GpsTime(0, float(row["tow"])).tow for row in rows]),
+                np.array([[float(row[axis]) for axis in "xyz"]
+                          for row in rows]).reshape(-1, 3),
+                [TrajectoryStatus(row["status"]) for row in rows])
+    # a bad number, status or time of week; a missing column or field
+    except (csv.Error, ValueError, KeyError, TypeError) as exc:
+        raise IoFailure(f"trajectory CSV: {exc!r}") from exc
 
 
 def _json_items(column) -> list[str]:

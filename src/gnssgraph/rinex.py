@@ -187,7 +187,7 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
         whole = int(seconds)
         moment = datetime(year, month, day, hour, minute, whole,
                           round((seconds - whole) * 1e6))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: inf seconds
         raise MalformedEpoch(f"line {number}: {exc}") from exc
     if count < 0:
         raise MalformedEpoch(f"line {number}: negative satellite count")

@@ -168,6 +168,19 @@ class TestExitCodes:
                      "--truth", str(short)]) == 2
         assert "error: parse" in capsys.readouterr().err
 
+    def test_evaluate_bad_number_is_parse_error(self, pipeline_dirs,
+                                                tmp_path, capsys):
+        root, sim, sol = pipeline_dirs
+        lines = (sim / "truth.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[1] = "abc"
+        lines[1] = ",".join(fields)
+        bad = tmp_path / "truth.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--est", str(sol / "trajectory.csv"),
+                     "--truth", str(bad)]) == 2
+        assert "error: parse" in capsys.readouterr().err
+
     def test_bad_graph_json_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "graph.json"
         bad.write_text("{broken")

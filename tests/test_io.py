@@ -124,6 +124,15 @@ class TestRinexParse:
             header, epochs = parse_rinex_obs(io.StringIO(text))
         assert len(epochs) == 1  # first epoch intact, second dropped
 
+    def test_infinite_seconds_dropped_with_warning(self):
+        lines = FIXTURE.splitlines()
+        lines[11] = lines[11].replace(" 1.0000000", "       inf")
+        with pytest.warns(UserWarning, match="line 12: line 12: cannot "
+                          "convert float infinity"):
+            header, epochs = parse_rinex_obs(io.StringIO("\n".join(lines)))
+        assert len(epochs) == 1
+        assert epochs[0].time.to_calendar().second == 0
+
     def test_count_mismatch_reports_line_and_continues(self):
         lines = FIXTURE.splitlines()
         lines[6] = lines[6].replace("  0  4", "  0  9")
@@ -434,6 +443,17 @@ class TestTrajectoryCsv:
                              f"{np.degrees(g.longitude):.9f}",
                              f"{g.height:.4f}", state.value])
         assert buf.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("header, row", [
+        ("tow,x,y,z,status", "1.0,abc,2.0,3.0,Truth"),
+        ("tow,x,y,z,status", "1.0,1.0,2.0,3.0,Guessed"),
+        ("tow,x,y,status", "1.0,1.0,2.0,Truth"),
+        ("tow,x,y,z,status", "604800.0,1.0,2.0,3.0,Truth"),
+        ("tow,x,y,z,status", "1.0,1.0,2.0"),
+    ])
+    def test_bad_content_raises_iofailure(self, header, row):
+        with pytest.raises(IoFailure):
+            read_trajectory_csv(io.StringIO(f"{header}\n{row}\n"))
 
     def test_empty_is_header_only(self):
         buf = io.StringIO()

@@ -712,6 +712,72 @@ class TestPairBlocks:
             else:
                 assert same_result(a, b), k
 
+    def test_passes_shrink_to_the_pairs_still_moving(self, square,
+                                                     monkeypatch):
+        """Each Gauss-Newton pass of a block models only the pairs whose
+        last step was at least 1 um: all of them in the first two passes,
+        then fewer, and no pass without a pair."""
+        s, result = square
+        pairs = [(i, j) for i, j, _ in result.trrtk_results]
+        pairs = pairs[:trrtk.BLOCK_PAIRS]
+        assert len(pairs) == 128
+        passes = []
+        model = trrtk._model
+
+        def recorded(dd, baseline, shift):
+            # a pair is known by its two receiver positions
+            passes.append({p.tobytes() + c.tobytes(): b.copy()
+                           for p, c, b in zip(dd.receiver_past,
+                                              dd.receiver_current, baseline)})
+            return model(dd, baseline, shift)
+
+        monkeypatch.setattr(trrtk, "_model", recorded)
+        final = {s.receiver[i].tobytes() + s.receiver[j].tobytes(): r.baseline
+                 for (i, j), r in zip(pairs, solve_pairs(s, pairs))}
+        assert [len(rows) for rows in passes[:2]] == [len(pairs)] * 2
+        assert all(passes) and sum(map(len, passes)) < 4 * len(pairs)
+        for now, later in zip(passes, passes[1:] + [{}]):
+            moving = {key for key, before in now.items()
+                      if np.linalg.norm(later.get(key, final[key]) - before)
+                      >= 1e-6}
+            assert set(later) == moving
+
+    def test_inactive_pairs_are_left_alone(self, square):
+        """Pairs outside `active` keep their initial baseline, a zero
+        covariance and residual sum and no error; those inside it get
+        the bits and errors of a solve with every pair active."""
+        s, result = square
+        past, current = np.array([(i, j) for i, j, _
+                                  in result.trrtk_results][:40]).T
+        dt = np.array([s.times[j] - s.times[i]
+                       for i, j in zip(past, current)])
+        locked = trrtk._locked(s, past, current, dt, 1.0)
+        dd = trrtk._double_differences(s, past, current, locked,
+                                       TrRtkConfig())
+        sat_past, sat_current = dd.sat_past.copy(), dd.sat_current.copy()
+        # pair 4: a satellite 500 km from the receiver
+        sat_past[4, np.flatnonzero(dd.used[4])[0]] = (dd.receiver_past[4]
+                                                      + [5e5, 0.0, 0.0])
+        # pair 7: every satellite at one position
+        for sats in (sat_past, sat_current):
+            sats[7] = sats[7, np.flatnonzero(dd.used[7])[0]]
+        dd = replace(dd, sat_past=sat_past, sat_current=sat_current)
+        active = np.arange(40) % 3 == 1
+        everything = solve_float_baseline(dd)
+        baseline, cov, omega, errors = solve_float_baseline(dd,
+                                                            active=active)
+        assert active.sum() == 13
+        initial = dd.receiver_current - dd.receiver_past
+        assert baseline[~active].tobytes() == initial[~active].tobytes()
+        assert not cov[~active].any() and not omega[~active].any()
+        assert [type(e) for e in errors] == [type(e) for e in everything[3]]
+        assert [k for k, e in enumerate(errors) if e is not None] == [4, 7]
+        assert type(errors[4]) is DegenerateGeometry
+        assert type(errors[7]) is SingularGeometry
+        for got, want in zip((baseline, cov, omega), everything[:3]):
+            assert got[active].tobytes() == want[active].tobytes()
+        assert not np.array_equal(baseline[active], initial[active])
+
 
 def exact_solve(cov, rhs):
     """cov^-1 rhs by Gauss-Jordan elimination in exact rational arithmetic,
