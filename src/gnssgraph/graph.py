@@ -354,17 +354,24 @@ def _whitened_system(graph: Graph, states: np.ndarray):
     return residual, jacobian
 
 
+def _moved_rows(graph: Graph, states: np.ndarray,
+                threshold: float) -> np.ndarray:
+    """The pseudorange rows whose node lies more than `threshold` from
+    their linearization point."""
+    pr = graph.pseudorange_factors
+    return np.flatnonzero(np.linalg.norm(states[pr.node, :3] - pr.lin_offset,
+                                         axis=1) > threshold)
+
+
 def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
     """Relinearize in place the pseudorange rows whose node moved more
     than `threshold` from their linearization point; report whether any
     did."""
     pr = graph.pseudorange_factors
-    offsets = states[pr.node, :3]
-    moved = np.flatnonzero(
-        np.linalg.norm(offsets - pr.lin_offset, axis=1) > threshold)
+    moved = _moved_rows(graph, states, threshold)
     if len(moved) == 0:
         return False
-    offsets = offsets[moved]
+    offsets = states[pr.node[moved], :3]
     unit, ranges = lines_of_sight(graph.reference_position + offsets,
                                   pr.sat_position[moved])
     pr.row[moved], pr.constant[moved] = _linearization(
@@ -404,6 +411,11 @@ def optimize(graph: Graph):
         sd_scale = (gradient @ gradient) / (jg @ jg)
         sd_step = -sd_scale * gradient
 
+        # a step that relinearizes no row lands where the quadratic model
+        # is the cost itself: widen the radius to try it whole
+        if not _moved_rows(graph, states + gn_step.reshape(states.shape),
+                           RELINEARIZE_THRESHOLD).size:
+            radius = max(radius, np.linalg.norm(gn_step))
         accepted = False
         while radius > 1e-12:
             step = _dogleg_step(gn_step, sd_step, radius)

@@ -15,11 +15,12 @@ drift over the (bounded) window remains as an unmodeled error.
 `epoch_corrections` scatters a located `EpochGeometry` onto one
 (epoch, satellite) grid, `SessionArrays`, and `solve_pairs` solves a
 lattice of its epoch pairs in blocks, on arrays indexed by (pair,
-session satellite): each DD covariance block D + r 11^T is weighted in
-closed form and the Gauss-Newton steps are stacked 6x6 solves, each
-pass on only the pairs that have not converged. No sum or product spans
-two pairs, so a pair gets the same bits in any block and in any pass;
-its GnssError is its result and never stops the block.
+session satellite): each pair's normal equations under the DD covariance
+D + r 11^T are one centered weighted Gram product, the Gauss-Newton
+steps are stacked 6x6 solves, each pass on only the pairs that have not
+converged, and the p-values are one call per block. No sum or product
+spans two pairs, so a pair gets the same bits in any block and in any
+pass; its GnssError is its result and never stops the block.
 `estimate_baseline`, `detect_cycle_slips` and `form_double_differences`
 are views of the kernel on one pair of a session.
 """
@@ -151,18 +152,18 @@ class DoubleDiffSet:
     """The double differences of a block of B pairs on the session's
     satellite columns. `rows` (B, S) marks each pair's DD satellites,
     `reference` (B, S) holds the column of each one's reference and
-    `used` marks both. The last axis of `observed` and `weight` is (DD
+    `used` marks both. Axis 1 of `observed` and `weight` is the kind (DD
     phase, DD code at the past epoch, at the current epoch); `weight` is
     the inverse of a DD satellite's own variance, zero off `rows`, and
-    `ref_weight` (B, constellations, 3) that of the reference."""
+    `ref_weight` (B, 3, constellations) that of the reference."""
 
     sats: tuple
     spans: tuple
     rows: np.ndarray
     used: np.ndarray
     reference: np.ndarray
-    observed: np.ndarray               # (B, S, 3) [m]
-    weight: np.ndarray                 # (B, S, 3) [1/m^2]
+    observed: np.ndarray               # (B, 3, S) [m]
+    weight: np.ndarray                 # (B, 3, S) [1/m^2]
     ref_weight: np.ndarray
     sat_past: np.ndarray               # (B, S, 3) [m ECEF]
     sat_current: np.ndarray
@@ -222,65 +223,50 @@ def _double_differences(s: SessionArrays, past, current, locked,
     phase = (time_single_difference(s, past, current)
              + (s.iono[current] - s.iono[past])
              - (s.tropo[current] - s.tropo[past]))
-    per_sat = np.stack([phase, s.code[past], s.code[current]], axis=-1)
+    per_sat = np.stack([phase, s.code[past], s.code[current]], axis=1)
     sin_p, sin_c = np.sin(s.elevation[past]), np.sin(s.elevation[current])
     # time difference of two independent epochs: sum of their variances
     variance = np.stack([(config.phase_sigma / sin_p) ** 2
                          + (config.phase_sigma / sin_c) ** 2,
                          (config.code_sigma / sin_p) ** 2,
-                         (config.code_sigma / sin_c) ** 2], axis=-1)
-    observed = per_sat - np.take_along_axis(per_sat, reference[..., None], 1)
+                         (config.code_sigma / sin_c) ** 2], axis=1)
+    observed = per_sat - np.take_along_axis(per_sat, reference[:, None], 2)
     return DoubleDiffSet(
         s.sats, s.spans, rows, used, reference,
-        np.where(rows[..., None], observed, 0.0),
-        np.where(rows[..., None], 1.0 / variance, 0.0),
-        1.0 / np.take_along_axis(variance, refs[..., None], 1),
+        np.where(rows[:, None], observed, 0.0),
+        np.where(rows[:, None], 1.0 / variance, 0.0),
+        1.0 / np.take_along_axis(variance, refs[:, None], 2),
         s.sat_position[past], s.sat_position[current],
         s.receiver[past], s.receiver[current])
 
 
-def _total(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 1, strictly left to right: the order is the same for
-    every pair, block and padding, and a zero column adds nothing."""
-    total = x[:, 0].copy()
-    for k in range(1, x.shape[1]):
-        total += x[:, k]
-    return total
-
-
-def _weight_terms(weight, ref_weight, spans):
-    """`_weigh`'s weight-only terms, per constellation on axis 1: each
-    span's most heavily weighted column (from its start), sum(weight),
-    0 read as 1, and the denominator 1 + sum(weight) / ref_weight."""
-    shape = (len(weight), len(spans)) + weight.shape[2:]
-    origin, total = np.empty(shape, int), np.empty(shape)
+def _normal_equations(lin, weight, ref_weight, spans) -> np.ndarray:
+    """[J^T W J, J^T W r; ., r^T W r] (B, C, C) of each pair's rows. `lin`
+    (B, C, K, S) holds column c of the row of kind k and satellite s; W
+    inverts the covariance whose block on the satellites `spans[g]` of
+    kind k is diag(1 / weight[:, k]) + 11^T / ref_weight[:, k, g], as
+    each DD shares its reference's error. That is the model with one
+    nuisance per (constellation, kind) group eliminated (Schaffrin &
+    Grafarend 1986), so the product is a centered weighted Gram product:
+    the reference is a zero row of weight ref_weight, each row of a group
+    loses the group's weighted mean m = sum(weight row) / (sum(weight) +
+    ref_weight), and weight (row - m)(row - m)^T is summed over the rows.
+    Unlike sum(weight row row^T) - (sum(weight) + ref_weight) m m^T, that
+    loses no digits when one weight is far above the others. Every
+    product covers one pair."""
+    count, columns, kinds, width = lin.shape
+    groups = np.zeros((width, len(spans)))
     for g, (a, b) in enumerate(spans):
-        total[:, g] = _total(weight[:, a:b])
-        origin[:, g] = np.argmax(weight[:, a:b], axis=1)
-    return origin, np.where(total > 0, total, 1.0), 1.0 + total / ref_weight
-
-
-def _weigh(x, weight, ref_weight, spans, terms=None) -> np.ndarray:
-    """W x, W the inverse of the covariance whose block on the columns
-    `spans[g]` (axis 1) is diag(1 / weight) + 11^T / ref_weight[:, g]:
-    each DD shares its reference's error. Sherman-Morrison, written with
-    the block's weighted mean m = sum(weight x) / sum(weight), gives
-    W x = weight (x - m + m / (1 + sum(weight) / ref_weight)), so no
-    matrix is formed or inverted. Differences are taken from the most
-    heavily weighted satellite's x, whose own x - m would otherwise
-    cancel to a few digits when its variance is far below the others'.
-    Given `terms`, the weights' `_weight_terms`, `ref_weight` is unread."""
-    origin, total, denominator = terms or _weight_terms(weight, ref_weight,
-                                                        spans)
-    out = np.empty(np.broadcast_shapes(x.shape, weight.shape))
-    for g, (a, b) in enumerate(spans):
-        w = weight[:, a:b]
-        start = np.take_along_axis(x[:, a:b], origin[:, g, None], 1)
-        shifted = x[:, a:b] - start
-        mean = _total(w * shifted) / total[:, g]
-        common = (start[:, 0] + mean) / denominator[:, g]
-        out[:, a:b] = w * (shifted - (mean - common)[:, None])
-    return out
+        groups[a:b, g] = 1.0
+    flat = (count, columns * kinds, -1)
+    mean = (np.matmul((weight[:, None] * lin).reshape(flat), groups)
+            .reshape(count, columns, kinds, -1)
+            / (np.matmul(weight, groups) + ref_weight)[:, None])
+    centered = np.concatenate(
+        [lin - np.matmul(mean.reshape(flat), groups.T).reshape(lin.shape),
+         -mean], axis=3).reshape(count, columns, -1)
+    w = np.concatenate([weight, ref_weight], axis=2).reshape(count, 1, -1)
+    return np.matmul(w * centered, centered.transpose(0, 2, 1))
 
 
 def _model(dd: DoubleDiffSet, baseline, shift):
@@ -316,18 +302,21 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _chi2_survival(x: float, dof: int) -> float:
-    """P(X > x) for X chi-squared on an integer `dof` >= 1: the closed-form
-    series of the regularized upper incomplete gamma function, which for
-    odd `dof` starts from erfc."""
-    half = 0.5 * max(x, 0.0)          # a zero sum may round below 0
+def _chi2_survival(x, dof):
+    """P(X > x) for X chi-squared on an integer `dof` >= 1, elementwise on
+    arrays (or on scalars, to a float): the closed-form series of the
+    regularized upper incomplete gamma function, which for odd `dof`
+    starts from erfc. Each element sums its own terms in series order."""
+    half = 0.5 * np.maximum(x, 0.0)   # a zero sum may round below 0
+    dof = np.asarray(dof)
     odd = dof % 2
-    total = math.erfc(math.sqrt(half)) if odd else 0.0
-    term = math.exp(-half) * (2.0 * math.sqrt(half / math.pi) if odd else 1.0)
-    for k in range(1, dof // 2 + 1):
-        total += term
+    total = np.zeros(half.shape)
+    total[odd == 1] = [math.erfc(math.sqrt(h)) for h in half[odd == 1]]
+    term = np.exp(-half) * np.where(odd, 2.0 * np.sqrt(half / np.pi), 1.0)
+    for k in range(1, int(dof.max(initial=0)) // 2 + 1):
+        total += np.where(k <= dof // 2, term, 0.0)
         term *= half / (k + 0.5 * odd)
-    return total
+    return total if total.ndim else float(total)
 
 
 def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
@@ -351,8 +340,6 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     cov, omega = np.zeros((count, 3, 3)), np.zeros(count)
     errors = [None] * count
     prior = 1.0 / config.position_prior_sigma ** 2
-    terms = _weight_terms(dd.weight[..., None], dd.ref_weight[..., None],
-                          dd.spans)
     for iteration in range(10):
         # only the pairs still moving, which keep their bits (module doc)
         pairs = np.flatnonzero(active)
@@ -361,18 +348,16 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
         sub = dd.take(pairs)
         g_past, g_cur, jac_p, jac_c, nearest = _model(sub, baseline[pairs],
                                                       shift[pairs])
-        # rows (phase, code past, code current) of [d/dB, d/dd | residual]
-        lin = np.zeros(g_past.shape + (3, 7))
-        lin[..., 0, :3] = lin[..., 2, :3] = lin[..., 2, 3:6] = jac_c
-        lin[..., 0, 3:6] = jac_c - jac_p
-        lin[..., 1, 3:6] = jac_p
-        lin[..., 6] = sub.observed - np.stack([g_cur - g_past, g_past, g_cur],
-                                              axis=-1)
-        weighted = _weigh(lin, sub.weight[..., None], None, dd.spans,
-                          [term[pairs] for term in terms])
-        # one 7x3 by 3x7 product per (pair, satellite), then their sum:
-        # [J^T W J, J^T W r; ., r^T W r] of each pair
-        summed = _total(np.matmul(lin.transpose(0, 1, 3, 2), weighted))
+        # columns [d/dB, d/dd | residual] of the rows (phase, code past,
+        # code current) of each satellite
+        jac_p, jac_c = jac_p.transpose(0, 2, 1), jac_c.transpose(0, 2, 1)
+        lin = np.zeros((len(pairs), 7, 3, len(dd.sats)))
+        lin[:, :3, 0] = lin[:, :3, 2] = lin[:, 3:6, 2] = jac_c
+        lin[:, 3:6, 0] = jac_c - jac_p
+        lin[:, 3:6, 1] = jac_p
+        lin[:, 6] = sub.observed - np.stack([g_cur - g_past, g_past, g_cur],
+                                            axis=1)
+        summed = _normal_equations(lin, sub.weight, sub.ref_weight, dd.spans)
         normal = summed[:, :6, :6] + np.diag([0.0] * 3 + [prior] * 3)
         rhs = summed[:, :6, 6]
         rhs[:, 3:] -= prior * shift[pairs]
@@ -453,17 +438,15 @@ def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
         f"only {m[k]} double differences formed"))
     alive = np.array([r is None for r in out])
     baseline, cov, omega, errors = solve_float_baseline(dd, config, alive)
-    precise = np.sqrt(np.trace(cov, axis1=1, axis2=2)) <= PRECISION_MAX_M
+    p_value = np.zeros(len(dt))
+    p_value[alive] = _chi2_survival(omega[alive], 3 * m[alive] - 3)
+    fixed = ((p_value >= INTEGRITY_P_MIN) & (np.sqrt(
+        np.trace(cov, axis1=1, axis2=2)) <= PRECISION_MAX_M))
     for k in np.flatnonzero(alive):
-        if errors[k] is not None:
-            out[k] = errors[k]
-            continue
-        p_value = _chi2_survival(float(omega[k]), 3 * int(m[k]) - 3)
-        fixed = p_value >= INTEGRITY_P_MIN and precise[k]
-        out[k] = TrRtkResult(
+        out[k] = errors[k] or TrRtkResult(
             baseline[k], cov[k],
-            BaselineStatus.FIXED if fixed else BaselineStatus.REJECTED,
-            p_value, dt[k], (0,) * int(m[k]) if fixed else ())
+            BaselineStatus.FIXED if fixed[k] else BaselineStatus.REJECTED,
+            float(p_value[k]), dt[k], (0,) * int(m[k]) if fixed[k] else ())
     return out
 
 

@@ -1,6 +1,10 @@
-"""Exhaustive integer search, the oracle of the LAMBDA tests."""
+"""Brute-force oracles: an exhaustive integer search for the LAMBDA
+tests, and a dense solve of one TR-RTK pair for the kernel's tests."""
 
 import numpy as np
+from scipy.stats import chi2
+
+from gnssgraph.coords import lines_of_sight
 
 
 def brute_force_minimizer(float_values, covariance, box=8):
@@ -29,3 +33,67 @@ def brute_force_minimizer(float_values, covariance, box=8):
     flat[best] = np.inf
     index = np.unravel_index(best, cost.shape)
     return center - box + np.array(index), lowest, flat.min()
+
+
+def dense_pair_solve(s, past, current, dds, config):
+    """One TR-RTK pair of the session arrays `s` solved the long way: the
+    double differences `dds`, (satellite column, reference column) pairs,
+    formed from the raw arrays, their covariance D Sigma D^T from the
+    per-satellite variances and the differencing matrix D, and
+    Gauss-Newton on [baseline, anchor error] with np.linalg.solve on that
+    dense matrix, until a baseline step below 1 um. Returns the baseline,
+    and at the last linearization its covariance, the weighted sum of the
+    residuals left by the last step and their chi-squared p-value on
+    3m - 3 degrees of freedom, from scipy."""
+    sat = np.array([k for k, _ in dds])
+    ref = np.array([r for _, r in dds])
+    used = np.unique(np.concatenate([sat, ref]))
+    # one column per undifferenced satellite: +1 its DDs, -1 its reference's
+    diff = (sat[:, None] == used).astype(float) - (ref[:, None] == used)
+    sin_p, sin_c = (np.sin(s.elevation[e, used]) for e in (past, current))
+    variances = [config.phase_sigma ** 2 * (sin_p ** -2 + sin_c ** -2),
+                 config.code_sigma ** 2 * sin_p ** -2,
+                 config.code_sigma ** 2 * sin_c ** -2]
+    m = len(dds)
+    cov = np.zeros((3 * m, 3 * m))
+    for k, variance in enumerate(variances):
+        cov[k * m:(k + 1) * m, k * m:(k + 1) * m] = (diff * variance) @ diff.T
+    phase = (s.wavelength[current, used]
+             * (s.phase[current, used] - s.phase[past, used])
+             + s.iono[current, used] - s.iono[past, used]
+             - s.tropo[current, used] + s.tropo[past, used])
+    observed = np.concatenate([diff @ phase, diff @ s.code[past, used],
+                               diff @ s.code[current, used]])
+    prior = np.eye(3) / config.position_prior_sigma ** 2
+
+    def model(x):
+        """DD ranges and their gradients (m, 3) at the past and at the
+        current receiver position."""
+        out = []
+        for epoch, position in ((past, s.receiver[past] + x[3:]),
+                                (current, s.receiver[past] + x[3:] + x[:3])):
+            unit, ranges = lines_of_sight(position, s.sat_position[epoch, used])
+            out += [diff @ ranges, -(diff @ unit)]
+        return out
+
+    x = np.concatenate([s.receiver[current] - s.receiver[past], np.zeros(3)])
+    for _ in range(10):
+        g_past, d_past, g_cur, d_cur = model(x)
+        zero = np.zeros_like(d_past)
+        jac = np.block([[d_cur, d_cur - d_past], [zero, d_past],
+                        [d_cur, d_cur]])
+        residual = observed - np.concatenate([g_cur - g_past, g_past, g_cur])
+        normal = jac.T @ np.linalg.solve(cov, jac)
+        normal[3:, 3:] += prior
+        rhs = jac.T @ np.linalg.solve(cov, residual)
+        rhs[3:] -= prior @ x[3:]
+        step = np.linalg.solve(normal, rhs)
+        x += step
+        if np.linalg.norm(step[:3]) < 1e-6:
+            break
+    # the linearized residuals after the last step
+    residual -= jac @ step
+    omega = (residual @ np.linalg.solve(cov, residual)
+             + x[3:] @ prior @ x[3:])
+    return (x[:3], np.linalg.inv(normal)[:3, :3], omega,
+            chi2.sf(omega, 3 * m - 3))

@@ -462,6 +462,51 @@ class TestOptimizer:
         assert np.linalg.norm(rel - b) < 1e-6
         assert report.final_cost <= report.initial_cost
 
+    @pytest.mark.parametrize("moved", [0.0, 30.0])
+    def test_trust_region_cuts_only_a_step_that_relinearizes(
+            self, moved, monkeypatch):
+        """A Gauss-Newton step longer than the initial trust radius, that
+        moves no node as far as RELINEARIZE_THRESHOLD, minimizes the
+        (then exactly quadratic) cost: the radius widens to take it
+        whole in one iteration, with no dogleg blend and no second one.
+        A step that moves the nodes 30 m, so relinearizes their rows, is
+        cut to the radius first."""
+        from gnssgraph import graph
+        from gnssgraph.graph import INITIAL_RADIUS, _relinearize
+
+        cfg = zero_noise_scenario(duration=20.0,
+                                  noise=NoiseConfig(0.5, 0.003, 0.02))
+        _, _, _, result = build_from_scenario(cfg, use_trrtk=False)
+        g = result.graph
+        # every node's clock 60 m (and position `moved` m) off the
+        # solution, its rows linearized where it starts
+        start = result.states.copy()
+        start[:, 3] += 60.0
+        start[:, :3] += moved
+        g.initial_states = start
+        _relinearize(g, start, 0.0)
+        to_solution = result.states - start
+        assert np.linalg.norm(to_solution) > INITIAL_RADIUS
+        radii, gn_norms = [], []
+        dogleg = graph._dogleg_step
+
+        def recorded(gn_step, sd_step, radius):
+            radii.append(radius)
+            gn_norms.append(np.linalg.norm(gn_step))
+            return dogleg(gn_step, sd_step, radius)
+
+        monkeypatch.setattr(graph, "_dogleg_step", recorded)
+        x, report = optimize(g)
+        assert report.converged
+        assert np.allclose(x, result.states, rtol=0.0, atol=1e-6)
+        if moved:
+            assert radii[0] == INITIAL_RADIUS
+            return
+        assert gn_norms[0] > INITIAL_RADIUS
+        assert radii == [gn_norms[0]] and report.iterations == 1
+        assert len(report.costs) == 2
+        assert report.costs[1] < 1e-3 * report.costs[0]
+
     def test_full_scenario_monotone_costs(self):
         cfg = zero_noise_scenario(duration=60.0,
                                   noise=NoiseConfig(0.5, 0.003, 0.02),

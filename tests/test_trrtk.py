@@ -16,12 +16,13 @@ from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              TR_PAIR_LATTICE, BaselineStatus, TrRtkConfig,
-                             TrRtkResult, _chi2_survival, _weigh,
+                             TrRtkResult, _chi2_survival, _normal_equations,
                              detect_cycle_slips, epoch_corrections,
                              estimate_baseline, form_double_differences,
                              solve_float_baseline, solve_pairs,
                              time_single_difference)
 from gnssgraph.types import Constellation, SatelliteId
+from brute_force import dense_pair_solve
 from sessions import positions_by_sat, row_of, sat_ids, take
 
 
@@ -279,8 +280,9 @@ class TestDoubleDifferences:
         shifted = phase_shifted(s, 5, 123.456)
         dd2 = form_double_differences(shifted, 0, 5)
         assert np.array_equal(dd.rows, dd2.rows)
-        for a, b in zip(dd.observed[dd.rows], dd2.observed[dd2.rows]):
-            assert abs(a[0] - b[0]) < 1e-9
+        for a, b in zip(dd.observed[:, 0][dd.rows],
+                        dd2.observed[:, 0][dd2.rows]):
+            assert abs(a - b) < 1e-9
 
     def test_noise_free_dd_matches_baseline_projection(self):
         cfg = quiet_scenario(duration=30.0)
@@ -292,7 +294,7 @@ class TestDoubleDifferences:
         for i in np.flatnonzero(dd.rows[0]):
             # zero noise, continuous lock: DD phase minus DD geometric range
             # change is the (zero) DD ambiguity
-            assert abs(dd.observed[0, i, 0] - g[i]) < 1e-4
+            assert abs(dd.observed[0, 0, i] - g[i]) < 1e-4
 
     def test_model_matches_per_satellite_line_of_sight(self):
         cfg = quiet_scenario(duration=30.0)
@@ -346,7 +348,11 @@ class TestFloatBaseline:
     def test_dd_covariance_single_reference_formula(self):
         """The DD set's weights are those of the single-reference
         covariance: the reference's variance wherever two DDs share a
-        reference, plus the satellite's own variance on the diagonal."""
+        reference, plus the satellite's own variance on the diagonal.
+        `_normal_equations` of one kind's rows weighted by them is
+        A^T C^-1 A with C that kind's dense covariance. Each entry is
+        compared on the scale of its diagonal, so the ~1e6 m code DDs do
+        not hide an error in the unit random columns."""
         cfg = quiet_scenario(duration=10.0)
         truth, epochs, states = run_scenario(cfg)
         s = truth_session(cfg, epochs, states, truth)
@@ -367,6 +373,9 @@ class TestFloatBaseline:
             c.code_sigma / sin_el(5, dd.sats[k]))
             for k in np.flatnonzero(dd.used[0])}
         m = len(rows)
+        # the observed DDs and 6 random columns, per kind and satellite
+        lin = np.random.default_rng(5).normal(size=(1, 7, 3, len(dd.sats)))
+        lin[0, 6] = dd.observed[0]
         for block in range(3):
             expected = np.zeros((m, m))
             for i in range(m):
@@ -375,10 +384,13 @@ class TestFloatBaseline:
                     if refs[j] == refs[i]:
                         expected[i, j] = sr ** 2
                 expected[i, i] = sr ** 2 + sigma[dd.sats[rows[i]]][block] ** 2
-            x = dd.observed[0, rows, block]
-            got = _weigh(dd.observed[..., block], dd.weight[..., block],
-                         dd.ref_weight[..., block], dd.spans)[0, rows]
-            want = np.linalg.solve(expected, x)
+            a = lin[0, :, block, rows]
+            want = a.T @ np.linalg.solve(expected, a)
+            kind = slice(block, block + 1)
+            got = _normal_equations(lin[:, :, kind], dd.weight[:, kind],
+                                    dd.ref_weight[:, kind], dd.spans)[0]
+            scale = 1.0 / np.sqrt(np.diag(want))
+            got, want = [scale[:, None] * x * scale for x in (got, want)]
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-3])
@@ -559,6 +571,20 @@ class TestIntegrity:
             assert _chi2_survival(0.0, dof) == pytest.approx(1.0)
             x = chi2.ppf(1e-6, dof)
             assert _chi2_survival(x, dof) == pytest.approx(1.0 - 1e-6)
+
+    def test_chi2_survival_arrays_match_scalars(self):
+        """On arrays, each element is bit for bit its scalar value, for
+        odd and even degrees of freedom mixed in one call, including a
+        sum that rounded below zero."""
+        rng = np.random.default_rng(11)
+        dof = rng.integers(1, 70, size=300)
+        x = np.abs(rng.normal(dof, 3.0 * np.sqrt(dof)))
+        x[:3] = [0.0, -1e-12, 1e3]
+        got = _chi2_survival(x, dof)
+        assert got.shape == x.shape and {1, 0} == set(dof % 2)
+        assert [float(v) for v in got] == [
+            _chi2_survival(float(a), int(n)) for a, n in zip(x, dof)]
+        assert isinstance(_chi2_survival(3.0, 4), float)
 
 
 class TestObservationInterval:
@@ -742,6 +768,38 @@ class TestPairBlocks:
                       >= 1e-6}
             assert set(later) == moving
 
+    def test_block_matches_the_dense_oracle(self, square):
+        """The first block of the square's pairs against a dense solve of
+        each pair alone (explicit DD covariance, np.linalg.solve, scipy's
+        chi-squared): the same status, covariances within 1e-9 relative,
+        and each p-value scipy's for the pair's residual sum within 1e-9
+        relative. Baselines and residual sums agree to the round-off floor
+        of the model, not to 1e-9: a DD range is a difference of two 2e7 m
+        ranges, 3.7e-9 m apart at one ulp, so two correct solvers end up
+        ~5e-9 m and ~1e-7 relative apart; the bars are 1e-8 m and 1e-6."""
+        from scipy.stats import chi2
+        s, result = square
+        pairs = [(i, j) for i, j, _ in result.trrtk_results][
+            :trrtk.BLOCK_PAIRS]
+        config = TrRtkConfig()
+        for (i, j), got in zip(pairs, solve_pairs(s, pairs, config)):
+            dd = form_double_differences(s, i, j, config)
+            rows = np.flatnonzero(dd.rows[0])
+            baseline, cov, omega, p_value = dense_pair_solve(
+                s, i, j, list(zip(rows, dd.reference[0, rows])), config)
+            fixed = (p_value >= INTEGRITY_P_MIN
+                     and np.sqrt(np.trace(cov)) <= PRECISION_MAX_M)
+            assert got.status is (BaselineStatus.FIXED if fixed
+                                  else BaselineStatus.REJECTED), (i, j)
+            assert np.abs(got.baseline - baseline).max() <= 1e-8, (i, j)
+            assert (np.abs(got.covariance - cov).max()
+                    <= 1e-9 * np.abs(cov).max()), (i, j)
+            kernel_omega = solve_one(dd)[2]
+            assert kernel_omega == pytest.approx(omega, rel=1e-6), (i, j)
+            assert got.p_value == pytest.approx(
+                chi2.sf(kernel_omega, 3 * len(rows) - 3), rel=1e-9), (i, j)
+            assert got.p_value == pytest.approx(p_value, rel=1e-6), (i, j)
+
     def test_inactive_pairs_are_left_alone(self, square):
         """Pairs outside `active` keep their initial baseline, a zero
         covariance and residual sum and no error; those inside it get
@@ -780,8 +838,8 @@ class TestPairBlocks:
 
 
 def exact_solve(cov, rhs):
-    """cov^-1 rhs by Gauss-Jordan elimination in exact rational arithmetic,
-    cov (m, m) and rhs (m, k) given as Fractions."""
+    """cov^-1 rhs (m, k) as Fractions, by Gauss-Jordan elimination in exact
+    rational arithmetic, cov (m, m) and rhs (m, k) given as Fractions."""
     m = len(cov)
     rows = [list(cov[i]) + list(rhs[i]) for i in range(m)]
     for col in range(m):
@@ -792,17 +850,18 @@ def exact_solve(cov, rhs):
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
-    return np.array([[float(v) for v in row[m:]] for row in rows])
+    return [row[m:] for row in rows]
 
 
 class TestShermanMorrison:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_closed_form_weight_is_the_dense_inverse(self, data):
-        """The closed-form W x equals the inverse of the dense block-diagonal
-        covariance of 1-3 reference groups, block g diag(own) + ref_g 11^T,
-        applied to x, within 1e-12 relative. The reference is solved in
-        exact arithmetic: at variance ratios near 1e6, np.linalg.inv of the
+        """The centered Gram product of `_normal_equations` equals A^T C^-1 A
+        for C the dense block-diagonal covariance of 1-3 reference groups,
+        block g diag(own) + ref_g 11^T, and A a 6-column Jacobian beside a
+        residual vector, within 1e-12 relative. The reference is solved in exact
+        arithmetic: at variance ratios near 1e6, np.linalg.inv of the
         float64 matrix is itself up to ~2e-10 off, and own + ref rounds."""
         sizes = data.draw(st.lists(st.integers(1, 12), min_size=1,
                                    max_size=3))
@@ -820,14 +879,12 @@ class TestShermanMorrison:
                     cov[i][j] = Fraction(r) + (Fraction(own[i]) if i == j
                                                else 0)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        vector, jacobian = rng.normal(size=m), rng.normal(size=(m, 6))
-        want = exact_solve(cov, [[Fraction(v) for v in row] for row in
-                                 np.column_stack([vector, jacobian])])
-        got_vector = _weigh(vector[None], 1.0 / own[None], 1.0 / ref[None],
-                            spans)[0]
-        got_jacobian = _weigh(jacobian[None], (1.0 / own)[None, :, None],
-                              (1.0 / ref)[None, :, None], spans)[0]
-        for got, expected in ((got_vector, want[:, 0]),
-                              (got_jacobian, want[:, 1:])):
-            assert (np.linalg.norm(got - expected)
-                    <= 1e-12 * np.linalg.norm(expected))
+        rows = np.column_stack([rng.normal(size=(m, 6)), rng.normal(size=m)])
+        exact = [[Fraction(v) for v in row] for row in rows]
+        weighted = exact_solve(cov, exact)
+        want = np.array([[float(sum(exact[k][i] * weighted[k][j]
+                                    for k in range(m)))
+                          for j in range(7)] for i in range(7)])
+        got = _normal_equations(rows.T[None, :, None], 1.0 / own[None, None],
+                                1.0 / ref[None, None], spans)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
