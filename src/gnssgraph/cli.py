@@ -183,30 +183,37 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _graph_summary(data) -> list[str]:
+    """The lines `gnssgraph inspect` prints for the loaded graph JSON."""
+    nodes = data.get("nodes", [])
+    edges = data.get("edges", [])
+    counts = Counter(edge.get("type", "?") for edge in edges)
+    lines = [f"graph: {len(nodes)} nodes, {len(edges)} edges"]
+    lines += [f"  {kind:<14s}{counts[kind]}" for kind in sorted(counts)]
+    dts = [e["time_difference"] for e in edges if e.get("type") == "trrtk"]
+    if dts:
+        lines.append(f"trrtk time differences [s]: min {min(dts):.1f}, "
+                     f"max {max(dts):.1f}, count {len(dts)}")
+    opt = data.get("optimizer")
+    if opt:
+        lines.append(f"optimizer: cost {opt['initial_cost']:.3e} -> "
+                     f"{opt['final_cost']:.3e} in {opt['iterations']} "
+                     f"iterations, converged={opt['converged']}")
+    return lines
+
+
 def cmd_inspect(args) -> int:
     try:
         with open(args.graph) as stream:
             data = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not JSON, or not UTF-8 text
         raise MalformedHeader(f"{args.graph}: {exc}") from exc
-    nodes = data.get("nodes", [])
-    edges = data.get("edges", [])
-    counts: dict[str, int] = {}
-    for edge in edges:
-        counts[edge.get("type", "?")] = counts.get(edge.get("type", "?"),
-                                                   0) + 1
-    print(f"graph: {len(nodes)} nodes, {len(edges)} edges")
-    for kind in sorted(counts):
-        print(f"  {kind:<14s}{counts[kind]}")
-    dts = [e["time_difference"] for e in edges if e.get("type") == "trrtk"]
-    if dts:
-        print(f"trrtk time differences [s]: min {min(dts):.1f}, "
-              f"max {max(dts):.1f}, count {len(dts)}")
-    opt = data.get("optimizer")
-    if opt:
-        print(f"optimizer: cost {opt['initial_cost']:.3e} -> "
-              f"{opt['final_cost']:.3e} in {opt['iterations']} iterations, "
-              f"converged={opt['converged']}")
+    try:
+        lines = _graph_summary(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedHeader(f"{args.graph}: not a graph export "
+                              f"({type(exc).__name__}: {exc})") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from enum import Enum
 
@@ -341,10 +342,21 @@ def load_pipeline_yaml(stream):
         raise IoFailure(f"bad config file: unknown keys "
                         f"{sorted(map(str, unknown))}")
 
-    kwargs: dict = {name: bool(data[name]) for name in
-                    ("use_trrtk", "use_pseudorange") if name in data}
+    kwargs: dict = {}
+    for name in ("use_trrtk", "use_pseudorange"):
+        if name in data:
+            if not isinstance(data[name], bool):
+                raise IoFailure(f"bad config file: {name} must be true or "
+                                f"false, not {data[name]!r}")
+            kwargs[name] = data[name]
     if "pair_lattice" in data:
-        kwargs["pair_lattice"] = tuple(float(v) for v in data["pair_lattice"])
+        lattice = data["pair_lattice"]
+        if not (isinstance(lattice, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in lattice)):
+            raise IoFailure(f"bad config file: pair_lattice must be a list "
+                            f"of offsets in seconds, not {lattice!r}")
+        kwargs["pair_lattice"] = tuple(float(v) for v in lattice)
     if "iono" not in data:
         # observation files carry no broadcast coefficients; degrade to
         # the model's nighttime constant rather than skipping correction

@@ -6,9 +6,11 @@ constraints between consecutive nodes.
 
 Both solve every epoch of a session geometry at once. An epoch's rows
 sit in a padded (epoch, row) array, its normal equations are formed by
-`einsum` and solved in a stack of small systems, so no sum or LAPACK
-call spans two epochs and an epoch gets the same bits in any session.
-An epoch's error is its outcome, in its place, and stops no other.
+one stacked `matmul` and solved in a stack of small systems, so no sum
+or LAPACK call spans two epochs and an epoch gets the same bits in any
+session. SPP starts every epoch from Bancroft's closed-form fix, one
+more such stacked solve. An epoch's error is its outcome, in its
+place, and stops no other.
 """
 
 from __future__ import annotations
@@ -68,12 +70,14 @@ def pseudorange_variance(elevation, config: SolverConfig | None = None):
 
 
 def _solve(normal, rhs, ok, errors: dict, message: str):
-    """Solve the stacked normal equations of the epochs `ok`. An epoch
-    whose symmetric normal matrix has a 2-norm condition number,
-    lambda_max / lambda_min, above 1e12 (lambda_min <= 0 counted as
-    singular) gets SingularGeometry(message) in `errors` instead.
-    Returns the solutions, the epochs solved and the normal matrices,
-    identities standing in for those of the epochs not solved."""
+    """Solve the stacked normal equations of the epochs `ok`, with one
+    right-hand side per epoch (epochs, unknowns) or several (epochs,
+    unknowns, columns). An epoch whose symmetric normal matrix has a
+    2-norm condition number, lambda_max / lambda_min, above 1e12
+    (lambda_min <= 0 counted as singular) gets SingularGeometry(message)
+    in `errors` instead. Returns the solutions, the epochs solved and
+    the normal matrices, identities standing in for those of the epochs
+    not solved."""
     eye = np.eye(normal.shape[-1])
     normal = np.where(ok[:, None, None], normal, eye)
     eig = np.linalg.eigvalsh(normal)
@@ -82,26 +86,31 @@ def _solve(normal, rhs, ok, errors: dict, message: str):
         errors[e] = SingularGeometry(message)
     ok = ok & ~singular
     normal[singular] = eye
-    return np.linalg.solve(normal, rhs[..., None])[..., 0], ok, normal
+    columns = rhs.reshape(len(rhs), len(eye), -1)
+    return (np.linalg.solve(normal, columns).reshape(rhs.shape), ok,
+            normal)
 
 
 def _normals(geometry: EpochGeometry, rows, a, weights, y):
     """Per epoch, the normal matrix and right-hand side of its rows
     among `rows` (bool), whose design rows are `a`, weights `weights`
-    and observations `y`: each epoch's rows go from index 0 of a padded
-    (epoch, row) array, zeros after them, so the sums of one epoch take
-    its own rows in their order and the same bits in any session."""
+    and observations `y`, one per row or one row of columns each: each
+    epoch's rows go from index 0 of a padded (epoch, row) array, zeros
+    after them, so the sums of one epoch take its own rows in their
+    order and the same bits in any session. One stacked matmul forms
+    the matrix and the right-hand side together."""
     epoch = geometry.epoch[rows]
     index = np.arange(len(epoch)) - np.searchsorted(epoch, epoch)
     shape = (len(geometry.times), index.max(initial=-1) + 1)
-    padded_a, padded_w, padded_y = (np.zeros(shape + np.shape(v)[1:])
-                                    for v in (a, weights, y))
-    padded_a[epoch, index] = a
-    padded_w[epoch, index] = weights
-    padded_y[epoch, index] = y
-    aw = padded_a * padded_w[..., None]
-    return (np.einsum("ewi,ewj->eij", aw, padded_a),
-            np.einsum("ewi,ew->ei", aw, padded_y))
+    columns = np.column_stack([a, y])
+    padded = np.zeros(shape + columns.shape[1:])
+    padded[epoch, index] = columns
+    aw = np.zeros(shape + a.shape[1:])
+    aw[epoch, index] = a * weights[:, None]
+    product = np.matmul(aw.transpose(0, 2, 1), padded)
+    unknowns = a.shape[1]
+    return (product[..., :unknowns], product[..., unknowns:].reshape(
+        product.shape[:2] + np.shape(y)[1:]))
 
 
 def _marked(n: int, errors: dict) -> np.ndarray:
@@ -117,18 +126,21 @@ def solve_spp(geometry: EpochGeometry,
     epoch of the unlocated session geometry `geometry`.
 
     Unknowns per epoch are the 3D position plus one clock bias per
-    constellation it observes (GPS always). Each epoch starts from its
-    own closed-form bootstrap. The iterations run in lockstep: each
-    locates the geometry at the current positions, so the atmosphere is
-    corrected with its delay models, and an epoch stops once its
-    position update is below `config.convergence`. Returns one outcome
-    per epoch: its SppSolution, or the error it raised
-    (InsufficientSatellites, SingularGeometry, NoConvergence, or what
-    the geometry raises for its satellites), in its place.
+    constellation it observes (GPS always). Each epoch starts from
+    Bancroft's closed-form fix of its own rows (see `_bancroft`), with
+    no mask, atmosphere or weights and one clock; an epoch with fewer
+    than 4 satellites of known state gets InsufficientSatellites, and
+    one whose fix is singular SingularGeometry. The iterations run in
+    lockstep: each locates the geometry at the current positions, so
+    the atmosphere is corrected with its delay models, and an epoch
+    stops once its position update is below `config.convergence`.
+    Returns one outcome per epoch: its SppSolution, or the error it
+    raised (InsufficientSatellites, SingularGeometry, NoConvergence, or
+    what the geometry raises for its satellites), in its place.
     """
     config = config or SolverConfig()
     n = len(geometry.times)
-    position, errors = _bootstrap_positions(geometry)
+    position, _, errors = _bancroft(geometry)
     normal = np.zeros((n, UNKNOWNS, UNKNOWNS))
     delta = np.zeros((n, UNKNOWNS))
     count = np.zeros((n, len(CONSTELLATIONS)), dtype=int)
@@ -215,38 +227,56 @@ def solve_spp(geometry: EpochGeometry,
     return outcomes
 
 
-def _bootstrap_positions(geometry: EpochGeometry):
-    """Coarse unweighted fixes of every epoch, started at the earth's
-    center, with no elevation mask and one clock for all its satellites
-    with a known state: (epochs, 3) positions, NaN for the epochs that
-    get none, and those epochs' errors."""
+def _lorentz(p, q):
+    """The Lorentz product of the 4-vectors along the last axes: the
+    product of the position parts less that of the clock parts."""
+    return (np.einsum("...i,...i->...", p[..., :3], q[..., :3])
+            - p[..., 3] * q[..., 3])
+
+
+def _bancroft(geometry: EpochGeometry):
+    """Bancroft's closed-form fix (Bancroft 1985, IEEE Trans. AES 21(1))
+    of every epoch from all its satellites with a known state, with no
+    elevation mask, atmosphere or Sagnac term, unweighted and one clock
+    for all: (epochs, 3) positions and (epochs,) clocks [m], NaN for the
+    epochs that get none, and those epochs' errors.
+
+    A satellite's row b = [s, rho], rho its code plus its own clock
+    term, and the fix r = [x, -clock], clock the receiver's, meet
+    b . r = <b, b> / 2 + L, where . is the Euclidean product, <p, q>
+    the Lorentz one and L = <r, r> / 2, since |s - x| = rho - clock.
+    So the least-squares r is L u + v, where u and v solve
+    B^T B u = B^T 1 and B^T B v = B^T <b, b> / 2, and L is a root of
+    <u, u> L^2 + 2 (<u, v> - 1) L + <v, v> = 0 (a negative
+    discriminant counted as 0). Of the two roots, the one whose fix
+    leaves the smaller sum of squared range residuals is kept.
+    """
     n = len(geometry.times)
     known = np.diff(geometry.start)
     errors = {e: InsufficientSatellites(
                   f"{known[e]} satellites with known state")
               for e in np.flatnonzero(known < 4).tolist()}
-    position = np.zeros((n, 3))
-    bias = np.zeros(n)
-    moving = known >= 4
-    for _ in range(12):
-        rows = moving[geometry.epoch]
-        epoch = geometry.epoch[rows]
-        delta = geometry.sat_position[rows] - position[epoch]
-        rng = np.linalg.norm(delta, axis=1)
-        a = np.ones((len(rng), 4))
-        a[:, :3] = -delta / rng[:, None]
-        resid = (geometry.code[rows] - rng
-                 + CLIGHT * geometry.clock_bias[rows] - bias[epoch])
-        normal, rhs = _normals(geometry, rows, a, np.ones(len(rng)), resid)
-        step, moving, _ = _solve(normal, rhs, moving, errors,
-                                 "bootstrap geometry singular")
-        position[moving] += step[moving, :3]
-        bias[moving] += step[moving, 3]
-        moving &= ~(np.linalg.norm(step[:, :3], axis=1) < 1.0)
-        if not moving.any():
-            break
-    position[_marked(n, errors)] = np.nan
-    return position, errors
+    rows = (known >= 4)[geometry.epoch]
+    epoch, sat = geometry.epoch[rows], geometry.sat_position[rows]
+    rho = geometry.code[rows] + CLIGHT * geometry.clock_bias[rows]
+    b = np.column_stack([sat, rho])
+    normal, rhs = _normals(geometry, rows, b, np.ones(len(b)),
+                           np.column_stack([np.ones(len(b)),
+                                            0.5 * _lorentz(b, b)]))
+    uv, ok, _ = _solve(normal, rhs, known >= 4, errors,
+                       "bootstrap geometry singular")
+    u, v = uv[..., 0], uv[..., 1]
+    uu = np.where(ok, _lorentz(u, u), 1.0)
+    half = _lorentz(u, v) - 1.0
+    root = np.sqrt(np.maximum(half * half - uu * _lorentz(v, v), 0.0))
+    scale = (-half + np.array([[-1.0], [1.0]]) * root) / uu
+    fixes = scale[..., None] * u + v
+    resid = (rho - np.linalg.norm(sat - fixes[:, epoch, :3], axis=2)
+             + fixes[:, epoch, 3])
+    cost = [np.bincount(epoch, weights=r * r, minlength=n) for r in resid]
+    fix = np.where((cost[1] < cost[0])[:, None], fixes[1], fixes[0])
+    fix[~ok] = np.nan
+    return fix[:, :3], -fix[:, 3], errors
 
 
 def solve_doppler_velocity(geometry: EpochGeometry,

@@ -187,6 +187,46 @@ class TestExitCodes:
         assert main(["inspect", "--graph", str(bad)]) == 2
         assert "error: parse" in capsys.readouterr().err
 
+    def test_graph_file_not_utf8_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "graph.json"
+        bad.write_bytes(b'{"nodes": "\xff"}')
+        assert main(["inspect", "--graph", str(bad)]) == 2
+        assert "error: parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", [
+        [],
+        {"nodes": [], "edges": [5]},
+        {"nodes": [], "edges": [], "optimizer": {
+            "final_cost": 1.0, "iterations": 1, "converged": True}},
+        {"nodes": [], "edges": [{"type": "trrtk"}]},
+    ], ids=["list-at-root", "edge-not-an-object",
+            "optimizer-without-initial-cost",
+            "trrtk-edge-without-time-difference"])
+    def test_graph_json_of_the_wrong_shape_is_parse_error(self, graph,
+                                                          tmp_path, capsys):
+        """Valid JSON that is not a graph export exits 2, with no
+        traceback and nothing of a summary printed."""
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps(graph))
+        assert main(["inspect", "--graph", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: parse") and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["pair_lattice: 5",
+                                       'use_trrtk: "false"'],
+                             ids=["lattice-not-a-list", "flag-not-a-bool"])
+    def test_bad_solver_setting_is_parse_error(self, entry, pipeline_dirs,
+                                               tmp_path, capsys):
+        root, sim, _ = pipeline_dirs
+        solver = tmp_path / "solver.yaml"
+        solver.write_text("iono: null\n" + entry + "\n")
+        assert main(["solve", "--obs", str(sim / "observations.rnx"),
+                     "--sat-states", str(sim / "sat_states.csv"),
+                     "--config", str(solver),
+                     "--out", str(tmp_path / "sol")]) == 2
+        assert "error: parse" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("entry", ["tropo: {pressure: 100}",
                                    "iono: {alpha: [1, 2, 3, 4]}"],

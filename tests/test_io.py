@@ -870,6 +870,17 @@ pair_lattice: [5, 10]
             with pytest.raises(IoFailure):
                 load_pipeline_yaml(io.StringIO("iono: null\n" + text))
 
+    @pytest.mark.parametrize("text", [
+        "pair_lattice: 5", "pair_lattice: [a]", "pair_lattice: abc",
+        "pair_lattice: [.inf]", 'use_trrtk: "false"', "use_trrtk: 0",
+        "use_pseudorange: no_such_value", "use_pseudorange: null"])
+    def test_pipeline_bad_values_raise(self, text):
+        """A lattice that is not a list of finite offsets, or a flag that
+        is not a YAML bool, is a parse error: "false" in quotes is not
+        false, and bool() of it would read as true."""
+        with pytest.raises(IoFailure):
+            load_pipeline_yaml(io.StringIO("iono: null\n" + text))
+
     @pytest.mark.parametrize("config_class, name", [
         (PipelineConfig, "graph"),
         (TrRtkConfig, "ratio_threshold"),

@@ -1,13 +1,15 @@
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gnssgraph.errors import InsufficientSatellites
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.pointpos import (SolverConfig, pseudorange_variance,
-                                solve_doppler_velocity, solve_spp)
+from gnssgraph.pointpos import (SolverConfig, _bancroft, _normals,
+                                pseudorange_variance, solve_doppler_velocity,
+                                solve_spp)
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
@@ -121,6 +123,56 @@ class TestSpp:
                              + CLIGHT * states[0][r, 6]
                              - sol.clock_biases[const])
             assert abs(np.mean(resid)) < 1e-6
+
+
+class TestClosedFormStart:
+    """Bancroft's fix of codes that are exactly |s - x| + b."""
+
+    def test_exact_codes_give_position_clock_and_the_surface_root(self):
+        from gnssgraph.constants import CLIGHT
+        truth, epochs, states = run_scenario(scenario(duration=1.0))
+        x = truth[0].position
+        # a clock of -0.1 s, far beyond a real receiver's, swaps the
+        # order of the quadratic's roots, so no fixed pick of one root
+        # passes for both epochs
+        clocks = (1e3, -3e7)
+        cut = [take(epoch, state, slice(6))
+               for epoch, state in zip(epochs[:2], states[:2])]
+        exact = [replace(epoch, code=np.linalg.norm(state[:, :3] - x, axis=1)
+                         + b - CLIGHT * state[:, 6])
+                 for (epoch, state), b in zip(cut, clocks)]
+        position, clock, errors = _bancroft(EpochGeometry(
+            exact, [state for _, state in cut]))
+        assert errors == {}
+        assert np.linalg.norm(position - x, axis=1).max() < 1e-6
+        assert np.abs(clock - clocks).max() < 1e-6
+
+
+class TestNormals:
+    def test_matches_dense_weighted_products(self):
+        """Epochs of 0, 1, 4 and 9 rows, some rows left out: each epoch's
+        matrix and 2-column right side are its own rows' A^T W A and
+        A^T W y."""
+        rng = np.random.default_rng(5)
+        epoch = np.repeat(np.arange(5), [3, 0, 1, 4, 9])
+        geometry = SimpleNamespace(epoch=epoch, times=(None,) * 5)
+        rows = np.ones(len(epoch), dtype=bool)
+        rows[:3] = False
+        a = rng.normal(size=(rows.sum(), 4))
+        weights = rng.uniform(0.1, 10.0, rows.sum())
+        y = rng.normal(size=(rows.sum(), 2))
+        normal, rhs = _normals(geometry, rows, a, weights, y)
+        assert normal.shape == (5, 4, 4) and rhs.shape == (5, 4, 2)
+        for e in range(5):
+            own = epoch[rows] == e
+            dense = a[own].T @ np.diag(weights[own])
+            assert np.allclose(normal[e], dense @ a[own], rtol=1e-12,
+                               atol=1e-12)
+            assert np.allclose(rhs[e], dense @ y[own], rtol=1e-12,
+                               atol=1e-12)
+        _, single = _normals(geometry, rows, a, weights, y[:, 0])
+        assert single.shape == (5, 4)
+        assert np.array_equal(single, rhs[..., 0])
 
 
 class TestDopplerVelocity:
