@@ -21,9 +21,8 @@ truth, epochs, sat_states = run_scenario(config)
 # every epoch solved at once, each on its own: the session's satellites
 # are gathered once and seen from each epoch's point solution
 satellites = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
-positions = np.array([spp.position for spp in solve_spp(satellites)])
-velocities = np.array([vel.velocity for vel in
-                       solve_doppler_velocity(satellites.at(positions))])
+positions = solve_spp(satellites).position
+velocities = solve_doppler_velocity(satellites.at(positions)).velocity
 position_errors = np.linalg.norm(
     positions - [rec.position for rec in truth], axis=1)
 velocity_errors = np.linalg.norm(

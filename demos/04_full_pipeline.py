@@ -9,9 +9,8 @@ accumulated drift.
 
 import numpy as np
 
-from gnssgraph import (BaselineStatus, PipelineConfig, ScenarioConfig,
-                       TrajectoryConfig, compute_rpe, run_scenario,
-                       solve_trajectory)
+from gnssgraph import (PipelineConfig, ScenarioConfig, TrajectoryConfig,
+                       compute_rpe, run_scenario, solve_trajectory)
 
 config = ScenarioConfig(
     duration=200.0,
@@ -31,8 +30,7 @@ for use_trrtk in (True, False):
         PipelineConfig(iono=config.iono, tropo=config.tropo,
                        use_trrtk=use_trrtk))
     mean, peak, _ = compute_rpe(result.positions, truth_positions)
-    fixed = sum(tr.status is BaselineStatus.FIXED
-                for _, _, tr in result.trrtk_results)
+    fixed = result.trrtk.fixed.sum()
     print(f"{label}: RPE mean {mean:.3f} m, max {peak:.3f} m "
           f"({fixed}/{result.trrtk_attempts} baselines fixed, "
           f"{result.report.iterations} optimizer iterations)")

@@ -28,7 +28,6 @@ from .metrics import evaluate
 from .pipeline import PipelineConfig, solve_trajectory
 from .rinex import header_for_scenario, parse_rinex_obs, write_rinex_obs
 from .sim import ScenarioConfig, run_scenario
-from .trrtk import BaselineStatus
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,24 +65,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fix_histogram(result) -> list[tuple[float, int, int]]:
-    """(time difference, attempts reaching a result, fixed count) rows."""
-    buckets: dict[float, list[int]] = {}
-    for past, current, tr in result.trrtk_results:
-        dt = round(tr.time_difference, 3)
-        entry = buckets.setdefault(dt, [0, 0])
-        entry[0] += 1
-        if tr.status is BaselineStatus.FIXED:
-            entry[1] += 1
-    return [(dt, n, fixed) for dt, (n, fixed) in sorted(buckets.items())]
-
-
 def _solver_log(result, label: str) -> str:
     report = result.report
     graph = result.graph
-    fixed = sum(tr.status is BaselineStatus.FIXED
-                for _, _, tr in result.trrtk_results)
-    errors = Counter(name for _, _, name in result.trrtk_errors)
+    trrtk = result.trrtk
+    fixed = int(trrtk.fixed.sum())
+    errors = Counter(type(error).__name__ for error in trrtk.errors.values())
     by_class = ", ".join(f"{name} {n}" for name, n in sorted(errors.items()))
     lines = [
         f"method: {label}",
@@ -94,15 +81,21 @@ def _solver_log(result, label: str) -> str:
         f"prior factors: {len(graph.priors)}",
         f"trrtk pairs attempted: {result.trrtk_attempts}",
         f"trrtk pairs fixed: {fixed}",
-        f"trrtk pairs rejected: {len(result.trrtk_results) - fixed}",
-        f"trrtk pairs errored: {len(result.trrtk_errors)}"
+        f"trrtk pairs rejected: "
+        f"{result.trrtk_attempts - len(trrtk.errors) - fixed}",
+        f"trrtk pairs errored: {len(trrtk.errors)}"
         + (f" ({by_class})" if by_class else ""),
         "",
         "fix rate by time difference [s]:",
     ]
-    for dt, count, nfixed in _fix_histogram(result):
-        rate = nfixed / count if count else 0.0
-        lines.append(f"  {dt:6.1f}  {nfixed:4d}/{count:<4d}  {rate:6.1%}")
+    # per time difference: the pairs that reached a result, and the fixed
+    solved = [k for k in range(len(trrtk.pairs)) if k not in trrtk.errors]
+    dts = [round(dt, 3) for dt in trrtk.time_difference[solved].tolist()]
+    fixed_by_dt = Counter(dt for dt, f in zip(dts, trrtk.fixed[solved]) if f)
+    for dt, count in sorted(Counter(dts).items()):
+        nfixed = fixed_by_dt[dt]
+        lines.append(f"  {dt:6.1f}  {nfixed:4d}/{count:<4d}  "
+                     f"{nfixed / count:6.1%}")
     lines += [
         "",
         f"initial cost: {report.initial_cost:.6e}",

@@ -26,9 +26,9 @@ import scipy.sparse.linalg as spla
 from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
-from .pointpos import SolverConfig, pseudorange_variance
-from .trrtk import BaselineStatus
-from .types import CONSTELLATION_INDEX, Constellation
+from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
+                       pseudorange_variance)
+from .trrtk import TrRtkPairs
 
 STATE_DIM = 7
 
@@ -159,17 +159,19 @@ class OptimizerReport:
     costs: list = field(default_factory=list)   # accepted-iteration costs
 
 
-def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
-                trrtk_results, solver: SolverConfig | None = None,
+def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
+                spp: SppSolution, trrtk: TrRtkPairs,
+                solver: SolverConfig | None = None,
                 use_pseudorange: bool = True) -> Graph:
     """Assemble the trajectory graph, one node per epoch of the unlocated
-    session geometry `geometry`.
+    session geometry `geometry`, from the stage tables of the session.
 
-    `velocities` holds one VelocitySolution per consecutive pair,
-    `trrtk_results` holds (past_index, current_index, TrRtkResult)
-    triples; only Fixed results become factors. Node positions start at
-    the epoch-0 point solution plus accumulated velocity increments.
-    The geometry is located once at them for the pseudorange factors,
+    Rows k < n - 1 of `velocities` give the velocity factors between
+    consecutive nodes, and the fixed rows of the pair table `trrtk` the
+    loop closures. Node positions start at the epoch-0 point solution
+    plus accumulated velocity increments, node clocks at the SPP clocks
+    (GPS, then each observed system's bias to it). The geometry is
+    located once at the node positions for the pseudorange factors,
     which are corrected with its delay models and weighted, above its
     elevation mask, as `solver` weights the point solutions; without
     `use_pseudorange` there are none.
@@ -178,29 +180,21 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
     n = len(geometry.times)
     if n == 0:
         raise EmptyInput("no epochs")
-    if len(velocities) < n - 1:
+    if len(velocities.velocity) < n - 1:
         raise MissingVelocity(
-            f"{len(velocities)} velocity solutions for {n} epochs")
+            f"{len(velocities.velocity)} velocity solutions for {n} epochs")
 
     dt = np.array([b - a for a, b in zip(geometry.times, geometry.times[1:])],
                   dtype=float)
-    velocity = np.array([v.velocity for v in velocities[:n - 1]],
-                        dtype=float).reshape(-1, 3)
-    reference = np.asarray(spp_solutions[0].position, dtype=float)
+    velocity = velocities.velocity[:n - 1]
+    reference = spp.position[0]
     states = np.zeros((n, STATE_DIM))
     states[1:, :3] = np.cumsum(velocity * dt[:, None], axis=0)
-    for k, spp in enumerate(spp_solutions):
-        biases = spp.clock_biases
-        gps = biases.get(Constellation.GPS, 0.0)
-        states[k, 3] = gps
-        for const, bias in biases.items():
-            slot = CONSTELLATION_INDEX[const]
-            if slot:
-                states[k, 3 + slot] = bias - gps
+    states[:, 3:] = np.where(spp.used > 0, spp.clock - spp.clock[:, :1], 0.0)
+    states[:, 3] = spp.clock[:, 0]
 
     span = dt[:, None, None]
-    cov = (np.array([v.covariance for v in velocities[:n - 1]],
-                    dtype=float).reshape(-1, 3, 3) * span * span)
+    cov = velocities.covariance[:n - 1] * span * span
     # V_k*dt is a left-endpoint rule; inflate by the acceleration term
     # it drops so corners do not bias the solution (each norm a dot
     # product, as np.linalg.norm takes one vector's)
@@ -211,18 +205,11 @@ def build_graph(geometry: EpochGeometry, velocities, spp_solutions,
         nodes=np.column_stack([np.arange(n - 1), np.arange(1, n)]),
         velocity=velocity, dt=dt, information=np.linalg.inv(cov))
 
-    fixed = [(i, j, result) for i, j, result in trrtk_results
-             if result.status is BaselineStatus.FIXED]
+    fixed = trrtk.fixed
     trrtk_factors = TrRtkFactors(
-        nodes=np.array([(i, j) for i, j, _ in fixed],
-                       dtype=int).reshape(-1, 2),
-        baseline=np.array([r.baseline for _, _, r in fixed],
-                          dtype=float).reshape(-1, 3),
-        time_difference=np.array([r.time_difference for _, _, r in fixed],
-                                 dtype=float),
-        information=np.linalg.inv(np.array(
-            [r.covariance for _, _, r in fixed],
-            dtype=float).reshape(-1, 3, 3)))
+        nodes=trrtk.pairs[fixed], baseline=trrtk.baseline[fixed],
+        time_difference=trrtk.time_difference[fixed],
+        information=np.linalg.inv(trrtk.covariance[fixed]))
 
     observed = np.zeros((n, 4), dtype=bool)
     pseudorange_factors = PseudorangeFactors.empty()

@@ -8,14 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel
-from .errors import GnssError
+from .errors import MalformedEpoch
 from .geometry import EpochGeometry
 from .graph import Graph, OptimizerReport, build_graph, optimize
-from .pointpos import SolverConfig, solve_doppler_velocity, solve_spp
+from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
+                       solve_doppler_velocity, solve_spp)
 # not called here: bench/spans.py traces estimate_baseline under this name
 from .trrtk import estimate_baseline  # noqa: F401
-from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, epoch_corrections,
-                    solve_pairs)
+from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, TrRtkPairs,
+                    epoch_corrections, solve_pairs)
 
 
 @dataclass(slots=True)
@@ -41,12 +42,18 @@ class PipelineResult:
     states: np.ndarray                 # (n, 7) optimized node states
     graph: Graph
     report: OptimizerReport
-    spp_solutions: list
-    velocities: list
-    trrtk_results: list                # (past, current, TrRtkResult)
-    trrtk_attempts: int = 0            # results plus errors
-    # (past, current, GnssError class name) of each pair that errored
-    trrtk_errors: list = field(default_factory=list)
+    spp: SppSolution
+    velocities: VelocitySolution
+    trrtk: TrRtkPairs                  # every attempted pair
+    trrtk_attempts: int = 0            # rows of `trrtk`
+
+    @property
+    def trrtk_results(self) -> list:
+        """(past, current, TrRtkResult) of each pair that reached a
+        result, fixed or rejected, in the order of the attempts."""
+        return [(i, j, self.trrtk.result(k))
+                for k, (i, j) in enumerate(self.trrtk.pairs.tolist())
+                if k not in self.trrtk.errors]
 
 
 def lattice_pairs(times, offsets, interval: float) -> list:
@@ -68,52 +75,50 @@ def lattice_pairs(times, offsets, interval: float) -> list:
     return pairs
 
 
-def _solutions(outcomes: list, times) -> list:
-    """`outcomes`, one per epoch, if none is an error; else the earliest
-    epoch's error, raised with its index and time in the message."""
-    for k, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            error = type(outcome)(f"epoch {k} at {times[k]}: {outcome}")
-            raise error from outcome
-    return outcomes
+def _raise_earliest(errors: dict, times) -> None:
+    """Raise the error in `errors` of the earliest of the epochs at
+    `times`, if any, with its index and time in the message."""
+    k = min((k for k in errors if k < len(times)), default=None)
+    if k is not None:
+        raise type(errors[k])(f"epoch {k} at {times[k]}: {errors[k]}") from (
+            errors[k])
 
 
 def solve_trajectory(epochs, sat_states,
                      config: PipelineConfig | None = None) -> PipelineResult:
-    """Run the full estimation chain over one observation session."""
+    """Run the full estimation chain over one observation session, whose
+    epoch times must strictly increase (MalformedEpoch otherwise)."""
     config = config or PipelineConfig()
 
     # the session's satellites gathered once, with the delay models
     geometry = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
     times = geometry.times
-    spp_solutions = _solutions(solve_spp(geometry, config.solver), times)
+    steps = [b - a for a, b in zip(times, times[1:])]
+    for k, step in enumerate(steps, start=1):
+        if not step > 0.0:
+            raise MalformedEpoch(f"epoch {k} at {times[k]} is not later "
+                                 f"than epoch {k - 1} at {times[k - 1]}")
+    spp = solve_spp(geometry, config.solver)
+    _raise_earliest(spp.errors, times)
     # located once at the point solutions, for Doppler (which uses no
     # delay model) and for TR-RTK
-    located = geometry.at([spp.position for spp in spp_solutions])
-    velocities = _solutions(
-        solve_doppler_velocity(located, config.solver)[:len(times) - 1],
-        times)
+    located = geometry.at(spp.position)
+    velocities = solve_doppler_velocity(located, config.solver)
+    # the last epoch's velocity enters no factor
+    _raise_earliest(velocities.errors, times[:-1])
 
-    trrtk_results = []
-    trrtk_errors = []
-    pairs = []
+    trrtk = TrRtkPairs.unsolved(np.zeros((0, 2), int), np.zeros(0))
     if config.use_trrtk:
         session = epoch_corrections(located, config.trrtk)
         # the median spacing: one gap does not change the time step
-        steps = [b - a for a, b in zip(times, times[1:])]
         interval = float(np.median(steps)) if steps else 1.0
-        pairs = lattice_pairs(times, config.pair_lattice, interval)
-        outcomes = solve_pairs(session, pairs, config.trrtk, interval)
-        for (i, j), outcome in zip(pairs, outcomes):
-            if isinstance(outcome, GnssError):
-                trrtk_errors.append((i, j, type(outcome).__name__))
-            else:
-                trrtk_results.append((i, j, outcome))
+        trrtk = solve_pairs(session,
+                            lattice_pairs(times, config.pair_lattice,
+                                          interval), config.trrtk, interval)
 
-    graph = build_graph(geometry, velocities, spp_solutions, trrtk_results,
-                        config.solver, config.use_pseudorange)
+    graph = build_graph(geometry, velocities, spp, trrtk, config.solver,
+                        config.use_pseudorange)
     states, report = optimize(graph)
     positions = graph.reference_position + states[:, :3]
-    return PipelineResult(positions, states, graph, report, spp_solutions,
-                          velocities, trrtk_results, len(pairs),
-                          trrtk_errors)
+    return PipelineResult(positions, states, graph, report, spp, velocities,
+                          trrtk, len(trrtk.pairs))

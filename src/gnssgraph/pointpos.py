@@ -9,8 +9,9 @@ sit in a padded (epoch, row) array, its normal equations are formed by
 one stacked `matmul` and solved in a stack of small systems, so no sum
 or LAPACK call spans two epochs and an epoch gets the same bits in any
 session. SPP starts every epoch from Bancroft's closed-form fix, one
-more such stacked solve. An epoch's error is its outcome, in its
-place, and stops no other.
+more such stacked solve. Each returns one table, a row per epoch; an
+epoch's error goes into the table's `errors` under its index and
+stops no other.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .coords import ecef_to_geodetic
 from .errors import (InsufficientSatellites, NearSingular, NoConvergence,
                      SingularGeometry)
 from .geometry import EpochGeometry
-from .types import CONSTELLATIONS, Constellation
+from .types import CONSTELLATIONS
 
 # position and one clock slot per constellation
 UNKNOWNS = 3 + len(CONSTELLATIONS)
@@ -45,17 +46,23 @@ class SolverConfig:
 
 @dataclass
 class SppSolution:
-    position: np.ndarray
-    clock_biases: dict[Constellation, float]   # [m]
-    covariance: np.ndarray                     # 7x7, position + 4 clock slots
-    used_satellites: dict[Constellation, int]
+    """A session's SPP fixes, row e of each array epoch e's."""
+
+    position: np.ndarray           # (n, 3) [m ECEF]
+    clock: np.ndarray              # (n, 4) [m] per slot, 0 if unobserved
+    covariance: np.ndarray         # (n, 7, 7), position + 4 clock slots
+    used: np.ndarray               # (n, 4) satellites per slot, 0 if none
+    errors: dict                   # epoch -> the GnssError it raised
 
 
 @dataclass
 class VelocitySolution:
-    velocity: np.ndarray           # [m/s]
-    clock_drift: float             # receiver clock drift [m/s]
-    covariance: np.ndarray         # 3x3 [m^2/s^2]
+    """A session's Doppler velocities, row e of each array epoch e's."""
+
+    velocity: np.ndarray           # (n, 3) [m/s]
+    clock_drift: np.ndarray        # (n,) receiver clock drift [m/s]
+    covariance: np.ndarray         # (n, 3, 3) [m^2/s^2]
+    errors: dict                   # epoch -> the GnssError it raised
 
 
 def pseudorange_variance(elevation, config: SolverConfig | None = None):
@@ -97,18 +104,18 @@ def _normals(geometry: EpochGeometry, rows, a, weights, y):
     and observations `y`, one per row or one row of columns each: each
     epoch's rows go from index 0 of a padded (epoch, row) array, zeros
     after them, so the sums of one epoch take its own rows in their
-    order and the same bits in any session. One stacked matmul forms
-    the matrix and the right-hand side together."""
+    order and the same bits in any session. [a, y, weights] go into the
+    padded array in one scatter, and one stacked matmul forms the
+    matrix and the right-hand side together."""
     epoch = geometry.epoch[rows]
     index = np.arange(len(epoch)) - np.searchsorted(epoch, epoch)
     shape = (len(geometry.times), index.max(initial=-1) + 1)
-    columns = np.column_stack([a, y])
+    columns = np.column_stack([a, y, weights])
     padded = np.zeros(shape + columns.shape[1:])
     padded[epoch, index] = columns
-    aw = np.zeros(shape + a.shape[1:])
-    aw[epoch, index] = a * weights[:, None]
-    product = np.matmul(aw.transpose(0, 2, 1), padded)
     unknowns = a.shape[1]
+    aw = padded[..., :unknowns] * padded[..., -1:]
+    product = np.matmul(aw.transpose(0, 2, 1), padded[..., :-1])
     return (product[..., :unknowns], product[..., unknowns:].reshape(
         product.shape[:2] + np.shape(y)[1:]))
 
@@ -121,7 +128,7 @@ def _marked(n: int, errors: dict) -> np.ndarray:
 
 
 def solve_spp(geometry: EpochGeometry,
-              config: SolverConfig | None = None) -> list:
+              config: SolverConfig | None = None) -> SppSolution:
     """Iterated weighted least-squares single point positioning of every
     epoch of the unlocated session geometry `geometry`.
 
@@ -134,15 +141,17 @@ def solve_spp(geometry: EpochGeometry,
     lockstep: each locates the geometry at the current positions, so
     the atmosphere is corrected with its delay models, and an epoch
     stops once its position update is below `config.convergence`.
-    Returns one outcome per epoch: its SppSolution, or the error it
-    raised (InsufficientSatellites, SingularGeometry, NoConvergence, or
-    what the geometry raises for its satellites), in its place.
+    Returns the SppSolution table; the rows of an epoch in its `errors`
+    hold no fix, and those errors are InsufficientSatellites,
+    SingularGeometry, NoConvergence, or what the geometry raises for
+    the epoch's satellites.
     """
     config = config or SolverConfig()
     n = len(geometry.times)
     position, _, errors = _bancroft(geometry)
-    normal = np.zeros((n, UNKNOWNS, UNKNOWNS))
-    delta = np.zeros((n, UNKNOWNS))
+    # the last solved step's normal matrix and clocks of each epoch
+    normal = np.tile(np.eye(UNKNOWNS), (n, 1, 1))
+    clock = np.zeros((n, len(CONSTELLATIONS)))
     count = np.zeros((n, len(CONSTELLATIONS)), dtype=int)
     active = ~_marked(n, errors)
     for _ in range(config.max_iterations + 1):
@@ -198,7 +207,7 @@ def solve_spp(geometry: EpochGeometry,
             step_normal, rhs, ok, errors,
             "normal matrix condition number > 1e12")
         position[ok] += step[ok, :3]
-        normal[ok], delta[ok], count[ok] = (step_normal[ok], step[ok],
+        normal[ok], clock[ok], count[ok] = (step_normal[ok], step[ok, 3:],
                                             used_count[ok])
         active = ok & ~(np.linalg.norm(step[:, :3], axis=1)
                         < config.convergence)
@@ -208,23 +217,12 @@ def solve_spp(geometry: EpochGeometry,
         errors[e] = NoConvergence(
             "SPP did not converge within iteration budget")
 
-    solved = ~_marked(n, errors)
     observed = count > 0
-    cov = np.zeros_like(normal)
-    cov[solved] = np.linalg.inv(normal[solved])
     kept = np.concatenate([np.ones((n, 3), dtype=bool), observed], axis=1)
-    cov = np.where(kept[:, :, None] & kept[:, None, :], cov, 0.0)
-    outcomes = []
-    for e, (seen, clocks, in_use) in enumerate(zip(
-            observed.tolist(), delta[:, 3:].tolist(), count.tolist())):
-        if e in errors:
-            outcomes.append(errors[e])
-            continue
-        present = [k for k, s in enumerate(seen) if s]
-        outcomes.append(SppSolution(
-            position[e], {CONSTELLATIONS[k]: clocks[k] for k in present},
-            cov[e], {CONSTELLATIONS[k]: in_use[k] for k in present}))
-    return outcomes
+    cov = np.where(kept[:, :, None] & kept[:, None, :],
+                   np.linalg.inv(normal), 0.0)
+    return SppSolution(position, np.where(observed, clock, 0.0), cov, count,
+                       errors)
 
 
 def _lorentz(p, q):
@@ -280,16 +278,17 @@ def _bancroft(geometry: EpochGeometry):
 
 
 def solve_doppler_velocity(geometry: EpochGeometry,
-                           config: SolverConfig | None = None) -> list:
+                           config: SolverConfig | None = None
+                           ) -> VelocitySolution:
     """Least squares velocity from Doppler range rates of every epoch of
     `geometry`, each epoch's satellites seen from its receiver position.
 
     Measured range rate is -wavelength * doppler; the model is
     (v_sat - v_user) . u + drift_rcv_m - c * drift_sat. No delay model
-    enters, so the geometry's models do not matter. Returns one outcome
-    per epoch: its VelocitySolution, or the error it raised
-    (InsufficientSatellites, DegenerateGeometry, SingularGeometry), in
-    its place.
+    enters, so the geometry's models do not matter. Returns the
+    VelocitySolution table; the rows of an epoch in its `errors`
+    (InsufficientSatellites, DegenerateGeometry, SingularGeometry) hold
+    no velocity.
     """
     config = config or SolverConfig()
     n = len(geometry.times)
@@ -316,6 +315,4 @@ def solve_doppler_velocity(geometry: EpochGeometry,
     diagonal = np.arange(3)
     cov[:, diagonal, diagonal] = np.maximum(cov[:, diagonal, diagonal],
                                             config.velocity_sigma_floor ** 2)
-    return [errors[e] if e in errors
-            else VelocitySolution(sol[e, :3], float(sol[e, 3]), cov[e])
-            for e in range(n)]
+    return VelocitySolution(sol[:, :3], sol[:, 3], cov, errors)

@@ -8,9 +8,11 @@ makes it by construction (the time-differenced carrier phase model of
 van Graas & Soloviev 2004 and Freda et al. 2015); a chi-squared test of
 the residuals and the formal baseline precision gate the result.
 
-Receiver clock terms cancel in the between-satellite difference and
-satellite clock biases cancel in the time difference, so only clock
-drift over the (bounded) window remains as an unmodeled error.
+Receiver clock terms cancel in the between-satellite difference. The
+satellite clocks are not corrected in the time-differenced phase: each
+changes over the window by its own drift, so the change survives the
+between-satellite difference as an unmodeled error, and not one below
+the noise: a drift of 1e-12 s/s gives 3 cm over 100 s.
 
 `epoch_corrections` scatters a located `EpochGeometry` onto one
 (epoch, satellite) grid, `SessionArrays`, and `solve_pairs` solves a
@@ -18,9 +20,10 @@ lattice of its epoch pairs in blocks, on arrays indexed by (pair,
 session satellite): each pair's normal equations under the DD covariance
 D + r 11^T are one centered weighted Gram product, the Gauss-Newton
 steps are stacked 6x6 solves, each pass on only the pairs that have not
-converged, and the p-values are one call per block. No sum or product
-spans two pairs, so a pair gets the same bits in any block and in any
-pass; its GnssError is its result and never stops the block.
+converged, and the p-values are one call per block. Each block fills
+its rows of one `TrRtkPairs` table. No sum or product spans two pairs,
+so a pair gets the same bits in any block and in any pass; its
+GnssError goes into the table's `errors` and never stops the block.
 `estimate_baseline`, `detect_cycle_slips` and `form_double_differences`
 are views of the kernel on one pair of a session.
 """
@@ -36,7 +39,7 @@ import numpy as np
 # not used here: bench/spans.py traces LAMBDA under this module's name
 from .ambiguity import lambda_resolve  # noqa: F401
 from .coords import unchecked_lines_of_sight
-from .errors import (DegenerateGeometry, GnssError, InsufficientSatellites,
+from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
 from .types import SatelliteId
@@ -79,6 +82,40 @@ class TrRtkResult:
     p_value: float                     # of the overall-model test
     time_difference: float             # [s]
     dd_ambiguities: tuple
+
+
+@dataclass(frozen=True)
+class TrRtkPairs:
+    """The outcomes of epoch pairs, row k of each array pair k's. A pair
+    in `errors` has no solution in its rows and is not fixed."""
+
+    pairs: np.ndarray                  # (P, 2) past, current epoch
+    time_difference: np.ndarray        # (P,) [s]
+    fixed: np.ndarray                  # (P,) bool, else rejected
+    baseline: np.ndarray               # (P, 3) past -> current [m ECEF]
+    covariance: np.ndarray             # (P, 3, 3) [m^2]
+    p_value: np.ndarray                # (P,) of the overall-model test
+    dd_count: np.ndarray               # (P,) double differences formed
+    errors: dict                       # row -> the GnssError it raised
+
+    @classmethod
+    def unsolved(cls, pairs, time_difference) -> TrRtkPairs:
+        """The table of `pairs` (P, 2), rejected until solved."""
+        count = len(pairs)
+        return cls(pairs, time_difference, np.zeros(count, bool),
+                   np.zeros((count, 3)), np.zeros((count, 3, 3)),
+                   np.zeros(count), np.zeros(count, int), {})
+
+    def result(self, k: int) -> TrRtkResult:
+        """Row k as a TrRtkResult; its GnssError raised if it has one."""
+        if k in self.errors:
+            raise self.errors[k]
+        fixed = bool(self.fixed[k])
+        return TrRtkResult(
+            self.baseline[k], self.covariance[k],
+            BaselineStatus.FIXED if fixed else BaselineStatus.REJECTED,
+            float(self.p_value[k]), float(self.time_difference[k]),
+            (0,) * int(self.dd_count[k]) if fixed else ())
 
 
 @dataclass(frozen=True)
@@ -189,9 +226,11 @@ def _locked(s: SessionArrays, past, current, dt, interval) -> np.ndarray:
 
 def time_single_difference(s: SessionArrays, past, current) -> np.ndarray:
     """(B, S) time-differenced carrier phase [m] of the epoch pairs
-    (past, current). Satellite clock bias is deliberately not corrected:
-    it is constant over the short window and cancels in the difference;
-    only drift survives, which the window cap keeps below the noise."""
+    (past, current). The satellite clock is not corrected: its change
+    over the window, c times the satellite's drift times the window,
+    differs per satellite, so it survives the between-satellite
+    difference and stays as an unmodeled error, 3 cm over 100 s at a
+    drift of 1e-12 s/s."""
     return s.wavelength[current] * (s.phase[current] - s.phase[past])
 
 
@@ -199,12 +238,13 @@ def _double_differences(s: SessionArrays, past, current, locked,
                         config: TrRtkConfig) -> DoubleDiffSet:
     """Between-satellite differences of each pair's locked satellites
     that both epochs' corrections hold. Carrier phase enters
-    time-differenced, so satellite clocks drop out; pseudorange enters per
-    epoch with the satellite clock corrected, which keeps the anchor
-    position observable. The reference is the highest satellite of each
-    constellation at the current epoch (the last in sort order on a tie),
-    and only satellites on its carrier wavelength are differenced against
-    it (cross-channel GLONASS DD ambiguities would not be integer)."""
+    time-differenced, with the satellite clocks' change left in it;
+    pseudorange enters per epoch with the satellite clock corrected,
+    which keeps the anchor position observable. The reference is the
+    highest satellite of each constellation at the current epoch (the
+    last in sort order on a tie), and only satellites on its carrier
+    wavelength are differenced against it (cross-channel GLONASS DD
+    ambiguities would not be integer)."""
     n = np.arange(len(past))[:, None]
     usable = locked & s.usable[past] & s.usable[current]
     wavelength = s.wavelength[current]
@@ -399,26 +439,30 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
 
 
 def solve_pairs(s: SessionArrays, pairs, config: TrRtkConfig | None = None,
-                interval: float = 1.0) -> list:
-    """The TrRtkResult of every (past, current) epoch pair of `s`, or the
-    GnssError that stopped it, in the order of `pairs`, `BLOCK_PAIRS` at
-    a time. A pair is Fixed, with every DD integer 0, when the chi-squared
-    test of its weighted residuals gives a p-value of at least
-    `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance is at
-    most `PRECISION_MAX_M`; otherwise it is Rejected and must not become
-    a graph edge. `interval` is the observation spacing [s] the slip
-    screen expects the lock counts to grow by."""
+                interval: float = 1.0) -> TrRtkPairs:
+    """The TrRtkPairs table of the (past, current) epoch pairs `pairs` of
+    `s`, solved `BLOCK_PAIRS` at a time, each pair's GnssError in its
+    `errors`. A pair is fixed, with every DD integer 0, when the
+    chi-squared test of its weighted residuals gives a p-value of at
+    least `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance
+    is at most `PRECISION_MAX_M`; otherwise it is rejected and must not
+    become a graph edge. `interval` is the observation spacing [s] the
+    slip screen expects the lock counts to grow by."""
     config = config or TrRtkConfig()
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    out = []
+    table = TrRtkPairs.unsolved(pairs, np.array(
+        [s.times[j] - s.times[i] for i, j in pairs.tolist()], dtype=float))
     for start in range(0, len(pairs), BLOCK_PAIRS):
-        out += _solve_block(s, *pairs[start:start + BLOCK_PAIRS].T, config,
-                            interval)
-    return out
+        _solve_block(s, table, slice(start, start + BLOCK_PAIRS), config,
+                     interval)
+    return table
 
 
-def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
-    dt = [s.times[j] - s.times[i] for i, j in zip(past, current)]
+def _solve_block(s: SessionArrays, table: TrRtkPairs, rows: slice, config,
+                 interval) -> None:
+    """Solve the pairs `rows` of `table` into their rows."""
+    past, current = table.pairs[rows].T
+    dt = table.time_difference[rows]
     out = [None] * len(dt)
 
     def fail(mask, error):
@@ -428,7 +472,7 @@ def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
     fail(np.abs(dt) > config.max_time_difference, lambda k: WindowExceeded(
         f"pair separated by {dt[k]:.1f} s exceeds "
         f"{config.max_time_difference:.1f} s window"))
-    locked = _locked(s, past, current, np.array(dt), interval)
+    locked = _locked(s, past, current, dt, interval)
     n_locked = locked.sum(axis=1)
     fail(n_locked < 5, lambda k: InsufficientSatellites(
         f"only {n_locked[k]} continuously locked satellites"))
@@ -440,14 +484,13 @@ def _solve_block(s: SessionArrays, past, current, config, interval) -> list:
     baseline, cov, omega, errors = solve_float_baseline(dd, config, alive)
     p_value = np.zeros(len(dt))
     p_value[alive] = _chi2_survival(omega[alive], 3 * m[alive] - 3)
-    fixed = ((p_value >= INTEGRITY_P_MIN) & (np.sqrt(
+    errors = [a or b for a, b in zip(out, errors)]
+    table.fixed[rows] = (np.array([e is None for e in errors])
+                         & (p_value >= INTEGRITY_P_MIN) & (np.sqrt(
         np.trace(cov, axis1=1, axis2=2)) <= PRECISION_MAX_M))
-    for k in np.flatnonzero(alive):
-        out[k] = errors[k] or TrRtkResult(
-            baseline[k], cov[k],
-            BaselineStatus.FIXED if fixed[k] else BaselineStatus.REJECTED,
-            float(p_value[k]), dt[k], (0,) * int(m[k]) if fixed[k] else ())
-    return out
+    table.baseline[rows], table.covariance[rows] = baseline, cov
+    table.p_value[rows], table.dd_count[rows] = p_value, m
+    table.errors.update((rows.start + k, e) for k, e in enumerate(errors) if e)
 
 
 def detect_cycle_slips(s: SessionArrays, past: int, current: int,
@@ -480,7 +523,4 @@ def estimate_baseline(s: SessionArrays, past: int, current: int,
                       interval: float = 1.0) -> TrRtkResult:
     """`solve_pairs` on the pair (past, current) of `s`: its TrRtkResult,
     or its GnssError raised."""
-    (result,) = solve_pairs(s, [(past, current)], config, interval)
-    if isinstance(result, GnssError):
-        raise result
-    return result
+    return solve_pairs(s, [(past, current)], config, interval).result(0)

@@ -221,11 +221,11 @@ def test_criterion_7_zero_noise_oracle_closure():
     tpos = np.array([r.position for r in truth])
 
     satellites = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
-    spp = np.array([s.position for s in solve_spp(satellites)])
+    spp = solve_spp(satellites).position
     geometry = satellites.at(spp)
     session = epoch_corrections(geometry)
     spp_err = np.linalg.norm(spp - tpos, axis=1).max()
-    vel = np.array([v.velocity for v in solve_doppler_velocity(geometry)])
+    vel = solve_doppler_velocity(geometry).velocity
     vel_err = np.linalg.norm(
         vel - np.array([r.velocity for r in truth]), axis=1).max()
 
@@ -266,8 +266,8 @@ def test_criterion_9_doppler_velocity_quality():
     cfg = ScenarioConfig(duration=999.0, seed=9)   # static, default noise
     truth, epochs, states = run_scenario(cfg)
     geometry = EpochGeometry(epochs, states).at([r.position for r in truth])
-    errors = np.array([v.velocity - r.velocity for v, r in
-                       zip(solve_doppler_velocity(geometry), truth)])
+    errors = (solve_doppler_velocity(geometry).velocity
+              - np.array([r.velocity for r in truth]))
     rms = np.sqrt((errors ** 2).mean(axis=0))
     announce(9, len(epochs) >= 1000 and rms.max() < 0.05,
              f"Doppler velocity RMS per axis {np.round(rms, 4)} m/s over "

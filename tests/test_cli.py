@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -226,6 +227,30 @@ class TestExitCodes:
                      "--config", str(solver),
                      "--out", str(tmp_path / "sol")]) == 2
         assert "error: parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, first", [
+        (lambda blocks: blocks[:3] + blocks[2:], 3),
+        (lambda blocks: blocks[:3] + [blocks[2].partition("\n")[0] + "\n"
+                                      + blocks[3].partition("\n")[2]]
+         + blocks[4:], 3),
+        (lambda blocks: blocks[::-1], 1),
+    ], ids=["repeated-epoch", "two-epochs-one-time", "reversed-epochs"])
+    def test_epoch_times_not_increasing_is_parse_error(
+            self, edit, first, pipeline_dirs, tmp_path, capsys):
+        """Epoch times that do not strictly increase exit 2, naming the
+        first epoch that is not later than the one before it."""
+        root, sim, _ = pipeline_dirs
+        head, *blocks = re.split(r"(?m)^(?=> )",
+                                 (sim / "observations.rnx").read_text())
+        obs = tmp_path / "observations.rnx"
+        obs.write_text(head + "".join(edit(blocks)))
+        assert main(["solve", "--obs", str(obs),
+                     "--sat-states", str(sim / "sat_states.csv"),
+                     "--config", str(sim / "solver.yaml"),
+                     "--out", str(tmp_path / "sol")]) == 2
+        err = capsys.readouterr().err
+        assert re.match(f"error: parse: epoch {first} at .* is not later "
+                        f"than epoch {first - 1} at ", err), err
 
 
 @pytest.mark.parametrize("entry", ["tropo: {pressure: 100}",

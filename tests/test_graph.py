@@ -9,10 +9,10 @@ from gnssgraph.graph import (RELINEARIZE_THRESHOLD, build_graph,
                              evaluate_cost, optimize, residual_pseudorange,
                              residual_trrtk, residual_velocity)
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
-from gnssgraph.pointpos import solve_spp
+from gnssgraph.pointpos import VelocitySolution, solve_spp
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
-from gnssgraph.trrtk import BaselineStatus, TrRtkResult
+from gnssgraph.trrtk import TrRtkPairs
 from gnssgraph.types import Constellation, SatelliteId
 from sessions import position_of
 
@@ -117,13 +117,14 @@ class TestBuildGraph:
         sats = satellites(cfg, epochs, states)
         spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = solve_doppler_velocity(
-            sats.at([p.position for p in spp]))[:-1]
-        rejected = TrRtkResult(np.zeros(3), np.eye(3),
-                               BaselineStatus.REJECTED, 1.0, 5.0, ())
-        fixed = TrRtkResult(np.ones(3), 1e-4 * np.eye(3),
-                            BaselineStatus.FIXED, 9.0, 5.0, (0, 0, 0, 0))
-        g = build_graph(sats, vel, spp, [(0, 5, rejected), (1, 6, fixed)])
+        vel = solve_doppler_velocity(sats.at(spp.position))
+        # (0, 5) rejected, (1, 6) fixed
+        pairs = TrRtkPairs(np.array([[0, 5], [1, 6]]), np.array([5.0, 5.0]),
+                           np.array([False, True]),
+                           np.array([np.zeros(3), np.ones(3)]),
+                           np.array([np.eye(3), 1e-4 * np.eye(3)]),
+                           np.array([1.0, 9.0]), np.array([0, 4]), {})
+        g = build_graph(sats, vel, spp, pairs)
         assert len(g.trrtk_factors) == 1
         assert g.trrtk_factors[0].nodes.tolist() == [1, 6]
 
@@ -155,8 +156,12 @@ class TestBuildGraph:
         truth, epochs, states = run_scenario(cfg)
         sats = satellites(cfg, epochs, states)
         spp = solve_spp(sats)
+        none = VelocitySolution(np.zeros((0, 3)), np.zeros(0),
+                                np.zeros((0, 3, 3)), {})
         with pytest.raises(MissingVelocity):
-            build_graph(sats, [], spp, [])
+            build_graph(sats, none, spp,
+                        TrRtkPairs.unsolved(np.zeros((0, 2), int),
+                                            np.zeros(0)))
 
     def test_gauge_translation_invariance(self):
         """Velocity and TR residuals depend only on relative positions."""
@@ -449,12 +454,12 @@ class TestOptimizer:
         sats = satellites(cfg, epochs[:2], states[:2])
         spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = solve_doppler_velocity(sats.at([p.position for p in spp]))[:1]
+        vel = solve_doppler_velocity(sats.at(spp.position))
         b = np.array([2.0, 0.0, 0.0])
-        fixed = TrRtkResult(b, 1e-8 * np.eye(3), BaselineStatus.FIXED,
-                            10.0, 1.0, (0,) * 5)
-        g = build_graph(sats, vel, spp, [(0, 1, fixed)],
-                        use_pseudorange=False)
+        fixed = TrRtkPairs(np.array([[0, 1]]), np.array([1.0]),
+                           np.array([True]), b[None], 1e-8 * np.eye(3)[None],
+                           np.array([10.0]), np.array([5]), {})
+        g = build_graph(sats, vel, spp, fixed, use_pseudorange=False)
         # loosen the velocity factor so the TR factor dominates
         g.velocity_factors.information[0] = 1e-6 * np.eye(3)
         x, report = optimize(g)

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,12 +30,16 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-def alone(outcomes):
-    """The one outcome of a one-epoch session, its error raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def alone(table):
+    """The one row of a one-epoch session's table, its error raised."""
+    if 0 in table.errors:
+        raise table.errors[0]
+    return SimpleNamespace(**{f.name: getattr(table, f.name)[0]
+                              for f in fields(table) if f.name != "errors"})
+
+
+GPS, GAL = (CONSTELLATION_INDEX[c] for c in (Constellation.GPS,
+                                             Constellation.GAL))
 
 
 def spp_alone(epoch, states, iono=None, tropo=None):
@@ -71,7 +75,7 @@ class TestSpp:
         sol = spp_alone(epochs[0], states[0])
         assert np.linalg.norm(sol.position - truth[0].position) < 1e-6
         expected_bias = 299792458.0 * cfg.receiver_clock.bias0
-        assert abs(sol.clock_biases[Constellation.GPS] - expected_bias) < 1e-6
+        assert abs(sol.clock[GPS] - expected_bias) < 1e-6
 
     def test_with_atmosphere_corrected(self):
         from gnssgraph.atmosphere import KlobucharParams, TropoModel
@@ -87,9 +91,9 @@ class TestSpp:
         sol = spp_alone(epochs[0], states[0])
         # zero noise: each bias equals the receiver clock in meters exactly
         expected = 299792458.0 * cfg.receiver_clock.bias0
-        assert abs(sol.clock_biases[Constellation.GPS] - expected) < 1e-6
-        assert abs(sol.clock_biases[Constellation.GAL] - expected) < 1e-6
-        assert sol.used_satellites[Constellation.GAL] >= 4
+        assert abs(sol.clock[GPS] - expected) < 1e-6
+        assert abs(sol.clock[GAL] - expected) < 1e-6
+        assert sol.used[GAL] >= 4
 
     def test_three_satellites_rejected(self):
         cfg = scenario()
@@ -121,7 +125,7 @@ class TestSpp:
                                          position_of(epoch, states[0], key))
                 resid.append(epoch.code[r] - rng_m
                              + CLIGHT * states[0][r, 6]
-                             - sol.clock_biases[const])
+                             - sol.clock[CONSTELLATION_INDEX[const]])
             assert abs(np.mean(resid)) < 1e-6
 
 
@@ -236,8 +240,8 @@ class TestDopplerVelocity:
 
 class TestSppSession:
     """Every epoch of a session is solved on its own: an epoch's error is
-    its outcome, in its place, and the others get the bits they get
-    alone."""
+    in the table's errors under its index, and the others get the bits
+    they get alone."""
 
     CONFIG = SolverConfig(max_iterations=2)
 
@@ -265,21 +269,20 @@ class TestSppSession:
 
     def test_errors_stay_in_place(self):
         cfg, epochs, states = self.session()
-        outcomes = solve_spp(EpochGeometry(epochs, states, cfg.iono,
-                                           cfg.tropo), self.CONFIG)
-        assert [type(o).__name__ for o in outcomes] == [
+        table = solve_spp(EpochGeometry(epochs, states, cfg.iono,
+                                        cfg.tropo), self.CONFIG)
+        assert [type(table.errors[e]).__name__ if e in table.errors
+                else "SppSolution" for e in range(len(epochs))] == [
             "SppSolution", "InsufficientSatellites", "SppSolution",
             "SingularGeometry", "SppSolution", "NoConvergence",
             "NearSingular", "SppSolution"]
         for k in (0, 2, 4, 7):
-            (alone_k,) = solve_spp(EpochGeometry([epochs[k]], [states[k]],
-                                                 cfg.iono, cfg.tropo),
-                                   self.CONFIG)
-            assert outcomes[k].position.tobytes() == alone_k.position.tobytes()
-            assert outcomes[k].covariance.tobytes() == (
-                alone_k.covariance.tobytes())
-            assert outcomes[k].clock_biases == alone_k.clock_biases
-            assert outcomes[k].used_satellites == alone_k.used_satellites
+            alone_k = solve_spp(EpochGeometry([epochs[k]], [states[k]],
+                                              cfg.iono, cfg.tropo),
+                                self.CONFIG)
+            for name in ("position", "covariance", "clock", "used"):
+                assert getattr(table, name)[k].tobytes() == (
+                    getattr(alone_k, name)[0].tobytes()), name
 
     def test_solve_raises_the_earliest_epoch_error(self):
         from gnssgraph.pipeline import PipelineConfig, solve_trajectory

@@ -10,7 +10,8 @@ from gnssgraph import trrtk
 from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
                               SingularGeometry, WindowExceeded)
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.pipeline import PipelineConfig, solve_trajectory
+from gnssgraph.pipeline import (PipelineConfig, lattice_pairs,
+                                solve_trajectory)
 from gnssgraph.pointpos import SolverConfig, solve_spp
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
@@ -92,7 +93,7 @@ def spp_session(cfg, epochs, states):
     one session geometry, as the pipeline forms it."""
     geometry = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
     return epoch_corrections(
-        geometry.at([spp.position for spp in solve_spp(geometry)]))
+        geometry.at(solve_spp(geometry).position))
 
 
 class TestSessionGrid:
@@ -605,11 +606,17 @@ class TestObservationInterval:
         assert np.linalg.norm(
             tr.baseline - (truth[j].position - truth[i].position)) < 1e-6
         s = session_at(cfg, epochs, states,
-                       [spp.position for spp in result.spp_solutions])
+                       result.spp.position)
         again = estimate_baseline(s, i, j, interval=2.0)
         assert again.baseline.tobytes() == tr.baseline.tobytes()
         with pytest.raises(InsufficientSatellites):
             estimate_baseline(s, i, j)
+
+
+def outcomes(table) -> list:
+    """Per row of a pair table, its TrRtkResult or its GnssError."""
+    return [table.errors.get(k) or table.result(k)
+            for k in range(len(table.pairs))]
 
 
 def same_result(a, b) -> bool:
@@ -631,8 +638,7 @@ class TestPairLattice:
         result = solve_trajectory(epochs, states,
                                   PipelineConfig(iono=cfg.iono,
                                                  tropo=cfg.tropo))
-        pairs = ([(i, j) for i, j, _ in result.trrtk_results]
-                 + [(i, j) for i, j, _ in result.trrtk_errors])
+        pairs = list(map(tuple, result.trrtk.pairs.tolist()))
         assert len(pairs) == len(set(pairs)) == result.trrtk_attempts > 0
         fixed = {(i, j) for i, j, tr in result.trrtk_results
                  if tr.status is BaselineStatus.FIXED}
@@ -661,8 +667,7 @@ class TestPairLattice:
         result = solve_trajectory(epochs, states,
                                   PipelineConfig(iono=cfg.iono,
                                                  tropo=cfg.tropo))
-        pairs = ([(i, j) for i, j, _ in result.trrtk_results]
-                 + [(i, j) for i, j, _ in result.trrtk_errors])
+        pairs = list(map(tuple, result.trrtk.pairs.tolist()))
         assert len(pairs) == result.trrtk_attempts > 0
         for i, j in pairs:
             offset = epochs[j].time - epochs[i].time
@@ -678,12 +683,58 @@ class TestPairLattice:
         result = solve_trajectory(epochs, states, PipelineConfig(
             iono=cfg.iono, tropo=cfg.tropo,
             trrtk=TrRtkConfig(max_time_difference=50.0)))
-        window = {(i, j) for i, j, name in result.trrtk_errors
-                  if name == "WindowExceeded"}
+        window = {tuple(result.trrtk.pairs[k].tolist())
+                  for k, error in result.trrtk.errors.items()
+                  if type(error).__name__ == "WindowExceeded"}
         assert window == {(j - step, j) for j in range(len(epochs))
                           for step in (60, 80, 100) if j >= step}
-        assert (len(result.trrtk_results) + len(result.trrtk_errors)
+        assert (len(result.trrtk_results) + len(result.trrtk.errors)
                 == result.trrtk_attempts)
+
+
+class TestPairTable:
+    def test_result_views_are_the_table_rows(self):
+        """What the benchmark reads of a solve, `trrtk_results` and
+        `trrtk_attempts`, and the graph's TR factors are views of the
+        pair table, on a short square with fixed pairs, rejected ones
+        (across a slip the lock count misses) and errored ones (beyond
+        a 50 s window)."""
+        square = [[0, 0, 0], [20, 0, 0], [20, 20, 0], [0, 20, 0], [0, 0, 0]]
+        cfg = ScenarioConfig(
+            duration=80.0,
+            trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                        waypoints=square), seed=1)
+        truth, epochs, states = run_scenario(cfg)
+        # one cycle more from epoch 40 on, the lock count kept
+        key = epochs[0].sats[1]
+        for epoch in epochs[40:]:
+            epoch.phase[epoch.sats == key] += 1.0
+        result = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo,
+            trrtk=TrRtkConfig(max_time_difference=50.0)))
+        table = result.trrtk
+        assert table.pairs.tolist() == [list(pair) for pair in lattice_pairs(
+            [epoch.time for epoch in epochs], TR_PAIR_LATTICE, 1.0)]
+        assert result.trrtk_attempts == len(table.pairs)
+        solved = [k for k in range(len(table.pairs)) if k not in table.errors]
+        assert 0 < table.fixed.sum() < len(solved) < len(table.pairs)
+        assert not table.fixed[list(table.errors)].any()
+        assert (table.dd_count[table.fixed] >= 4).all()
+        assert [[i, j] for i, j, _ in result.trrtk_results] == (
+            table.pairs[solved].tolist())
+        for k, (_, _, tr) in zip(solved, result.trrtk_results):
+            assert (tr.status is BaselineStatus.FIXED) == table.fixed[k]
+            assert tr.dd_ambiguities == (
+                (0,) * table.dd_count[k] if table.fixed[k] else ())
+            assert tr.baseline.tobytes() == table.baseline[k].tobytes()
+            assert tr.covariance.tobytes() == table.covariance[k].tobytes()
+            assert (tr.p_value, tr.time_difference) == (
+                table.p_value[k], table.time_difference[k])
+        factors, fixed = result.graph.trrtk_factors, table.fixed
+        assert factors.nodes.tolist() == table.pairs[fixed].tolist()
+        assert factors.baseline.tobytes() == table.baseline[fixed].tobytes()
+        assert factors.time_difference.tobytes() == (
+            table.time_difference[fixed].tobytes())
 
 
 class TestPairBlocks:
@@ -699,7 +750,7 @@ class TestPairBlocks:
                                   PipelineConfig(iono=cfg.iono,
                                                  tropo=cfg.tropo))
         s = session_at(cfg, epochs, states,
-                       [spp.position for spp in result.spp_solutions])
+                       result.spp.position)
         return s, result
 
     def test_lattice_pairs_match_the_pair_alone(self, square, monkeypatch):
@@ -709,7 +760,7 @@ class TestPairBlocks:
             assert same_result(tr, estimate_baseline(s, i, j)), (i, j)
         monkeypatch.setattr(trrtk, "BLOCK_PAIRS", 7)
         pairs = [(i, j) for i, j, _ in result.trrtk_results]
-        again = solve_pairs(s, pairs)
+        again = outcomes(solve_pairs(s, pairs))
         assert all(same_result(a, tr) for a, (_, _, tr)
                    in zip(again, result.trrtk_results))
 
@@ -717,7 +768,7 @@ class TestPairBlocks:
         s, _ = square
         # each epoch in one pair, all pairs in one block
         pairs = [(k, k + 30) for k in range(30)]
-        clean = solve_pairs(s, pairs)
+        clean = outcomes(solve_pairs(s, pairs))
         assert all(isinstance(r, TrRtkResult) for r in clean)
         sat_position, lock = s.sat_position.copy(), s.lock.copy()
         # pair 3: a satellite 500 km from the receiver
@@ -728,8 +779,8 @@ class TestPairBlocks:
         # pair 11: every satellite at one position
         for k in (11, 41):
             sat_position[k] = sat_position[k, np.flatnonzero(s.usable[k])[0]]
-        dirty = solve_pairs(replace(s, sat_position=sat_position, lock=lock),
-                            pairs)
+        dirty = outcomes(solve_pairs(
+            replace(s, sat_position=sat_position, lock=lock), pairs))
         failed = {3: DegenerateGeometry, 7: InsufficientSatellites,
                   11: SingularGeometry}
         for k, (a, b) in enumerate(zip(clean, dirty)):
@@ -737,6 +788,20 @@ class TestPairBlocks:
                 assert type(b) is failed[k]
             else:
                 assert same_result(a, b), k
+
+    def test_errored_pair_is_not_fixed(self, square):
+        """A pair stopped by singular geometry before its first step keeps
+        a zero covariance and residual sum, which would pass both gates:
+        its row is an error, not a fix."""
+        s, _ = square
+        sat_position = s.sat_position.copy()
+        for k in (11, 41):
+            sat_position[k] = sat_position[k, np.flatnonzero(s.usable[k])[0]]
+        table = solve_pairs(replace(s, sat_position=sat_position),
+                            [(k, k + 30) for k in range(30)])
+        assert list(table.errors) == [11]
+        assert type(table.errors[11]) is SingularGeometry
+        assert table.fixed.sum() == 29 and not table.fixed[11]
 
     def test_passes_shrink_to_the_pairs_still_moving(self, square,
                                                      monkeypatch):
@@ -759,7 +824,8 @@ class TestPairBlocks:
 
         monkeypatch.setattr(trrtk, "_model", recorded)
         final = {s.receiver[i].tobytes() + s.receiver[j].tobytes(): r.baseline
-                 for (i, j), r in zip(pairs, solve_pairs(s, pairs))}
+                 for (i, j), r in zip(pairs,
+                                      outcomes(solve_pairs(s, pairs)))}
         assert [len(rows) for rows in passes[:2]] == [len(pairs)] * 2
         assert all(passes) and sum(map(len, passes)) < 4 * len(pairs)
         for now, later in zip(passes, passes[1:] + [{}]):
@@ -782,7 +848,8 @@ class TestPairBlocks:
         pairs = [(i, j) for i, j, _ in result.trrtk_results][
             :trrtk.BLOCK_PAIRS]
         config = TrRtkConfig()
-        for (i, j), got in zip(pairs, solve_pairs(s, pairs, config)):
+        for (i, j), got in zip(pairs, outcomes(solve_pairs(s, pairs,
+                                                           config))):
             dd = form_double_differences(s, i, j, config)
             rows = np.flatnonzero(dd.rows[0])
             baseline, cov, omega, p_value = dense_pair_solve(
