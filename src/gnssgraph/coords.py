@@ -142,9 +142,9 @@ def lines_of_sight(receiver: np.ndarray,
 
 def unchecked_lines_of_sight(receiver: np.ndarray, positions: np.ndarray):
     """`lines_of_sight` without its range check, for a caller that
-    checks only some satellites: also returns the (n,) distances
-    before the Sagnac rotation, which `check_ranges` takes. Any leading
-    axes of `positions` (..., 3) broadcast against `receiver`."""
+    checks only some satellites: also returns the (n,) distances before
+    the Sagnac rotation, which `check_ranges` takes, of the (n, 3)
+    `positions` seen from one receiver (3,) or from one each (n, 3)."""
     receiver = np.asarray(receiver, dtype=float)
     distance = _row_norms(positions - receiver)
     delta = _sagnac_rotated(positions, distance) - receiver

@@ -45,7 +45,10 @@ class PipelineResult:
     spp: SppSolution
     velocities: VelocitySolution
     trrtk: TrRtkPairs                  # every attempted pair
-    trrtk_attempts: int = 0            # rows of `trrtk`
+
+    @property
+    def trrtk_attempts(self) -> int:   # the rows of `trrtk`
+        return len(self.trrtk.pairs)
 
     @property
     def trrtk_results(self) -> list:
@@ -121,4 +124,4 @@ def solve_trajectory(epochs, sat_states,
     states, report = optimize(graph)
     positions = graph.reference_position + states[:, :3]
     return PipelineResult(positions, states, graph, report, spp, velocities,
-                          trrtk, len(trrtk.pairs))
+                          trrtk)

@@ -14,31 +14,32 @@ changes over the window by its own drift, so the change survives the
 between-satellite difference as an unmodeled error, and not one below
 the noise: a drift of 1e-12 s/s gives 3 cm over 100 s.
 
-`epoch_corrections` scatters a located `EpochGeometry` onto one
-(epoch, satellite) grid, `SessionArrays`, and `solve_pairs` solves a
-lattice of its epoch pairs in blocks, on arrays indexed by (pair,
-session satellite): each pair's normal equations under the DD covariance
-D + r 11^T are one centered weighted Gram product, the Gauss-Newton
-steps are stacked 6x6 solves, each pass on only the pairs that have not
-converged, and the p-values are one call per block. Each block fills
+`epoch_corrections` scatters a located `EpochGeometry`, lines of sight
+included, onto one (epoch, satellite) grid, `SessionArrays`, and
+`solve_pairs` solves a lattice of its epoch pairs in blocks, on arrays
+indexed by (pair, session satellite). Each pair is one linear WLS,
+linearized at the located receivers, the point solutions; their error
+delta leaves at most |delta|^2 / 2 rho in a range (see
+`solve_float_baseline`). Its normal equations under the DD covariance
+D + r 11^T are one centered weighted Gram product, a block's 6x6
+systems one stacked solve and its p-values one call. Each block fills
 its rows of one `TrRtkPairs` table. No sum or product spans two pairs,
-so a pair gets the same bits in any block and in any pass; its
-GnssError goes into the table's `errors` and never stops the block.
-`estimate_baseline`, `detect_cycle_slips` and `form_double_differences`
-are views of the kernel on one pair of a session.
+so a pair gets the same bits in any block; its GnssError goes into the
+table's `errors` and never stops the block. `estimate_baseline`,
+`detect_cycle_slips` and `form_double_differences` are views of the
+kernel on one pair of a session.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 # not used here: bench/spans.py traces LAMBDA under this module's name
 from .ambiguity import lambda_resolve  # noqa: F401
-from .coords import unchecked_lines_of_sight
 from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
@@ -133,7 +134,8 @@ class SessionArrays:
     phase: np.ndarray                  # (n, S) [cycles]
     wavelength: np.ndarray             # (n, S) [m]
     usable: np.ndarray                 # (n, S) bool
-    sat_position: np.ndarray           # (n, S, 3) [m ECEF]
+    unit: np.ndarray                   # (n, S, 3) receiver to satellite
+    range: np.ndarray                  # (n, S) Sagnac-corrected [m]
     elevation: np.ndarray              # (n, S) [rad]
     iono: np.ndarray                   # (n, S) [m]
     tropo: np.ndarray
@@ -144,12 +146,13 @@ class SessionArrays:
 def epoch_corrections(located: EpochGeometry,
                       config: TrRtkConfig | None = None) -> SessionArrays:
     """The rows of `located` scattered onto the session grid. Lock count,
-    phase and wavelength come from every row; the corrections (satellite
-    position, elevation, modeled iono and tropo delay, and pseudorange
-    with the satellite clock and modeled atmosphere removed) only from
-    the rows a double difference can use: above the elevation mask and
-    within the atmosphere models, as `located` has them at its receiver
-    positions. The earliest epoch's delay-model error is raised."""
+    phase and wavelength come from every row; the corrections (line of
+    sight and range, elevation, modeled iono and tropo delay, and
+    pseudorange with the satellite clock and modeled atmosphere removed)
+    only from the rows a double difference can use: above the elevation
+    mask and within the atmosphere models, as `located` has them at its
+    receiver positions, which are the pairs' linearization points. The
+    earliest epoch's delay-model error is raised."""
     config = config or TrRtkConfig()
     # a satellite the troposphere model rejects (ElevationTooLow) is left out
     rows = located.above(config.elevation_mask) & ~np.isnan(located.tropo)
@@ -171,14 +174,15 @@ def epoch_corrections(located: EpochGeometry,
 
     usable = np.zeros(shape, bool)
     usable[used] = True
-    # a zenith satellite at the earth's center where no corrections are
+    # outside `usable`, fillers that keep a block's arithmetic finite: a
+    # zero line of sight and range, and a zenith elevation (unit sine)
     return SessionArrays(
         located.times,
         tuple(map(SatelliteId.from_key, located.sats[first].tolist())),
         tuple(zip(starts.tolist(), stops.tolist())),
         grid(every, located.lock, -1), grid(every, located.phase),
         grid(every, located.wavelength), usable,
-        grid(used, located.sat_position[rows]),
+        grid(used, located.unit[rows]), grid(used, located.range[rows]),
         grid(used, located.elevation[rows], np.pi / 2),
         grid(used, located.iono[rows]), grid(used, located.tropo[rows]),
         grid(used, located.corrected_code[rows]), located.position)
@@ -192,7 +196,8 @@ class DoubleDiffSet:
     `used` marks both. Axis 1 of `observed` and `weight` is the kind (DD
     phase, DD code at the past epoch, at the current epoch); `weight` is
     the inverse of a DD satellite's own variance, zero off `rows`, and
-    `ref_weight` (B, 3, constellations) that of the reference."""
+    `ref_weight` (B, 3, constellations) that of the reference; axis 1 of
+    `ranges` and `gradient` is the epoch (past, current)."""
 
     sats: tuple
     spans: tuple
@@ -202,15 +207,10 @@ class DoubleDiffSet:
     observed: np.ndarray               # (B, 3, S) [m]
     weight: np.ndarray                 # (B, 3, S) [1/m^2]
     ref_weight: np.ndarray
-    sat_past: np.ndarray               # (B, S, 3) [m ECEF]
-    sat_current: np.ndarray
-    receiver_past: np.ndarray          # (B, 3) linearization anchor
-    receiver_current: np.ndarray
-
-    def take(self, pairs) -> DoubleDiffSet:
-        """The DD sets of the pairs at the indices `pairs`."""
-        return DoubleDiffSet(self.sats, self.spans, *(
-            getattr(self, field.name)[pairs] for field in fields(self)[2:]))
+    ranges: np.ndarray                 # (B, 2, S) DD range at the receiver [m]
+    gradient: np.ndarray               # (B, 2, 3, S) its receiver gradient
+    nearest: np.ndarray                # (B,) shortest range used [m]
+    initial: np.ndarray                # (B, 3) located receivers' baseline
 
 
 def _locked(s: SessionArrays, past, current, dt, interval) -> np.ndarray:
@@ -271,13 +271,19 @@ def _double_differences(s: SessionArrays, past, current, locked,
                          (config.code_sigma / sin_p) ** 2,
                          (config.code_sigma / sin_c) ** 2], axis=1)
     observed = per_sat - np.take_along_axis(per_sat, reference[:, None], 2)
+    # the geometry at each epoch's located receiver, differenced as the
+    # observations are; d|p - s|/dp = -unit(receiver -> satellite)
+    epochs = np.column_stack([past, current])
+    ranges, units = s.range[epochs], s.unit[epochs].transpose(0, 1, 3, 2)
     return DoubleDiffSet(
         s.sats, s.spans, rows, used, reference,
         np.where(rows[:, None], observed, 0.0),
         np.where(rows[:, None], 1.0 / variance, 0.0),
         1.0 / np.take_along_axis(variance, refs[:, None], 2),
-        s.sat_position[past], s.sat_position[current],
-        s.receiver[past], s.receiver[current])
+        ranges - np.take_along_axis(ranges, reference[:, None], 2),
+        np.take_along_axis(units, reference[:, None, None], 3) - units,
+        np.where(used[:, None], ranges, np.inf).min(axis=(1, 2)),
+        s.receiver[current] - s.receiver[past])
 
 
 def _normal_equations(lin, weight, ref_weight, spans) -> np.ndarray:
@@ -307,34 +313,6 @@ def _normal_equations(lin, weight, ref_weight, spans) -> np.ndarray:
          -mean], axis=3).reshape(count, columns, -1)
     w = np.concatenate([weight, ref_weight], axis=2).reshape(count, 1, -1)
     return np.matmul(w * centered, centered.transpose(0, 2, 1))
-
-
-def _model(dd: DoubleDiffSet, baseline, shift):
-    """Per-epoch DD geometric ranges (B, S), their Jacobians (B, S, 3)
-    and each pair's shortest distance to a satellite it uses (B,).
-
-    `shift` is the common error d of the assumed past positions: a past
-    receiver sits at receiver_past + d, its current one at
-    receiver_past + d + B, so jac_past = dg_past/dd and jac_current =
-    dg_current/dB = dg_current/dd."""
-    p_past = dd.receiver_past + shift
-    out = []
-    nearest = np.inf
-    # a satellite on the receiver divides by zero; the range check
-    # refuses that pair
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for receiver, sats in ((p_past, dd.sat_past),
-                               (p_past + baseline, dd.sat_current)):
-            unit, rng, distance = unchecked_lines_of_sight(receiver[:, None],
-                                                           sats)
-            out.append(rng - np.take_along_axis(rng, dd.reference, 1))
-            # d|p-s|/dp = -unit(receiver->sat)
-            out.append(np.take_along_axis(unit, dd.reference[..., None], 1)
-                       - unit)
-            nearest = np.minimum(nearest, np.where(dd.used, distance,
-                                                   np.inf).min(axis=1))
-    g_past, jac_past, g_cur, jac_cur = out
-    return g_past, g_cur, jac_past, jac_cur, nearest
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -369,79 +347,68 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     pseudorange keeps the anchor observable through the change of line of
     sight over the window, so the common error of the assumed past
     position is estimated alongside the baseline under a loose prior.
-    Returns (B, 3) baselines, their (B, 3, 3) covariances, the (B,)
-    weighted residual sums of squares (3m - 3 degrees of freedom for m
-    DDs), and per pair None or the GnssError that stopped it."""
+    The model is linearized once, at the receivers `dd` was formed at: a
+    range linearized delta off its point is off by at most |delta|^2 /
+    2 rho (2.5e-6 m at 10 m), and the lines of sight leave out how the
+    Sagnac rotation changes with the range. With receivers 10 m off, the
+    one solve is within ~2e-5 m of the converged one, far below the
+    ~1.5 cm that error itself causes. Returns (B, 3) baselines, their
+    (B, 3, 3) covariances, the (B,) weighted residual sums of squares
+    (3m - 3 degrees of freedom for m DDs), and per pair None or the
+    GnssError that stopped it; a pair left out or stopped keeps its
+    initial baseline and a zero covariance and residual sum."""
     config = config or TrRtkConfig()
     count = len(dd.rows)
-    active = np.ones(count, bool) if active is None else active.copy()
-    baseline = dd.receiver_current - dd.receiver_past
-    shift = np.zeros((count, 3))
+    active = np.ones(count, bool) if active is None else active
+    baseline = dd.initial.copy()
     cov, omega = np.zeros((count, 3, 3)), np.zeros(count)
     errors = [None] * count
+    # columns [d/dB, d/dd | residual] of the rows (phase, code past, code
+    # current) of each satellite; the error d of the assumed past position
+    # moves the current one too, so dg_current/dd = dg_current/dB
+    g_past, g_cur = dd.ranges[:, 0], dd.ranges[:, 1]
+    jac_p, jac_c = dd.gradient[:, 0], dd.gradient[:, 1]
+    lin = np.zeros((count, 7, 3, len(dd.sats)))
+    lin[:, :3, 0] = lin[:, :3, 2] = lin[:, 3:6, 2] = jac_c
+    lin[:, 3:6, 0] = jac_c - jac_p
+    lin[:, 3:6, 1] = jac_p
+    lin[:, 6] = dd.observed - np.stack([g_cur - g_past, g_past, g_cur], axis=1)
+    summed = _normal_equations(lin, dd.weight, dd.ref_weight, dd.spans)
     prior = 1.0 / config.position_prior_sigma ** 2
-    for iteration in range(10):
-        # only the pairs still moving, which keep their bits (module doc)
-        pairs = np.flatnonzero(active)
-        if not pairs.size:
-            break
-        sub = dd.take(pairs)
-        g_past, g_cur, jac_p, jac_c, nearest = _model(sub, baseline[pairs],
-                                                      shift[pairs])
-        # columns [d/dB, d/dd | residual] of the rows (phase, code past,
-        # code current) of each satellite
-        jac_p, jac_c = jac_p.transpose(0, 2, 1), jac_c.transpose(0, 2, 1)
-        lin = np.zeros((len(pairs), 7, 3, len(dd.sats)))
-        lin[:, :3, 0] = lin[:, :3, 2] = lin[:, 3:6, 2] = jac_c
-        lin[:, 3:6, 0] = jac_c - jac_p
-        lin[:, 3:6, 1] = jac_p
-        lin[:, 6] = sub.observed - np.stack([g_cur - g_past, g_past, g_cur],
-                                            axis=1)
-        summed = _normal_equations(lin, sub.weight, sub.ref_weight, dd.spans)
-        normal = summed[:, :6, :6] + np.diag([0.0] * 3 + [prior] * 3)
-        rhs = summed[:, :6, 6]
-        rhs[:, 3:] -= prior * shift[pairs]
-        degenerate = ~(nearest >= 1e6)
-        normal[degenerate] = np.eye(6)
-        # a zero LU pivot, on which inv would raise for the whole stack
-        zero_pivot = np.linalg.slogdet(normal)[0] == 0
-        normal[zero_pivot] = np.eye(6)
-        # numpy hands out no LU factor, so the check inverts the same
-        # matrices: that gives the exact 1-norm condition numbers, and at
-        # a pair's last iteration its inverse is the covariance
-        normal_inv = np.linalg.inv(normal)
-        singular = ~degenerate & (zero_pivot | ~(
-            _norm1(normal) * _norm1(normal_inv) <= 1e14))
-        for k in np.flatnonzero(degenerate):
-            errors[pairs[k]] = DegenerateGeometry(
-                f"satellite range {nearest[k]:.0f} m implausible")
-        for k in np.flatnonzero(singular):
-            errors[pairs[k]] = SingularGeometry(
-                "degenerate double-difference geometry")
-        ok = ~degenerate & ~singular
-        step = pairs[ok]
-        if not step.size:
-            break               # no step on singular normal equations
+    normal = summed[:, :6, :6] + np.diag([0.0] * 3 + [prior] * 3)
+    rhs = summed[:, :6, 6]
+    # a satellite on the receiver gives no line of sight
+    degenerate = active & ~(dd.nearest >= 1e6)
+    normal[degenerate] = np.eye(6)
+    # a zero LU pivot, on which inv would raise for the whole stack
+    zero_pivot = np.linalg.slogdet(normal)[0] == 0
+    normal[zero_pivot] = np.eye(6)
+    # numpy hands out no LU factor, so the check inverts the same
+    # matrices: that gives the exact 1-norm condition numbers, and the
+    # inverse is the covariance
+    normal_inv = np.linalg.inv(normal)
+    singular = active & ~degenerate & (zero_pivot | ~(
+        _norm1(normal) * _norm1(normal_inv) <= 1e14))
+    for k in np.flatnonzero(degenerate):
+        errors[k] = DegenerateGeometry(
+            f"satellite range {dd.nearest[k]:.0f} m implausible")
+    for k in np.flatnonzero(singular):
+        errors[k] = SingularGeometry("degenerate double-difference geometry")
+    ok = active & ~degenerate & ~singular
+    if ok.any():                # no solve on singular normal equations
         delta = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-        # the weighted squares of the residuals after the step, r - J delta
-        omega[step] = (summed[ok, 6, 6]
-                       + prior * (shift[step] ** 2).sum(axis=1)
-                       - (delta * rhs[ok]).sum(axis=1))
-        baseline[step] += delta[:, :3]
-        shift[step] += delta[:, 3:]
-        block = normal_inv[ok, :3, :3]
-        cov[step] = 0.5 * (block + block.transpose(0, 2, 1))
-        # Gauss-Newton steps shrink ~1e6-fold per iteration down to the
-        # ~1e-9 m round-off floor; a micrometre step has converged
-        active[:] = False
-        active[step] = np.sqrt((delta[:, :3] ** 2).sum(axis=1)) >= 1e-6
+        # the weighted squares of the residuals after the solve, r - J delta
+        omega[ok] = summed[ok, 6, 6] - (delta * rhs[ok]).sum(axis=1)
+        baseline[ok] += delta[:, :3]
+    cov[ok] = 0.5 * (normal_inv + normal_inv.transpose(0, 2, 1))[ok, :3, :3]
     return baseline, cov, omega, errors
 
 
 def solve_pairs(s: SessionArrays, pairs, config: TrRtkConfig | None = None,
                 interval: float = 1.0) -> TrRtkPairs:
     """The TrRtkPairs table of the (past, current) epoch pairs `pairs` of
-    `s`, solved `BLOCK_PAIRS` at a time, each pair's GnssError in its
+    `s`, solved `BLOCK_PAIRS` at a time, each pair once, linearized at
+    the receiver positions of `s`, and each pair's GnssError in its
     `errors`. A pair is fixed, with every DD integer 0, when the
     chi-squared test of its weighted residuals gives a p-value of at
     least `INTEGRITY_P_MIN` and sqrt(trace) of its baseline covariance

@@ -35,16 +35,20 @@ def brute_force_minimizer(float_values, covariance, box=8):
     return center - box + np.array(index), lowest, flat.min()
 
 
-def dense_pair_solve(s, past, current, dds, config):
+def dense_pair_solve(s, located, past, current, dds, config, iterate=True):
     """One TR-RTK pair of the session arrays `s` solved the long way: the
     double differences `dds`, (satellite column, reference column) pairs,
     formed from the raw arrays, their covariance D Sigma D^T from the
     per-satellite variances and the differencing matrix D, and
     Gauss-Newton on [baseline, anchor error] with np.linalg.solve on that
-    dense matrix, until a baseline step below 1 um. Returns the baseline,
-    and at the last linearization its covariance, the weighted sum of the
-    residuals left by the last step and their chi-squared p-value on
-    3m - 3 degrees of freedom, from scipy."""
+    dense matrix. Each linearization takes its lines of sight from the
+    satellite positions of `located`, the geometry `s` was scattered
+    from, at the receiver positions of `s` moved by the estimate. It
+    iterates until a baseline step below 1 um, or with `iterate` False
+    stops after the first step, linearized where `s` is. Returns the
+    baseline, and at the last linearization its covariance, the weighted
+    sum of the residuals left by the last step and their chi-squared
+    p-value on 3m - 3 degrees of freedom, from scipy."""
     sat = np.array([k for k, _ in dds])
     ref = np.array([r for _, r in dds])
     used = np.unique(np.concatenate([sat, ref]))
@@ -66,18 +70,29 @@ def dense_pair_solve(s, past, current, dds, config):
                                diff @ s.code[current, used]])
     prior = np.eye(3) / config.position_prior_sigma ** 2
 
+    def sat_positions(epoch):
+        """The positions in `located` of the satellites `used` at `epoch`."""
+        rows = np.arange(located.start[epoch], located.start[epoch + 1])
+        keys = located.sats[rows].tolist()
+        return located.sat_position[[rows[keys.index(s.sats[k].key)]
+                                     for k in used]]
+
+    sats = {epoch: sat_positions(epoch) for epoch in (past, current)}
+    start = s.receiver[current] - s.receiver[past]
+
     def model(x):
         """DD ranges and their gradients (m, 3) at the past and at the
         current receiver position."""
         out = []
         for epoch, position in ((past, s.receiver[past] + x[3:]),
-                                (current, s.receiver[past] + x[3:] + x[:3])):
-            unit, ranges = lines_of_sight(position, s.sat_position[epoch, used])
+                                (current,
+                                 s.receiver[current] + x[3:] + x[:3] - start)):
+            unit, ranges = lines_of_sight(position, sats[epoch])
             out += [diff @ ranges, -(diff @ unit)]
         return out
 
-    x = np.concatenate([s.receiver[current] - s.receiver[past], np.zeros(3)])
-    for _ in range(10):
+    x = np.concatenate([start, np.zeros(3)])
+    for _ in range(10 if iterate else 1):
         g_past, d_past, g_cur, d_cur = model(x)
         zero = np.zeros_like(d_past)
         jac = np.block([[d_cur, d_cur - d_past], [zero, d_past],

@@ -128,7 +128,8 @@ class TestEpochGeometry:
         assert s.sats == tuple(map(SatelliteId.from_key, g.sats.tolist()))
         assert s.usable[0].tolist() == [True, True, True, False]
         for k in range(3):
-            assert np.array_equal(s.sat_position[0, k], states[k, :3])
+            assert np.array_equal(s.unit[0, k], g.unit[k])
+            assert s.range[0, k] == g.range[k]
             assert s.elevation[0, k] == g.elevation[k]
             assert (s.iono[0, k], s.tropo[0, k]) == (g.iono[k], g.tropo[k])
             assert s.code[0, k] == g.corrected_code[k]

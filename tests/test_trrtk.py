@@ -122,7 +122,7 @@ class TestSessionGrid:
         assert 0 < mask.sum() < len(mask)
         assert np.array_equal(s.usable[cells], mask)
         cells = (g.epoch[mask], column[mask])
-        for name, rows in (("sat_position", g.sat_position),
+        for name, rows in (("unit", g.unit), ("range", g.range),
                            ("elevation", g.elevation), ("iono", g.iono),
                            ("tropo", g.tropo), ("code", g.corrected_code)):
             assert getattr(s, name)[cells].tobytes() == (
@@ -287,27 +287,23 @@ class TestDoubleDifferences:
 
     def test_noise_free_dd_matches_baseline_projection(self):
         cfg = quiet_scenario(duration=30.0)
-        truth, states, dd = self._build(cfg, 0, 20)
-        baseline = truth[20].position - truth[0].position
-        from gnssgraph.trrtk import _model
-        g_past, g_cur, _, _, _ = _model(dd, baseline[None], np.zeros((1, 3)))
-        g = (g_cur - g_past)[0]
+        _, _, dd = self._build(cfg, 0, 20)
+        # located at the truth: the DD range change over the pair
+        g = dd.ranges[0, 1] - dd.ranges[0, 0]
         for i in np.flatnonzero(dd.rows[0]):
             # zero noise, continuous lock: DD phase minus DD geometric range
             # change is the (zero) DD ambiguity
             assert abs(dd.observed[0, 0, i] - g[i]) < 1e-4
 
     def test_model_matches_per_satellite_line_of_sight(self):
+        """The DD ranges and gradients of a pair are those of each
+        satellite's own line of sight from the located receivers."""
         cfg = quiet_scenario(duration=30.0)
         truth, positions, dd = self._build(cfg, 0, 20)
         from gnssgraph.coords import line_of_sight
-        from gnssgraph.trrtk import _model
-        baseline = truth[20].position - truth[0].position
-        shift = np.array([1.5, -2.0, 0.7])
-        g_past, g_cur, jac_past, jac_cur, _ = (
-            a[0] for a in _model(dd, baseline[None], shift[None]))
-        p_past = dd.receiver_past[0] + shift
-        p_cur = p_past + baseline
+        (g_past, g_cur), (jac_past, jac_cur) = dd.ranges[0], dd.gradient[0]
+        p_past, p_cur = truth[0].position, truth[20].position
+        assert np.array_equal(dd.initial[0], p_cur - p_past)
         for i in np.flatnonzero(dd.rows[0]):
             sat, ref = dd.sats[i], dd.sats[dd.reference[0, i]]
             u_sp, r_sp = line_of_sight(p_past, positions[0][sat])
@@ -318,16 +314,23 @@ class TestDoubleDifferences:
             # two ranges agrees to a few of its last bits
             assert abs(g_past[i] - (r_sp - r_rp)) < 1e-8
             assert abs(g_cur[i] - (r_sc - r_rc)) < 1e-8
-            assert np.max(np.abs(jac_past[i] - (u_rp - u_sp))) < 1e-9
-            assert np.max(np.abs(jac_cur[i] - (u_rc - u_sc))) < 1e-9
+            assert np.max(np.abs(jac_past[:, i] - (u_rp - u_sp))) < 1e-9
+            assert np.max(np.abs(jac_cur[:, i] - (u_rc - u_sc))) < 1e-9
+        nearest = min(line_of_sight(p, positions[e][dd.sats[k]])[1]
+                      for e, p in ((0, p_past), (20, p_cur))
+                      for k in np.flatnonzero(dd.used[0]))
+        assert dd.nearest[0] == pytest.approx(nearest, abs=1e-6)
 
     def test_model_implausible_range_raises(self):
         cfg = quiet_scenario(duration=10.0)
-        _, _, dd = self._build(cfg, 0, 5)
-        # an anchor that puts the receiver on a satellite
-        k = np.flatnonzero(dd.rows[0])[0]
+        truth, epochs, states = run_scenario(cfg)
+        s = truth_session(cfg, epochs, states, truth)
+        # a receiver on a satellite the pair uses
+        k = np.flatnonzero(form_double_differences(s, 0, 5).used[0])[0]
+        ranges = s.range.copy()
+        ranges[0, k] = 0.0
         with pytest.raises(DegenerateGeometry):
-            solve_one(replace(dd, receiver_past=dd.sat_past[:, k]))
+            solve_one(form_double_differences(replace(s, range=ranges), 0, 5))
 
     def test_insufficient_raises(self):
         cfg = quiet_scenario(duration=5.0, counts={Constellation.GPS: 31})
@@ -341,11 +344,6 @@ class TestDoubleDifferences:
 
 
 class TestFloatBaseline:
-    def _dd(self, cfg, i, j):
-        truth, epochs, states = run_scenario(cfg)
-        return form_double_differences(
-            truth_session(cfg, epochs, states, truth), i, j)
-
     def test_dd_covariance_single_reference_formula(self):
         """The DD set's weights are those of the single-reference
         covariance: the reference's variance wherever two DDs share a
@@ -396,22 +394,22 @@ class TestFloatBaseline:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-3])
     def test_duplicated_geometry_is_singular(self, offset, monkeypatch):
-        # every satellite at one position (plus `offset` m apart): the
-        # lines of sight coincide, so the baseline is unobservable
-        dd = self._dd(quiet_scenario(duration=10.0), 0, 5)
-        first = np.flatnonzero(dd.used[0])[0]
-
-        def collapsed(positions):
-            steps = np.arange(positions.shape[1])[None, :, None]
-            return positions[:, first:first + 1] + steps * offset
-
-        dd = replace(dd, sat_past=collapsed(dd.sat_past),
-                     sat_current=collapsed(dd.sat_current))
+        # every satellite seen as one (plus `offset` m apart): the lines
+        # of sight coincide, so the baseline is unobservable
+        cfg = quiet_scenario(duration=10.0)
+        truth, epochs, states = run_scenario(cfg)
+        s = truth_session(cfg, epochs, states, truth)
+        unit = s.unit.copy()
+        for e in (0, 5):
+            first = np.flatnonzero(s.usable[e])[0]
+            steps = np.arange(unit.shape[1])[:, None]
+            unit[e] = unit[e, first] + steps * offset / s.range[e, first]
+        dd = form_double_differences(replace(s, unit=unit), 0, 5)
 
         def no_step(*args):
             raise AssertionError("stepped on singular normal equations")
 
-        # refused by the check, before any Gauss-Newton step
+        # refused by the check, before any solve
         monkeypatch.setattr(np.linalg, "solve", no_step)
         with pytest.raises(SingularGeometry):
             solve_one(dd)
@@ -588,6 +586,45 @@ class TestIntegrity:
         assert isinstance(_chi2_survival(3.0, 4), float)
 
 
+class TestLinearization:
+    @pytest.mark.parametrize("offset", [3.0, 10.0, 30.0])
+    def test_one_solve_within_its_envelope(self, offset):
+        """The kernel solves each pair once, linearized where the session
+        is located; the iterated dense oracle is the nonlinear reference.
+        On the zero-noise line located at the truth plus a seeded offset
+        of `offset` m per epoch, each in its own direction, both give
+        each lattice pair the same status. The baselines differ by at
+        most 2.5e-6 m per metre of offset: measured 1.8e-6 m per metre
+        (5.4e-6 m at 3 m, 1.8e-5 m at 10 m), nearly all of it the change
+        of the Sagnac rotation with the range, which the lines of sight
+        leave out, as the |offset|^2 / 2 rho of a range linearized off
+        its point is 2.5e-6 m at 10 m. That is below 1% of what the
+        offset itself does to a baseline in either solver, ~1.5 cm at
+        10 m, and at 30 m the chi-squared test rejects every pair in
+        both."""
+        cfg = quiet_scenario()
+        truth, epochs, states = run_scenario(cfg)
+        at_truth = np.array([r.position for r in truth])
+        shift = np.random.default_rng(9).normal(size=at_truth.shape)
+        shift *= offset / np.linalg.norm(shift, axis=1, keepdims=True)
+        located = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
+            at_truth + shift)
+        s = epoch_corrections(located)
+        pairs = lattice_pairs(s.times, TR_PAIR_LATTICE, 1.0)
+        config = TrRtkConfig()
+        table = solve_pairs(s, pairs, config)
+        dense = oracle_pairs(s, located, pairs, config, iterate=True)
+        assert not table.errors
+        assert table.fixed.tolist() == [d[4] for d in dense]
+        assert table.fixed.all() if offset < 30.0 else not table.fixed.any()
+        gap = max(np.abs(b - d[0]).max()
+                  for b, d in zip(table.baseline, dense))
+        assert gap <= 2.5e-6 * offset
+        truth_error = max(np.linalg.norm(b - (at_truth[j] - at_truth[i]))
+                          for b, (i, j) in zip(table.baseline, pairs))
+        assert gap < 0.01 * truth_error
+
+
 class TestObservationInterval:
     def test_pipeline_screens_slips_at_the_epoch_spacing(self):
         """At 0.5 Hz the lock count grows by one per 2 s: the pipeline
@@ -737,6 +774,35 @@ class TestPairTable:
             table.time_difference[fixed].tobytes())
 
 
+def faulted(s, far=(), collapsed=()):
+    """`s` with, at each epoch of `far`, its first usable satellite 500 km
+    from the receiver, and at each epoch of `collapsed`, every satellite
+    seen along the first one's line of sight at its range."""
+    unit, ranges = s.unit.copy(), s.range.copy()
+    for e in far:
+        ranges[e, np.flatnonzero(s.usable[e])[0]] = 5e5
+    for e in collapsed:
+        first = np.flatnonzero(s.usable[e])[0]
+        unit[e], ranges[e] = unit[e, first], ranges[e, first]
+    return replace(s, unit=unit, range=ranges)
+
+
+def oracle_pairs(s, located, pairs, config, iterate):
+    """`dense_pair_solve` of each pair on the DDs the kernel forms:
+    (baseline, covariance, residual sum, p-value, fixed) per pair."""
+    out = []
+    for i, j in pairs:
+        dd = form_double_differences(s, i, j, config)
+        rows = np.flatnonzero(dd.rows[0])
+        baseline, cov, omega, p_value = dense_pair_solve(
+            s, located, i, j, list(zip(rows, dd.reference[0, rows])), config,
+            iterate)
+        out.append((baseline, cov, omega, p_value,
+                    p_value >= INTEGRITY_P_MIN
+                    and np.sqrt(np.trace(cov)) <= PRECISION_MAX_M))
+    return out
+
+
 class TestPairBlocks:
     @pytest.fixture(scope="class")
     def square(self):
@@ -749,12 +815,12 @@ class TestPairBlocks:
         result = solve_trajectory(epochs, states,
                                   PipelineConfig(iono=cfg.iono,
                                                  tropo=cfg.tropo))
-        s = session_at(cfg, epochs, states,
-                       result.spp.position)
-        return s, result
+        located = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
+            result.spp.position)
+        return epoch_corrections(located), result, located
 
     def test_lattice_pairs_match_the_pair_alone(self, square, monkeypatch):
-        s, result = square
+        s, result, _ = square
         assert len(result.trrtk_results) == result.trrtk_attempts > 1000
         for i, j, tr in result.trrtk_results:
             assert same_result(tr, estimate_baseline(s, i, j)), (i, j)
@@ -765,22 +831,19 @@ class TestPairBlocks:
                    in zip(again, result.trrtk_results))
 
     def test_failures_stay_with_their_pair(self, square):
-        s, _ = square
+        s, _, _ = square
         # each epoch in one pair, all pairs in one block
         pairs = [(k, k + 30) for k in range(30)]
         clean = outcomes(solve_pairs(s, pairs))
         assert all(isinstance(r, TrRtkResult) for r in clean)
-        sat_position, lock = s.sat_position.copy(), s.lock.copy()
-        # pair 3: a satellite 500 km from the receiver
-        first = np.flatnonzero(s.usable[33])[0]
-        sat_position[33, first] = s.receiver[33] + [5e5, 0.0, 0.0]
+        lock = s.lock.copy()
         # pair 7: every lock count reset
         lock[37, lock[37] >= 0] = 0
-        # pair 11: every satellite at one position
-        for k in (11, 41):
-            sat_position[k] = sat_position[k, np.flatnonzero(s.usable[k])[0]]
+        # pair 3: a satellite 500 km from the receiver; pair 11: every
+        # satellite along one line of sight
         dirty = outcomes(solve_pairs(
-            replace(s, sat_position=sat_position, lock=lock), pairs))
+            replace(faulted(s, far=[33], collapsed=[11, 41]), lock=lock),
+            pairs))
         failed = {3: DegenerateGeometry, 7: InsufficientSatellites,
                   11: SingularGeometry}
         for k, (a, b) in enumerate(zip(clean, dirty)):
@@ -790,109 +853,105 @@ class TestPairBlocks:
                 assert same_result(a, b), k
 
     def test_errored_pair_is_not_fixed(self, square):
-        """A pair stopped by singular geometry before its first step keeps
-        a zero covariance and residual sum, which would pass both gates:
-        its row is an error, not a fix."""
-        s, _ = square
-        sat_position = s.sat_position.copy()
-        for k in (11, 41):
-            sat_position[k] = sat_position[k, np.flatnonzero(s.usable[k])[0]]
-        table = solve_pairs(replace(s, sat_position=sat_position),
+        """A pair stopped by singular geometry keeps a zero covariance and
+        residual sum, which would pass both gates: its row is an error,
+        not a fix."""
+        s, _, _ = square
+        table = solve_pairs(faulted(s, collapsed=[11, 41]),
                             [(k, k + 30) for k in range(30)])
         assert list(table.errors) == [11]
         assert type(table.errors[11]) is SingularGeometry
         assert table.fixed.sum() == 29 and not table.fixed[11]
-
-    def test_passes_shrink_to_the_pairs_still_moving(self, square,
-                                                     monkeypatch):
-        """Each Gauss-Newton pass of a block models only the pairs whose
-        last step was at least 1 um: all of them in the first two passes,
-        then fewer, and no pass without a pair."""
-        s, result = square
-        pairs = [(i, j) for i, j, _ in result.trrtk_results]
-        pairs = pairs[:trrtk.BLOCK_PAIRS]
-        assert len(pairs) == 128
-        passes = []
-        model = trrtk._model
-
-        def recorded(dd, baseline, shift):
-            # a pair is known by its two receiver positions
-            passes.append({p.tobytes() + c.tobytes(): b.copy()
-                           for p, c, b in zip(dd.receiver_past,
-                                              dd.receiver_current, baseline)})
-            return model(dd, baseline, shift)
-
-        monkeypatch.setattr(trrtk, "_model", recorded)
-        final = {s.receiver[i].tobytes() + s.receiver[j].tobytes(): r.baseline
-                 for (i, j), r in zip(pairs,
-                                      outcomes(solve_pairs(s, pairs)))}
-        assert [len(rows) for rows in passes[:2]] == [len(pairs)] * 2
-        assert all(passes) and sum(map(len, passes)) < 4 * len(pairs)
-        for now, later in zip(passes, passes[1:] + [{}]):
-            moving = {key for key, before in now.items()
-                      if np.linalg.norm(later.get(key, final[key]) - before)
-                      >= 1e-6}
-            assert set(later) == moving
+        assert table.baseline[11].tobytes() == (
+            s.receiver[41] - s.receiver[11]).tobytes()
+        assert not table.covariance[11].any()
 
     def test_block_matches_the_dense_oracle(self, square):
         """The first block of the square's pairs against a dense solve of
         each pair alone (explicit DD covariance, np.linalg.solve, scipy's
-        chi-squared): the same status, covariances within 1e-9 relative,
-        and each p-value scipy's for the pair's residual sum within 1e-9
-        relative. Baselines and residual sums agree to the round-off floor
-        of the model, not to 1e-9: a DD range is a difference of two 2e7 m
-        ranges, 3.7e-9 m apart at one ulp, so two correct solvers end up
-        ~5e-9 m and ~1e-7 relative apart; the bars are 1e-8 m and 1e-6."""
+        chi-squared), linearized once as the kernel is: the same status,
+        covariances within 1e-9 relative, and each p-value scipy's for the
+        pair's residual sum within 1e-9 relative. Baselines and residual
+        sums agree to the round-off floor of the model, not to 1e-9: a DD
+        range is a difference of two 2e7 m ranges, 3.7e-9 m apart at one
+        ulp, so two correct solvers end up ~5e-9 m and ~1e-7 relative
+        apart; the bars are 1e-8 m and 1e-6."""
         from scipy.stats import chi2
-        s, result = square
+        s, result, located = square
         pairs = [(i, j) for i, j, _ in result.trrtk_results][
             :trrtk.BLOCK_PAIRS]
         config = TrRtkConfig()
-        for (i, j), got in zip(pairs, outcomes(solve_pairs(s, pairs,
-                                                           config))):
-            dd = form_double_differences(s, i, j, config)
-            rows = np.flatnonzero(dd.rows[0])
-            baseline, cov, omega, p_value = dense_pair_solve(
-                s, i, j, list(zip(rows, dd.reference[0, rows])), config)
-            fixed = (p_value >= INTEGRITY_P_MIN
-                     and np.sqrt(np.trace(cov)) <= PRECISION_MAX_M)
+        dense = oracle_pairs(s, located, pairs, config, iterate=False)
+        for (i, j), got, (baseline, cov, omega, p_value, fixed) in zip(
+                pairs, outcomes(solve_pairs(s, pairs, config)), dense):
             assert got.status is (BaselineStatus.FIXED if fixed
                                   else BaselineStatus.REJECTED), (i, j)
             assert np.abs(got.baseline - baseline).max() <= 1e-8, (i, j)
             assert (np.abs(got.covariance - cov).max()
                     <= 1e-9 * np.abs(cov).max()), (i, j)
+            dd = form_double_differences(s, i, j, config)
             kernel_omega = solve_one(dd)[2]
             assert kernel_omega == pytest.approx(omega, rel=1e-6), (i, j)
             assert got.p_value == pytest.approx(
-                chi2.sf(kernel_omega, 3 * len(rows) - 3), rel=1e-9), (i, j)
+                chi2.sf(kernel_omega, 3 * dd.rows.sum() - 3),
+                rel=1e-9), (i, j)
             assert got.p_value == pytest.approx(p_value, rel=1e-6), (i, j)
+
+    def test_one_linearization_matches_the_iterated_oracle(self, square):
+        """The same block against the dense solve iterated to a baseline
+        step below 1 um, the nonlinear reference: every pair keeps its
+        status, and one linearization at the point solutions (each ~1 m
+        off) moves no baseline by 1e-5 m."""
+        s, result, located = square
+        pairs = [(i, j) for i, j, _ in result.trrtk_results][
+            :trrtk.BLOCK_PAIRS]
+        assert len(pairs) == 128
+        config = TrRtkConfig()
+        dense = oracle_pairs(s, located, pairs, config, iterate=True)
+        for (i, j), got, (baseline, _, _, _, fixed) in zip(
+                pairs, outcomes(solve_pairs(s, pairs, config)), dense):
+            assert got.status is (BaselineStatus.FIXED if fixed
+                                  else BaselineStatus.REJECTED), (i, j)
+            assert np.abs(got.baseline - baseline).max() <= 1e-5, (i, j)
+
+    def test_no_line_of_sight_of_its_own(self, square, monkeypatch):
+        """A block takes every line of sight and range from the located
+        geometry: with the coordinate kernels that compute them made to
+        raise, the square's first block still solves, to the same
+        bits."""
+        from gnssgraph import coords
+        s, result, _ = square
+        pairs = [(i, j) for i, j, _ in result.trrtk_results][
+            :trrtk.BLOCK_PAIRS]
+        before = outcomes(solve_pairs(s, pairs))
+
+        def no_line_of_sight(*args):
+            raise AssertionError("TR-RTK computed a line of sight")
+
+        for name in ("unchecked_lines_of_sight", "lines_of_sight"):
+            monkeypatch.setattr(coords, name, no_line_of_sight)
+            monkeypatch.setattr(trrtk, name, no_line_of_sight, raising=False)
+        after = outcomes(solve_pairs(s, pairs))
+        assert all(same_result(a, b) for a, b in zip(before, after))
 
     def test_inactive_pairs_are_left_alone(self, square):
         """Pairs outside `active` keep their initial baseline, a zero
         covariance and residual sum and no error; those inside it get
         the bits and errors of a solve with every pair active."""
-        s, result = square
-        past, current = np.array([(i, j) for i, j, _
-                                  in result.trrtk_results][:40]).T
-        dt = np.array([s.times[j] - s.times[i]
-                       for i, j in zip(past, current)])
-        locked = trrtk._locked(s, past, current, dt, 1.0)
+        s, _, _ = square
+        # every epoch in one pair
+        past = np.arange(40)
+        current = past + 50
+        s = faulted(s, far=[4], collapsed=[7, 57])
+        locked = trrtk._locked(s, past, current, current - past, 1.0)
         dd = trrtk._double_differences(s, past, current, locked,
                                        TrRtkConfig())
-        sat_past, sat_current = dd.sat_past.copy(), dd.sat_current.copy()
-        # pair 4: a satellite 500 km from the receiver
-        sat_past[4, np.flatnonzero(dd.used[4])[0]] = (dd.receiver_past[4]
-                                                      + [5e5, 0.0, 0.0])
-        # pair 7: every satellite at one position
-        for sats in (sat_past, sat_current):
-            sats[7] = sats[7, np.flatnonzero(dd.used[7])[0]]
-        dd = replace(dd, sat_past=sat_past, sat_current=sat_current)
         active = np.arange(40) % 3 == 1
         everything = solve_float_baseline(dd)
         baseline, cov, omega, errors = solve_float_baseline(dd,
                                                             active=active)
         assert active.sum() == 13
-        initial = dd.receiver_current - dd.receiver_past
+        initial = dd.initial
         assert baseline[~active].tobytes() == initial[~active].tobytes()
         assert not cov[~active].any() and not omega[~active].any()
         assert [type(e) for e in errors] == [type(e) for e in everything[3]]
