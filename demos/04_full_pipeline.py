@@ -2,8 +2,7 @@
 
 The factor graph ties per-epoch states together with Doppler velocity
 edges, per-observation pseudorange rows, and time-relative RTK
-baselines, then solves everything at once with a sparse Dogleg trust
-region. Dropping the RTK closures shows how much they rein in
+baselines, then solves everything at once with a Dogleg trust region. Dropping the RTK closures shows how much they rein in
 accumulated drift.
 """
 

@@ -1,8 +1,8 @@
 """GNSS trajectory reconstruction by factor-graph optimization.
 
 Doppler velocity edges, multi-constellation pseudorange constraints,
-and time-relative RTK carrier-phase loop closures, solved with a sparse
-Dogleg trust-region optimizer.  A synthetic multi-GNSS simulator,
+and time-relative RTK carrier-phase loop closures, solved with a Dogleg
+trust-region optimizer on block normal equations.  A synthetic multi-GNSS simulator,
 RINEX 3.04 observation I/O, and trajectory metrics round out the
 toolkit.
 """

@@ -1,4 +1,4 @@
-"""Trajectory factor graph and sparse Dogleg optimizer.
+"""Trajectory factor graph and Dogleg optimizer.
 
 Each epoch contributes one 7-dimensional node: the 3D position offset
 from the reference (start) position plus four receiver clock terms in
@@ -8,10 +8,14 @@ and pseudorange factors anchor the absolute position and clocks.
 
 The graph stores each factor type as one table of arrays, row k of
 every array belonging to factor k, and the optimizer works on those
-arrays themselves: the cost, the whitened system and the
+arrays themselves: the cost, the block normal equations and the
 relinearization of moved pseudorange rows (in place) read the tables,
 and `export_graph_json` writes them. `table[k]` is a view of factor k,
 which the per-factor `residual_*` reference functions take.
+
+A node's clocks enter only its own rows, so each Gauss-Newton step
+eliminates them node by node and solves the positions, which the
+between factors tie within a band, by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
-                       pseudorange_variance)
+                       grouped_normals, pseudorange_variance)
 from .trrtk import TrRtkPairs
 
 STATE_DIM = 7
@@ -82,7 +85,9 @@ class PseudorangeFactors(_Table):
     """Pseudorange rows `row` . x[node] = `constant`, linearized at the
     position offset `lin_offset` from the corrected pseudorange
     `measured` (rho + c*dT_sat less the modeled atmosphere) of satellite
-    `sat` at `sat_position`; `slot` is its constellation's clock column."""
+    `sat` at `sat_position`; `slot` is its constellation's clock column.
+    The rows come in node order, which the optimizer's per-node Gram
+    product needs."""
 
     node: np.ndarray                   # (p,)
     sat: np.ndarray                    # (p,) SatelliteId.key
@@ -298,47 +303,139 @@ def evaluate_cost(graph: Graph, states) -> float:
         + graph.priors.information @ (prior * prior))
 
 
-def _whitened_system(graph: Graph, states: np.ndarray):
-    """Whitened residual vector and sparse Jacobian of the full problem.
+def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per k in 0..n-1, the sum of the rows of `values` whose `index` is
+    k, added in row order."""
+    width = int(np.prod(values.shape[1:]))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=n * width).reshape(
+        (n,) + values.shape[1:])
 
-    Rows come in the order of the factor tables: three per between
-    factor (velocity, then TR-RTK), one per pseudorange factor, one per
-    prior row.
-    """
+
+def _normal_equations(graph: Graph, states: np.ndarray):
+    """The Gauss-Newton normal equations N s = -g of the whitened
+    factors at `states`: the gradient g (7n,), and N in blocks, per
+    node the 7x7 block of its pseudorange and prior rows (n, 7, 7), then
+    the between factors (velocity, then TR-RTK) as nodes (b, 2) and
+    information (b, 3, 3), each adding Omega to its two nodes' position
+    blocks and -Omega between them. A node's pseudorange block and
+    gradient come from one padded Gram product, the other terms are
+    summed in table order."""
     nodes, information, between, pseudorange, prior = _residuals(graph,
                                                                  states)
     pr, priors = graph.pseudorange_factors, graph.priors
-    sqrt = np.linalg.cholesky(information).transpose(0, 2, 1)
-    n_between, n_pr = len(between), len(pseudorange)
-    w_pr = np.sqrt(pr.information)
-    w_prior = np.sqrt(priors.information)
-    residual = np.concatenate([
-        np.matmul(sqrt, between[:, :, None])[:, :, 0].ravel(),
-        w_pr * pseudorange, w_prior * prior])
+    n = len(states)
+    blocks, gradient = grouped_normals(pr.node, n, pr.row, pr.information,
+                                       pseudorange)
+    entry = STATE_DIM * priors.node + priors.index
+    diagonal = np.arange(STATE_DIM)
+    blocks[:, diagonal, diagonal] += _sums(entry, priors.information,
+                                           states.size).reshape(n, STATE_DIM)
+    gradient += _sums(entry, priors.information * prior,
+                      states.size).reshape(n, STATE_DIM)
+    pull = np.matmul(information, between[:, :, None])[:, :, 0]
+    gradient[:, :3] += _sums(nodes[:, 1], pull, n) - _sums(nodes[:, 0], pull,
+                                                           n)
+    return gradient.ravel(), (blocks, nodes, information)
 
-    # between block: -sqrt on the first node's position, +sqrt on the
-    # second's, entry [f, r, c] in row 3f + r and column 7 node + c
-    row_b = np.broadcast_to(np.arange(3 * n_between).reshape(-1, 3, 1),
-                            sqrt.shape)
-    col_b = STATE_DIM * nodes[:, :, None, None] + np.arange(3)
-    col_b = np.broadcast_to(col_b, (n_between, 2, 3, 3))
-    pr_base = 3 * n_between
-    row_pr = np.broadcast_to(pr_base + np.arange(n_pr)[:, None],
-                             pr.row.shape)
-    col_pr = STATE_DIM * pr.node[:, None] + np.arange(STATE_DIM)
-    prior_base = pr_base + n_pr
-    rows = np.concatenate([row_b.ravel(), row_b.ravel(), row_pr.ravel(),
-                           prior_base + np.arange(len(prior))])
-    cols = np.concatenate([
-        col_b[:, 0].ravel(), col_b[:, 1].ravel(), col_pr.ravel(),
-        STATE_DIM * priors.node + priors.index])
-    data = np.concatenate([-sqrt.ravel(), sqrt.ravel(),
-                           (w_pr[:, None] * pr.row).ravel(), w_prior])
-    keep = data != 0.0
-    jacobian = sp.csr_matrix(
-        (data[keep], (rows[keep], cols[keep])),
-        shape=(len(residual), states.size))
-    return residual, jacobian
+
+def _quadratic(system, v: np.ndarray) -> float:
+    """v^T N v of the normal matrix N in blocks `system`, for v (7n,)."""
+    blocks, nodes, information = system
+    v = v.reshape(len(blocks), STATE_DIM)
+    change = v[nodes[:, 1], :3] - v[nodes[:, 0], :3]
+    return float(np.einsum("ki,kij,kj->", v, blocks, v)
+                 + np.einsum("bi,bij,bj->", change, information, change))
+
+
+def _position_band(reduced: np.ndarray, nodes: np.ndarray,
+                   information: np.ndarray) -> np.ndarray:
+    """The lower band (w + 1, 3n) of the position system whose 3x3
+    diagonal blocks are `reduced` (n, 3, 3) and which has -Omega between
+    the nodes of each between factor: entry (r, c), r >= c, in row
+    r - c of column c, so w = 3 max|j - i| + 2. One bincount sums the
+    entries, the between factors in table order."""
+    n = len(reduced)
+    gap = np.abs(nodes[:, 1] - nodes[:, 0])
+    rows = 3 * gap.max(initial=0) + 3
+    lower, upper = np.tril_indices(3)
+    diagonal = (3 * np.arange(n)[:, None] + upper) * rows + lower - upper
+    row, col = np.divmod(np.arange(9), 3)
+    between = ((3 * nodes.min(axis=1)[:, None] + col) * rows
+               + 3 * gap[:, None] + row - col)
+    cells = np.bincount(
+        np.concatenate([diagonal.ravel(), between.ravel()]),
+        np.concatenate([reduced[:, lower, upper].ravel(),
+                        -information.reshape(-1, 9).ravel()]),
+        minlength=3 * n * rows)
+    return cells.reshape(3 * n, rows).T
+
+
+def _substitute(factor: np.ndarray, rhs: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """Per node, x solving L x = rhs, or L^T x = rhs with `transpose`,
+    for lower triangular factors L `factor` (n, k, k) and right-hand
+    sides `rhs` (n, k, m), by substitution one row at a time."""
+    matrix = factor.transpose(0, 2, 1) if transpose else factor
+    k = matrix.shape[1]
+    x = np.zeros_like(rhs)
+    for i in range(k - 1, -1, -1) if transpose else range(k):
+        # the entries of x not yet solved are still 0
+        x[:, i] = ((rhs[:, i] - np.einsum("kj,kjm->km", matrix[:, i], x))
+                   / matrix[:, i, i, None])
+    return x
+
+
+def _check_pivots(pivots: np.ndarray, diagonal: np.ndarray,
+                  what: str) -> None:
+    """Raise SingularNormalEquations naming `what` unless each Cholesky
+    pivot squared exceeds 1e-12 of its matrix's diagonal entry: a
+    smaller one is the round-off of a zero pivot, as SPP counts a
+    condition number above 1e12 as singular (a NaN pivot, left by a
+    failed factorization, fails too)."""
+    if not np.all(pivots * pivots > 1e-12 * diagonal):
+        raise SingularNormalEquations(f"{what} is not positive definite")
+
+
+def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
+    """The step s (7n,) that solves N s = -g, for the normal matrix N in
+    blocks `system` and the gradient g (7n,): each node's four clock
+    states are eliminated by the Schur complement of its 4x4 clock block
+    C = L L^T, the 3n positions are solved by banded Cholesky, and the
+    clocks are recovered by back-substitution. A clock block or a
+    position system that is not positive definite raises
+    SingularNormalEquations."""
+    blocks, nodes, information = system
+    n = len(blocks)
+    gradient = gradient.reshape(n, STATE_DIM)
+    coupling, clock = blocks[:, :3, 3:], blocks[:, 3:, 3:]
+    try:
+        factor = np.linalg.cholesky(clock)
+    except np.linalg.LinAlgError:
+        factor = np.full_like(clock, np.nan)
+    _check_pivots(np.diagonal(factor, axis1=1, axis2=2),
+                  np.diagonal(clock, axis1=1, axis2=2), "a clock block")
+    # per node L^-1 [B^T, g_clock], so B C^-1 [B^T, g_clock] = Y_B^T Y
+    whitened = _substitute(factor, np.concatenate(
+        [coupling.transpose(0, 2, 1), gradient[:, 3:, None]], axis=2))
+    cross = whitened[:, :, :3].transpose(0, 2, 1) @ whitened
+    reduced = (blocks[:, :3, :3] - cross[:, :, :3]
+               + _sums(nodes[:, 0], information, n)
+               + _sums(nodes[:, 1], information, n))
+    rhs = cross[:, :, 3] - gradient[:, :3]
+    band = _position_band(reduced, nodes, information)
+    diagonal = band[0].copy()
+    try:
+        band = cholesky_banded(band, overwrite_ab=True, lower=True,
+                               check_finite=False)
+    except np.linalg.LinAlgError:
+        band[0] = np.nan
+    _check_pivots(band[0], diagonal, "the position system")
+    position = cho_solve_banded((band, True), rhs.ravel(),
+                                check_finite=False).reshape(n, 3)
+    clocks = -_substitute(factor, whitened[:, :, 3:] + whitened[:, :, :3]
+                          @ position[:, :, None], transpose=True)[:, :, 0]
+    return np.concatenate([position, clocks], axis=1).ravel()
 
 
 def _moved_rows(graph: Graph, states: np.ndarray,
@@ -368,10 +465,13 @@ def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
 
 
 def optimize(graph: Graph):
-    """Powell's Dogleg trust region on the sparse whitened normal equations.
+    """Powell's Dogleg trust region on the block normal equations.
 
     Returns (states, OptimizerReport); states is an (n, 7) array.
-    Deterministic: fixed factor order, direct sparse solve.
+    Deterministic: fixed factor order; each Gauss-Newton step eliminates
+    every node's clocks and solves the positions by banded Cholesky
+    (`_gauss_newton_step`), and the steepest-descent scale and predicted
+    reduction take N's quadratic form from the same blocks.
     """
     states = graph.initial_states.copy()
     cost = evaluate_cost(graph, states)
@@ -380,22 +480,16 @@ def optimize(graph: Graph):
     radius = INITIAL_RADIUS
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        residual, jacobian = _whitened_system(graph, states)
-        gradient = jacobian.T @ residual
+        gradient, system = _normal_equations(graph, states)
         if np.linalg.norm(gradient, np.inf) < GRADIENT_TOLERANCE:
             report.converged = True
             break
 
-        normal = (jacobian.T @ jacobian).tocsc()
-        try:
-            gn_step = spla.spsolve(normal, -gradient)
-        except Exception as exc:
-            raise SingularNormalEquations(str(exc)) from exc
+        gn_step = _gauss_newton_step(system, gradient)
         if not np.all(np.isfinite(gn_step)):
             raise SingularNormalEquations("non-finite Gauss-Newton step")
 
-        jg = jacobian @ gradient
-        sd_scale = (gradient @ gradient) / (jg @ jg)
+        sd_scale = (gradient @ gradient) / _quadratic(system, gradient)
         sd_step = -sd_scale * gradient
 
         # a step that relinearizes no row lands where the quadratic model
@@ -409,8 +503,7 @@ def optimize(graph: Graph):
             trial = states + step.reshape(states.shape)
             new_cost = evaluate_cost(graph, trial)
             # predicted reduction of the quadratic model
-            predicted = -(2.0 * residual @ (jacobian @ step)
-                          + step @ (normal @ step))
+            predicted = -(2.0 * gradient @ step + _quadratic(system, step))
             gain = (cost - new_cost) / predicted if predicted > 0 else -1.0
             if new_cost <= cost and gain > 0:
                 states = trial

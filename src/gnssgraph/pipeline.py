@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,23 +58,28 @@ class PipelineResult:
                 if k not in self.trrtk.errors]
 
 
-def lattice_pairs(times, offsets, interval: float) -> list:
-    """(past, current) epoch indexes of the loop-closure lattice: for
-    each current epoch and each offset, the epoch found within interval/2
-    of round(offset / interval) observation steps before it, each pair
-    once. An offset with no epoch there (a gap) gives no pair."""
-    seconds = [t - times[0] for t in times]
-    pairs = []
-    for j, now in enumerate(seconds):
-        found = set()
-        for offset in offsets:
-            target = now - round(offset / interval) * interval
-            i = bisect_left(seconds, target - interval / 2, 0, j)
-            if (i < j and abs(seconds[i] - target) <= interval / 2
-                    and i not in found):
-                found.add(i)
-                pairs.append((i, j))
-    return pairs
+def lattice_pairs(times, offsets, interval: float) -> np.ndarray:
+    """(past, current) epoch indexes (P, 2) of the loop-closure lattice:
+    for each current epoch and each offset, the epoch found within
+    interval/2 of round(offset / interval) observation steps before it,
+    each pair once, ordered by current epoch and then by offset. An
+    offset with no epoch there (a gap) gives no pair. The epoch times
+    must increase; one searchsorted per offset finds every current
+    epoch's past epoch."""
+    seconds = np.array([t - times[0] for t in times], dtype=float)
+    current = np.arange(len(seconds))
+    # per offset (row) and current epoch (column), the past epoch found
+    past = np.zeros((len(offsets), len(seconds)), dtype=int)
+    hit = np.zeros(past.shape, dtype=bool)
+    for k, offset in enumerate(offsets):
+        target = seconds - round(offset / interval) * interval
+        past[k] = np.minimum(np.searchsorted(seconds, target - interval / 2),
+                             current)
+        found = hit[:k] & (past[:k] == past[k])
+        hit[k] = ((past[k] < current)
+                  & (np.abs(seconds[past[k]] - target) <= interval / 2)
+                  & ~found.any(axis=0))
+    return np.column_stack([past.T[hit.T], np.nonzero(hit.T)[0]])
 
 
 def _raise_earliest(errors: dict, times) -> None:

@@ -98,26 +98,34 @@ def _solve(normal, rhs, ok, errors: dict, message: str):
             normal)
 
 
-def _normals(geometry: EpochGeometry, rows, a, weights, y):
-    """Per epoch, the normal matrix and right-hand side of its rows
-    among `rows` (bool), whose design rows are `a`, weights `weights`
-    and observations `y`, one per row or one row of columns each: each
-    epoch's rows go from index 0 of a padded (epoch, row) array, zeros
-    after them, so the sums of one epoch take its own rows in their
-    order and the same bits in any session. [a, y, weights] go into the
-    padded array in one scatter, and one stacked matmul forms the
-    matrix and the right-hand side together."""
-    epoch = geometry.epoch[rows]
-    index = np.arange(len(epoch)) - np.searchsorted(epoch, epoch)
-    shape = (len(geometry.times), index.max(initial=-1) + 1)
+def grouped_normals(group, groups: int, a, weights, y):
+    """Per group 0..groups-1, the normal matrix A^T W A and right-hand
+    side A^T W y of its rows, whose group indexes `group` ascend, with
+    design rows `a`, weights `weights` and observations `y`, one per
+    row or one row of columns each. Each group's rows go from index 0
+    of a padded (group, row) array, zeros after them, its index taken
+    from the group's first row, so the sums of one group take its own
+    rows in their order and the same bits in any session. [a, y,
+    weights] go into the padded array in one scatter, and one stacked
+    matmul forms the matrix and the right-hand side together."""
+    count = np.bincount(group, minlength=groups)
+    start = np.cumsum(count) - count
+    index = np.arange(len(group)) - start[group]
     columns = np.column_stack([a, y, weights])
-    padded = np.zeros(shape + columns.shape[1:])
-    padded[epoch, index] = columns
+    padded = np.zeros((groups, count.max(initial=0)) + columns.shape[1:])
+    padded[group, index] = columns
     unknowns = a.shape[1]
     aw = padded[..., :unknowns] * padded[..., -1:]
     product = np.matmul(aw.transpose(0, 2, 1), padded[..., :-1])
     return (product[..., :unknowns], product[..., unknowns:].reshape(
         product.shape[:2] + np.shape(y)[1:]))
+
+
+def _normals(geometry: EpochGeometry, rows, a, weights, y):
+    """`grouped_normals` of the rows `rows` (bool) of `geometry`, one
+    group per epoch."""
+    return grouped_normals(geometry.epoch[rows], len(geometry.times), a,
+                           weights, y)
 
 
 def _marked(n: int, errors: dict) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Brute-force oracles: an exhaustive integer search for the LAMBDA
-tests, and a dense solve of one TR-RTK pair for the kernel's tests."""
+tests, a dense solve of one TR-RTK pair for the kernel's tests, the
+dense normal equations of a factor graph for the optimizer's tests and
+the loop-closure lattice one epoch at a time."""
+
+from bisect import bisect_left
 
 import numpy as np
 from scipy.stats import chi2
 
 from gnssgraph.coords import lines_of_sight
+from gnssgraph.graph import (STATE_DIM, residual_prior, residual_pseudorange,
+                             residual_trrtk, residual_velocity)
 
 
 def brute_force_minimizer(float_values, covariance, box=8):
@@ -112,3 +118,72 @@ def dense_pair_solve(s, located, past, current, dds, config, iterate=True):
              + x[3:] @ prior @ x[3:])
     return (x[:3], np.linalg.inv(normal)[:3, :3], omega,
             chi2.sf(omega, 3 * m - 3))
+
+
+def lattice_pairs_loop(times, offsets, interval):
+    """The loop-closure lattice of `pipeline.lattice_pairs` one current
+    epoch at a time: per offset a bisection for the epoch nearest
+    round(offset / interval) steps before, kept if within interval/2 and
+    not found by an earlier offset of the same epoch."""
+    seconds = [t - times[0] for t in times]
+    pairs = []
+    for j, now in enumerate(seconds):
+        found = set()
+        for offset in offsets:
+            target = now - round(offset / interval) * interval
+            i = bisect_left(seconds, target - interval / 2, 0, j)
+            if (i < j and abs(seconds[i] - target) <= interval / 2
+                    and i not in found):
+                found.add(i)
+                pairs.append((i, j))
+    return pairs
+
+
+def dense_normal_equations(graph, states):
+    """The full normal matrix N (7n, 7n), gradient g (7n,) and cost of
+    `graph` at `states` (n, 7), summed one factor at a time: a factor
+    with residual e, information Omega and Jacobian blocks J_a on its
+    nodes a adds J_a^T Omega J_b to block (a, b) of N, J_a^T Omega e to
+    block a of g and e^T Omega e to the cost."""
+    size = states.size
+    normal = np.zeros((size, size))
+    gradient = np.zeros(size)
+    cost = 0.0
+
+    def add(blocks, e, info):
+        nonlocal cost
+        for a, jac_a in blocks:
+            gradient[STATE_DIM * a:STATE_DIM * (a + 1)] += jac_a.T @ info @ e
+            for b, jac_b in blocks:
+                normal[STATE_DIM * a:STATE_DIM * (a + 1),
+                       STATE_DIM * b:STATE_DIM * (b + 1)] += (
+                    jac_a.T @ info @ jac_b)
+        cost += e @ info @ e
+
+    pos = np.zeros((3, STATE_DIM))
+    pos[:, :3] = np.eye(3)
+    for f in graph.velocity_factors:
+        i, j = f.nodes
+        add([(i, -pos), (j, pos)], residual_velocity(f, states[i], states[j]),
+            f.information)
+    for f in graph.trrtk_factors:
+        i, j = f.nodes
+        add([(i, -pos), (j, pos)], residual_trrtk(f, states[i], states[j]),
+            f.information)
+    for f in graph.pseudorange_factors:
+        add([(f.node, f.row[None, :])],
+            np.array([residual_pseudorange(f, states[f.node])]),
+            np.array([[f.information]]))
+    for f in graph.priors:
+        sel = np.zeros((len(f.index), STATE_DIM))
+        sel[np.arange(len(f.index)), f.index] = 1.0
+        add([(f.node, sel)], residual_prior(f, states[f.node]),
+            np.diag(f.information))
+    return normal, gradient, cost
+
+
+def dense_gauss_newton_step(graph, states):
+    """The Gauss-Newton step (7n,) of `graph` at `states`: the dense
+    normal equations N s = -g solved by np.linalg.solve."""
+    normal, gradient, _ = dense_normal_equations(graph, states)
+    return np.linalg.solve(normal, -gradient)

@@ -1,9 +1,11 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gnssgraph.errors import EmptyInput, MissingVelocity
+from gnssgraph.errors import (EmptyInput, MissingVelocity,
+                              SingularNormalEquations)
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.graph import (RELINEARIZE_THRESHOLD, build_graph,
                              evaluate_cost, optimize, residual_pseudorange,
@@ -14,6 +16,7 @@ from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import TrRtkPairs
 from gnssgraph.types import Constellation, SatelliteId
+from brute_force import dense_gauss_newton_step, dense_normal_equations
 from sessions import position_of
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
@@ -305,56 +308,198 @@ class TestStackedSystem:
                      priors), rng.normal(scale=3.0, size=(4, 7))
 
     def test_normal_matrix_and_cost_equal_per_factor_sums(self):
-        from gnssgraph.graph import _whitened_system, residual_prior
+        from gnssgraph.graph import _normal_equations, _quadratic
 
         g, x = self.small_graph()
-        n_var = x.size
-        normal = np.zeros((n_var, n_var))
-        gradient = np.zeros(n_var)
-        cost = 0.0
-
-        def add(blocks, e, info):
-            nonlocal cost
-            jac = np.zeros((len(e), n_var))
-            for node, block in blocks:
-                jac[:, 7 * node:7 * node + 7] += block
-            normal[:] += jac.T @ info @ jac
-            gradient[:] += jac.T @ info @ e
-            cost += e @ info @ e
-
-        pos = np.zeros((3, 7))
-        pos[:, :3] = np.eye(3)
-        for f in g.velocity_factors:
-            i, j = f.nodes
-            add([(i, -pos), (j, pos)], residual_velocity(f, x[i], x[j]),
-                f.information)
-        for f in g.trrtk_factors:
-            i, j = f.nodes
-            add([(i, -pos), (j, pos)], residual_trrtk(f, x[i], x[j]),
-                f.information)
-        for f in g.pseudorange_factors:
-            add([(f.node, f.row[None, :])],
-                np.array([residual_pseudorange(f, x[f.node])]),
-                np.array([[f.information]]))
         assert len(g.priors) == 2
-        for f in g.priors:
-            sel = np.zeros((len(f.index), 7))
-            sel[np.arange(len(f.index)), f.index] = 1.0
-            add([(f.node, sel)], residual_prior(f, x[f.node]),
-                np.diag(f.information))
+        normal, gradient, cost = dense_normal_equations(g, x)
 
-        residual, jacobian = _whitened_system(g, x)
-        assert jacobian.shape == (3 * 5 + 8 + 5, n_var)
-        assert np.allclose((jacobian.T @ jacobian).toarray(), normal,
-                           rtol=1e-12, atol=1e-12)
-        assert np.allclose(jacobian.T @ residual, gradient, rtol=1e-12,
+        system_gradient, system = _normal_equations(g, x)
+        assert np.allclose(dense_from_blocks(system), normal, rtol=1e-12,
                            atol=1e-12)
-        assert residual @ residual == pytest.approx(cost, rel=1e-12)
+        assert np.allclose(system_gradient, gradient, rtol=1e-12,
+                           atol=1e-12)
+        v = np.random.default_rng(5).normal(size=x.size)
+        assert _quadratic(system, v) == pytest.approx(v @ normal @ v,
+                                                      rel=1e-12)
         assert evaluate_cost(g, x) == pytest.approx(cost, rel=1e-12)
         # the cost follows edits of the graph's arrays
         g.priors.information[3] += 2.0
         assert evaluate_cost(g, x) == pytest.approx(
             cost + 2.0 * (x[2, 4] - g.priors.value[3]) ** 2, rel=1e-12)
+
+
+def dense_from_blocks(system) -> np.ndarray:
+    """The full normal matrix of the optimizer's blocks: the node blocks
+    on the diagonal, and Omega on both nodes' positions and -Omega
+    between them for each between factor."""
+    blocks, nodes, information = system
+    n = len(blocks)
+    normal = np.zeros((7 * n, 7 * n))
+    for k, block in enumerate(blocks):
+        normal[7 * k:7 * k + 7, 7 * k:7 * k + 7] = block
+    for (i, j), omega in zip(nodes, information):
+        for a, b, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+            normal[7 * a:7 * a + 3, 7 * b:7 * b + 3] += sign * omega
+    return normal
+
+
+def with_clock_priors(g):
+    """`g` with, besides the first node's position prior, a prior on
+    every node's clock slots 1 and 3, which no pseudorange row of
+    `TestStackedSystem.small_graph` observes (as `build_graph` adds
+    them)."""
+    from gnssgraph.graph import Priors
+
+    n = len(g.initial_states)
+    g.priors = Priors(
+        node=np.concatenate([[0, 0, 0], np.repeat(np.arange(n), 2)]),
+        index=np.concatenate([[0, 1, 2], np.tile([4, 6], n)]),
+        value=np.zeros(3 + 2 * n),
+        information=np.concatenate([[0.25] * 3, [1e-4] * (2 * n)]),
+        start=np.concatenate([[0], 3 + 2 * np.arange(n)]))
+    return g
+
+
+def gauss_newton_step(g, x):
+    from gnssgraph.graph import _gauss_newton_step, _normal_equations
+
+    gradient, system = _normal_equations(g, x)
+    return _gauss_newton_step(system, gradient)
+
+
+def line_graph(**kwargs):
+    """The graph of a 20 s line solved by the pipeline, and states 0.5 m
+    (positions) and 2 m (clocks) off its solution."""
+    cfg = zero_noise_scenario(duration=20.0,
+                              noise=NoiseConfig(0.5, 0.003, 0.02))
+    truth, epochs, states = run_scenario(cfg)
+    result = solve_trajectory(epochs, states, PipelineConfig(
+        iono=cfg.iono, tropo=cfg.tropo, **kwargs))
+    rng = np.random.default_rng(3)
+    x = result.states + rng.normal(size=result.states.shape) * np.array(
+        [0.5] * 3 + [2.0] * 4)
+    return result.graph, x
+
+
+def square_graph(**kwargs):
+    """The graph of an 80 s square of 20 m sides solved by the pipeline
+    with TR-RTK."""
+    square = [[0, 0, 0], [20, 0, 0], [20, 20, 0], [0, 20, 0], [0, 0, 0]]
+    cfg = ScenarioConfig(
+        duration=80.0,
+        trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                    waypoints=square), seed=1)
+    truth, epochs, states = run_scenario(cfg)
+    return solve_trajectory(epochs, states, PipelineConfig(
+        iono=cfg.iono, tropo=cfg.tropo, **kwargs)).graph
+
+
+class TestGaussNewtonStep:
+    """The step from eliminated clocks and a banded position solve is the
+    dense normal equations' solution."""
+
+    def small(self):
+        g, x = TestStackedSystem.small_graph()
+        return with_clock_priors(g), x
+
+    def square(self):
+        g = square_graph()
+        assert len(g.trrtk_factors) > 100
+        return g, g.initial_states
+
+    def full_band(self):
+        """One TR edge from the first node to the last: the position
+        band is the whole lower triangle."""
+        from gnssgraph.graph import TrRtkFactors
+
+        g, x = line_graph(use_trrtk=False)
+        n = len(x)
+        tr = g.trrtk_factors
+        g.trrtk_factors = TrRtkFactors(
+            nodes=np.concatenate([tr.nodes, [[0, n - 1]]]),
+            baseline=np.concatenate([tr.baseline, [[38.0, 0.5, -0.2]]]),
+            time_difference=np.concatenate([tr.time_difference, [20.0]]),
+            information=np.concatenate([tr.information,
+                                        [1e4 * np.eye(3)]]))
+        return g, x
+
+    def no_pseudorange(self):
+        """The clocks rest on their priors alone."""
+        g, x = line_graph(use_pseudorange=False)
+        assert len(g.pseudorange_factors) == 0
+        return g, x
+
+    @pytest.mark.parametrize("graph", ["small", "square", "full_band",
+                                       "no_pseudorange"])
+    def test_matches_the_dense_oracle(self, graph):
+        g, x = getattr(self, graph)()
+        step = gauss_newton_step(g, x)
+        dense = dense_gauss_newton_step(g, x)
+        assert np.linalg.norm(step) > 0.0
+        assert (np.linalg.norm(step - dense)
+                <= 1e-9 * np.linalg.norm(dense))
+
+    def test_band_spans_the_longest_between_factor(self):
+        from gnssgraph.graph import _normal_equations, _position_band
+
+        g, x = self.full_band()
+        _, (blocks, nodes, information) = _normal_equations(g, x)
+        band = _position_band(blocks[:, :3, :3], nodes, information)
+        assert band.shape == (3 * len(x), 3 * len(x))
+
+
+class TestSingularSystems:
+    """A graph whose normal equations are singular raises
+    SingularNormalEquations, never numpy's LinAlgError."""
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-30])
+    def test_cut_between_factor(self, scale):
+        """Without pseudorange rows, velocity factor 5 of zero (or
+        1e-30) information leaves nodes 6 onward with no position
+        anchor; nodes 10 onward moved 1 m give the gradient something to
+        do. With 1e-30 the position system is positive definite only
+        below round-off."""
+        g, _ = line_graph(use_trrtk=False, use_pseudorange=False)
+        g.velocity_factors.information[5] = scale * np.eye(3)
+        g.initial_states[10:, :3] += 1.0
+        with pytest.raises(SingularNormalEquations, match="position"):
+            optimize(g)
+
+    @pytest.fixture(scope="class")
+    def square_without_pseudorange(self):
+        return square_graph(use_pseudorange=False)
+
+    @pytest.mark.parametrize("cut", [9, 13, 21, 53])
+    def test_cut_across_loop_closures(self, square_without_pseudorange,
+                                      cut):
+        """Every factor across epoch `cut` of an 80 s square without
+        pseudorange rows has zero information, so the nodes after it
+        have no position anchor. With the TR edges the banded Cholesky
+        can end on a pivot that is round-off above zero, at these cuts
+        among others; the pivot test refuses it."""
+        g = copy.deepcopy(square_without_pseudorange)
+        tr = g.trrtk_factors
+        g.velocity_factors.information[cut] = 0.0
+        tr.information[(tr.nodes[:, 0] <= cut) & (tr.nodes[:, 1] > cut)] = 0.0
+        g.initial_states[cut + 3:, :3] += 1.0
+        with pytest.raises(SingularNormalEquations, match="position"):
+            optimize(g)
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0, 4.0])
+    def test_clock_block_of_one_non_gps_system(self, weight):
+        """Node 3 sees Galileo rows only and has no prior on slot 0, so
+        its GPS clock and Galileo bias are observed only as their sum.
+        With these row weights the block's Cholesky factorization fails
+        (2.0) or ends on a pivot of round-off above zero (1.0, 4.0)."""
+        g, _ = TestStackedSystem.small_graph()
+        g = with_clock_priors(g)
+        pr = g.pseudorange_factors
+        assert pr.node[6] == pr.node[7] == 3 and pr.slot[7] == 2
+        pr.row[6], pr.slot[6] = pr.row[7], 2
+        pr.information[6:8] = weight
+        with pytest.raises(SingularNormalEquations, match="clock"):
+            optimize(g)
 
 
 class TestJacobians:

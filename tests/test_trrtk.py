@@ -10,6 +10,7 @@ from gnssgraph import trrtk
 from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
                               SingularGeometry, WindowExceeded)
 from gnssgraph.geometry import EpochGeometry
+from gnssgraph.gnsstime import GpsTime
 from gnssgraph.pipeline import (PipelineConfig, lattice_pairs,
                                 solve_trajectory)
 from gnssgraph.pointpos import SolverConfig, solve_spp
@@ -23,7 +24,7 @@ from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              solve_float_baseline, solve_pairs,
                              time_single_difference)
 from gnssgraph.types import Constellation, SatelliteId
-from brute_force import dense_pair_solve
+from brute_force import dense_pair_solve, lattice_pairs_loop
 from sessions import positions_by_sat, row_of, sat_ids, take
 
 
@@ -713,6 +714,38 @@ class TestPairLattice:
         for i, j, tr in result.trrtk_results:
             assert min(abs(tr.time_difference - step)
                        for step in TR_PAIR_LATTICE) < 1e-6, (i, j)
+
+    @pytest.mark.parametrize("session", [
+        "gap", "uneven", "half_second", "coarse", "week_rollover"])
+    def test_matches_the_loop_oracle(self, session):
+        """The same pairs in the same order as one bisection per current
+        epoch and offset: across a 10-epoch gap, at spacing that wanders
+        0.6-1.4 s, at a 0.5 s interval, at 30 s spacing where offsets
+        coincide, and on GPS times across a week boundary."""
+        rng = np.random.default_rng(12)
+        times, interval = {
+            "gap": (np.delete(np.arange(300.0), np.arange(50, 60)), 1.0),
+            "uneven": (np.cumsum(rng.uniform(0.6, 1.4, 400)), 1.0),
+            "half_second": (np.arange(0.0, 200.0, 0.5), 0.5),
+            "coarse": (np.arange(0.0, 600.0, 30.0), 30.0),
+            "week_rollover": ([GpsTime(2200, 604700.0).add(k)
+                               for k in range(250)], 1.0),
+        }[session]
+        expected = lattice_pairs_loop(times, TR_PAIR_LATTICE, interval)
+        pairs = lattice_pairs(times, TR_PAIR_LATTICE, interval)
+        assert len(expected) > 0
+        assert pairs.tolist() == [list(pair) for pair in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(st.floats(0.2, 3.0), max_size=150),
+           interval=st.sampled_from([0.5, 1.0, 2.0]),
+           offsets=st.lists(st.sampled_from(TR_PAIR_LATTICE), max_size=8))
+    def test_any_increasing_times_match_the_loop_oracle(self, steps,
+                                                        interval, offsets):
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        assert lattice_pairs(times, offsets, interval).tolist() == [
+            list(pair) for pair in lattice_pairs_loop(times, offsets,
+                                                      interval)]
 
     def test_every_attempt_has_an_outcome(self):
         cfg = quiet_scenario(duration=120.0)
