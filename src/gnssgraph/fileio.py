@@ -83,7 +83,7 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     edge per factor, velocity, trrtk, pseudorange then prior, with the
     current rows. `states` defaults to the stored initial states; pass
     the optimizer output to export the solved trajectory. The text is
-    `json.dumps` of a dict per node and edge, one template per kind.
+    `json.dumps` of a dict per node and edge, written kind by kind.
     """
     def eigenvalues(information):
         return np.round(np.sort(np.linalg.eigvalsh(information)), 9)
@@ -103,35 +103,36 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     keys = pr.sat.tolist()
     names = {key: str(SatelliteId.from_key(key)) for key in set(keys)}
     edges = (
-        dicts('{"type": "velocity", "nodes": [%s], "measurement": [%s], '
-              '"dt": %s, "information_eigenvalues": [%s]}', vel.nodes,
-              vel.velocity, vel.dt, eigenvalues(vel.information)),
-        dicts('{"type": "trrtk", "nodes": [%s], "measurement": [%s], '
-              '"time_difference": %s, "information_eigenvalues": [%s]}',
-              tr.nodes, tr.baseline, tr.time_difference,
-              eigenvalues(tr.information)),
-        dicts('{"type": "pseudorange", "nodes": [%s], "satellite": %s, '
-              '"measurement": %s, "information_eigenvalues": [%s]}',
-              pr.node, list(map(names.__getitem__, keys)), pr.constant,
-              pr.information),
-        dicts('{"type": "prior", "nodes": [%s], "indices": [%s], '
-              '"measurement": [%s], "information_eigenvalues": [%s]}',
-              priors.node[priors.start], indices, values,
-              list(map(sorted, information))))
+        ('{"type": "velocity", "nodes": [%s], "measurement": [%s], '
+         '"dt": %s, "information_eigenvalues": [%s]}', vel.nodes,
+         vel.velocity, vel.dt, eigenvalues(vel.information)),
+        ('{"type": "trrtk", "nodes": [%s], "measurement": [%s], '
+         '"time_difference": %s, "information_eigenvalues": [%s]}',
+         tr.nodes, tr.baseline, tr.time_difference,
+         eigenvalues(tr.information)),
+        ('{"type": "pseudorange", "nodes": [%s], "satellite": %s, '
+         '"measurement": %s, "information_eigenvalues": [%s]}',
+         pr.node, list(map(names.__getitem__, keys)), pr.constant,
+         pr.information),
+        ('{"type": "prior", "nodes": [%s], "indices": [%s], '
+         '"measurement": [%s], "information_eigenvalues": [%s]}',
+         priors.node[priors.start], indices, values,
+         list(map(sorted, information))))
     try:
         optimizer = "" if report is None else ', "optimizer": ' + json.dumps({
             name: getattr(report, name) for name in
             ("initial_cost", "final_cost", "iterations", "converged")})
     except TypeError as exc:
         raise IoFailure(str(exc)) from exc
-    stream.write('{"reference_position": %s, "nodes": [%s], "edges": [%s]'
-                 '%s}' % (json.dumps(graph.reference_position.tolist()),
-                          dicts('{"index": %s, "position": [%s], '
-                                '"clocks": [%s]}', list(range(len(x))),
-                                np.round(graph.reference_position
-                                         + x[:, :3], 6),
-                                np.round(x[:, 3:], 6)),
-                          ", ".join(filter(None, edges)), optimizer))
+    stream.write('{"reference_position": %s, "nodes": [%s], "edges": ['
+                 % (json.dumps(graph.reference_position.tolist()),
+                    dicts('{"index": %s, "position": [%s], "clocks": [%s]}',
+                          list(range(len(x))), np.round(
+                              graph.reference_position + x[:, :3], 6),
+                          np.round(x[:, 3:], 6))))
+    for k, text in enumerate(filter(None, (dicts(*e) for e in edges))):
+        stream.writelines((", " * (k > 0), text))
+    stream.write(']%s}' % optimizer)
 
 
 SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS

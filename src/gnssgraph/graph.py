@@ -305,14 +305,14 @@ def evaluate_cost(graph: Graph, states) -> float:
 
 def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Per k in 0..n-1, the sum of the rows of `values` whose `index` is
-    k, added in row order."""
+    k, added in row order (floats, also of no rows)."""
     width = int(np.prod(values.shape[1:]))
     flat = (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, values.ravel(), minlength=n * width).reshape(
-        (n,) + values.shape[1:])
+    return np.bincount(flat, values.ravel(), minlength=n * width).astype(
+        float, copy=False).reshape((n,) + values.shape[1:])
 
 
-def _normal_equations(graph: Graph, states: np.ndarray):
+def _normal_equations(graph: Graph, states: np.ndarray, with_blocks=True):
     """The Gauss-Newton normal equations N s = -g of the whitened
     factors at `states`: the gradient g (7n,), and N in blocks, per
     node the 7x7 block of its pseudorange and prior rows (n, 7, 7), then
@@ -320,23 +320,28 @@ def _normal_equations(graph: Graph, states: np.ndarray):
     information (b, 3, 3), each adding Omega to its two nodes' position
     blocks and -Omega between them. A node's pseudorange block and
     gradient come from one padded Gram product, the other terms are
-    summed in table order."""
+    summed in table order. Without `with_blocks`, N is False and the
+    pseudorange gradient is summed by row, equal to round-off."""
     nodes, information, between, pseudorange, prior = _residuals(graph,
                                                                  states)
     pr, priors = graph.pseudorange_factors, graph.priors
     n = len(states)
-    blocks, gradient = grouped_normals(pr.node, n, pr.row, pr.information,
-                                       pseudorange)
     entry = STATE_DIM * priors.node + priors.index
-    diagonal = np.arange(STATE_DIM)
-    blocks[:, diagonal, diagonal] += _sums(entry, priors.information,
-                                           states.size).reshape(n, STATE_DIM)
+    if with_blocks:
+        blocks, gradient = grouped_normals(pr.node, n, pr.row,
+                                           pr.information, pseudorange)
+        diagonal = np.arange(STATE_DIM)
+        blocks[:, diagonal, diagonal] += _sums(
+            entry, priors.information, states.size).reshape(n, STATE_DIM)
+    else:
+        gradient = _sums(pr.node, pr.row * (pr.information
+                                            * pseudorange)[:, None], n)
     gradient += _sums(entry, priors.information * prior,
                       states.size).reshape(n, STATE_DIM)
     pull = np.matmul(information, between[:, :, None])[:, :, 0]
     gradient[:, :3] += _sums(nodes[:, 1], pull, n) - _sums(nodes[:, 0], pull,
                                                            n)
-    return gradient.ravel(), (blocks, nodes, information)
+    return gradient.ravel(), with_blocks and (blocks, nodes, information)
 
 
 def _quadratic(system, v: np.ndarray) -> float:
@@ -480,10 +485,13 @@ def optimize(graph: Graph):
     radius = INITIAL_RADIUS
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        gradient, system = _normal_equations(graph, states)
+        # after a step the gradient alone tells whether another follows
+        gradient, system = _normal_equations(graph, states, iteration == 1)
         if np.linalg.norm(gradient, np.inf) < GRADIENT_TOLERANCE:
             report.converged = True
             break
+        if not system:
+            gradient, system = _normal_equations(graph, states)
 
         gn_step = _gauss_newton_step(system, gradient)
         if not np.all(np.isfinite(gn_step)):

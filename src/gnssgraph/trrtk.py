@@ -21,13 +21,14 @@ indexed by (pair, session satellite). Each pair is one linear WLS,
 linearized at the located receivers, the point solutions; their error
 delta leaves at most |delta|^2 / 2 rho in a range (see
 `solve_float_baseline`). Its normal equations under the DD covariance
-D + r 11^T are one centered weighted Gram product, a block's 6x6
-systems one stacked solve and its p-values one call. Each block fills
-its rows of one `TrRtkPairs` table. No sum or product spans two pairs,
-so a pair gets the same bits in any block; its GnssError goes into the
-table's `errors` and never stops the block. `estimate_baseline`,
-`detect_cycle_slips` and `form_double_differences` are views of the
-kernel on one pair of a session.
+D + r 11^T are one centered weighted Gram product in a workspace made
+once per call, and a block's 6x6 systems one stacked solve. Each block
+gathers per-epoch terms made once per call and fills its rows of one
+`TrRtkPairs` table, whose p-values and fixes are set last. No sum or
+product spans two pairs, so a pair gets the same bits in any block; its
+GnssError goes into the table's `errors` and never stops the block.
+`estimate_baseline`, `detect_cycle_slips` and `form_double_differences`
+are views of the kernel on one pair of a session.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 # not used here: bench/spans.py traces LAMBDA under this module's name
 from .ambiguity import lambda_resolve  # noqa: F401
+from .constants import SECONDS_PER_WEEK
 from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
@@ -56,8 +58,8 @@ INTEGRITY_P_MIN = 1e-3
 PRECISION_MAX_M = 0.015
 
 # pairs solved together: a block's arrays take a few MB however long the
-# session is; 512-pair blocks solved the benchmark square about 1% faster
-# and took 14% more peak memory (90.7 MB against 79.3 MB)
+# session is; 512-pair blocks solved the benchmark square 6% slower and
+# took 14% more peak memory (82.3 MB against 72.2 MB)
 BLOCK_PAIRS = 128
 
 
@@ -217,11 +219,9 @@ def _locked(s: SessionArrays, past, current, dt, interval) -> np.ndarray:
     """(B, S): satellites continuously locked through each pair. A lock
     counter that grew by at least one per epoch over the gap means the
     carrier loop never reset; anything less implies a slip."""
-    first = np.where(dt < 0, current, past)
-    last = np.where(dt < 0, past, current)
-    gap = np.rint(np.abs(dt) / interval)
-    return ((s.lock[past] >= 0) & (s.lock[current] >= 0)
-            & (s.lock[last] - s.lock[first] >= gap[:, None]))
+    gap = np.rint(np.abs(dt) / interval)[:, None]
+    grew = np.sign(dt)[:, None] * (s.lock[current] - s.lock[past])
+    return (s.lock[past] >= 0) & (s.lock[current] >= 0) & (grew >= gap)
 
 
 def time_single_difference(s: SessionArrays, past, current) -> np.ndarray:
@@ -234,8 +234,16 @@ def time_single_difference(s: SessionArrays, past, current) -> np.ndarray:
     return s.wavelength[current] * (s.phase[current] - s.phase[past])
 
 
+def _epoch_terms(s: SessionArrays, config: TrRtkConfig):
+    """Per epoch of `s`: the variances (sigma / sin el)^2 (n, S) of one
+    phase and one code measurement, and the lines of sight (n, 3, S)."""
+    sin = np.sin(s.elevation)
+    return ((config.phase_sigma / sin) ** 2, (config.code_sigma / sin) ** 2,
+            np.ascontiguousarray(s.unit.transpose(0, 2, 1)))
+
+
 def _double_differences(s: SessionArrays, past, current, locked,
-                        config: TrRtkConfig) -> DoubleDiffSet:
+                        config: TrRtkConfig, terms=None) -> DoubleDiffSet:
     """Between-satellite differences of each pair's locked satellites
     that both epochs' corrections hold. Carrier phase enters
     time-differenced, with the satellite clocks' change left in it;
@@ -244,49 +252,49 @@ def _double_differences(s: SessionArrays, past, current, locked,
     highest satellite of each constellation at the current epoch (the
     last in sort order on a tie), and only satellites on its carrier
     wavelength are differenced against it (cross-channel GLONASS DD
-    ambiguities would not be integer)."""
+    ambiguities would not be integer). `terms`: `_epoch_terms` of `s`."""
+    phase_variance, code_variance, sight = terms or _epoch_terms(s, config)
     n = np.arange(len(past))[:, None]
     usable = locked & s.usable[past] & s.usable[current]
     wavelength = s.wavelength[current]
     refs = np.zeros((len(past), len(s.spans)), int)
-    reference = np.zeros(usable.shape, int)
     for g, (a, b) in enumerate(s.spans):
         height = np.where(usable[:, a:b], s.elevation[current, a:b], -np.inf)
         refs[:, g] = b - 1 - np.argmax(height[:, ::-1], axis=1)
-        reference[:, a:b] = refs[:, g, None]
+    # each column's constellation, whose reference value it takes
+    group = np.repeat(np.arange(len(s.spans)), [b - a for a, b in s.spans])
+    reference = refs[:, group]
     rows = usable & (reference != np.arange(usable.shape[1])) & (
         np.abs(wavelength - wavelength[n, reference]) <= 1e-12)
     used = rows.copy()
-    for g, (a, b) in enumerate(s.spans):
-        used[n[:, 0], refs[:, g]] |= rows[:, a:b].any(axis=1)
+    used[n, refs] |= np.logical_or.reduceat(rows, [a for a, _ in s.spans], 1)
     # phase carries -iono, +tropo
     phase = (time_single_difference(s, past, current)
              + (s.iono[current] - s.iono[past])
              - (s.tropo[current] - s.tropo[past]))
     per_sat = np.stack([phase, s.code[past], s.code[current]], axis=1)
-    sin_p, sin_c = np.sin(s.elevation[past]), np.sin(s.elevation[current])
     # time difference of two independent epochs: sum of their variances
-    variance = np.stack([(config.phase_sigma / sin_p) ** 2
-                         + (config.phase_sigma / sin_c) ** 2,
-                         (config.code_sigma / sin_p) ** 2,
-                         (config.code_sigma / sin_c) ** 2], axis=1)
-    observed = per_sat - np.take_along_axis(per_sat, reference[:, None], 2)
+    variance = np.stack([phase_variance[past] + phase_variance[current],
+                         code_variance[past], code_variance[current]], axis=1)
+    observed = per_sat - np.take_along_axis(per_sat, refs[:, None], 2)[
+        ..., group]
     # the geometry at each epoch's located receiver, differenced as the
     # observations are; d|p - s|/dp = -unit(receiver -> satellite)
     epochs = np.column_stack([past, current])
-    ranges, units = s.range[epochs], s.unit[epochs].transpose(0, 1, 3, 2)
+    ranges, gradient = s.range[epochs], sight[epochs]
+    np.subtract(np.take_along_axis(gradient, refs[:, None, None], 3)[
+        ..., group], gradient, out=gradient)
     return DoubleDiffSet(
         s.sats, s.spans, rows, used, reference,
         np.where(rows[:, None], observed, 0.0),
         np.where(rows[:, None], 1.0 / variance, 0.0),
         1.0 / np.take_along_axis(variance, refs[:, None], 2),
-        ranges - np.take_along_axis(ranges, reference[:, None], 2),
-        np.take_along_axis(units, reference[:, None, None], 3) - units,
-        np.where(used[:, None], ranges, np.inf).min(axis=(1, 2)),
+        ranges - np.take_along_axis(ranges, refs[:, None], 2)[..., group],
+        gradient, np.where(used[:, None], ranges, np.inf).min(axis=(1, 2)),
         s.receiver[current] - s.receiver[past])
 
 
-def _normal_equations(lin, weight, ref_weight, spans) -> np.ndarray:
+def _normal_equations(lin, weight, ref_weight, spans, work):
     """[J^T W J, J^T W r; ., r^T W r] (B, C, C) of each pair's rows. `lin`
     (B, C, K, S) holds column c of the row of kind k and satellite s; W
     inverts the covariance whose block on the satellites `spans[g]` of
@@ -299,20 +307,30 @@ def _normal_equations(lin, weight, ref_weight, spans) -> np.ndarray:
     ref_weight), and weight (row - m)(row - m)^T is summed over the rows.
     Unlike sum(weight row row^T) - (sum(weight) + ref_weight) m m^T, that
     loses no digits when one weight is far above the others. Every
-    product covers one pair."""
+    product covers one pair, formed in the `_workspace` `work`."""
     count, columns, kinds, width = lin.shape
     groups = np.zeros((width, len(spans)))
     for g, (a, b) in enumerate(spans):
         groups[a:b, g] = 1.0
+    scratch, centered, weighted = [a[:count] for a in work[1:]]
     flat = (count, columns * kinds, -1)
-    mean = (np.matmul((weight[:, None] * lin).reshape(flat), groups)
-            .reshape(count, columns, kinds, -1)
+    mean = (np.matmul(np.multiply(weight[:, None], lin, out=scratch).reshape(
+        flat), groups).reshape(count, columns, kinds, -1)
             / (np.matmul(weight, groups) + ref_weight)[:, None])
-    centered = np.concatenate(
-        [lin - np.matmul(mean.reshape(flat), groups.T).reshape(lin.shape),
-         -mean], axis=3).reshape(count, columns, -1)
+    np.matmul(mean.reshape(flat), groups.T, out=scratch.reshape(flat))
+    np.subtract(lin, scratch, out=centered[..., :width])
+    np.negative(mean, out=centered[..., width:])
+    centered = centered.reshape(count, columns, -1)
     w = np.concatenate([weight, ref_weight], axis=2).reshape(count, 1, -1)
-    return np.matmul(w * centered, centered.transpose(0, 2, 1))
+    return np.matmul(np.multiply(w, centered, out=weighted.reshape(
+        centered.shape)), centered.transpose(0, 2, 1))
+
+
+def _workspace(shape: tuple, groups: int) -> tuple:
+    """What blocks fill in place: `lin` of up to `shape` (B, C, K, S), zero
+    where never written, a scratch copy, the centered rows and a copy."""
+    wide = shape[:3] + (shape[3] + groups,)
+    return np.zeros(shape), np.empty(shape), np.empty(wide), np.empty(wide)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -338,7 +356,7 @@ def _chi2_survival(x, dof):
 
 
 def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
-                         active=None):
+                         active=None, work=None):
     """WLS over baseline and anchor-position error of each pair of `dd`
     (each one `active` marks), DD integers held at 0.
 
@@ -356,9 +374,11 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     (B, 3, 3) covariances, the (B,) weighted residual sums of squares
     (3m - 3 degrees of freedom for m DDs), and per pair None or the
     GnssError that stopped it; a pair left out or stopped keeps its
-    initial baseline and a zero covariance and residual sum."""
+    initial baseline and a zero covariance and residual sum. The rows
+    are formed in `work`, a `_workspace` of at least B pairs."""
     config = config or TrRtkConfig()
     count = len(dd.rows)
+    work = work or _workspace((count, 7, 3, len(dd.sats)), len(dd.spans))
     active = np.ones(count, bool) if active is None else active
     baseline = dd.initial.copy()
     cov, omega = np.zeros((count, 3, 3)), np.zeros(count)
@@ -368,12 +388,12 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     # moves the current one too, so dg_current/dd = dg_current/dB
     g_past, g_cur = dd.ranges[:, 0], dd.ranges[:, 1]
     jac_p, jac_c = dd.gradient[:, 0], dd.gradient[:, 1]
-    lin = np.zeros((count, 7, 3, len(dd.sats)))
+    lin = work[0][:count]
     lin[:, :3, 0] = lin[:, :3, 2] = lin[:, 3:6, 2] = jac_c
     lin[:, 3:6, 0] = jac_c - jac_p
     lin[:, 3:6, 1] = jac_p
     lin[:, 6] = dd.observed - np.stack([g_cur - g_past, g_past, g_cur], axis=1)
-    summed = _normal_equations(lin, dd.weight, dd.ref_weight, dd.spans)
+    summed = _normal_equations(lin, dd.weight, dd.ref_weight, dd.spans, work)
     prior = 1.0 / config.position_prior_sigma ** 2
     normal = summed[:, :6, :6] + np.diag([0.0] * 3 + [prior] * 3)
     rhs = summed[:, :6, 6]
@@ -417,47 +437,48 @@ def solve_pairs(s: SessionArrays, pairs, config: TrRtkConfig | None = None,
     slip screen expects the lock counts to grow by."""
     config = config or TrRtkConfig()
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    table = TrRtkPairs.unsolved(pairs, np.array(
-        [s.times[j] - s.times[i] for i, j in pairs.tolist()], dtype=float))
-    for start in range(0, len(pairs), BLOCK_PAIRS):
-        _solve_block(s, table, slice(start, start + BLOCK_PAIRS), config,
-                     interval)
-    return table
+    past, current = pairs.T
+    week, tow = np.array([(t.week, t.tow) for t in s.times]).reshape(-1, 2).T
+    dt = (week[current] - week[past]) * SECONDS_PER_WEEK + (tow[current]
+                                                             - tow[past])
+    table = TrRtkPairs.unsolved(pairs, dt)
+    terms = _epoch_terms(s, config)
+    work = _workspace((min(len(pairs), BLOCK_PAIRS), 7, 3, len(s.sats)),
+                      len(s.spans))
+    # per pair: its first error, if it reached the solve, its residual sum
+    errors = [None] * len(pairs)
+    solved, omega = np.zeros(len(pairs), bool), np.zeros(len(pairs))
 
-
-def _solve_block(s: SessionArrays, table: TrRtkPairs, rows: slice, config,
-                 interval) -> None:
-    """Solve the pairs `rows` of `table` into their rows."""
-    past, current = table.pairs[rows].T
-    dt = table.time_difference[rows]
-    out = [None] * len(dt)
-
-    def fail(mask, error):
+    def fail(mask, error, start=0):
         for k in np.flatnonzero(mask):
-            out[k] = out[k] or error(k)
+            errors[start + k] = errors[start + k] or error(k)
 
     fail(np.abs(dt) > config.max_time_difference, lambda k: WindowExceeded(
         f"pair separated by {dt[k]:.1f} s exceeds "
         f"{config.max_time_difference:.1f} s window"))
-    locked = _locked(s, past, current, dt, interval)
-    n_locked = locked.sum(axis=1)
-    fail(n_locked < 5, lambda k: InsufficientSatellites(
-        f"only {n_locked[k]} continuously locked satellites"))
-    dd = _double_differences(s, past, current, locked, config)
-    m = dd.rows.sum(axis=1)
-    fail(m < 4, lambda k: InsufficientSatellites(
-        f"only {m[k]} double differences formed"))
-    alive = np.array([r is None for r in out])
-    baseline, cov, omega, errors = solve_float_baseline(dd, config, alive)
-    p_value = np.zeros(len(dt))
-    p_value[alive] = _chi2_survival(omega[alive], 3 * m[alive] - 3)
-    errors = [a or b for a, b in zip(out, errors)]
-    table.fixed[rows] = (np.array([e is None for e in errors])
-                         & (p_value >= INTEGRITY_P_MIN) & (np.sqrt(
-        np.trace(cov, axis1=1, axis2=2)) <= PRECISION_MAX_M))
-    table.baseline[rows], table.covariance[rows] = baseline, cov
-    table.p_value[rows], table.dd_count[rows] = p_value, m
-    table.errors.update((rows.start + k, e) for k, e in enumerate(errors) if e)
+    for start in range(0, len(pairs), BLOCK_PAIRS):
+        rows = slice(start, start + BLOCK_PAIRS)
+        locked = _locked(s, past[rows], current[rows], dt[rows], interval)
+        n_locked = locked.sum(axis=1)
+        fail(n_locked < 5, lambda k: InsufficientSatellites(
+            f"only {n_locked[k]} continuously locked satellites"), start)
+        dd = _double_differences(s, past[rows], current[rows], locked,
+                                 config, terms)
+        m = table.dd_count[rows] = dd.rows.sum(axis=1)
+        fail(m < 4, lambda k: InsufficientSatellites(
+            f"only {m[k]} double differences formed"), start)
+        solved[rows] = [e is None for e in errors[rows]]
+        table.baseline[rows], table.covariance[rows], omega[rows], stopped = (
+            solve_float_baseline(dd, config, solved[rows], work))
+        errors[rows] = [a or b for a, b in zip(errors[rows], stopped)]
+    table.errors.update((k, e) for k, e in enumerate(errors) if e)
+    table.p_value[solved] = _chi2_survival(omega[solved],
+                                           3 * table.dd_count[solved] - 3)
+    rms = np.sqrt(np.trace(table.covariance, axis1=1, axis2=2))
+    table.fixed[:] = (np.array([e is None for e in errors])
+                      & (table.p_value >= INTEGRITY_P_MIN)
+                      & (rms <= PRECISION_MAX_M))
+    return table
 
 
 def detect_cycle_slips(s: SessionArrays, past: int, current: int,

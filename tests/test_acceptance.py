@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gnssgraph.ambiguity import AmbiguityProblem, lambda_resolve
+from gnssgraph.coords import lines_of_sight
 from gnssgraph.errors import MalformedEpoch, MalformedHeader
 from gnssgraph.fileio import export_graph_json
 from gnssgraph.geometry import EpochGeometry
@@ -205,9 +206,51 @@ def test_criterion_6_jacobians_vs_central_differences():
                    - residual_pseudorange(pf, xi - dx)) / (2 * h)
             scale = max(abs(pf.row[col]), 1.0)
             worst = max(worst, abs(num - pf.row[col]) / scale)
-    announce(6, worst < 1e-6,
+    # the rows against the nonlinear model they linearize
+    rows = g.pseudorange_factors.row
+    nonlinear = pseudorange_row_error(g, result.states, rows)
+    mutated = pseudorange_row_error(g, result.states,
+                                    rows[:, [1, 0, 2, 3, 4, 5, 6]])
+    announce(6, worst < 1e-6 and nonlinear < 1e-5 < mutated,
              f"worst relative Jacobian error {worst:.2e} over 100 random "
-             f"states per factor type (<1e-6)")
+             f"states per factor type (<1e-6); pseudorange rows against "
+             f"the corrected range {nonlinear:.2e} (<1e-5; a row with its "
+             f"x and y swapped: {mutated:.2e})")
+
+
+def pseudorange_row_error(graph, states, rows):
+    """The worst relative error of `rows` (p, 7) as the Jacobians of the
+    graph's pseudorange factors: central differences of the corrected
+    range, the Sagnac-rotated |s - (reference + x)| of
+    `coords.lines_of_sight` plus the GPS clock and the factor's
+    inter-system bias, at each factor's linearization point. The rows
+    leave out how the Sagnac rotation turns with the receiver position,
+    up to OMGE |s| / c ~ 6.3e-6 of a unit-vector component, so the bar
+    of this check is 1e-5, not the 1e-6 of the linear ones."""
+    pr = graph.pseudorange_factors
+    x = states[pr.node].copy()
+    x[:, :3] = pr.lin_offset
+
+    def corrected_range(x):
+        _, ranges = lines_of_sight(graph.reference_position + x[:, :3],
+                                   pr.sat_position)
+        # GPS (slot 0) has no inter-system bias
+        bias = np.where(pr.slot > 0, x[np.arange(len(x)), 3 + pr.slot], 0.0)
+        return ranges + x[:, 3] + bias
+
+    # 1 m steps: a 2e7 m range rounds to 3.7e-9 m, and its third
+    # derivative leaves ~1e-15 m at this step
+    h = 1.0
+    worst = 0.0
+    for col in range(7):
+        step = np.zeros(7)
+        step[col] = h
+        numeric = (corrected_range(x + step) - corrected_range(x - step)) / (
+            2 * h)
+        scale = np.maximum(np.abs(rows[:, col]), 1.0)
+        worst = max(worst, float((np.abs(numeric - rows[:, col])
+                                  / scale).max()))
+    return worst
 
 
 def test_criterion_7_zero_noise_oracle_closure():

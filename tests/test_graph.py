@@ -319,6 +319,10 @@ class TestStackedSystem:
                            atol=1e-12)
         assert np.allclose(system_gradient, gradient, rtol=1e-12,
                            atol=1e-12)
+        # the gradient alone, which tests convergence after a step
+        alone, no_system = _normal_equations(g, x, False)
+        assert no_system is False
+        assert np.allclose(alone, gradient, rtol=1e-12, atol=1e-12)
         v = np.random.default_rng(5).normal(size=x.size)
         assert _quadratic(system, v) == pytest.approx(v @ normal @ v,
                                                       rel=1e-12)

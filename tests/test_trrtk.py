@@ -19,6 +19,7 @@ from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
 from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              TR_PAIR_LATTICE, BaselineStatus, TrRtkConfig,
                              TrRtkResult, _chi2_survival, _normal_equations,
+                             _workspace,
                              detect_cycle_slips, epoch_corrections,
                              estimate_baseline, form_double_differences,
                              solve_float_baseline, solve_pairs,
@@ -388,7 +389,9 @@ class TestFloatBaseline:
             want = a.T @ np.linalg.solve(expected, a)
             kind = slice(block, block + 1)
             got = _normal_equations(lin[:, :, kind], dd.weight[:, kind],
-                                    dd.ref_weight[:, kind], dd.spans)[0]
+                                    dd.ref_weight[:, kind], dd.spans,
+                                    _workspace((1, 7, 1, len(dd.sats)),
+                                               len(dd.spans)))[0]
             scale = 1.0 / np.sqrt(np.diag(want))
             got, want = [scale[:, None] * x * scale for x in (got, want)]
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -863,6 +866,33 @@ class TestPairBlocks:
         assert all(same_result(a, tr) for a, (_, _, tr)
                    in zip(again, result.trrtk_results))
 
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_pair_order_leaks_nothing_between_blocks(self, square, block,
+                                                     monkeypatch):
+        """Every block of a call fills one workspace. The square's whole
+        lattice, with faulted epochs, solved in reversed and in a shuffled
+        order puts each pair in a block with pairs of other epochs and
+        DD sets: each row still gets the bits and the error class of the
+        in-order solve."""
+        s, result, _ = square
+        lock = s.lock.copy()
+        lock[37, lock[37] >= 0] = 0
+        s = replace(faulted(s, far=[33], collapsed=[11, 41]), lock=lock)
+        pairs = result.trrtk.pairs
+        want = solve_pairs(s, pairs)
+        assert len(want.errors) > 10 and want.fixed.sum() > 1000
+        monkeypatch.setattr(trrtk, "BLOCK_PAIRS", block)
+        for order in (np.arange(len(pairs))[::-1],
+                      np.random.default_rng(21).permutation(len(pairs))):
+            got = solve_pairs(s, pairs[order])
+            for name in ("baseline", "covariance", "p_value", "fixed",
+                         "dd_count"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name)[order].tobytes()), name
+            assert {k: type(e) for k, e in got.errors.items()} == {
+                k: type(want.errors[o]) for k, o in enumerate(order)
+                if o in want.errors}
+
     def test_failures_stay_with_their_pair(self, square):
         s, _, _ = square
         # each epoch in one pair, all pairs in one block
@@ -1045,5 +1075,6 @@ class TestShermanMorrison:
                                     for k in range(m)))
                           for j in range(7)] for i in range(7)])
         got = _normal_equations(rows.T[None, :, None], 1.0 / own[None, None],
-                                1.0 / ref[None, None], spans)[0]
+                                1.0 / ref[None, None], spans,
+                                _workspace((1, 7, 1, m), len(spans)))[0]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
