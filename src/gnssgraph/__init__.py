@@ -2,9 +2,9 @@
 
 Doppler velocity edges, multi-constellation pseudorange constraints,
 and time-relative RTK carrier-phase loop closures, solved with a Dogleg
-trust-region optimizer on block normal equations.  A synthetic multi-GNSS simulator,
-RINEX 3.04 observation I/O, and trajectory metrics round out the
-toolkit.
+trust-region optimizer on block normal equations. A synthetic
+multi-GNSS simulator, RINEX 3.04 observation I/O, and trajectory
+metrics round out the toolkit.
 """
 
 from .ambiguity import AmbiguityProblem, lambda_resolve

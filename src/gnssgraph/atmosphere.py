@@ -6,7 +6,7 @@ to synthesize measurements in the simulator, so the two stay consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -25,7 +25,7 @@ from .fileio import (TrajectoryStatus, delay_models_to_dict,
                      read_trajectory_csv, save_scenario_yaml,
                      write_sat_states_csv, write_trajectory_csv)
 from .metrics import evaluate
-from .pipeline import PipelineConfig, solve_trajectory
+from .pipeline import solve_trajectory
 from .rinex import header_for_scenario, parse_rinex_obs, write_rinex_obs
 from .sim import ScenarioConfig, run_scenario
 
@@ -113,11 +113,8 @@ def cmd_solve(args) -> int:
         raise MalformedEpoch(f"{args.obs}: no parsable epochs")
     with open(args.sat_states, newline="") as stream:
         sat_states = read_sat_states_csv(stream, epochs)
-    if args.config:
-        with open(args.config) as stream:
-            config = load_pipeline_yaml(stream)
-    else:
-        config = load_pipeline_yaml(io.StringIO(""))
+    with open(args.config) if args.config else io.StringIO("") as stream:
+        config = load_pipeline_yaml(stream)
     if args.no_trrtk:
         config.use_trrtk = False
     if args.no_pseudorange_factors:

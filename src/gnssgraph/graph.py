@@ -10,8 +10,7 @@ The graph stores each factor type as one table of arrays, row k of
 every array belonging to factor k, and the optimizer works on those
 arrays themselves: the cost, the block normal equations and the
 relinearization of moved pseudorange rows (in place) read the tables,
-and `export_graph_json` writes them. `table[k]` is a view of factor k,
-which the per-factor `residual_*` reference functions take.
+and `export_graph_json` writes them.
 
 A node's clocks enter only its own rows, so each Gauss-Newton step
 eliminates them node by node and solves the positions, which the
@@ -20,8 +19,7 @@ between factors tie within a band, by banded Cholesky.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -46,16 +44,10 @@ INITIAL_RADIUS = 100.0         # trust region [m]
 
 
 class _Table:
-    """Factors of one type as equal-length arrays: `len` is the factor
-    count, and `table[k]` a view whose attributes are row k of each
-    (iterating a table visits the views in order)."""
+    """Factors of one type as equal-length arrays, `len` of them."""
 
     def __len__(self) -> int:
         return len(self.information)
-
-    def __getitem__(self, k: int) -> SimpleNamespace:
-        return SimpleNamespace(**{f.name: getattr(self, f.name)[k]
-                                  for f in fields(self)})
 
 
 @dataclass
@@ -99,20 +91,11 @@ class PseudorangeFactors(_Table):
     information: np.ndarray            # (p,) [1/m^2]
     lin_offset: np.ndarray             # (p, 3) [m]
 
-    @classmethod
-    def empty(cls) -> "PseudorangeFactors":
-        return cls(node=np.zeros(0, dtype=int), sat=np.zeros(0, dtype=int),
-                   sat_position=np.zeros((0, 3)), slot=np.zeros(0, dtype=int),
-                   measured=np.zeros(0), row=np.zeros((0, STATE_DIM)),
-                   constant=np.zeros(0), information=np.zeros(0),
-                   lin_offset=np.zeros((0, 3)))
-
 
 @dataclass
 class Priors(_Table):
     """Prior rows x[node, index] = value; the rows from `start[e]` to the
-    next start form prior edge e, whose view has arrays for all but
-    `node`."""
+    next start form prior edge e, all on one node."""
 
     node: np.ndarray                   # (q,)
     index: np.ndarray                  # (q,) state component
@@ -122,14 +105,6 @@ class Priors(_Table):
 
     def __len__(self) -> int:
         return len(self.start)
-
-    def __getitem__(self, e: int) -> SimpleNamespace:
-        end = self.start[e + 1] if e + 1 < len(self.start) else len(self.node)
-        rows = slice(self.start[e], end)
-        return SimpleNamespace(node=self.node[rows.start],
-                               index=self.index[rows],
-                               value=self.value[rows],
-                               information=self.information[rows])
 
 
 def _linearization(unit, ranges, slots, measured, offsets):
@@ -216,29 +191,27 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
         time_difference=trrtk.time_difference[fixed],
         information=np.linalg.inv(trrtk.covariance[fixed]))
 
+    located = geometry.at(reference + states[:, :3])
+    rows = located.above(solver.elevation_mask) & use_pseudorange
+    failed = located.failures(rows, (located.require_delays,
+                                     located.require_ranges))
+    if failed:
+        raise failed[min(failed)]
+    node, slot = geometry.epoch[rows], geometry.slot[rows]
+    offsets = states[node, :3]
+    measured = located.corrected_code[rows]
+    jacobian, constants = _linearization(
+        located.unit[rows], located.range[rows], slot, measured, offsets)
+    pseudorange_factors = PseudorangeFactors(
+        node=node, sat=geometry.sats[rows],
+        sat_position=geometry.sat_position[rows], slot=slot,
+        measured=measured, row=jacobian, constant=constants,
+        information=1.0 / pseudorange_variance(located.elevation[rows],
+                                               config=solver),
+        lin_offset=offsets)
     observed = np.zeros((n, 4), dtype=bool)
-    pseudorange_factors = PseudorangeFactors.empty()
-    if use_pseudorange:
-        located = geometry.at(reference + states[:, :3])
-        rows = located.above(solver.elevation_mask)
-        failed = located.failures(rows, (located.require_delays,
-                                         located.require_ranges))
-        if failed:
-            raise failed[min(failed)]
-        node, slot = geometry.epoch[rows], geometry.slot[rows]
-        offsets = states[node, :3]
-        measured = located.corrected_code[rows]
-        jacobian, constants = _linearization(
-            located.unit[rows], located.range[rows], slot, measured, offsets)
-        pseudorange_factors = PseudorangeFactors(
-            node=node, sat=geometry.sats[rows],
-            sat_position=geometry.sat_position[rows], slot=slot,
-            measured=measured, row=jacobian, constant=constants,
-            information=1.0 / pseudorange_variance(located.elevation[rows],
-                                                   config=solver),
-            lin_offset=offsets)
-        observed[node, 0] = True
-        observed[node, slot] = True
+    observed[node, 0] = True
+    observed[node, slot] = True
 
     # the first node's position, then per node its unobserved clock slots
     free_node, free_slot = np.nonzero(~observed)
@@ -255,26 +228,6 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
 
     return Graph(reference, states, velocity_factors, trrtk_factors,
                  pseudorange_factors, priors)
-
-
-def residual_velocity(f, xi, xj) -> np.ndarray:
-    xi = np.asarray(xi)
-    xj = np.asarray(xj)
-    return (xj[:3] - xi[:3]) - f.velocity * f.dt
-
-
-def residual_trrtk(f, x_past, x_cur) -> np.ndarray:
-    x_past = np.asarray(x_past)
-    x_cur = np.asarray(x_cur)
-    return (x_cur[:3] - x_past[:3]) - f.baseline
-
-
-def residual_pseudorange(f, x) -> float:
-    return float(f.row @ np.asarray(x) - f.constant)
-
-
-def residual_prior(f, x) -> np.ndarray:
-    return np.asarray(x)[f.index] - f.value
 
 
 def _residuals(graph: Graph, states: np.ndarray):
@@ -312,7 +265,7 @@ def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         float, copy=False).reshape((n,) + values.shape[1:])
 
 
-def _normal_equations(graph: Graph, states: np.ndarray, with_blocks=True):
+def _normal_equations(graph: Graph, states: np.ndarray):
     """The Gauss-Newton normal equations N s = -g of the whitened
     factors at `states`: the gradient g (7n,), and N in blocks, per
     node the 7x7 block of its pseudorange and prior rows (n, 7, 7), then
@@ -320,28 +273,23 @@ def _normal_equations(graph: Graph, states: np.ndarray, with_blocks=True):
     information (b, 3, 3), each adding Omega to its two nodes' position
     blocks and -Omega between them. A node's pseudorange block and
     gradient come from one padded Gram product, the other terms are
-    summed in table order. Without `with_blocks`, N is False and the
-    pseudorange gradient is summed by row, equal to round-off."""
+    summed in table order."""
     nodes, information, between, pseudorange, prior = _residuals(graph,
                                                                  states)
     pr, priors = graph.pseudorange_factors, graph.priors
     n = len(states)
     entry = STATE_DIM * priors.node + priors.index
-    if with_blocks:
-        blocks, gradient = grouped_normals(pr.node, n, pr.row,
-                                           pr.information, pseudorange)
-        diagonal = np.arange(STATE_DIM)
-        blocks[:, diagonal, diagonal] += _sums(
-            entry, priors.information, states.size).reshape(n, STATE_DIM)
-    else:
-        gradient = _sums(pr.node, pr.row * (pr.information
-                                            * pseudorange)[:, None], n)
+    blocks, gradient = grouped_normals(pr.node, n, pr.row, pr.information,
+                                       pseudorange)
+    diagonal = np.arange(STATE_DIM)
+    blocks[:, diagonal, diagonal] += _sums(
+        entry, priors.information, states.size).reshape(n, STATE_DIM)
     gradient += _sums(entry, priors.information * prior,
                       states.size).reshape(n, STATE_DIM)
     pull = np.matmul(information, between[:, :, None])[:, :, 0]
     gradient[:, :3] += _sums(nodes[:, 1], pull, n) - _sums(nodes[:, 0], pull,
                                                            n)
-    return gradient.ravel(), with_blocks and (blocks, nodes, information)
+    return gradient.ravel(), (blocks, nodes, information)
 
 
 def _quadratic(system, v: np.ndarray) -> float:
@@ -485,13 +433,10 @@ def optimize(graph: Graph):
     radius = INITIAL_RADIUS
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        # after a step the gradient alone tells whether another follows
-        gradient, system = _normal_equations(graph, states, iteration == 1)
+        gradient, system = _normal_equations(graph, states)
         if np.linalg.norm(gradient, np.inf) < GRADIENT_TOLERANCE:
             report.converged = True
             break
-        if not system:
-            gradient, system = _normal_equations(graph, states)
 
         gn_step = _gauss_newton_step(system, gradient)
         if not np.all(np.isfinite(gn_step)):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import KlobucharParams, TropoModel
-from .errors import MalformedEpoch
+from .errors import EmptyInput, MalformedEpoch
 from .geometry import EpochGeometry
 from .graph import Graph, OptimizerReport, build_graph, optimize
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
@@ -93,13 +93,15 @@ def _raise_earliest(errors: dict, times) -> None:
 
 def solve_trajectory(epochs, sat_states,
                      config: PipelineConfig | None = None) -> PipelineResult:
-    """Run the full estimation chain over one observation session, whose
-    epoch times must strictly increase (MalformedEpoch otherwise)."""
+    """Run the full estimation chain over one session of epochs, at least
+    one (EmptyInput), at strictly increasing times (MalformedEpoch)."""
     config = config or PipelineConfig()
 
     # the session's satellites gathered once, with the delay models
     geometry = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
     times = geometry.times
+    if not times:
+        raise EmptyInput("no epochs")
     steps = [b - a for a, b in zip(times, times[1:])]
     for k, step in enumerate(steps, start=1):
         if not step > 0.0:

@@ -16,7 +16,7 @@ stops no other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,8 +31,22 @@ from .types import CONSTELLATIONS
 UNKNOWNS = 3 + len(CONSTELLATIONS)
 
 
+class PositiveSigmas:
+    """A config dataclass whose `*_sigma` fields must be finite and
+    positive (ValueError): a negative one would enter squared."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            sigma = getattr(self, f.name)
+            if f.name.endswith("_sigma") and not 0.0 < sigma < np.inf:
+                raise ValueError(f"{f.name} must be finite and positive, "
+                                 f"not {sigma!r}")
+
+
 @dataclass(slots=True)
-class SolverConfig:
+class SolverConfig(PositiveSigmas):
     """Tunables shared by the epoch-wise estimators."""
 
     elevation_mask: float = np.radians(15.0)

@@ -45,6 +45,7 @@ from .constants import SECONDS_PER_WEEK
 from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
+from .pointpos import PositiveSigmas
 from .types import SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
@@ -69,7 +70,7 @@ class BaselineStatus(Enum):
 
 
 @dataclass(slots=True)
-class TrRtkConfig:
+class TrRtkConfig(PositiveSigmas):
     max_time_difference: float = 100.0  # [s]
     phase_sigma: float = 0.003          # [m] zenith, per single measurement
     code_sigma: float = 0.5             # [m] zenith, per single measurement
@@ -475,7 +476,7 @@ def solve_pairs(s: SessionArrays, pairs, config: TrRtkConfig | None = None,
     table.p_value[solved] = _chi2_survival(omega[solved],
                                            3 * table.dd_count[solved] - 3)
     rms = np.sqrt(np.trace(table.covariance, axis1=1, axis2=2))
-    table.fixed[:] = (np.array([e is None for e in errors])
+    table.fixed[:] = (np.array([e is None for e in errors], dtype=bool)
                       & (table.p_value >= INTEGRITY_P_MIN)
                       & (rms <= PRECISION_MAX_M))
     return table

@@ -9,8 +9,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from gnssgraph.coords import lines_of_sight
-from gnssgraph.graph import (STATE_DIM, residual_prior, residual_pseudorange,
-                             residual_trrtk, residual_velocity)
+from gnssgraph.graph import STATE_DIM
 
 
 def brute_force_minimizer(float_values, covariance, box=8):
@@ -141,10 +140,11 @@ def lattice_pairs_loop(times, offsets, interval):
 
 def dense_normal_equations(graph, states):
     """The full normal matrix N (7n, 7n), gradient g (7n,) and cost of
-    `graph` at `states` (n, 7), summed one factor at a time: a factor
-    with residual e, information Omega and Jacobian blocks J_a on its
-    nodes a adds J_a^T Omega J_b to block (a, b) of N, J_a^T Omega e to
-    block a of g and e^T Omega e to the cost."""
+    `graph` at `states` (n, 7), summed one factor at a time, each
+    residual formed here from row k of its table: a factor with residual
+    e, information Omega and Jacobian blocks J_a on its nodes a adds
+    J_a^T Omega J_b to block (a, b) of N, J_a^T Omega e to block a of g
+    and e^T Omega e to the cost."""
     size = states.size
     normal = np.zeros((size, size))
     gradient = np.zeros(size)
@@ -162,23 +162,27 @@ def dense_normal_equations(graph, states):
 
     pos = np.zeros((3, STATE_DIM))
     pos[:, :3] = np.eye(3)
-    for f in graph.velocity_factors:
-        i, j = f.nodes
-        add([(i, -pos), (j, pos)], residual_velocity(f, states[i], states[j]),
-            f.information)
-    for f in graph.trrtk_factors:
-        i, j = f.nodes
-        add([(i, -pos), (j, pos)], residual_trrtk(f, states[i], states[j]),
-            f.information)
-    for f in graph.pseudorange_factors:
-        add([(f.node, f.row[None, :])],
-            np.array([residual_pseudorange(f, states[f.node])]),
-            np.array([[f.information]]))
-    for f in graph.priors:
-        sel = np.zeros((len(f.index), STATE_DIM))
-        sel[np.arange(len(f.index)), f.index] = 1.0
-        add([(f.node, sel)], residual_prior(f, states[f.node]),
-            np.diag(f.information))
+    vel = graph.velocity_factors
+    for k, (i, j) in enumerate(vel.nodes):
+        e = (states[j, :3] - states[i, :3]) - vel.velocity[k] * vel.dt[k]
+        add([(i, -pos), (j, pos)], e, vel.information[k])
+    tr = graph.trrtk_factors
+    for k, (i, j) in enumerate(tr.nodes):
+        e = (states[j, :3] - states[i, :3]) - tr.baseline[k]
+        add([(i, -pos), (j, pos)], e, tr.information[k])
+    pr = graph.pseudorange_factors
+    for k, node in enumerate(pr.node):
+        e = pr.row[k] @ states[node] - pr.constant[k]
+        add([(node, pr.row[k][None, :])], np.array([e]),
+            np.array([[pr.information[k]]]))
+    priors = graph.priors
+    for rows in np.split(np.arange(len(priors.node)), priors.start[1:]):
+        node, index = priors.node[rows[0]], priors.index[rows]
+        assert (priors.node[rows] == node).all()
+        sel = np.zeros((len(rows), STATE_DIM))
+        sel[np.arange(len(rows)), index] = 1.0
+        add([(node, sel)], states[node, index] - priors.value[rows],
+            np.diag(priors.information[rows]))
     return normal, gradient, cost
 
 

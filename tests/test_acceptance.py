@@ -20,8 +20,7 @@ from gnssgraph.coords import lines_of_sight
 from gnssgraph.errors import MalformedEpoch, MalformedHeader
 from gnssgraph.fileio import export_graph_json
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.graph import (residual_pseudorange, residual_trrtk,
-                             residual_velocity)
+from gnssgraph.graph import _normal_equations, _quadratic, evaluate_cost
 from gnssgraph.metrics import compute_rpe
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_doppler_velocity, solve_spp
@@ -171,49 +170,39 @@ def test_criterion_6_jacobians_vs_central_differences():
     result = solve_trajectory(epochs, states,
                               PipelineConfig(iono=cfg.iono, tropo=cfg.tropo))
     g = result.graph
+    assert len(g.trrtk_factors) and len(g.pseudorange_factors)
     rng = np.random.default_rng(6)
-    h = 1e-5
-    worst = 0.0
 
-    # velocity and TR factors: d e / d x_i = -I3 block, d e / d x_j = +I3
-    block = np.zeros((3, 7))
-    block[:, :3] = np.eye(3)
+    # what the optimizer uses: the gradient g and the blocks of N from
+    # `_normal_equations`, against central differences of the cost along
+    # random directions d. For fixed rows the cost is exactly quadratic,
+    # c(x + t d) = c(x) + 2 t g.d + t^2 d^T N d, so the differences are
+    # exact up to round-off at any step, and a long one keeps that small.
+    h = 1.0
+    worst = 0.0
+    x = result.states + rng.normal(size=result.states.shape) * np.array(
+        [0.5] * 3 + [2.0] * 4)
+    gradient, system = _normal_equations(g, x)
+    cost = evaluate_cost(g, x)
     for _ in range(100):
-        xi = rng.normal(scale=10.0, size=7)
-        xj = rng.normal(scale=10.0, size=7)
-        vf = g.velocity_factors[rng.integers(len(g.velocity_factors))]
-        tf = g.trrtk_factors[rng.integers(len(g.trrtk_factors))]
-        pf = g.pseudorange_factors[rng.integers(len(g.pseudorange_factors))]
-        for fn, jac_i, jac_j in (
-                (lambda a, b: residual_velocity(vf, a, b), -block, block),
-                (lambda a, b: residual_trrtk(tf, a, b), -block, block)):
-            for arg, jac in ((0, jac_i), (1, jac_j)):
-                for col in range(7):
-                    dx = np.zeros(7)
-                    dx[col] = h
-                    args_up = [xi, xj]
-                    args_dn = [xi, xj]
-                    args_up[arg] = args_up[arg] + dx
-                    args_dn[arg] = args_dn[arg] - dx
-                    num = (fn(*args_up) - fn(*args_dn)) / (2 * h)
-                    scale = max(np.abs(jac[:, col]).max(), 1.0)
-                    worst = max(worst,
-                                np.abs(num - jac[:, col]).max() / scale)
-        for col in range(7):
-            dx = np.zeros(7)
-            dx[col] = h
-            num = (residual_pseudorange(pf, xi + dx)
-                   - residual_pseudorange(pf, xi - dx)) / (2 * h)
-            scale = max(abs(pf.row[col]), 1.0)
-            worst = max(worst, abs(num - pf.row[col]) / scale)
+        d = rng.normal(size=x.shape)
+        up, down = evaluate_cost(g, x + h * d), evaluate_cost(g, x - h * d)
+        slope, curvature = 2.0 * gradient @ d.ravel(), 2.0 * _quadratic(
+            system, d.ravel())
+        worst = max(worst,
+                    abs((up - down) / (2 * h) - slope) / abs(slope),
+                    abs((up - 2 * cost + down) / h ** 2 - curvature)
+                    / curvature)
     # the rows against the nonlinear model they linearize
     rows = g.pseudorange_factors.row
     nonlinear = pseudorange_row_error(g, result.states, rows)
     mutated = pseudorange_row_error(g, result.states,
                                     rows[:, [1, 0, 2, 3, 4, 5, 6]])
     announce(6, worst < 1e-6 and nonlinear < 1e-5 < mutated,
-             f"worst relative Jacobian error {worst:.2e} over 100 random "
-             f"states per factor type (<1e-6); pseudorange rows against "
+             f"worst relative error of the normal equations' slope 2 g.d "
+             f"and curvature 2 d^T N d against central differences of the "
+             f"cost {worst:.2e} over 100 random directions d (<1e-6); "
+             f"pseudorange rows against "
              f"the corrected range {nonlinear:.2e} (<1e-5; a row with its "
              f"x and y swapped: {mutated:.2e})")
 

@@ -111,6 +111,20 @@ class TestPipeline:
         edges = json.loads((sol / "graph.json").read_text())["edges"]
         assert "pseudorange" in {e["type"] for e in edges}
 
+    def test_empty_pair_lattice(self, pipeline_dirs, tmp_path):
+        """`pair_lattice: []` attempts no pair and solves."""
+        root, sim, _ = pipeline_dirs
+        solver = tmp_path / "solver.yaml"
+        solver.write_text((sim / "solver.yaml").read_text()
+                          + "pair_lattice: []\n")
+        out = tmp_path / "sol"
+        assert main(["solve", "--obs", str(sim / "observations.rnx"),
+                     "--sat-states", str(sim / "sat_states.csv"),
+                     "--config", str(solver), "--out", str(out)]) == 0
+        log = (out / "solver.log").read_text()
+        assert "trrtk pairs attempted: 0\n" in log
+        assert "trrtk factors: 0\n" in log
+
     def test_deterministic(self, pipeline_dirs, tmp_path):
         root, sim, sol = pipeline_dirs
         sim2 = tmp_path / "sim2"
@@ -214,9 +228,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: parse") and "Traceback" not in err
 
-    @pytest.mark.parametrize("entry", ["pair_lattice: 5",
-                                       'use_trrtk: "false"'],
-                             ids=["lattice-not-a-list", "flag-not-a-bool"])
+    @pytest.mark.parametrize("entry", [
+        "pair_lattice: 5", 'use_trrtk: "false"', "trrtk: {phase_sigma: 0}",
+        "trrtk: {code_sigma: -0.5}", "trrtk: {position_prior_sigma: .nan}",
+        "solver: {doppler_sigma: .inf}"],
+        ids=["lattice-not-a-list", "flag-not-a-bool", "phase-sigma-zero",
+             "code-sigma-negative", "prior-sigma-nan",
+             "doppler-sigma-infinite"])
     def test_bad_solver_setting_is_parse_error(self, entry, pipeline_dirs,
                                                tmp_path, capsys):
         root, sim, _ = pipeline_dirs

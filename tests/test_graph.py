@@ -1,5 +1,4 @@
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from gnssgraph.errors import (EmptyInput, MissingVelocity,
                               SingularNormalEquations)
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.graph import (RELINEARIZE_THRESHOLD, build_graph,
-                             evaluate_cost, optimize, residual_pseudorange,
-                             residual_trrtk, residual_velocity)
+                             evaluate_cost, optimize)
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import VelocitySolution, solve_spp
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
@@ -51,56 +49,97 @@ def random_state(rng):
 
 
 class TestResiduals:
+    """The residuals that the optimizer reads, `graph._residuals`, of
+    factors written straight into the tables of a two-node graph."""
+
+    @staticmethod
+    def residuals(x, velocity=(0.0, 0.0, 0.0), dt=1.0,
+                  baseline=(0.0, 0.0, 0.0), row=None, constant=0.0):
+        """The between residuals (the velocity factor, then the TR-RTK
+        factor, both from node 0 to node 1) and the residual of one
+        pseudorange row on node 0 at states `x` (2, 7)."""
+        from gnssgraph.graph import (Graph, Priors, PseudorangeFactors,
+                                     TrRtkFactors, VelocityFactors,
+                                     _residuals)
+
+        one = np.eye(3)[None]
+        pseudorange = PseudorangeFactors(
+            node=np.zeros(1, int), sat=np.zeros(1, int),
+            sat_position=np.zeros((1, 3)), slot=np.zeros(1, int),
+            measured=np.zeros(1),
+            row=np.zeros((1, 7)) if row is None else row[None],
+            constant=np.array([constant]), information=np.ones(1),
+            lin_offset=np.zeros((1, 3)))
+        g = Graph(np.zeros(3), np.zeros((2, 7)),
+                  VelocityFactors(np.array([[0, 1]]), np.array([velocity]),
+                                  np.array([dt]), one),
+                  TrRtkFactors(np.array([[0, 1]]), np.array([baseline]),
+                               np.array([dt]), one),
+                  pseudorange,
+                  Priors(np.zeros(0, int), np.zeros(0, int), np.zeros(0),
+                         np.zeros(0), np.zeros(0, int)))
+        _, _, between, pr, _ = _residuals(g, np.asarray(x, dtype=float))
+        return between, pr[0]
+
     def test_velocity_zero_motion(self):
-        f = SimpleNamespace(velocity=np.zeros(3), dt=1.0)
-        x = np.zeros(7)
-        assert np.allclose(residual_velocity(f, x, x), 0.0)
+        between, _ = self.residuals(np.zeros((2, 7)))
+        assert np.allclose(between[0], 0.0)
 
     def test_velocity_exact_motion(self):
-        f = SimpleNamespace(velocity=np.array([2.5, 0.0, 0.0]), dt=1.0)
-        xi = np.zeros(7)
-        xj = np.concatenate([[2.5, 0.0, 0.0], np.zeros(4)])
-        assert np.allclose(residual_velocity(f, xi, xj), 0.0)
+        x = np.zeros((2, 7))
+        x[1, :3] = [2.5, 0.0, 0.0]
+        between, _ = self.residuals(x, velocity=(2.5, 0.0, 0.0))
+        assert np.allclose(between[0], 0.0)
 
     def test_trrtk_exact(self):
         b = np.array([1.0, -2.0, 3.0])
-        f = SimpleNamespace(baseline=b)
-        xi = np.concatenate([[10.0, 0.0, 0.0], np.zeros(4)])
-        xj = np.concatenate([[10.0, 0.0, 0.0] + b, np.zeros(4)])
-        assert np.allclose(residual_trrtk(f, xi, xj), 0.0)
+        x = np.zeros((2, 7))
+        x[:, :3] = [10.0, 0.0, 0.0]
+        x[1, :3] += b
+        between, _ = self.residuals(x, baseline=b)
+        assert np.allclose(between[1], 0.0)
 
     def test_velocity_jacobian_structure(self):
         rng = np.random.default_rng(0)
-        f = SimpleNamespace(velocity=rng.normal(size=3), dt=1.0)
-        xi, xj = random_state(rng), random_state(rng)
-        base = residual_velocity(f, xi, xj)
+        velocity = rng.normal(size=3)
+        x = np.array([random_state(rng), random_state(rng)])
         h = 1e-6
+
+        def velocity_residual(x):
+            return self.residuals(x, velocity=velocity)[0][0]
+
+        assert velocity_residual(x).shape == (3,)
         for col in range(7):
-            dx = np.zeros(7)
-            dx[col] = h
-            d_i = (residual_velocity(f, xi + dx, xj)
-                   - residual_velocity(f, xi - dx, xj)) / (2 * h)
-            d_j = (residual_velocity(f, xi, xj + dx)
-                   - residual_velocity(f, xi, xj - dx)) / (2 * h)
-            expect = 1.0 if col < 3 else 0.0
-            assert abs(d_j[col] - expect) < 1e-8 if col < 3 else np.allclose(d_j, 0, atol=1e-8)
-            assert np.allclose(d_i, -d_j, atol=1e-8)
-        assert base.shape == (3,)
+            dx = np.zeros((2, 7))
+            dx[:, col] = [h, 0.0]
+            d_i = (velocity_residual(x + dx)
+                   - velocity_residual(x - dx)) / (2 * h)
+            d_j = (velocity_residual(x + dx[::-1])
+                   - velocity_residual(x - dx[::-1])) / (2 * h)
+            expect = np.eye(7)[col, :3]
+            assert np.allclose(d_j, expect, rtol=0.0, atol=1e-8)
+            assert np.allclose(d_i, -d_j, rtol=0.0, atol=1e-8)
 
     def test_pseudorange_clock_columns(self):
-        row = np.zeros(7)
-        row[:3] = [0.5, -0.5, np.sqrt(0.5)]
-        row[3] = 1.0
-        row[3 + 2] = 1.0  # GAL slot
-        f = SimpleNamespace(row=row, constant=12.0)
-        x = np.zeros(7)
-        base = residual_pseudorange(f, x)
-        bump_gps = x.copy()
-        bump_gps[3] += 1.0
-        assert residual_pseudorange(f, bump_gps) - base == pytest.approx(1.0)
-        bump_glo = x.copy()
-        bump_glo[3 + 1] += 1.0
-        assert residual_pseudorange(f, bump_glo) - base == pytest.approx(0.0)
+        """A Galileo row of `_linearization` has the GPS clock and the
+        Galileo bias columns, not the GLONASS one."""
+        from gnssgraph.graph import _linearization
+
+        unit = np.array([[0.5, -0.5, np.sqrt(0.5)]])
+        rows, constants = _linearization(
+            unit, np.array([2.0e7]), np.array([2]), np.array([2.0e7 + 12.0]),
+            np.zeros((1, 3)))
+        assert np.array_equal(rows[0], [-0.5, 0.5, -np.sqrt(0.5),
+                                        1.0, 0.0, 1.0, 0.0])
+        assert constants[0] == pytest.approx(12.0)
+        x = np.zeros((2, 7))
+        _, base = self.residuals(x, row=rows[0], constant=constants[0])
+        for col, change in ((3, 1.0), (3 + 1, 0.0), (3 + 2, 1.0)):
+            bumped = x.copy()
+            bumped[0, col] += 1.0
+            _, moved = self.residuals(bumped, row=rows[0],
+                                      constant=constants[0])
+            assert moved - base == pytest.approx(change)
 
 
 class TestBuildGraph:
@@ -129,7 +168,7 @@ class TestBuildGraph:
                            np.array([1.0, 9.0]), np.array([0, 4]), {})
         g = build_graph(sats, vel, spp, pairs)
         assert len(g.trrtk_factors) == 1
-        assert g.trrtk_factors[0].nodes.tolist() == [1, 6]
+        assert g.trrtk_factors.nodes.tolist() == [[1, 6]]
 
     def test_prior_edges(self):
         """A position prior on node 0, then per node one edge on the
@@ -146,13 +185,23 @@ class TestBuildGraph:
             if free:
                 expected.append((k, free))
         assert len(expected) > 1
-        assert [(f.node, f.index.tolist()) for f in g.priors] == expected
-        for f in g.priors:
-            assert np.array_equal(f.value, g.initial_states[f.node, f.index])
+        priors = g.priors
+        edges = np.split(np.arange(len(priors.node)), priors.start[1:])
+        assert len(edges) == len(priors)
+        assert [(priors.node[rows[0]], priors.index[rows].tolist())
+                for rows in edges] == expected
+        for rows in edges:
+            assert (priors.node[rows] == priors.node[rows[0]]).all()
+        assert np.array_equal(priors.value,
+                              g.initial_states[priors.node, priors.index])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             build_graph(EpochGeometry([], []), [], [], [])
+
+    def test_empty_session_raises_before_spp(self):
+        with pytest.raises(EmptyInput, match="no epochs"):
+            solve_trajectory([], [])
 
     def test_missing_velocity(self):
         cfg = zero_noise_scenario(duration=5.0)
@@ -196,22 +245,22 @@ class TestPseudorangeRows:
         pr = g.pseudorange_factors
         assert {SatelliteId.from_key(key).constellation
                 for key in pr.sat.tolist()} == set(cfg.counts)
-        for f in pr:
-            offset = g.initial_states[f.node, :3]
-            position = position_of(epochs[f.node], states[f.node], f.sat)
-            assert np.array_equal(f.lin_offset, offset)
-            assert np.array_equal(f.sat_position, position)
-            assert f.slot == CONSTELLATION_INDEX[
-                SatelliteId.from_key(f.sat).constellation]
+        for k, (node, sat) in enumerate(zip(pr.node, pr.sat)):
+            offset = g.initial_states[node, :3]
+            position = position_of(epochs[node], states[node], sat)
+            assert np.array_equal(pr.lin_offset[k], offset)
+            assert np.array_equal(pr.sat_position[k], position)
+            assert pr.slot[k] == CONSTELLATION_INDEX[
+                SatelliteId.from_key(sat).constellation]
             # the per-satellite oracle: one line of sight per factor
             unit, r0 = line_of_sight(g.reference_position + offset, position)
             expected = np.zeros(7)
             expected[:3] = -unit
             expected[3] = 1.0
-            expected[3 + f.slot] = 1.0
-            assert np.allclose(f.row, expected, rtol=0.0, atol=1e-12)
-            assert f.constant == pytest.approx(
-                f.measured - r0 - unit @ offset, abs=1e-6)
+            expected[3 + pr.slot[k]] = 1.0
+            assert np.allclose(pr.row[k], expected, rtol=0.0, atol=1e-12)
+            assert pr.constant[k] == pytest.approx(
+                pr.measured[k] - r0 - unit @ offset, abs=1e-6)
         # every row moved 1 km since it was linearized: relinearized at
         # the build's offsets, the rows are the build's again
         again = replace(pr, row=np.zeros_like(pr.row),
@@ -242,14 +291,14 @@ class TestRelinearization:
         x, report = optimize(g)
         assert report.converged
         pr = g.pseudorange_factors
-        for f in pr:
-            assert np.linalg.norm(x[f.node, :3] - f.lin_offset) \
+        for k, (node, sat) in enumerate(zip(pr.node, pr.sat)):
+            assert np.linalg.norm(x[node, :3] - pr.lin_offset[k]) \
                 <= RELINEARIZE_THRESHOLD
-            unit, r0 = line_of_sight(ref + f.lin_offset, position_of(
-                epochs[f.node], states[f.node], f.sat))
-            assert np.allclose(f.row[:3], -unit, rtol=0.0, atol=1e-12)
-            assert f.constant == pytest.approx(
-                f.measured - r0 - unit @ f.lin_offset, abs=1e-6)
+            unit, r0 = line_of_sight(ref + pr.lin_offset[k], position_of(
+                epochs[node], states[node], sat))
+            assert np.allclose(pr.row[k, :3], -unit, rtol=0.0, atol=1e-12)
+            assert pr.constant[k] == pytest.approx(
+                pr.measured[k] - r0 - unit @ pr.lin_offset[k], abs=1e-6)
         assert np.allclose(x, result.states, rtol=0.0, atol=1e-6)
 
 
@@ -319,10 +368,6 @@ class TestStackedSystem:
                            atol=1e-12)
         assert np.allclose(system_gradient, gradient, rtol=1e-12,
                            atol=1e-12)
-        # the gradient alone, which tests convergence after a step
-        alone, no_system = _normal_equations(g, x, False)
-        assert no_system is False
-        assert np.allclose(alone, gradient, rtol=1e-12, atol=1e-12)
         v = np.random.default_rng(5).normal(size=x.size)
         assert _quadratic(system, v) == pytest.approx(v @ normal @ v,
                                                       rel=1e-12)
@@ -508,71 +553,58 @@ class TestSingularSystems:
 
 class TestJacobians:
     def test_all_factors_match_central_differences(self):
+        """Central differences of the residuals that the optimizer reads,
+        `_residuals`, give each between factor -I3 on its first node's
+        position and +I3 on its second's, and each pseudorange factor
+        its row on its node."""
+        from gnssgraph.graph import _residuals
+
         cfg = zero_noise_scenario(duration=20.0, noise=NoiseConfig(0.5, 0.003, 0.02))
         truth, epochs, states, result = build_from_scenario(cfg)
         g = result.graph
+        vel, tr, pr = (g.velocity_factors, g.trrtk_factors,
+                       g.pseudorange_factors)
         rng = np.random.default_rng(17)
         h = 1e-5
         eye3 = np.zeros((3, 7))
         eye3[:, :3] = np.eye(3)
 
-        def numeric(fn, *args, arg):
+        def numeric(node, rows):
+            """d residual / d x[node] (r, 7) of the residual rows `rows`:
+            the between factors' (b, 3), then the pseudorange rows."""
             cols = []
             for col in range(7):
-                dx = np.zeros(7)
-                dx[col] = h
-                up = list(args)
-                down = list(args)
-                up[arg] = args[arg] + dx
-                down[arg] = args[arg] - dx
-                cols.append((np.atleast_1d(fn(*up))
-                             - np.atleast_1d(fn(*down))) / (2 * h))
-            return np.column_stack(cols)
+                up, down = x.copy(), x.copy()
+                up[node, col] += h
+                down[node, col] -= h
+                cols.append((rows(_residuals(g, up))
+                             - rows(_residuals(g, down))) / (2 * h))
+            return np.stack(cols, axis=-1)
 
         for _ in range(10):
-            xi, xj = random_state(rng), random_state(rng)
-            f = g.velocity_factors[rng.integers(len(g.velocity_factors))]
-            assert np.allclose(
-                numeric(lambda a, b: residual_velocity(f, a, b), xi, xj,
-                        arg=0), -eye3, atol=1e-6)
-            assert np.allclose(
-                numeric(lambda a, b: residual_velocity(f, a, b), xi, xj,
-                        arg=1), eye3, atol=1e-6)
-            t = g.trrtk_factors[rng.integers(len(g.trrtk_factors))]
-            assert np.allclose(
-                numeric(lambda a, b: residual_trrtk(t, a, b), xi, xj,
-                        arg=0), -eye3, atol=1e-6)
-            assert np.allclose(
-                numeric(lambda a, b: residual_trrtk(t, a, b), xi, xj,
-                        arg=1), eye3, atol=1e-6)
-            p = g.pseudorange_factors[
-                rng.integers(len(g.pseudorange_factors))]
-            num = numeric(lambda a: residual_pseudorange(p, a), xi, arg=0)
-            assert np.allclose(num.ravel(), p.row, atol=1e-6)
+            x = rng.normal(scale=10.0, size=g.initial_states.shape)
+            for k in (rng.integers(len(vel)),
+                      len(vel) + rng.integers(len(tr))):
+                i, j = np.concatenate([vel.nodes, tr.nodes])[k]
+                assert np.allclose(numeric(i, lambda r: r[2][k]), -eye3,
+                                   atol=1e-6)
+                assert np.allclose(numeric(j, lambda r: r[2][k]), eye3,
+                                   atol=1e-6)
+            k = rng.integers(len(pr))
+            num = numeric(pr.node[k], lambda r: r[3][k])
+            assert np.allclose(num, pr.row[k], atol=1e-6)
 
 
 class TestCost:
     def test_cost_nonnegative_and_decomposes(self):
+        """`evaluate_cost` equals the brute-force sum of e^T Omega e, one
+        factor at a time, each residual formed from its table row."""
         cfg = zero_noise_scenario(duration=15.0, noise=NoiseConfig(0.5, 0.003, 0.02))
         truth, epochs, states, result = build_from_scenario(cfg)
         g = result.graph
         total = evaluate_cost(g, result.states)
         assert total >= 0
-        partial = 0.0
-        x = result.states
-        for f in g.velocity_factors:
-            e = residual_velocity(f, *x[f.nodes])
-            partial += e @ f.information @ e
-        for f in g.trrtk_factors:
-            e = residual_trrtk(f, *x[f.nodes])
-            partial += e @ f.information @ e
-        for f in g.pseudorange_factors:
-            e = residual_pseudorange(f, result.states[f.node])
-            partial += f.information * e * e
-        from gnssgraph.graph import residual_prior
-        for f in g.priors:
-            e = residual_prior(f, result.states[f.node])
-            partial += e @ (f.information * e)
+        _, _, partial = dense_normal_equations(g, result.states)
         assert total == pytest.approx(partial, rel=1e-12)
 
     def test_noise_free_cost_near_zero_at_truth(self):

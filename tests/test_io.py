@@ -671,24 +671,25 @@ class TestGraphJson:
             ([kind] * n for kind, n in zip(
                 ("velocity", "trrtk", "pseudorange", "prior"), counts)), [])
         edges = iter(data["edges"])
-        for f in vel:
+        for nodes, velocity in zip(vel.nodes.tolist(), vel.velocity.tolist()):
             edge = next(edges)
-            assert edge["nodes"] == f.nodes.tolist()
-            assert edge["measurement"] == f.velocity.tolist()
-        for f in tr:
+            assert edge["nodes"] == nodes
+            assert edge["measurement"] == velocity
+        for nodes, baseline in zip(tr.nodes.tolist(), tr.baseline.tolist()):
             edge = next(edges)
-            assert edge["nodes"] == f.nodes.tolist()
-            assert edge["measurement"] == f.baseline.tolist()
-        for f, before in zip(pr, far):
+            assert edge["nodes"] == nodes
+            assert edge["measurement"] == baseline
+        for node, sat, constant, before in zip(pr.node.tolist(), pr.sat,
+                                               pr.constant.tolist(), far):
             edge = next(edges)
-            assert edge["nodes"] == [f.node]
-            assert edge["satellite"] == str(SatelliteId.from_key(f.sat))
-            assert edge["measurement"] == f.constant != before
-        for f in priors:
+            assert edge["nodes"] == [node]
+            assert edge["satellite"] == str(SatelliteId.from_key(sat))
+            assert edge["measurement"] == constant != before
+        for rows in np.split(np.arange(len(priors.node)), priors.start[1:]):
             edge = next(edges)
-            assert edge["nodes"] == [f.node]
-            assert edge["indices"] == f.index.tolist()
-            assert edge["measurement"] == f.value.tolist()
+            assert edge["nodes"] == [priors.node[rows[0]]]
+            assert edge["indices"] == priors.index[rows].tolist()
+            assert edge["measurement"] == priors.value[rows].tolist()
         assert next(edges, None) is None
         assert [node["position"] for node in data["nodes"]] == np.round(
             g.reference_position + x[:, :3], 6).tolist()

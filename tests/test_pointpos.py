@@ -12,6 +12,7 @@ from gnssgraph.pointpos import (SolverConfig, _bancroft, _normals,
                                 solve_spp)
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
+from gnssgraph.trrtk import TrRtkConfig
 from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
 from sessions import position_of, take
 
@@ -49,6 +50,28 @@ def spp_alone(epoch, states, iono=None, tropo=None):
 def doppler_at(epoch, states, position):
     return alone(solve_doppler_velocity(
         EpochGeometry([epoch], [states]).at([position])))
+
+
+class TestConfigSigmas:
+    @pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("config, name", [
+        (SolverConfig, "doppler_sigma"), (TrRtkConfig, "phase_sigma"),
+        (TrRtkConfig, "code_sigma"), (TrRtkConfig, "position_prior_sigma")])
+    def test_sigma_must_be_finite_and_positive(self, config, name, value):
+        """A zero, negative or non-finite `*_sigma` is refused, also when
+        a valid config is copied with it."""
+        with pytest.raises(ValueError, match=name):
+            config(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            replace(config(), **{name: value})
+
+    def test_defaults_and_other_fields_pass(self):
+        """Only `*_sigma` fields are checked, so the defaults, the
+        variance floor `sigma_a` at zero and a slotted instance pass."""
+        assert SolverConfig(sigma_a=0.0).sigma_a == 0.0
+        assert TrRtkConfig(phase_sigma=0.006).phase_sigma == 0.006
+        with pytest.raises(AttributeError):
+            SolverConfig().doppler_sgima = 1.0
 
 
 class TestPseudorangeVariance:

@@ -764,6 +764,22 @@ class TestPairLattice:
         assert (len(result.trrtk_results) + len(result.trrtk.errors)
                 == result.trrtk_attempts)
 
+    @pytest.mark.parametrize("count", [4, 1], ids=["3s", "one-epoch"])
+    def test_session_shorter_than_every_offset_solves(self, count):
+        """A 3 s session, and one epoch of it, has no lattice pair: with
+        TR-RTK on it solves, with 0 pairs attempted and no TR factor."""
+        cfg = quiet_scenario(duration=3.0)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs[:count], states[:count],
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo))
+        assert result.trrtk_attempts == 0
+        assert result.trrtk.fixed.dtype == bool
+        assert len(result.graph.trrtk_factors) == 0
+        assert result.report.converged
+        assert np.isfinite(result.positions).all()
+        assert result.positions.shape == (count, 3)
+
 
 class TestPairTable:
     def test_result_views_are_the_table_rows(self):
