@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -77,13 +78,18 @@ def _json_items(column) -> list[str]:
             else text[1:-1].split(", "))
 
 
+# edges formatted and written at a time, so no section is one string
+_EDGE_SLICE = 4096
+
+
 def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
                       report=None) -> None:
     """Dump the factor graph for external inspection or plotting: one
     edge per factor, velocity, trrtk, pseudorange then prior, with the
     current rows. `states` defaults to the stored initial states; pass
     the optimizer output to export the solved trajectory. The text is
-    `json.dumps` of a dict per node and edge, written kind by kind.
+    `json.dumps` of a dict per node and edge, written kind by kind in
+    slices of `_EDGE_SLICE` edges.
     """
     def eigenvalues(information):
         return np.round(np.sort(np.linalg.eigvalsh(information)), 9)
@@ -100,8 +106,6 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
         [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         for rows in (priors.index.tolist(), priors.value.tolist(),
                      priors.information.tolist()))
-    keys = pr.sat.tolist()
-    names = {key: str(SatelliteId.from_key(key)) for key in set(keys)}
     edges = (
         ('{"type": "velocity", "nodes": [%s], "measurement": [%s], '
          '"dt": %s, "information_eigenvalues": [%s]}', vel.nodes,
@@ -112,8 +116,8 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
          eigenvalues(tr.information)),
         ('{"type": "pseudorange", "nodes": [%s], "satellite": %s, '
          '"measurement": %s, "information_eigenvalues": [%s]}',
-         pr.node, list(map(names.__getitem__, keys)), pr.constant,
-         pr.information),
+         pr.node, list(map(SatelliteId.name_of, pr.sat.tolist())),
+         pr.constant, pr.information),
         ('{"type": "prior", "nodes": [%s], "indices": [%s], '
          '"measurement": [%s], "information_eigenvalues": [%s]}',
          priors.node[priors.start], indices, values,
@@ -130,8 +134,12 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
                           list(range(len(x))), np.round(
                               graph.reference_position + x[:, :3], 6),
                           np.round(x[:, 3:], 6))))
-    for k, text in enumerate(filter(None, (dicts(*e) for e in edges))):
-        stream.writelines((", " * (k > 0), text))
+    separator = ""
+    for template, *columns in edges:
+        for start in range(0, len(columns[0]), _EDGE_SLICE):
+            stream.writelines((separator, dicts(template, *(
+                column[start:start + _EDGE_SLICE] for column in columns))))
+            separator = ", "
     stream.write(']%s}' % optimizer)
 
 
@@ -140,15 +148,15 @@ _SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e" * 2 + "\r\n"
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
-    """Sidecar of the known states of each epoch's satellites."""
+    """Sidecar of the known states of each epoch's satellites, one
+    `writelines` per epoch."""
     stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
     for epoch, states in zip(epochs, sat_states):
         known = ~np.isnan(states).any(axis=1)
-        tow = f"{epoch.time.tow:.3f}"
-        stream.writelines(
-            _SAT_STATE_ROW % (tow, SatelliteId.from_key(key), *row)
-            for key, row in zip(epoch.sats[known].tolist(),
-                                states[known].tolist()))
+        stream.writelines(map(_SAT_STATE_ROW.__mod__, zip(
+            repeat(f"{epoch.time.tow:.3f}"),
+            map(SatelliteId.name_of, epoch.sats[known].tolist()),
+            *states[known].T.tolist())))
 
 
 def _keys(tow, sats) -> np.ndarray:

@@ -57,6 +57,14 @@ class SolverConfig(PositiveSigmas):
     max_iterations: int = 10
     convergence: float = 1e-4      # position update threshold [m]
 
+    def __post_init__(self) -> None:
+        PositiveSigmas.__post_init__(self)
+        # either term alone is a model; both 0 make every weight infinite
+        terms = (self.sigma_a, self.sigma_b)
+        if not (all(0.0 <= term < np.inf for term in terms) and any(terms)):
+            raise ValueError(f"sigma_a and sigma_b must be finite and "
+                             f"non-negative and not both 0: {terms!r}")
+
 
 @dataclass
 class SppSolution:

@@ -76,14 +76,36 @@ def _header_line(content: str, label: str) -> str:
     return f"{content:<60s}{label}\n"
 
 
-def _snr_digit(snr: float) -> int:
-    # RINEX signal-strength indicator: 1 (worst) .. 9 (best), 6 dB-Hz bins
-    return int(min(max(round(snr / 6.0), 1), 9))
+# a record's LLI and signal-strength digits by 10 * LLI + digit
+_FLAGS = np.array([f"{lli}{digit}" for lli in (0, 1) for digit in range(10)],
+                  dtype=object)
+_RECORD = "%s%14.3f%s%14.3f%s%14.3f%s\n"
+
+
+def _records(epoch) -> list[str]:
+    """An epoch's record lines. Each value carries the record's LLI digit,
+    1 where lock is 0 (a slip), and its signal-strength digit: SNR in
+    6 dB-Hz bins rounded half to even (as `round`), clipped to 1..9."""
+    keys, code, phase, doppler = (getattr(epoch, name).tolist() for name in
+                                  ("sats", "code", "phase", "doppler"))
+    scaled = epoch.snr / 6.0
+    finite = np.isfinite(scaled)
+    # a record's digit comes before its name: a bad key raises only ahead
+    # of the first non-finite SNR, which raises as `round` does
+    named = len(keys) if finite.all() else int(finite.argmin())
+    names = list(map(SatelliteId.name_of, keys[:named]))
+    if named < len(keys):
+        round(float(scaled[named]))
+    flags = _FLAGS[10 * (epoch.lock == 0)
+                   + np.clip(np.rint(scaled), 1, 9).astype(int)].tolist()
+    return list(map(_RECORD.__mod__, zip(names, code, flags, phase, flags,
+                                         doppler, flags)))
 
 
 def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
     """Emit a RINEX 3.04 observation file; `parse_rinex_obs` inverts it
-    at the format's 3-decimal precision."""
+    at the format's 3-decimal precision. Each epoch's lines go out in one
+    `writelines`."""
     stream.write(_header_line(
         f"{header.version:9.2f}{'':11s}{'OBSERVATION DATA':<20s}{'M':<20s}",
         "RINEX VERSION / TYPE"))
@@ -114,15 +136,9 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
     for epoch in epochs:
         cal = epoch.time.to_calendar()
         seconds = cal.second + cal.microsecond * 1e-6
-        stream.write(f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
-                     f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
-                     f"  0{len(epoch):3d}\n")
-        for key, code, phase, doppler, lock, snr in zip(*(
-                getattr(epoch, name).tolist() for name in
-                ("sats", "code", "phase", "doppler", "lock", "snr"))):
-            flags = f"{1 if lock == 0 else 0:1d}{_snr_digit(snr):1d}"
-            stream.write(f"{SatelliteId.from_key(key)}{code:14.3f}{flags}"
-                         f"{phase:14.3f}{flags}{doppler:14.3f}{flags}\n")
+        stream.writelines([f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
+                           f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
+                           f"  0{len(epoch):3d}\n", *_records(epoch)])
 
 
 def _parse_header(lines) -> tuple[RinexHeader, int]:

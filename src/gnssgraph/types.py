@@ -61,6 +61,12 @@ class SatelliteId:
     def from_key(key: int) -> "SatelliteId":
         return SatelliteId(CONSTELLATIONS[key // 100], key % 100)
 
+    @staticmethod
+    @cache
+    def name_of(key: int) -> str:
+        """`str` of the satellite of this key, formatted once per key."""
+        return str(SatelliteId.from_key(key))
+
 
 @dataclass(frozen=True)
 class GeodeticPosition:

@@ -231,10 +231,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", [
         "pair_lattice: 5", 'use_trrtk: "false"', "trrtk: {phase_sigma: 0}",
         "trrtk: {code_sigma: -0.5}", "trrtk: {position_prior_sigma: .nan}",
-        "solver: {doppler_sigma: .inf}"],
+        "solver: {doppler_sigma: .inf}", "solver: {sigma_a: 0, sigma_b: 0}",
+        "solver: {sigma_b: -0.3}"],
         ids=["lattice-not-a-list", "flag-not-a-bool", "phase-sigma-zero",
              "code-sigma-negative", "prior-sigma-nan",
-             "doppler-sigma-infinite"])
+             "doppler-sigma-infinite", "variance-terms-both-zero",
+             "sigma-b-negative"])
     def test_bad_solver_setting_is_parse_error(self, entry, pipeline_dirs,
                                                tmp_path, capsys):
         root, sim, _ = pipeline_dirs

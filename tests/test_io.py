@@ -785,6 +785,20 @@ class TestGraphJsonText:
         assert self.text(solved) == json.dumps(
             graph_payload(g, solved.states, solved.report))
 
+    @pytest.mark.parametrize("size", [1, 7, "pseudorange"])
+    def test_slices_equal_the_dict_payload(self, solved, size, monkeypatch):
+        """Edges written a slice at a time, whether a slice is one edge,
+        splits every kind or ends exactly at the end of one, give the
+        same text."""
+        import gnssgraph.fileio
+        g = solved.graph
+        if size == "pseudorange":
+            size = len(g.pseudorange_factors)
+        monkeypatch.setattr(gnssgraph.fileio, "_EDGE_SLICE", size)
+        assert len(g.pseudorange_factors) > 7 and len(g.trrtk_factors) > 7
+        assert self.text(solved) == json.dumps(
+            graph_payload(g, solved.states, solved.report))
+
     def test_non_finite_and_negative_zero(self, solved):
         import copy
         result = copy.deepcopy(solved)

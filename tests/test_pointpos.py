@@ -65,10 +65,25 @@ class TestConfigSigmas:
         with pytest.raises(ValueError, match=name):
             replace(config(), **{name: value})
 
+    @pytest.mark.parametrize("values", [
+        {"sigma_a": 0.0, "sigma_b": 0.0}, {"sigma_a": -0.0, "sigma_b": 0.0},
+        {"sigma_b": -0.3}, {"sigma_a": -1e-9}, {"sigma_a": np.nan},
+        {"sigma_b": np.inf}])
+    def test_variance_terms_finite_non_negative_not_both_zero(self, values):
+        """`sigma_a` and `sigma_b` are refused if negative or not finite,
+        and together if both are 0, which makes every weight infinite."""
+        message = "sigma_a and sigma_b must be finite and non-negative"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**values)
+        with pytest.raises(ValueError, match=message):
+            replace(SolverConfig(), **values)
+
     def test_defaults_and_other_fields_pass(self):
-        """Only `*_sigma` fields are checked, so the defaults, the
-        variance floor `sigma_a` at zero and a slotted instance pass."""
+        """Only `*_sigma` fields are checked for positive values, so the
+        defaults, either variance term alone at zero and a slotted
+        instance pass."""
         assert SolverConfig(sigma_a=0.0).sigma_a == 0.0
+        assert SolverConfig(sigma_b=0.0).sigma_b == 0.0
         assert TrRtkConfig(phase_sigma=0.006).phase_sigma == 0.006
         with pytest.raises(AttributeError):
             SolverConfig().doppler_sgima = 1.0
