@@ -28,7 +28,8 @@ from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
-                       grouped_normals, pseudorange_variance)
+                       grouped_normals, pseudorange_variance,
+                       singular_pivots, solve_normals)
 from .trrtk import TrRtkPairs
 
 STATE_DIM = 7
@@ -183,13 +184,13 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
     cov = cov + (disc * disc)[:, None, None] * np.eye(3)
     velocity_factors = VelocityFactors(
         nodes=np.column_stack([np.arange(n - 1), np.arange(1, n)]),
-        velocity=velocity, dt=dt, information=np.linalg.inv(cov))
+        velocity=velocity, dt=dt, information=solve_normals(cov)[0])
 
     fixed = trrtk.fixed
     trrtk_factors = TrRtkFactors(
         nodes=trrtk.pairs[fixed], baseline=trrtk.baseline[fixed],
         time_difference=trrtk.time_difference[fixed],
-        information=np.linalg.inv(trrtk.covariance[fixed]))
+        information=solve_normals(trrtk.covariance[fixed])[0])
 
     located = geometry.at(reference + states[:, :3])
     rows = located.above(solver.elevation_mask) & use_pseudorange
@@ -324,54 +325,26 @@ def _position_band(reduced: np.ndarray, nodes: np.ndarray,
     return cells.reshape(3 * n, rows).T
 
 
-def _substitute(factor: np.ndarray, rhs: np.ndarray,
-                transpose: bool = False) -> np.ndarray:
-    """Per node, x solving L x = rhs, or L^T x = rhs with `transpose`,
-    for lower triangular factors L `factor` (n, k, k) and right-hand
-    sides `rhs` (n, k, m), by substitution one row at a time."""
-    matrix = factor.transpose(0, 2, 1) if transpose else factor
-    k = matrix.shape[1]
-    x = np.zeros_like(rhs)
-    for i in range(k - 1, -1, -1) if transpose else range(k):
-        # the entries of x not yet solved are still 0
-        x[:, i] = ((rhs[:, i] - np.einsum("kj,kjm->km", matrix[:, i], x))
-                   / matrix[:, i, i, None])
-    return x
-
-
-def _check_pivots(pivots: np.ndarray, diagonal: np.ndarray,
-                  what: str) -> None:
-    """Raise SingularNormalEquations naming `what` unless each Cholesky
-    pivot squared exceeds 1e-12 of its matrix's diagonal entry: a
-    smaller one is the round-off of a zero pivot, as SPP counts a
-    condition number above 1e12 as singular (a NaN pivot, left by a
-    failed factorization, fails too)."""
-    if not np.all(pivots * pivots > 1e-12 * diagonal):
-        raise SingularNormalEquations(f"{what} is not positive definite")
-
-
 def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
     """The step s (7n,) that solves N s = -g, for the normal matrix N in
     blocks `system` and the gradient g (7n,): each node's four clock
     states are eliminated by the Schur complement of its 4x4 clock block
-    C = L L^T, the 3n positions are solved by banded Cholesky, and the
-    clocks are recovered by back-substitution. A clock block or a
-    position system that is not positive definite raises
+    C, C^-1 [B^T, g_clock] solved by `pointpos.solve_normals`, the 3n
+    positions are solved by banded Cholesky, and the clocks follow from
+    them. A clock block or position system singular by
+    `pointpos.singular_pivots` (a Cholesky pivot squared at most 1e-12
+    of its diagonal entry, or a refused factor) raises
     SingularNormalEquations."""
     blocks, nodes, information = system
     n = len(blocks)
     gradient = gradient.reshape(n, STATE_DIM)
     coupling, clock = blocks[:, :3, 3:], blocks[:, 3:, 3:]
-    try:
-        factor = np.linalg.cholesky(clock)
-    except np.linalg.LinAlgError:
-        factor = np.full_like(clock, np.nan)
-    _check_pivots(np.diagonal(factor, axis1=1, axis2=2),
-                  np.diagonal(clock, axis1=1, axis2=2), "a clock block")
-    # per node L^-1 [B^T, g_clock], so B C^-1 [B^T, g_clock] = Y_B^T Y
-    whitened = _substitute(factor, np.concatenate(
+    # per node C^-1 [B^T, g_clock], and B times it
+    solved, singular = solve_normals(clock, np.concatenate(
         [coupling.transpose(0, 2, 1), gradient[:, 3:, None]], axis=2))
-    cross = whitened[:, :, :3].transpose(0, 2, 1) @ whitened
+    if singular.any():
+        raise SingularNormalEquations("a clock block is singular")
+    cross = coupling @ solved
     reduced = (blocks[:, :3, :3] - cross[:, :, :3]
                + _sums(nodes[:, 0], information, n)
                + _sums(nodes[:, 1], information, n))
@@ -383,11 +356,12 @@ def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
                                check_finite=False)
     except np.linalg.LinAlgError:
         band[0] = np.nan
-    _check_pivots(band[0], diagonal, "the position system")
+    if singular_pivots(band[0], diagonal):
+        raise SingularNormalEquations("the position system is singular")
     position = cho_solve_banded((band, True), rhs.ravel(),
                                 check_finite=False).reshape(n, 3)
-    clocks = -_substitute(factor, whitened[:, :, 3:] + whitened[:, :, :3]
-                          @ position[:, :, None], transpose=True)[:, :, 0]
+    clocks = -(solved[:, :, 3] + (solved[:, :, :3] @ position[:, :, None])[
+        :, :, 0])
     return np.concatenate([position, clocks], axis=1).ravel()
 
 

@@ -6,12 +6,13 @@ constraints between consecutive nodes.
 
 Both solve every epoch of a session geometry at once. An epoch's rows
 sit in a padded (epoch, row) array, its normal equations are formed by
-one stacked `matmul` and solved in a stack of small systems, so no sum
-or LAPACK call spans two epochs and an epoch gets the same bits in any
-session. SPP starts every epoch from Bancroft's closed-form fix, one
-more such stacked solve. Each returns one table, a row per epoch; an
-epoch's error goes into the table's `errors` under its index and
-stops no other.
+one stacked `matmul` and solved by `solve_normals`, the one Cholesky
+kernel and singularity rule of every stacked solve here, in TR-RTK and
+in the graph; no sum or LAPACK call spans two epochs, so an epoch gets
+the same bits in any session. SPP starts every epoch from Bancroft's
+closed-form fix, one more such stacked solve. Each returns one table, a
+row per epoch; an epoch's error goes into its `errors` and stops no
+other.
 """
 
 from __future__ import annotations
@@ -99,25 +100,58 @@ def pseudorange_variance(elevation, config: SolverConfig | None = None):
 
 
 def _solve(normal, rhs, ok, errors: dict, message: str):
-    """Solve the stacked normal equations of the epochs `ok`, with one
-    right-hand side per epoch (epochs, unknowns) or several (epochs,
-    unknowns, columns). An epoch whose symmetric normal matrix has a
-    2-norm condition number, lambda_max / lambda_min, above 1e12
-    (lambda_min <= 0 counted as singular) gets SingularGeometry(message)
-    in `errors` instead. Returns the solutions, the epochs solved and
-    the normal matrices, identities standing in for those of the epochs
-    not solved."""
-    eye = np.eye(normal.shape[-1])
-    normal = np.where(ok[:, None, None], normal, eye)
-    eig = np.linalg.eigvalsh(normal)
-    singular = ok & ((eig[:, 0] <= 0.0) | (eig[:, -1] > 1e12 * eig[:, 0]))
+    """`solve_normals` of the epochs `ok`, identities for the others; a
+    singular epoch gets SingularGeometry(message) in `errors`. Returns
+    the solutions and the epochs solved."""
+    normal = np.where(ok[:, None, None], normal, np.eye(normal.shape[-1]))
+    x, singular = solve_normals(normal, rhs)
     for e in np.flatnonzero(singular).tolist():
         errors[e] = SingularGeometry(message)
-    ok = ok & ~singular
-    normal[singular] = eye
-    columns = rhs.reshape(len(rhs), len(eye), -1)
-    return (np.linalg.solve(normal, columns).reshape(rhs.shape), ok,
-            normal)
+    return x, ok & ~singular
+
+
+def singular_pivots(pivots, diagonal):
+    """Whether a Cholesky pivot of `pivots` (..., k) squared is at most
+    1e-12 of its matrix's diagonal entry in `diagonal`, or NaN (refused):
+    the round-off of a zero pivot, in any units of the unknowns."""
+    return ~np.all(pivots * pivots > 1e-12 * diagonal, axis=-1)
+
+
+def solve_normals(normal, rhs=None):
+    """x solving normal x = rhs per matrix of the symmetric stack `normal`
+    (n, k, k) and right-hand side, (n, k) or (n, k, m); without `rhs`,
+    the inverses. Returns x, NaN for a singular matrix, and the mask (n,)
+    of those: each matrix's Cholesky factor, `singular_pivots` of it.
+    numpy refuses a whole stack for one matrix that is not positive
+    definite: only then is each factored alone, NaN if refused."""
+    eye = np.eye(normal.shape[-1])
+    try:
+        factor = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        factor = np.full(normal.shape, np.nan)
+        for e, matrix in enumerate(normal):
+            try:
+                factor[e] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    singular = singular_pivots(np.diagonal(factor, axis1=1, axis2=2),
+                               np.diagonal(normal, axis1=1, axis2=2))
+    factor[singular] = eye
+    rhs = np.broadcast_to(eye, normal.shape) if rhs is None else rhs
+    x = rhs if rhs.ndim == 3 else rhs[..., None]
+    # L y = rhs from the first row, then L^T x = y from the last; each
+    # entry subtracts its terms one by one, elementwise over the stack,
+    # so a system gets the same bits in any stack
+    for matrix, order in ((factor, range(len(eye))),
+                          (factor.transpose(0, 2, 1), range(len(eye))[::-1])):
+        y, x = x, np.empty(x.shape)
+        for done, i in enumerate(order):
+            row = y[:, i]
+            for j in order[:done]:
+                row = row - matrix[:, i, j, None] * x[:, j]
+            x[:, i] = row / matrix[:, i, i, None]
+    x[singular] = np.nan
+    return x.reshape(rhs.shape), singular
 
 
 def grouped_normals(group, groups: int, a, weights, y):
@@ -227,15 +261,12 @@ def solve_spp(geometry: EpochGeometry,
         step_normal, rhs = _normals(
             geometry, rows, a, weights,
             located.corrected_code[rows] - located.range[rows])
-        # an unobserved clock slot gets the observed block's mean
-        # eigenvalue, which leaves lambda_min and lambda_max as they are
+        # an unobserved clock slot has no row: a unit diagonal entry
+        # keeps its step 0, and any positive one passes the pivot rule
         free_epoch, free_slot = np.nonzero(~observed)
-        step_normal[free_epoch, 3 + free_slot, 3 + free_slot] = (
-            np.trace(step_normal, axis1=1, axis2=2)
-            / (3 + systems))[free_epoch]
-        step, ok, step_normal = _solve(
-            step_normal, rhs, ok, errors,
-            "normal matrix condition number > 1e12")
+        step_normal[free_epoch, 3 + free_slot, 3 + free_slot] = 1.0
+        step, ok = _solve(step_normal, rhs, ok, errors,
+                          "normal matrix singular")
         position[ok] += step[ok, :3]
         normal[ok], clock[ok], count[ok] = (step_normal[ok], step[ok, 3:],
                                             used_count[ok])
@@ -250,7 +281,7 @@ def solve_spp(geometry: EpochGeometry,
     observed = count > 0
     kept = np.concatenate([np.ones((n, 3), dtype=bool), observed], axis=1)
     cov = np.where(kept[:, :, None] & kept[:, None, :],
-                   np.linalg.inv(normal), 0.0)
+                   solve_normals(normal)[0], 0.0)
     return SppSolution(position, np.where(observed, clock, 0.0), cov, count,
                        errors)
 
@@ -291,8 +322,8 @@ def _bancroft(geometry: EpochGeometry):
     normal, rhs = _normals(geometry, rows, b, np.ones(len(b)),
                            np.column_stack([np.ones(len(b)),
                                             0.5 * _lorentz(b, b)]))
-    uv, ok, _ = _solve(normal, rhs, known >= 4, errors,
-                       "bootstrap geometry singular")
+    uv, ok = _solve(normal, rhs, known >= 4, errors,
+                    "bootstrap geometry singular")
     u, v = uv[..., 0], uv[..., 1]
     uu = np.where(ok, _lorentz(u, u), 1.0)
     half = _lorentz(u, v) - 1.0
@@ -339,9 +370,10 @@ def solve_doppler_velocity(geometry: EpochGeometry,
          + CLIGHT * geometry.clock_drift[rows])
     sigma = config.doppler_sigma / np.sin(geometry.elevation[rows])
     normal, rhs = _normals(geometry, rows, a, 1.0 / (sigma * sigma), y)
-    sol, _, normal = _solve(normal, rhs, ok, errors,
-                            "velocity geometry singular")
-    cov = np.linalg.inv(normal)[:, :3, :3]
+    # one solve of [rhs | I]: the velocities and their covariances
+    solved, _ = _solve(normal, np.dstack([rhs, np.broadcast_to(
+        np.eye(4), normal.shape)]), ok, errors, "velocity geometry singular")
+    sol, cov = solved[..., 0], solved[:, :3, 1:4]
     diagonal = np.arange(3)
     cov[:, diagonal, diagonal] = np.maximum(cov[:, diagonal, diagonal],
                                             config.velocity_sigma_floor ** 2)

@@ -22,7 +22,8 @@ linearized at the located receivers, the point solutions; their error
 delta leaves at most |delta|^2 / 2 rho in a range (see
 `solve_float_baseline`). Its normal equations under the DD covariance
 D + r 11^T are one centered weighted Gram product in a workspace made
-once per call, and a block's 6x6 systems one stacked solve. Each block
+once per call, and one Cholesky factor per pair gives its singularity
+check, step and covariance (`pointpos.solve_normals`). Each block
 gathers per-epoch terms made once per call and fills its rows of one
 `TrRtkPairs` table, whose p-values and fixes are set last. No sum or
 product spans two pairs, so a pair gets the same bits in any block; its
@@ -45,7 +46,7 @@ from .constants import SECONDS_PER_WEEK
 from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
-from .pointpos import PositiveSigmas
+from .pointpos import PositiveSigmas, solve_normals
 from .types import SatelliteId
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
@@ -334,11 +335,6 @@ def _workspace(shape: tuple, groups: int) -> tuple:
     return np.zeros(shape), np.empty(shape), np.empty(wide), np.empty(wide)
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm of each of a stack: the largest absolute column sum."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
 def _chi2_survival(x, dof):
     """P(X > x) for X chi-squared on an integer `dof` >= 1, elementwise on
     arrays (or on scalars, to a float): the closed-form series of the
@@ -371,12 +367,14 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     2 rho (2.5e-6 m at 10 m), and the lines of sight leave out how the
     Sagnac rotation changes with the range. With receivers 10 m off, the
     one solve is within ~2e-5 m of the converged one, far below the
-    ~1.5 cm that error itself causes. Returns (B, 3) baselines, their
-    (B, 3, 3) covariances, the (B,) weighted residual sums of squares
-    (3m - 3 degrees of freedom for m DDs), and per pair None or the
-    GnssError that stopped it; a pair left out or stopped keeps its
-    initial baseline and a zero covariance and residual sum. The rows
-    are formed in `work`, a `_workspace` of at least B pairs."""
+    ~1.5 cm that error itself causes. One Cholesky factor per pair gives
+    its step and covariance, SingularGeometry if singular
+    (`pointpos.solve_normals`). Returns (B, 3) baselines, their (B, 3, 3)
+    covariances, the (B,) weighted residual sums of squares (3m - 3
+    degrees of freedom for m DDs), and per pair None or the GnssError
+    that stopped it; a pair left out or stopped keeps its initial
+    baseline and a zero covariance and residual sum. The rows are formed
+    in `work`, a `_workspace` of at least B pairs."""
     config = config or TrRtkConfig()
     count = len(dd.rows)
     work = work or _workspace((count, 7, 3, len(dd.sats)), len(dd.spans))
@@ -400,28 +398,21 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     rhs = summed[:, :6, 6]
     # a satellite on the receiver gives no line of sight
     degenerate = active & ~(dd.nearest >= 1e6)
-    normal[degenerate] = np.eye(6)
-    # a zero LU pivot, on which inv would raise for the whole stack
-    zero_pivot = np.linalg.slogdet(normal)[0] == 0
-    normal[zero_pivot] = np.eye(6)
-    # numpy hands out no LU factor, so the check inverts the same
-    # matrices: that gives the exact 1-norm condition numbers, and the
-    # inverse is the covariance
-    normal_inv = np.linalg.inv(normal)
-    singular = active & ~degenerate & (zero_pivot | ~(
-        _norm1(normal) * _norm1(normal_inv) <= 1e14))
+    # pairs not solved take an identity; each factor solves [rhs | I]
+    normal[~active | degenerate] = np.eye(6)
+    solved, singular = solve_normals(normal, np.dstack(
+        [rhs, np.broadcast_to(np.eye(6), normal.shape)]))
     for k in np.flatnonzero(degenerate):
         errors[k] = DegenerateGeometry(
             f"satellite range {dd.nearest[k]:.0f} m implausible")
     for k in np.flatnonzero(singular):
         errors[k] = SingularGeometry("degenerate double-difference geometry")
     ok = active & ~degenerate & ~singular
-    if ok.any():                # no solve on singular normal equations
-        delta = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-        # the weighted squares of the residuals after the solve, r - J delta
-        omega[ok] = summed[ok, 6, 6] - (delta * rhs[ok]).sum(axis=1)
-        baseline[ok] += delta[:, :3]
-    cov[ok] = 0.5 * (normal_inv + normal_inv.transpose(0, 2, 1))[ok, :3, :3]
+    delta, inverse = solved[ok, :, 0], solved[ok, :3, 1:4]
+    # the weighted squares of the residuals after the solve, r - J delta
+    omega[ok] = summed[ok, 6, 6] - (delta * rhs[ok]).sum(axis=1)
+    baseline[ok] += delta[:, :3]
+    cov[ok] = 0.5 * (inverse + inverse.transpose(0, 2, 1))
     return baseline, cov, omega, errors
 
 

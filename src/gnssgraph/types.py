@@ -59,6 +59,8 @@ class SatelliteId:
     @staticmethod
     @cache
     def from_key(key: int) -> "SatelliteId":
+        if not 0 <= key < 100 * len(CONSTELLATIONS):
+            raise ValueError(f"satellite key out of range: {key}")
         return SatelliteId(CONSTELLATIONS[key // 100], key % 100)
 
     @staticmethod

@@ -9,7 +9,7 @@ from gnssgraph.errors import InsufficientSatellites
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.pointpos import (SolverConfig, _bancroft, _normals,
                                 pseudorange_variance, solve_doppler_velocity,
-                                solve_spp)
+                                solve_normals, solve_spp)
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.trrtk import TrRtkConfig
@@ -215,6 +215,83 @@ class TestNormals:
         _, single = _normals(geometry, rows, a, weights, y[:, 0])
         assert single.shape == (5, 4)
         assert np.array_equal(single, rhs[..., 0])
+
+
+class TestSharedFactor:
+    """Every stacked normal-equation solve goes through one Cholesky
+    factor and one singularity rule, `solve_normals`."""
+
+    @staticmethod
+    def stack():
+        """A well-conditioned matrix, an exactly singular one (numpy
+        refuses it, and with it the whole stack), one rank-deficient to
+        round-off (numpy factors it, with a last pivot of ~7e-9) and a
+        positive definite diag(1e8, 1, 1e-8), whose 2-norm condition
+        number of 1e16 the former SPP rule refused."""
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(3, 2))
+        m = np.random.default_rng(1).normal(size=(3, 3))
+        return np.stack([m @ m.T + 3.0 * np.eye(3),
+                         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                         b @ b.T, np.diag([1e8, 1.0, 1e-8])])
+
+    def test_one_rule_for_refused_round_off_and_scaled_matrices(self):
+        normal = self.stack()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(normal)
+        np.linalg.cholesky(normal[2])      # accepted alone: the rule refuses
+        rhs = np.random.default_rng(2).normal(size=(4, 3, 2))
+        for columns, want in ((rhs, np.linalg.solve(normal[[0, 3]],
+                                                    rhs[[0, 3]])),
+                              (None, np.linalg.inv(normal[[0, 3]]))):
+            x, singular = solve_normals(normal, columns)
+            assert singular.tolist() == [False, True, True, False]
+            assert np.isnan(x[singular]).all()
+            for got, expected in zip(x[[0, 3]], want):
+                assert (np.abs(got - expected).max()
+                        <= 1e-12 * np.abs(expected).max())
+
+    def test_rule_ignores_the_units_of_the_unknowns(self):
+        """Scaling the unknowns, D N D, leaves every pivot ratio as it is:
+        the mask of the stack without its refused matrix is unchanged."""
+        normal = self.stack()[[0, 2, 3]]
+        scale = np.array([1e-6, 1.0, 1e6])
+        for scaled in (normal, normal * scale[:, None] * scale):
+            assert solve_normals(scaled)[1].tolist() == [False, True, False]
+
+    def test_a_system_gets_the_same_bits_in_any_stack(self):
+        normal = self.stack()
+        rhs = np.random.default_rng(3).normal(size=(4, 3))
+        x, _ = solve_normals(normal, rhs)
+        for k in (0, 3):
+            alone_k, _ = solve_normals(normal[k:k + 1], rhs[k:k + 1])
+            assert alone_k[0].tobytes() == x[k].tobytes()
+            assert solve_normals(normal[[0, 3]], rhs[[0, 3]])[0][
+                k // 3].tobytes() == x[k].tobytes()
+
+    def test_solve_uses_no_other_factorization(self, monkeypatch):
+        """With numpy's other solvers and factorizations made to raise, a
+        40 s square with TR-RTK solves to the same bits: every stacked
+        solve of SPP, Doppler, TR-RTK and the graph takes its Cholesky
+        factor."""
+        from gnssgraph.pipeline import PipelineConfig, solve_trajectory
+        side = [[0, 0, 0], [10, 0, 0], [10, 10, 0], [0, 10, 0], [0, 0, 0]]
+        cfg = ScenarioConfig(duration=40.0, seed=1,
+                             trajectory=TrajectoryConfig(
+                                 kind="waypoints", speed=1.0,
+                                 waypoints=side))
+        _, epochs, states = run_scenario(cfg)
+        config = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo)
+        want = solve_trajectory(epochs, states, config)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a factorization other than Cholesky")
+
+        for name in ("solve", "inv", "slogdet", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        got = solve_trajectory(epochs, states, config)
+        assert got.trrtk.fixed.sum() > 50 and got.report.converged
+        assert got.positions.tobytes() == want.positions.tobytes()
 
 
 class TestDopplerVelocity:
