@@ -292,37 +292,36 @@ def load_scenario_yaml(stream):
     if not isinstance(data, dict):
         raise IoFailure("scenario file must be a mapping")
 
-    kwargs: dict = {}
-    for key in ("duration", "rate", "satellite_clock_bias_sigma",
-                "satellite_clock_drift_sigma", "seed"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "start_time" in data:
-        st = data["start_time"]
-        kwargs["start_time"] = GpsTime(int(st["week"]), float(st["tow"]))
-    if "origin" in data:
-        o = data["origin"]
-        kwargs["origin"] = GeodeticPosition(np.radians(o["lat_deg"]),
-                                            np.radians(o["lon_deg"]),
-                                            o.get("height", 0.0))
-    if "trajectory" in data:
-        kwargs["trajectory"] = TrajectoryConfig(**data["trajectory"])
-    if "noise" in data:
-        kwargs["noise"] = NoiseConfig(**data["noise"])
-    if "receiver_clock" in data:
-        kwargs["receiver_clock"] = ReceiverClockConfig(
-            **data["receiver_clock"])
-    if "counts" in data:
-        kwargs["counts"] = {Constellation(letter): int(n)
-                            for letter, n in data["counts"].items()}
-    if "cycle_slips" in data:
-        kwargs["cycle_slips"] = [(SatelliteId.parse(text), float(t))
-                                 for text, t in data["cycle_slips"]]
-    kwargs.update(delay_models_from_dict(data))
     try:
+        kwargs = {key: data[key] for key in (
+            "duration", "rate", "satellite_clock_bias_sigma",
+            "satellite_clock_drift_sigma", "seed") if key in data}
+        if "start_time" in data:
+            st = data["start_time"]
+            kwargs["start_time"] = GpsTime(int(st["week"]), float(st["tow"]))
+        if "origin" in data:
+            o = data["origin"]
+            kwargs["origin"] = GeodeticPosition(np.radians(o["lat_deg"]),
+                                                np.radians(o["lon_deg"]),
+                                                o.get("height", 0.0))
+        if "trajectory" in data:
+            kwargs["trajectory"] = TrajectoryConfig(**data["trajectory"])
+        if "noise" in data:
+            kwargs["noise"] = NoiseConfig(**data["noise"])
+        if "receiver_clock" in data:
+            kwargs["receiver_clock"] = ReceiverClockConfig(
+                **data["receiver_clock"])
+        if "counts" in data:
+            kwargs["counts"] = {Constellation(letter): int(n)
+                                for letter, n in data["counts"].items()}
+        if "cycle_slips" in data:
+            kwargs["cycle_slips"] = [(SatelliteId.parse(text), float(t))
+                                     for text, t in data["cycle_slips"]]
+        kwargs.update(delay_models_from_dict(data))
         return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise IoFailure(f"bad scenario file: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"bad scenario file: {type(exc).__name__}: "
+                        f"{exc}") from exc
 
 
 PIPELINE_KEYS = {"use_trrtk", "use_pseudorange", "pair_lattice", "iono",

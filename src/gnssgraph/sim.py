@@ -3,12 +3,14 @@
 Replaces real flight data as the verification oracle. Measurement models
 mirror the conventions of the estimators exactly (same line-of-sight,
 atmosphere, and sign conventions), so zero-noise runs close to machine
-precision.
+precision. Trajectories and measurements are computed on arrays, bit for
+bit as the per-sample loops of tests/sim_reference.py compute them.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,8 @@ VISIBILITY_MASK = np.radians(5.0)
 BLOCK_EPOCHS = 128
 
 
-@dataclass(frozen=True)
-class OrbitElements:
-    """Circular Keplerian orbit."""
+class OrbitElements(NamedTuple):
+    """Circular Keplerian orbit; a list of them reads as (n, 4) rows."""
 
     semi_major: float          # [m]
     inclination: float         # [rad]
@@ -50,6 +51,14 @@ class NoiseConfig:
     pseudorange_sigma: float = 0.5   # [m] at zenith
     phase_sigma: float = 0.003       # [m] at zenith
     doppler_sigma: float = 0.02      # [m/s], flat in elevation
+
+    def __post_init__(self):
+        # a zero sigma simulates that measurement without noise
+        for f in fields(self):
+            sigma = getattr(self, f.name)
+            if not 0.0 <= sigma < np.inf:
+                raise ValueError(f"{f.name} must be finite and "
+                                 f"non-negative, not {sigma!r}")
 
 
 @dataclass
@@ -65,6 +74,17 @@ class TrajectoryConfig:
     radius: float = 30.0             # circle radius [m]
     waypoints: list = field(default_factory=list)  # ENU [m] relative to origin
     blend: float = 2.0               # corner blend duration [s]
+
+    def __post_init__(self):
+        if self.kind not in ("static", "line", "circle", "waypoints"):
+            raise ValueError(f"unknown trajectory kind: {self.kind}")
+        for name in ("speed", "radius"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"trajectory {name} must be finite and "
+                                 f"positive, not {getattr(self, name)!r}")
+        if not 0.0 <= self.blend < np.inf:
+            raise ValueError(f"trajectory blend must be finite and "
+                             f"non-negative, not {self.blend!r}")
 
 
 @dataclass
@@ -132,12 +152,11 @@ def generate_constellation(seed: int, counts: dict) -> dict[SatelliteId, OrbitEl
     return elements
 
 
-def propagate(orbits: list[OrbitElements], dt) -> np.ndarray:
+def propagate(orbits, dt) -> np.ndarray:
     """ECEF positions and velocities of `orbits` at each of the (m,) times
     `dt` [s] after the reference time: (m, n, 6), one row per orbit."""
     dt = np.asarray(dt, dtype=float)
-    a, incl, raan, arg_lat0 = np.reshape([astuple(e) for e in orbits],
-                                         (-1, 4)).T
+    a, incl, raan, arg_lat0 = np.reshape(orbits, (-1, 4)).T
     n = np.sqrt(GM_EARTH / scalar_pow(a, 3))
     u = arg_lat0[:, None] + n[:, None] * dt
     cos_u, sin_u, zero = np.cos(u), np.sin(u), np.zeros_like(u)
@@ -179,7 +198,9 @@ def _rotate(rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
 
 
 def generate_trajectory(config: ScenarioConfig) -> list[TruthRecord]:
-    """Truth positions/velocities at the observation rate, C1 continuous."""
+    """Truth positions/velocities at the observation rate, C1 continuous,
+    on arrays over the epochs; each ECEF row takes one gemv, as a lone
+    `to_ecef @ p` does, so it rounds alike in any session."""
     dt = 1.0 / config.rate
     steps = int(round(config.duration * config.rate))
     times = [config.start_time.add(k * dt) for k in range(steps + 1)]
@@ -187,36 +208,34 @@ def generate_trajectory(config: ScenarioConfig) -> list[TruthRecord]:
     to_ecef = enu_rotation(config.origin).T
 
     traj = config.trajectory
+    k = np.arange(steps + 1)
+    zero = np.zeros(steps + 1)
     if traj.kind == "static":
-        enu = [(np.zeros(3), np.zeros(3)) for _ in times]
+        p = v = np.zeros((steps + 1, 3))
     elif traj.kind == "line":
-        enu = [(np.array([traj.speed * k * dt, 0.0, 0.0]),
-                np.array([traj.speed, 0.0, 0.0])) for k in range(steps + 1)]
+        p = np.stack([traj.speed * k * dt, zero, zero], -1)
+        v = np.stack([np.full_like(zero, traj.speed), zero, zero], -1)
     elif traj.kind == "circle":
-        w = traj.speed / traj.radius
-        enu = []
-        for k in range(steps + 1):
-            t = k * dt
-            enu.append((traj.radius * np.array([np.sin(w * t),
-                                                1.0 - np.cos(w * t), 0.0]),
-                        traj.speed * np.array([np.cos(w * t), np.sin(w * t), 0.0])))
-    elif traj.kind == "waypoints":
-        enu = _waypoint_profile(traj, [k * dt for k in range(steps + 1)])
+        wt = traj.speed / traj.radius * (k * dt)
+        p = traj.radius * np.stack([np.sin(wt), 1.0 - np.cos(wt), zero], -1)
+        v = traj.speed * np.stack([np.cos(wt), np.sin(wt), zero], -1)
     else:
-        raise ValueError(f"unknown trajectory kind: {traj.kind}")
+        p, v = _waypoint_profile(traj, k * dt)
 
-    records = []
-    for time, (p, v) in zip(times, enu):
-        records.append(TruthRecord(time, origin_ecef + to_ecef @ p, to_ecef @ v))
-    return records
+    positions = origin_ecef + (to_ecef @ p[..., None])[..., 0]
+    velocities = (to_ecef @ v[..., None])[..., 0]
+    return list(map(TruthRecord, times, positions, velocities))
 
 
-def _waypoint_profile(traj: TrajectoryConfig, times: list[float]):
-    """Constant-speed polyline with cosine velocity blends at corners."""
+def _waypoint_profile(traj: TrajectoryConfig, times: np.ndarray):
+    """Constant-speed polyline with cosine velocity blends at corners: ENU
+    positions and velocities (m, 3) at `times` [s], from 0. A position is
+    the last plus the trapezoid sum over 20 steps of its epoch's interval,
+    `BLOCK_EPOCHS` intervals at a time so the fine grid stays bounded."""
     wps = [np.asarray(w, dtype=float) for w in traj.waypoints]
     if len(wps) < 2:
         raise InvalidWaypoints("need at least two waypoints")
-    segs = []
+    ends, directions = [], []
     t0 = 0.0
     for a, b in zip(wps[:-1], wps[1:]):
         length = np.linalg.norm(b - a)
@@ -225,52 +244,54 @@ def _waypoint_profile(traj: TrajectoryConfig, times: list[float]):
         if length / traj.speed < traj.blend:
             raise InvalidWaypoints(
                 f"segment shorter than blend window ({length:.1f} m)")
-        segs.append((t0, t0 + length / traj.speed, a, (b - a) / length))
         t0 += length / traj.speed
-    total = t0
+        ends.append(t0)
+        directions.append((b - a) / length)
+    total, ends, blend = t0, np.array(ends), traj.blend
+    cruise = traj.speed * np.array(directions)
+
+    def segment(t):
+        # the first segment whose span holds t; zero outside (0, total)
+        k = np.searchsorted(ends, t).clip(max=len(ends) - 1)
+        return np.where(((t > 0.0) & (t < total))[..., None], cruise[k], 0.0)
+
+    def ramp(t):
+        return 0.5 * (1.0 - np.cos(np.pi * t / blend))[..., None]
+
+    h = blend / 2.0
+    corners = [(te, segment(te - h), segment(te + h)) for te in ends[:-1]]
 
     def velocity(t):
-        if t <= 0.0 or t >= total:
-            return np.zeros(3)
-        h = traj.blend / 2.0
-        # start/stop ramps live fully inside [0, total]
-        if t < traj.blend:
-            w = 0.5 * (1.0 - np.cos(np.pi * t / traj.blend))
-            return w * _seg_velocity(segs, traj.blend, traj.speed, total)
-        if t > total - traj.blend:
-            w = 0.5 * (1.0 - np.cos(np.pi * (total - t) / traj.blend))
-            return w * _seg_velocity(segs, total - traj.blend, traj.speed, total)
-        # cosine blends centered on interior corners
-        for (_, te, _, _) in segs[:-1]:
-            if abs(t - te) < h:
-                before = _seg_velocity(segs, te - h, traj.speed, total)
-                after = _seg_velocity(segs, te + h, traj.speed, total)
-                w = 0.5 * (1.0 - np.cos(np.pi * (t - (te - h)) / traj.blend))
-                return (1.0 - w) * before + w * after
-        return _seg_velocity(segs, t, traj.speed, total)
+        # one mask per case, the first case that holds wins: outside
+        # (0, total), start and stop ramps (fully inside it), the cosine
+        # blend of each interior corner, the segment
+        v = np.zeros(t.shape + (3,))
+        todo = (t > 0.0) & (t < total)
+        start = todo & (t < blend)
+        todo &= ~start
+        v[start] = ramp(t[start]) * segment(blend)
+        stop = todo & (t > total - blend)
+        todo &= ~stop
+        v[stop] = ramp(total - t[stop]) * segment(total - blend)
+        for te, before, after in corners:
+            mask = todo & (abs(t - te) < h)
+            todo &= ~mask
+            w = ramp(t[mask] - (te - h))
+            v[mask] = (1.0 - w) * before + w * after
+        v[todo] = segment(t[todo])
+        return v
 
-    # integrate velocity (trapezoid on a fine grid) for C1 positions
-    fine = 20
-    out = []
-    pos = wps[0].copy()
-    prev_t = 0.0
-    for t in times:
-        if t > prev_t:
-            grid = np.linspace(prev_t, t, fine + 1)
-            vals = np.array([velocity(g) for g in grid])
-            pos = pos + np.trapezoid(vals, grid, axis=0)
-            prev_t = t
-        out.append((pos.copy(), velocity(t)))
-    return out
-
-
-def _seg_velocity(segs, t, speed, total):
-    if t <= 0.0 or t >= total:
-        return np.zeros(3)
-    for (ts, te, _, direction) in segs:
-        if ts <= t <= te:
-            return speed * direction
-    return np.zeros(3)
+    positions, velocities = [wps[0][None]], [velocity(times[:1])]
+    for start in range(1, len(times), BLOCK_EPOCHS):
+        stop = min(start + BLOCK_EPOCHS, len(times))
+        grid = np.linspace(times[start - 1:stop - 1], times[start:stop],
+                           21, axis=1)
+        v = velocity(grid)
+        area = np.diff(grid)[..., None] * (v[:, 1:] + v[:, :-1]) / 2.0
+        positions.append(np.cumsum(np.vstack([positions[-1][-1:],
+                                              area.sum(axis=1)]), axis=0)[1:])
+        velocities.append(v[:, -1])
+    return np.concatenate(positions), np.concatenate(velocities)
 
 
 def run_scenario(config: ScenarioConfig):
@@ -285,7 +306,8 @@ def run_scenario(config: ScenarioConfig):
     """
     constellation = generate_constellation(config.seed, config.counts)
     sats = sorted(constellation, key=SatelliteId.sort_key)
-    orbits = [constellation[sat] for sat in sats]
+    orbits = np.reshape([constellation[sat] for sat in sats], (-1, 4))
+    column = {sat: k for k, sat in enumerate(sats)}
     sat_bias0, sat_drift = np.random.default_rng(config.seed + 1).normal(
         0.0, [config.satellite_clock_bias_sigma,
               config.satellite_clock_drift_sigma], (len(sats), 2)).T
@@ -316,7 +338,7 @@ def run_scenario(config: ScenarioConfig):
 
         slipped = np.zeros_like(visible)
         for sat, when in config.cycle_slips:
-            slipped[:, sats.index(sat)] |= (
+            slipped[:, column[sat]] |= (
                 (elapsed - 1.0 / config.rate < when) & (when <= elapsed + 1e-9))
         starts = visible & (slipped | ~np.vstack([lock >= 0, visible[:-1]]))
         # rows in (epoch, satellite) order; a new arc draws its ambiguity

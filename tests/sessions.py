@@ -1,4 +1,5 @@
-"""Helpers for tests that look at or cut down an epoch's rows."""
+"""Helpers for tests that look at or cut down an epoch's rows, and the
+session benchmark's slip schedule."""
 
 import dataclasses
 
@@ -40,3 +41,16 @@ def positions_by_sat(epochs, states) -> list:
     return [{SatelliteId.from_key(key): row[:3]
              for key, row in zip(epoch.sats.tolist(), rows)}
             for epoch, rows in zip(epochs, states)]
+
+
+def slip_schedule(config, window=10.0, per_window=4):
+    """The session benchmark's slips: `per_window` in every `window`
+    seconds, drawn from all configured satellites by the scenario seed."""
+    sats = sorted((SatelliteId(const, prn)
+                   for const, count in config.counts.items()
+                   for prn in range(1, count + 1)),
+                  key=lambda s: s.sort_key())
+    rng = np.random.default_rng(config.seed + 100)
+    return [(sats[k], float(window * w + rng.integers(1, 11)))
+            for w in range(int(config.duration // window))
+            for k in rng.choice(len(sats), per_window, replace=False)]

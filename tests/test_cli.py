@@ -248,6 +248,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sol")]) == 2
         assert "error: parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        "duration: ten", "start_time: {week: 1}", "origin: {lat_deg: 35.7}",
+        "trajectory: {kind: line, foo: 1}", "trajectory: {kind: circle, "
+        "radius: 0}", "noise: {bar: 1}", "noise: {pseudorange_sigma: -1.0}",
+        "receiver_clock: {baz: 2}", "counts: [31]", "counts: {X: 3}",
+        "cycle_slips: [[G07]]"],
+        ids=["duration-not-a-number", "start-time-without-tow",
+             "origin-without-longitude", "trajectory-unknown-key",
+             "trajectory-radius-zero", "noise-unknown-key",
+             "noise-sigma-negative", "receiver-clock-unknown-key",
+             "counts-not-a-mapping", "counts-unknown-constellation",
+             "cycle-slip-without-time"])
+    def test_bad_scenario_section_is_parse_error(self, entry, tmp_path,
+                                                 capsys):
+        """A malformed value in any section of the scenario YAML exits 2,
+        with no traceback and no file written."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(entry + "\n")
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse") and "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("edit, first", [
         (lambda blocks: blocks[:3] + blocks[2:], 3),
         (lambda blocks: blocks[:3] + [blocks[2].partition("\n")[0] + "\n"

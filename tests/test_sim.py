@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from gnssgraph.constants import GM_EARTH, OMGE
 from gnssgraph.errors import InvalidWaypoints
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
-                           TrajectoryConfig, generate_constellation,
-                           generate_trajectory, propagate, run_scenario)
+                           TrajectoryConfig, _waypoint_profile,
+                           generate_constellation, generate_trajectory,
+                           propagate, run_scenario)
 from gnssgraph.types import Constellation, SatelliteId
-from sessions import position_of, row_of
+from sessions import position_of, row_of, slip_schedule
+from sim_reference import (_waypoint_profile as waypoint_profile_reference,
+                           generate_trajectory_reference,
+                           run_scenario_reference)
 
 
 def noise_free_config(**overrides):
@@ -283,3 +289,113 @@ class TestSynthesis:
                 if sat in biases:
                     assert abs(bias - biases[sat]) < 1e-6
                 biases[sat] = bias
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("values", [
+        dict(kind="spiral"), dict(speed=0.0), dict(speed=-1.0),
+        dict(speed=math.nan), dict(speed=math.inf), dict(radius=0.0),
+        dict(radius=-30.0), dict(radius=math.nan), dict(blend=-1.0),
+        dict(blend=math.nan), dict(blend=math.inf)],
+        ids=["kind-unknown", "speed-zero", "speed-negative", "speed-nan",
+             "speed-infinite", "radius-zero", "radius-negative", "radius-nan",
+             "blend-negative", "blend-nan", "blend-infinite"])
+    def test_bad_trajectory_setting_raises(self, values):
+        with pytest.raises(ValueError):
+            TrajectoryConfig(**values)
+
+    @pytest.mark.parametrize("name", ["pseudorange_sigma", "phase_sigma",
+                                      "doppler_sigma"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_bad_noise_sigma_raises(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            NoiseConfig(**{name: value})
+
+    def test_zero_noise_and_zero_blend_pass(self):
+        NoiseConfig(0.0, 0.0, 0.0)
+        TrajectoryConfig(kind="waypoints", waypoints=[[0, 0, 0], [5, 0, 0]],
+                         blend=0.0)
+
+
+SQUARE = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
+# legs of 2.5 s under a 2 s blend: the start ramp overlaps the first
+# corner's blend and the stop ramp the last one's
+SHORT_LEGS = [[0, 0, 0], [2.5, 0, 0], [2.5, 20, 0], [0, 20, 0],
+              [0, 17.5, 0]]
+SKEWED = [[0, 0, 0], [30.3, 0, 0], [30.3, 17.7, 1], [0, 30, 0]]
+TRAJECTORIES = {
+    "static": TrajectoryConfig(),
+    "line": TrajectoryConfig(kind="line", speed=2.3),
+    "circle": TrajectoryConfig(kind="circle", speed=1.7, radius=23.0),
+    "square": TrajectoryConfig(kind="waypoints", waypoints=SQUARE),
+    "square-no-blend": TrajectoryConfig(kind="waypoints", waypoints=SQUARE,
+                                        blend=0.0),
+    "short-legs": TrajectoryConfig(kind="waypoints", waypoints=SHORT_LEGS),
+    "skewed": TrajectoryConfig(kind="waypoints", speed=1.3,
+                               waypoints=SKEWED),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """The array simulator equals the per-sample reference bit for bit."""
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("name", list(TRAJECTORIES))
+    def test_trajectory(self, name, rate):
+        # 230 s runs past the end of every polyline
+        cfg = ScenarioConfig(duration=230.0, rate=rate,
+                             trajectory=TRAJECTORIES[name])
+        expected = generate_trajectory_reference(cfg)
+        records = generate_trajectory(cfg)
+        assert [r.time for r in records] == [r.time for r in expected]
+        for field in ("position", "velocity"):
+            assert same_bits([getattr(r, field) for r in records],
+                             [getattr(r, field) for r in expected])
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("name", [name for name, traj in
+                                      TRAJECTORIES.items()
+                                      if traj.kind == "waypoints"])
+    def test_waypoint_profile(self, name, rate):
+        """The ENU profile as well: the last bits of its integration
+        round away in the ECEF records."""
+        times = np.arange(int(230.0 * rate) + 1) * (1.0 / rate)
+        positions, velocities = _waypoint_profile(TRAJECTORIES[name], times)
+        expected = waypoint_profile_reference(TRAJECTORIES[name],
+                                              times.tolist())
+        assert same_bits(positions, [p for p, _ in expected])
+        assert same_bits(velocities, [v for _, v in expected])
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 10.0])
+    def test_square_samples_the_blend_edges(self, rate):
+        """The square's samples land exactly on each corner time te +- h
+        (h half the 2 s blend) and on the end of the polyline."""
+        times = set((np.arange(int(230.0 * rate) + 1) * (1.0 / rate)).tolist())
+        assert {49.0, 51.0, 99.0, 101.0, 149.0, 151.0, 200.0} <= times
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(duration=60.0),
+        ScenarioConfig(duration=30.0, rate=10.0,
+                       trajectory=TRAJECTORIES["circle"], seed=5),
+        ScenarioConfig(duration=200.0, trajectory=TRAJECTORIES["square"]),
+    ], ids=["default", "circle-10hz", "square-slips"])
+    def test_run_scenario(self, cfg):
+        if cfg.trajectory.kind == "waypoints":
+            cfg.cycle_slips = slip_schedule(cfg)
+        truth, epochs, states = run_scenario(cfg)
+        truth_ref, epochs_ref, states_ref = run_scenario_reference(cfg)
+        assert len(truth) == len(truth_ref) and len(epochs) == len(epochs_ref)
+        assert same_bits([r.position for r in truth],
+                         [r.position for r in truth_ref])
+        for epoch, expected in zip(epochs, epochs_ref):
+            assert epoch.time == expected.time
+            for name in ("sats", "code", "phase", "doppler", "wavelength",
+                         "lock", "snr"):
+                assert same_bits(getattr(epoch, name),
+                                 getattr(expected, name))
+        assert all(map(same_bits, states, states_ref))

@@ -13,6 +13,7 @@ from gnssgraph.rinex import (RinexHeader, header_for_scenario,
                              parse_rinex_obs, write_rinex_obs)
 from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
 from gnssgraph.types import Constellation, Epoch, SatelliteId
+from sessions import slip_schedule
 from writer_reference import (write_rinex_reference,
                               write_sat_states_reference)
 
@@ -41,19 +42,6 @@ def outcome(writer, *args):
         return written(writer, *args)
     except Exception as exc:            # noqa: BLE001 - compared below
         return type(exc), str(exc)
-
-
-def slip_schedule(config, window=10.0, per_window=4):
-    """The session benchmark's slips: `per_window` in every `window`
-    seconds, drawn from all configured satellites by the scenario seed."""
-    sats = sorted((SatelliteId(const, prn)
-                   for const, count in config.counts.items()
-                   for prn in range(1, count + 1)),
-                  key=lambda s: s.sort_key())
-    rng = np.random.default_rng(config.seed + 100)
-    return [(sats[k], float(window * w + rng.integers(1, 11)))
-            for w in range(int(config.duration // window))
-            for k in rng.choice(len(sats), per_window, replace=False)]
 
 
 def hand_epoch(tow, keys, snr=None, lock=None):
