@@ -13,15 +13,15 @@ import numpy as np
 from .constants import CLIGHT
 from .coords import scalar_pow
 from .errors import ElevationTooLow
-from .types import GeodeticPosition
+from .types import Checked, GeodeticPosition, setting
 
 
 @dataclass(frozen=True)
-class KlobucharParams:
+class KlobucharParams(Checked):
     """Eight broadcast coefficients; all-zero degrades to the nighttime constant."""
 
-    alpha: tuple = (0.0, 0.0, 0.0, 0.0)
-    beta: tuple = (0.0, 0.0, 0.0, 0.0)
+    alpha: tuple = setting((0.0, 0.0, 0.0, 0.0), length=4, required=True)
+    beta: tuple = setting((0.0, 0.0, 0.0, 0.0), length=4, required=True)
 
     @staticmethod
     def typical() -> "KlobucharParams":
@@ -33,18 +33,12 @@ class KlobucharParams:
 
 
 @dataclass(frozen=True)
-class TropoModel:
+class TropoModel(Checked):
     """Saastamoinen with sea-level meteorological parameters."""
 
-    pressure: float = 1013.25      # [hPa]
-    temperature: float = 288.15    # [K]
-    humidity: float = 0.5          # fraction [0, 1]
-
-    def __post_init__(self):
-        if not 500.0 <= self.pressure <= 1200.0:
-            raise ValueError(f"pressure out of range: {self.pressure}")
-        if not 180.0 <= self.temperature <= 340.0:
-            raise ValueError(f"temperature out of range: {self.temperature}")
+    pressure: float = setting(1013.25, 500.0, 1200.0)      # [hPa]
+    temperature: float = setting(288.15, 180.0, 340.0)     # [K]
+    humidity: float = setting(0.5, 0.0, 1.0)               # fraction
 
 
 def klobuchar_delay(params: KlobucharParams, tow,

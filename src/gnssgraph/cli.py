@@ -15,12 +15,10 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import (GnssError, IoFailure, LengthMismatch, MalformedEpoch,
                      MalformedHeader)
-from .fileio import (TrajectoryStatus, delay_models_to_dict,
-                     export_graph_json, load_pipeline_yaml,
+from .fileio import (TrajectoryStatus, export_graph_json, load_pipeline_yaml,
                      load_scenario_yaml, read_sat_states_csv,
                      read_trajectory_csv, save_scenario_yaml,
                      write_sat_states_csv, write_trajectory_csv)
@@ -59,8 +57,7 @@ def cmd_simulate(args) -> int:
     # solver configuration mirroring the scenario's atmosphere, so a
     # follow-up solve corrects with the same models the data embeds
     with open(out / "solver.yaml", "w") as stream:
-        yaml.safe_dump(delay_models_to_dict(scenario.iono, scenario.tropo),
-                       stream, sort_keys=False)
+        save_scenario_yaml(scenario, stream, names=("iono", "tropo"))
     print(f"wrote {len(epochs)} epochs to {out}")
     return EXIT_OK
 

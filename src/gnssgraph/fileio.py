@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from itertools import repeat
+from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -26,6 +27,8 @@ from .coords import ecef_to_geodetic
 from .errors import IoFailure
 from .gnsstime import GpsTime
 from .graph import Graph
+from .pipeline import PipelineConfig
+from .sim import ScenarioConfig
 from .types import STATE_COLUMNS, Constellation, GeodeticPosition, SatelliteId
 
 
@@ -207,180 +210,115 @@ def read_sat_states_csv(stream, epochs) -> list:
     return np.split(values[found], np.cumsum(counts)[:-1]) if epochs else []
 
 
-def delay_models_to_dict(iono: KlobucharParams | None,
-                         tropo: TropoModel | None) -> dict:
-    """The `iono` and `tropo` entries of a scenario or solver file; a
-    missing model is null."""
-    return {
-        "iono": (None if iono is None
-                 else {"alpha": list(iono.alpha), "beta": list(iono.beta)}),
-        "tropo": (None if tropo is None
-                  else {"pressure": tropo.pressure,
-                        "temperature": tropo.temperature,
-                        "humidity": tropo.humidity}),
-    }
+# fields that a YAML file holds in another form: their key in the file,
+# and their value to the file and back
+FILE_FORMS = {
+    "start_time": ("start_time", lambda t: {"week": t.week, "tow": t.tow},
+                   lambda d: GpsTime(int(d["week"]), float(d["tow"]))),
+    "origin": ("origin", lambda o: {
+        "lat_deg": float(np.degrees(o.latitude)),
+        "lon_deg": float(np.degrees(o.longitude)), "height": o.height},
+        lambda d: GeodeticPosition(np.radians(d["lat_deg"]),
+                                   np.radians(d["lon_deg"]),
+                                   d.get("height", 0.0))),
+    "waypoints": ("waypoints", lambda w: [list(map(float, p)) for p in w],
+                  lambda w: w),
+    "counts": ("counts", lambda c: {k.value: n for k, n in c.items()},
+               lambda d: {Constellation(k): int(n) for k, n in d.items()}),
+    "cycle_slips": ("cycle_slips", lambda s: [[str(k), t] for k, t in s],
+                    lambda d: [(SatelliteId.parse(k), float(t))
+                               for k, t in d]),
+    "elevation_mask": ("elevation_mask_deg", lambda m: float(np.degrees(m)),
+                       np.radians),
+}
 
 
-def delay_models_from_dict(data: dict) -> dict:
-    """Inverse of `delay_models_to_dict` for the keys `data` has: null
-    gives None, an absent key no entry. A malformed entry is an
-    IoFailure."""
-    models = {}
-    try:
-        if "iono" in data:
-            models["iono"] = (None if data["iono"] is None
-                              else KlobucharParams(
-                                  alpha=tuple(data["iono"]["alpha"]),
-                                  beta=tuple(data["iono"]["beta"])))
-        if "tropo" in data:
-            models["tropo"] = (None if data["tropo"] is None
-                               else TropoModel(**data["tropo"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(
-            f"bad delay model: {type(exc).__name__}: {exc}") from exc
-    return models
-
-
-def scenario_to_dict(config) -> dict:
-    origin = config.origin
-    data = {
-        "duration": config.duration,
-        "rate": config.rate,
-        "start_time": {"week": config.start_time.week,
-                       "tow": config.start_time.tow},
-        "origin": {"lat_deg": float(np.degrees(origin.latitude)),
-                   "lon_deg": float(np.degrees(origin.longitude)),
-                   "height": origin.height},
-        "trajectory": {
-            "kind": config.trajectory.kind,
-            "speed": config.trajectory.speed,
-            "radius": config.trajectory.radius,
-            "waypoints": [list(map(float, w))
-                          for w in config.trajectory.waypoints],
-            "blend": config.trajectory.blend,
-        },
-        "noise": {
-            "pseudorange_sigma": config.noise.pseudorange_sigma,
-            "phase_sigma": config.noise.phase_sigma,
-            "doppler_sigma": config.noise.doppler_sigma,
-        },
-        "receiver_clock": {"bias0": config.receiver_clock.bias0,
-                           "drift": config.receiver_clock.drift},
-        "satellite_clock_bias_sigma": config.satellite_clock_bias_sigma,
-        "satellite_clock_drift_sigma": config.satellite_clock_drift_sigma,
-        "counts": {c.value: n for c, n in config.counts.items()},
-        "cycle_slips": [[str(sat), t] for sat, t in config.cycle_slips],
-        **delay_models_to_dict(config.iono, config.tropo),
-        "seed": config.seed,
-    }
+def _config_to_yaml(config) -> dict:
+    """The YAML mapping of a config dataclass: one key per field, in field
+    order; a nested config is a mapping of its own, a missing one null."""
+    data = {}
+    for f in fields(config):
+        key, to_file, _ = FILE_FORMS.get(f.name, (f.name, None, None))
+        value = getattr(config, f.name)
+        if to_file is not None:
+            value = to_file(value)
+        elif is_dataclass(value):
+            value = _config_to_yaml(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        data[key] = value
     return data
 
 
-def save_scenario_yaml(config, stream) -> None:
-    yaml.safe_dump(scenario_to_dict(config), stream, sort_keys=False)
+def _config_from_yaml(cls, data):
+    """A `cls` config from the mapping `data` of a YAML file, field by
+    field: an absent key keeps its default unless its setting is
+    required, an unknown key is refused, a nested config is read the
+    same way, and `cls` checks the values (ValueError)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} must be a mapping, not {data!r}")
+    rest, kwargs, hints = dict(data), {}, get_type_hints(cls)
+    for f in fields(cls):
+        key, _, from_file = FILE_FORMS.get(f.name, (f.name, None, None))
+        if key not in rest:
+            if f.metadata.get("required"):
+                raise KeyError(f"{cls.__name__} needs {key}")
+            continue
+        value, kind = rest.pop(key), hints[f.name]
+        kinds = get_args(kind) or (kind,)
+        nested = [t for t in kinds if is_dataclass(t)]
+        if from_file is not None:
+            value = from_file(value)
+        elif nested and not (value is None and type(None) in kinds):
+            value = _config_from_yaml(nested[0], value)
+        elif tuple in kinds and isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    if rest:
+        raise ValueError(f"unknown keys {sorted(map(str, rest))} "
+                         f"for {cls.__name__}")
+    return cls(**kwargs)
 
 
-def load_scenario_yaml(stream):
-    """Build a ScenarioConfig from YAML; absent keys keep defaults."""
-    from .sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
-                      TrajectoryConfig)
-
+def _load_config_yaml(cls, stream, what: str):
+    """(the mapping of the YAML file `stream`, the `cls` config read from
+    it); a fault of either is an IoFailure naming `what`."""
     try:
         data = yaml.safe_load(stream) or {}
-    except yaml.YAMLError as exc:
-        raise IoFailure(f"bad scenario file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise IoFailure("scenario file must be a mapping")
-
-    try:
-        kwargs = {key: data[key] for key in (
-            "duration", "rate", "satellite_clock_bias_sigma",
-            "satellite_clock_drift_sigma", "seed") if key in data}
-        if "start_time" in data:
-            st = data["start_time"]
-            kwargs["start_time"] = GpsTime(int(st["week"]), float(st["tow"]))
-        if "origin" in data:
-            o = data["origin"]
-            kwargs["origin"] = GeodeticPosition(np.radians(o["lat_deg"]),
-                                                np.radians(o["lon_deg"]),
-                                                o.get("height", 0.0))
-        if "trajectory" in data:
-            kwargs["trajectory"] = TrajectoryConfig(**data["trajectory"])
-        if "noise" in data:
-            kwargs["noise"] = NoiseConfig(**data["noise"])
-        if "receiver_clock" in data:
-            kwargs["receiver_clock"] = ReceiverClockConfig(
-                **data["receiver_clock"])
-        if "counts" in data:
-            kwargs["counts"] = {Constellation(letter): int(n)
-                                for letter, n in data["counts"].items()}
-        if "cycle_slips" in data:
-            kwargs["cycle_slips"] = [(SatelliteId.parse(text), float(t))
-                                     for text, t in data["cycle_slips"]]
-        kwargs.update(delay_models_from_dict(data))
-        return ScenarioConfig(**kwargs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"bad scenario file: {type(exc).__name__}: "
-                        f"{exc}") from exc
+        return data, _config_from_yaml(cls, data)
+    except (yaml.YAMLError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise IoFailure(f"bad {what}: {type(exc).__name__}: {exc}") from exc
 
 
-PIPELINE_KEYS = {"use_trrtk", "use_pseudorange", "pair_lattice", "iono",
-                 "tropo", "solver", "trrtk"}
+def save_scenario_yaml(config, stream, names=None) -> None:
+    """Write a config's fields, or only those of `names`, as YAML: the
+    solver file of a scenario is its `iono` and `tropo`."""
+    data = _config_to_yaml(config)
+    yaml.safe_dump({key: data[key] for key in names or data}, stream,
+                   sort_keys=False)
 
 
-def load_pipeline_yaml(stream):
-    """Build a PipelineConfig from YAML; absent keys keep defaults.
+def load_scenario_yaml(stream) -> ScenarioConfig:
+    """Build a ScenarioConfig from YAML; absent keys keep defaults."""
+    return _load_config_yaml(ScenarioConfig, stream, "scenario file")[1]
+
+
+def load_pipeline_yaml(stream) -> PipelineConfig:
+    """Build a PipelineConfig from YAML; absent keys keep defaults, but
+    an absent iono or tropo is the model's default, not None.
 
     Recognized sections: iono, tropo (as in scenario files), solver,
     trrtk, plus top-level use_trrtk, use_pseudorange and pair_lattice.
     Any other key is an `IoFailure`.
     """
-    from .pipeline import PipelineConfig
-    from .pointpos import SolverConfig
-    from .trrtk import TrRtkConfig
-
-    try:
-        data = yaml.safe_load(stream) or {}
-    except yaml.YAMLError as exc:
-        raise IoFailure(f"bad config file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise IoFailure("config file must be a mapping")
-    unknown = set(data) - PIPELINE_KEYS
-    if unknown:
-        raise IoFailure(f"bad config file: unknown keys "
-                        f"{sorted(map(str, unknown))}")
-
-    kwargs: dict = {}
-    for name in ("use_trrtk", "use_pseudorange"):
-        if name in data:
-            if not isinstance(data[name], bool):
-                raise IoFailure(f"bad config file: {name} must be true or "
-                                f"false, not {data[name]!r}")
-            kwargs[name] = data[name]
-    if "pair_lattice" in data:
-        lattice = data["pair_lattice"]
-        if not (isinstance(lattice, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in lattice)):
-            raise IoFailure(f"bad config file: pair_lattice must be a list "
-                            f"of offsets in seconds, not {lattice!r}")
-        kwargs["pair_lattice"] = tuple(float(v) for v in lattice)
+    data, config = _load_config_yaml(PipelineConfig, stream, "config file")
     if "iono" not in data:
         # observation files carry no broadcast coefficients; degrade to
         # the model's nighttime constant rather than skipping correction
         warnings.warn("no ionosphere coefficients in config; "
                       "using all-zero Klobuchar (nighttime constant)")
-    kwargs.update({"iono": KlobucharParams(), "tropo": TropoModel(),
-                   **delay_models_from_dict(data)})
-    try:
-        for name, section in (("solver", SolverConfig),
-                              ("trrtk", TrRtkConfig)):
-            values = dict(data.get(name, {}))
-            if "elevation_mask_deg" in values:
-                values["elevation_mask"] = np.radians(
-                    values.pop("elevation_mask_deg"))
-            if values:
-                kwargs[name] = section(**values)
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise IoFailure(f"bad config file: {exc}") from exc
+        config.iono = KlobucharParams()
+    if "tropo" not in data:
+        config.tropo = TropoModel()
+    return config

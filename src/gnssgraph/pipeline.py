@@ -16,19 +16,20 @@ from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
 from .trrtk import estimate_baseline  # noqa: F401
 from .trrtk import (TR_PAIR_LATTICE, TrRtkConfig, TrRtkPairs,
                     epoch_corrections, solve_pairs)
+from .types import Checked, setting
 
 
 @dataclass(slots=True)
-class PipelineConfig:
+class PipelineConfig(Checked):
     """Every setting of a solve, each in one place: the delay models here
     enter the solve once, in the `EpochGeometry` that `solve_trajectory`
     gathers for the session and that SPP, TR-RTK and the pseudorange
     factors share; `solver` weights the point solutions and the pseudorange
     factors, and the observation spacing comes from the epoch times."""
 
-    use_trrtk: bool = True
-    use_pseudorange: bool = True
-    pair_lattice: tuple = TR_PAIR_LATTICE
+    use_trrtk: bool = setting(True)
+    use_pseudorange: bool = setting(True)
+    pair_lattice: tuple = setting(TR_PAIR_LATTICE)  # offsets [s]
     iono: KlobucharParams | None = None
     tropo: TropoModel | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)

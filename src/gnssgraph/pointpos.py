@@ -17,7 +17,7 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,40 +26,28 @@ from .coords import ecef_to_geodetic
 from .errors import (InsufficientSatellites, NearSingular, NoConvergence,
                      SingularGeometry)
 from .geometry import EpochGeometry
-from .types import CONSTELLATIONS
+from .types import CONSTELLATIONS, Checked, setting
 
 # position and one clock slot per constellation
 UNKNOWNS = 3 + len(CONSTELLATIONS)
 
 
-class PositiveSigmas:
-    """A config dataclass whose `*_sigma` fields must be finite and
-    positive (ValueError): a negative one would enter squared."""
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            sigma = getattr(self, f.name)
-            if f.name.endswith("_sigma") and not 0.0 < sigma < np.inf:
-                raise ValueError(f"{f.name} must be finite and positive, "
-                                 f"not {sigma!r}")
-
-
 @dataclass(slots=True)
-class SolverConfig(PositiveSigmas):
+class SolverConfig(Checked):
     """Tunables shared by the epoch-wise estimators."""
 
-    elevation_mask: float = np.radians(15.0)
+    elevation_mask: float = setting(np.radians(15.0), 0.0, np.pi / 2)
     sigma_a: float = 0.3           # pseudorange variance floor term [m]
     sigma_b: float = 0.3           # pseudorange elevation term [m]
-    doppler_sigma: float = 0.05    # range-rate sigma at zenith [m/s]
-    velocity_sigma_floor: float = 0.01  # per-axis floor on velocity sigma [m/s]
-    max_iterations: int = 10
-    convergence: float = 1e-4      # position update threshold [m]
+    doppler_sigma: float = setting(0.05, above=0.0)  # zenith [m/s]
+    # per-axis floor on velocity sigma [m/s]
+    velocity_sigma_floor: float = setting(0.01, 0.0)
+    max_iterations: int = setting(10, 0)
+    convergence: float = setting(1e-4, above=0.0)  # position step [m]
 
     def __post_init__(self) -> None:
-        PositiveSigmas.__post_init__(self)
+        # zero-argument super() misses a slots dataclass's new class
+        Checked.__post_init__(self)
         # either term alone is a model; both 0 make every weight infinite
         terms = (self.sigma_a, self.sigma_b)
         if not (all(0.0 <= term < np.inf for term in terms) and any(terms)):

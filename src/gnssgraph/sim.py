@@ -9,7 +9,7 @@ bit as the per-sample loops of tests/sim_reference.py compute them.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,8 @@ from .coords import (ecef_to_geodetic, elevation_azimuth, enu_rotation,
 from .errors import InvalidWaypoints
 from .gnsstime import GpsTime
 from .rinex import carrier_wavelength, glonass_channel
-from .types import Constellation, Epoch, GeodeticPosition, SatelliteId
+from .types import (Checked, Constellation, Epoch, GeodeticPosition,
+                    SatelliteId, setting)
 
 # nominal circular-orbit shells: semi-major axis [m], inclination [rad], planes
 ORBIT_SHELLS = {
@@ -47,50 +48,37 @@ class OrbitElements(NamedTuple):
 
 
 @dataclass
-class NoiseConfig:
-    pseudorange_sigma: float = 0.5   # [m] at zenith
-    phase_sigma: float = 0.003       # [m] at zenith
-    doppler_sigma: float = 0.02      # [m/s], flat in elevation
-
-    def __post_init__(self):
-        # a zero sigma simulates that measurement without noise
-        for f in fields(self):
-            sigma = getattr(self, f.name)
-            if not 0.0 <= sigma < np.inf:
-                raise ValueError(f"{f.name} must be finite and "
-                                 f"non-negative, not {sigma!r}")
+class NoiseConfig(Checked):
+    # a zero sigma simulates that measurement without noise
+    pseudorange_sigma: float = setting(0.5, 0.0)   # [m] at zenith
+    phase_sigma: float = setting(0.003, 0.0)       # [m] at zenith
+    doppler_sigma: float = setting(0.02, 0.0)      # [m/s], flat in elevation
 
 
 @dataclass
-class ReceiverClockConfig:
-    bias0: float = 1e-4              # [s]
-    drift: float = 2e-9              # [s/s]
+class ReceiverClockConfig(Checked):
+    bias0: float = setting(1e-4)     # [s]
+    drift: float = setting(2e-9)     # [s/s]
 
 
 @dataclass
-class TrajectoryConfig:
+class TrajectoryConfig(Checked):
     kind: str = "static"             # static | line | circle | waypoints
-    speed: float = 1.0               # [m/s]
-    radius: float = 30.0             # circle radius [m]
+    speed: float = setting(1.0, above=0.0)       # [m/s]
+    radius: float = setting(30.0, above=0.0)     # circle radius [m]
     waypoints: list = field(default_factory=list)  # ENU [m] relative to origin
-    blend: float = 2.0               # corner blend duration [s]
+    blend: float = setting(2.0, 0.0)             # corner blend duration [s]
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("static", "line", "circle", "waypoints"):
             raise ValueError(f"unknown trajectory kind: {self.kind}")
-        for name in ("speed", "radius"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"trajectory {name} must be finite and "
-                                 f"positive, not {getattr(self, name)!r}")
-        if not 0.0 <= self.blend < np.inf:
-            raise ValueError(f"trajectory blend must be finite and "
-                             f"non-negative, not {self.blend!r}")
 
 
 @dataclass
-class ScenarioConfig:
-    duration: float = 200.0
-    rate: float = 1.0                # [Hz]
+class ScenarioConfig(Checked):
+    duration: float = setting(200.0, above=0.0)  # [s]
+    rate: float = setting(1.0, above=0.0)        # [Hz]
     start_time: GpsTime = field(default_factory=lambda: GpsTime(2200, 259200.0))
     origin: GeodeticPosition = field(
         default_factory=lambda: GeodeticPosition(np.radians(35.7),
@@ -98,19 +86,18 @@ class ScenarioConfig:
     trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     receiver_clock: ReceiverClockConfig = field(default_factory=ReceiverClockConfig)
-    satellite_clock_bias_sigma: float = 1e-4   # [s]
-    satellite_clock_drift_sigma: float = 1e-13  # [s/s]
+    satellite_clock_bias_sigma: float = setting(1e-4, 0.0)    # [s]
+    satellite_clock_drift_sigma: float = setting(1e-13, 0.0)  # [s/s]
     counts: dict = field(default_factory=lambda: {Constellation.GPS: 31,
                                                   Constellation.GAL: 24,
                                                   Constellation.BDS: 24})
     cycle_slips: list = field(default_factory=list)  # [(SatelliteId, seconds), ...]
     iono: KlobucharParams | None = field(default_factory=KlobucharParams.typical)
     tropo: TropoModel | None = field(default_factory=TropoModel)
-    seed: int = 1
+    seed: int = setting(1, 0)
 
     def __post_init__(self):
-        if self.duration <= 0 or self.rate <= 0:
-            raise ValueError("duration and rate must be positive")
+        super().__post_init__()
         for const, n in self.counts.items():
             if not 0 <= n <= 64:
                 raise ValueError(f"{const.name} satellite count {n} "

@@ -46,8 +46,8 @@ from .constants import SECONDS_PER_WEEK
 from .errors import (DegenerateGeometry, InsufficientSatellites,
                      SingularGeometry, WindowExceeded)
 from .geometry import EpochGeometry
-from .pointpos import PositiveSigmas, solve_normals
-from .types import SatelliteId
+from .pointpos import solve_normals
+from .types import Checked, SatelliteId, setting
 
 # candidate loop-closure time offsets [s]; medium-range edges matter most,
 # full O(n^2) pairing is redundant
@@ -71,12 +71,14 @@ class BaselineStatus(Enum):
 
 
 @dataclass(slots=True)
-class TrRtkConfig(PositiveSigmas):
-    max_time_difference: float = 100.0  # [s]
-    phase_sigma: float = 0.003          # [m] zenith, per single measurement
-    code_sigma: float = 0.5             # [m] zenith, per single measurement
-    elevation_mask: float = np.radians(15.0)
-    position_prior_sigma: float = 3.0   # anchor-position error prior [m]
+class TrRtkConfig(Checked):
+    max_time_difference: float = setting(100.0, above=0.0)  # [s]
+    # zenith sigmas of one measurement [m]
+    phase_sigma: float = setting(0.003, above=0.0)
+    code_sigma: float = setting(0.5, above=0.0)
+    elevation_mask: float = setting(np.radians(15.0), 0.0, np.pi / 2)
+    # anchor-position error prior [m]
+    position_prior_sigma: float = setting(3.0, above=0.0)
 
 
 @dataclass(frozen=True)

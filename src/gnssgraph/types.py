@@ -5,13 +5,63 @@ ECEF vectors are plain numpy arrays of shape (3,) throughout the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
+from numbers import Integral, Real
 
 import numpy as np
 
 from .gnsstime import GpsTime
+
+
+def setting(default, low=-math.inf, high=math.inf, *, above=None,
+            length=None, required=False):
+    """A config field that `Checked` holds to its domain, declared here
+    once. A bool default makes a bool setting. Any other is a number, an
+    integer if the default is one, else finite, in [`low`, `high`] and
+    above `above` if given; a tuple default makes a tuple of finite
+    numbers, `length` of them if given. A config section of a YAML file
+    must give a `required` setting."""
+    def number(value) -> bool:
+        return (isinstance(value, Integral if type(default) is int else Real)
+                and not isinstance(value, bool) and math.isfinite(value)
+                and low <= value <= high
+                and (above is None or value > above))
+
+    if type(default) is bool:
+        admits, domain = (lambda value: isinstance(value, bool),
+                          "true or false")
+    elif type(default) is tuple:
+        admits = (lambda value: isinstance(value, tuple)
+                  and length in (None, len(value))
+                  and all(map(number, value)))
+        domain = f"a list of {length or 'any number of'} finite numbers"
+    else:
+        admits = number
+        limits = [f">= {low:g}"] if low > -math.inf else []
+        limits += [f"> {above:g}"] if above is not None else []
+        limits += [f"<= {high:g}"] if high < math.inf else []
+        kind = "an integer" if type(default) is int else "a finite number"
+        domain = f"{kind} {' and '.join(limits)}".rstrip()
+    return field(default=default, metadata={
+        "admits": admits, "domain": domain, "required": required})
+
+
+class Checked:
+    """Base of the config dataclasses: its `__post_init__` refuses
+    (ValueError) a `setting` field outside its domain, so a refused value
+    fails where the config is built, also by `dataclasses.replace`."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "admits" in f.metadata and not f.metadata["admits"](value):
+                raise ValueError(f"{f.name} must be {f.metadata['domain']}, "
+                                 f"not {value!r}")
 
 
 class Constellation(Enum):

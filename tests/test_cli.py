@@ -232,11 +232,16 @@ class TestExitCodes:
         "pair_lattice: 5", 'use_trrtk: "false"', "trrtk: {phase_sigma: 0}",
         "trrtk: {code_sigma: -0.5}", "trrtk: {position_prior_sigma: .nan}",
         "solver: {doppler_sigma: .inf}", "solver: {sigma_a: 0, sigma_b: 0}",
-        "solver: {sigma_b: -0.3}"],
+        "solver: {sigma_b: -0.3}", "solver: {max_iterations: -3}",
+        "solver: {convergence: .nan}", "solver: {elevation_mask_deg: 200}",
+        "trrtk: {max_time_difference: .nan}", "tropo: {humidity: 7}",
+        "solver: {velocity_sigma_floor: -1}", "solver: null"],
         ids=["lattice-not-a-list", "flag-not-a-bool", "phase-sigma-zero",
              "code-sigma-negative", "prior-sigma-nan",
              "doppler-sigma-infinite", "variance-terms-both-zero",
-             "sigma-b-negative"])
+             "sigma-b-negative", "iterations-negative", "convergence-nan",
+             "mask-above-zenith", "window-nan", "humidity-above-one",
+             "velocity-floor-negative", "solver-section-null"])
     def test_bad_solver_setting_is_parse_error(self, entry, pipeline_dirs,
                                                tmp_path, capsys):
         root, sim, _ = pipeline_dirs
@@ -253,13 +258,19 @@ class TestExitCodes:
         "trajectory: {kind: line, foo: 1}", "trajectory: {kind: circle, "
         "radius: 0}", "noise: {bar: 1}", "noise: {pseudorange_sigma: -1.0}",
         "receiver_clock: {baz: 2}", "counts: [31]", "counts: {X: 3}",
-        "cycle_slips: [[G07]]"],
+        "cycle_slips: [[G07]]", "duration: .nan", "rate: .inf",
+        "satellite_clock_bias_sigma: -1", "satellite_clock_drift_sigma: .nan",
+        "receiver_clock: {bias0: .nan}", "seed: -1", "seed: 1.5",
+        "duraton: 5"],
         ids=["duration-not-a-number", "start-time-without-tow",
              "origin-without-longitude", "trajectory-unknown-key",
              "trajectory-radius-zero", "noise-unknown-key",
              "noise-sigma-negative", "receiver-clock-unknown-key",
              "counts-not-a-mapping", "counts-unknown-constellation",
-             "cycle-slip-without-time"])
+             "cycle-slip-without-time", "duration-nan", "rate-infinite",
+             "clock-bias-sigma-negative", "clock-drift-sigma-nan",
+             "receiver-clock-bias-nan", "seed-negative", "seed-not-integer",
+             "unknown-top-level-key"])
     def test_bad_scenario_section_is_parse_error(self, entry, tmp_path,
                                                  capsys):
         """A malformed value in any section of the scenario YAML exits 2,
@@ -297,9 +308,12 @@ class TestExitCodes:
                         f"than epoch {first - 1} at ", err), err
 
 
-@pytest.mark.parametrize("entry", ["tropo: {pressure: 100}",
-                                   "iono: {alpha: [1, 2, 3, 4]}"],
-                         ids=["tropo-out-of-range", "iono-without-beta"])
+@pytest.mark.parametrize("entry", [
+    "tropo: {pressure: 100}", "iono: {alpha: [1, 2, 3, 4]}",
+    "iono: {alpha: [1, 2, 3, 4], beta: [1.0e5]}",
+    "iono: {alpha: [1, 2], beta: [1, 2, 3, 4]}"],
+    ids=["tropo-out-of-range", "iono-without-beta", "iono-beta-not-numbers",
+         "iono-alpha-short"])
 def test_bad_delay_model_is_parse_error(entry, pipeline_dirs, tmp_path,
                                         capsys):
     """A malformed iono or tropo entry of the scenario or the solver YAML

@@ -840,6 +840,17 @@ class TestConfigYaml:
         back = load_scenario_yaml(io.StringIO(buf.getvalue()))
         assert back.iono is None and back.tropo is None
 
+    def test_scenario_file_writes_integer_waypoints_as_floats(self):
+        cfg = small_scenario(trajectory=TrajectoryConfig(
+            kind="waypoints", waypoints=[[0, 0, 0], [5, 0, 1]]))
+        buf = io.StringIO()
+        save_scenario_yaml(cfg, buf)
+        assert "  waypoints:\n  - - 0.0\n    - 0.0\n    - 0.0\n" in (
+            buf.getvalue())
+        back = load_scenario_yaml(io.StringIO(buf.getvalue()))
+        assert back.trajectory == TrajectoryConfig(
+            kind="waypoints", waypoints=[[0.0, 0.0, 0.0], [5.0, 0.0, 1.0]])
+
     def test_pipeline_defaults_warn_on_missing_iono(self):
         with pytest.warns(UserWarning, match="ionosphere"):
             config = load_pipeline_yaml(io.StringIO("use_trrtk: false"))
