@@ -17,6 +17,7 @@ import warnings
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from itertools import repeat
+from numbers import Real
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -214,7 +215,7 @@ def read_sat_states_csv(stream, epochs) -> list:
 # and their value to the file and back
 FILE_FORMS = {
     "start_time": ("start_time", lambda t: {"week": t.week, "tow": t.tow},
-                   lambda d: GpsTime(int(d["week"]), float(d["tow"]))),
+                   lambda d: GpsTime(d["week"], float(d["tow"]))),
     "origin": ("origin", lambda o: {
         "lat_deg": float(np.degrees(o.latitude)),
         "lon_deg": float(np.degrees(o.longitude)), "height": o.height},
@@ -224,7 +225,7 @@ FILE_FORMS = {
     "waypoints": ("waypoints", lambda w: [list(map(float, p)) for p in w],
                   lambda w: w),
     "counts": ("counts", lambda c: {k.value: n for k, n in c.items()},
-               lambda d: {Constellation(k): int(n) for k, n in d.items()}),
+               lambda d: {Constellation(k): n for k, n in d.items()}),
     "cycle_slips": ("cycle_slips", lambda s: [[str(k), t] for k, t in s],
                     lambda d: [(SatelliteId.parse(k), float(t))
                                for k, t in d]),
@@ -259,7 +260,7 @@ def _config_from_yaml(cls, data):
         raise TypeError(f"{cls.__name__} must be a mapping, not {data!r}")
     rest, kwargs, hints = dict(data), {}, get_type_hints(cls)
     for f in fields(cls):
-        key, _, from_file = FILE_FORMS.get(f.name, (f.name, None, None))
+        key, to_file, from_file = FILE_FORMS.get(f.name, (f.name, None, None))
         if key not in rest:
             if f.metadata.get("required"):
                 raise KeyError(f"{cls.__name__} needs {key}")
@@ -267,7 +268,16 @@ def _config_from_yaml(cls, data):
         value, kind = rest.pop(key), hints[f.name]
         kinds = get_args(kind) or (kind,)
         nested = [t for t in kinds if is_dataclass(t)]
-        if from_file is not None:
+        if from_file is not None and "admits" in f.metadata:
+            # a setting in other units, refused in the file's own
+            native = (from_file(value) if isinstance(value, Real)
+                      and not isinstance(value, bool) else None)
+            if not f.metadata["admits"](native):
+                raise ValueError(f"{key} must be "
+                                 f"{f.metadata['domain'](to_file)}, "
+                                 f"not {value!r}")
+            value = native
+        elif from_file is not None:
             value = from_file(value)
         elif nested and not (value is None and type(None) in kinds):
             value = _config_from_yaml(nested[0], value)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .coords import lines_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
@@ -350,6 +349,10 @@ def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
                + _sums(nodes[:, 1], information, n))
     rhs = cross[:, :, 3] - gradient[:, :3]
     band = _position_band(reduced, nodes, information)
+    # imported here: scipy.linalg takes longer to import than a square
+    # takes to solve, and a CLI command that solves nothing needs none
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     diagonal = band[0].copy()
     try:
         band = cholesky_banded(band, overwrite_ab=True, lower=True,

@@ -10,6 +10,7 @@ bit as the per-sample loops of tests/sim_reference.py compute them.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +99,15 @@ class ScenarioConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
+        week = self.start_time.week
+        if isinstance(week, bool) or not isinstance(week, Integral):
+            raise ValueError(f"start_time week must be an integer, "
+                             f"not {week!r}")
         for const, n in self.counts.items():
-            if not 0 <= n <= 64:
-                raise ValueError(f"{const.name} satellite count {n} "
-                                 "outside 0-64")
+            if (isinstance(n, bool) or not isinstance(n, Integral)
+                    or not 0 <= n <= 64):
+                raise ValueError(f"{const.name} satellite count must be an "
+                                 f"integer in 0-64, not {n!r}")
         for sat, _ in self.cycle_slips:
             if sat.prn > self.counts.get(sat.constellation, 0):
                 raise ValueError(f"cycle slip on {sat}, which the scenario "

@@ -16,7 +16,8 @@ the noise: a drift of 1e-12 s/s gives 3 cm over 100 s.
 
 `epoch_corrections` scatters a located `EpochGeometry`, lines of sight
 included, onto one (epoch, satellite) grid, `SessionArrays`, and
-`solve_pairs` solves a lattice of its epoch pairs in blocks, on arrays
+`solve_pairs` solves a lattice of its epoch pairs (by default each epoch
+with the epochs `TR_PAIR_LATTICE` seconds before it) in blocks, on arrays
 indexed by (pair, session satellite). Each pair is one linear WLS,
 linearized at the located receivers, the point solutions; their error
 delta leaves at most |delta|^2 / 2 rho in a range (see
@@ -49,9 +50,14 @@ from .geometry import EpochGeometry
 from .pointpos import solve_normals
 from .types import Checked, SatelliteId, setting
 
-# candidate loop-closure time offsets [s]; medium-range edges matter most,
-# full O(n^2) pairing is redundant
-TR_PAIR_LATTICE = (5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0)
+# loop-closure time offsets [s] back from each epoch, within the 100 s
+# window. The graph takes the pairs as independent, so each epoch's phase
+# noise should enter few of them: an epoch is in up to two pairs per
+# offset. The short pair carries the accuracy: on the 200 s square, 8
+# offsets from 5 to 100 s made 2.7 times the pairs for no better RPE, and
+# the errors of a 10 s displacement 2.5-3.4 times its stated variance
+# (NEES/3); without the 5 s offset the RPE doubled
+TR_PAIR_LATTICE = (5.0, 30.0, 100.0)
 
 # acceptance gates of a loop closure: the overall-model test must not
 # reject the zero-integer model at this level, and the baseline's formal

@@ -23,28 +23,34 @@ def setting(default, low=-math.inf, high=math.inf, *, above=None,
     integer if the default is one, else finite, in [`low`, `high`] and
     above `above` if given; a tuple default makes a tuple of finite
     numbers, `length` of them if given. A config section of a YAML file
-    must give a `required` setting."""
+    must give a `required` setting. The field's `domain(unit)` words the
+    domain, a number's bounds passed through `unit` to state them in
+    another unit, as a file that holds the setting in that unit has it."""
     def number(value) -> bool:
         return (isinstance(value, Integral if type(default) is int else Real)
                 and not isinstance(value, bool) and math.isfinite(value)
                 and low <= value <= high
                 and (above is None or value > above))
 
-    if type(default) is bool:
-        admits, domain = (lambda value: isinstance(value, bool),
-                          "true or false")
-    elif type(default) is tuple:
-        admits = (lambda value: isinstance(value, tuple)
-                  and length in (None, len(value))
-                  and all(map(number, value)))
-        domain = f"a list of {length or 'any number of'} finite numbers"
-    else:
-        admits = number
-        limits = [f">= {low:g}"] if low > -math.inf else []
-        limits += [f"> {above:g}"] if above is not None else []
-        limits += [f"<= {high:g}"] if high < math.inf else []
+    def admits(value) -> bool:
+        if type(default) is bool:
+            return isinstance(value, bool)
+        if type(default) is tuple:
+            return (isinstance(value, tuple) and length in (None, len(value))
+                    and all(map(number, value)))
+        return number(value)
+
+    def domain(unit=float) -> str:
+        if type(default) is bool:
+            return "true or false"
+        if type(default) is tuple:
+            return f"a list of {length or 'any number of'} finite numbers"
+        limits = [f">= {unit(low):g}"] if low > -math.inf else []
+        limits += [f"> {unit(above):g}"] if above is not None else []
+        limits += [f"<= {unit(high):g}"] if high < math.inf else []
         kind = "an integer" if type(default) is int else "a finite number"
-        domain = f"{kind} {' and '.join(limits)}".rstrip()
+        return f"{kind} {' and '.join(limits)}".rstrip()
+
     return field(default=default, metadata={
         "admits": admits, "domain": domain, "required": required})
 
@@ -60,8 +66,8 @@ class Checked:
         for f in fields(self):
             value = getattr(self, f.name)
             if "admits" in f.metadata and not f.metadata["admits"](value):
-                raise ValueError(f"{f.name} must be {f.metadata['domain']}, "
-                                 f"not {value!r}")
+                raise ValueError(f"{f.name} must be "
+                                 f"{f.metadata['domain']()}, not {value!r}")
 
 
 class Constellation(Enum):

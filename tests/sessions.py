@@ -1,11 +1,16 @@
-"""Helpers for tests that look at or cut down an epoch's rows, and the
-session benchmark's slip schedule."""
+"""Helpers for tests that look at or cut down an epoch's rows, a dense
+loop-closure lattice, and the session benchmark's slip schedule."""
 
 import dataclasses
 
 import numpy as np
 
 from gnssgraph.types import SatelliteId
+
+# eight loop-closure offsets [s], the default lattice before it was thinned
+# to three: many pairs per epoch, and offsets that coincide at coarse
+# spacing, for the tests of the pair and block mechanics that count on them
+EIGHT_OFFSETS = (5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0)
 
 
 def take(epoch, states, rows):

@@ -1,7 +1,8 @@
 """Acceptance gate: end-to-end accuracy, loop-closure benefit, fixing
 quality, structural window rule, integer-search correctness, Jacobian
 consistency, zero-noise oracle closure, optimizer monotonicity, Doppler
-velocity quality, and parser robustness.
+velocity quality, and parser robustness; and beside the criteria, the
+honesty of the graph's covariance of a 10 s displacement.
 
 Each criterion prints an explicit PASS/FAIL line with the measured
 values so a run's margins are visible in the log.
@@ -20,7 +21,8 @@ from gnssgraph.coords import lines_of_sight
 from gnssgraph.errors import MalformedEpoch, MalformedHeader
 from gnssgraph.fileio import export_graph_json
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.graph import _normal_equations, _quadratic, evaluate_cost
+from gnssgraph.graph import (STATE_DIM, _normal_equations, _quadratic,
+                            evaluate_cost)
 from gnssgraph.metrics import compute_rpe
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import solve_doppler_velocity, solve_spp
@@ -31,7 +33,7 @@ from gnssgraph.trrtk import (BaselineStatus, epoch_corrections,
                              estimate_baseline)
 from gnssgraph.types import Constellation
 
-from brute_force import brute_force_minimizer
+from brute_force import brute_force_minimizer, dense_normal_equations
 
 SEEDS = (1, 2, 3, 4, 5)
 SQUARE_200M = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
@@ -133,6 +135,34 @@ def test_criterion_4_window_rule(solved_seeds):
     announce(4, checked > 0 and worst <= 100.0,
              f"{checked} TR edges across {len(SEEDS)} exported graphs, max "
              f"time difference {worst:.1f} s (window 100 s)")
+
+
+def test_graph_states_the_spread_of_a_10s_displacement():
+    """The graph's covariance, the dense inverse of its normal matrix at
+    the solution, is honest about short-term motion: on squares of seeds
+    1-3 the mean NEES/3, e^T S^-1 e / 3, of the displacements x_j -
+    x_{j-10} against the truth lies in [0.5, 2], S the displacement's
+    covariance. Loop closures that share an epoch's phase noise, which
+    the graph counts as independent, would make it overconfident."""
+    means = []
+    for seed in SEEDS[:3]:
+        truth, result = run_seed(seed)          # default constellations
+        normal, _, _ = dense_normal_equations(result.graph, result.states)
+        n = len(truth)
+        cov = np.linalg.inv(normal).reshape(n, STATE_DIM, n, STATE_DIM)[
+            :, :3, :, :3]
+        current = np.arange(10, n)
+        past = current - 10
+        spread = (cov[current, :, current] + cov[past, :, past]
+                  - cov[past, :, current] - cov[current, :, past])
+        error = (result.positions[current] - result.positions[past]
+                 - (truth[current] - truth[past]))
+        nees = np.einsum("ka,ka->k", error, np.linalg.solve(
+            spread, error[:, :, None])[:, :, 0]) / 3
+        means.append(float(nees.mean()))
+    print("10 s displacement NEES/3 on seeds 1-3: "
+          + " / ".join(f"{m:.2f}" for m in means) + " (need 0.5-2)")
+    assert all(0.5 <= m <= 2.0 for m in means), means
 
 
 def test_criterion_5_lambda_against_brute_force():

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -261,7 +264,9 @@ class TestExitCodes:
         "cycle_slips: [[G07]]", "duration: .nan", "rate: .inf",
         "satellite_clock_bias_sigma: -1", "satellite_clock_drift_sigma: .nan",
         "receiver_clock: {bias0: .nan}", "seed: -1", "seed: 1.5",
-        "duraton: 5"],
+        "duraton: 5", "counts: {G: 1.5}", "counts: {E: true}",
+        "start_time: {week: 2200.9, tow: 5}",
+        "start_time: {week: true, tow: 5}"],
         ids=["duration-not-a-number", "start-time-without-tow",
              "origin-without-longitude", "trajectory-unknown-key",
              "trajectory-radius-zero", "noise-unknown-key",
@@ -270,7 +275,8 @@ class TestExitCodes:
              "cycle-slip-without-time", "duration-nan", "rate-infinite",
              "clock-bias-sigma-negative", "clock-drift-sigma-nan",
              "receiver-clock-bias-nan", "seed-negative", "seed-not-integer",
-             "unknown-top-level-key"])
+             "unknown-top-level-key", "count-not-integer", "count-bool",
+             "week-not-integer", "week-bool"])
     def test_bad_scenario_section_is_parse_error(self, entry, tmp_path,
                                                  capsys):
         """A malformed value in any section of the scenario YAML exits 2,
@@ -345,3 +351,17 @@ def test_bad_scenario_is_parse_error(entry, tmp_path, capsys):
     assert main(["simulate", "--config", str(scenario),
                  "--out", str(tmp_path / "sim")]) == 2
     assert "error: parse" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_out():
+    """Importing the command line, and the package with it, imports no
+    scipy module: only a solve's banded Cholesky needs scipy.linalg, so
+    `simulate`, `inspect` and `evaluate` do not pay for its import."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gnssgraph.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.strip() == "[]"

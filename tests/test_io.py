@@ -840,6 +840,35 @@ class TestConfigYaml:
         back = load_scenario_yaml(io.StringIO(buf.getvalue()))
         assert back.iono is None and back.tropo is None
 
+    @pytest.mark.parametrize("text, message", [
+        ("counts: {G: 1.5}", "GPS satellite count must be an integer"),
+        ("counts: {G: 3, E: true}", "GAL satellite count must be an integer"),
+        ("start_time: {week: 2200.9, tow: 5}", "week must be an integer"),
+        ("start_time: {week: false, tow: 5}", "week must be an integer")],
+        ids=["count-fraction", "count-bool", "week-fraction", "week-bool"])
+    def test_counts_and_week_are_integers(self, text, message):
+        """A fraction or a bool for a satellite count or a GPS week is
+        refused, not cut to an integer or read as 0 or 1."""
+        with pytest.raises(IoFailure, match=message):
+            load_scenario_yaml(io.StringIO(text))
+        back = load_scenario_yaml(io.StringIO(
+            "counts: {G: 3, E: 0}\nstart_time: {week: 2200, tow: 5}"))
+        assert back.counts == {Constellation.GPS: 3, Constellation.GAL: 0}
+        assert back.start_time == GpsTime(2200, 5.0)
+
+    @pytest.mark.parametrize("section", ["solver", "trrtk"])
+    @pytest.mark.parametrize("value, shown", [
+        ("200", "200"), ("-1", "-1"), ("true", "True"), (".nan", "nan")])
+    def test_refused_mask_is_stated_in_degrees(self, section, value, shown):
+        """A mask outside [0, 90] degrees, or not a number, is refused
+        under its own key, with its value and bounds in degrees."""
+        with pytest.raises(IoFailure) as refused:
+            load_pipeline_yaml(io.StringIO(
+                f"iono: null\n{section}: {{elevation_mask_deg: {value}}}"))
+        assert str(refused.value).endswith(
+            "elevation_mask_deg must be a finite number >= 0 and <= 90, "
+            f"not {shown}")
+
     def test_scenario_file_writes_integer_waypoints_as_floats(self):
         cfg = small_scenario(trajectory=TrajectoryConfig(
             kind="waypoints", waypoints=[[0, 0, 0], [5, 0, 1]]))

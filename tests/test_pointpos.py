@@ -14,7 +14,7 @@ from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.trrtk import TrRtkConfig
 from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
-from sessions import position_of, take
+from sessions import EIGHT_OFFSETS, position_of, take
 
 
 def scenario(**overrides):
@@ -281,7 +281,8 @@ class TestSharedFactor:
                                  kind="waypoints", speed=1.0,
                                  waypoints=side))
         _, epochs, states = run_scenario(cfg)
-        config = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo)
+        config = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo,
+                                pair_lattice=EIGHT_OFFSETS)
         want = solve_trajectory(epochs, states, config)
 
         def refused(*args, **kwargs):

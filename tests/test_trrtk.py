@@ -26,7 +26,7 @@ from gnssgraph.trrtk import (INTEGRITY_P_MIN, PRECISION_MAX_M,
                              time_single_difference)
 from gnssgraph.types import Constellation, SatelliteId
 from brute_force import dense_pair_solve, lattice_pairs_loop
-from sessions import positions_by_sat, row_of, sat_ids, take
+from sessions import EIGHT_OFFSETS, positions_by_sat, row_of, sat_ids, take
 
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
@@ -614,7 +614,7 @@ class TestLinearization:
         located = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
             at_truth + shift)
         s = epoch_corrections(located)
-        pairs = lattice_pairs(s.times, TR_PAIR_LATTICE, 1.0)
+        pairs = lattice_pairs(s.times, EIGHT_OFFSETS, 1.0)
         config = TrRtkConfig()
         table = solve_pairs(s, pairs, config)
         dense = oracle_pairs(s, located, pairs, config, iterate=True)
@@ -676,9 +676,8 @@ class TestPairLattice:
         factor, once."""
         cfg = quiet_scenario(duration=300.0, rate=1.0 / 30.0)
         truth, epochs, states = run_scenario(cfg)
-        result = solve_trajectory(epochs, states,
-                                  PipelineConfig(iono=cfg.iono,
-                                                 tropo=cfg.tropo))
+        result = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo, pair_lattice=EIGHT_OFFSETS))
         pairs = list(map(tuple, result.trrtk.pairs.tolist()))
         assert len(pairs) == len(set(pairs)) == result.trrtk_attempts > 0
         fixed = {(i, j) for i, j, tr in result.trrtk_results
@@ -734,15 +733,15 @@ class TestPairLattice:
             "week_rollover": ([GpsTime(2200, 604700.0).add(k)
                                for k in range(250)], 1.0),
         }[session]
-        expected = lattice_pairs_loop(times, TR_PAIR_LATTICE, interval)
-        pairs = lattice_pairs(times, TR_PAIR_LATTICE, interval)
+        expected = lattice_pairs_loop(times, EIGHT_OFFSETS, interval)
+        pairs = lattice_pairs(times, EIGHT_OFFSETS, interval)
         assert len(expected) > 0
         assert pairs.tolist() == [list(pair) for pair in expected]
 
     @settings(max_examples=100, deadline=None)
     @given(steps=st.lists(st.floats(0.2, 3.0), max_size=150),
            interval=st.sampled_from([0.5, 1.0, 2.0]),
-           offsets=st.lists(st.sampled_from(TR_PAIR_LATTICE), max_size=8))
+           offsets=st.lists(st.sampled_from(EIGHT_OFFSETS), max_size=8))
     def test_any_increasing_times_match_the_loop_oracle(self, steps,
                                                         interval, offsets):
         times = np.concatenate([[0.0], np.cumsum(steps)])
@@ -754,7 +753,7 @@ class TestPairLattice:
         cfg = quiet_scenario(duration=120.0)
         truth, epochs, states = run_scenario(cfg)
         result = solve_trajectory(epochs, states, PipelineConfig(
-            iono=cfg.iono, tropo=cfg.tropo,
+            iono=cfg.iono, tropo=cfg.tropo, pair_lattice=EIGHT_OFFSETS,
             trrtk=TrRtkConfig(max_time_difference=50.0)))
         window = {tuple(result.trrtk.pairs[k].tolist())
                   for k, error in result.trrtk.errors.items()
@@ -799,11 +798,11 @@ class TestPairTable:
         for epoch in epochs[40:]:
             epoch.phase[epoch.sats == key] += 1.0
         result = solve_trajectory(epochs, states, PipelineConfig(
-            iono=cfg.iono, tropo=cfg.tropo,
+            iono=cfg.iono, tropo=cfg.tropo, pair_lattice=EIGHT_OFFSETS,
             trrtk=TrRtkConfig(max_time_difference=50.0)))
         table = result.trrtk
         assert table.pairs.tolist() == [list(pair) for pair in lattice_pairs(
-            [epoch.time for epoch in epochs], TR_PAIR_LATTICE, 1.0)]
+            [epoch.time for epoch in epochs], EIGHT_OFFSETS, 1.0)]
         assert result.trrtk_attempts == len(table.pairs)
         solved = [k for k in range(len(table.pairs)) if k not in table.errors]
         assert 0 < table.fixed.sum() < len(solved) < len(table.pairs)
@@ -864,9 +863,8 @@ class TestPairBlocks:
             trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
                                         waypoints=square), seed=4)
         truth, epochs, states = run_scenario(cfg)
-        result = solve_trajectory(epochs, states,
-                                  PipelineConfig(iono=cfg.iono,
-                                                 tropo=cfg.tropo))
+        result = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo, pair_lattice=EIGHT_OFFSETS))
         located = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
             result.spp.position)
         return epoch_corrections(located), result, located
