@@ -65,7 +65,10 @@ def klobuchar_delay(params: KlobucharParams, tow,
     t -= np.floor(t / 86400.0) * 86400.0
 
     f = 1.0 + 16.0 * (0.53 - el) ** 3
-    powers = (1.0, phi_m, phi_m ** 2, phi_m ** 3)
+    # phi_m and x are negative in places: their powers are products, as
+    # numpy's power of a negative base leaves its vector loop
+    phi_m2 = phi_m * phi_m
+    powers = (1.0, phi_m, phi_m2, phi_m2 * phi_m)
     amp = sum(a * p for a, p in zip(params.alpha, powers))
     per = sum(b * p for b, p in zip(params.beta, powers))
     amp = np.maximum(amp, 0.0)
@@ -73,7 +76,8 @@ def klobuchar_delay(params: KlobucharParams, tow,
     x = 2.0 * np.pi * (t - 50400.0) / per
     # the cosine term exists only inside |x| < 1.57
     day = np.abs(x) < 1.57
-    delay = f * (5e-9 + day * amp * (1.0 - x ** 2 / 2.0 + x ** 4 / 24.0))
+    x2 = x * x
+    delay = f * (5e-9 + day * amp * (1.0 - x2 / 2.0 + x2 * x2 / 24.0))
     return CLIGHT * delay
 
 

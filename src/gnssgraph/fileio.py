@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -30,7 +31,8 @@ from .gnsstime import GpsTime
 from .graph import Graph
 from .pipeline import PipelineConfig
 from .sim import ScenarioConfig
-from .types import STATE_COLUMNS, Constellation, GeodeticPosition, SatelliteId
+from .types import (STATE_COLUMNS, Constellation, GeodeticPosition,
+                    SatelliteId, setting)
 
 
 class TrajectoryStatus(Enum):
@@ -211,17 +213,31 @@ def read_sat_states_csv(stream, epochs) -> list:
     return np.split(values[found], np.cumsum(counts)[:-1]) if epochs else []
 
 
+def _number(section: dict, key: str, bound=math.inf, default=None) -> float:
+    """The value of `key` in the YAML mapping `section` (`default` if
+    absent and not None) as a float, if a `setting` of magnitude at most
+    `bound` admits it (a finite number, not a bool or a string), else
+    ValueError."""
+    value = section[key] if default is None else section.get(key, default)
+    domain = setting(0.0, -bound, bound).metadata
+    if not domain["admits"](value):
+        raise ValueError(f"{key} must be {domain['domain']()}, "
+                         f"not {value!r}")
+    return float(value)
+
+
 # fields that a YAML file holds in another form: their key in the file,
 # and their value to the file and back
 FILE_FORMS = {
     "start_time": ("start_time", lambda t: {"week": t.week, "tow": t.tow},
-                   lambda d: GpsTime(d["week"], float(d["tow"]))),
+                   lambda d: GpsTime(d["week"], _number(d, "tow"))),
     "origin": ("origin", lambda o: {
         "lat_deg": float(np.degrees(o.latitude)),
         "lon_deg": float(np.degrees(o.longitude)), "height": o.height},
-        lambda d: GeodeticPosition(np.radians(d["lat_deg"]),
-                                   np.radians(d["lon_deg"]),
-                                   d.get("height", 0.0))),
+        lambda d: GeodeticPosition(
+            np.radians(_number(d, "lat_deg", 90.0)),
+            np.radians(_number(d, "lon_deg", 180.0)),
+            _number(d, "height", default=0.0))),
     "waypoints": ("waypoints", lambda w: [list(map(float, p)) for p in w],
                   lambda w: w),
     "counts": ("counts", lambda c: {k.value: n for k, n in c.items()},

@@ -5,11 +5,12 @@ known state as flat rows, epoch after epoch, and what the estimators
 need of them seen from one receiver position per epoch: line of sight,
 range, elevation/azimuth and the modeled atmosphere delays. The
 pipeline gathers the session once per solve, with the delay models, and
-every estimator takes that unlocated geometry or one located from it:
-SPP locates it at each iterate of all its epochs, the pipeline once at
-the point solutions for Doppler velocity and TR-RTK, and the graph once
-at the node positions for the pseudorange factors. A one-epoch caller
-passes a session of one epoch.
+hands that unlocated geometry to SPP, which locates it at each iterate
+of all its epochs. SPP's last located geometry, each epoch seen from
+where its last step was computed, is the one that Doppler velocity,
+TR-RTK and the graph's pseudorange factors use: nothing after SPP
+locates the session again. A one-epoch caller passes a session of one
+epoch.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ class EpochGeometry:
         located = copy.copy(self)
         located._locate(positions)
         return located
+
+    def update(self, other: "EpochGeometry", epochs) -> None:
+        """Take in place, for the epochs `epochs` (bool per epoch), what
+        `other`, located from the same satellites, sees from them: this
+        geometry's located arrays are its own, not shared."""
+        rows = epochs[self.epoch]
+        self.position[epochs] = other.position[epochs]
+        for name in ("latitude", "longitude", "height"):
+            getattr(self.geodetic, name)[epochs] = getattr(other.geodetic,
+                                                           name)[epochs]
+        for name in ("elevation", "azimuth", "unit", "range", "_distance",
+                     "iono", "tropo", "corrected_code"):
+            getattr(self, name)[rows] = getattr(other, name)[rows]
 
     def _locate(self, positions) -> None:
         # assign new arrays only: the satellite arrays are shared with

@@ -143,18 +143,21 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
                 spp: SppSolution, trrtk: TrRtkPairs,
                 solver: SolverConfig | None = None,
                 use_pseudorange: bool = True) -> Graph:
-    """Assemble the trajectory graph, one node per epoch of the unlocated
-    session geometry `geometry`, from the stage tables of the session.
+    """Assemble the trajectory graph, one node per epoch of the session
+    geometry `geometry`, located as SPP located it last (`spp.geometry`),
+    from the stage tables of the session.
 
     Rows k < n - 1 of `velocities` give the velocity factors between
     consecutive nodes, and the fixed rows of the pair table `trrtk` the
     loop closures. Node positions start at the epoch-0 point solution
     plus accumulated velocity increments, node clocks at the SPP clocks
-    (GPS, then each observed system's bias to it). The geometry is
-    located once at the node positions for the pseudorange factors,
-    which are corrected with its delay models and weighted, above its
-    elevation mask, as `solver` weights the point solutions; without
-    `use_pseudorange` there are none.
+    (GPS, then each observed system's bias to it). The pseudorange
+    factors are the geometry's rows above `solver`'s elevation mask,
+    linearized and corrected with its delay models where each epoch is
+    located, and weighted as `solver` weights the point solutions;
+    without `use_pseudorange` there are none. The optimizer
+    relinearizes a row once its node lies RELINEARIZE_THRESHOLD from
+    that point.
     """
     solver = solver or SolverConfig()
     n = len(geometry.times)
@@ -191,22 +194,21 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
         time_difference=trrtk.time_difference[fixed],
         information=solve_normals(trrtk.covariance[fixed])[0])
 
-    located = geometry.at(reference + states[:, :3])
-    rows = located.above(solver.elevation_mask) & use_pseudorange
-    failed = located.failures(rows, (located.require_delays,
-                                     located.require_ranges))
+    rows = geometry.above(solver.elevation_mask) & use_pseudorange
+    failed = geometry.failures(rows, (geometry.require_delays,
+                                      geometry.require_ranges))
     if failed:
         raise failed[min(failed)]
     node, slot = geometry.epoch[rows], geometry.slot[rows]
-    offsets = states[node, :3]
-    measured = located.corrected_code[rows]
+    offsets = (geometry.position - reference)[node]
+    measured = geometry.corrected_code[rows]
     jacobian, constants = _linearization(
-        located.unit[rows], located.range[rows], slot, measured, offsets)
+        geometry.unit[rows], geometry.range[rows], slot, measured, offsets)
     pseudorange_factors = PseudorangeFactors(
         node=node, sat=geometry.sats[rows],
         sat_position=geometry.sat_position[rows], slot=slot,
         measured=measured, row=jacobian, constant=constants,
-        information=1.0 / pseudorange_variance(located.elevation[rows],
+        information=1.0 / pseudorange_variance(geometry.elevation[rows],
                                                config=solver),
         lin_offset=offsets)
     observed = np.zeros((n, 4), dtype=bool)

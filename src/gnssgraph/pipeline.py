@@ -23,9 +23,10 @@ from .types import Checked, setting
 class PipelineConfig(Checked):
     """Every setting of a solve, each in one place: the delay models here
     enter the solve once, in the `EpochGeometry` that `solve_trajectory`
-    gathers for the session and that SPP, TR-RTK and the pseudorange
-    factors share; `solver` weights the point solutions and the pseudorange
-    factors, and the observation spacing comes from the epoch times."""
+    gathers for the session and that SPP locates for Doppler, TR-RTK and
+    the pseudorange factors; `solver` weights the point solutions and the
+    pseudorange factors, and the observation spacing comes from the epoch
+    times."""
 
     use_trrtk: bool = setting(True)
     use_pseudorange: bool = setting(True)
@@ -110,9 +111,10 @@ def solve_trajectory(epochs, sat_states,
                                  f"than epoch {k - 1} at {times[k - 1]}")
     spp = solve_spp(geometry, config.solver)
     _raise_earliest(spp.errors, times)
-    # located once at the point solutions, for Doppler (which uses no
-    # delay model) and for TR-RTK
-    located = geometry.at(spp.position)
+    # SPP's last located geometry, each epoch within `convergence` of its
+    # fix, serves Doppler (which uses no delay model), TR-RTK and the
+    # pseudorange factors; the result does not keep it
+    located, spp.geometry = spp.geometry, None
     velocities = solve_doppler_velocity(located, config.solver)
     # the last epoch's velocity enters no factor
     _raise_earliest(velocities.errors, times[:-1])
@@ -126,7 +128,7 @@ def solve_trajectory(epochs, sat_states,
                             lattice_pairs(times, config.pair_lattice,
                                           interval), config.trrtk, interval)
 
-    graph = build_graph(geometry, velocities, spp, trrtk, config.solver,
+    graph = build_graph(located, velocities, spp, trrtk, config.solver,
                         config.use_pseudorange)
     states, report = optimize(graph)
     positions = graph.reference_position + states[:, :3]

@@ -18,6 +18,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,13 +58,27 @@ class SolverConfig(Checked):
 
 @dataclass
 class SppSolution:
-    """A session's SPP fixes, row e of each array epoch e's."""
+    """A session's SPP fixes, row e of each array epoch e's, and the
+    session `geometry` that SPP located: each epoch seen from its last
+    iterate, where its last step was computed, so within
+    `SolverConfig.convergence` of its fix if it converged (NaN rows for
+    an epoch never located). `covariance` (n, 7, 7), of the position and
+    4 clock slots, is formed from `normal` when it is first read."""
 
     position: np.ndarray           # (n, 3) [m ECEF]
     clock: np.ndarray              # (n, 4) [m] per slot, 0 if unobserved
-    covariance: np.ndarray         # (n, 7, 7), position + 4 clock slots
+    normal: np.ndarray             # (n, 7, 7) the last step's normals
     used: np.ndarray               # (n, 4) satellites per slot, 0 if none
     errors: dict                   # epoch -> the GnssError it raised
+    geometry: EpochGeometry | None = None
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        observed = self.used > 0
+        kept = np.concatenate([np.ones((len(observed), 3), dtype=bool),
+                               observed], axis=1)
+        return np.where(kept[:, :, None] & kept[:, None, :],
+                        solve_normals(self.normal)[0], 0.0)
 
 
 @dataclass
@@ -190,11 +205,12 @@ def solve_spp(geometry: EpochGeometry,
     no mask, atmosphere or weights and one clock; an epoch with fewer
     than 4 satellites of known state gets InsufficientSatellites, and
     one whose fix is singular SingularGeometry. The iterations run in
-    lockstep: each locates the geometry at the current positions, so
-    the atmosphere is corrected with its delay models, and an epoch
-    stops once its position update is below `config.convergence`.
-    Returns the SppSolution table; the rows of an epoch in its `errors`
-    hold no fix, and those errors are InsufficientSatellites,
+    lockstep: each locates the geometry at the current positions of the
+    epochs still iterating, so the atmosphere is corrected with its
+    delay models, and an epoch stops once its position update is below
+    `config.convergence`. Returns the SppSolution table, whose geometry
+    sees each epoch from its last iterate; the rows of an epoch in its
+    `errors` hold no fix, and those errors are InsufficientSatellites,
     SingularGeometry, NoConvergence, or what the geometry raises for
     the epoch's satellites.
     """
@@ -206,6 +222,7 @@ def solve_spp(geometry: EpochGeometry,
     clock = np.zeros((n, len(CONSTELLATIONS)))
     count = np.zeros((n, len(CONSTELLATIONS)), dtype=int)
     active = ~_marked(n, errors)
+    located = None
     for _ in range(config.max_iterations + 1):
         # an iterate near the earth's center has no geodetic position
         near = active & (np.linalg.norm(position, axis=1) < 2e6)
@@ -215,10 +232,15 @@ def solve_spp(geometry: EpochGeometry,
             except NearSingular as exc:
                 errors[e] = exc
         ok = active & ~_marked(n, errors)
-        # the other epochs are not located: their rows are NaN, below
-        # any mask
-        located = geometry.at(np.where(ok[:, None], position, np.nan))
-        used = located.above(config.elevation_mask)
+        # only the epochs `ok` are located again; the others keep what
+        # they were last seen from (NaN rows if never), and none of their
+        # rows is used
+        here = np.where(ok[:, None], position, np.nan)
+        if located is None:
+            located = geometry.at(here)
+        else:
+            located.update(geometry.at(here), ok)
+        used = located.above(config.elevation_mask) & ok[geometry.epoch]
         epoch, slot = geometry.epoch[used], geometry.slot[used]
         used_count = np.bincount(
             epoch * len(CONSTELLATIONS) + slot,
@@ -266,12 +288,8 @@ def solve_spp(geometry: EpochGeometry,
         errors[e] = NoConvergence(
             "SPP did not converge within iteration budget")
 
-    observed = count > 0
-    kept = np.concatenate([np.ones((n, 3), dtype=bool), observed], axis=1)
-    cov = np.where(kept[:, :, None] & kept[:, None, :],
-                   solve_normals(normal)[0], 0.0)
-    return SppSolution(position, np.where(observed, clock, 0.0), cov, count,
-                       errors)
+    return SppSolution(position, np.where(count > 0, clock, 0.0), normal,
+                       count, errors, located)
 
 
 def _lorentz(p, q):

@@ -107,6 +107,37 @@ class TestKlobucharArrays:
         assert branches == {True, False}
         assert clamps == {-1, 0, 1}
 
+    def test_negative_powers_match_scalar_calls_and_oracle(self):
+        """South of the geomagnetic equator before 14:00 local time, where
+        phi_m and x are negative and their third and fourth powers are
+        formed as products: each satellite of an array call gets the bits
+        of a call with it alone, and both agree with the oracle."""
+        rng = np.random.default_rng(31)
+        p = KlobucharParams((3e-8, 1e-8, -2e-8, 1e-8),
+                            (1e5, 1e4, -1e4, 5e4))
+        site = GeodeticPosition(np.radians(-45.0), np.radians(140.0), 50.0)
+        el = rng.uniform(np.radians(30.0), np.pi / 2, 200)
+        az = rng.uniform(0.0, 2 * np.pi, 200)
+        tow = 86400.0 + 12000.0         # about 12:40 local time
+        # the pierce point's geomagnetic latitude and local time, as the
+        # oracle forms them
+        psi = 0.0137 / (el / np.pi + 0.11) - 0.022
+        phi = np.clip(site.latitude / np.pi + psi * np.cos(az), -0.416, 0.416)
+        lam = site.longitude / np.pi + psi * np.sin(az) / np.cos(phi * np.pi)
+        phi_m = phi + 0.064 * np.cos((lam - 1.617) * np.pi)
+        t = (4.32e4 * lam + tow) % 86400.0
+        per = np.polynomial.polynomial.polyval(phi_m, p.beta)
+        x = 2.0 * np.pi * (t - 50400.0) / per
+        assert (phi_m < 0.0).all() and (x < 0.0).all()
+        assert (np.abs(x) < 1.57).all() and (per > 72000.0).all()
+        delays = klobuchar_delay(p, tow, site, el, az)
+        for k in range(len(el)):
+            assert same_bits(delays[k], klobuchar_delay(
+                p, tow, site, el[k:k + 1], az[k:k + 1]))
+            assert delays[k] == pytest.approx(klobuchar_oracle(
+                p.alpha, p.beta, tow, site.latitude, site.longitude,
+                el[k], az[k]), rel=1e-12)
+
     def test_negative_elevation_in_array_rejected(self):
         with pytest.raises(ValueError):
             klobuchar_delay(KlobucharParams.typical(), 0.0,

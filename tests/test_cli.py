@@ -266,7 +266,12 @@ class TestExitCodes:
         "receiver_clock: {bias0: .nan}", "seed: -1", "seed: 1.5",
         "duraton: 5", "counts: {G: 1.5}", "counts: {E: true}",
         "start_time: {week: 2200.9, tow: 5}",
-        "start_time: {week: true, tow: 5}"],
+        "start_time: {week: true, tow: 5}",
+        "start_time: {week: 2200, tow: '5'}",
+        "start_time: {week: 2200, tow: true}",
+        "origin: {lat_deg: true, lon_deg: 139.8}",
+        "origin: {lat_deg: 35.7, lon_deg: 139.8, height: '50'}",
+        "origin: {lat_deg: 95, lon_deg: 139.8}"],
         ids=["duration-not-a-number", "start-time-without-tow",
              "origin-without-longitude", "trajectory-unknown-key",
              "trajectory-radius-zero", "noise-unknown-key",
@@ -276,7 +281,8 @@ class TestExitCodes:
              "clock-bias-sigma-negative", "clock-drift-sigma-nan",
              "receiver-clock-bias-nan", "seed-negative", "seed-not-integer",
              "unknown-top-level-key", "count-not-integer", "count-bool",
-             "week-not-integer", "week-bool"])
+             "week-not-integer", "week-bool", "tow-string", "tow-bool",
+             "latitude-bool", "height-string", "latitude-beyond-pole"])
     def test_bad_scenario_section_is_parse_error(self, entry, tmp_path,
                                                  capsys):
         """A malformed value in any section of the scenario YAML exits 2,

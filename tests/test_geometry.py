@@ -11,7 +11,7 @@ from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
 from gnssgraph import pipeline
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
-from gnssgraph.pointpos import solve_doppler_velocity
+from gnssgraph.pointpos import SolverConfig, solve_doppler_velocity
 from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
 from gnssgraph.trrtk import epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
@@ -139,8 +139,7 @@ class TestEpochGeometry:
 def test_solve_gathers_each_epoch_once(monkeypatch, use_trrtk):
     """SPP, Doppler, TR-RTK and the pseudorange factors all use the one
     session geometry that the pipeline builds: SPP locates it at each
-    of its iterations, the pipeline once for Doppler and TR-RTK, and
-    the graph once."""
+    of its iterations, and nothing after SPP locates it again."""
     cfg = ScenarioConfig(duration=12.0,
                          trajectory=TrajectoryConfig(kind="line", speed=2.0),
                          seed=5)
@@ -170,6 +169,65 @@ def test_solve_gathers_each_epoch_once(monkeypatch, use_trrtk):
     result = solve_trajectory(epochs, states, PipelineConfig(
         use_trrtk=use_trrtk, iono=cfg.iono, tropo=cfg.tropo))
     assert len(built) == 1
-    assert located.count(False) == 2
+    assert located.count(False) == 0
     assert located.count(True) >= 2
     assert (len(result.graph.trrtk_factors) > 0) == use_trrtk
+
+
+@pytest.mark.parametrize("convergence", [None, 0.015],
+                         ids=["default", "staggered"])
+def test_solve_hands_on_the_geometry_at_spp_last_iterates(monkeypatch,
+                                                          convergence):
+    """Doppler, TR-RTK and the graph get one geometry from SPP, equal bit
+    for bit to the session located afresh at the positions it states,
+    each within `convergence` of its epoch's fix. With a convergence of
+    15 mm some epochs stop an iterate before the others, which SPP then
+    locates alone."""
+    cfg = ScenarioConfig(duration=20.0, trajectory=TrajectoryConfig(
+        kind="circle", speed=3.0), seed=5)
+    _, epochs, states = run_scenario(cfg)
+    solver = SolverConfig() if convergence is None else SolverConfig(
+        convergence=convergence)
+    handed, located = [], []
+    at = EpochGeometry.at
+
+    def recording_at(self, positions):
+        located.append(np.isfinite(np.asarray(positions)[:, 0]))
+        return at(self, positions)
+
+    def receiving(name, position):
+        stage = getattr(pipeline, name)
+
+        def received(*args, **kwargs):
+            handed.append(args[position])
+            return stage(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, received)
+
+    for name in ("solve_doppler_velocity", "epoch_corrections",
+                 "build_graph"):
+        receiving(name, 0)
+    monkeypatch.setattr(EpochGeometry, "at", recording_at)
+    result = solve_trajectory(epochs, states, PipelineConfig(
+        iono=cfg.iono, tropo=cfg.tropo, solver=solver))
+    monkeypatch.undo()
+
+    assert len(handed) == 3 and all(g is handed[0] for g in handed)
+    assert result.spp.geometry is None
+    # every epoch is located at each iterate until it stops
+    assert all(mask.all() for mask in located[:-1])
+    if convergence is not None:
+        assert 0 < located[-1].sum() < len(epochs)
+    given = handed[0]
+    satellites = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
+    fresh = satellites.at(given.position)
+    assert np.all(np.linalg.norm(given.position - result.spp.position,
+                                 axis=1) < solver.convergence)
+    # every array that locating sets
+    names = set(vars(fresh)) - set(vars(satellites)) - {"geodetic"}
+    assert {"position", "unit", "iono", "corrected_code"} <= names
+    for name in names:
+        assert getattr(given, name).tobytes() == getattr(
+            fresh, name).tobytes(), name
+    for name in ("latitude", "longitude", "height"):
+        assert getattr(given.geodetic, name).tobytes() == getattr(
+            fresh.geodetic, name).tobytes(), name

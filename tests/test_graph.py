@@ -159,14 +159,14 @@ class TestBuildGraph:
         sats = satellites(cfg, epochs, states)
         spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = solve_doppler_velocity(sats.at(spp.position))
+        vel = solve_doppler_velocity(spp.geometry)
         # (0, 5) rejected, (1, 6) fixed
         pairs = TrRtkPairs(np.array([[0, 5], [1, 6]]), np.array([5.0, 5.0]),
                            np.array([False, True]),
                            np.array([np.zeros(3), np.ones(3)]),
                            np.array([np.eye(3), 1e-4 * np.eye(3)]),
                            np.array([1.0, 9.0]), np.array([0, 4]), {})
-        g = build_graph(sats, vel, spp, pairs)
+        g = build_graph(spp.geometry, vel, spp, pairs)
         assert len(g.trrtk_factors) == 1
         assert g.trrtk_factors.nodes.tolist() == [[1, 6]]
 
@@ -211,7 +211,7 @@ class TestBuildGraph:
         none = VelocitySolution(np.zeros((0, 3)), np.zeros(0),
                                 np.zeros((0, 3, 3)), {})
         with pytest.raises(MissingVelocity):
-            build_graph(sats, none, spp,
+            build_graph(spp.geometry, none, spp,
                         TrRtkPairs.unsolved(np.zeros((0, 2), int),
                                             np.zeros(0)))
 
@@ -245,8 +245,14 @@ class TestPseudorangeRows:
         pr = g.pseudorange_factors
         assert {SatelliteId.from_key(key).constellation
                 for key in pr.sat.tolist()} == set(cfg.counts)
+        # each row is linearized where SPP located its epoch last, within
+        # `convergence` of the fix, not at the dead-reckoned node
+        point = solve_spp(satellites(cfg, epochs, states)).geometry.position
+        assert np.abs(point - result.spp.position).max() < 1e-4
+        assert not np.array_equal(point[pr.node] - g.reference_position,
+                                  g.initial_states[pr.node, :3])
         for k, (node, sat) in enumerate(zip(pr.node, pr.sat)):
-            offset = g.initial_states[node, :3]
+            offset = point[node] - g.reference_position
             position = position_of(epochs[node], states[node], sat)
             assert np.array_equal(pr.lin_offset[k], offset)
             assert np.array_equal(pr.sat_position[k], position)
@@ -266,8 +272,10 @@ class TestPseudorangeRows:
         again = replace(pr, row=np.zeros_like(pr.row),
                         constant=np.zeros_like(pr.constant),
                         lin_offset=pr.lin_offset + 1000.0)
+        at_build = np.zeros_like(g.initial_states)
+        at_build[pr.node, :3] = pr.lin_offset
         assert _relinearize(replace(g, pseudorange_factors=again),
-                            g.initial_states, 10.0)
+                            at_build, 10.0)
         assert np.array_equal(again.lin_offset, pr.lin_offset)
         assert np.allclose(again.row, pr.row, rtol=0.0, atol=1e-12)
         assert np.allclose(again.constant, pr.constant, rtol=0.0, atol=1e-6)
@@ -635,12 +643,12 @@ class TestOptimizer:
         sats = satellites(cfg, epochs[:2], states[:2])
         spp = solve_spp(sats)
         from gnssgraph.pointpos import solve_doppler_velocity
-        vel = solve_doppler_velocity(sats.at(spp.position))
+        vel = solve_doppler_velocity(spp.geometry)
         b = np.array([2.0, 0.0, 0.0])
         fixed = TrRtkPairs(np.array([[0, 1]]), np.array([1.0]),
                            np.array([True]), b[None], 1e-8 * np.eye(3)[None],
                            np.array([10.0]), np.array([5]), {})
-        g = build_graph(sats, vel, spp, fixed, use_pseudorange=False)
+        g = build_graph(spp.geometry, vel, spp, fixed, use_pseudorange=False)
         # loosen the velocity factor so the TR factor dominates
         g.velocity_factors.information[0] = 1e-6 * np.eye(3)
         x, report = optimize(g)

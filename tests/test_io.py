@@ -22,7 +22,7 @@ from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import BaselineStatus, TrRtkConfig
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
-                             SatelliteId)
+                             GeodeticPosition, SatelliteId)
 from rinex_reference import parse_reference, same_epochs
 from sessions import row_of
 
@@ -855,6 +855,36 @@ class TestConfigYaml:
             "counts: {G: 3, E: 0}\nstart_time: {week: 2200, tow: 5}"))
         assert back.counts == {Constellation.GPS: 3, Constellation.GAL: 0}
         assert back.start_time == GpsTime(2200, 5.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("start_time: {week: 2200, tow: '5'}",
+         "tow must be a finite number, not '5'"),
+        ("start_time: {week: 2200, tow: true}",
+         "tow must be a finite number, not True"),
+        ("origin: {lat_deg: true, lon_deg: 139.8}",
+         "lat_deg must be a finite number >= -90 and <= 90, not True"),
+        ("origin: {lat_deg: 35.7, lon_deg: 139.8, height: '50'}",
+         "height must be a finite number, not '50'"),
+        ("origin: {lat_deg: 95, lon_deg: 139.8}",
+         "lat_deg must be a finite number >= -90 and <= 90, not 95"),
+        ("origin: {lat_deg: 35.7, lon_deg: .nan}",
+         "lon_deg must be a finite number >= -180 and <= 180, not nan")],
+        ids=["tow-string", "tow-bool", "latitude-bool", "height-string",
+             "latitude-beyond-pole", "longitude-nan"])
+    def test_time_and_origin_are_numbers(self, text, message):
+        """A string or a bool for the start time of week or an origin
+        coordinate, or a latitude beyond a pole, is refused, not read as
+        a number or kept as a string; integers read as floats."""
+        with pytest.raises(IoFailure, match=message):
+            load_scenario_yaml(io.StringIO(text))
+        back = load_scenario_yaml(io.StringIO(
+            "start_time: {week: 2200, tow: 5}\n"
+            "origin: {lat_deg: -90, lon_deg: 180, height: 50}"))
+        assert back.start_time == GpsTime(2200, 5.0)
+        assert type(back.start_time.tow) is float
+        assert back.origin == GeodeticPosition(np.radians(-90.0),
+                                               np.radians(180.0), 50.0)
+        assert type(back.origin.height) is float
 
     @pytest.mark.parametrize("section", ["solver", "trrtk"])
     @pytest.mark.parametrize("value, shown", [

@@ -7,9 +7,10 @@ import pytest
 
 from gnssgraph.errors import InsufficientSatellites
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.pointpos import (SolverConfig, _bancroft, _normals,
-                                pseudorange_variance, solve_doppler_velocity,
-                                solve_normals, solve_spp)
+from gnssgraph.pointpos import (SolverConfig, SppSolution, _bancroft,
+                                _normals, pseudorange_variance,
+                                solve_doppler_velocity, solve_normals,
+                                solve_spp)
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.trrtk import TrRtkConfig
@@ -32,11 +33,16 @@ def scenario(**overrides):
 
 
 def alone(table):
-    """The one row of a one-epoch session's table, its error raised."""
+    """The one row of each array of a one-epoch session's table, an SPP
+    table's covariance with them, its error raised."""
     if 0 in table.errors:
         raise table.errors[0]
-    return SimpleNamespace(**{f.name: getattr(table, f.name)[0]
-                              for f in fields(table) if f.name != "errors"})
+    names = [f.name for f in fields(table)
+             if f.name not in ("errors", "geometry")]
+    if isinstance(table, SppSolution):
+        names.append("covariance")
+    return SimpleNamespace(**{name: getattr(table, name)[0]
+                              for name in names})
 
 
 GPS, GAL = (CONSTELLATION_INDEX[c] for c in (Constellation.GPS,

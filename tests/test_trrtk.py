@@ -91,11 +91,11 @@ def solve_one(dd):
 
 
 def spp_session(cfg, epochs, states):
-    """The `epoch_corrections` session at each epoch's SPP position, from
-    one session geometry, as the pipeline forms it."""
-    geometry = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
-    return epoch_corrections(
-        geometry.at(solve_spp(geometry).position))
+    """The `epoch_corrections` session of SPP's last located geometry,
+    each epoch within `convergence` of its SPP position, as the pipeline
+    forms it."""
+    return epoch_corrections(solve_spp(EpochGeometry(
+        epochs, states, cfg.iono, cfg.tropo)).geometry)
 
 
 class TestSessionGrid:
@@ -646,8 +646,7 @@ class TestObservationInterval:
         assert tr.time_difference == pytest.approx(2.0 * (j - i))
         assert np.linalg.norm(
             tr.baseline - (truth[j].position - truth[i].position)) < 1e-6
-        s = session_at(cfg, epochs, states,
-                       result.spp.position)
+        s = spp_session(cfg, epochs, states)
         again = estimate_baseline(s, i, j, interval=2.0)
         assert again.baseline.tobytes() == tr.baseline.tobytes()
         with pytest.raises(InsufficientSatellites):
@@ -865,8 +864,8 @@ class TestPairBlocks:
         truth, epochs, states = run_scenario(cfg)
         result = solve_trajectory(epochs, states, PipelineConfig(
             iono=cfg.iono, tropo=cfg.tropo, pair_lattice=EIGHT_OFFSETS))
-        located = EpochGeometry(epochs, states, cfg.iono, cfg.tropo).at(
-            result.spp.position)
+        located = solve_spp(EpochGeometry(epochs, states, cfg.iono,
+                                          cfg.tropo)).geometry
         return epoch_corrections(located), result, located
 
     def test_lattice_pairs_match_the_pair_alone(self, square, monkeypatch):
