@@ -21,10 +21,10 @@ config = ScenarioConfig(
     seed=12,
 )
 truth, epochs, sat_states = run_scenario(config)
-# the session's satellites at the SPP positions, on one (epoch,
-# satellite) grid that all pairs share
+# the session's satellites as SPP last located them, at its fixes, on
+# one (epoch, satellite) grid that all pairs share
 satellites = EpochGeometry(epochs, sat_states, config.iono, config.tropo)
-session = epoch_corrections(satellites.at(solve_spp(satellites).position))
+session = epoch_corrections(solve_spp(satellites).geometry)
 
 print(f"{'dt s':>6s}{'status':>10s}{'p_value':>9s}{'baseline error m':>18s}")
 for dt in (5, 20, 50, 80, 100):

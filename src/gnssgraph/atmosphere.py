@@ -64,9 +64,11 @@ def klobuchar_delay(params: KlobucharParams, tow,
     t = 4.32e4 * lam_i + tow
     t -= np.floor(t / 86400.0) * 86400.0
 
-    f = 1.0 + 16.0 * (0.53 - el) ** 3
-    # phi_m and x are negative in places: their powers are products, as
-    # numpy's power of a negative base leaves its vector loop
+    # powers are products: numpy's array power rounds a cube otherwise
+    # than Python's float power, and leaves its vector loop for a
+    # negative base (phi_m and x are negative in places)
+    d = 0.53 - el
+    f = 1.0 + 16.0 * (d * d * d)
     phi_m2 = phi_m * phi_m
     powers = (1.0, phi_m, phi_m2, phi_m2 * phi_m)
     amp = sum(a * p for a, p in zip(params.alpha, powers))

@@ -117,35 +117,22 @@ def line_of_sight(receiver: np.ndarray, positions: np.ndarray):
     vector and a range, or an (n, 3) array of them, seen from one
     receiver (3,) or from one each (n, 3), which gives (n, 3) and (n,).
     Each satellite position is rotated by OMGE * range/c about the earth
-    axis to account for earth rotation during signal flight. The norms
-    are BLAS dots, as `np.linalg.norm` takes them, so a satellite's
-    result does not depend on how many share the call.
+    axis to account for earth rotation during signal flight. Raise
+    DegenerateGeometry for a satellite closer than 1000 km.
     """
-    receiver = np.asarray(receiver, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    distance = _dot_norms(positions - receiver)
+    unit, rng, distance = unchecked_lines_of_sight(receiver, positions)
     check_ranges(distance)
-    delta = _sagnac_rotated(positions, distance) - receiver
-    rng = _dot_norms(delta)
-    return delta / rng[..., None], rng
-
-
-def lines_of_sight(receiver: np.ndarray,
-                   positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`line_of_sight` for an (n, 3) array of satellite positions, with
-    the norms of `unchecked_lines_of_sight`."""
-    receiver = np.asarray(receiver, dtype=float)
-    check_ranges(_row_norms(positions - receiver))
-    unit, rng, _ = unchecked_lines_of_sight(receiver, positions)
     return unit, rng
 
 
 def unchecked_lines_of_sight(receiver: np.ndarray, positions: np.ndarray):
-    """`lines_of_sight` without its range check, for a caller that
-    checks only some satellites: also returns the (n,) distances before
-    the Sagnac rotation, which `check_ranges` takes, of the (n, 3)
-    `positions` seen from one receiver (3,) or from one each (n, 3)."""
+    """`line_of_sight` without its range check, for a caller that checks
+    only some satellites: also returns the distances before the Sagnac
+    rotation, which `check_ranges` takes. The norms are row sums, so a
+    satellite gets the same bits alone or among many, and the simulator
+    and the solver the same ranges."""
     receiver = np.asarray(receiver, dtype=float)
+    positions = np.asarray(positions, dtype=float)
     distance = _row_norms(positions - receiver)
     delta = _sagnac_rotated(positions, distance) - receiver
     rng = _row_norms(delta)
@@ -173,12 +160,6 @@ def check_ranges(distance: np.ndarray) -> None:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, as `np.linalg.norm(a, axis=-1)`."""
     return np.sqrt((a * a).sum(axis=-1))
-
-
-def _dot_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis by one BLAS dot per vector, as
-    `np.linalg.norm(v)` takes it for one vector `v`."""
-    return np.sqrt(np.vecdot(a, a))
 
 
 def elevation_azimuth(receiver: GeodeticPosition, sat_pos: np.ndarray,

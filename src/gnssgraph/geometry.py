@@ -5,12 +5,12 @@ known state as flat rows, epoch after epoch, and what the estimators
 need of them seen from one receiver position per epoch: line of sight,
 range, elevation/azimuth and the modeled atmosphere delays. The
 pipeline gathers the session once per solve, with the delay models, and
-hands that unlocated geometry to SPP, which locates it at each iterate
-of all its epochs. SPP's last located geometry, each epoch seen from
-where its last step was computed, is the one that Doppler velocity,
+hands that unlocated geometry to SPP, which locates it afresh at each
+iterate, every epoch without an error at once. SPP's last located
+geometry, each epoch seen from where its last step was computed (from
+its fix, if it stopped earlier), is the one that Doppler velocity,
 TR-RTK and the graph's pseudorange factors use: nothing after SPP
-locates the session again. A one-epoch caller passes a session of one
-epoch.
+locates the session again. A one-epoch caller passes one epoch.
 """
 
 from __future__ import annotations
@@ -85,19 +85,6 @@ class EpochGeometry:
         located._locate(positions)
         return located
 
-    def update(self, other: "EpochGeometry", epochs) -> None:
-        """Take in place, for the epochs `epochs` (bool per epoch), what
-        `other`, located from the same satellites, sees from them: this
-        geometry's located arrays are its own, not shared."""
-        rows = epochs[self.epoch]
-        self.position[epochs] = other.position[epochs]
-        for name in ("latitude", "longitude", "height"):
-            getattr(self.geodetic, name)[epochs] = getattr(other.geodetic,
-                                                           name)[epochs]
-        for name in ("elevation", "azimuth", "unit", "range", "_distance",
-                     "iono", "tropo", "corrected_code"):
-            getattr(self, name)[rows] = getattr(other, name)[rows]
-
     def _locate(self, positions) -> None:
         # assign new arrays only: the satellite arrays are shared with
         # the unlocated geometry and with every geometry located from it
@@ -132,7 +119,7 @@ class EpochGeometry:
 
     def require_ranges(self, rows) -> None:
         """Raise DegenerateGeometry if a satellite of `rows` is closer
-        than 1000 km, as `lines_of_sight` does."""
+        than 1000 km, as `line_of_sight` does."""
         check_ranges(self._distance[rows])
 
     def require_delays(self, rows) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import lines_of_sight
+from .coords import line_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
 from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
@@ -388,8 +388,8 @@ def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
     if len(moved) == 0:
         return False
     offsets = states[pr.node[moved], :3]
-    unit, ranges = lines_of_sight(graph.reference_position + offsets,
-                                  pr.sat_position[moved])
+    unit, ranges = line_of_sight(graph.reference_position + offsets,
+                                 pr.sat_position[moved])
     pr.row[moved], pr.constant[moved] = _linearization(
         unit, ranges, pr.slot[moved], pr.measured[moved], offsets)
     pr.lin_offset[moved] = offsets

@@ -59,11 +59,11 @@ class SolverConfig(Checked):
 @dataclass
 class SppSolution:
     """A session's SPP fixes, row e of each array epoch e's, and the
-    session `geometry` that SPP located: each epoch seen from its last
-    iterate, where its last step was computed, so within
-    `SolverConfig.convergence` of its fix if it converged (NaN rows for
-    an epoch never located). `covariance` (n, 7, 7), of the position and
-    4 clock slots, is formed from `normal` when it is first read."""
+    session `geometry` that SPP located at its last iterate: each epoch
+    seen from where its last step was computed, or from its fix if it
+    stopped earlier (NaN rows if it erred before). `covariance`
+    (n, 7, 7), of the position and 4 clock slots, is formed from
+    `normal` when it is first read."""
 
     position: np.ndarray           # (n, 3) [m ECEF]
     clock: np.ndarray              # (n, 4) [m] per slot, 0 if unobserved
@@ -205,14 +205,14 @@ def solve_spp(geometry: EpochGeometry,
     no mask, atmosphere or weights and one clock; an epoch with fewer
     than 4 satellites of known state gets InsufficientSatellites, and
     one whose fix is singular SingularGeometry. The iterations run in
-    lockstep: each locates the geometry at the current positions of the
-    epochs still iterating, so the atmosphere is corrected with its
-    delay models, and an epoch stops once its position update is below
-    `config.convergence`. Returns the SppSolution table, whose geometry
-    sees each epoch from its last iterate; the rows of an epoch in its
-    `errors` hold no fix, and those errors are InsufficientSatellites,
-    SingularGeometry, NoConvergence, or what the geometry raises for
-    the epoch's satellites.
+    lockstep: each locates the geometry afresh at the current position
+    of every epoch without an error, so the atmosphere is corrected with
+    its delay models, and steps the epochs still iterating, each until
+    its position update is below `config.convergence`. Returns the
+    SppSolution table, whose geometry is the last iterate's; the rows of
+    an epoch in its `errors` hold no fix, and those errors are
+    InsufficientSatellites, SingularGeometry, NoConvergence, or what the
+    geometry raises for the epoch's satellites.
     """
     config = config or SolverConfig()
     n = len(geometry.times)
@@ -222,24 +222,20 @@ def solve_spp(geometry: EpochGeometry,
     clock = np.zeros((n, len(CONSTELLATIONS)))
     count = np.zeros((n, len(CONSTELLATIONS)), dtype=int)
     active = ~_marked(n, errors)
-    located = None
     for _ in range(config.max_iterations + 1):
         # an iterate near the earth's center has no geodetic position
-        near = active & (np.linalg.norm(position, axis=1) < 2e6)
+        near = ~_marked(n, errors) & (np.linalg.norm(position, axis=1) < 2e6)
         for e in np.flatnonzero(near).tolist():
             try:
                 ecef_to_geodetic(position[e])
             except NearSingular as exc:
                 errors[e] = exc
-        ok = active & ~_marked(n, errors)
-        # only the epochs `ok` are located again; the others keep what
-        # they were last seen from (NaN rows if never), and none of their
-        # rows is used
-        here = np.where(ok[:, None], position, np.nan)
-        if located is None:
-            located = geometry.at(here)
-        else:
-            located.update(geometry.at(here), ok)
+        alive = ~_marked(n, errors)
+        # every epoch without an error is seen from where it is now, one
+        # that has stopped from its fix (an erring one has NaN rows);
+        # locating a row costs the same whether it is used or not
+        located = geometry.at(np.where(alive[:, None], position, np.nan))
+        ok = active & alive
         used = located.above(config.elevation_mask) & ok[geometry.epoch]
         epoch, slot = geometry.epoch[used], geometry.slot[used]
         used_count = np.bincount(

@@ -8,7 +8,7 @@ from bisect import bisect_left
 import numpy as np
 from scipy.stats import chi2
 
-from gnssgraph.coords import lines_of_sight
+from gnssgraph.coords import line_of_sight
 from gnssgraph.graph import STATE_DIM
 
 
@@ -92,7 +92,7 @@ def dense_pair_solve(s, located, past, current, dds, config, iterate=True):
         for epoch, position in ((past, s.receiver[past] + x[3:]),
                                 (current,
                                  s.receiver[current] + x[3:] + x[:3] - start)):
-            unit, ranges = lines_of_sight(position, sats[epoch])
+            unit, ranges = line_of_sight(position, sats[epoch])
             out += [diff @ ranges, -(diff @ unit)]
         return out
 

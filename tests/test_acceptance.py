@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gnssgraph.ambiguity import AmbiguityProblem, lambda_resolve
-from gnssgraph.coords import lines_of_sight
+from gnssgraph.coords import line_of_sight
 from gnssgraph.errors import MalformedEpoch, MalformedHeader
 from gnssgraph.fileio import export_graph_json
 from gnssgraph.geometry import EpochGeometry
@@ -241,7 +241,7 @@ def pseudorange_row_error(graph, states, rows):
     """The worst relative error of `rows` (p, 7) as the Jacobians of the
     graph's pseudorange factors: central differences of the corrected
     range, the Sagnac-rotated |s - (reference + x)| of
-    `coords.lines_of_sight` plus the GPS clock and the factor's
+    `coords.line_of_sight` plus the GPS clock and the factor's
     inter-system bias, at each factor's linearization point. The rows
     leave out how the Sagnac rotation turns with the receiver position,
     up to OMGE |s| / c ~ 6.3e-6 of a unit-vector component, so the bar
@@ -251,8 +251,8 @@ def pseudorange_row_error(graph, states, rows):
     x[:, :3] = pr.lin_offset
 
     def corrected_range(x):
-        _, ranges = lines_of_sight(graph.reference_position + x[:, :3],
-                                   pr.sat_position)
+        _, ranges = line_of_sight(graph.reference_position + x[:, :3],
+                                  pr.sat_position)
         # GPS (slot 0) has no inter-system bias
         bias = np.where(pr.slot > 0, x[np.arange(len(x)), 3 + pr.slot], 0.0)
         return ranges + x[:, 3] + bias

@@ -2,10 +2,10 @@
 demo 01 prints epoch 0's measurement arrays, one row per satellite, with
 elevations from the satellite-state array aligned to those rows; demos
 02 and 03 build one `EpochGeometry` for the session and hand it to SPP,
-then locate it at the fixes for Doppler velocity, or for the TR-RTK
-session grid whose epoch pairs demo 03 solves. Demo 05 drives the
-`gnssgraph` command, which a shim on PATH runs as `python -m
-gnssgraph.cli` when the package is not installed."""
+then take the geometry SPP located, at its fixes, for Doppler velocity,
+or for the TR-RTK session grid whose epoch pairs demo 03 solves. Demo
+05 drives the `gnssgraph` command, which a shim on PATH runs as
+`python -m gnssgraph.cli` when the package is not installed."""
 
 import os
 import subprocess

@@ -174,15 +174,28 @@ def test_solve_gathers_each_epoch_once(monkeypatch, use_trrtk):
     assert (len(result.graph.trrtk_factors) > 0) == use_trrtk
 
 
+def test_simulator_and_solver_see_the_same_lines_of_sight():
+    """The default session located at its truth sees each satellite with
+    the unit vector and range that the simulator's `line_of_sight`
+    gives, bit for bit: both take one kernel."""
+    truth, epochs, states = run_scenario(ScenarioConfig())
+    positions = np.array([record.position for record in truth])
+    g = EpochGeometry(epochs, states).at(positions)
+    unit, rng = line_of_sight(positions[g.epoch], g.sat_position)
+    assert len(rng) > 1000
+    assert unit.tobytes() == g.unit.tobytes()
+    assert rng.tobytes() == g.range.tobytes()
+
+
 @pytest.mark.parametrize("convergence", [None, 0.015],
                          ids=["default", "staggered"])
 def test_solve_hands_on_the_geometry_at_spp_last_iterates(monkeypatch,
                                                           convergence):
     """Doppler, TR-RTK and the graph get one geometry from SPP, equal bit
     for bit to the session located afresh at the positions it states,
-    each within `convergence` of its epoch's fix. With a convergence of
-    15 mm some epochs stop an iterate before the others, which SPP then
-    locates alone."""
+    each within `convergence` of its epoch's fix. SPP locates every
+    epoch at each iterate; with a convergence of 15 mm some epochs stop
+    an iterate before the others, and are seen from their fixes."""
     cfg = ScenarioConfig(duration=20.0, trajectory=TrajectoryConfig(
         kind="circle", speed=3.0), seed=5)
     _, epochs, states = run_scenario(cfg)
@@ -192,7 +205,7 @@ def test_solve_hands_on_the_geometry_at_spp_last_iterates(monkeypatch,
     at = EpochGeometry.at
 
     def recording_at(self, positions):
-        located.append(np.isfinite(np.asarray(positions)[:, 0]))
+        located.append(np.array(positions))
         return at(self, positions)
 
     def receiving(name, position):
@@ -213,10 +226,12 @@ def test_solve_hands_on_the_geometry_at_spp_last_iterates(monkeypatch,
 
     assert len(handed) == 3 and all(g is handed[0] for g in handed)
     assert result.spp.geometry is None
-    # every epoch is located at each iterate until it stops
-    assert all(mask.all() for mask in located[:-1])
+    # every epoch is located at each iterate; the last iterate sees one
+    # that stopped before it from its fix
+    assert all(np.isfinite(positions).all() for positions in located)
     if convergence is not None:
-        assert 0 < located[-1].sum() < len(epochs)
+        at_fix = (located[-1] == result.spp.position).all(axis=1)
+        assert 0 < at_fix.sum() < len(epochs)
     given = handed[0]
     satellites = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
     fresh = satellites.at(given.position)

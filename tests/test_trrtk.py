@@ -1004,7 +1004,7 @@ class TestPairBlocks:
         def no_line_of_sight(*args):
             raise AssertionError("TR-RTK computed a line of sight")
 
-        for name in ("unchecked_lines_of_sight", "lines_of_sight"):
+        for name in ("unchecked_lines_of_sight", "line_of_sight"):
             monkeypatch.setattr(coords, name, no_line_of_sight)
             monkeypatch.setattr(trrtk, name, no_line_of_sight, raising=False)
         after = outcomes(solve_pairs(s, pairs))
