@@ -24,7 +24,8 @@ from gnssgraph.trrtk import BaselineStatus, TrRtkConfig
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              GeodeticPosition, SatelliteId)
 from rinex_reference import parse_reference, same_epochs
-from sessions import row_of
+from sessions import row_of, slip_schedule
+from sidecar_reference import read_sat_states_reference, same_states
 
 MIXED_COUNTS = {Constellation.GPS: 8, Constellation.GLO: 5,
                 Constellation.GAL: 6, Constellation.BDS: 5}
@@ -383,6 +384,36 @@ class TestRinexFuzz:
             else:
                 assert same_epochs(got[0], want[0]) and got[1] == want[1]
 
+    def test_long_file_matches_the_record_loop(self):
+        """On a 330-epoch file of all four systems, GLONASS channels
+        and LLI-flagged slips, that crosses calendar midnight and the
+        GPS week, the table parse gives what reading record by record
+        gives, before and after scattered byte mutations."""
+        span = dict(duration=329.0,
+                    start_time=GpsTime(2200, 604800.0 - 165.0))
+        *_, header, text = write_scenario(small_scenario(
+            **span, cycle_slips=slip_schedule(small_scenario(**span))))
+        assert len(header.glonass_channels) == MIXED_COUNTS[
+            Constellation.GLO]
+        rng = np.random.default_rng(30)
+        blob = bytearray(text.encode())
+        for position in rng.integers(len(text) // 10, len(text), 40):
+            blob[position] = rng.integers(256)
+        outcomes = []
+        for case in (text, blob.decode("latin-1")):
+            got = self.outcome(lambda t: parse_rinex_obs(io.StringIO(t)),
+                               case)
+            want = self.outcome(parse_reference, case)
+            assert same_epochs(got[0], want[0]) and got[1] == want[1]
+            outcomes.append(want)
+        (epochs, clean), (_, messages) = outcomes
+        assert len(epochs) == 330 and not clean and len(messages) > 10
+        assert {epoch.time.week for epoch in epochs} == {2200, 2201}
+        assert len({e.time.to_calendar().date() for e in epochs}) == 2
+        assert sum(int((e.lock == 0).sum()) for e in epochs[1:]) > 10
+        assert {key // 100 for key in np.concatenate(
+            [e.sats for e in epochs]).tolist()} == {0, 1, 2, 3}
+
     def test_mutations_never_crash(self):
         truth, epochs, states, header, text = write_scenario(
             small_scenario(duration=3.0))
@@ -605,6 +636,90 @@ class TestSatStateCsvEdges:
         rows[5] = rows[5][:7] + ["1.5e"] + rows[5][8:]
         with pytest.raises(IoFailure):
             self.geometry(rows)
+
+
+def sidecar_variant(rows, case):
+    """The sidecar rows (header first, lists of fields) changed as `case`
+    names, as lists of fields or of lines of text."""
+    header, body = rows[0], rows[1:]
+    if case == "columns-in-another-order":
+        order = [9, 3, 1, 0, 8, 2, 7, 6, 5, 4]
+        return [[row[k] for k in order] for row in rows]
+    if case == "repeated-rows":
+        twice = [row[:2] + [f"{float(v) + 1.0:.6f}" for v in row[2:]]
+                 for row in body[::7]]
+        return [header, *twice[:5], *body, *twice[5:], *body[::11]]
+    if case == "unobserved-times":
+        stray = [[f"{float(row[0]) + 0.5:.3f}", *row[1:]] for row in body[::5]]
+        other = [[row[0], "C30", *row[2:]] for row in body[::9]]
+        return [header, *stray, *body, *other]
+    if case == "quoted-fields":
+        return [[f'"{field}"' if k % 3 == 0 else field
+                 for k, field in enumerate(row)] for row in rows]
+    if case == "blank-lines":
+        return [header] + [line for row in body for line in (row, [])]
+    if case == "nan-rows":
+        return [header] + [row[:2] + ["nan"] * 8 if k % 6 == 0 else row
+                           for k, row in enumerate(body)]
+    return rows
+
+
+class TestSatStateOracle:
+    """`read_sat_states_csv` gives, bit for bit, what reading the sidecar
+    row by row gives (`read_sat_states_reference`), on a session of all
+    four systems, with either line end."""
+
+    CASES = ["as-written", "columns-in-another-order", "repeated-rows",
+             "unobserved-times", "quoted-fields", "blank-lines", "nan-rows"]
+    BAD_ROWS = {"bad-number": (5, 4, "1.5e"), "bad-satellite": (7, 1, "X01"),
+                "blank-satellite": (2, 1, ""), "short-row": (3, None, None),
+                "bad-time": (9, 0, "1:00")}
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        truth, epochs, states, header, text = write_scenario(
+            small_scenario(duration=20.0))
+        sidecar = io.StringIO()
+        write_sat_states_csv(epochs, states, sidecar)
+        _, parsed = parse_rinex_obs(io.StringIO(text))
+        rows = [line.split(",") for line in sidecar.getvalue().splitlines()]
+        return parsed, rows
+
+    @staticmethod
+    def both(rows, epochs, end):
+        """The reader's and the reference's outcome: states, or the class
+        of what each raises."""
+        text = "".join(",".join(row) + end for row in rows)
+        outcomes = []
+        for read in (read_sat_states_csv, read_sat_states_reference):
+            try:
+                outcomes.append(read(io.StringIO(text), epochs))
+            except Exception as exc:
+                outcomes.append(type(exc))
+        return outcomes
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_row_loop(self, session, case, end):
+        epochs, rows = session
+        assert {key // 100 for e in epochs for key in e.sats.tolist()} == {
+            0, 1, 2, 3}
+        got, want = self.both(sidecar_variant(rows, case), epochs, end)
+        assert same_states(got, want)
+        unknown = sum(int(np.isnan(s).all(axis=1).sum()) for s in want)
+        assert (unknown > 0) == (case == "nan-rows")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_malformed_row_is_iofailure_in_both(self, session, bad, end):
+        epochs, rows = session
+        row, column, text = self.BAD_ROWS[bad]
+        rows = [list(fields) for fields in rows]
+        if column is None:
+            rows[row] = rows[row][:4]
+        else:
+            rows[row][column] = text
+        assert self.both(rows, epochs, end) == [IoFailure, IoFailure]
 
 
 class TestGraphJson:
