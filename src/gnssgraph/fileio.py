@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Real
 from typing import get_args, get_type_hints
 
@@ -95,14 +95,25 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     current rows. `states` defaults to the stored initial states; pass
     the optimizer output to export the solved trajectory. The text is
     `json.dumps` of a dict per node and edge, written kind by kind in
-    slices of `_EDGE_SLICE` edges.
+    slices of `_EDGE_SLICE` edges: a slice is one `str.join` of each
+    column's items, as `json.dumps` writes the column, with the pieces of
+    the kind's template between them.
     """
     def eigenvalues(information):
         return np.round(np.sort(np.linalg.eigvalsh(information)), 9)
 
     def dicts(template, *columns):
-        return ", ".join(map(template.__mod__,
-                             zip(*map(_json_items, columns))))
+        # `template % row` for each row of items, joined by ", ": one join
+        # of the items with the template's pieces between them
+        items = [_json_items(column) for column in columns]
+        if not items[0]:
+            return ""
+        first, *inner, end = template.split("%s")
+        joints = map(repeat, [*inner, f"{end}, {first}"])
+        parts = [first, *chain.from_iterable(
+            zip(*chain.from_iterable(zip(items, joints))))]
+        parts[-1] = end
+        return "".join(parts)
 
     x = graph.initial_states if states is None else states
     vel, tr = graph.velocity_factors, graph.trrtk_factors
@@ -172,11 +183,20 @@ def _keys(tow, sats) -> np.ndarray:
     return np.rint(tow * 1000.0).astype(np.int64) * 1000 + sats
 
 
+# a sidecar row as one record: its time of week, state values and
+# satellite name; `SatelliteId.parse` reads only a name's first three
+# characters, so a name cut at 16 has the key or the error of the whole
+_SAT_STATE_RECORD = np.dtype([("tow", float), ("values", float,
+                                               len(STATE_COLUMNS)),
+                              ("sat", "U16")])
+
+
 def read_sat_states_csv(stream, epochs) -> list:
     """Load the sidecar and align it to parsed epochs: per epoch an array
     of `STATE_COLUMNS` with, in row k, the sidecar row of its satellite k
     at its time of week to the millisecond (the last of several), NaN
-    where there is none."""
+    where there is none. One `np.loadtxt` pass reads each row's numbers
+    and satellite name; any malformed row is an IoFailure."""
     lines = stream.read().splitlines()
     header = next(csv.reader(lines[:1]), None) or SAT_STATE_COLUMNS
     try:
@@ -185,32 +205,33 @@ def read_sat_states_csv(stream, epochs) -> list:
     except ValueError as exc:
         raise IoFailure(f"bad satellite-state header: {exc}") from exc
     try:
-        dialect = dict(delimiter=",", comments=None, quotechar='"')
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # about blank lines
-            numbers = np.loadtxt(lines[1:], ndmin=2, **dialect,
-                                 usecols=[tow_col, *value_cols])
-            texts = np.loadtxt(lines[1:], dtype=str, ndmin=1, **dialect,
-                               usecols=sat_col)
-        names, column = np.unique(texts, return_inverse=True)
-        sats = np.array([SatelliteId.parse(text).key
-                         for text in names.tolist()], dtype=int)[column]
+            table = np.loadtxt(lines[1:], dtype=_SAT_STATE_RECORD, ndmin=1,
+                               delimiter=",", comments=None, quotechar='"',
+                               usecols=[tow_col, *value_cols, sat_col])
+        names = table["sat"].tolist()
+        # each name parsed once, in sorted order: the first bad one raises
+        key_of = {name: SatelliteId.parse(name).key
+                  for name in sorted(set(names))}
     except (IndexError, ValueError, TypeError) as exc:
         raise IoFailure(f"bad satellite-state row: {exc}") from exc
+    sats = np.fromiter(map(key_of.__getitem__, names), int, len(names))
     # the last row of each key, in key order, then one above all of them
-    keys = _keys(numbers[:, 0], sats)
+    keys = _keys(table["tow"], sats)
     order = np.argsort(keys, kind="stable")
     last = order[np.append(keys[order][1:] != keys[order][:-1], True)]
     keys = np.append(keys[last], np.iinfo(np.int64).max)
-    values = np.vstack([numbers[last, 1:], np.full(len(STATE_COLUMNS),
-                                                   np.nan)])
+    values = np.vstack([table["values"][last],
+                        np.full(len(STATE_COLUMNS), np.nan)])
     counts = list(map(len, epochs))
     wanted = _keys(np.repeat([epoch.time.tow for epoch in epochs], counts),
                    np.concatenate([np.zeros(0, int),
                                    *(epoch.sats for epoch in epochs)]))
     found = np.searchsorted(keys, wanted)
     found[keys[found] != wanted] = len(keys) - 1
-    return np.split(values[found], np.cumsum(counts)[:-1]) if epochs else []
+    rows, bounds = values[found], np.cumsum([0, *counts]).tolist()
+    return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _number(section: dict, key: str, bound=math.inf, default=None) -> float:

@@ -233,7 +233,9 @@ def solve_spp(geometry: EpochGeometry,
         alive = ~_marked(n, errors)
         # every epoch without an error is seen from where it is now, one
         # that has stopped from its fix (an erring one has NaN rows);
-        # locating a row costs the same whether it is used or not
+        # locating a row costs the same whether it is used or not; the
+        # previous iterate's geometry is freed before this one is made
+        located = None
         located = geometry.at(np.where(alive[:, None], position, np.nan))
         ok = active & alive
         used = located.above(config.elevation_mask) & ok[geometry.epoch]

@@ -40,6 +40,8 @@ _NOMINAL_FREQ = {
     Constellation.GAL: FREQ_GAL_E1,
     Constellation.BDS: FREQ_BDS_B1,
 }
+# each system by its letter
+_SYSTEMS = {system.value: system for system in Constellation}
 
 
 def carrier_wavelength(sat: SatelliteId, channel: int = 0) -> float:
@@ -144,7 +146,7 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
 def _parse_header(lines) -> tuple[RinexHeader, int]:
     """Consume header records; return (header, index of first body line)."""
     header = RinexHeader(observation_codes={})
-    pending_codes: tuple[Constellation, int] | None = None
+    pending_codes: tuple[Constellation, int, tuple] | None = None
     for number, raw in enumerate(lines, start=1):
         label = raw[60:80].strip()
         body = raw[:60]
@@ -164,17 +166,17 @@ def _parse_header(lines) -> tuple[RinexHeader, int]:
                     [float(body[k:k + 14]) for k in (0, 14, 28)])
             elif label == "SYS / # / OBS TYPES":
                 if body[0] != " ":
-                    const = Constellation(body[0])
-                    count = int(body[3:7])
-                    header.observation_codes[const] = ()
-                    pending_codes = (const, count)
+                    # the letter's system, or what `Constellation` raises
+                    pending_codes = (_SYSTEMS.get(body[0])
+                                     or Constellation(body[0]),
+                                     int(body[3:7]), ())
                 if pending_codes is None:
                     raise MalformedHeader(
                         f"line {number}: continuation without system line")
-                const, count = pending_codes
-                codes = header.observation_codes[const] + tuple(
-                    body[7:].split())
-                header.observation_codes[const] = codes[:count]
+                const, count, codes = pending_codes
+                codes = (codes + tuple(body[7:].split()))[:count]
+                header.observation_codes[const] = codes
+                pending_codes = (const, count, codes)
             elif label == "INTERVAL":
                 header.interval = float(body[:10])
             elif label == "GLONASS SLOT / FRQ #":
@@ -215,14 +217,25 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
 _DIGIT = np.full(129, 10, dtype=np.uint32)
 _DIGIT[[0, 32]], _DIGIT[48:58] = 0, np.arange(10)
 _KEPT = np.array([[1], [2], [3]])      # the kinds of C, L and D
-_SYSTEMS = {system.value for system in Constellation}
+_KEYS = 100 * len(Constellation)      # every satellite key is below it
+
+
+@lru_cache(maxsize=8)
+def _record_type(slots: int) -> np.dtype:
+    """A record line of `slots` codes as a structured string: its ID, then
+    per code a 14-character value and the code points of its LLI and
+    signal-strength characters."""
+    return np.dtype([("sat", "U3"), ("obs", [("value", "U14"),
+                                             ("flags", np.uint32, 2)],
+                                     slots)])
 
 
 @lru_cache(maxsize=1024)
-def _satellite(text: str, codes: tuple, channels: tuple):
+def _satellite(text: str, codes: frozenset, channels: frozenset):
     """(key, wavelength, the last code of C, L and D or -1, then each
     code's kind: 1-3 for C, L, D, else 4) of a record's ID under a header's
-    codes and GLONASS channels, as items; None to skip; a bad ID's message."""
+    codes and GLONASS channels, as items; None to skip; a bad ID's
+    message."""
     if text[:1] not in _SYSTEMS:
         return None
     try:
@@ -238,6 +251,40 @@ def _satellite(text: str, codes: tuple, channels: tuple):
             *(last.get(kind, -1) for kind in (1, 2, 3)), *kinds)
 
 
+def _indexed(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items in order of first appearance, and the index of
+    each item among them."""
+    index = {item: k for k, item in enumerate(dict.fromkeys(items))}
+    return list(index), np.fromiter(map(index.__getitem__, items), int,
+                                    len(items))
+
+
+def _floats(cells: list) -> tuple:
+    """The number in each cell as `float` reads it (it strips whitespace
+    itself), then the indexes of the bad cells and of the blank ones. A
+    cell that `float` refuses is read as `str.strip` leaves it, and a
+    blank or a bad one is 0.0."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), [], []
+    except ValueError:
+        pass
+    # resumed after each value `float` stops at
+    numbers, rest, refused, blank = [], iter(cells), [], []
+    while len(numbers) < len(cells):
+        try:
+            numbers.extend(map(float, rest))
+        except ValueError:
+            cell = cells[len(numbers)].strip()
+            try:
+                numbers.append(float(cell or 0))
+            except ValueError:
+                numbers.append(0.0)
+                refused.append(len(numbers) - 1)
+            if not cell:
+                blank.append(len(numbers) - 1)
+    return numbers, refused, blank
+
+
 def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     """Parse a RINEX 3.04 observation stream.
 
@@ -246,12 +293,17 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     next '>' record, so one corrupt record never loses a whole file.
     A satellite's lock count advances over each complete record before
     the first bad one of its epoch and restarts where LLI bit 0 is set.
+
+    Only the epoch lines are read one by one. The records of the body are
+    one fixed-width table: each distinct satellite ID is resolved once,
+    every value is read by one `float` pass, and the records are ordered
+    and their lock counts taken by stable sorts, not per-record Python.
     """
     text = stream.read()
     lines = text.splitlines()
     header, body_start = _parse_header(lines)
-    marks = [k for k in range(body_start, len(lines))
-             if lines[k].startswith(">")]
+    marks = [k for k, line in enumerate(lines[body_start:], body_start)
+             if line[:1] == ">"]
     # numpy strings end at a NUL; \x01 fails each value and digit as a
     # NUL does, and a message quotes the line itself
     cells = (text.replace("\x00", "\x01").splitlines() if "\x00" in text
@@ -275,14 +327,13 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     # per record: its ID, then per code a 14-character value and the
     # code points of its LLI and signal-strength characters
     slots = max([1, *map(len, header.observation_codes.values())])
-    table = np.array(records, dtype=f"U{3 + 16 * slots}").view([
-        ("sat", "U3"),
-        ("obs", [("value", "U14"), ("flags", np.uint32, 2)], slots)])
-    ids = {}
-    sat_of = np.array([ids.setdefault(text, len(ids))
-                       for text in table["sat"].tolist()], dtype=int)
-    system = (tuple(header.observation_codes.items()),
-              tuple(header.glonass_channels.items()))
+    table = np.array(records, dtype=f"U{3 + 16 * slots}").view(
+        _record_type(slots))
+    ids, sat_of = _indexed(table["sat"].tolist())
+    # the header's codes and channels as a cache key: a frozenset hashes
+    # its items once, not at every call
+    system = (frozenset(header.observation_codes.items()),
+              frozenset(header.glonass_channels.items()))
     known = [_satellite(text.replace(" ", "0"), *system) for text in ids]
     # per record: key, wavelength, the last code of C, L and D, and the
     # kind of each code: 0 for none, -1 for all codes of a bad ID
@@ -293,27 +344,19 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     kind, last = info[:, 5:], info[:, 2:5].astype(int)
     value, flags = table["obs"]["value"], table["obs"]["flags"]
     read = kind > 0
-    number = np.zeros(read.shape)
     # record -> 3 * code + 0, 1 or 2 for its first bad value, LLI or
     # signal strength; -1 for a bad ID
     bad = dict.fromkeys((kind[:, 0] < 0).nonzero()[0].tolist(), -1)
-    try:
-        number[read] = list(map(float, map(str.strip,
-                                            value[read].tolist())))
-    except ValueError:
-        # one by one: a blank value is not read, a bad one raises
-        numbers, kept = [], []
-        for r, slot, cell in zip(*read.nonzero(), value[read].tolist()):
-            kept.append(bool(cell.strip()))
-            try:
-                numbers.append(float(cell.strip() or 0))
-            except ValueError:
-                numbers.append(0.0)
-                bad.setdefault(r, 3 * slot)
-        number[read] = numbers
-        if not all(kept):
-            # a blank value: the last of its kind may be an earlier code
-            read[read] = kept
+    number = np.zeros(read.shape)
+    number[read], refused, blank = _floats(value[read].tolist())
+    if refused or blank:
+        record, code = read.nonzero()      # of each value read
+        for r, slot in zip(record[refused].tolist(), code[refused].tolist()):
+            bad.setdefault(r, 3 * slot)
+        if blank:
+            # a blank value is not read: the last of its kind may be an
+            # earlier code
+            read[record[blank], code[blank]] = False
             last = np.where(read[:, None] & (kind[:, None] == _KEPT),
                             np.arange(slots), -1).max(axis=2)
     digits = _DIGIT.take(flags, mode="clip")
@@ -343,36 +386,39 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
             int(chunk[13 + part])
         except (MalformedEpoch, ValueError) as exc:
             failures[e] = exc
+
+    # the counted records by epoch, then satellite, then record: each
+    # sorted by its place, epoch * _KEYS + key, in one stable sort
     counted = counted.nonzero()[0]
     key = info[counted, 0].astype(int)
-    locks, lock = {}, []
-    for sat, flag in zip(key.tolist(),
-                         digits[counted, last[counted, 1], 0].tolist()):
-        locks[sat] = 0 if flag & 1 else locks.get(sat, -1) + 1
-        lock.append(locks[sat])
-
-    # the records by epoch, then satellite
-    order = np.lexsort((key, row_epoch[counted]))
-    rows = counted[order]
-    epoch_of, sats = row_epoch[rows], key[order]
-    lock = np.array(lock, dtype=int)[order]
+    place = row_epoch[counted] * _KEYS + key
+    order = place.argsort(kind="stable")
+    rows, place, sats = counted[order], place[order], key[order]
     code, phase, doppler = number[rows[:, None], last[rows]].T.copy()
     wavelength = info[rows, 1]
-    snr = digits[rows, last[rows, 1], 1] * 6.0
-    for e in epoch_of[1:][(epoch_of[1:] == epoch_of[:-1])
-                          & (sats[1:] == sats[:-1])].tolist():
+    lli, strength = digits[rows, last[rows, 1]].T
+    # a satellite's lock count: its records since the last with LLI bit 0
+    # set, or since its first; its records in order by a stable (radix)
+    # sort of the keys
+    by_sat = sats.astype(np.int16).argsort(kind="stable")
+    run, step = sats[by_sat], np.arange(len(sats))
+    lock = np.empty_like(step)
+    lock[by_sat] = step - np.maximum.accumulate(
+        np.where(lli[by_sat] & 1, step, run.searchsorted(run)))
+    for e in (place[1:][place[1:] == place[:-1]] // _KEYS).tolist():
         failures[e] = failures[e] or ValueError("duplicate satellite in "
                                                 "epoch")
-    bounds = epoch_of.searchsorted(np.arange(len(reads) + 1)).tolist()
-    columns = (sats, code, phase, doppler, wavelength, lock, snr)
+    bounds = place.searchsorted(np.arange(len(reads) + 1) * _KEYS).tolist()
+    snr = strength * 6.0
     epochs: list[Epoch] = []
-    for e, (time, failure) in enumerate(zip(times, failures)):
+    for mark, time, failure, a, b in zip(marks, times, failures, bounds,
+                                         bounds[1:]):
         if failure is None:
-            epochs.append(Epoch(time, *(column[bounds[e]:bounds[e + 1]]
-                                        for column in columns)))
+            epochs.append(Epoch(time, sats[a:b], code[a:b], phase[a:b],
+                                doppler[a:b], wavelength[a:b], lock[a:b],
+                                snr[a:b]))
         else:
-            warnings.warn(f"dropping epoch at line {marks[e] + 1}: "
-                          f"{failure}")
+            warnings.warn(f"dropping epoch at line {mark + 1}: {failure}")
     return header, epochs
 
 

@@ -673,6 +673,7 @@ class TestSatStateOracle:
              "unobserved-times", "quoted-fields", "blank-lines", "nan-rows"]
     BAD_ROWS = {"bad-number": (5, 4, "1.5e"), "bad-satellite": (7, 1, "X01"),
                 "blank-satellite": (2, 1, ""), "short-row": (3, None, None),
+                "long-bad-satellite": (4, 1, "X01" + "0" * 20),
                 "bad-time": (9, 0, "1:00")}
 
     @pytest.fixture(scope="class")
