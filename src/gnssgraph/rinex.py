@@ -222,9 +222,7 @@ _KEYS = 100 * len(Constellation)      # every satellite key is below it
 
 @lru_cache(maxsize=8)
 def _record_type(slots: int) -> np.dtype:
-    """A record line of `slots` codes as a structured string: its ID, then
-    per code a 14-character value and the code points of its LLI and
-    signal-strength characters."""
+    """The structured dtype that views a record line of `slots` codes."""
     return np.dtype([("sat", "U3"), ("obs", [("value", "U14"),
                                              ("flags", np.uint32, 2)],
                                      slots)])
@@ -234,8 +232,7 @@ def _record_type(slots: int) -> np.dtype:
 def _satellite(text: str, codes: frozenset, channels: frozenset):
     """(key, wavelength, the last code of C, L and D or -1, then each
     code's kind: 1-3 for C, L, D, else 4) of a record's ID under a header's
-    codes and GLONASS channels, as items; None to skip; a bad ID's
-    message."""
+    codes and GLONASS channels, as items; None to skip; a bad ID's message."""
     if text[:1] not in _SYSTEMS:
         return None
     try:
@@ -344,10 +341,10 @@ def parse_rinex_obs(stream) -> tuple[RinexHeader, list[Epoch]]:
     kind, last = info[:, 5:], info[:, 2:5].astype(int)
     value, flags = table["obs"]["value"], table["obs"]["flags"]
     read = kind > 0
+    number = np.zeros(read.shape)
     # record -> 3 * code + 0, 1 or 2 for its first bad value, LLI or
     # signal strength; -1 for a bad ID
     bad = dict.fromkeys((kind[:, 0] < 0).nonzero()[0].tolist(), -1)
-    number = np.zeros(read.shape)
     number[read], refused, blank = _floats(value[read].tolist())
     if refused or blank:
         record, code = read.nonzero()      # of each value read
