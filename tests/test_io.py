@@ -639,8 +639,8 @@ class TestSatStateCsvEdges:
 
 
 def sidecar_variant(rows, case):
-    """The sidecar rows (header first, lists of fields) changed as `case`
-    names, as lists of fields or of lines of text."""
+    """The sidecar rows (header first, each a list of fields) changed as
+    `case` names."""
     header, body = rows[0], rows[1:]
     if case == "columns-in-another-order":
         order = [9, 3, 1, 0, 8, 2, 7, 6, 5, 4]
