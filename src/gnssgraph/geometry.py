@@ -10,7 +10,10 @@ iterate, every epoch without an error at once. SPP's last located
 geometry, each epoch seen from where its last step was computed (from
 its fix, if it stopped earlier), is the one that Doppler velocity,
 TR-RTK and the graph's pseudorange factors use: nothing after SPP
-locates the session again. A one-epoch caller passes one epoch.
+locates the session again. Every estimator takes the rows `usable(mask)`
+at the one mask of `SolverConfig`: a satellite below it or outside a
+delay model is left out, never an error. A one-epoch caller passes one
+epoch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .atmosphere import (MIN_ELEVATION, KlobucharParams, TropoModel,
 from .constants import CLIGHT
 from .coords import (check_ranges, ecef_to_geodetic, elevation_azimuth,
                      unchecked_lines_of_sight)
-from .errors import ElevationTooLow, GnssError, LengthMismatch
+from .errors import DegenerateGeometry, LengthMismatch
 from .types import STATE_COLUMNS
 
 
@@ -46,7 +49,7 @@ class EpochGeometry:
     `corrected_code`, the pseudorange with the satellite clock and the
     modeled atmosphere removed [m]. A delay is zero without its model
     and NaN where its model is undefined: iono below the horizon, tropo
-    at or below 1 deg (see `require_delays`). Every row is computed
+    at or below 1 deg; such a row is not `usable`. Every row is computed
     from its own epoch's values alone, so an epoch gets the same bits
     in any session.
     """
@@ -113,39 +116,20 @@ class EpochGeometry:
         self.corrected_code = (self.code + CLIGHT * self.clock_bias
                                - self.iono - self.tropo)
 
-    def above(self, mask: float) -> np.ndarray:
-        """Bool per row: the satellite is at or above elevation `mask`."""
-        return self.elevation >= mask
+    def usable(self, mask: float) -> np.ndarray:
+        """Bool per row: an observation of SPP, Doppler, TR-RTK and the
+        graph, at or above elevation `mask` with both delays defined."""
+        return ((self.elevation >= mask) & ~np.isnan(self.iono)
+                & ~np.isnan(self.tropo))
 
-    def require_ranges(self, rows) -> None:
-        """Raise DegenerateGeometry if a satellite of `rows` is closer
-        than 1000 km, as `line_of_sight` does."""
-        check_ranges(self._distance[rows])
-
-    def require_delays(self, rows) -> None:
-        """Raise what the delay models raise for a satellite of `rows`
-        outside their domain: ValueError below the horizon (Klobuchar),
-        ElevationTooLow at or below 1 deg (Saastamoinen)."""
-        if np.isnan(self.iono[rows]).any():
-            raise ValueError("elevation must be non-negative")
-        low = np.isnan(self.tropo[rows])
-        if low.any():
-            lowest = np.degrees(self.elevation[rows][low].min())
-            raise ElevationTooLow(f"elevation {lowest:.2f} deg below 1 deg")
-
-    def failures(self, rows, checks) -> dict:
-        """Epoch index -> the error that the first of `checks` (such as
-        `require_ranges`, `require_delays`) raises for that epoch's rows
-        among `rows` (bool), for each epoch where one raises."""
-        suspect = rows & ((self._distance < 1e6) | np.isnan(self.iono)
-                          | np.isnan(self.tropo))
-        errors = {}
-        for e in np.unique(self.epoch[suspect]).tolist():
-            own = rows & (self.epoch == e)
-            for check in checks:
-                try:
-                    check(own)
-                except (GnssError, ValueError) as exc:
-                    errors[e] = exc
-                    break
-        return errors
+    def range_faults(self, mask: float) -> dict:
+        """Epoch index -> DegenerateGeometry, as `line_of_sight` raises
+        it, for each epoch with a `usable(mask)` satellite closer than
+        1000 km; every estimator stops on these epochs."""
+        rows, faults = self.usable(mask), {}
+        for e in np.unique(self.epoch[rows & (self._distance < 1e6)]).tolist():
+            try:
+                check_ranges(self._distance[rows & (self.epoch == e)])
+            except DegenerateGeometry as exc:
+                faults[e] = exc
+        return faults

@@ -152,10 +152,11 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
     loop closures. Node positions start at the epoch-0 point solution
     plus accumulated velocity increments, node clocks at the SPP clocks
     (GPS, then each observed system's bias to it). The pseudorange
-    factors are the geometry's rows above `solver`'s elevation mask,
-    linearized and corrected with its delay models where each epoch is
-    located, and weighted as `solver` weights the point solutions;
-    without `use_pseudorange` there are none. The optimizer
+    factors are the geometry's `usable` rows at `solver`'s elevation
+    mask, linearized and corrected with its delay models where each
+    epoch is located, and weighted as `solver` weights the point
+    solutions; the earliest of its `range_faults` is raised. Without
+    `use_pseudorange` there are none. The optimizer
     relinearizes a row once its node lies RELINEARIZE_THRESHOLD from
     that point.
     """
@@ -194,11 +195,10 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
         time_difference=trrtk.time_difference[fixed],
         information=solve_normals(trrtk.covariance[fixed])[0])
 
-    rows = geometry.above(solver.elevation_mask) & use_pseudorange
-    failed = geometry.failures(rows, (geometry.require_delays,
-                                      geometry.require_ranges))
-    if failed:
-        raise failed[min(failed)]
+    rows = geometry.usable(solver.elevation_mask) & use_pseudorange
+    faults = geometry.range_faults(solver.elevation_mask)
+    if faults and use_pseudorange:
+        raise faults[min(faults)]
     node, slot = geometry.epoch[rows], geometry.slot[rows]
     offsets = (geometry.position - reference)[node]
     measured = geometry.corrected_code[rows]

@@ -121,7 +121,7 @@ def solve_trajectory(epochs, sat_states,
 
     trrtk = TrRtkPairs.unsolved(np.zeros((0, 2), int), np.zeros(0))
     if config.use_trrtk:
-        session = epoch_corrections(located, config.trrtk)
+        session = epoch_corrections(located, config.solver.elevation_mask)
         # the median spacing: one gap does not change the time step
         interval = float(np.median(steps)) if steps else 1.0
         trrtk = solve_pairs(session,

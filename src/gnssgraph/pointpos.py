@@ -18,7 +18,6 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,8 @@ UNKNOWNS = 3 + len(CONSTELLATIONS)
 
 @dataclass(slots=True)
 class SolverConfig(Checked):
-    """Tunables shared by the epoch-wise estimators."""
+    """Tunables shared by the epoch-wise estimators; `elevation_mask` is
+    the one mask of a solve, of every stage (`EpochGeometry.usable`)."""
 
     elevation_mask: float = setting(np.radians(15.0), 0.0, np.pi / 2)
     sigma_a: float = 0.3           # pseudorange variance floor term [m]
@@ -61,24 +61,13 @@ class SppSolution:
     """A session's SPP fixes, row e of each array epoch e's, and the
     session `geometry` that SPP located at its last iterate: each epoch
     seen from where its last step was computed, or from its fix if it
-    stopped earlier (NaN rows if it erred before). `covariance`
-    (n, 7, 7), of the position and 4 clock slots, is formed from
-    `normal` when it is first read."""
+    stopped earlier (NaN rows if it erred before)."""
 
     position: np.ndarray           # (n, 3) [m ECEF]
     clock: np.ndarray              # (n, 4) [m] per slot, 0 if unobserved
-    normal: np.ndarray             # (n, 7, 7) the last step's normals
     used: np.ndarray               # (n, 4) satellites per slot, 0 if none
     errors: dict                   # epoch -> the GnssError it raised
     geometry: EpochGeometry | None = None
-
-    @cached_property
-    def covariance(self) -> np.ndarray:
-        observed = self.used > 0
-        kept = np.concatenate([np.ones((len(observed), 3), dtype=bool),
-                               observed], axis=1)
-        return np.where(kept[:, :, None] & kept[:, None, :],
-                        solve_normals(self.normal)[0], 0.0)
 
 
 @dataclass
@@ -200,25 +189,26 @@ def solve_spp(geometry: EpochGeometry,
     epoch of the unlocated session geometry `geometry`.
 
     Unknowns per epoch are the 3D position plus one clock bias per
-    constellation it observes (GPS always). Each epoch starts from
-    Bancroft's closed-form fix of its own rows (see `_bancroft`), with
-    no mask, atmosphere or weights and one clock; an epoch with fewer
-    than 4 satellites of known state gets InsufficientSatellites, and
-    one whose fix is singular SingularGeometry. The iterations run in
-    lockstep: each locates the geometry afresh at the current position
-    of every epoch without an error, so the atmosphere is corrected with
-    its delay models, and steps the epochs still iterating, each until
-    its position update is below `config.convergence`. Returns the
-    SppSolution table, whose geometry is the last iterate's; the rows of
-    an epoch in its `errors` hold no fix, and those errors are
-    InsufficientSatellites, SingularGeometry, NoConvergence, or what the
-    geometry raises for the epoch's satellites.
+    constellation it observes (GPS always), from the rows
+    `EpochGeometry.usable` gives at `config.elevation_mask`. Each epoch
+    starts from Bancroft's closed-form fix of its own rows (see
+    `_bancroft`), with no mask, atmosphere or weights and one clock; an
+    epoch with fewer than 4 satellites of known state gets
+    InsufficientSatellites, and one whose fix is singular
+    SingularGeometry. The iterations run in lockstep: each locates the
+    geometry afresh at the current position of every epoch without an
+    error, so the atmosphere is corrected with its delay models, and
+    steps the epochs still iterating, each until its position update is
+    below `config.convergence`. Returns the SppSolution table, whose
+    geometry is the last iterate's; the rows of an epoch in its `errors`
+    hold no fix, and those errors are InsufficientSatellites,
+    SingularGeometry, NoConvergence, or the epoch's range fault
+    (`EpochGeometry.range_faults`).
     """
     config = config or SolverConfig()
     n = len(geometry.times)
     position, _, errors = _bancroft(geometry)
-    # the last solved step's normal matrix and clocks of each epoch
-    normal = np.tile(np.eye(UNKNOWNS), (n, 1, 1))
+    # the last solved step's clocks and satellite counts of each epoch
     clock = np.zeros((n, len(CONSTELLATIONS)))
     count = np.zeros((n, len(CONSTELLATIONS)), dtype=int)
     active = ~_marked(n, errors)
@@ -238,7 +228,7 @@ def solve_spp(geometry: EpochGeometry,
         located = None
         located = geometry.at(np.where(alive[:, None], position, np.nan))
         ok = active & alive
-        used = located.above(config.elevation_mask) & ok[geometry.epoch]
+        used = located.usable(config.elevation_mask) & ok[geometry.epoch]
         epoch, slot = geometry.epoch[used], geometry.slot[used]
         used_count = np.bincount(
             epoch * len(CONSTELLATIONS) + slot,
@@ -252,9 +242,8 @@ def solve_spp(geometry: EpochGeometry,
                      for k in np.flatnonzero(observed[e])]
             errors[e] = InsufficientSatellites(
                 f"{used_count[e].sum()} usable satellites, systems {names}")
-        errors.update(located.failures(
-            used & ~short[geometry.epoch],
-            (located.require_ranges, located.require_delays)))
+        errors.update((e, fault) for e, fault in located.range_faults(
+            config.elevation_mask).items() if ok[e] and not short[e])
         ok &= ~_marked(n, errors)
         rows = used & ok[geometry.epoch]
 
@@ -266,18 +255,17 @@ def solve_spp(geometry: EpochGeometry,
         a[np.arange(len(a)), 3 + geometry.slot[rows]] = 1.0
         weights = 1.0 / pseudorange_variance(located.elevation[rows],
                                              config=config)
-        step_normal, rhs = _normals(
+        normal, rhs = _normals(
             geometry, rows, a, weights,
             located.corrected_code[rows] - located.range[rows])
         # an unobserved clock slot has no row: a unit diagonal entry
         # keeps its step 0, and any positive one passes the pivot rule
         free_epoch, free_slot = np.nonzero(~observed)
-        step_normal[free_epoch, 3 + free_slot, 3 + free_slot] = 1.0
-        step, ok = _solve(step_normal, rhs, ok, errors,
+        normal[free_epoch, 3 + free_slot, 3 + free_slot] = 1.0
+        step, ok = _solve(normal, rhs, ok, errors,
                           "normal matrix singular")
         position[ok] += step[ok, :3]
-        normal[ok], clock[ok], count[ok] = (step_normal[ok], step[ok, 3:],
-                                            used_count[ok])
+        clock[ok], count[ok] = step[ok, 3:], used_count[ok]
         active = ok & ~(np.linalg.norm(step[:, :3], axis=1)
                         < config.convergence)
         if not active.any():
@@ -286,8 +274,8 @@ def solve_spp(geometry: EpochGeometry,
         errors[e] = NoConvergence(
             "SPP did not converge within iteration budget")
 
-    return SppSolution(position, np.where(count > 0, clock, 0.0), normal,
-                       count, errors, located)
+    return SppSolution(position, np.where(count > 0, clock, 0.0), count,
+                       errors, located)
 
 
 def _lorentz(p, q):
@@ -349,21 +337,21 @@ def solve_doppler_velocity(geometry: EpochGeometry,
     `geometry`, each epoch's satellites seen from its receiver position.
 
     Measured range rate is -wavelength * doppler; the model is
-    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat. No delay model
-    enters, so the geometry's models do not matter. Returns the
+    (v_sat - v_user) . u + drift_rcv_m - c * drift_sat, over the rows
+    `EpochGeometry.usable` gives at `config.elevation_mask`; no delay
+    model enters otherwise. Returns the
     VelocitySolution table; the rows of an epoch in its `errors`
     (InsufficientSatellites, DegenerateGeometry, SingularGeometry) hold
     no velocity.
     """
     config = config or SolverConfig()
     n = len(geometry.times)
-    used = geometry.above(config.elevation_mask)
+    used = geometry.usable(config.elevation_mask)
     count = np.bincount(geometry.epoch[used], minlength=n)
-    errors = {e: InsufficientSatellites(
-                  f"{count[e]} usable satellites for velocity")
-              for e in np.flatnonzero(count < 4).tolist()}
-    errors.update(geometry.failures(used & (count >= 4)[geometry.epoch],
-                                    (geometry.require_ranges,)))
+    # an epoch short of satellites keeps that error, not its range fault
+    errors = geometry.range_faults(config.elevation_mask) | {
+        e: InsufficientSatellites(f"{count[e]} usable satellites for velocity")
+        for e in np.flatnonzero(count < 4).tolist()}
     ok = ~_marked(n, errors)
     rows = used & ok[geometry.epoch]
 

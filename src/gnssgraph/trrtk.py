@@ -82,7 +82,6 @@ class TrRtkConfig(Checked):
     # zenith sigmas of one measurement [m]
     phase_sigma: float = setting(0.003, above=0.0)
     code_sigma: float = setting(0.5, above=0.0)
-    elevation_mask: float = setting(np.radians(15.0), 0.0, np.pi / 2)
     # anchor-position error prior [m]
     position_prior_sigma: float = setting(3.0, above=0.0)
 
@@ -156,21 +155,18 @@ class SessionArrays:
 
 
 def epoch_corrections(located: EpochGeometry,
-                      config: TrRtkConfig | None = None) -> SessionArrays:
+                      mask: float = np.radians(15.0)) -> SessionArrays:
     """The rows of `located` scattered onto the session grid. Lock count,
     phase and wavelength come from every row; the corrections (line of
     sight and range, elevation, modeled iono and tropo delay, and
     pseudorange with the satellite clock and modeled atmosphere removed)
-    only from the rows a double difference can use: above the elevation
-    mask and within the atmosphere models, as `located` has them at its
-    receiver positions, which are the pairs' linearization points. The
-    earliest epoch's delay-model error is raised."""
-    config = config or TrRtkConfig()
-    # a satellite the troposphere model rejects (ElevationTooLow) is left out
-    rows = located.above(config.elevation_mask) & ~np.isnan(located.tropo)
-    failed = located.failures(rows, (located.require_delays,))
-    if failed:
-        raise failed[min(failed)]
+    only from the rows `located.usable(mask)` gives, the `usable` cells,
+    as `located` has them at its receiver positions, which are the
+    pairs' linearization points. The earliest range fault of
+    `located.range_faults(mask)` is raised."""
+    rows, faults = located.usable(mask), located.range_faults(mask)
+    if faults:
+        raise faults[min(faults)]
     _, first, column = np.unique(located.sats, return_index=True,
                                  return_inverse=True)
     starts = np.flatnonzero(np.diff(located.slot[first], prepend=-1))
@@ -258,15 +254,14 @@ def _double_differences(s: SessionArrays, past, current, locked,
     that both epochs' corrections hold. Carrier phase enters
     time-differenced, with the satellite clocks' change left in it;
     pseudorange enters per epoch with the satellite clock corrected,
-    which keeps the anchor position observable. The reference is the
-    highest satellite of each constellation at the current epoch (the
-    last in sort order on a tie), and only satellites on its carrier
-    wavelength are differenced against it (cross-channel GLONASS DD
-    ambiguities would not be integer). `terms`: `_epoch_terms` of `s`."""
+    which keeps the anchor position observable. Each satellite is
+    differenced against the highest of its constellation at the current
+    epoch (the last in sort order on a tie), a GLONASS one whatever its
+    FDMA carrier: every DD integer is held at 0, and the receiver clock
+    in metres is common to all carriers. `terms`: `_epoch_terms` of `s`."""
     phase_variance, code_variance, sight = terms or _epoch_terms(s, config)
     n = np.arange(len(past))[:, None]
     usable = locked & s.usable[past] & s.usable[current]
-    wavelength = s.wavelength[current]
     refs = np.zeros((len(past), len(s.spans)), int)
     for g, (a, b) in enumerate(s.spans):
         height = np.where(usable[:, a:b], s.elevation[current, a:b], -np.inf)
@@ -274,8 +269,7 @@ def _double_differences(s: SessionArrays, past, current, locked,
     # each column's constellation, whose reference value it takes
     group = np.repeat(np.arange(len(s.spans)), [b - a for a, b in s.spans])
     reference = refs[:, group]
-    rows = usable & (reference != np.arange(usable.shape[1])) & (
-        np.abs(wavelength - wavelength[n, reference]) <= 1e-12)
+    rows = usable & (reference != np.arange(usable.shape[1]))
     used = rows.copy()
     used[n, refs] |= np.logical_or.reduceat(rows, [a for a, _ in s.spans], 1)
     # phase carries -iono, +tropo

@@ -96,3 +96,12 @@ def test_numpy_numbers_pass():
     numbers."""
     assert SolverConfig(elevation_mask=np.radians(90.0),
                         max_iterations=np.int64(3)).max_iterations == 3
+
+
+def test_no_setting_of_a_solve_is_named_twice():
+    """Each setting of a solve is set in one place: no field name of
+    `PipelineConfig` appears again in its `solver:` or `trrtk:` section,
+    nor one of those sections' names in the other."""
+    names = [f.name for config in (PipelineConfig, SolverConfig, TrRtkConfig)
+             for f in fields(config)]
+    assert sorted({name for name in names if names.count(name) > 1}) == []

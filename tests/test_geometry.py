@@ -1,19 +1,23 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from gnssgraph.atmosphere import (KlobucharParams, TropoModel, klobuchar_delay,
                                   saastamoinen_delay)
 from gnssgraph.constants import CLIGHT
-from gnssgraph.coords import (elevation_azimuth, enu_rotation, geodetic_to_ecef,
-                              line_of_sight)
-from gnssgraph.errors import DegenerateGeometry, ElevationTooLow
+from gnssgraph.coords import (ecef_to_geodetic, elevation_azimuth,
+                              enu_rotation, geodetic_to_ecef, line_of_sight)
+from gnssgraph.errors import DegenerateGeometry
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
-from gnssgraph import pipeline
+from gnssgraph import pipeline, pointpos
+from gnssgraph.graph import build_graph
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
-from gnssgraph.pointpos import SolverConfig, solve_doppler_velocity
+from gnssgraph.pointpos import (SolverConfig, solve_doppler_velocity,
+                                solve_spp)
 from gnssgraph.sim import ScenarioConfig, TrajectoryConfig, run_scenario
-from gnssgraph.trrtk import epoch_corrections
+from gnssgraph.trrtk import TrRtkPairs, epoch_corrections
 from gnssgraph.types import (CONSTELLATION_INDEX, Constellation, Epoch,
                              GeodeticPosition, SatelliteId)
 from sessions import row_of
@@ -95,23 +99,28 @@ class TestEpochGeometry:
                           TropoModel()).at([origin])
         assert np.isfinite(g.iono[:2]).all() and np.isnan(g.iono[2])
         assert np.isfinite(g.tropo[0]) and np.isnan(g.tropo[1:]).all()
-        g.require_delays(np.array([0]))
-        with pytest.raises(ElevationTooLow):
-            g.require_delays(np.array([0, 1]))
-        with pytest.raises(ValueError):
-            g.require_delays(np.array([0, 2]))
-        assert list(np.flatnonzero(g.above(np.radians(15.0)))) == [0]
+        # a row outside a delay model's domain is no observation at any
+        # mask; without the models, only the mask decides
+        for mask in (0.0, 15.0):
+            assert g.usable(np.radians(mask)).tolist() == [True, False, False]
+        iono = EpochGeometry([epoch], [states],
+                             KlobucharParams.typical()).at([origin])
+        assert iono.usable(np.radians(-10.0)).tolist() == [True, True, False]
+        plain = EpochGeometry([epoch], [states]).at([origin])
+        assert plain.usable(0.0).tolist() == [True, True, False]
+        assert plain.usable(np.radians(61.0)).tolist() == [False] * 3
 
-    def test_range_check_covers_the_rows_a_consumer_uses(self):
+    def test_range_faults_cover_the_usable_rows(self):
         """A satellite 500 km away is implausible; below the mask it is
-        not used, so it is not checked."""
+        no observation, so it is no fault."""
         close = [2e7] * 4 + [5e5]
         epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 5.0],
                                           close)
         g = EpochGeometry([epoch], [states]).at([origin])
-        g.require_ranges(g.above(np.radians(15.0)))
-        with pytest.raises(DegenerateGeometry):
-            g.require_ranges(np.arange(5))
+        assert g.range_faults(np.radians(15.0)) == {}
+        fault = g.range_faults(0.0)[0]
+        assert type(fault) is DegenerateGeometry
+        assert str(fault) == "satellite range 500000 m implausible"
         assert solve_doppler_velocity(g).errors == {}
         epoch, states, origin = sky_epoch([80.0, 60.0, 45.0, 20.0, 30.0],
                                           close)
@@ -133,6 +142,138 @@ class TestEpochGeometry:
             assert s.elevation[0, k] == g.elevation[k]
             assert (s.iono[0, k], s.tropo[0, k]) == (g.iono[k], g.tropo[k])
             assert s.code[0, k] == g.corrected_code[k]
+
+
+GPS_GAL = {Constellation.GPS: 31, Constellation.GAL: 24}
+
+
+def with_satellite(truth, epochs, states, elevation_deg, distance=2.2e7,
+                   only=None):
+    """The session with one more GPS satellite, PRN 32, at
+    `elevation_deg` and `distance` from each epoch's truth position (or
+    only in the epochs `only`). Its state copies the first satellite's
+    clock, and its measurements are that satellite's with the code moved
+    by the difference of the two ranges, so Bancroft's fix, which takes
+    every row, stays where it was."""
+    key = SatelliteId(Constellation.GPS, 32).key
+    epochs, states = list(epochs), list(states)
+    for e in range(len(epochs)) if only is None else only:
+        site = ecef_to_geodetic(truth[e].position)
+        az, el = np.radians(200.0), np.radians(elevation_deg)
+        sat = truth[e].position + distance * (enu_rotation(site).T @ [
+            np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), np.sin(el)])
+        epoch, k = epochs[e], int(np.searchsorted(epochs[e].sats, key))
+        shift = (np.linalg.norm(sat - truth[e].position)
+                 - np.linalg.norm(states[e][0, :3] - truth[e].position))
+        row = {f.name: getattr(epoch, f.name)[0] for f in fields(epoch)
+               if f.name != "time"}
+        row.update(sats=key, code=row["code"] + shift)
+        epochs[e] = replace(epoch, **{name: np.insert(
+            getattr(epoch, name), k, value) for name, value in row.items()})
+        states[e] = np.insert(states[e], k, np.concatenate(
+            [sat, np.zeros(3), states[e][0, 6:]]), axis=0)
+    return epochs, states
+
+
+@pytest.fixture(scope="module")
+def static_session():
+    """A static GPS+GAL session of 21 epochs, its truth and its delay
+    models."""
+    cfg = ScenarioConfig(duration=20.0, counts=GPS_GAL, seed=1)
+    truth, epochs, states = run_scenario(cfg)
+    return cfg, truth, epochs, states
+
+
+def test_a_satellite_outside_the_delay_models_is_left_out_at_mask_zero(
+        static_session):
+    """At a mask of 0, a satellite at 0.5 deg, where the troposphere
+    model is undefined, is no observation of any stage: the session
+    solves as it does without it, where it once aborted SPP with
+    ElevationTooLow."""
+    cfg, truth, epochs, states = static_session
+    config = PipelineConfig(iono=cfg.iono, tropo=cfg.tropo,
+                            solver=SolverConfig(elevation_mask=0.0))
+    low = solve_trajectory(*with_satellite(truth, epochs, states, 0.5),
+                           config)
+    plain = solve_trajectory(epochs, states, config)
+    assert len(low.trrtk.pairs) == 16 and low.trrtk.fixed.all()
+    assert np.abs(low.positions - plain.positions).max() < 1e-3
+    error = low.positions - np.array([r.position for r in truth])
+    assert np.linalg.norm(error, axis=1).max() < 1.0
+
+
+class TestOneObservationRule:
+    """SPP, Doppler, the TR-RTK grid and the pseudorange factors take the
+    same rows of a located geometry, `usable(mask)`, and stop on the same
+    epochs' range faults."""
+
+    @pytest.mark.parametrize("mask_deg", [0.0, 15.0])
+    def test_every_stage_takes_the_usable_rows(self, static_session,
+                                               mask_deg, monkeypatch):
+        cfg, truth, epochs, states = static_session
+        epochs, states = with_satellite(truth, epochs, states, 0.5)
+        solver = SolverConfig(elevation_mask=np.radians(mask_deg))
+        spp = solve_spp(EpochGeometry(epochs, states, cfg.iono, cfg.tropo),
+                        solver)
+        located = spp.geometry
+        usable = located.usable(solver.elevation_mask)
+        low = located.sats == SatelliteId(Constellation.GPS, 32).key
+        assert low.sum() == len(epochs) and not usable[low].any()
+        # at 0 deg each simulated satellite (masked at 5 deg) is an
+        # observation, at 15 deg not each
+        assert (usable.sum() == (~low).sum()) == (mask_deg == 0.0)
+        count = np.zeros_like(spp.used)
+        np.add.at(count, (located.epoch[usable], located.slot[usable]), 1)
+        assert spp.errors == {} and np.array_equal(spp.used, count)
+
+        taken, normals = [], pointpos._normals
+
+        def recording(geometry, rows, *args):
+            taken.append(rows)
+            return normals(geometry, rows, *args)
+        monkeypatch.setattr(pointpos, "_normals", recording)
+        velocities = solve_doppler_velocity(located, solver)
+        monkeypatch.undo()
+        assert len(taken) == 1 and np.array_equal(taken[0], usable)
+
+        s = epoch_corrections(located, solver.elevation_mask)
+        column = [s.sats.index(SatelliteId.from_key(key))
+                  for key in located.sats.tolist()]
+        assert np.array_equal(s.usable[located.epoch, column], usable)
+
+        graph = build_graph(located, velocities, spp, TrRtkPairs.unsolved(
+            np.zeros((0, 2), int), np.zeros(0)), solver)
+        rows = graph.pseudorange_factors
+        assert rows.node.tolist() == located.epoch[usable].tolist()
+        assert rows.sat.tolist() == located.sats[usable].tolist()
+
+    def test_every_stage_stops_on_the_same_range_faults(self,
+                                                        static_session):
+        cfg, truth, epochs, states = static_session
+        solver = SolverConfig()
+        spp = solve_spp(EpochGeometry(epochs, states, cfg.iono, cfg.tropo))
+        velocities = solve_doppler_velocity(spp.geometry)
+        # epoch 3 sees a satellite 500 km away, 45 deg up
+        epochs, states = with_satellite(truth, epochs, states, 45.0, 5e5,
+                                        only=[3])
+        satellites = EpochGeometry(epochs, states, cfg.iono, cfg.tropo)
+        located = satellites.at([r.position for r in truth])
+        faults = located.range_faults(solver.elevation_mask)
+        assert list(faults) == [3]
+        message = str(faults[3])
+        assert message == "satellite range 500000 m implausible"
+        got = solve_spp(satellites, solver).errors
+        assert list(got) == [3] and type(got[3]) is DegenerateGeometry
+        got = solve_doppler_velocity(located, solver).errors
+        assert {e: str(x) for e, x in got.items()} == {3: message}
+        with pytest.raises(DegenerateGeometry, match=message):
+            epoch_corrections(located, solver.elevation_mask)
+        empty = TrRtkPairs.unsolved(np.zeros((0, 2), int), np.zeros(0))
+        with pytest.raises(DegenerateGeometry, match=message):
+            build_graph(located, velocities, spp, empty, solver)
+        graph = build_graph(located, velocities, spp, empty, solver,
+                            use_pseudorange=False)
+        assert len(graph.pseudorange_factors) == 0
 
 
 @pytest.mark.parametrize("use_trrtk", [True, False], ids=["trrtk", "notr"])

@@ -1002,15 +1002,14 @@ class TestConfigYaml:
                                                np.radians(180.0), 50.0)
         assert type(back.origin.height) is float
 
-    @pytest.mark.parametrize("section", ["solver", "trrtk"])
     @pytest.mark.parametrize("value, shown", [
         ("200", "200"), ("-1", "-1"), ("true", "True"), (".nan", "nan")])
-    def test_refused_mask_is_stated_in_degrees(self, section, value, shown):
+    def test_refused_mask_is_stated_in_degrees(self, value, shown):
         """A mask outside [0, 90] degrees, or not a number, is refused
         under its own key, with its value and bounds in degrees."""
         with pytest.raises(IoFailure) as refused:
             load_pipeline_yaml(io.StringIO(
-                f"iono: null\n{section}: {{elevation_mask_deg: {value}}}"))
+                f"iono: null\nsolver: {{elevation_mask_deg: {value}}}"))
         assert str(refused.value).endswith(
             "elevation_mask_deg must be a finite number >= 0 and <= 90, "
             f"not {shown}")
@@ -1051,10 +1050,13 @@ pair_lattice: [5, 10]
         assert config.pair_lattice == (5.0, 10.0)
 
     def test_pipeline_settings_have_one_key_each(self):
-        """The delay models and the observation spacing are set once for
-        the whole solve, so the trrtk section has no key for them; the
-        top-level use_pseudorange is the pipeline's."""
-        for text in ("trrtk: {interval: 5}", "trrtk: {iono: null}"):
+        """The delay models, the observation spacing and the elevation
+        mask are set once for the whole solve, so the trrtk section has
+        no key for them; the top-level use_pseudorange is the
+        pipeline's."""
+        for text in ("trrtk: {interval: 5}", "trrtk: {iono: null}",
+                     "trrtk: {elevation_mask_deg: 15}",
+                     "trrtk: {elevation_mask_deg: 200}"):
             with pytest.raises(IoFailure):
                 load_pipeline_yaml(io.StringIO("tropo: null\n" + text))
         config = load_pipeline_yaml(io.StringIO("iono: null\n"

@@ -7,10 +7,9 @@ import pytest
 
 from gnssgraph.errors import InsufficientSatellites
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.pointpos import (SolverConfig, SppSolution, _bancroft,
-                                _normals, pseudorange_variance,
-                                solve_doppler_velocity, solve_normals,
-                                solve_spp)
+from gnssgraph.pointpos import (SolverConfig, _bancroft, _normals,
+                                pseudorange_variance, solve_doppler_velocity,
+                                solve_normals, solve_spp)
 from gnssgraph.sim import (NoiseConfig, ReceiverClockConfig, ScenarioConfig,
                            TrajectoryConfig, run_scenario)
 from gnssgraph.trrtk import TrRtkConfig
@@ -33,16 +32,13 @@ def scenario(**overrides):
 
 
 def alone(table):
-    """The one row of each array of a one-epoch session's table, an SPP
-    table's covariance with them, its error raised."""
+    """The one row of each array of a one-epoch session's table, its
+    error raised."""
     if 0 in table.errors:
         raise table.errors[0]
-    names = [f.name for f in fields(table)
-             if f.name not in ("errors", "geometry")]
-    if isinstance(table, SppSolution):
-        names.append("covariance")
-    return SimpleNamespace(**{name: getattr(table, name)[0]
-                              for name in names})
+    return SimpleNamespace(**{f.name: getattr(table, f.name)[0]
+                              for f in fields(table)
+                              if f.name not in ("errors", "geometry")})
 
 
 GPS, GAL = (CONSTELLATION_INDEX[c] for c in (Constellation.GPS,
@@ -145,13 +141,6 @@ class TestSpp:
         small, small_states = take(epochs[0], states[0], slice(3))
         with pytest.raises(InsufficientSatellites):
             spp_alone(small, small_states)
-
-    def test_covariance_psd(self):
-        cfg = scenario(noise=NoiseConfig(0.5, 0.003, 0.05))
-        _, epochs, states = run_scenario(cfg)
-        sol = spp_alone(epochs[0], states[0])
-        assert np.allclose(sol.covariance, sol.covariance.T)
-        assert np.all(np.linalg.eigvalsh(sol.covariance) >= -1e-12)
 
     def test_residual_weighted_mean_zero_per_system(self):
         from gnssgraph.constants import CLIGHT
@@ -402,7 +391,7 @@ class TestSppSession:
             alone_k = solve_spp(EpochGeometry([epochs[k]], [states[k]],
                                               cfg.iono, cfg.tropo),
                                 self.CONFIG)
-            for name in ("position", "covariance", "clock", "used"):
+            for name in ("position", "clock", "used"):
                 assert getattr(table, name)[k].tobytes() == (
                     getattr(alone_k, name)[0].tobytes()), name
 

@@ -11,6 +11,7 @@ from gnssgraph.errors import (DegenerateGeometry, InsufficientSatellites,
                               SingularGeometry, WindowExceeded)
 from gnssgraph.geometry import EpochGeometry
 from gnssgraph.gnsstime import GpsTime
+from gnssgraph.metrics import compute_rpe
 from gnssgraph.pipeline import (PipelineConfig, lattice_pairs,
                                 solve_trajectory)
 from gnssgraph.pointpos import SolverConfig, solve_spp
@@ -120,7 +121,7 @@ class TestSessionGrid:
         for name in ("lock", "phase", "wavelength"):
             assert (getattr(s, name)[cells].tobytes()
                     == getattr(g, name).tobytes()), name
-        mask = g.above(TrRtkConfig().elevation_mask) & ~np.isnan(g.tropo)
+        mask = g.usable(SolverConfig().elevation_mask)
         assert 0 < mask.sum() < len(mask)
         assert np.array_equal(s.usable[cells], mask)
         cells = (g.epoch[mask], column[mask])
@@ -1091,3 +1092,34 @@ class TestShermanMorrison:
                                 1.0 / ref[None, None], spans,
                                 _workspace((1, 7, 1, m), len(spans)))[0]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_glonass_is_differenced_across_channels(seed):
+    """A GPS+GLONASS square fixes as a multi-GNSS one does: its GLONASS
+    satellites, each on its own FDMA carrier, are differenced against
+    the constellation's reference whatever its channel, since every DD
+    integer is held at 0 and the receiver clock in metres is common to
+    every carrier. At least 95% of the pairs fix, the RPE is within
+    criterion 1's bounds, and every fixed baseline is within three times
+    sqrt(trace) of its covariance."""
+    square = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
+    cfg = ScenarioConfig(
+        duration=200.0, seed=seed,
+        counts={Constellation.GPS: 31, Constellation.GLO: 24},
+        trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                    waypoints=square))
+    truth, epochs, states = run_scenario(cfg)
+    result = solve_trajectory(epochs, states, PipelineConfig(
+        iono=cfg.iono, tropo=cfg.tropo))
+    truth = np.array([r.position for r in truth])
+    table = result.trrtk
+    fixed = int(table.fixed.sum())
+    assert fixed >= 0.95 * len(table.pairs), f"{fixed} of {len(table.pairs)}"
+    mean, peak, _ = compute_rpe(result.positions, truth)
+    assert mean <= 0.05 and peak <= 0.10
+    past, current = table.pairs[table.fixed].T
+    error = np.linalg.norm(table.baseline[table.fixed]
+                           - (truth[current] - truth[past]), axis=1)
+    sigma = np.sqrt(np.trace(table.covariance[table.fixed], axis1=1, axis2=2))
+    assert (error <= 3.0 * sigma).all(), (error / sigma).max()
