@@ -24,9 +24,9 @@ class PipelineConfig(Checked):
     """Every setting of a solve, each in one place: the delay models here
     enter the solve once, in the `EpochGeometry` that `solve_trajectory`
     gathers for the session and that SPP locates for Doppler, TR-RTK and
-    the pseudorange factors; `solver` weights the point solutions and the
-    pseudorange factors, and the observation spacing comes from the epoch
-    times."""
+    the pseudorange factors; `solver` holds every stage's elevation mask
+    and weights the point solutions and the pseudorange factors, and the
+    observation spacing comes from the epoch times."""
 
     use_trrtk: bool = setting(True)
     use_pseudorange: bool = setting(True)
