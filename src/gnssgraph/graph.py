@@ -1,10 +1,10 @@
 """Trajectory factor graph and Dogleg optimizer.
 
-Each epoch contributes one 7-dimensional node: the 3D position offset
-from the reference (start) position plus four receiver clock terms in
-meters -- the GPS clock and three inter-system biases. Velocity factors
-chain consecutive nodes, time-relative baseline factors close loops,
-and pseudorange factors anchor the absolute position and clocks.
+Each epoch contributes one node in SPP's layout (`pointpos.STATE_DIM`):
+the 3D position offset from the reference (start) position plus one
+absolute receiver clock in meters per CONSTELLATIONS slot. Velocity
+factors chain consecutive nodes, time-relative baseline factors close
+loops, and pseudorange factors anchor the absolute position and clocks.
 
 The graph stores each factor type as one table of arrays, row k of
 every array belonging to factor k, and the optimizer works on those
@@ -26,12 +26,10 @@ import numpy as np
 from .coords import line_of_sight
 from .errors import EmptyInput, MissingVelocity, SingularNormalEquations
 from .geometry import EpochGeometry
-from .pointpos import (SolverConfig, SppSolution, VelocitySolution,
-                       grouped_normals, pseudorange_variance,
-                       singular_pivots, solve_normals)
+from .pointpos import (STATE_DIM, SolverConfig, SppSolution,
+                       VelocitySolution, grouped_normals, pseudorange_rows,
+                       pseudorange_variance, singular_pivots, solve_normals)
 from .trrtk import TrRtkPairs
-
-STATE_DIM = 7
 
 # priors, relinearization and Dogleg stopping rules
 NODE0_PRIOR_SIGMA = 2.0        # first node's position [m]
@@ -107,19 +105,6 @@ class Priors(_Table):
         return len(self.start)
 
 
-def _linearization(unit, ranges, slots, measured, offsets):
-    """Rows H and constants of pseudorange factors linearized at the
-    position offsets `offsets` (one row each), where the satellites have
-    unit vectors `unit`, ranges `ranges`, constellation slots `slots`
-    and corrected pseudoranges `measured`."""
-    rows = np.zeros((len(unit), STATE_DIM))
-    rows[:, :3] = -unit
-    rows[:, 3] = 1.0                   # GPS clock
-    rows[np.arange(len(unit)), 3 + slots] = 1.0    # inter-system bias
-    constants = measured - ranges - np.einsum("ij,ij->i", unit, offsets)
-    return rows, constants
-
-
 @dataclass
 class Graph:
     reference_position: np.ndarray
@@ -151,12 +136,13 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
     consecutive nodes, and the fixed rows of the pair table `trrtk` the
     loop closures. Node positions start at the epoch-0 point solution
     plus accumulated velocity increments, node clocks at the SPP clocks
-    (GPS, then each observed system's bias to it). The pseudorange
-    factors are the geometry's `usable` rows at `solver`'s elevation
-    mask, linearized and corrected with its delay models where each
-    epoch is located, and weighted as `solver` weights the point
-    solutions; the earliest of its `range_faults` is raised. Without
-    `use_pseudorange` there are none. The optimizer
+    (`spp.clock`), and a prior holds each clock slot that none of its
+    node's rows observes. The pseudorange factors are the geometry's
+    `usable` rows at `solver`'s elevation mask, linearized
+    (`pointpos.pseudorange_rows`) and corrected with its delay models
+    where each epoch is located, and weighted as `solver` weights the
+    point solutions; the earliest of its `range_faults` is raised.
+    Without `use_pseudorange` there are none. The optimizer
     relinearizes a row once its node lies RELINEARIZE_THRESHOLD from
     that point.
     """
@@ -174,8 +160,7 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
     reference = spp.position[0]
     states = np.zeros((n, STATE_DIM))
     states[1:, :3] = np.cumsum(velocity * dt[:, None], axis=0)
-    states[:, 3:] = np.where(spp.used > 0, spp.clock - spp.clock[:, :1], 0.0)
-    states[:, 3] = spp.clock[:, 0]
+    states[:, 3:] = spp.clock
 
     span = dt[:, None, None]
     cov = velocities.covariance[:n - 1] * span * span
@@ -202,7 +187,7 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
     node, slot = geometry.epoch[rows], geometry.slot[rows]
     offsets = (geometry.position - reference)[node]
     measured = geometry.corrected_code[rows]
-    jacobian, constants = _linearization(
+    jacobian, constants = pseudorange_rows(
         geometry.unit[rows], geometry.range[rows], slot, measured, offsets)
     pseudorange_factors = PseudorangeFactors(
         node=node, sat=geometry.sats[rows],
@@ -212,7 +197,6 @@ def build_graph(geometry: EpochGeometry, velocities: VelocitySolution,
                                                config=solver),
         lin_offset=offsets)
     observed = np.zeros((n, 4), dtype=bool)
-    observed[node, 0] = True
     observed[node, slot] = True
 
     # the first node's position, then per node its unobserved clock slots
@@ -390,7 +374,7 @@ def _relinearize(graph: Graph, states: np.ndarray, threshold: float) -> bool:
     offsets = states[pr.node[moved], :3]
     unit, ranges = line_of_sight(graph.reference_position + offsets,
                                  pr.sat_position[moved])
-    pr.row[moved], pr.constant[moved] = _linearization(
+    pr.row[moved], pr.constant[moved] = pseudorange_rows(
         unit, ranges, pr.slot[moved], pr.measured[moved], offsets)
     pr.lin_offset[moved] = offsets
     return True

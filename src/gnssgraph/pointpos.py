@@ -28,8 +28,9 @@ from .errors import (InsufficientSatellites, NearSingular, NoConvergence,
 from .geometry import EpochGeometry
 from .types import CONSTELLATIONS, Checked, setting
 
-# position and one clock slot per constellation
-UNKNOWNS = 3 + len(CONSTELLATIONS)
+# an epoch's state, of SPP and of a graph node: its position and one
+# absolute receiver clock per CONSTELLATIONS slot [m]
+STATE_DIM = 3 + len(CONSTELLATIONS)
 
 
 @dataclass(slots=True)
@@ -61,7 +62,8 @@ class SppSolution:
     """A session's SPP fixes, row e of each array epoch e's, and the
     session `geometry` that SPP located at its last iterate: each epoch
     seen from where its last step was computed, or from its fix if it
-    stopped earlier (NaN rows if it erred before)."""
+    stopped earlier (NaN rows if it erred before). `clock` is a graph
+    node's clock states: one absolute receiver clock per slot."""
 
     position: np.ndarray           # (n, 3) [m ECEF]
     clock: np.ndarray              # (n, 4) [m] per slot, 0 if unobserved
@@ -89,6 +91,19 @@ def pseudorange_variance(elevation, config: SolverConfig | None = None):
         raise ValueError(f"elevation out of range: {elevation}")
     s = np.sin(el)
     return config.sigma_a ** 2 + config.sigma_b ** 2 / (s * s)
+
+
+def pseudorange_rows(unit, ranges, slots, measured, offsets):
+    """Design rows (p, STATE_DIM) and constants (p,) of the corrected
+    pseudoranges `measured` seen from the position offsets `offsets` from
+    a reference, where the satellites have unit vectors `unit`, ranges
+    `ranges` and clock slots `slots`: -unit on the position, 1 on the
+    row's own clock slot."""
+    rows = np.zeros((len(unit), STATE_DIM))
+    rows[:, :3] = -unit
+    rows[np.arange(len(unit)), 3 + slots] = 1.0
+    constants = measured - ranges - np.einsum("ij,ij->i", unit, offsets)
+    return rows, constants
 
 
 def _solve(normal, rhs, ok, errors: dict, message: str):
@@ -188,8 +203,8 @@ def solve_spp(geometry: EpochGeometry,
     """Iterated weighted least-squares single point positioning of every
     epoch of the unlocated session geometry `geometry`.
 
-    Unknowns per epoch are the 3D position plus one clock bias per
-    constellation it observes (GPS always), from the rows
+    Unknowns per epoch are the 3D position plus one absolute clock per
+    constellation it observes, from the rows
     `EpochGeometry.usable` gives at `config.elevation_mask`. Each epoch
     starts from Bancroft's closed-form fix of its own rows (see
     `_bancroft`), with no mask, atmosphere or weights and one clock; an
@@ -234,9 +249,7 @@ def solve_spp(geometry: EpochGeometry,
             epoch * len(CONSTELLATIONS) + slot,
             minlength=n * len(CONSTELLATIONS)).reshape(n, -1)
         observed = used_count > 0
-        systems = observed.sum(axis=1)
-        short = ok & ((used_count.sum(axis=1) < 3 + systems)
-                      | ~observed[:, 0])
+        short = ok & (used_count.sum(axis=1) < 3 + observed.sum(axis=1))
         for e in np.flatnonzero(short).tolist():
             names = [CONSTELLATIONS[k].name
                      for k in np.flatnonzero(observed[e])]
@@ -247,17 +260,14 @@ def solve_spp(geometry: EpochGeometry,
         ok &= ~_marked(n, errors)
         rows = used & ok[geometry.epoch]
 
-        # one clock column per constellation; the clock biases stay
-        # inside the residual, so the joint solve returns them as
-        # absolute values at the current linearization
-        a = np.zeros((np.count_nonzero(rows), UNKNOWNS))
-        a[:, :3] = -located.unit[rows]
-        a[np.arange(len(a)), 3 + geometry.slot[rows]] = 1.0
+        # linearized where each epoch is located (zero offsets); the clocks
+        # stay in the residual, so the solve returns them as absolute values
+        a, y = pseudorange_rows(
+            located.unit[rows], located.range[rows], geometry.slot[rows],
+            located.corrected_code[rows], np.zeros((rows.sum(), 3)))
         weights = 1.0 / pseudorange_variance(located.elevation[rows],
                                              config=config)
-        normal, rhs = _normals(
-            geometry, rows, a, weights,
-            located.corrected_code[rows] - located.range[rows])
+        normal, rhs = _normals(geometry, rows, a, weights, y)
         # an unobserved clock slot has no row: a unit diagonal entry
         # keeps its step 0, and any positive one passes the pivot rule
         free_epoch, free_slot = np.nonzero(~observed)

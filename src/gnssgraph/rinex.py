@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from functools import lru_cache
 
 import numpy as np
@@ -203,8 +203,13 @@ def _parse_epoch_line(line: str, number: int) -> tuple[GpsTime, int]:
         seconds = float(line[19:29])
         count = int(line[32:35])
         whole = int(seconds)
-        moment = datetime(year, month, day, hour, minute, whole,
-                          round((seconds - whole) * 1e6))
+        # to the microsecond; a fraction that rounds to 1 s (59.9999996)
+        # carries into the next second
+        micro = round((seconds - whole) * 1e6)
+        if micro < 0:
+            raise ValueError(f"negative seconds {seconds}")
+        moment = datetime(year, month, day, hour, minute,
+                          whole) + timedelta(microseconds=micro)
     except (ValueError, OverflowError) as exc:  # OverflowError: inf seconds
         raise MalformedEpoch(f"line {number}: {exc}") from exc
     if count < 0:

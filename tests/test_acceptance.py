@@ -241,8 +241,8 @@ def pseudorange_row_error(graph, states, rows):
     """The worst relative error of `rows` (p, 7) as the Jacobians of the
     graph's pseudorange factors: central differences of the corrected
     range, the Sagnac-rotated |s - (reference + x)| of
-    `coords.line_of_sight` plus the GPS clock and the factor's
-    inter-system bias, at each factor's linearization point. The rows
+    `coords.line_of_sight` plus the receiver clock of the factor's own
+    constellation slot, at each factor's linearization point. The rows
     leave out how the Sagnac rotation turns with the receiver position,
     up to OMGE |s| / c ~ 6.3e-6 of a unit-vector component, so the bar
     of this check is 1e-5, not the 1e-6 of the linear ones."""
@@ -253,9 +253,7 @@ def pseudorange_row_error(graph, states, rows):
     def corrected_range(x):
         _, ranges = line_of_sight(graph.reference_position + x[:, :3],
                                   pr.sat_position)
-        # GPS (slot 0) has no inter-system bias
-        bias = np.where(pr.slot > 0, x[np.arange(len(x)), 3 + pr.slot], 0.0)
-        return ranges + x[:, 3] + bias
+        return ranges + x[np.arange(len(x)), 3 + pr.slot]
 
     # 1 m steps: a 2e7 m range rounds to 3.7e-9 m, and its third
     # derivative leaves ~1e-15 m at this step

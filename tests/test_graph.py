@@ -6,16 +6,17 @@ import pytest
 from gnssgraph.errors import (EmptyInput, MissingVelocity,
                               SingularNormalEquations)
 from gnssgraph.geometry import EpochGeometry
-from gnssgraph.graph import (RELINEARIZE_THRESHOLD, build_graph,
-                             evaluate_cost, optimize)
+from gnssgraph.graph import (CLOCK_PRIOR_SIGMA, RELINEARIZE_THRESHOLD,
+                             build_graph, evaluate_cost, optimize)
+from gnssgraph.metrics import compute_ape, compute_rpe
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
 from gnssgraph.pointpos import VelocitySolution, solve_spp
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
                            run_scenario)
 from gnssgraph.trrtk import TrRtkPairs
-from gnssgraph.types import Constellation, SatelliteId
+from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
 from brute_force import dense_gauss_newton_step, dense_normal_equations
-from sessions import position_of
+from sessions import position_of, take
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
 
@@ -121,20 +122,21 @@ class TestResiduals:
             assert np.allclose(d_i, -d_j, rtol=0.0, atol=1e-8)
 
     def test_pseudorange_clock_columns(self):
-        """A Galileo row of `_linearization` has the GPS clock and the
-        Galileo bias columns, not the GLONASS one."""
-        from gnssgraph.graph import _linearization
+        """A Galileo row of `pseudorange_rows` has the Galileo clock
+        column and no other."""
+        from gnssgraph.pointpos import pseudorange_rows
 
         unit = np.array([[0.5, -0.5, np.sqrt(0.5)]])
-        rows, constants = _linearization(
+        rows, constants = pseudorange_rows(
             unit, np.array([2.0e7]), np.array([2]), np.array([2.0e7 + 12.0]),
             np.zeros((1, 3)))
         assert np.array_equal(rows[0], [-0.5, 0.5, -np.sqrt(0.5),
-                                        1.0, 0.0, 1.0, 0.0])
+                                        0.0, 0.0, 1.0, 0.0])
         assert constants[0] == pytest.approx(12.0)
         x = np.zeros((2, 7))
         _, base = self.residuals(x, row=rows[0], constant=constants[0])
-        for col, change in ((3, 1.0), (3 + 1, 0.0), (3 + 2, 1.0)):
+        for col, change in ((3, 0.0), (3 + 1, 0.0), (3 + 2, 1.0),
+                            (3 + 3, 0.0)):
             bumped = x.copy()
             bumped[0, col] += 1.0
             _, moved = self.residuals(bumped, row=rows[0],
@@ -179,8 +181,7 @@ class TestBuildGraph:
         pr = g.pseudorange_factors
         expected = [(0, [0, 1, 2])]
         for k in range(len(epochs)):
-            slots = set(pr.slot[pr.node == k].tolist())
-            observed = slots | {0} if slots else set()
+            observed = set(pr.slot[pr.node == k].tolist())
             free = [3 + slot for slot in range(4) if slot not in observed]
             if free:
                 expected.append((k, free))
@@ -262,7 +263,6 @@ class TestPseudorangeRows:
             unit, r0 = line_of_sight(g.reference_position + offset, position)
             expected = np.zeros(7)
             expected[:3] = -unit
-            expected[3] = 1.0
             expected[3 + pr.slot[k]] = 1.0
             assert np.allclose(pr.row[k], expected, rtol=0.0, atol=1e-12)
             assert pr.constant[k] == pytest.approx(
@@ -328,7 +328,6 @@ class TestStackedSystem:
             row = np.zeros(7)
             unit = rng.normal(size=3)
             row[:3] = -unit / np.linalg.norm(unit)
-            row[3] = 1.0
             row[3 + slot] = 1.0
             return row
 
@@ -544,15 +543,17 @@ class TestSingularSystems:
             optimize(g)
 
     @pytest.mark.parametrize("weight", [1.0, 2.0, 4.0])
-    def test_clock_block_of_one_non_gps_system(self, weight):
-        """Node 3 sees Galileo rows only and has no prior on slot 0, so
-        its GPS clock and Galileo bias are observed only as their sum.
-        With these row weights the block's Cholesky factorization fails
-        (2.0) or ends on a pivot of round-off above zero (1.0, 4.0)."""
+    def test_clock_block_of_two_clocks_seen_as_their_sum(self, weight):
+        """Node 3's two rows are hand-made alike, each with the GPS and
+        the Galileo clock column, and neither slot has a prior, so the
+        two clocks are observed only as their sum. With these row
+        weights the block's Cholesky factorization fails (2.0) or ends
+        on a pivot of round-off above zero (1.0, 4.0)."""
         g, _ = TestStackedSystem.small_graph()
         g = with_clock_priors(g)
         pr = g.pseudorange_factors
         assert pr.node[6] == pr.node[7] == 3 and pr.slot[7] == 2
+        pr.row[7, 3] = 1.0
         pr.row[6], pr.slot[6] = pr.row[7], 2
         pr.information[6:8] = weight
         with pytest.raises(SingularNormalEquations, match="clock"):
@@ -747,3 +748,95 @@ class TestOptimizer:
 
         assert rel_err(with_tr) <= rel_err(without) + 1e-9
 
+
+
+SQUARE = [[0, 0, 0], [50, 0, 0], [50, 50, 0], [0, 50, 0], [0, 0, 0]]
+GPS_LESS = (40, 100, 150)              # epochs with their GPS rows removed
+
+
+def square_session(counts, seed):
+    """The truth, epochs and satellite states of a 200 s square of 50 m
+    sides at 1 m/s, default noise, observing the constellations of
+    `counts`."""
+    cfg = ScenarioConfig(
+        duration=200.0, seed=seed, counts=counts,
+        trajectory=TrajectoryConfig(kind="waypoints", speed=1.0,
+                                    waypoints=SQUARE))
+    truth, epochs, states = run_scenario(cfg)
+    return cfg, np.array([r.position for r in truth]), epochs, states
+
+
+def without_gps(epochs, states, cut):
+    """The session with every GPS row of the epochs `cut` removed."""
+    epochs, states = list(epochs), list(states)
+    gps = CONSTELLATION_INDEX[Constellation.GPS]
+    for k in cut:
+        epochs[k], states[k] = take(epochs[k], states[k],
+                                    epochs[k].sats // 100 != gps)
+    return epochs, states
+
+
+@pytest.fixture(scope="module")
+def gps_less_epochs():
+    """Per seed 1-3, the truth and the solve of a GPS+GAL square whose
+    epochs GPS_LESS see no GPS satellite."""
+    solved = {}
+    for seed in (1, 2, 3):
+        cfg, truth, epochs, states = square_session(
+            {Constellation.GPS: 31, Constellation.GAL: 24}, seed)
+        epochs, states = without_gps(epochs, states, GPS_LESS)
+        solved[seed] = truth, solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo))
+    return solved
+
+
+class TestReceiversWithoutGps:
+    """A node's clocks are SPP's, one absolute clock per constellation
+    slot, so no epoch needs a GPS satellite."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("system", [Constellation.GAL,
+                                        Constellation.BDS])
+    def test_single_system_square_solves(self, system, seed):
+        """A Galileo-only or a BeiDou-only square solves with finite
+        positions and an APE mean within 1 m."""
+        cfg, truth, epochs, states = square_session({system: 24}, seed)
+        result = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo))
+        assert result.spp.errors == {}
+        assert result.report.converged
+        assert np.isfinite(result.positions).all()
+        assert compute_ape(result.positions, truth)[0] <= 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_epochs_without_gps_in_a_gps_galileo_session(self, seed,
+                                                         gps_less_epochs):
+        """A GPS+GAL square whose epochs GPS_LESS lose every GPS row
+        solves with an RPE mean within 5 cm, and each of those epochs
+        lies within 1 m of the truth relative to epoch 0."""
+        truth, result = gps_less_epochs[seed]
+        assert result.spp.errors == {}
+        assert (result.spp.used[list(GPS_LESS), 0] == 0).all()
+        mean, _, series = compute_rpe(result.positions, truth)
+        assert mean <= 0.05
+        assert (series[np.array(GPS_LESS) - 1] <= 1.0).all()
+
+    def test_clock_states_and_priors_follow_spp(self, gps_less_epochs):
+        """The initial clock states are `spp.clock` as they are, and the
+        clock priors, each CLOCK_PRIOR_SIGMA, sit exactly on the (node,
+        slot) cells that no pseudorange row observes: at the GPS-less
+        epochs, on their GPS slot too."""
+        _, result = gps_less_epochs[1]
+        g = result.graph
+        assert np.array_equal(g.initial_states[:, 3:], result.spp.clock)
+        pr, priors = g.pseudorange_factors, g.priors
+        observed = np.zeros(result.spp.clock.shape, dtype=bool)
+        observed[pr.node, pr.slot] = True
+        clock = priors.index >= 3
+        prior = np.zeros_like(observed)
+        prior[priors.node[clock], priors.index[clock] - 3] = True
+        assert clock.sum() == prior.sum()
+        assert np.array_equal(prior, ~observed)
+        assert prior[list(GPS_LESS), 0].all()
+        assert np.array_equal(priors.information[clock],
+                              np.full(clock.sum(), CLOCK_PRIOR_SIGMA ** -2))

@@ -1,6 +1,7 @@
 import io
 import json
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestRinexParse:
             header, epochs = parse_rinex_obs(io.StringIO("\n".join(lines)))
         assert len(epochs) == 1
         assert epochs[0].time.to_calendar().second == 0
+
+    @pytest.mark.parametrize("stamp, moment", [
+        ("00 00 59.9999996", datetime(2022, 3, 11, 0, 1)),
+        ("00 00 29.9999999", datetime(2022, 3, 11, 0, 0, 30)),
+        ("23 59 59.9999999", datetime(2022, 3, 12)),
+        ("00 00 29.9999994", datetime(2022, 3, 11, 0, 0, 29, 999999))])
+    def test_fraction_that_rounds_up_is_the_next_second(self, stamp, moment):
+        """An F11.7 second whose fraction rounds to 1 s at the microsecond,
+        as clock-unsteered receivers log them, is the epoch at the next
+        second, across a minute or a day; it is kept, with no warning."""
+        lines = FIXTURE.splitlines()
+        lines[11] = lines[11].replace("00 00  1.0000000", stamp)
+        epochs, messages = parse_text("\n".join(lines))
+        assert messages == []
+        assert len(epochs) == 2
+        assert epochs[1].time == GpsTime.from_calendar(moment)
+        assert epochs[1].time.to_calendar() == moment
 
     def test_count_mismatch_reports_line_and_continues(self):
         lines = FIXTURE.splitlines()
