@@ -19,7 +19,13 @@ between factors tie within a band, by banded Cholesky.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from functools import cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
 
@@ -310,16 +316,39 @@ def _position_band(reduced: np.ndarray, nodes: np.ndarray,
     return cells.reshape(3 * n, rows).T
 
 
+@cache
+def _banded_cholesky():
+    """LAPACK's banded Cholesky factor and solve, dpbtrf and dpbtrs, from
+    scipy's compiled f2py module `scipy.linalg._flapack`, where
+    `scipy.linalg.lapack` takes them from. Importing scipy.linalg loads
+    some 300 modules and takes longer than a square takes to solve, so
+    the module is loaded from its file, which runs no scipy package, and
+    registered under its name: a later `import scipy.linalg` takes this
+    module, and one it loaded first is taken here."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = os.path.join(importlib.util.find_spec(
+            "scipy").submodule_search_locations[0], "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader,
+                                      EXTENSION_SUFFIXES)).find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpbtrf, module.dpbtrs
+
+
 def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
     """The step s (7n,) that solves N s = -g, for the normal matrix N in
     blocks `system` and the gradient g (7n,): each node's four clock
     states are eliminated by the Schur complement of its 4x4 clock block
     C, C^-1 [B^T, g_clock] solved by `pointpos.solve_normals`, the 3n
-    positions are solved by banded Cholesky, and the clocks follow from
-    them. A clock block or position system singular by
-    `pointpos.singular_pivots` (a Cholesky pivot squared at most 1e-12
-    of its diagonal entry, or a refused factor) raises
-    SingularNormalEquations."""
+    positions are solved by LAPACK's banded Cholesky (`_banded_cholesky`,
+    called as `scipy.linalg.cholesky_banded` and `cho_solve_banded` call
+    it), and the clocks follow from them. A clock block or position
+    system singular by `pointpos.singular_pivots` (a Cholesky pivot
+    squared at most 1e-12 of its diagonal entry, or a refused factor)
+    raises SingularNormalEquations."""
     blocks, nodes, information = system
     n = len(blocks)
     gradient = gradient.reshape(n, STATE_DIM)
@@ -334,21 +363,21 @@ def _gauss_newton_step(system, gradient: np.ndarray) -> np.ndarray:
                + _sums(nodes[:, 0], information, n)
                + _sums(nodes[:, 1], information, n))
     rhs = cross[:, :, 3] - gradient[:, :3]
+    # Fortran-ordered, so dpbtrf factors it in place
     band = _position_band(reduced, nodes, information)
-    # imported here: scipy.linalg takes longer to import than a square
-    # takes to solve, and a CLI command that solves nothing needs none
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
+    pbtrf, pbtrs = _banded_cholesky()
     diagonal = band[0].copy()
-    try:
-        band = cholesky_banded(band, overwrite_ab=True, lower=True,
-                               check_finite=False)
-    except np.linalg.LinAlgError:
+    band, info = pbtrf(band, lower=1, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal argument {-info}")
+    if info > 0:
         band[0] = np.nan
     if singular_pivots(band[0], diagonal):
         raise SingularNormalEquations("the position system is singular")
-    position = cho_solve_banded((band, True), rhs.ravel(),
-                                check_finite=False).reshape(n, 3)
+    position, info = pbtrs(band, rhs.ravel(), lower=1)
+    if info < 0:
+        raise ValueError(f"dpbtrs: illegal argument {-info}")
+    position = position.reshape(n, 3)
     clocks = -(solved[:, :, 3] + (solved[:, :, :3] @ position[:, :, None])[
         :, :, 0])
     return np.concatenate([position, clocks], axis=1).ravel()

@@ -372,9 +372,11 @@ def solve_doppler_velocity(geometry: EpochGeometry,
          + CLIGHT * geometry.clock_drift[rows])
     sigma = config.doppler_sigma / np.sin(geometry.elevation[rows])
     normal, rhs = _normals(geometry, rows, a, 1.0 / (sigma * sigma), y)
-    # one solve of [rhs | I]: the velocities and their covariances
+    # one solve of [rhs | I], of I only the velocity's three columns: the
+    # velocities and their covariances
     solved, _ = _solve(normal, np.dstack([rhs, np.broadcast_to(
-        np.eye(4), normal.shape)]), ok, errors, "velocity geometry singular")
+        np.eye(4)[:, :3], (len(normal), 4, 3))]), ok, errors,
+        "velocity geometry singular")
     sol, cov = solved[..., 0], solved[:, :3, 1:4]
     diagonal = np.arange(3)
     cov[:, diagonal, diagonal] = np.maximum(cov[:, diagonal, diagonal],

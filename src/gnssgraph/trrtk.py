@@ -66,8 +66,8 @@ INTEGRITY_P_MIN = 1e-3
 PRECISION_MAX_M = 0.015
 
 # pairs solved together: a block's arrays take a few MB however long the
-# session is; 512-pair blocks solved the benchmark square 6% slower and
-# took 14% more peak memory (82.3 MB against 72.2 MB)
+# session is; 512-pair blocks solved the benchmark square 5% slower and
+# took 7.4 MB more peak memory
 BLOCK_PAIRS = 128
 
 
@@ -400,10 +400,11 @@ def solve_float_baseline(dd: DoubleDiffSet, config: TrRtkConfig | None = None,
     rhs = summed[:, :6, 6]
     # a satellite on the receiver gives no line of sight
     degenerate = active & ~(dd.nearest >= 1e6)
-    # pairs not solved take an identity; each factor solves [rhs | I]
+    # pairs not solved take an identity; each factor solves [rhs | I],
+    # of I only the baseline's three columns, the covariance read
     normal[~active | degenerate] = np.eye(6)
     solved, singular = solve_normals(normal, np.dstack(
-        [rhs, np.broadcast_to(np.eye(6), normal.shape)]))
+        [rhs, np.broadcast_to(np.eye(6)[:, :3], (len(normal), 6, 3))]))
     for k in np.flatnonzero(degenerate):
         errors[k] = DegenerateGeometry(
             f"satellite range {dd.nearest[k]:.0f} m implausible")

@@ -1,11 +1,18 @@
 """Helpers for tests that look at or cut down an epoch's rows, a dense
-loop-closure lattice, and the session benchmark's slip schedule."""
+loop-closure lattice, the session benchmark's slip schedule, and a fresh
+interpreter."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from gnssgraph.types import SatelliteId
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # eight loop-closure offsets [s], the default lattice before it was thinned
 # to three: many pairs per epoch, and offsets that coincide at coarse
@@ -59,3 +66,13 @@ def slip_schedule(config, window=10.0, per_window=4):
     return [(sats[k], float(window * w + rng.integers(1, 11)))
             for w in range(int(config.duration // window))
             for k in rng.choice(len(sats), per_window, replace=False)]
+
+
+def fresh_interpreter(code: str) -> str:
+    """The stripped stdout of `code` run by a new Python interpreter that
+    imports gnssgraph from this checkout; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return proc.stdout.strip()

@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +7,7 @@ import pytest
 
 from gnssgraph.cli import main
 from gnssgraph.fileio import load_pipeline_yaml, load_scenario_yaml
+from sessions import fresh_interpreter
 
 SCENARIO = """\
 duration: 25
@@ -361,13 +359,25 @@ def test_bad_scenario_is_parse_error(entry, tmp_path, capsys):
 
 def test_import_leaves_scipy_out():
     """Importing the command line, and the package with it, imports no
-    scipy module: only a solve's banded Cholesky needs scipy.linalg, so
-    `simulate`, `inspect` and `evaluate` do not pay for its import."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gnssgraph.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    assert proc.stdout.strip() == "[]"
+    scipy module, so `simulate`, `inspect` and `evaluate` pay for none."""
+    assert fresh_interpreter(
+        "import sys, gnssgraph.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ) == "[]"
+
+
+def test_solve_leaves_scipy_linalg_out(pipeline_dirs, tmp_path):
+    """A solve in a fresh interpreter takes LAPACK's banded Cholesky from
+    scipy's compiled module alone: it imports no scipy package,
+    scipy.linalg among them, and writes the files of a solve in this
+    process."""
+    root, sim, sol = pipeline_dirs
+    args = ["solve", "--obs", str(sim / "observations.rnx"),
+            "--sat-states", str(sim / "sat_states.csv"),
+            "--config", str(sim / "solver.yaml"), "--out", str(tmp_path)]
+    out = fresh_interpreter(
+        f"import sys; from gnssgraph.cli import main; code = main({args!r}); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.splitlines()[-1] == "0 ['scipy.linalg._flapack']"
+    for name in ("trajectory.csv", "graph.json", "solver.log"):
+        assert (tmp_path / name).read_bytes() == (sol / name).read_bytes()

@@ -16,7 +16,7 @@ from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
 from gnssgraph.trrtk import TrRtkPairs
 from gnssgraph.types import CONSTELLATION_INDEX, Constellation, SatelliteId
 from brute_force import dense_gauss_newton_step, dense_normal_equations
-from sessions import position_of, take
+from sessions import fresh_interpreter, position_of, take
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0)
 
@@ -515,7 +515,7 @@ class TestSingularSystems:
         1e-30) information leaves nodes 6 onward with no position
         anchor; nodes 10 onward moved 1 m give the gradient something to
         do. With 1e-30 the position system is positive definite only
-        below round-off."""
+        below round-off, and dpbtrf refuses both."""
         g, _ = line_graph(use_trrtk=False, use_pseudorange=False)
         g.velocity_factors.information[5] = scale * np.eye(3)
         g.initial_states[10:, :3] += 1.0
@@ -531,9 +531,9 @@ class TestSingularSystems:
                                       cut):
         """Every factor across epoch `cut` of an 80 s square without
         pseudorange rows has zero information, so the nodes after it
-        have no position anchor. With the TR edges the banded Cholesky
-        can end on a pivot that is round-off above zero, at these cuts
-        among others; the pivot test refuses it."""
+        have no position anchor. dpbtrf refuses the system at each of
+        these cuts; `TestBandedCholesky` has a factor it accepts and the
+        pivot rule refuses."""
         g = copy.deepcopy(square_without_pseudorange)
         tr = g.trrtk_factors
         g.velocity_factors.information[cut] = 0.0
@@ -558,6 +558,123 @@ class TestSingularSystems:
         pr.information[6:8] = weight
         with pytest.raises(SingularNormalEquations, match="clock"):
             optimize(g)
+
+
+class TestBandedCholesky:
+    """`_banded_cholesky` is LAPACK's dpbtrf and dpbtrs from scipy's
+    compiled module, called as `scipy.linalg.cholesky_banded` and
+    `cho_solve_banded` call them, so a step has their bits."""
+
+    @staticmethod
+    def scipy_solve(band, rhs):
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        factor = cholesky_banded(band, lower=True, check_finite=False)
+        return factor, cho_solve_banded((factor, True), rhs,
+                                        check_finite=False)
+
+    @staticmethod
+    def record(monkeypatch) -> dict:
+        """The dict into which each later step records its position
+        system's band, its factor and info, the right-hand side and the
+        solution."""
+        from gnssgraph import graph
+
+        pbtrf, pbtrs = graph._banded_cholesky()
+        calls = {}
+
+        def factor(band, **kwargs):
+            calls["band"] = band.copy(order="F")
+            calls["factor"], calls["info"] = pbtrf(band, **kwargs)
+            return calls["factor"], calls["info"]
+
+        def solve(factor, rhs, **kwargs):
+            calls["rhs"] = rhs.copy()
+            calls["position"], info = pbtrs(factor, rhs, **kwargs)
+            return calls["position"], info
+
+        monkeypatch.setattr(graph, "_banded_cholesky",
+                            lambda: (factor, solve))
+        return calls
+
+    @pytest.mark.parametrize("half_width", [0, 2, 5, 302])
+    def test_random_bands_match_scipy_bit_for_bit(self, half_width):
+        """Random bands, diagonally dominant so positive definite, of 603
+        unknowns, the size of the benchmark square's position system."""
+        from gnssgraph.graph import _banded_cholesky
+
+        rng = np.random.default_rng(half_width)
+        n = 603
+        band = rng.uniform(-1.0, 1.0, (half_width + 1, n))
+        band[0] = 2 * half_width + rng.uniform(1.0, 2.0, n)
+        for r in range(1, half_width + 1):
+            band[r, n - r:] = 0.0
+        rhs = rng.normal(size=n)
+        pbtrf, pbtrs = _banded_cholesky()
+        factor, info = pbtrf(band.copy(order="F"), lower=1,
+                             overwrite_ab=1)
+        assert info == 0
+        x, info = pbtrs(factor, rhs, lower=1)
+        assert info == 0
+        expected_factor, expected_x = self.scipy_solve(band, rhs)
+        assert np.array_equal(factor, expected_factor)
+        assert np.array_equal(x, expected_x)
+
+    def test_the_benchmark_squares_system_matches_scipy(self, monkeypatch):
+        """The first step's position system of the session benchmark's
+        square, 603 unknowns of half-width 302, factors and solves as
+        scipy's functions do, bit for bit."""
+        cfg, _, epochs, states = square_session(ScenarioConfig().counts, 1)
+        g = solve_trajectory(epochs, states, PipelineConfig(
+            iono=cfg.iono, tropo=cfg.tropo)).graph
+        calls = self.record(monkeypatch)
+        step = gauss_newton_step(g, g.initial_states)
+        assert calls["band"].shape == (303, 603)
+        factor, position = self.scipy_solve(calls["band"], calls["rhs"])
+        assert np.array_equal(calls["factor"], factor)
+        assert np.array_equal(calls["position"], position)
+        assert np.array_equal(step.reshape(-1, 7)[:, :3].ravel(), position)
+
+    def test_factor_lapack_accepts_but_the_pivot_rule_refuses(
+            self, monkeypatch):
+        """Velocity factor 5 of 1e-13 information, without pseudorange
+        rows: dpbtrf factors the position system, but a pivot squared
+        lies below 1e-12 of its diagonal entry, so the step raises."""
+        g, _ = line_graph(use_trrtk=False, use_pseudorange=False)
+        g.velocity_factors.information[5] = 1e-13 * np.eye(3)
+        calls = self.record(monkeypatch)
+        with pytest.raises(SingularNormalEquations, match="position"):
+            gauss_newton_step(g, g.initial_states)
+        assert calls["info"] == 0
+
+    def test_a_refused_factor_is_singular_whatever_its_pivot(
+            self, monkeypatch):
+        """Velocity factor 5 of information -I makes the position system
+        indefinite: dpbtrf stops at a pivot of about -0.75, whose square
+        passes the pivot rule, so the refusal itself must raise."""
+        g, _ = line_graph(use_trrtk=False, use_pseudorange=False)
+        g.velocity_factors.information[5] = -np.eye(3)
+        calls = self.record(monkeypatch)
+        with pytest.raises(SingularNormalEquations, match="position"):
+            gauss_newton_step(g, g.initial_states)
+        assert calls["info"] > 0
+
+    @pytest.mark.parametrize("first", ["gnssgraph", "scipy.linalg"])
+    def test_scipy_linalg_shares_the_module(self, first):
+        """Whichever of a solve and `import scipy.linalg` comes first in a
+        fresh interpreter, a solve's functions are scipy.linalg.lapack's
+        dpbtrf and dpbtrs, and scipy.linalg's cholesky_banded works."""
+        steps = ["functions = graph._banded_cholesky()", "import scipy.linalg"]
+        if first == "scipy.linalg":
+            steps.reverse()
+        out = fresh_interpreter("\n".join([
+            "import numpy as np", "from gnssgraph import graph", *steps,
+            "from scipy.linalg import cholesky_banded, lapack",
+            "print(functions[0] is lapack.dpbtrf,"
+            " functions[1] is lapack.dpbtrs)",
+            "print(np.allclose(cholesky_banded(np.array([[4.0, 9.0],"
+            " [2.0, 0.0]]), lower=True), [[2.0, 8 ** 0.5], [1.0, 0.0]]))"]))
+        assert out == "True True\nTrue"
 
 
 class TestJacobians:

@@ -264,6 +264,21 @@ class TestSharedFactor:
             assert solve_normals(normal[[0, 3]], rhs[[0, 3]])[0][
                 k // 3].tobytes() == x[k].tobytes()
 
+    @pytest.mark.parametrize("count, k", [(128, 6), (201, 4), (1801, 4)])
+    def test_three_identity_columns_get_the_bits_of_the_whole(self, count,
+                                                               k):
+        """[rhs | I[:, :3]], the columns a TR-RTK block (6x6) and a Doppler
+        solve (4x4) read, solves to the bits of the same columns of
+        [rhs | I]: each column is substituted on its own."""
+        rng = np.random.default_rng(count)
+        m = rng.normal(size=(count, k, k))
+        normal = m @ m.transpose(0, 2, 1) + k * np.eye(k)
+        rhs = rng.normal(size=(count, k, 1))
+        eye = np.broadcast_to(np.eye(k), normal.shape)
+        full, _ = solve_normals(normal, np.dstack([rhs, eye]))
+        narrow, _ = solve_normals(normal, np.dstack([rhs, eye[..., :3]]))
+        assert narrow.tobytes() == full[..., :4].tobytes()
+
     def test_solve_uses_no_other_factorization(self, monkeypatch):
         """With numpy's other solvers and factorizations made to raise, a
         40 s square with TR-RTK solves to the same bits: every stacked
