@@ -111,5 +111,5 @@ def saastamoinen_delay(model: TropoModel, user: GeodeticPosition, elevation,
     wet = 0.002277 * (1255.0 / temp + 0.05) * e
     if index is not None:
         dry, wet = dry[index], wet[index]
-    z = np.pi / 2.0 - elevation
-    return dry / np.cos(z) + wet / np.cos(z)
+    cos_z = np.cos(np.pi / 2.0 - elevation)
+    return dry / cos_z + wet / cos_z

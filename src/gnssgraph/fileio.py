@@ -84,8 +84,9 @@ def _json_items(column) -> list[str]:
             else text[1:-1].split(", "))
 
 
-# edges formatted and written at a time, so no section is one string
-_EDGE_SLICE = 4096
+# graph edges or sidecar rows formatted and written at a time, so that no
+# section is one string and one slice's Python values are held at once
+_ROW_SLICE = 4096
 
 
 def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
@@ -95,7 +96,7 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     current rows. `states` defaults to the stored initial states; pass
     the optimizer output to export the solved trajectory. The text is
     `json.dumps` of a dict per node and edge, written kind by kind in
-    slices of `_EDGE_SLICE` edges: a slice is one `str.join` of each
+    slices of `_ROW_SLICE` edges: a slice is one `str.join` of each
     column's items, as `json.dumps` writes the column, with the pieces of
     the kind's template between them.
     """
@@ -153,27 +154,38 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
                           np.round(x[:, 3:], 6))))
     separator = ""
     for template, *columns in edges:
-        for start in range(0, len(columns[0]), _EDGE_SLICE):
+        for start in range(0, len(columns[0]), _ROW_SLICE):
             stream.writelines((separator, dicts(template, *(
-                column[start:start + _EDGE_SLICE] for column in columns))))
+                column[start:start + _ROW_SLICE] for column in columns))))
             separator = ", "
     stream.write(']%s}' % optimizer)
 
 
 SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS
-_SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e" * 2 + "\r\n"
+_SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e,%s\r\n"
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
-    """Sidecar of the known states of each epoch's satellites, one
-    `writelines` per epoch."""
+    """Sidecar of the known states of each epoch's satellites, `_ROW_SLICE`
+    rows at a time; a slice's clock drifts (one per simulated satellite)
+    are formatted once per bit pattern, as -0.0 and 0.0 print apart."""
     stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
-    for epoch, states in zip(epochs, sat_states):
-        known = ~np.isnan(states).any(axis=1)
+    epochs, sat_states = list(epochs), list(sat_states)
+    if list(map(len, epochs)) != list(map(len, sat_states)):
+        raise IndexError("epochs and satellite states differ in rows")
+    states = np.concatenate([np.zeros((0, len(STATE_COLUMNS))), *sat_states])
+    sats = np.concatenate([np.zeros(0, int), *(e.sats for e in epochs)])
+    tows = np.array([f"{e.time.tow:.3f}" for e in epochs],
+                    dtype=object).repeat(list(map(len, epochs)))
+    known = (~np.isnan(states).any(axis=1)).nonzero()[0]
+    for a in range(0, len(known), _ROW_SLICE):
+        rows = known[a:a + _ROW_SLICE]
+        bits, at = np.unique(states[rows, -1].view(int), return_inverse=True)
+        drifts = np.array([*map("%.15e".__mod__, bits.view(float).tolist())],
+                          dtype=object)[at]
         stream.writelines(map(_SAT_STATE_ROW.__mod__, zip(
-            repeat(f"{epoch.time.tow:.3f}"),
-            map(SatelliteId.name_of, epoch.sats[known].tolist()),
-            *states[known].T.tolist())))
+            tows[rows].tolist(), map(SatelliteId.name_of, sats[rows].tolist()),
+            *states[rows, :-1].T.tolist(), drifts.tolist())))
 
 
 def _keys(tow, sats) -> np.ndarray:

@@ -81,33 +81,15 @@ def _header_line(content: str, label: str) -> str:
 # a record's LLI and signal-strength digits by 10 * LLI + digit
 _FLAGS = np.array([f"{lli}{digit}" for lli in (0, 1) for digit in range(10)],
                   dtype=object)
-_RECORD = "%s%14.3f%s%14.3f%s%14.3f%s\n"
-
-
-def _records(epoch) -> list[str]:
-    """An epoch's record lines. Each value carries the record's LLI digit,
-    1 where lock is 0 (a slip), and its signal-strength digit: SNR in
-    6 dB-Hz bins rounded half to even (as `round`), clipped to 1..9."""
-    keys, code, phase, doppler = (getattr(epoch, name).tolist() for name in
-                                  ("sats", "code", "phase", "doppler"))
-    scaled = epoch.snr / 6.0
-    finite = np.isfinite(scaled)
-    # a record's digit comes before its name: a bad key raises only ahead
-    # of the first non-finite SNR, which raises as `round` does
-    named = len(keys) if finite.all() else int(finite.argmin())
-    names = list(map(SatelliteId.name_of, keys[:named]))
-    if named < len(keys):
-        round(float(scaled[named]))
-    flags = _FLAGS[10 * (epoch.lock == 0)
-                   + np.clip(np.rint(scaled), 1, 9).astype(int)].tolist()
-    return list(map(_RECORD.__mod__, zip(names, code, flags, phase, flags,
-                                         doppler, flags)))
+_RECORD = "%s%s%14.3f%s%14.3f%s%14.3f%s\n"  # epoch lines ahead, a record
+_ROW_SLICE = 4096       # records formatted and written at a time
 
 
 def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
-    """Emit a RINEX 3.04 observation file; `parse_rinex_obs` inverts it
-    at the format's 3-decimal precision. Each epoch's lines go out in one
-    `writelines`."""
+    """Emit a RINEX 3.04 observation file, `_ROW_SLICE` records at a time;
+    `parse_rinex_obs` inverts it at 3 decimals. Each value carries its
+    record's LLI digit, 1 where lock is 0 (a slip), and signal-strength
+    digit: SNR in 6 dB-Hz bins rounded half to even, clipped to 1..9."""
     stream.write(_header_line(
         f"{header.version:9.2f}{'':11s}{'OBSERVATION DATA':<20s}{'M':<20s}",
         "RINEX VERSION / TYPE"))
@@ -135,12 +117,33 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
             stream.write(_header_line(line.rstrip(), "GLONASS SLOT / FRQ #"))
     stream.write(_header_line("", "END OF HEADER"))
 
-    for epoch in epochs:
+    epochs = list(epochs)
+    sats, code, phase, doppler, lock, snr = (np.concatenate([np.zeros(
+        0, int), *(getattr(epoch, name) for epoch in epochs)]) for name in
+        ("sats", "code", "phase", "doppler", "lock", "snr"))
+    ahead = [""] * (len(sats) + 1)
+    for start, epoch in zip(np.cumsum([0, *map(len, epochs)]).tolist(),
+                            epochs):
         cal = epoch.time.to_calendar()
         seconds = cal.second + cal.microsecond * 1e-6
-        stream.writelines([f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
-                           f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
-                           f"  0{len(epoch):3d}\n", *_records(epoch)])
+        ahead[start] += (f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
+                         f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
+                         f"  0{len(epoch):3d}\n")
+    scaled = snr / 6.0
+    for a in range(0, len(sats), _ROW_SLICE):
+        rows = slice(a, a + _ROW_SLICE)
+        finite = np.isfinite(scaled[rows])
+        # per record the SNR digit, then the name: the first bad one raises
+        named = a + (len(finite) if finite.all() else int(finite.argmin()))
+        names = list(map(SatelliteId.name_of, sats[a:named].tolist()))
+        if named < a + len(finite):
+            round(float(scaled[named]))
+        flags = _FLAGS[10 * (lock[rows] == 0) + np.clip(
+            np.rint(scaled[rows]), 1, 9).astype(int)].tolist()
+        stream.writelines(map(_RECORD.__mod__, zip(
+            ahead[rows], names, code[rows].tolist(), flags,
+            phase[rows].tolist(), flags, doppler[rows].tolist(), flags)))
+    stream.write(ahead[-1])
 
 
 def _parse_header(lines) -> tuple[RinexHeader, int]:

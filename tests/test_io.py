@@ -928,7 +928,7 @@ class TestGraphJsonText:
         g = solved.graph
         if size == "pseudorange":
             size = len(g.pseudorange_factors)
-        monkeypatch.setattr(gnssgraph.fileio, "_EDGE_SLICE", size)
+        monkeypatch.setattr(gnssgraph.fileio, "_ROW_SLICE", size)
         assert len(g.pseudorange_factors) > 7 and len(g.trrtk_factors) > 7
         assert self.text(solved) == json.dumps(
             graph_payload(g, solved.states, solved.report))

@@ -64,6 +64,41 @@ def hand_states(epoch):
 HEADER = RinexHeader(marker_name="HAND", interval=1.0)
 
 
+def slice_rows(monkeypatch, rows):
+    """Both writers format `rows` rows at a time."""
+    monkeypatch.setattr("gnssgraph.rinex._ROW_SLICE", rows)
+    monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
+
+
+@pytest.fixture(scope="module")
+def circle():
+    """The benchmark's 30-minute GPS+GAL circle (`long-cli-notr`): header,
+    epochs and satellite states."""
+    cfg = ScenarioConfig(duration=1800.0,
+                         trajectory=TrajectoryConfig(kind="circle",
+                                                     speed=1.0, radius=30.0),
+                         counts={Constellation.GPS: 31,
+                                 Constellation.GAL: 24}, seed=1)
+    truth, epochs, states = run_scenario(cfg)
+    return header_for_scenario(cfg, truth[0].position), epochs, states
+
+
+def edge_session():
+    """Epochs of 3, 2, 0, 4, 1 and 0 rows; rows 3, 4 and 6 have no state,
+    and the clock drifts hold 0.0, -0.0 and repeats of each."""
+    epochs = [hand_epoch(float(t), keys, lock=[0, 2, 3, 4][:len(keys)])
+              for t, keys in enumerate([[1, 2, 3], [101, 205], [],
+                                        [4, 5, 301, 302], [6], []])]
+    states = list(map(hand_states, epochs))
+    drifts = iter([0.0, -0.0, -3.2e-12, 0.0, -0.0, -0.0, 0.0, -3.2e-12,
+                   0.0, -0.0])
+    for rows in states:
+        rows[:, 7] = [next(drifts) for _ in rows]
+    states[1][:] = np.nan
+    states[3][1, 0] = np.nan
+    return epochs, states
+
+
 class TestWritersAsReference:
     def test_four_constellations_with_glonass(self):
         cfg = ScenarioConfig(duration=20.0,
@@ -116,6 +151,23 @@ class TestWritersAsReference:
         assert rinex.endswith("END OF HEADER\n")
         assert sidecar.count("\r\n") == 1
 
+    def test_benchmark_circle(self, circle):
+        header, epochs, states = circle
+        assert len(epochs) == 1801
+        _, sidecar = assert_as_reference(header, epochs, states)
+        assert sidecar.count("\r\n") == 1 + sum(map(len, epochs)) > 33000
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_slice_edges(self, rows, monkeypatch):
+        """Slices that end inside an epoch, on an epoch edge, at the empty
+        epoch and between the rows without a state; -0.0 and 0.0 drifts in
+        one slice and apart."""
+        slice_rows(monkeypatch, rows)
+        epochs, states = edge_session()
+        _, sidecar = assert_as_reference(HEADER, epochs, states)
+        assert sidecar.count(",-0.000000000000000e+00\r\n") == 3
+        assert sidecar.count(",0.000000000000000e+00\r\n") == 2
+
     def test_epoch_with_no_satellites(self):
         epochs = [hand_epoch(0.0, [1, 2]), hand_epoch(1.0, []),
                   hand_epoch(2.0, [101, 305])]
@@ -124,18 +176,35 @@ class TestWritersAsReference:
         assert "  0  0\n> " in rinex
 
 
+# an epoch's satellite keys and SNRs, each with a bad record
+RINEX_FAULTS = pytest.mark.parametrize("keys, snr", [
+    ([1, 65], None), ([1, 999], None), ([-1], None),
+    ([1, 2], [45.0, np.nan]), ([1, 2], [np.inf, 45.0]),
+    ([1, 2], [45.0, -np.inf]),
+    ([65, 2], [45.0, np.nan]), ([1, 65], [np.nan, 45.0]),
+    ([1, 65], [45.0, np.nan])],
+    ids=["prn-65", "no-constellation", "negative-key", "nan-snr",
+         "infinite-snr", "minus-infinite-snr", "bad-key-first",
+         "nan-snr-first", "both-in-one-record"])
+
+
 class TestWriterErrors:
-    @pytest.mark.parametrize("keys, snr", [
-        ([1, 65], None), ([1, 999], None), ([-1], None),
-        ([1, 2], [45.0, np.nan]), ([1, 2], [np.inf, 45.0]),
-        ([1, 2], [45.0, -np.inf]),
-        ([65, 2], [45.0, np.nan]), ([1, 65], [np.nan, 45.0]),
-        ([1, 65], [45.0, np.nan])],
-        ids=["prn-65", "no-constellation", "negative-key", "nan-snr",
-             "infinite-snr", "minus-infinite-snr", "bad-key-first",
-             "nan-snr-first", "both-in-one-record"])
+    @RINEX_FAULTS
     def test_rinex_raises_as_reference(self, keys, snr):
         epochs = [hand_epoch(0.0, [1, 2]), hand_epoch(1.0, keys, snr=snr)]
+        expected = outcome(write_rinex_reference, HEADER, epochs)
+        assert isinstance(expected, tuple)
+        assert outcome(write_rinex_obs, HEADER, epochs) == expected
+
+    @RINEX_FAULTS
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rinex_raises_as_reference_in_a_later_slice(self, keys, snr,
+                                                         rows, monkeypatch):
+        """The bad epoch starts at row 5: in the sixth slice of one row, or
+        across the second and third slices of three."""
+        slice_rows(monkeypatch, rows)
+        epochs = [hand_epoch(0.0, [1, 2, 3, 4]), hand_epoch(1.0, [5]),
+                  hand_epoch(2.0, keys, snr=snr)]
         expected = outcome(write_rinex_reference, HEADER, epochs)
         assert isinstance(expected, tuple)
         assert outcome(write_rinex_obs, HEADER, epochs) == expected
@@ -150,6 +219,26 @@ class TestWriterErrors:
         states[1][1, 0] = np.nan
         assert (written(write_sat_states_csv, epochs, states)
                 == written(write_sat_states_reference, epochs, states))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_sidecar_raises_as_reference_in_a_later_slice(self, rows,
+                                                          monkeypatch):
+        """The first bad row, row 6, is the fourth known one: after rows
+        without a state, in a later slice and ahead of a second bad row."""
+        slice_rows(monkeypatch, rows)
+        epochs = [hand_epoch(0.0, [1, 2, 3, 4, 5]),
+                  hand_epoch(1.0, [6, 70, 999])]
+        states = list(map(hand_states, epochs))
+        states[0][1:4, 5] = np.nan
+        expected = outcome(write_sat_states_reference, epochs, states)
+        assert expected == (ValueError, "prn out of range: 70")
+        assert outcome(write_sat_states_csv, epochs, states) == expected
+
+    def test_sidecar_refuses_states_of_another_row_count(self):
+        epochs = [hand_epoch(0.0, [1, 2]), hand_epoch(1.0, [3, 4])]
+        states = [hand_states(epochs[0]), hand_states(epochs[0])[:1]]
+        for writer in (write_sat_states_reference, write_sat_states_csv):
+            assert outcome(writer, epochs, states)[0] is IndexError
 
 
 def test_simulate_writes_the_same_files_twice(tmp_path):
