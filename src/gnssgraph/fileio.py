@@ -24,9 +24,10 @@ from typing import get_args, get_type_hints
 import numpy as np
 import yaml
 
+from . import textnum
 from .atmosphere import KlobucharParams, TropoModel
 from .coords import ecef_to_geodetic
-from .errors import IoFailure
+from .errors import IoFailure, LengthMismatch
 from .gnsstime import GpsTime
 from .graph import Graph
 from .pipeline import PipelineConfig
@@ -43,20 +44,34 @@ class TrajectoryStatus(Enum):
 
 TRAJECTORY_COLUMNS = ("tow", "x", "y", "z", "lat_deg", "lon_deg", "height",
                       "status")
-_TRAJECTORY_ROW = "%.3f" + ",%.4f" * 3 + ",%.9f" * 2 + ",%.4f,%s\r\n"
 
 
 def write_trajectory_csv(tow, positions, status, stream) -> None:
     """One CSV row per time of week `tow` [s], ECEF position (row of
-    `positions`) and its geodetic coordinates, and TrajectoryStatus."""
+    `positions`) and its geodetic coordinates, and TrajectoryStatus,
+    `_ROW_SLICE` rows at a time; columns of other lengths are a
+    LengthMismatch."""
+    tow = np.asarray(tow, dtype=float).ravel()
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    status = [state.value for state in status]
+    if not len(tow) == len(positions) == len(status):
+        raise LengthMismatch(f"trajectory of {len(tow)} times, "
+                             f"{len(positions)} positions and "
+                             f"{len(status)} statuses")
     geodetic = ecef_to_geodetic(positions)
+    columns = np.column_stack([positions, np.degrees(geodetic.latitude),
+                               np.degrees(geodetic.longitude),
+                               geodetic.height])
+    status = textnum.strings(status)
     stream.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-    stream.writelines(map(_TRAJECTORY_ROW.__mod__, zip(
-        np.asarray(tow, dtype=float).tolist(), *positions.T.tolist(),
-        np.degrees(geodetic.latitude).tolist(),
-        np.degrees(geodetic.longitude).tolist(), geodetic.height.tolist(),
-        (state.value for state in status))))
+    for a in range(0, len(tow), _ROW_SLICE):
+        rows = slice(a, a + _ROW_SLICE)
+        x, y, z, lat, lon, height = columns[rows].T
+        stream.write(textnum.text(
+            textnum.fixed(tow[rows], 3), b",", textnum.fixed(x, 4), b",",
+            textnum.fixed(y, 4), b",", textnum.fixed(z, 4), b",",
+            textnum.fixed(lat, 9), b",", textnum.fixed(lon, 9), b",",
+            textnum.fixed(height, 4), b",", status[rows], b"\r\n"))
 
 
 def read_trajectory_csv(stream) -> tuple[np.ndarray, np.ndarray, list]:
@@ -162,30 +177,33 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
 
 
 SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS
-_SAT_STATE_ROW = "%s,%s" + ",%.6f" * 3 + ",%.9f" * 3 + ",%.15e,%s\r\n"
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
     """Sidecar of the known states of each epoch's satellites, `_ROW_SLICE`
-    rows at a time; a slice's clock drifts (one per simulated satellite)
-    are formatted once per bit pattern, as -0.0 and 0.0 print apart."""
+    rows at a time. Times of week are formatted once per epoch, and a
+    slice's clock drifts (one per simulated satellite) once per bit
+    pattern, as -0.0 and 0.0 print apart."""
     stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
     epochs, sat_states = list(epochs), list(sat_states)
     if list(map(len, epochs)) != list(map(len, sat_states)):
         raise IndexError("epochs and satellite states differ in rows")
     states = np.concatenate([np.zeros((0, len(STATE_COLUMNS))), *sat_states])
     sats = np.concatenate([np.zeros(0, int), *(e.sats for e in epochs)])
-    tows = np.array([f"{e.time.tow:.3f}" for e in epochs],
-                    dtype=object).repeat(list(map(len, epochs)))
+    tows = textnum.strings([f"{e.time.tow:.3f}," for e in epochs])
+    row_epoch = np.arange(len(epochs)).repeat(list(map(len, epochs)))
     known = (~np.isnan(states).any(axis=1)).nonzero()[0]
     for a in range(0, len(known), _ROW_SLICE):
         rows = known[a:a + _ROW_SLICE]
-        bits, at = np.unique(states[rows, -1].view(int), return_inverse=True)
-        drifts = np.array([*map("%.15e".__mod__, bits.view(float).tolist())],
-                          dtype=object)[at]
-        stream.writelines(map(_SAT_STATE_ROW.__mod__, zip(
-            tows[rows].tolist(), map(SatelliteId.name_of, sats[rows].tolist()),
-            *states[rows, :-1].T.tolist(), drifts.tolist())))
+        x, y, z, vx, vy, vz, bias, drift = states[rows].T
+        bits, at = np.unique(drift.view(int), return_inverse=True)
+        drifts = textnum.scientific(bits.view(float))[at]
+        stream.write(textnum.text(
+            tows[row_epoch[rows]], SatelliteId.names_of(sats[rows]), b",",
+            textnum.fixed(x, 6), b",", textnum.fixed(y, 6), b",",
+            textnum.fixed(z, 6), b",", textnum.fixed(vx, 9), b",",
+            textnum.fixed(vy, 9), b",", textnum.fixed(vz, 9), b",",
+            textnum.scientific(bias), b",", drifts, b"\r\n"))
 
 
 def _keys(tow, sats) -> np.ndarray:

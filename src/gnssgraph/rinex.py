@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import textnum
 from .constants import (CLIGHT, FREQ_BDS_B1, FREQ_GAL_E1, FREQ_GLO_G1_BASE,
                         FREQ_GLO_G1_STEP, FREQ_GPS_L1)
 from .errors import MalformedEpoch, MalformedHeader
@@ -78,10 +79,6 @@ def _header_line(content: str, label: str) -> str:
     return f"{content:<60s}{label}\n"
 
 
-# a record's LLI and signal-strength digits by 10 * LLI + digit
-_FLAGS = np.array([f"{lli}{digit}" for lli in (0, 1) for digit in range(10)],
-                  dtype=object)
-_RECORD = "%s%s%14.3f%s%14.3f%s%14.3f%s\n"  # epoch lines ahead, a record
 _ROW_SLICE = 4096       # records formatted and written at a time
 
 
@@ -121,29 +118,39 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
     sats, code, phase, doppler, lock, snr = (np.concatenate([np.zeros(
         0, int), *(getattr(epoch, name) for epoch in epochs)]) for name in
         ("sats", "code", "phase", "doppler", "lock", "snr"))
-    ahead = [""] * (len(sats) + 1)
+    # the epoch lines ahead of each record that has any, and at the end
+    ahead = {}
     for start, epoch in zip(np.cumsum([0, *map(len, epochs)]).tolist(),
                             epochs):
         cal = epoch.time.to_calendar()
         seconds = cal.second + cal.microsecond * 1e-6
-        ahead[start] += (f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
-                         f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
-                         f"  0{len(epoch):3d}\n")
+        ahead[start] = ahead.get(start, "") + (
+            f"> {cal.year:4d} {cal.month:02d} {cal.day:02d} "
+            f"{cal.hour:02d} {cal.minute:02d} {seconds:10.7f}"
+            f"  0{len(epoch):3d}\n")
+    last = ahead.pop(len(sats), "")
+    marked = np.array([*ahead], dtype=int)
+    lines = textnum.strings([*ahead.values()])
     scaled = snr / 6.0
     for a in range(0, len(sats), _ROW_SLICE):
         rows = slice(a, a + _ROW_SLICE)
         finite = np.isfinite(scaled[rows])
         # per record the SNR digit, then the name: the first bad one raises
         named = a + (len(finite) if finite.all() else int(finite.argmin()))
-        names = list(map(SatelliteId.name_of, sats[a:named].tolist()))
+        names = SatelliteId.names_of(sats[a:named])
         if named < a + len(finite):
             round(float(scaled[named]))
-        flags = _FLAGS[10 * (lock[rows] == 0) + np.clip(
-            np.rint(scaled[rows]), 1, 9).astype(int)].tolist()
-        stream.writelines(map(_RECORD.__mod__, zip(
-            ahead[rows], names, code[rows].tolist(), flags,
-            phase[rows].tolist(), flags, doppler[rows].tolist(), flags)))
-    stream.write(ahead[-1])
+        flags = np.column_stack([
+            48 + (lock[rows] == 0),
+            48 + np.clip(np.rint(scaled[rows]), 1, 9)]).astype(np.uint8)
+        first, end = marked.searchsorted([a, a + len(finite)])
+        epoch_lines = np.zeros((len(finite), lines.shape[1]), np.uint8)
+        epoch_lines[marked[first:end] - a] = lines[first:end]
+        stream.write(textnum.text(
+            epoch_lines, names, textnum.fixed(code[rows], 3, 14), flags,
+            textnum.fixed(phase[rows], 3, 14), flags,
+            textnum.fixed(doppler[rows], 3, 14), flags, b"\n"))
+    stream.write(last)
 
 
 def _parse_header(lines) -> tuple[RinexHeader, int]:

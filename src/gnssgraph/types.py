@@ -125,6 +125,33 @@ class SatelliteId:
         """`str` of the satellite of this key, formatted once per key."""
         return str(SatelliteId.from_key(key))
 
+    @staticmethod
+    def names_of(keys: np.ndarray) -> np.ndarray:
+        """The `name_of` each key as a row of three bytes (`uint8`), from
+        a table of every key; `name_of`'s error for the first key that has
+        no satellite."""
+        table = _name_table()
+        keys = np.asarray(keys, dtype=int)
+        known = (keys >= 0) & (keys < len(table))
+        rows = np.where(known, keys, 0)
+        bad = ~known | (table[rows, 0] == 0)
+        if bad.any():
+            SatelliteId.name_of(int(keys[bad.argmax()]))
+        return table[rows]
+
+
+@cache
+def _name_table() -> np.ndarray:
+    """Per satellite key, its name's three bytes; NULs for a key that has
+    no satellite."""
+    def name(key):
+        try:
+            return SatelliteId.name_of(key)
+        except ValueError:
+            return ""
+    return np.array([*map(name, range(100 * len(CONSTELLATIONS)))],
+                    dtype="S3").view(np.uint8).reshape(-1, 3)
+
 
 @dataclass(frozen=True)
 class GeodeticPosition:

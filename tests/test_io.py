@@ -466,19 +466,30 @@ class TestTrajectoryCsv:
         assert np.abs(back_tow - tow).max() < 1e-3
         assert back_status == status
 
-    def test_rows_as_csv_writer_writes_them(self):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 4096])
+    def test_rows_as_csv_writer_writes_them(self, rows, monkeypatch):
         """Each row is the fields, formatted one by one, that csv.writer
-        joins, NaN and negative zero included."""
+        joins, `rows` rows at a time: values that `%` formats in place of
+        the column kernels (NaN, inf, a product next to a half, 1e20 wider
+        than its slot, negative zero and a negative that rounds to zero)
+        beside those the kernels format."""
         import csv
 
         from gnssgraph.coords import ecef_to_geodetic
 
+        monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
         positions = np.array([[-3947762.25, 3364399.5, 3699430.125],
                               [np.nan, 0.0, 1.0],
-                              [6378137.0, -0.0, 0.0]])
-        tow = [0.0005, 604799.9995, 12.25]
+                              [6378137.0, -0.0, 0.0],
+                              [1e20, -0.00004, 6378137.00005],
+                              [-3947762.0, 3364399.0, 3699430.0],
+                              [-1e-5, 6378137.00005, 1e20],
+                              [0.0, 0.0, -6356752.3142]])
+        tow = [0.0005, 604799.9995, 12.25, np.inf, -0.0, np.nan, 2.5e-4]
         status = [TrajectoryStatus.TRUTH, TrajectoryStatus.INITIAL,
-                  TrajectoryStatus.OPTIMIZED]
+                  TrajectoryStatus.OPTIMIZED, TrajectoryStatus.TRUTH,
+                  TrajectoryStatus.INITIAL, TrajectoryStatus.OPTIMIZED,
+                  TrajectoryStatus.TRUTH]
         buf = io.StringIO()
         write_trajectory_csv(tow, positions, status, buf)
         expected = io.StringIO()
@@ -492,6 +503,18 @@ class TestTrajectoryCsv:
                              f"{np.degrees(g.longitude):.9f}",
                              f"{g.height:.4f}", state.value])
         assert buf.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("tow, rows, states", [
+        (3, 3, 1), (3, 1, 3), (1, 3, 3), (0, 0, 1), (4, 3, 3)])
+    def test_columns_of_other_lengths_raise(self, tow, rows, states):
+        """Times, positions and statuses of other lengths are refused, not
+        cut to the shortest, and nothing is written."""
+        buf = io.StringIO()
+        with pytest.raises(LengthMismatch):
+            write_trajectory_csv(np.arange(tow, dtype=float),
+                                 np.ones((rows, 3)),
+                                 [TrajectoryStatus.TRUTH] * states, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("header, row", [
         ("tow,x,y,z,status", "1.0,abc,2.0,3.0,Truth"),

@@ -85,17 +85,34 @@ def circle():
 
 def edge_session():
     """Epochs of 3, 2, 0, 4, 1 and 0 rows; rows 3, 4 and 6 have no state,
-    and the clock drifts hold 0.0, -0.0 and repeats of each."""
+    and the clock drifts hold 0.0, -0.0 and repeats of each. Among values
+    that the column kernels format sit values that `%` formats in their
+    place: a product next to a half, -0.0 and a negative that rounds to
+    zero, NaN, ±inf, and 1e300, wider than any slot."""
     epochs = [hand_epoch(float(t), keys, lock=[0, 2, 3, 4][:len(keys)])
               for t, keys in enumerate([[1, 2, 3], [101, 205], [],
                                         [4, 5, 301, 302], [6], []])]
+    epochs[0].code[1] = 20000000.0005
+    epochs[0].phase[2] = -0.0
+    epochs[3].doppler[0] = 1e300
+    epochs[3].code[2] = np.nan
+    epochs[3].phase[3] = np.inf
+    epochs[4].doppler[0] = -np.inf
     states = list(map(hand_states, epochs))
     drifts = iter([0.0, -0.0, -3.2e-12, 0.0, -0.0, -0.0, 0.0, -3.2e-12,
                    0.0, -0.0])
     for rows in states:
         rows[:, 7] = [next(drifts) for _ in rows]
+    states[0][0, 0] = 1e300
+    states[0][1, 1] = 5e-7
+    states[0][2, 4] = -0.0
     states[1][:] = np.nan
+    states[3][0, 6] = np.inf
     states[3][1, 0] = np.nan
+    states[3][2, 5] = 1.0000000005
+    states[3][3, 6] = -np.inf
+    states[4][0, 3] = -1e-10
+    states[4][0, 6] = 9.999999999999999e-05
     return epochs, states
 
 
@@ -161,12 +178,14 @@ class TestWritersAsReference:
     def test_slice_edges(self, rows, monkeypatch):
         """Slices that end inside an epoch, on an epoch edge, at the empty
         epoch and between the rows without a state; -0.0 and 0.0 drifts in
-        one slice and apart."""
+        one slice and apart; kernel and `%` cells side by side."""
         slice_rows(monkeypatch, rows)
         epochs, states = edge_session()
-        _, sidecar = assert_as_reference(HEADER, epochs, states)
+        rinex, sidecar = assert_as_reference(HEADER, epochs, states)
         assert sidecar.count(",-0.000000000000000e+00\r\n") == 3
         assert sidecar.count(",0.000000000000000e+00\r\n") == 2
+        assert f"{1e300:14.3f}" in rinex and f",{1e300:.6f}," in sidecar
+        assert ",inf," in sidecar and ",-inf," in sidecar
 
     def test_epoch_with_no_satellites(self):
         epochs = [hand_epoch(0.0, [1, 2]), hand_epoch(1.0, []),
