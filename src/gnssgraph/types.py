@@ -127,7 +127,7 @@ class SatelliteId:
 
     @staticmethod
     def names_of(keys: np.ndarray) -> np.ndarray:
-        """The `name_of` each key as a row of three bytes (`uint8`), from
+        """The `name_of` of each key as a row of three bytes (`uint8`), from
         a table of every key; `name_of`'s error for the first key that has
         no satellite."""
         table = _name_table()
