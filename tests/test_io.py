@@ -466,18 +466,16 @@ class TestTrajectoryCsv:
         assert np.abs(back_tow - tow).max() < 1e-3
         assert back_status == status
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 4096])
-    def test_rows_as_csv_writer_writes_them(self, rows, monkeypatch):
+    def test_rows_as_csv_writer_writes_them(self, monkeypatch):
         """Each row is the fields, formatted one by one, that csv.writer
-        joins, `rows` rows at a time: values that `%` formats in place of
-        the column kernels (NaN, inf, a product next to a half, 1e20 wider
-        than its slot, negative zero and a negative that rounds to zero)
-        beside those the kernels format."""
+        joins, in slices of 1, 2, 3, 8 and 4096 rows: values that `%`
+        formats in place of the column kernels (NaN, inf, a product next
+        to a half, 1e20 wider than its slot, negative zero and a negative
+        that rounds to zero) beside those the kernels format."""
         import csv
 
         from gnssgraph.coords import ecef_to_geodetic
 
-        monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
         positions = np.array([[-3947762.25, 3364399.5, 3699430.125],
                               [np.nan, 0.0, 1.0],
                               [6378137.0, -0.0, 0.0],
@@ -490,8 +488,6 @@ class TestTrajectoryCsv:
                   TrajectoryStatus.OPTIMIZED, TrajectoryStatus.TRUTH,
                   TrajectoryStatus.INITIAL, TrajectoryStatus.OPTIMIZED,
                   TrajectoryStatus.TRUTH]
-        buf = io.StringIO()
-        write_trajectory_csv(tow, positions, status, buf)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["tow", "x", "y", "z", "lat_deg", "lon_deg",
@@ -502,7 +498,11 @@ class TestTrajectoryCsv:
                              f"{p[2]:.4f}", f"{np.degrees(g.latitude):.9f}",
                              f"{np.degrees(g.longitude):.9f}",
                              f"{g.height:.4f}", state.value])
-        assert buf.getvalue() == expected.getvalue()
+        for rows in (1, 2, 3, 8, 4096):
+            monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
+            buf = io.StringIO()
+            write_trajectory_csv(tow, positions, status, buf)
+            assert buf.getvalue() == expected.getvalue(), rows
 
     @pytest.mark.parametrize("tow, rows, states", [
         (3, 3, 1), (3, 1, 3), (1, 3, 3), (0, 0, 1), (4, 3, 3)])
