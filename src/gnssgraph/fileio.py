@@ -17,7 +17,6 @@ import math
 import warnings
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from itertools import chain, repeat
 from numbers import Real
 from typing import get_args, get_type_hints
 
@@ -31,6 +30,7 @@ from .errors import IoFailure, LengthMismatch
 from .gnsstime import GpsTime
 from .graph import Graph
 from .pipeline import PipelineConfig
+from .pointpos import STATE_DIM
 from .sim import ScenarioConfig
 from .types import (STATE_COLUMNS, Constellation, GeodeticPosition,
                     SatelliteId, setting)
@@ -88,20 +88,28 @@ def read_trajectory_csv(stream) -> tuple[np.ndarray, np.ndarray, list]:
         raise IoFailure(f"trajectory CSV: {exc!r}") from exc
 
 
-def _json_items(column) -> list[str]:
-    """Each item of `column` (a list, or an array of numbers or rows) as
-    `json.dumps(column)` writes it, a list without its brackets."""
-    items = column.tolist() if isinstance(column, np.ndarray) else column
-    if not items:
-        return []
-    text = json.dumps(items)
-    return (text[2:-2].split("], [") if isinstance(items[0], list)
-            else text[1:-1].split(", "))
-
-
-# graph edges or sidecar rows formatted and written at a time, so that no
-# section is one string and one slice's Python values are held at once
+# graph nodes and edges, or sidecar or trajectory rows, formatted and
+# written at a time, so that no section is one string and one slice's
+# slots are held at once
 _ROW_SLICE = 4096
+
+
+def _items(matrix, present=None) -> list:
+    """The `textnum.text` columns of a JSON list per row of `matrix`, each
+    item as `json.dumps` writes it (`str` of an integer, `repr` of a
+    float), with ", " between them; an item that the mask `present` marks
+    absent is NULs, and so is its ", "."""
+    kernel = (textnum.integers if matrix.dtype.kind in "iu"
+              else textnum.shortest)
+    columns = []
+    for k, column in enumerate(np.transpose(matrix)):
+        if k:
+            columns.append(b", " if present is None else np.frombuffer(
+                b", ", np.uint8) * present[:, k, None])
+        slots = kernel(column)
+        columns.append(slots if present is None
+                       else slots * present[:, k, None])
+    return columns
 
 
 def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
@@ -109,70 +117,100 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     """Dump the factor graph for external inspection or plotting: one
     edge per factor, velocity, trrtk, pseudorange then prior, with the
     current rows. `states` defaults to the stored initial states; pass
-    the optimizer output to export the solved trajectory. The text is
-    `json.dumps` of a dict per node and edge, written kind by kind in
-    slices of `_ROW_SLICE` edges: a slice is one `str.join` of each
-    column's items, as `json.dumps` writes the column, with the pieces of
-    the kind's template between them.
+    the optimizer output to export the solved trajectory. States of
+    another shape than (nodes, STATE_DIM) are a LengthMismatch. The text
+    is `json.dumps` of a dict per node and edge, byte for byte: each list
+    is written `_ROW_SLICE` dicts at a time, as one `textnum.text` of the
+    keys and each column's slots, a prior's absent items as NULs.
     """
+    x = graph.initial_states if states is None else np.asarray(states)
+    if np.shape(x) != (len(graph.initial_states), STATE_DIM):
+        raise LengthMismatch(f"states of shape {np.shape(x)} for "
+                             f"{len(graph.initial_states)} nodes of "
+                             f"{STATE_DIM} states")
+
     def eigenvalues(information):
         return np.round(np.sort(np.linalg.eigvalsh(information)), 9)
 
-    def dicts(template, *columns):
-        # `template % row` for each row of items, joined by ", ": one join
-        # of the items with the template's pieces between them
-        items = [_json_items(column) for column in columns]
-        if not items[0]:
-            return ""
-        first, *inner, end = template.split("%s")
-        joints = map(repeat, [*inner, f"{end}, {first}"])
-        parts = [first, *chain.from_iterable(
-            zip(*chain.from_iterable(zip(items, joints))))]
-        parts[-1] = end
-        return "".join(parts)
-
-    x = graph.initial_states if states is None else states
     vel, tr = graph.velocity_factors, graph.trrtk_factors
     pr, priors = graph.pseudorange_factors, graph.priors
-    bounds = [*priors.start.tolist(), len(priors.node)]
-    indices, values, information = (
-        [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        for rows in (priors.index.tolist(), priors.value.tolist(),
-                     priors.information.tolist()))
-    edges = (
-        ('{"type": "velocity", "nodes": [%s], "measurement": [%s], '
-         '"dt": %s, "information_eigenvalues": [%s]}', vel.nodes,
-         vel.velocity, vel.dt, eigenvalues(vel.information)),
-        ('{"type": "trrtk", "nodes": [%s], "measurement": [%s], '
-         '"time_difference": %s, "information_eigenvalues": [%s]}',
-         tr.nodes, tr.baseline, tr.time_difference,
-         eigenvalues(tr.information)),
-        ('{"type": "pseudorange", "nodes": [%s], "satellite": %s, '
-         '"measurement": %s, "information_eigenvalues": [%s]}',
-         pr.node, list(map(SatelliteId.name_of, pr.sat.tolist())),
-         pr.constant, pr.information),
-        ('{"type": "prior", "nodes": [%s], "indices": [%s], '
-         '"measurement": [%s], "information_eigenvalues": [%s]}',
-         priors.node[priors.start], indices, values,
-         list(map(sorted, information))))
+    position = np.round(graph.reference_position + x[:, :3], 6)
+    clocks = np.round(x[:, 3:], 6)
+    vel_eigenvalues = eigenvalues(vel.information)
+    tr_eigenvalues = eigenvalues(tr.information)
+    names = SatelliteId.names_of(pr.sat)
+    # a prior edge's rows as a row of items, absent past its count; the
+    # information in `sorted` order, which keeps NaNs where they fall
+    bounds = np.append(priors.start, len(priors.node))
+    counts = np.diff(bounds)
+    present = np.arange(counts.max(initial=0)) < counts[:, None]
+    prior_rows = np.where(present, priors.start[:, None] + np.arange(
+        present.shape[1]), 0)
+    information = np.sort(np.where(present, priors.information[prior_rows],
+                                   np.inf), axis=1, kind="stable")
+    for edge in np.isnan(information).any(axis=1).nonzero()[0]:
+        information[edge, :counts[edge]] = sorted(
+            priors.information[bounds[edge]:bounds[edge + 1]].tolist())
+    information[~present] = 0.0
     try:
         optimizer = "" if report is None else ', "optimizer": ' + json.dumps({
             name: getattr(report, name) for name in
             ("initial_cost", "final_cost", "iterations", "converged")})
     except TypeError as exc:
         raise IoFailure(str(exc)) from exc
-    stream.write('{"reference_position": %s, "nodes": [%s], "edges": ['
-                 % (json.dumps(graph.reference_position.tolist()),
-                    dicts('{"index": %s, "position": [%s], "clocks": [%s]}',
-                          list(range(len(x))), np.round(
-                              graph.reference_position + x[:, :3], 6),
-                          np.round(x[:, 3:], 6))))
-    separator = ""
-    for template, *columns in edges:
-        for start in range(0, len(columns[0]), _ROW_SLICE):
-            stream.writelines((separator, dicts(template, *(
-                column[start:start + _ROW_SLICE] for column in columns))))
-            separator = ", "
+
+    def write(lists):
+        # one JSON list of the dicts of each (count, columns of a slice)
+        # of `lists`, `_ROW_SLICE` at a time, each after ", " but the first
+        first = True
+        for count, columns in lists:
+            for start in range(0, count, _ROW_SLICE):
+                separator = np.tile(np.frombuffer(b", ", np.uint8),
+                                    (min(count - start, _ROW_SLICE), 1))
+                if first:
+                    separator[0] = 0
+                    first = False
+                stream.write(textnum.text(separator, *columns(
+                    slice(start, start + _ROW_SLICE))))
+
+    stream.write(textnum.text(
+        b'{"reference_position": [',
+        *_items(np.reshape(graph.reference_position, (1, -1))),
+        b'], "nodes": ['))
+    write([(len(x), lambda r: [
+        b'{"index": ', textnum.integers(np.arange(len(x))[r]),
+        b', "position": [', *_items(position[r]), b'], "clocks": [',
+        *_items(clocks[r]), b"]}"])])
+    stream.write('], "edges": [')
+    write([
+        (len(vel), lambda r: [
+            b'{"type": "velocity", "nodes": [', *_items(vel.nodes[r]),
+            b'], "measurement": [', *_items(vel.velocity[r]),
+            b'], "dt": ', textnum.shortest(vel.dt[r]),
+            b', "information_eigenvalues": [',
+            *_items(vel_eigenvalues[r]), b"]}"]),
+        (len(tr), lambda r: [
+            b'{"type": "trrtk", "nodes": [', *_items(tr.nodes[r]),
+            b'], "measurement": [', *_items(tr.baseline[r]),
+            b'], "time_difference": ',
+            textnum.shortest(tr.time_difference[r]),
+            b', "information_eigenvalues": [',
+            *_items(tr_eigenvalues[r]), b"]}"]),
+        (len(pr), lambda r: [
+            b'{"type": "pseudorange", "nodes": [',
+            textnum.integers(pr.node[r]), b'], "satellite": "', names[r],
+            b'", "measurement": ', textnum.shortest(pr.constant[r]),
+            b', "information_eigenvalues": [',
+            textnum.shortest(pr.information[r]), b"]}"]),
+        (len(priors), lambda r: [
+            b'{"type": "prior", "nodes": [',
+            textnum.integers(priors.node[priors.start[r]]),
+            b'], "indices": [',
+            *_items(priors.index[prior_rows[r]], present[r]),
+            b'], "measurement": [',
+            *_items(priors.value[prior_rows[r]], present[r]),
+            b'], "information_eigenvalues": [',
+            *_items(information[r], present[r]), b"]}"])])
     stream.write(']%s}' % optimizer)
 
 

@@ -16,7 +16,7 @@ from gnssgraph.fileio import (TrajectoryStatus, export_graph_json,
                               write_trajectory_csv)
 from gnssgraph.gnsstime import GpsTime
 from gnssgraph.pipeline import PipelineConfig, solve_trajectory
-from gnssgraph.pointpos import SolverConfig
+from gnssgraph.pointpos import STATE_DIM, SolverConfig
 from gnssgraph.rinex import (RinexHeader, header_for_scenario,
                              parse_rinex_obs, write_rinex_obs)
 from gnssgraph.sim import (NoiseConfig, ScenarioConfig, TrajectoryConfig,
@@ -973,6 +973,39 @@ class TestGraphJsonText:
         text = self.text(result)
         assert "NaN" in text and "Infinity" in text and "-0.0" in text
         assert text == json.dumps(graph_payload(g, x, result.report))
+
+    def test_the_benchmark_circle_equals_the_dict_payload(self):
+        """The largest graph the benchmark writes: its 30-minute GPS+GAL
+        circle solved without loop closures, about 26k pseudorange rows
+        of every digit count."""
+        cfg = ScenarioConfig(duration=1800.0,
+                             trajectory=TrajectoryConfig(kind="circle",
+                                                         speed=1.0,
+                                                         radius=30.0),
+                             counts={Constellation.GPS: 31,
+                                     Constellation.GAL: 24}, seed=1)
+        truth, epochs, states = run_scenario(cfg)
+        result = solve_trajectory(epochs, states,
+                                  PipelineConfig(iono=cfg.iono,
+                                                 tropo=cfg.tropo,
+                                                 use_trrtk=False))
+        g = result.graph
+        assert len(g.pseudorange_factors) > 25000 and len(g.priors) > 1800
+        assert self.text(result) == json.dumps(
+            graph_payload(g, result.states, result.report))
+
+    @pytest.mark.parametrize("nodes, columns", [
+        (3, STATE_DIM), (None, 3), (None, 5), (None, STATE_DIM + 1)])
+    def test_states_of_another_shape_raise(self, solved, nodes, columns):
+        """States that are not one row of STATE_DIM per node are a
+        LengthMismatch, and nothing is written: not a graph of fewer nodes
+        than its edges name, nor cut clock lists."""
+        states = np.zeros((nodes or len(solved.states), columns))
+        buf = io.StringIO()
+        with pytest.raises(LengthMismatch):
+            export_graph_json(solved.graph, buf, states=states,
+                              report=solved.report)
+        assert buf.getvalue() == ""
 
 
 class TestConfigYaml:
