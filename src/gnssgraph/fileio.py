@@ -49,7 +49,7 @@ TRAJECTORY_COLUMNS = ("tow", "x", "y", "z", "lat_deg", "lon_deg", "height",
 def write_trajectory_csv(tow, positions, status, stream) -> None:
     """One CSV row per time of week `tow` [s], ECEF position (row of
     `positions`) and its geodetic coordinates, and TrajectoryStatus,
-    `_ROW_SLICE` rows at a time; columns of other lengths are a
+    `textnum.ROW_SLICE` rows at a time; columns of other lengths are a
     LengthMismatch."""
     tow = np.asarray(tow, dtype=float).ravel()
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -64,8 +64,8 @@ def write_trajectory_csv(tow, positions, status, stream) -> None:
                                geodetic.height])
     status = textnum.strings(status)
     stream.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-    for a in range(0, len(tow), _ROW_SLICE):
-        rows = slice(a, a + _ROW_SLICE)
+    for a in range(0, len(tow), textnum.ROW_SLICE):
+        rows = slice(a, a + textnum.ROW_SLICE)
         x, y, z, lat, lon, height = columns[rows].T
         stream.write(textnum.text(
             textnum.fixed(tow[rows], 3), b",", textnum.fixed(x, 4), b",",
@@ -86,12 +86,6 @@ def read_trajectory_csv(stream) -> tuple[np.ndarray, np.ndarray, list]:
     # a bad number, status or time of week; a missing column or field
     except (csv.Error, ValueError, KeyError, TypeError) as exc:
         raise IoFailure(f"trajectory CSV: {exc!r}") from exc
-
-
-# graph nodes and edges, or sidecar or trajectory rows, formatted and
-# written at a time, so that no section is one string and one slice's
-# slots are held at once
-_ROW_SLICE = 4096
 
 
 def _items(matrix, present=None) -> list:
@@ -120,8 +114,8 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
     the optimizer output to export the solved trajectory. States of
     another shape than (nodes, STATE_DIM) are a LengthMismatch. The text
     is `json.dumps` of a dict per node and edge, byte for byte: each list
-    is written `_ROW_SLICE` dicts at a time, as one `textnum.text` of the
-    keys and each column's slots, a prior's absent items as NULs.
+    is written `textnum.ROW_SLICE` dicts at a time, as one `textnum.text`
+    of the keys and each column's slots, a prior's absent items as NULs.
     """
     x = graph.initial_states if states is None else np.asarray(states)
     if np.shape(x) != (len(graph.initial_states), STATE_DIM):
@@ -161,17 +155,17 @@ def export_graph_json(graph: Graph, stream, states: np.ndarray | None = None,
 
     def write(lists):
         # one JSON list of the dicts of each (count, columns of a slice)
-        # of `lists`, `_ROW_SLICE` at a time, each after ", " but the first
-        first = True
+        # of `lists`, `size` at a time, each after ", " but the first
+        first, size = True, textnum.ROW_SLICE
         for count, columns in lists:
-            for start in range(0, count, _ROW_SLICE):
+            for start in range(0, count, size):
                 separator = np.tile(np.frombuffer(b", ", np.uint8),
-                                    (min(count - start, _ROW_SLICE), 1))
+                                    (min(count - start, size), 1))
                 if first:
                     separator[0] = 0
                     first = False
                 stream.write(textnum.text(separator, *columns(
-                    slice(start, start + _ROW_SLICE))))
+                    slice(start, start + size))))
 
     stream.write(textnum.text(
         b'{"reference_position": [',
@@ -218,10 +212,10 @@ SAT_STATE_COLUMNS = ("tow", "sat") + STATE_COLUMNS
 
 
 def write_sat_states_csv(epochs, sat_states, stream) -> None:
-    """Sidecar of the known states of each epoch's satellites, `_ROW_SLICE`
-    rows at a time. Times of week are formatted once per epoch, and a
-    slice's clock drifts (one per simulated satellite) once per bit
-    pattern, as -0.0 and 0.0 print apart."""
+    """Sidecar of the known states of each epoch's satellites,
+    `textnum.ROW_SLICE` rows at a time. Times of week are formatted once
+    per epoch, and a slice's clock drifts (one per simulated satellite)
+    once per bit pattern, as -0.0 and 0.0 print apart."""
     stream.write(",".join(SAT_STATE_COLUMNS) + "\r\n")
     epochs, sat_states = list(epochs), list(sat_states)
     if list(map(len, epochs)) != list(map(len, sat_states)):
@@ -231,8 +225,8 @@ def write_sat_states_csv(epochs, sat_states, stream) -> None:
     tows = textnum.strings([f"{e.time.tow:.3f}," for e in epochs])
     row_epoch = np.arange(len(epochs)).repeat(list(map(len, epochs)))
     known = (~np.isnan(states).any(axis=1)).nonzero()[0]
-    for a in range(0, len(known), _ROW_SLICE):
-        rows = known[a:a + _ROW_SLICE]
+    for a in range(0, len(known), textnum.ROW_SLICE):
+        rows = known[a:a + textnum.ROW_SLICE]
         x, y, z, vx, vy, vz, bias, drift = states[rows].T
         bits, at = np.unique(drift.view(int), return_inverse=True)
         drifts = textnum.scientific(bits.view(float))[at]

@@ -79,14 +79,12 @@ def _header_line(content: str, label: str) -> str:
     return f"{content:<60s}{label}\n"
 
 
-_ROW_SLICE = 4096       # records formatted and written at a time
-
-
 def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
-    """Emit a RINEX 3.04 observation file, `_ROW_SLICE` records at a time;
-    `parse_rinex_obs` inverts it at 3 decimals. Each value carries its
-    record's LLI digit, 1 where lock is 0 (a slip), and signal-strength
-    digit: SNR in 6 dB-Hz bins rounded half to even, clipped to 1..9."""
+    """Emit a RINEX 3.04 observation file, `textnum.ROW_SLICE` records at
+    a time; `parse_rinex_obs` inverts it at 3 decimals. Each value carries
+    its record's LLI digit, 1 where lock is 0 (a slip), and
+    signal-strength digit: SNR in 6 dB-Hz bins rounded half to even,
+    clipped to 1..9."""
     stream.write(_header_line(
         f"{header.version:9.2f}{'':11s}{'OBSERVATION DATA':<20s}{'M':<20s}",
         "RINEX VERSION / TYPE"))
@@ -132,8 +130,8 @@ def write_rinex_obs(header: RinexHeader, epochs, stream) -> None:
     marked = np.array([*ahead], dtype=int)
     lines = textnum.strings([*ahead.values()])
     scaled = snr / 6.0
-    for a in range(0, len(sats), _ROW_SLICE):
-        rows = slice(a, a + _ROW_SLICE)
+    for a in range(0, len(sats), textnum.ROW_SLICE):
+        rows = slice(a, a + textnum.ROW_SLICE)
         finite = np.isfinite(scaled[rows])
         # per record the SNR digit, then the name: the first bad one raises
         named = a + (len(finite) if finite.all() else int(finite.argmin()))

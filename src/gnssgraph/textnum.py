@@ -7,34 +7,40 @@ whole arrays.
 for byte, one row of `uint8` per value: the text in a slot common to the
 column, padded with NULs; on its left, and for `shortest` also on its
 right. A writer puts such slots and constant separators side by side in
-one byte matrix and drops the NULs (`text`).
+one byte matrix, `ROW_SLICE` rows at a time, and drops the NULs (`text`).
 
 CPython's `%` prints the decimal that its value rounds to, half to even,
 from the exact binary value (Gay 1990), and `repr` the shortest decimal
 that reads back as the value, the nearest of several (Steele and White
-1990). The kernels find those decimals with exact arithmetic:
+1990). The kernels find those decimals with exact arithmetic on one core,
+and lay out digits with one layout:
+  - `_scaled(x, digits)` writes |x| = m * 2**e (m < 2**53), E = floor(log10
+    |x|) and |x| * 10**s = m * 5**s / 2**shift = q + r / 2**shift exactly,
+    s = digits - 1 - E: for 0 <= s <= 27, m * 5**s fits two 64-bit limbs,
+    and for 1 <= shift <= 61, q and 4 * r fit an int64.
+  - `scientific` rounds the 16-digit q half to even from r.
+  - `shortest` takes the 17-digit grid q and the interval of values that
+    round to x, (m -+ 1/2) * 2**e (m - 1/4 below a power of two), as
+    exact fractions of 2**(shift + 2) from 4 * r. Of the grid's integers
+    in the interval, at most 23, it picks the one with the most trailing
+    zeros, and of those the nearest to x (Adams 2018, "Ryu"). No end of
+    the interval is a grid integer.
   - `fixed` scales |x| by 10**decimals, an exact power for decimals <= 22,
     in one rounded product p. When p lies more than one ulp from a
     half-integer (so p < 2**51), the exact product lies on the same side
     of every half-integer as p, and `rint(p)` is the integer `%` prints.
-  - `scientific` writes |x| = m * 2**e (m < 2**53) and its 16 digits as
-    m * 5**s * 2**(e + s) for s = 15 - floor(log10 |x|). For s <= 27,
-    m * 5**s < 2**117 is held exactly in two 64-bit limbs, then shifted
-    right with a guard bit and a sticky bit for round-half-even.
-  - `shortest` takes the 17-digit grid the same way, s = 16 - floor(log10
-    |x|), and the interval of values that round to x, (m -+ 1/2) * 2**e
-    (m - 1/4 below a power of two), as exact fractions of 2**(shift + 2)
-    on that grid. Of the grid's integers in the interval, at most 23, it
-    picks the one with the most trailing zeros, and of those the nearest
-    to x (Adams 2018, "Ryu"). No end of the interval is a grid integer.
+  - `_place` writes an integer's digits with a point ahead of its last
+    `decimals`, a minus and padding: `fixed`'s, `integers`' (no point)
+    and `scientific`'s significand, ahead of an `e±XX` tail.
 A cell that no kernel takes is formatted by `%`, `json.dumps` or `str`
 into its slot: one not finite or out of range, a product within one ulp
 of a half, for `scientific` or `shortest` a value next to a power of ten
 whose floor(log10) is off by one, for `scientific` one whose significand
 rounds up to the next power, and for `shortest` a value that `repr`
 writes in exponent form (outside [1e-4, 1e16)) or whose nearest grid
-integer is a tie. A slot widens to the column's longest text, such as
-`'%.6f' % 1e300`.
+integer is a tie. The core's bound on the shift is one trade: `scientific`
+sends 1e-12 <= |x| < 2**-35 (about 2.9e-11) to `%` too. A slot widens to
+the column's longest text, such as `'%.6f' % 1e300`.
 
 A kernel builds its slots a character position at a time, as the rows of
 a (position, value) array, and returns that array's transpose: numpy
@@ -48,12 +54,14 @@ import json
 
 import numpy as np
 
+# rows formatted and written at a time by the file writers, so that no
+# section is one string and one slice's slots are held at once
+ROW_SLICE = 4096
+
 _NUL, _SPACE, _MINUS, _POINT = 0, ord(" "), ord("-"), ord(".")
-# the largest s = 15 - exponent for which m * 5**s fits two 64-bit limbs
-_MAX_SHIFT = 27
-_POW5 = np.array([5 ** s for s in range(_MAX_SHIFT + 1)], dtype=np.uint64)
+# 5**s below 2**63, as `_mul_128` takes them
+_POW5 = np.array([5 ** s for s in range(28)], dtype=np.uint64)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-_SCIENTIFIC_WIDTH = len("-1.000000000000000e-308")
 # the two digits of 0..99 as code points
 _TENS = np.repeat(np.arange(48, 58, dtype=np.uint8), 10)
 _UNITS = np.tile(np.arange(48, 58, dtype=np.uint8), 10)
@@ -73,6 +81,35 @@ def _digits(numbers: np.ndarray, count: int) -> np.ndarray:
         out[k], out[k + 1] = _TENS[pair], _UNITS[pair]
         numbers = quotient
     return out[count % 2:]
+
+
+def _place(whole: np.ndarray, negative: np.ndarray, decimals: int,
+           width: int = 0) -> np.ndarray:
+    """The (position, value) array of `'%{width}.{decimals}f'` of
+    whole / 10**decimals for non-negative int64s `whole`, signed where
+    `negative`: at least decimals + 1 digits, a point ahead of the last
+    `decimals` (none for 0), spaces ahead to `width`, NULs ahead of those
+    to the column's longest text."""
+    count = max(len(str(int(whole.max(initial=0)))), decimals + 1)
+    point = int(decimals > 0)
+    slot = max(width, negative.any() + count + point)
+    units = slot - decimals - point - 1         # the units digit's position
+    positions = np.empty((slot, len(whole)), np.uint8)
+    digits = _digits(whole, count)
+    # the digits, then those after the point moved past it
+    positions[slot - count - point:slot - point] = digits
+    positions[slot - decimals:] = digits[count - decimals:]
+    positions[units + 1:units + 1 + point] = _POINT
+    # each text's first position: its sign, or its first integer digit;
+    # the positions ahead of it, all ahead of the units digit, are padding
+    first = units - np.searchsorted(_POW10[decimals + 1:count], whole,
+                                    side="right") - negative
+    ahead = np.arange(units)
+    np.copyto(positions[:units], np.where(ahead < slot - width, _NUL,
+                                          _SPACE).astype(np.uint8)[:, None],
+              where=ahead[:, None] < first)
+    positions[first[negative], negative.nonzero()[0]] = _MINUS
+    return positions
 
 
 def _with_fallback(positions: np.ndarray, cells: np.ndarray,
@@ -103,27 +140,9 @@ def fixed(values, decimals: int, width: int = 0) -> np.ndarray:
         half = np.abs(scaled - np.floor(scaled) - 0.5)
         exact = half > np.spacing(scaled)      # False for NaN and inf
     whole = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
-    # digits: as many as the largest value has, one before the point
-    count = max(len(str(int(whole.max(initial=0)))), decimals + 1)
-    negative = exact & np.signbit(x)
-    slot = max(width, negative.any() + count + 1)
-    positions = np.empty((slot, len(x)), np.uint8)
-    digits = _digits(whole, count)
-    positions[slot - count - 1:slot - decimals - 1] = digits[:count - decimals]
-    positions[slot - decimals - 1] = _POINT
-    positions[slot - decimals:] = digits[count - decimals:]
-    # each text's first position: its sign, or its first integer digit;
-    # the positions ahead of it, all ahead of the units digit, are padding
-    units = slot - decimals - 2
-    first = units - np.searchsorted(_POW10[decimals + 1:count], whole,
-                                    side="right") - negative
-    ahead = np.arange(units)
-    np.copyto(positions[:units], np.where(ahead < slot - width, _NUL,
-                                          _SPACE).astype(np.uint8)[:, None],
-              where=ahead[:, None] < first)
-    positions[first[negative], negative.nonzero()[0]] = _MINUS
-    return _with_fallback(positions, ~exact, x,
-                          f"%{width or ''}.{decimals}f".__mod__)
+    return _with_fallback(_place(whole, exact & np.signbit(x), decimals,
+                                 width),
+                          ~exact, x, f"%{width or ''}.{decimals}f".__mod__)
 
 
 def _mul_128(m: np.ndarray, f: np.ndarray) -> tuple:
@@ -139,60 +158,45 @@ def _mul_128(m: np.ndarray, f: np.ndarray) -> tuple:
     return high, result
 
 
-def _shift_round(high, low, shift) -> tuple:
-    """(high * 2**64 + low) / 2**shift rounded half to even, and
-    truncated, for shifts 1..127 that leave less than 2**62."""
-    k = (shift - 1).astype(np.uint64)       # shifts off all but a guard bit
-    big = k >= np.uint64(64)
-    kk = np.where(big, k - np.uint64(64), k)
-    guarded = np.where(big, high >> kk,
-                       (low >> kk) | ((high << np.uint64(1))
-                                      << (np.uint64(63) - kk)))
-    below = (np.uint64(1) << kk) - np.uint64(1)
-    sticky = np.where(big, (low != 0) | ((high & below) != 0),
-                      (low & below) != 0)
-    truncated = guarded >> np.uint64(1)
-    up = (guarded & np.uint64(1)).astype(bool) & (
-        sticky | (truncated & np.uint64(1)).astype(bool))
-    return (truncated + up).astype(np.int64), truncated.astype(np.int64)
+def _scaled(x: np.ndarray, digits: int) -> tuple:
+    """(taken, E, shift, q, r) per value: whether the core takes it, and
+    then E = floor(log10 |x|) and |x| * 10**(digits - 1 - E) = q + r /
+    2**shift exactly, for 1 <= shift <= 61; else E = q = r = 0 and
+    shift = 1."""
+    fraction, power = np.frexp(np.abs(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(np.abs(x)))
+    # a value that is 0 or not finite gets s = -1, which the core leaves
+    exponent = np.where(np.isfinite(guess), guess, digits).astype(np.int64)
+    s = digits - 1 - exponent
+    shift = 53 - power - s
+    taken = (s >= 0) & (s < len(_POW5)) & (shift >= 1) & (shift <= 61)
+    shift = np.where(taken, shift, 1).astype(np.uint64)
+    mantissa = (np.where(taken, fraction, 0.0) * 2.0 ** 53).astype(np.uint64)
+    high, low = _mul_128(mantissa, _POW5[s * taken])
+    q = (high << (np.uint64(64) - shift)) | (low >> shift)
+    r = low & ((np.uint64(1) << shift) - np.uint64(1))
+    return (taken, exponent * taken, shift.astype(np.int64),
+            q.astype(np.int64), r.astype(np.int64))
 
 
 def scientific(values) -> np.ndarray:
     """The text of `'%.15e' % value` of each value, as NUL-padded `uint8`
     slots, one row each."""
     x = np.asarray(values, dtype=float).ravel()
-    magnitude = np.abs(x)
-    fraction, power = np.frexp(magnitude)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mantissa = (fraction * 2.0 ** 53).astype(np.uint64)
-        guess = np.floor(np.log10(magnitude))
-    exact = np.isfinite(guess)
-    exponent = np.where(exact, guess, 0.0).astype(np.int64)
-    significand = np.zeros(len(x), np.int64)
-    s = 15 - exponent
-    shift = 53 - power - s
-    exact &= (s >= 0) & (s <= _MAX_SHIFT) & (shift >= 1)
-    cells = exact.nonzero()[0]
-    rounded, truncated = _shift_round(
-        *_mul_128(mantissa[cells], _POW5[s[cells]]), shift[cells])
-    significand[cells] = rounded
-    # floor(log10) may be one off next to a power of ten, as the truncated
-    # significand shows exactly, or the rounding may carry to 10**16: such
-    # a cell goes to `%`
-    exact[cells] = (truncated >= 10 ** 15) & (rounded < 10 ** 16)
-    exact |= magnitude == 0.0           # 0.000000000000000e+00
-
-    positions = np.empty((_SCIENTIFIC_WIDTH, len(x)), np.uint8)
-    digits = _digits(significand, 16)
-    positions[0] = _NUL
-    positions[1] = np.signbit(x) * _MINUS
-    positions[2] = digits[0]
-    positions[3] = _POINT
-    positions[4:19] = digits[1:]
-    positions[19] = ord("e")
-    positions[20] = np.where(exponent < 0, _MINUS, ord("+"))
-    positions[21:] = _digits(np.abs(exponent), 2)
-    return _with_fallback(positions, ~exact, x, "%.15e".__mod__)
+    exact, exponent, shift, q, r = _scaled(x, 16)
+    # half to even: up past the half, or at it from an odd q
+    significand = q + (np.sign(r - (1 << (shift - 1))) + q % 2 > 0)
+    # floor(log10) may be one off next to a power of ten, as q shows
+    # exactly, or the rounding may carry to 10**16: such a cell goes to `%`
+    exact &= (q >= 10 ** 15) & (significand < 10 ** 16)
+    exact |= x == 0.0                   # 0.000000000000000e+00
+    tail = np.full((4, len(x)), ord("e"), np.uint8)
+    tail[1] = np.where(exponent < 0, _MINUS, ord("+"))
+    tail[2:] = _digits(np.abs(exponent), 2)
+    return _with_fallback(
+        np.concatenate([_place(significand, np.signbit(x), 15), tail]),
+        ~exact, x, "%.15e".__mod__)
 
 
 def shortest(values) -> np.ndarray:
@@ -201,26 +205,16 @@ def shortest(values) -> np.ndarray:
     slots, one row each."""
     x = np.asarray(values, dtype=float).ravel()
     magnitude = np.abs(x)
-    fraction, power = np.frexp(magnitude)
     zero = magnitude == 0.0
-    exact = (magnitude >= 1e-4) & (magnitude < 1e16)     # False for NaN
-    exponent = np.floor(np.log10(np.where(exact, magnitude, 1.0))).astype(
-        np.int64)
-    mantissa = (np.where(exact, fraction, 0.5) * 2.0 ** 53).astype(np.uint64)
-    s = 16 - exponent
-    shift = 53 - power - s
-    exact &= shift >= 1
-    shift = np.where(exact, shift, 1).astype(np.uint64)
-    # |x| * 10**s = N / 2**shift with N = m * 5**s: its integer part q,
-    # and, in units of 2**-(shift + 2), the rest and the half-widths
-    # of the interval that reads back as x (narrower below a power of 2)
-    high, low = _mul_128(mantissa, _POW5[s])
-    q = ((high << (np.uint64(64) - shift)) | (low >> shift)).astype(np.int64)
-    remainder = ((low & ((np.uint64(1) << shift) - np.uint64(1)))
-                 << np.uint64(2)).astype(np.int64)
-    scale = (shift + np.uint64(2)).astype(np.int64)
-    above = 2 * _POW5[s].astype(np.int64)
-    below = above >> (mantissa == np.uint64(2 ** 52))
+    exact, exponent, shift, q, r = _scaled(x, 17)
+    exact &= (magnitude >= 1e-4) & (magnitude < 1e16)
+    # |x| * 10**(16 - exponent) = q + r / 2**shift: in units of
+    # 2**-(shift + 2), the rest and the half-widths of the interval that
+    # reads back as x (narrower below a power of 2)
+    remainder = 4 * r
+    scale = shift + 2
+    above = 2 * _POW5[16 - exponent].astype(np.int64)
+    below = above >> (np.frexp(magnitude)[0] == 0.5)
     # the integers a..b in that interval: no end of it is an integer, as
     # `remainder` is 0 mod 4, `above` 2 and `below` 2 or 1
     a = q - ((below - remainder) >> scale)
@@ -277,18 +271,9 @@ def integers(values) -> np.ndarray:
     """The text of `str(value)` of each integer, as NUL-padded `uint8`
     slots, one row each."""
     v = np.asarray(values, dtype=np.int64).ravel()
-    negative = v < 0
     magnitude = np.abs(v)
     exact = magnitude >= 0          # False for the least int64 only
-    magnitude[~exact] = 0
-    count = len(str(int(magnitude.max(initial=0))))
-    positions = np.empty((count + 1, len(v)), np.uint8)
-    positions[1:] = _digits(magnitude, count)
-    first = count - np.searchsorted(_POW10[1:count], magnitude,
-                                    side="right") - negative
-    np.copyto(positions, _NUL, where=np.arange(count + 1)[:, None] < first)
-    positions[first[negative], negative.nonzero()[0]] = _MINUS
-    return _with_fallback(positions, ~exact, v, str)
+    return _with_fallback(_place(magnitude * exact, v < 0, 0), ~exact, v, str)
 
 
 def strings(texts) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Dead-symbol guard: every top-level function and class of the package
-is used by the package, the demos or the benchmark, or is part of the
-public API that `gnssgraph/__init__.py` re-exports. A symbol that only
-tests call belongs in the tests."""
+"""Dead-symbol guard: every top-level function, class and name of the
+package is used by the package, the demos or the benchmark, or is part of
+the public API that `gnssgraph/__init__.py` re-exports. A symbol that only
+tests call belongs in the tests. Dunders, such as `__all__`, and the
+physical constants of `constants.py`, a table kept whole, are exempt."""
 
 import ast
 from pathlib import Path
@@ -11,20 +12,33 @@ PACKAGE = ROOT / "src" / "gnssgraph"
 USERS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
 
 
-def defined(tree: ast.Module) -> set:
-    """The names of the module's top-level functions and classes."""
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
+def defined(tree: ast.Module, assigned: bool = True) -> set:
+    """The names of the module's top-level functions and classes, and,
+    with `assigned`, the names that its top-level assignments bind, but
+    dunders."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif assigned and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def used(tree: ast.Module) -> set:
-    """Every name the module reads: as a name, an attribute, an imported
-    name, or a string that is a name or a dotted path (the benchmark
-    names the functions it traces), but not a word of a docstring."""
+    """Every name the module reads: as a name that it loads, an attribute,
+    an imported name, or a string that is a name or a dotted path (the
+    benchmark names the functions it traces), but not a word of a
+    docstring."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -49,5 +63,7 @@ def test_every_top_level_symbol_is_used_outside_the_tests():
                 references |= used(parse(path))
     dead = sorted(f"{path.stem}.{name}"
                   for path in sorted(PACKAGE.glob("*.py"))
-                  for name in defined(parse(path)) - references)
+                  for name in defined(parse(path),
+                                      path.name != "constants.py")
+                  - references)
     assert dead == [], f"referenced by no module, demo or benchmark: {dead}"

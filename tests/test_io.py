@@ -499,7 +499,7 @@ class TestTrajectoryCsv:
                              f"{np.degrees(g.longitude):.9f}",
                              f"{g.height:.4f}", state.value])
         for rows in (1, 2, 3, 8, 4096):
-            monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
+            monkeypatch.setattr("gnssgraph.textnum.ROW_SLICE", rows)
             buf = io.StringIO()
             write_trajectory_csv(tow, positions, status, buf)
             assert buf.getvalue() == expected.getvalue(), rows
@@ -947,11 +947,11 @@ class TestGraphJsonText:
         """Edges written a slice at a time, whether a slice is one edge,
         splits every kind or ends exactly at the end of one, give the
         same text."""
-        import gnssgraph.fileio
+        import gnssgraph.textnum
         g = solved.graph
         if size == "pseudorange":
             size = len(g.pseudorange_factors)
-        monkeypatch.setattr(gnssgraph.fileio, "_ROW_SLICE", size)
+        monkeypatch.setattr(gnssgraph.textnum, "ROW_SLICE", size)
         assert len(g.pseudorange_factors) > 7 and len(g.trrtk_factors) > 7
         assert self.text(solved) == json.dumps(
             graph_payload(g, solved.states, solved.report))

@@ -66,8 +66,7 @@ HEADER = RinexHeader(marker_name="HAND", interval=1.0)
 
 def slice_rows(monkeypatch, rows):
     """Both writers format `rows` rows at a time."""
-    monkeypatch.setattr("gnssgraph.rinex._ROW_SLICE", rows)
-    monkeypatch.setattr("gnssgraph.fileio._ROW_SLICE", rows)
+    monkeypatch.setattr("gnssgraph.textnum.ROW_SLICE", rows)
 
 
 @pytest.fixture(scope="module")
